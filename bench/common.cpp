@@ -80,26 +80,25 @@ std::string cache_from_env() {
 
 // Optional process-isolation sandbox for the bench corpus, from the
 // DYDROID_ISOLATE env var (docs/ISOLATION.md). Truthy spellings (and
-// "fork") select fork-per-app, "pool" selects the persistent worker pool;
-// clean runs produce byte-identical reports in every mode, so flipping
+// "fork") run every app in a fresh worker (the pool recycling after every
+// app, like `--isolate`), "pool" keeps one worker per thread for the whole
+// run; clean runs produce byte-identical reports in every mode, so flipping
 // this only moves the timing columns.
-driver::IsolationMode isolation_from_env() {
+void isolation_from_env(driver::RunnerConfig& config) {
   const char* flag = std::getenv("DYDROID_ISOLATE");
-  if (flag == nullptr || flag[0] == '\0') return driver::IsolationMode::kOff;
+  if (flag == nullptr || flag[0] == '\0') return;
   const std::string text = support::to_lower(flag);
   if (text == "1" || text == "true" || text == "yes" || text == "on" ||
-      text == "fork") {
-    return driver::IsolationMode::kForkPerApp;
+      text == "fork" || text == "pool") {
+    config.isolation_mode = driver::IsolationMode::kPool;
+    if (text != "pool") config.pool_recycle_apps = 1;
+    return;
   }
-  if (text == "pool") return driver::IsolationMode::kPool;
-  if (text == "0" || text == "false" || text == "no" || text == "off") {
-    return driver::IsolationMode::kOff;
-  }
+  if (text == "0" || text == "false" || text == "no" || text == "off") return;
   std::fprintf(stderr,
                "bench: ignoring invalid DYDROID_ISOLATE value \"%s\" "
                "(want 1/true/yes/on/fork, pool, or 0/false/no/off)\n",
                flag);
-  return driver::IsolationMode::kOff;
 }
 
 // Optional corpus shard for the bench run, from the DYDROID_SHARD env var
@@ -183,7 +182,7 @@ Measurement measure_corpus(const malware::DroidNative* detector,
   runner_config.resume =
       !runner_config.journal_path.empty() && resume_from_env();
   runner_config.cache_dir = cache_from_env();
-  runner_config.isolation_mode = isolation_from_env();
+  isolation_from_env(runner_config);
   const ShardSpec shard = shard_from_env();
   runner_config.shard_index = shard.index;
   runner_config.shard_count = shard.count;

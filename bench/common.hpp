@@ -3,8 +3,8 @@
 // exposes the measured reports (in corpus order) to the per-table printers.
 // Scale via DYDROID_SCALE (default 0.05 = ~2,937 apps); worker count via
 // DYDROID_JOBS (default: hardware concurrency); Chrome trace of the run
-// via DYDROID_TRACE=out.json (docs/OBSERVABILITY.md); fork-per-app
-// sandboxing via DYDROID_ISOLATE=1 (docs/ISOLATION.md).
+// via DYDROID_TRACE=out.json (docs/OBSERVABILITY.md); process
+// isolation via DYDROID_ISOLATE=1|pool (docs/ISOLATION.md).
 #pragma once
 
 #include <cstdio>

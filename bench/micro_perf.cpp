@@ -323,12 +323,9 @@ void BM_CacheWarm(benchmark::State& state) {
 BENCHMARK(BM_CacheWarm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Process isolation (docs/ISOLATION.md): the same corpus run in-thread
-// (Arg 0), with every app forked into a fresh sandboxed child (Arg 1), and
-// on the persistent worker pool (Arg 2). The fork-mode delta is pure
-// containment cost — fork, pipe shipment of the encoded outcome, and reap —
-// while the pool amortizes the fork across the worker's lifetime and pays
-// only the per-app RPC. Clean children produce byte-identical reports in
-// every mode.
+// (Arg 0) and on the persistent worker pool (Arg 1). The pool forks once
+// per runner thread and pays only the per-app RPC. Clean workers produce
+// byte-identical reports in both modes.
 void BM_IsolationOverhead(benchmark::State& state) {
   support::set_log_level(support::LogLevel::Error);
   appgen::CorpusConfig config;
@@ -337,26 +334,20 @@ void BM_IsolationOverhead(benchmark::State& state) {
   const core::DyDroid pipeline{core::PipelineOptions{}};
   driver::RunnerConfig runner_config;
   runner_config.jobs = 1;
-  runner_config.isolation_mode = static_cast<driver::IsolationMode>(
-      static_cast<std::uint8_t>(state.range(0)));
+  if (state.range(0) != 0) {
+    runner_config.isolation_mode = driver::IsolationMode::kPool;
+  }
   const driver::CorpusRunner runner(pipeline, runner_config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(runner.run(corpus));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(corpus.apps.size()));
-  switch (runner_config.isolation_mode) {
-    case driver::IsolationMode::kOff: state.SetLabel("isolate=off"); break;
-    case driver::IsolationMode::kForkPerApp:
-      state.SetLabel("isolate=fork");
-      break;
-    case driver::IsolationMode::kPool: state.SetLabel("isolate=pool"); break;
-  }
+  state.SetLabel(runner_config.isolated() ? "isolate=pool" : "isolate=off");
 }
 BENCHMARK(BM_IsolationOverhead)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // Sharded corpus merge (docs/SHARDING.md): Arg shard journals are produced
@@ -455,35 +446,9 @@ void emit_corpus_bench_json() {
           ? 100.0 * (journaled.wall_ms - serial.wall_ms) / serial.wall_ms
           : 0.0;
 
-  // Process isolation (docs/ISOLATION.md): same corpus, every app in a
-  // sandboxed child. Fork-per-app pays fork + pipe + reap per app; the
-  // worker pool forks once per runner thread and pays only a framed RPC
-  // per app. Both best-of-3 against the best serial run, same as the
-  // journal A/B.
-  driver::RunnerConfig isolate_config;
-  isolate_config.jobs = 1;
-  isolate_config.isolation_mode = driver::IsolationMode::kForkPerApp;
-  auto isolated = driver::CorpusRunner(pipeline, isolate_config).run(corpus);
-  for (int rep = 1; rep < 3; ++rep) {
-    auto isolate_rep =
-        driver::CorpusRunner(pipeline, isolate_config).run(corpus);
-    if (isolate_rep.wall_ms < isolated.wall_ms) {
-      isolated = std::move(isolate_rep);
-    }
-  }
-  const double isolation_overhead_pct =
-      serial.wall_ms > 0
-          ? 100.0 * (isolated.wall_ms - serial.wall_ms) / serial.wall_ms
-          : 0.0;
-  bool isolation_identical =
-      serial.outcomes.size() == isolated.outcomes.size();
-  for (std::size_t i = 0; isolation_identical && i < serial.outcomes.size();
-       ++i) {
-    isolation_identical =
-        core::report_to_json(serial.outcomes[i].report) ==
-        core::report_to_json(isolated.outcomes[i].report);
-  }
-
+  // Process isolation (docs/ISOLATION.md): same corpus on the worker pool,
+  // which forks once per runner thread and pays only a framed RPC per app.
+  // Best-of-3 against the best serial run, same as the journal A/B.
   driver::RunnerConfig pool_config;
   pool_config.jobs = 1;
   pool_config.isolation_mode = driver::IsolationMode::kPool;
@@ -496,8 +461,6 @@ void emit_corpus_bench_json() {
       serial.wall_ms > 0
           ? 100.0 * (pooled.wall_ms - serial.wall_ms) / serial.wall_ms
           : 0.0;
-  const double pool_speedup_vs_fork =
-      pooled.wall_ms > 0 ? isolated.wall_ms / pooled.wall_ms : 0.0;
   bool pool_identical = serial.outcomes.size() == pooled.outcomes.size();
   for (std::size_t i = 0; pool_identical && i < serial.outcomes.size(); ++i) {
     pool_identical = core::report_to_json(serial.outcomes[i].report) ==
@@ -587,7 +550,7 @@ void emit_corpus_bench_json() {
   // metered pairs, minima compared — a lone instrumented sample on a
   // noisy runner once read as a 39% "regression", and comparing against
   // the program-start serial baseline still inflated the figure past 15%
-  // (by this point the fork/cache/shard passes have reshaped the heap and
+  // (by this point the pool/cache/shard passes have reshaped the heap and
   // page cache), so the baseline is re-measured here, adjacent to the
   // metered reps. The quantiles come from the last metered pass (reset
   // each rep, so counts stay single-run).
@@ -678,10 +641,8 @@ void emit_corpus_bench_json() {
                "  \"journaled\": {\"jobs\": 1, \"wall_ms\": %.2f,"
                " \"overhead_pct\": %.2f},\n"
                "  \"isolation\": {\"jobs\": 1,\n"
-               "    \"fork_per_app\": {\"wall_ms\": %.2f,"
-               " \"overhead_pct\": %.2f, \"reports_identical\": %s},\n"
                "    \"pool\": {\"wall_ms\": %.2f, \"overhead_pct\": %.2f,"
-               " \"reports_identical\": %s, \"speedup_vs_fork\": %.2f}},\n"
+               " \"reports_identical\": %s}},\n"
                "  \"cache\": {\"cold_wall_ms\": %.2f, \"warm_wall_ms\": %.2f,"
                " \"hit_rate\": %.4f, \"warm_speedup\": %.2f,"
                " \"unique_binaries\": %zu, \"total_binaries\": %zu},\n"
@@ -699,10 +660,8 @@ void emit_corpus_bench_json() {
                static_cast<std::size_t>(std::thread::hardware_concurrency()),
                serial.wall_ms, serial_aps, parallel.threads, parallel.wall_ms,
                parallel_aps, journaled.wall_ms, journal_overhead_pct,
-               isolated.wall_ms, isolation_overhead_pct,
-               isolation_identical ? "true" : "false", pooled.wall_ms,
-               pool_overhead_pct, pool_identical ? "true" : "false",
-               pool_speedup_vs_fork,
+               pooled.wall_ms, pool_overhead_pct,
+               pool_identical ? "true" : "false",
                cold.wall_ms, warm.wall_ms, cache_hit_rate, warm_speedup,
                warm.dedup.unique, warm.dedup.total,
                metrics_overhead_pct, metrics_json.c_str(), parses_per_app,
@@ -715,14 +674,13 @@ void emit_corpus_bench_json() {
   std::printf(
       "\nBENCH_corpus.json: %zu apps, serial %.1f ms (%.0f apps/s), "
       "parallel[%zu] %.1f ms (%.0f apps/s), speedup %.2fx, identical=%s, "
-      "journal overhead %+.1f%%, isolation fork %+.1f%% / pool %+.1f%% "
-      "(%.1fx faster than fork), cache warm %.2fx (hit rate %.0f%%), "
+      "journal overhead %+.1f%%, isolation pool %+.1f%%, "
+      "cache warm %.2fx (hit rate %.0f%%), "
       "shard merge[%u] %.1f ms (identical=%s)\n",
       corpus.apps.size(), serial.wall_ms, serial_aps, parallel.threads,
       parallel.wall_ms, parallel_aps,
       parallel.wall_ms > 0 ? serial.wall_ms / parallel.wall_ms : 0.0,
-      identical ? "true" : "false", journal_overhead_pct,
-      isolation_overhead_pct, pool_overhead_pct, pool_speedup_vs_fork,
+      identical ? "true" : "false", journal_overhead_pct, pool_overhead_pct,
       warm_speedup, 100.0 * cache_hit_rate, kShards,
       merge_ms, shard_identical ? "true" : "false");
 }

@@ -19,7 +19,6 @@
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
-#include "support/subprocess.hpp"
 #include "support/trace.hpp"
 #include "support/worker_pool.hpp"
 
@@ -27,33 +26,37 @@ namespace dydroid::driver {
 
 namespace {
 
-/// Salt for the driver-level fault session (journal.append / driver.kill
-/// sites): distinct from every per-app session seed, deterministic in the
-/// runner's seed base.
+/// Salt for the driver-level fault session (journal.append / driver.kill /
+/// cache.read / cache.write sites): distinct from every per-app session
+/// seed, deterministic in the runner's seed base.
 constexpr std::uint64_t kDriverFaultSalt = 0xD21BE9u;
 
-/// Salt for the per-app *sandbox* fault session (sandbox.spawn /
-/// sandbox.pipe / sandbox.crash): supervisor-side decisions draw from a
-/// stream derived from the app seed + attempt but distinct from the
-/// pipeline's in-child per-app session, so arming sandbox sites never
-/// perturbs the analysis itself.
+/// Salt for the per-attempt *sandbox* fault session (sandbox.crash /
+/// sandbox.pool.*): supervisor-side decisions draw from a stream derived
+/// from the app seed + attempt but distinct from the pipeline's in-child
+/// per-app session, so arming sandbox sites never perturbs the analysis
+/// itself.
 constexpr std::uint64_t kSandboxFaultSalt = 0x5ABD0Cull;
 
 /// When RunnerConfig::sandbox_deadline_ms is unset, the kill budget is a
 /// generous multiple of the pipeline's per-attempt wall budget: plenty of
-/// slack for fork + pipe overhead on a healthy app, still a hard bound on
-/// a hung one.
+/// slack for fork + RPC overhead on a healthy app, still a hard bound on a
+/// hung one.
 constexpr double kSandboxDeadlineSlack = 10.0;
 constexpr double kSandboxDeadlinePadMs = 1000.0;
 
 /// A child SIGKILLed by neither our deadline supervisor is either the
 /// kernel OOM killer or an unrelated external kill (a chaos harness, an
 /// operator). The two are indistinguishable from the parent, so the
-/// supervisor transparently respawns the attempt a bounded number of
+/// supervisor transparently re-dispatches the attempt a bounded number of
 /// times: a genuine memory hog dies again immediately (and is then
-/// classified killed_oom), while a randomly kill -9'd child just re-runs —
+/// classified killed_oom), while a randomly kill -9'd worker just re-runs —
 /// which is what keeps tools/run_isolation_matrix.sh's summaries golden.
 constexpr int kExternalKillRespawns = 2;
+
+/// Exit code of a serve loop that met a request it cannot trust: a
+/// desynchronized stream cannot be resynchronized.
+constexpr int kServeProtocolExitCode = 3;
 
 /// Narrow a global corpus index into the u32 trace-context field. The
 /// corpus identity must never silently truncate (with sharding, the global
@@ -66,6 +69,744 @@ std::uint32_t trace_app_id(std::size_t index) {
         "runner: corpus index %zu overflows the u32 trace context", index));
   }
   return static_cast<std::uint32_t>(index);
+}
+
+/// The seed the app at `index` runs (and must have run) with.
+std::uint64_t job_seed(std::span<const AppJob> jobs, std::uint64_t seed_base,
+                       std::size_t index) {
+  return jobs[index].seed.value_or(seed_for_app(seed_base, index));
+}
+
+/// Replace `report` with a crash report carrying `message`.
+void set_crash(core::AppReport& report, std::string message) {
+  report = core::AppReport{};
+  report.status = core::DynamicStatus::kCrash;
+  report.crash_message = std::move(message);
+}
+
+// ---- journal resume replay (docs/CHECKPOINT.md) ----------------------------
+
+/// Restore the completed outcomes recorded in the resume journal into
+/// `outcomes` and mark their slots in `done` (workers skip them). A torn
+/// tail is chopped off so this run's appends land after the last intact
+/// frame. Any record that does not belong to this corpus, seed base or
+/// shard fails loudly — never a silent re-run. Returns true when the
+/// journal already carries this shard's metadata record.
+bool replay_journal(const RunnerConfig& config,
+                    const support::ShardMeta& shard_meta,
+                    std::span<const AppJob> jobs,
+                    std::vector<AppOutcome>& outcomes,
+                    std::vector<char>& done) {
+  const bool sharded = config.shard_count > 0;
+  auto read = support::read_journal(config.journal_path);
+  if (!read.ok()) {
+    throw std::runtime_error("runner: resume failed: " + read.error());
+  }
+  if (read.value().torn()) {
+    support::log_warn(
+        "driver",
+        support::format("journal %s: recovered %zu records, dropped %zu "
+                        "torn/corrupt tail byte(s)",
+                        config.journal_path.c_str(),
+                        read.value().records.size(),
+                        read.value().bytes_discarded));
+    // Chop the damaged tail off before reopening for append, so the
+    // records this run writes land after the last *intact* frame (an
+    // O_APPEND writer would otherwise bury them behind the garbage,
+    // unreachable to the next reader).
+    const support::Status truncated = support::truncate_journal(
+        config.journal_path, read.value().bytes_recovered);
+    if (!truncated.ok()) {
+      throw std::runtime_error("runner: resume failed: " + truncated.error());
+    }
+  }
+  bool has_meta = false;
+  std::size_t record_ordinal = 0;
+  for (const auto& record : read.value().records) {
+    if (support::is_shard_meta(record)) {
+      // The shard-metadata record pins everything a per-shard resume must
+      // agree on; any disagreement means the journal belongs to a
+      // different shard, corpus or pipeline — fail loudly, never silently
+      // re-run (docs/SHARDING.md).
+      if (record_ordinal != 0) {
+        throw std::runtime_error(
+            "runner: resume failed: shard-metadata record is not the "
+            "journal's first record");
+      }
+      if (!sharded) {
+        throw std::runtime_error(
+            "runner: resume failed: journal belongs to a sharded run "
+            "(resume it with the matching --shard I/N, or merge the "
+            "shard journals first)");
+      }
+      support::ShardMeta meta;
+      try {
+        meta = support::decode_shard_meta(record);
+      } catch (const std::exception& e) {
+        throw std::runtime_error(
+            std::string("runner: resume failed: corrupt shard metadata: ") +
+            e.what());
+      }
+      if (const std::string mismatch =
+              describe_shard_meta_mismatch(meta, shard_meta);
+          !mismatch.empty()) {
+        throw std::runtime_error(
+            "runner: resume failed: journal does not match this run: " +
+            mismatch);
+      }
+      has_meta = true;
+      ++record_ordinal;
+      continue;
+    }
+    if (sharded && record_ordinal == 0) {
+      // A sharded journal leads with its metadata record; the first record
+      // being an outcome means this journal came from an unsharded run —
+      // diagnose that directly instead of tripping over whichever record
+      // first leaves the shard's residue class.
+      throw std::runtime_error(
+          "runner: resume failed: journal has outcome records but no "
+          "shard-metadata record (unsharded journal resumed with "
+          "--shard?)");
+    }
+    ++record_ordinal;
+    DecodedOutcome decoded;
+    try {
+      decoded = decode_outcome(record);
+    } catch (const std::exception& e) {
+      // A framed record that passed its CRC but fails to decode means the
+      // journal does not belong to this build/corpus: fail loudly rather
+      // than silently re-running (and double-counting) apps.
+      throw std::runtime_error(
+          std::string("runner: resume failed: corrupt journal record: ") +
+          e.what());
+    }
+    if (decoded.index >= jobs.size()) {
+      throw std::runtime_error(support::format(
+          "runner: resume failed: journal record for app %zu but the "
+          "corpus has %zu apps (journal/corpus mismatch?)",
+          decoded.index, jobs.size()));
+    }
+    const std::uint64_t seed = job_seed(jobs, config.seed_base, decoded.index);
+    if (decoded.outcome.seed != seed) {
+      throw std::runtime_error(support::format(
+          "runner: resume failed: app %zu was journaled with seed %llu but "
+          "this run derives seed %llu (different seed base or corpus?)",
+          decoded.index,
+          static_cast<unsigned long long>(decoded.outcome.seed),
+          static_cast<unsigned long long>(seed)));
+    }
+    if (sharded && decoded.index % config.shard_count != config.shard_index) {
+      throw std::runtime_error(support::format(
+          "runner: resume failed: journal record for app %zu does not "
+          "belong to shard %u/%u (wrong shard's journal?)",
+          decoded.index, config.shard_index, config.shard_count));
+    }
+    // Duplicate records resolve last-writer-wins: a record re-appended
+    // after an earlier resume supersedes the older one.
+    outcomes[decoded.index] = std::move(decoded.outcome);
+    done[decoded.index] = 1;
+  }
+  return has_meta;
+}
+
+// ---- journal and cache opening ---------------------------------------------
+
+/// Open the write-ahead journal (truncating unless resuming). A sharded run
+/// stamps a fresh (or still-empty) journal with its shard-metadata record
+/// before any outcome, so every shard journal is self-describing to
+/// `dydroid merge` and to later resumes. No fault scope is installed here:
+/// stamping is run setup, not a journaled outcome, and must not consume
+/// injected-fault budget.
+support::JournalWriter open_journal(const RunnerConfig& config,
+                                    const support::ShardMeta& shard_meta,
+                                    bool has_meta) {
+  support::JournalWriterOptions options;
+  options.fsync_each_record = config.journal_fsync;
+  options.truncate = !config.resume;
+  auto writer = support::JournalWriter::open(config.journal_path, options);
+  if (!writer.ok()) throw std::runtime_error("runner: " + writer.error());
+  support::JournalWriter journal = std::move(writer).take();
+  if (config.shard_count > 0 && !has_meta) {
+    const support::Status stamped =
+        journal.append(support::encode_shard_meta(shard_meta));
+    if (!stamped.ok()) {
+      throw std::runtime_error("runner: cannot stamp shard metadata: " +
+                               stamped.error());
+    }
+  }
+  return journal;
+}
+
+ResultCache open_cache(const RunnerConfig& config,
+                       const support::Sha256Digest& config_fp) {
+  CacheConfig cache_config;
+  cache_config.max_entries = config.cache_max_entries;
+  cache_config.max_bytes = config.cache_max_bytes;
+  cache_config.fsync_each_insert = config.cache_fsync;
+  auto opened = ResultCache::open(config.cache_dir, config_fp, cache_config);
+  if (!opened.ok()) throw std::runtime_error("runner: " + opened.error());
+  return std::move(opened).take();
+}
+
+/// The driver-level fault session (journal.append / driver.kill /
+/// cache.read / cache.write), armed from the pipeline's plan when a journal
+/// or cache is configured, and the mutex that serializes it together with
+/// the journal appends. Per-app sites keep their per-app sessions.
+struct DriverFaults {
+  std::optional<support::FaultSession> session;
+  std::mutex mutex;
+};
+
+/// Install the driver fault session for the duration of a cache call,
+/// serializing its hit counters under the journal mutex. A no-op (and no
+/// lock) when injection is off.
+struct DriverFaultGuard {
+  std::optional<std::unique_lock<std::mutex>> lock;
+  std::optional<support::FaultScope> scope;
+  explicit DriverFaultGuard(DriverFaults& faults) {
+    if (faults.session.has_value()) {
+      lock.emplace(faults.mutex);
+      scope.emplace(&*faults.session);
+    }
+  }
+};
+
+// ---- the attempt executor (docs/ISOLATION.md) ------------------------------
+
+/// Accumulates an attempt's elapsed time into the outcome's wall_ms on
+/// every exit path — normal return, a synthesized fate, or an exception
+/// escaping the attempt machinery — exactly once.
+class AttemptWall {
+ public:
+  explicit AttemptWall(double& into) : into_(into) {}
+  AttemptWall(const AttemptWall&) = delete;
+  AttemptWall& operator=(const AttemptWall&) = delete;
+  ~AttemptWall() { into_ += clock_.elapsed_ms(); }
+  [[nodiscard]] double elapsed_ms() const { return clock_.elapsed_ms(); }
+
+ private:
+  support::Stopwatch clock_;
+  double& into_;
+};
+
+/// How the sandbox disposed of an attempt whose round trip did not come
+/// back clean.
+struct Fate {
+  SandboxFate fate = SandboxFate::kCrashed;
+  int signal = 0;
+  std::string message;
+};
+
+/// A SIGKILL the supervisor did not send: the kernel OOM killer or an
+/// external kill, indistinguishable from here (see kExternalKillRespawns).
+bool external_kill(const support::PoolRpcResult& rpc) {
+  return rpc.status == support::PoolRpcResult::Status::kWorkerExit &&
+         !rpc.exited && rpc.term_signal == SIGKILL;
+}
+
+/// The one classification ladder: a failed round trip's raw facts to
+/// (fate, signal, crash message). Deadline kills are timeouts; the
+/// reserved allocation-failure exit and unexplained SIGKILLs are OOM
+/// kills; every other signal, exit code or protocol failure is a crash.
+Fate classify_rpc(const support::PoolRpcResult& rpc, double deadline_ms) {
+  using Status = support::PoolRpcResult::Status;
+  if (rpc.status == Status::kTimeout) {
+    return {SandboxFate::kTimedOut, SIGKILL,
+            support::format(
+                "sandbox: killed after exceeding the %.0f ms wall deadline",
+                deadline_ms)};
+  }
+  if (rpc.status == Status::kWorkerExit) {
+    if (rpc.exited && rpc.exit_code == support::kOomExitCode) {
+      return {SandboxFate::kOomKilled, 0,
+              "sandbox: allocation failed under the memory limit"};
+    }
+    if (external_kill(rpc)) {
+      return {SandboxFate::kOomKilled, SIGKILL,
+              "sandbox: child SIGKILLed repeatedly (kernel out-of-memory "
+              "kill)"};
+    }
+    if (!rpc.exited && rpc.term_signal != 0) {
+      return {SandboxFate::kCrashed, rpc.term_signal,
+              support::format("sandbox: child died on signal %d",
+                              rpc.term_signal)};
+    }
+    if (rpc.exited && rpc.exit_code != 0) {
+      return {SandboxFate::kCrashed, 0,
+              support::format("sandbox: child exited with code %d",
+                              rpc.exit_code)};
+    }
+  }
+  return {SandboxFate::kCrashed, 0,
+          rpc.error.empty()
+              ? "sandbox: worker exited before shipping a response"
+              : rpc.error};
+}
+
+/// Settle an attempt the sandbox disposed of: synthesized crash report,
+/// classified fate, fatal signal recorded. Always "failed".
+bool settle_fate(AppOutcome& outcome, Fate fate) {
+  set_crash(outcome.report, std::move(fate.message));
+  outcome.sandbox_fate = fate.fate;
+  outcome.fatal_signal = static_cast<std::uint8_t>(fate.signal);
+  if (fate.fate == SandboxFate::kTimedOut) outcome.timed_out = true;
+  support::count(fate.fate == SandboxFate::kCrashed ? "sandbox.crashed"
+                                                    : "sandbox.killed");
+  return true;
+}
+
+/// Runs analysis attempts and the per-app retry policy. Thread mode runs
+/// an attempt inline on the driver thread; pool mode ships it to the
+/// thread's forked worker, whose serve loop runs the very same inline path
+/// — same seeds, same per-app fault session, same crash-conversion belt,
+/// which is what keeps clean pooled outcomes byte-identical to thread
+/// mode. Both paths share one preamble; every non-clean round trip is
+/// classified by classify_rpc. Worker ownership is strictly 1:1 — each
+/// driver thread only ever touches its own slot, so no locks.
+class AttemptExecutor {
+ public:
+  AttemptExecutor(const core::DyDroid& pipeline, const RunnerConfig& config,
+                  std::span<const AppJob> jobs, std::size_t threads)
+      : pipeline_(pipeline),
+        options_(pipeline.options()),
+        config_(config),
+        jobs_(jobs),
+        workers_(config.isolated() ? threads : 0) {
+    limits_.max_memory_bytes = config.sandbox_mem_limit_bytes;
+    limits_.wall_deadline_ms =
+        config.sandbox_deadline_ms > 0.0
+            ? config.sandbox_deadline_ms
+            : (options_.max_app_wall_ms > 0.0
+                   ? options_.max_app_wall_ms * kSandboxDeadlineSlack +
+                         kSandboxDeadlinePadMs
+                   : 0.0);
+  }
+
+  /// Full per-app policy: timeout + single-retry-then-quarantine
+  /// (docs/FAULTS.md), wrapped in the escaping-exception belt so that an
+  /// exception leaking out of the attempt machinery itself still resolves
+  /// into a consistent outcome — attempts ≥ 1, wall time accumulated by the
+  /// attempt's AttemptWall, timed_out derived by the same budget rule —
+  /// instead of terminating the driver.
+  void analyze_app(AppOutcome& outcome, std::uint64_t seed, std::size_t index,
+                   std::size_t worker) {
+    outcome.seed = seed;
+    const bool pooled = !workers_.empty();
+    const auto escaped = [&](std::string message) {
+      set_crash(outcome.report, std::move(message));
+      if (outcome.attempts == 0) outcome.attempts = 1;
+      // The budget check runs over the accumulated total — conservative,
+      // since the per-attempt split is unknowable here.
+      if (options_.max_app_wall_ms > 0.0 &&
+          outcome.wall_ms > options_.max_app_wall_ms) {
+        outcome.timed_out = true;
+      }
+    };
+    try {
+      bool failed = run_attempt(outcome, 0, index, worker, pooled);
+      if (failed && options_.retry_on_crash) {
+        // The retry's fault session is salted by the attempt, so transient
+        // injected faults clear deterministically; if the retry fails too,
+        // the app is quarantined — its final report keeps its Table II
+        // bucket.
+        support::count("runner.retry");
+        failed = run_attempt(outcome, 1, index, worker, pooled);
+        outcome.quarantined = failed;
+      }
+    } catch (const std::exception& e) {
+      escaped(std::string("runner: escaped attempt machinery: ") + e.what());
+    } catch (...) {
+      escaped("runner: escaped attempt machinery");
+    }
+    // A sandbox fate surviving to the final attempt always quarantines: an
+    // app the OS had to kill is excluded from trust even when
+    // retry_on_crash is off (docs/ISOLATION.md).
+    if (outcome.sandbox_fate != SandboxFate::kNone) outcome.quarantined = true;
+    outcome.completed = true;
+    support::count("runner.apps");
+    if (outcome.timed_out) support::count("runner.timed_out");
+    if (outcome.quarantined) support::count("runner.quarantined");
+    support::observe_us("runner.app_wall",
+                        static_cast<std::uint64_t>(outcome.wall_ms * 1000.0));
+  }
+
+  /// Retire `worker`'s pooled child gracefully (EOF-driven exit).
+  void retire(std::size_t worker) {
+    if (worker < workers_.size() && workers_[worker].has_value()) {
+      workers_[worker]->shutdown();
+      workers_[worker].reset();
+    }
+  }
+
+ private:
+  /// One attempt, recording the attempt count, trace context and wall time
+  /// on every path. Returns the "failed" predicate the retry policy uses.
+  bool run_attempt(AppOutcome& outcome, std::uint32_t attempt,
+                   std::size_t index, std::size_t worker, bool pooled) {
+    // Record the attempt as it *starts*: a journaled outcome must never
+    // claim an attempt that did not run (live stats and journal replay
+    // count `retried` from this field). The fate reflects the *final*
+    // attempt: a kill on attempt 0 that clears on the retry leaves the app
+    // clean, like any transient crash.
+    outcome.attempts = attempt + 1;
+    outcome.sandbox_fate = SandboxFate::kNone;
+    outcome.fatal_signal = 0;
+    // Nested ambient context: every span opened under this attempt is
+    // tagged (app index, attempt, worker) without any plumbing.
+    const support::TraceContextScope trace_context(
+        trace_app_id(index), attempt, static_cast<std::uint32_t>(worker));
+    const AttemptWall wall(outcome.wall_ms);
+    return pooled ? run_pooled(outcome, attempt, index, worker)
+                  : run_inline(jobs_[index], outcome, attempt, wall);
+  }
+
+  /// Analyze in this process. The pipeline already converts stage failures
+  /// into crash outcomes; the catch blocks are the last-resort belt for
+  /// anything else (bad_alloc, internal logic errors).
+  bool run_inline(const AppJob& job, AppOutcome& outcome,
+                  std::uint32_t attempt, const AttemptWall& wall) {
+    core::AnalysisRequest request;
+    request.apk = job.apk;
+    request.seed = outcome.seed;
+    request.attempt = attempt;
+    request.scenario_setup = job.scenario ? &job.scenario : nullptr;
+    {
+      const support::Span attempt_span("runner", "attempt");
+      try {
+        outcome.report = pipeline_.analyze(request);
+      } catch (const std::exception& e) {
+        set_crash(outcome.report, std::string("runner: ") + e.what());
+      } catch (...) {
+        set_crash(outcome.report, "runner: unknown exception");
+      }
+    }
+    const bool over_budget = options_.max_app_wall_ms > 0.0 &&
+                             wall.elapsed_ms() > options_.max_app_wall_ms;
+    if (over_budget) outcome.timed_out = true;
+    return over_budget ||
+           outcome.report.status == core::DynamicStatus::kCrash;
+  }
+
+  /// Ship the attempt to this thread's worker, spawning one if needed, and
+  /// settle whatever comes back. Recycling (injected, or after K apps)
+  /// happens strictly *between* attempts, so it can never change an
+  /// outcome: a worker told to retire ships its response, then exits.
+  bool run_pooled(AppOutcome& outcome, std::uint32_t attempt,
+                  std::size_t index, std::size_t worker) {
+    std::optional<support::FaultSession> faults;
+    std::optional<support::FaultScope> scope;
+    if (options_.faults != nullptr && !options_.faults->empty()) {
+      faults.emplace(*options_.faults,
+                     support::fault_session_seed(
+                         outcome.seed ^ kSandboxFaultSalt, attempt));
+      scope.emplace(&*faults);
+    }
+    PoolRequest request;
+    request.app_index = index;
+    request.attempt = attempt;
+    request.seed = outcome.seed;
+    request.worker = static_cast<std::uint32_t>(worker);
+    // Drawn here so the decision is deterministic in the supervisor's
+    // stream; *executed* in the child as a real abort, so the injected
+    // crash exercises genuine signal-death classification end to end.
+    request.crash_child =
+        support::fault_fire(support::FaultSite::kSandboxCrash);
+    const bool recycle_fault =
+        support::fault_fire(support::FaultSite::kPoolRecycle);
+
+    std::optional<support::PoolWorker>& slot = workers_[worker];
+    for (int respawn = 0;; ++respawn) {
+      // The spawn fault is drawn *unconditionally* — "would the spawn this
+      // attempt might need fail?" — never gated on whether this thread's
+      // worker happens to be alive. Gating it on pool state would make the
+      // hit stream (and therefore which apps fail under p: mode) depend on
+      // the worker count, breaking byte-identical reports at any -j.
+      if (support::fault_fire(support::FaultSite::kPoolSpawn)) {
+        slot.reset();
+        return settle_fate(outcome, {SandboxFate::kCrashed, 0,
+                                     "sandbox: spawn failed: " +
+                                         support::fault_message(
+                                             support::FaultSite::kPoolSpawn)});
+      }
+      if (!slot.has_value()) {
+        const support::Span spawn_span("sandbox", "pool.spawn");
+        auto spawned = support::PoolWorker::spawn(
+            [this](int request_fd, int response_fd) {
+              return serve(request_fd, response_fd);
+            },
+            limits_);
+        if (!spawned.ok()) {
+          return settle_fate(outcome, {SandboxFate::kCrashed, 0,
+                                       "sandbox: spawn failed: " +
+                                           spawned.error()});
+        }
+        slot.emplace(std::move(spawned).take());
+        support::count("sandbox.pool.spawned");
+      }
+
+      request.retire =
+          recycle_fault || (config_.pool_recycle_apps > 0 &&
+                            slot->served() + 1 >= config_.pool_recycle_apps);
+      support::PoolRpcResult rpc;
+      {
+        const support::Span rpc_span("sandbox", "pool.rpc");
+        support::count("sandbox.pool.rpcs");
+        rpc = slot->call(encode_pool_request(request), kPoolRpcMagic,
+                         limits_.wall_deadline_ms);
+      }
+      if (rpc.status != support::PoolRpcResult::Status::kOk) {
+        slot.reset();  // already dead and reaped
+        if (external_kill(rpc) && respawn < kExternalKillRespawns) {
+          // Re-dispatch the in-flight app to a fresh worker.
+          support::count("sandbox.respawned");
+          continue;
+        }
+        return settle_fate(outcome,
+                           classify_rpc(rpc, limits_.wall_deadline_ms));
+      }
+
+      // Clean response: decode it, honoring the torn-RPC injection site.
+      auto decoded =
+          support::fault_fire(support::FaultSite::kPoolRpc)
+              ? support::Result<DecodedOutcome>::failure(
+                    support::fault_message(support::FaultSite::kPoolRpc))
+              : decode_pool_response(rpc.message);
+      if (decoded.ok() && (decoded.value().index != index ||
+                           decoded.value().outcome.seed != outcome.seed)) {
+        decoded = support::Result<DecodedOutcome>::failure(
+            "sandbox: result frame for the wrong app");
+      }
+      if (!decoded.ok()) {
+        // A response that framed but does not decode means the stream can
+        // no longer be trusted: retire the worker along with the outcome.
+        slot.reset();
+        return settle_fate(outcome,
+                           {SandboxFate::kCrashed, 0, decoded.error()});
+      }
+      AppOutcome& shipped = decoded.value().outcome;
+      outcome.report = std::move(shipped.report);
+      if (shipped.timed_out) outcome.timed_out = true;
+
+      if (request.retire) {
+        slot->shutdown();
+        slot.reset();
+        support::count("sandbox.pool.recycled");
+      }
+      return shipped.timed_out ||
+             outcome.report.status == core::DynamicStatus::kCrash;
+    }
+  }
+
+  /// Child-side serve loop (runs in the forked worker): one framed request
+  /// per iteration, each run through the inline attempt path. EOF on the
+  /// request pipe is the graceful-shutdown signal; any protocol damage
+  /// exits loudly.
+  int serve(int request_fd, int response_fd) {
+    support::Bytes message;
+    for (;;) {
+      const support::FrameRead read =
+          support::read_pool_message(request_fd, kPoolRpcMagic, message);
+      if (read == support::FrameRead::kEof) return 0;
+      if (read != support::FrameRead::kMessage) return kServeProtocolExitCode;
+      const auto request = decode_pool_request(message);
+      if (!request.ok() || request.value().app_index >= jobs_.size()) {
+        return kServeProtocolExitCode;
+      }
+      const PoolRequest& req = request.value();
+      // The injected sandbox.crash decision, drawn by the supervisor.
+      if (req.crash_child) std::abort();
+      AppOutcome outcome;
+      outcome.seed = req.seed;
+      (void)run_attempt(outcome, req.attempt, req.app_index, req.worker,
+                        /*pooled=*/false);
+      const support::Bytes response =
+          encode_pool_response(req.app_index, outcome);
+      if (!support::write_fully(response_fd, response.data(),
+                                response.size())) {
+        return kServeProtocolExitCode;
+      }
+      // Exiting now, not on the EOF the supervisor's shutdown would send,
+      // saves a recycled app one wakeup round trip.
+      if (req.retire) return 0;
+    }
+  }
+
+  const core::DyDroid& pipeline_;
+  const core::PipelineOptions& options_;
+  const RunnerConfig& config_;
+  std::span<const AppJob> jobs_;
+  support::WorkerLimits limits_;
+  std::vector<std::optional<support::PoolWorker>> workers_;
+};
+
+// ---- the cache tier (docs/CACHE.md) ----------------------------------------
+
+/// Content-addressed lookup in front of the analysis: a hit replays the
+/// stored outcome, a miss analyzes and inserts. Cache faults degrade — a
+/// read fault is a miss, a write fault drops the entry — so cached and
+/// uncached runs produce byte-identical reports. Without a cache it is a
+/// single branch in front of the analysis.
+class CacheTier {
+ public:
+  CacheTier(std::optional<ResultCache> cache,
+            const support::Sha256Digest& config_fp, DriverFaults& faults)
+      : cache_(std::move(cache)), config_fp_(config_fp), faults_(faults) {}
+
+  [[nodiscard]] bool active() const { return cache_.has_value(); }
+
+  template <typename Analyze>
+  void process(const AppJob& job, std::uint64_t seed, AppOutcome& outcome,
+               const Analyze& analyze) {
+    if (!cache_.has_value()) {
+      analyze();
+      return;
+    }
+    CacheKey key;
+    key.config = config_fp_;
+    key.seed = seed;
+    std::optional<AppOutcome> hit;
+    {
+      // The span covers the digest too: content addressing is the real
+      // cost of a lookup on large packages.
+      const support::Span lookup_span("cache", "lookup");
+      key.apk = support::sha256(job.apk.span());
+      const DriverFaultGuard guard(faults_);
+      hit = cache_->lookup(key);
+    }
+    if (hit.has_value()) {
+      outcome = std::move(*hit);
+      outcome.cache_hit = true;
+      outcome.cache_checked = true;
+      support::count("cache.hit");
+      return;
+    }
+    support::count("cache.miss");
+    analyze();
+    outcome.cache_checked = true;
+    // A sandbox-killed outcome is a fact about the sandbox environment
+    // (limits, deadline, external kills), not about the app content the
+    // key addresses — never cache it; the app recomputes next run.
+    if (outcome.sandbox_fate != SandboxFate::kNone) return;
+    const DriverFaultGuard guard(faults_);
+    cache_->insert(key, outcome);
+  }
+
+  /// Record the cache's bookkeeping in `result` and seal the store.
+  void seal(CorpusResult& result) {
+    if (!cache_.has_value()) return;
+    const CacheStats stats = cache_->stats();
+    result.cache_evictions = stats.evictions;
+    result.cache_invalidated = stats.invalidated;
+    result.cache_write_failures = stats.write_failures;
+    const support::Status sealed = cache_->seal();
+    if (!sealed.ok()) support::log_warn("driver", sealed.error());
+    cache_.reset();
+  }
+
+ private:
+  std::optional<ResultCache> cache_;
+  support::Sha256Digest config_fp_;
+  DriverFaults& faults_;
+};
+
+// ---- the journal sink (docs/CHECKPOINT.md) ---------------------------------
+
+/// Write-ahead appends of finished outcomes. A failed append or an
+/// injected driver kill marks the run aborted; workers stop claiming apps
+/// and run() throws RunAborted after sealing. Without a journal, append is
+/// a single branch.
+class JournalSink {
+ public:
+  JournalSink(std::optional<support::JournalWriter> journal,
+              DriverFaults& faults)
+      : journal_(std::move(journal)), faults_(faults) {}
+
+  [[nodiscard]] bool active() const { return journal_.has_value(); }
+  [[nodiscard]] bool aborted() const {
+    return aborted_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] const std::string& abort_message() const {
+    return abort_message_;
+  }
+
+  /// Append one finished outcome. Returns false when the run must abort.
+  bool append(std::size_t index, const AppOutcome& outcome) {
+    if (!journal_.has_value()) return true;
+    // The span covers encode + lock wait + append, so the trace shows
+    // journal contention as well as raw write latency (the write-only
+    // latency lives in the journal.append_write histogram).
+    const support::Span journal_span("journal", "append");
+    // One long-lived encode buffer per worker thread: capacity sticks
+    // around after the first few appends, so encoding stops allocating.
+    thread_local support::ByteWriter encoder;
+    encoder.clear();
+    encode_outcome_into(index, outcome, encoder);
+    const support::Bytes& payload = encoder.data();
+    support::count("journal.append_bytes", payload.size());
+    const std::lock_guard<std::mutex> lock(faults_.mutex);
+    if (aborted()) return false;
+    // Install the driver fault session (if armed) so the journal.append
+    // site inside JournalWriter::append and the driver.kill checked
+    // boundary below draw from the same deterministic hit stream.
+    std::optional<support::FaultScope> scope;
+    if (faults_.session.has_value()) scope.emplace(&*faults_.session);
+    const support::Status appended = journal_->append(payload);
+    if (!appended.ok()) return mark_aborted(appended.error());
+    if (support::fault_fire(support::FaultSite::kDriverKill)) {
+      return mark_aborted(
+          support::fault_message(support::FaultSite::kDriverKill) +
+          support::format(" after %zu journal append(s)",
+                          journal_->appended()));
+    }
+    return true;
+  }
+
+  /// Seal the journal; returns the records this run appended.
+  std::size_t seal() {
+    if (!journal_.has_value()) return 0;
+    const std::size_t appended = journal_->appended();
+    const support::Status sealed = journal_->seal();
+    if (!sealed.ok()) support::log_warn("driver", sealed.error());
+    journal_.reset();
+    return appended;
+  }
+
+ private:
+  /// Called under the journal mutex: the message is written exactly once.
+  bool mark_aborted(std::string message) {
+    abort_message_ = std::move(message);
+    aborted_.store(true, std::memory_order_relaxed);
+    return false;
+  }
+
+  std::optional<support::JournalWriter> journal_;
+  DriverFaults& faults_;
+  std::atomic<bool> aborted_{false};
+  std::string abort_message_;
+};
+
+// ---- the corpus-order reduce -----------------------------------------------
+
+/// Reduce the stats once, in corpus order: deterministic counts *and*
+/// deterministic floating-point sums, independent of worker count and of
+/// which outcomes were replayed vs. analyzed. The same ordered pass feeds
+/// the corpus-wide unique-binary dedup table (docs/CACHE.md), so its stats
+/// — and which run first persists a shared blob — are deterministic too.
+void reduce_in_corpus_order(const std::string& cache_dir,
+                            CorpusResult& result) {
+  BinaryDedupStore dedup(cache_dir.empty() ? std::string{}
+                                           : cache_dir + "/blobs");
+  for (const auto& outcome : result.outcomes) {
+    if (!outcome.completed) continue;
+    result.stats.absorb(outcome);
+    dedup.absorb(outcome.report);
+    if (outcome.replayed) {
+      ++result.replayed;
+    } else {
+      ++result.analyzed;
+    }
+  }
+  result.dedup = dedup.stats();
 }
 
 }  // namespace
@@ -112,34 +853,6 @@ void AggregateStats::absorb(const AppOutcome& outcome) {
   events += report.events.size();
   total_app_ms += outcome.wall_ms;
   if (outcome.wall_ms > max_app_ms) max_app_ms = outcome.wall_ms;
-}
-
-void AggregateStats::merge(const AggregateStats& other) {
-  apps += other.apps;
-  not_run += other.not_run;
-  rewriting_failure += other.rewriting_failure;
-  no_activity += other.no_activity;
-  crashed += other.crashed;
-  exercised += other.exercised;
-  decompile_failed += other.decompile_failed;
-  static_dcl += other.static_dcl;
-  intercepted += other.intercepted;
-  remote_loaders += other.remote_loaders;
-  malware_carriers += other.malware_carriers;
-  vulnerable += other.vulnerable;
-  privacy_leaking += other.privacy_leaking;
-  binaries += other.binaries;
-  events += other.events;
-  timed_out += other.timed_out;
-  retried += other.retried;
-  quarantined += other.quarantined;
-  sandbox_crashed += other.sandbox_crashed;
-  killed_oom += other.killed_oom;
-  killed_timeout += other.killed_timeout;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  total_app_ms += other.total_app_ms;
-  if (other.max_app_ms > max_app_ms) max_app_ms = other.max_app_ms;
 }
 
 std::size_t resolve_jobs(std::size_t requested) {
@@ -201,6 +914,8 @@ CorpusRunner::CorpusRunner(const core::DyDroid& pipeline, RunnerConfig config)
 
 CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   validate_runner_config(config_, jobs.size());
+  const support::Stopwatch corpus_clock;
+  const core::PipelineOptions& options = pipeline_->options();
 
   // --- corpus sharding (docs/SHARDING.md) ----------------------------------
   // This run owns the global indices ≡ shard_index (mod shard_count); the
@@ -222,19 +937,13 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
                             std::max<std::size_t>(shard_apps, 1));
   result.outcomes.resize(jobs.size());
 
-  const support::Stopwatch corpus_clock;
-  const core::PipelineOptions& options = pipeline_->options();
-
-  /// The seed the app at `index` runs (and must have run) with.
-  const auto seed_of = [&](std::size_t index) {
-    return jobs[index].seed.value_or(seed_for_app(config_.seed_base, index));
-  };
-
   // The pipeline fingerprint keys the result cache and — for sharded
   // journaled runs — pins the shard-metadata record, so compute it once up
   // front when either consumer needs it.
+  const bool journaled = !config_.journal_path.empty();
+  const bool cached = !config_.cache_dir.empty();
   support::Sha256Digest config_fp;
-  if (!config_.cache_dir.empty() || (sharded && !config_.journal_path.empty())) {
+  if (cached || (sharded && journaled)) {
     config_fp = config_fingerprint(*pipeline_);
   }
   support::ShardMeta shard_meta;
@@ -245,854 +954,65 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   shard_meta.outcome_codec_version = kOutcomeCodecVersion;
   shard_meta.config_fingerprint = config_fp.bytes;
 
-  // --- resume replay + write-ahead journal setup (docs/CHECKPOINT.md) ------
-  // `done[i]` marks outcomes restored from the journal; workers skip them.
+  // Replay: `done[i]` marks outcomes restored from the resume journal.
   std::vector<char> done(jobs.size(), 0);
-  std::optional<support::JournalWriter> journal;
-  std::optional<support::FaultSession> driver_faults;
-  std::mutex journal_mutex;  // serializes appends + the driver fault session
+  const bool journal_has_meta =
+      config_.resume &&
+      replay_journal(config_, shard_meta, jobs, result.outcomes, done);
 
-  bool journal_has_meta = false;
-  if (!config_.journal_path.empty()) {
-    if (config_.resume) {
-      auto read = support::read_journal(config_.journal_path);
-      if (!read.ok()) {
-        throw std::runtime_error("runner: resume failed: " + read.error());
-      }
-      if (read.value().torn()) {
-        support::log_warn(
-            "driver",
-            support::format("journal %s: recovered %zu records, dropped %zu "
-                            "torn/corrupt tail byte(s)",
-                            config_.journal_path.c_str(),
-                            read.value().records.size(),
-                            read.value().bytes_discarded));
-        // Chop the damaged tail off before reopening for append, so the
-        // records this run writes land after the last *intact* frame (an
-        // O_APPEND writer would otherwise bury them behind the garbage,
-        // unreachable to the next reader).
-        const support::Status truncated = support::truncate_journal(
-            config_.journal_path, read.value().bytes_recovered);
-        if (!truncated.ok()) {
-          throw std::runtime_error("runner: resume failed: " +
-                                   truncated.error());
-        }
-      }
-      std::size_t record_ordinal = 0;
-      for (const auto& record : read.value().records) {
-        if (support::is_shard_meta(record)) {
-          // The shard-metadata record pins everything a per-shard resume
-          // must agree on; any disagreement means the journal belongs to a
-          // different shard, corpus or pipeline — fail loudly, never
-          // silently re-run (docs/SHARDING.md).
-          if (record_ordinal != 0) {
-            throw std::runtime_error(
-                "runner: resume failed: shard-metadata record is not the "
-                "journal's first record");
-          }
-          if (!sharded) {
-            throw std::runtime_error(
-                "runner: resume failed: journal belongs to a sharded run "
-                "(resume it with the matching --shard I/N, or merge the "
-                "shard journals first)");
-          }
-          support::ShardMeta meta;
-          try {
-            meta = support::decode_shard_meta(record);
-          } catch (const std::exception& e) {
-            throw std::runtime_error(
-                std::string(
-                    "runner: resume failed: corrupt shard metadata: ") +
-                e.what());
-          }
-          if (const std::string mismatch =
-                  describe_shard_meta_mismatch(meta, shard_meta);
-              !mismatch.empty()) {
-            throw std::runtime_error(
-                "runner: resume failed: journal does not match this run: " +
-                mismatch);
-          }
-          journal_has_meta = true;
-          ++record_ordinal;
-          continue;
-        }
-        if (sharded && record_ordinal == 0) {
-          // A sharded journal leads with its metadata record; the first
-          // record being an outcome means this journal came from an
-          // unsharded run — diagnose that directly instead of tripping
-          // over whichever record first leaves the shard's residue class.
-          throw std::runtime_error(
-              "runner: resume failed: journal has outcome records but no "
-              "shard-metadata record (unsharded journal resumed with "
-              "--shard?)");
-        }
-        ++record_ordinal;
-        DecodedOutcome decoded;
-        try {
-          decoded = decode_outcome(record);
-        } catch (const std::exception& e) {
-          // A framed record that passed its CRC but fails to decode means
-          // the journal does not belong to this build/corpus: fail loudly
-          // rather than silently re-running (and double-counting) apps.
-          throw std::runtime_error(
-              std::string("runner: resume failed: corrupt journal record: ") +
-              e.what());
-        }
-        if (decoded.index >= jobs.size()) {
-          throw std::runtime_error(support::format(
-              "runner: resume failed: journal record for app %zu but the "
-              "corpus has %zu apps (journal/corpus mismatch?)",
-              decoded.index, jobs.size()));
-        }
-        if (decoded.outcome.seed != seed_of(decoded.index)) {
-          throw std::runtime_error(support::format(
-              "runner: resume failed: app %zu was journaled with seed %llu "
-              "but this run derives seed %llu (different seed base or "
-              "corpus?)",
-              decoded.index,
-              static_cast<unsigned long long>(decoded.outcome.seed),
-              static_cast<unsigned long long>(seed_of(decoded.index))));
-        }
-        if (sharded && decoded.index % config_.shard_count !=
-                           config_.shard_index) {
-          throw std::runtime_error(support::format(
-              "runner: resume failed: journal record for app %zu does not "
-              "belong to shard %u/%u (wrong shard's journal?)",
-              decoded.index, config_.shard_index, config_.shard_count));
-        }
-        // Duplicate records resolve last-writer-wins: a record re-appended
-        // after an earlier resume supersedes the older one.
-        result.outcomes[decoded.index] = std::move(decoded.outcome);
-        done[decoded.index] = 1;
-      }
-    }
-    support::JournalWriterOptions journal_options;
-    journal_options.fsync_each_record = config_.journal_fsync;
-    journal_options.truncate = !config_.resume;
-    auto writer =
-        support::JournalWriter::open(config_.journal_path, journal_options);
-    if (!writer.ok()) throw std::runtime_error("runner: " + writer.error());
-    journal.emplace(std::move(writer).take());
-    // A sharded run stamps a fresh (or still-empty) journal with its
-    // shard-metadata record before any outcome, so every shard journal is
-    // self-describing to `dydroid merge` and to later resumes. No ambient
-    // fault scope is installed here: metadata stamping is run setup, not a
-    // journaled outcome, and must not consume injected-fault budget.
-    if (sharded && !journal_has_meta) {
-      const support::Status stamped =
-          journal->append(support::encode_shard_meta(shard_meta));
-      if (!stamped.ok()) {
-        throw std::runtime_error("runner: cannot stamp shard metadata: " +
-                                 stamped.error());
-      }
-    }
-  }
-
-  // --- content-addressed result cache (docs/CACHE.md) ----------------------
-  std::optional<ResultCache> cache;
-  if (!config_.cache_dir.empty()) {
-    CacheConfig cache_config;
-    cache_config.max_entries = config_.cache_max_entries;
-    cache_config.max_bytes = config_.cache_max_bytes;
-    cache_config.fsync_each_insert = config_.cache_fsync;
-    auto opened = ResultCache::open(config_.cache_dir, config_fp, cache_config);
-    if (!opened.ok()) throw std::runtime_error("runner: " + opened.error());
-    cache.emplace(std::move(opened).take());
-  }
-
-  // Arm the driver-level fault session (journal.append / driver.kill /
-  // cache.read / cache.write) from the pipeline's plan; per-app sites keep
-  // their per-app sessions.
-  if ((journal.has_value() || cache.has_value()) &&
-      options.faults != nullptr && !options.faults->empty()) {
-    driver_faults.emplace(
+  // Open the journal and the cache, then arm the driver fault session they
+  // share.
+  DriverFaults driver_faults;
+  JournalSink journal(
+      journaled ? std::optional(open_journal(config_, shard_meta,
+                                             journal_has_meta))
+                : std::nullopt,
+      driver_faults);
+  CacheTier cache(cached ? std::optional(open_cache(config_, config_fp))
+                         : std::nullopt,
+                  config_fp, driver_faults);
+  if ((journal.active() || cache.active()) && options.faults != nullptr &&
+      !options.faults->empty()) {
+    driver_faults.session.emplace(
         *options.faults,
         support::fault_session_seed(config_.seed_base ^ kDriverFaultSalt, 0));
   }
 
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> aborted{false};
-  std::string abort_message;  // written once, under journal_mutex
-
-  /// Graceful shutdown and abort checks, polled between apps only — an
-  /// in-flight app always finishes and is journaled.
-  const auto should_quit = [&] {
-    return aborted.load(std::memory_order_relaxed) ||
-           (config_.stop != nullptr &&
-            config_.stop->load(std::memory_order_relaxed));
-  };
-
-  // One attempt: analyze with the app's seed, recording wall time and the
-  // attempt count on every path. The pipeline already converts stage
-  // failures into crash outcomes; the catch blocks are the last-resort
-  // belt for anything else (bad_alloc, internal logic errors), so a worker
-  // thread can never be torn down — and a crashing app still gets its
-  // elapsed time recorded instead of wall_ms = 0.
-  const auto run_attempt = [&](const AppJob& job, AppOutcome& outcome,
-                               std::uint32_t attempt, std::size_t index,
-                               std::size_t worker) {
-    // Record the attempt as it *starts*, not when the retry policy decides
-    // to schedule it: a journaled outcome must never claim an attempt that
-    // did not run (live stats and journal replay count `retried` from this
-    // field, so the two can never disagree).
-    outcome.attempts = attempt + 1;
-
-    core::AnalysisRequest request;
-    request.apk = job.apk;
-    request.seed = outcome.seed;
-    request.attempt = attempt;
-    request.scenario_setup = job.scenario ? &job.scenario : nullptr;
-
-    // Nested ambient context: every span opened under this attempt — the
-    // stage spans inside analyze(), the sub-phase spans below them — is
-    // tagged (app index, attempt, worker) without any plumbing.
-    const support::TraceContextScope trace_context(
-        trace_app_id(index), attempt, static_cast<std::uint32_t>(worker));
-
-    // Wall-time accounting guard: every exit path — normal return, a crash
-    // converted below, or an exception escaping this very machinery (e.g.
-    // bad_alloc while forming the crash report) — *accumulates* the
-    // attempt's elapsed time into outcome.wall_ms exactly once. Before
-    // this guard the escaping-exception path assigned (=) while the
-    // normal path accumulated (+=), so paths could disagree about whether
-    // earlier attempts' time was included.
-    struct WallGuard {
-      support::Stopwatch clock;
-      double* into;
-      ~WallGuard() {
-        if (into != nullptr) *into += clock.elapsed_ms();
-      }
-      /// Normal-path exit: settle the accumulation and report the
-      /// attempt's own elapsed ms (for the per-attempt budget check).
-      double settle() {
-        const double ms = clock.elapsed_ms();
-        *into += ms;
-        into = nullptr;
-        return ms;
-      }
-    } wall_guard{support::Stopwatch{}, &outcome.wall_ms};
-
-    {
-      const support::Span attempt_span("runner", "attempt");
-      try {
-        outcome.report = pipeline_->analyze(request);
-      } catch (const std::exception& e) {
-        outcome.report = core::AppReport{};
-        outcome.report.status = core::DynamicStatus::kCrash;
-        outcome.report.crash_message = std::string("runner: ") + e.what();
-      } catch (...) {
-        outcome.report = core::AppReport{};
-        outcome.report.status = core::DynamicStatus::kCrash;
-        outcome.report.crash_message = "runner: unknown exception";
-      }
-    }
-    const double attempt_ms = wall_guard.settle();
-    const bool over_budget =
-        options.max_app_wall_ms > 0.0 && attempt_ms > options.max_app_wall_ms;
-    if (over_budget) outcome.timed_out = true;
-    return over_budget ||
-           outcome.report.status == core::DynamicStatus::kCrash;
-  };
-
-  // --- process-isolation sandbox (docs/ISOLATION.md) -----------------------
-  const double sandbox_deadline_ms =
-      config_.sandbox_deadline_ms > 0.0
-          ? config_.sandbox_deadline_ms
-          : (options.max_app_wall_ms > 0.0
-                 ? options.max_app_wall_ms * kSandboxDeadlineSlack +
-                       kSandboxDeadlinePadMs
-                 : 0.0);
-
-  /// One sandboxed attempt: fork a child that runs the *identical*
-  /// run_attempt machinery (same seeds, same per-app fault session, same
-  /// crash-conversion belt — which is what makes clean exits byte-identical
-  /// to thread mode) and ships the encoded outcome back as one
-  /// magic-stamped CRC frame; the supervisor enforces the limits and
-  /// classifies whatever comes back. Returns the same "failed" predicate
-  /// run_attempt feeds the retry policy.
-  const auto sandbox_attempt = [&](const AppJob& job, AppOutcome& outcome,
-                                   std::uint32_t attempt, std::size_t index,
-                                   std::size_t worker_id) -> bool {
-    outcome.attempts = attempt + 1;
-    // The fate reflects the *final* attempt: a kill on attempt 0 that
-    // clears on the retry leaves the app clean, like any transient crash.
-    outcome.sandbox_fate = SandboxFate::kNone;
-    outcome.fatal_signal = 0;
-
-    const support::TraceContextScope trace_context(
-        trace_app_id(index), attempt, static_cast<std::uint32_t>(worker_id));
-
-    // Supervisor-side sandbox fault session (sandbox.spawn / sandbox.pipe /
-    // sandbox.crash): deterministic in (app seed, attempt), separate from
-    // the pipeline's per-app session inside the child.
-    std::optional<support::FaultSession> sandbox_faults;
-    std::optional<support::FaultScope> sandbox_scope;
-    if (options.faults != nullptr && !options.faults->empty()) {
-      sandbox_faults.emplace(
-          *options.faults,
-          support::fault_session_seed(outcome.seed ^ kSandboxFaultSalt,
-                                      attempt));
-      sandbox_scope.emplace(&*sandbox_faults);
-    }
-    // Drawn pre-fork so the decision is deterministic in the parent's
-    // stream; *executed* in the child as a real abort, so the injected
-    // crash exercises genuine signal-death classification end to end.
-    const bool crash_child =
-        support::fault_fire(support::FaultSite::kSandboxCrash);
-
-    support::SubprocessLimits limits;
-    limits.max_memory_bytes = config_.sandbox_mem_limit_bytes;
-    limits.cpu_time_s = config_.sandbox_cpu_limit_s;
-    limits.wall_deadline_ms = sandbox_deadline_ms;
-
-    const auto child_body = [&](int write_fd) -> int {
-      if (crash_child) std::abort();
-      AppOutcome child_outcome;
-      child_outcome.seed = outcome.seed;
-      (void)run_attempt(job, child_outcome, attempt, index, worker_id);
-      const support::Bytes stream =
-          encode_sandbox_result(index, child_outcome);
-      return support::write_fully(write_fd, stream.data(), stream.size()) ? 0
-                                                                          : 3;
-    };
-
-    // Accumulate the attempt's wall time (fork + analysis + reap) on every
-    // exit path, mirroring run_attempt's WallGuard.
-    const support::Stopwatch attempt_clock;
-    struct AttemptWall {
-      const support::Stopwatch* clock;
-      double* into;
-      ~AttemptWall() { *into += clock->elapsed_ms(); }
-    } wall_guard{&attempt_clock, &outcome.wall_ms};
-
-    /// Resolve a sandbox-killed/crashed attempt: synthesized crash report,
-    /// classified fate, fatal signal recorded. Always "failed".
-    const auto synthesize = [&](SandboxFate fate, int signal,
-                                std::string message) {
-      outcome.report = core::AppReport{};
-      outcome.report.status = core::DynamicStatus::kCrash;
-      outcome.report.crash_message = std::move(message);
-      outcome.sandbox_fate = fate;
-      outcome.fatal_signal = static_cast<std::uint8_t>(signal);
-      if (fate == SandboxFate::kTimedOut) outcome.timed_out = true;
-      support::count(fate == SandboxFate::kCrashed ? "sandbox.crashed"
-                                                   : "sandbox.killed");
-      return true;
-    };
-
-    for (int respawn = 0;; ++respawn) {
-      auto spawned = [&]() -> support::Result<support::Subprocess> {
-        const support::Span spawn_span("sandbox", "spawn");
-        if (support::fault_fire(support::FaultSite::kSandboxSpawn)) {
-          return support::Result<support::Subprocess>::failure(
-              support::fault_message(support::FaultSite::kSandboxSpawn));
-        }
-        return support::Subprocess::spawn(child_body, limits);
-      }();
-      if (!spawned.ok()) {
-        return synthesize(SandboxFate::kCrashed, 0,
-                          "sandbox: spawn failed: " + spawned.error());
-      }
-      support::SubprocessResult waited;
-      {
-        const support::Span wait_span("sandbox", "wait");
-        support::Subprocess child = std::move(spawned).take();
-        waited = child.wait();
-      }
-      if (waited.deadline_killed) {
-        return synthesize(
-            SandboxFate::kTimedOut, SIGKILL,
-            support::format(
-                "sandbox: killed after exceeding the %.0f ms wall deadline",
-                sandbox_deadline_ms));
-      }
-      if (waited.exited && waited.exit_code == support::kOomExitCode) {
-        return synthesize(SandboxFate::kOomKilled, 0,
-                          "sandbox: allocation failed under the memory limit");
-      }
-      if (!waited.exited && waited.term_signal == SIGKILL) {
-        // A SIGKILL that is not ours: the kernel OOM killer or an external
-        // kill, indistinguishable from here (see kExternalKillRespawns).
-        if (respawn < kExternalKillRespawns) {
-          support::count("sandbox.respawned");
-          continue;
-        }
-        return synthesize(SandboxFate::kOomKilled, SIGKILL,
-                          "sandbox: child SIGKILLed repeatedly "
-                          "(kernel out-of-memory kill)");
-      }
-      if (!waited.exited) {
-        return synthesize(SandboxFate::kCrashed, waited.term_signal,
-                          support::format("sandbox: child died on signal %d",
-                                          waited.term_signal));
-      }
-      if (waited.exit_code != 0) {
-        return synthesize(
-            SandboxFate::kCrashed, 0,
-            support::format("sandbox: child exited with code %d",
-                            waited.exit_code));
-      }
-      // Clean exit: decode the shipped outcome, honoring the torn-pipe
-      // injection site (which simulates a frame damaged in transit).
-      auto decoded =
-          support::fault_fire(support::FaultSite::kSandboxPipe)
-              ? support::Result<DecodedOutcome>::failure(
-                    support::fault_message(support::FaultSite::kSandboxPipe))
-              : decode_sandbox_result(waited.output);
-      if (!decoded.ok()) {
-        return synthesize(SandboxFate::kCrashed, 0, decoded.error());
-      }
-      AppOutcome shipped = std::move(decoded.value().outcome);
-      if (decoded.value().index != index || shipped.seed != outcome.seed) {
-        return synthesize(SandboxFate::kCrashed, 0,
-                          "sandbox: result frame for the wrong app");
-      }
-      outcome.report = std::move(shipped.report);
-      if (shipped.timed_out) outcome.timed_out = true;
-      return shipped.timed_out ||
-             outcome.report.status == core::DynamicStatus::kCrash;
-    }
-  };
-
-  // --- persistent worker pool (docs/ISOLATION.md §3) -----------------------
-  // One long-lived forked child per driver thread, dispatched over a framed
-  // RPC pipe: the fork cost is amortized over every app the worker serves,
-  // while the per-attempt failure taxonomy (crash / OOM / deadline /
-  // external kill) classifies exactly as fork-per-app mode does. Ownership
-  // is strictly 1:1 — each thread only ever touches its own slot, so the
-  // vector needs no locks.
-  std::vector<std::optional<support::PoolWorker>> pool_workers(
-      config_.isolation_mode == IsolationMode::kPool ? result.threads : 0);
-
-  /// Child-side serve loop (runs in the forked worker): one framed request
-  /// per iteration, each running the *identical* run_attempt machinery the
-  /// thread and fork-per-app modes use — which is what keeps clean pool
-  /// outcomes byte-identical to both. EOF on the request pipe is the
-  /// graceful-shutdown signal; any protocol damage exits loudly (a
-  /// desynchronized stream cannot be resynchronized).
-  const auto pool_serve = [&](int request_fd, int response_fd) -> int {
-    support::Bytes message;
-    for (;;) {
-      std::uint8_t header[support::kPoolMessageHeader];
-      const ssize_t got =
-          support::read_exact(request_fd, header, sizeof header);
-      if (got == 0) return 0;  // clean EOF between requests: shut down
-      if (got != static_cast<ssize_t>(sizeof header)) return 3;
-      const std::uint32_t payload_len =
-          static_cast<std::uint32_t>(header[8]) |
-          (static_cast<std::uint32_t>(header[9]) << 8) |
-          (static_cast<std::uint32_t>(header[10]) << 16) |
-          (static_cast<std::uint32_t>(header[11]) << 24);
-      if (payload_len > support::kPoolMaxMessageBytes) return 3;
-      message.assign(header, header + sizeof header);
-      message.resize(sizeof header + payload_len);
-      if (payload_len > 0 &&
-          support::read_exact(request_fd, message.data() + sizeof header,
-                              payload_len) !=
-              static_cast<ssize_t>(payload_len)) {
-        return 3;
-      }
-      const auto request = decode_pool_request(message);
-      if (!request.ok()) return 3;
-      const PoolRequest& req = request.value();
-      if (req.app_index >= jobs.size()) return 3;
-      // The injected sandbox.crash decision is drawn in the supervisor
-      // (deterministically) and *executed* here as a real abort, exactly
-      // like the fork-per-app child.
-      if (req.crash_child) std::abort();
-      AppOutcome child_outcome;
-      child_outcome.seed = req.seed;
-      (void)run_attempt(jobs[req.app_index], child_outcome, req.attempt,
-                        req.app_index, req.worker);
-      const support::Bytes response =
-          encode_pool_response(req.app_index, child_outcome);
-      if (!support::write_fully(response_fd, response.data(),
-                                response.size())) {
-        return 3;
-      }
-    }
-  };
-
-  /// One pooled attempt: same preamble, fault sites, classification ladder
-  /// and synthesized messages as sandbox_attempt — only the mechanics of
-  /// reaching the child differ (a framed RPC instead of a fork). Worker
-  /// recycling (injected, after K apps, or on RSS growth) happens strictly
-  /// *between* attempts, so it can never change an outcome.
-  const auto pool_attempt = [&](const AppJob& /*job: child looks it up*/,
-                                AppOutcome& outcome, std::uint32_t attempt,
-                                std::size_t index,
-                                std::size_t worker_id) -> bool {
-    outcome.attempts = attempt + 1;
-    outcome.sandbox_fate = SandboxFate::kNone;
-    outcome.fatal_signal = 0;
-
-    const support::TraceContextScope trace_context(
-        trace_app_id(index), attempt, static_cast<std::uint32_t>(worker_id));
-
-    std::optional<support::FaultSession> sandbox_faults;
-    std::optional<support::FaultScope> sandbox_scope;
-    if (options.faults != nullptr && !options.faults->empty()) {
-      sandbox_faults.emplace(
-          *options.faults,
-          support::fault_session_seed(outcome.seed ^ kSandboxFaultSalt,
-                                      attempt));
-      sandbox_scope.emplace(&*sandbox_faults);
-    }
-    const bool crash_child =
-        support::fault_fire(support::FaultSite::kSandboxCrash);
-
-    support::SubprocessLimits limits;
-    limits.max_memory_bytes = config_.sandbox_mem_limit_bytes;
-    limits.cpu_time_s = config_.sandbox_cpu_limit_s;
-    limits.wall_deadline_ms = sandbox_deadline_ms;
-
-    const support::Stopwatch attempt_clock;
-    struct AttemptWall {
-      const support::Stopwatch* clock;
-      double* into;
-      ~AttemptWall() { *into += clock->elapsed_ms(); }
-    } wall_guard{&attempt_clock, &outcome.wall_ms};
-
-    const auto synthesize = [&](SandboxFate fate, int signal,
-                                std::string message) {
-      outcome.report = core::AppReport{};
-      outcome.report.status = core::DynamicStatus::kCrash;
-      outcome.report.crash_message = std::move(message);
-      outcome.sandbox_fate = fate;
-      outcome.fatal_signal = static_cast<std::uint8_t>(signal);
-      if (fate == SandboxFate::kTimedOut) outcome.timed_out = true;
-      support::count(fate == SandboxFate::kCrashed ? "sandbox.crashed"
-                                                   : "sandbox.killed");
-      return true;
-    };
-
-    std::optional<support::PoolWorker>& slot = pool_workers[worker_id];
-    for (int respawn = 0;; ++respawn) {
-      // The spawn fault is drawn *unconditionally* — "would the spawn this
-      // attempt might need fail?" — never gated on whether this thread's
-      // worker happens to be alive. Gating it on pool state would make the
-      // hit stream (and therefore which apps fail under p: mode) depend on
-      // the worker count, breaking byte-identical reports at any -j.
-      const bool spawn_fault =
-          support::fault_fire(support::FaultSite::kPoolSpawn);
-      if (spawn_fault) {
-        if (slot.has_value()) {
-          slot->kill();
-          slot.reset();
-        }
-        return synthesize(
-            SandboxFate::kCrashed, 0,
-            "sandbox: spawn failed: " +
-                support::fault_message(support::FaultSite::kPoolSpawn));
-      }
-      if (!slot.has_value()) {
-        const support::Span spawn_span("sandbox", "pool.spawn");
-        auto spawned = support::PoolWorker::spawn(pool_serve, limits);
-        if (!spawned.ok()) {
-          return synthesize(SandboxFate::kCrashed, 0,
-                            "sandbox: spawn failed: " + spawned.error());
-        }
-        slot.emplace(std::move(spawned).take());
-        support::count("sandbox.pool.spawned");
-      }
-
-      PoolRequest request;
-      request.app_index = index;
-      request.attempt = attempt;
-      request.seed = outcome.seed;
-      request.worker = static_cast<std::uint32_t>(worker_id);
-      request.crash_child = crash_child;
-      support::PoolRpcResult rpc;
-      {
-        const support::Span rpc_span("sandbox", "pool.rpc");
-        support::count("sandbox.pool.rpcs");
-        rpc = slot->call(encode_pool_request(request), kPoolRpcMagic,
-                         sandbox_deadline_ms);
-      }
-
-      using RpcStatus = support::PoolRpcResult::Status;
-      if (rpc.status == RpcStatus::kTimeout) {
-        slot.reset();
-        return synthesize(
-            SandboxFate::kTimedOut, SIGKILL,
-            support::format(
-                "sandbox: killed after exceeding the %.0f ms wall deadline",
-                sandbox_deadline_ms));
-      }
-      if (rpc.status == RpcStatus::kWorkerExit ||
-          rpc.status == RpcStatus::kError) {
-        slot.reset();
-        if (rpc.exited && rpc.exit_code == support::kOomExitCode) {
-          return synthesize(
-              SandboxFate::kOomKilled, 0,
-              "sandbox: allocation failed under the memory limit");
-        }
-        if (!rpc.exited && rpc.term_signal == SIGKILL) {
-          // A SIGKILL that is not ours: kernel OOM killer or an external
-          // kill. The in-flight app is transparently re-dispatched to a
-          // fresh worker, bounded exactly like fork mode's respawns.
-          if (respawn < kExternalKillRespawns) {
-            support::count("sandbox.respawned");
-            continue;
-          }
-          return synthesize(SandboxFate::kOomKilled, SIGKILL,
-                            "sandbox: child SIGKILLed repeatedly "
-                            "(kernel out-of-memory kill)");
-        }
-        if (!rpc.exited && rpc.term_signal != 0) {
-          return synthesize(
-              SandboxFate::kCrashed, rpc.term_signal,
-              support::format("sandbox: child died on signal %d",
-                              rpc.term_signal));
-        }
-        if (rpc.exited && rpc.exit_code != 0) {
-          return synthesize(
-              SandboxFate::kCrashed, 0,
-              support::format("sandbox: child exited with code %d",
-                              rpc.exit_code));
-        }
-        return synthesize(SandboxFate::kCrashed, 0,
-                          rpc.error.empty()
-                              ? "sandbox: worker exited before shipping a "
-                                "response"
-                              : rpc.error);
-      }
-
-      // Clean response: decode it, honoring the torn-RPC injection site.
-      auto decoded =
-          support::fault_fire(support::FaultSite::kPoolRpc)
-              ? support::Result<DecodedOutcome>::failure(
-                    support::fault_message(support::FaultSite::kPoolRpc))
-              : decode_pool_response(rpc.message);
-      if (!decoded.ok()) {
-        // A response that framed but does not decode means the stream can
-        // no longer be trusted: retire the worker along with the outcome.
-        slot->kill();
-        slot.reset();
-        return synthesize(SandboxFate::kCrashed, 0, decoded.error());
-      }
-      AppOutcome shipped = std::move(decoded.value().outcome);
-      if (decoded.value().index != index || shipped.seed != outcome.seed) {
-        slot->kill();
-        slot.reset();
-        return synthesize(SandboxFate::kCrashed, 0,
-                          "sandbox: result frame for the wrong app");
-      }
-      outcome.report = std::move(shipped.report);
-      if (shipped.timed_out) outcome.timed_out = true;
-
-      // Between-attempt recycling: the outcome above is already settled, so
-      // retiring the worker here can never change a report — only reset its
-      // accumulated CPU time and heap growth.
-      const bool recycle =
-          support::fault_fire(support::FaultSite::kPoolRecycle) ||
-          (config_.pool_recycle_apps > 0 &&
-           slot->served() >= config_.pool_recycle_apps) ||
-          (config_.pool_recycle_rss_bytes > 0 &&
-           slot->rss_bytes() > config_.pool_recycle_rss_bytes);
-      if (recycle) {
-        slot->shutdown();
-        slot.reset();
-        support::count("sandbox.pool.recycled");
-      }
-      return shipped.timed_out ||
-             outcome.report.status == core::DynamicStatus::kCrash;
-    }
-  };
-
-  /// Attempt dispatcher: the retry policy below is mode-blind; only the
-  /// mechanics of one attempt differ between the isolation modes.
-  const auto one_attempt = [&](const AppJob& job, AppOutcome& outcome,
-                               std::uint32_t attempt, std::size_t index,
-                               std::size_t worker_id) {
-    switch (config_.isolation_mode) {
-      case IsolationMode::kForkPerApp:
-        return sandbox_attempt(job, outcome, attempt, index, worker_id);
-      case IsolationMode::kPool:
-        return pool_attempt(job, outcome, attempt, index, worker_id);
-      case IsolationMode::kOff:
-        break;
-    }
-    return run_attempt(job, outcome, attempt, index, worker_id);
-  };
-
-  /// Full per-app policy: timeout + single-retry-then-quarantine
-  /// (docs/FAULTS.md), wrapped in the escaping-exception belt so that an
-  /// exception leaking out of the attempt machinery itself still resolves
-  /// into a consistent outcome — attempts ≥ 1, wall time accumulated by
-  /// the attempt's WallGuard, timed_out derived by the same budget rule —
-  /// instead of terminating the driver.
-  const auto analyze_app = [&](const AppJob& job, AppOutcome& outcome,
-                               std::size_t index, std::size_t worker) {
-    outcome.seed = seed_of(index);
-    try {
-      bool failed = one_attempt(job, outcome, 0, index, worker);
-      if (failed && options.retry_on_crash) {
-        // The retry's fault session is salted by the attempt, so transient
-        // injected faults clear deterministically; if the retry fails too,
-        // the app is quarantined — its final report keeps its Table II
-        // bucket.
-        support::count("runner.retry");
-        failed = one_attempt(job, outcome, 1, index, worker);
-        outcome.quarantined = failed;
-      }
-    } catch (const std::exception& e) {
-      outcome.report = core::AppReport{};
-      outcome.report.status = core::DynamicStatus::kCrash;
-      outcome.report.crash_message =
-          std::string("runner: escaped attempt machinery: ") + e.what();
-      if (outcome.attempts == 0) outcome.attempts = 1;
-      // wall_ms was already accumulated by the attempt's WallGuard; do NOT
-      // overwrite it here (the old assignment was the =/+= mixup this
-      // guard removes). The budget check runs over the accumulated total —
-      // conservative, since the per-attempt split is unknowable here.
-      if (options.max_app_wall_ms > 0.0 &&
-          outcome.wall_ms > options.max_app_wall_ms) {
-        outcome.timed_out = true;
-      }
-    } catch (...) {
-      outcome.report = core::AppReport{};
-      outcome.report.status = core::DynamicStatus::kCrash;
-      outcome.report.crash_message = "runner: escaped attempt machinery";
-      if (outcome.attempts == 0) outcome.attempts = 1;
-      if (options.max_app_wall_ms > 0.0 &&
-          outcome.wall_ms > options.max_app_wall_ms) {
-        outcome.timed_out = true;
-      }
-    }
-    // A sandbox fate surviving to the final attempt always quarantines:
-    // an app the OS had to kill is excluded from trust even when
-    // retry_on_crash is off (docs/ISOLATION.md).
-    if (outcome.sandbox_fate != SandboxFate::kNone) outcome.quarantined = true;
-    outcome.completed = true;
-    support::count("runner.apps");
-    if (outcome.timed_out) support::count("runner.timed_out");
-    if (outcome.quarantined) support::count("runner.quarantined");
-    support::observe_us("runner.app_wall",
-                        static_cast<std::uint64_t>(outcome.wall_ms * 1000.0));
-  };
-
-  /// Install the driver fault session (shared with the journal sites) for
-  /// the duration of a cache call, serializing its hit counters under the
-  /// journal mutex. A no-op (and no lock) when injection is off.
-  struct DriverFaultGuard {
-    std::optional<std::unique_lock<std::mutex>> lock;
-    std::optional<support::FaultScope> scope;
-    DriverFaultGuard(std::optional<support::FaultSession>& session,
-                     std::mutex& mutex) {
-      if (session.has_value()) {
-        lock.emplace(mutex);
-        scope.emplace(&*session);
-      }
-    }
-  };
-
-  /// Cache-aware analysis of one app (docs/CACHE.md): content-addressed
-  /// lookup first, full analysis on a miss, insert after. Cache faults
-  /// degrade — a read fault is a miss, a write fault drops the entry — so
-  /// cached and uncached runs produce byte-identical reports.
-  const auto process_app = [&](const AppJob& job, AppOutcome& outcome,
-                               std::size_t index, std::size_t worker_id) {
-    if (!cache.has_value()) {
-      analyze_app(job, outcome, index, worker_id);
-      return;
-    }
-    CacheKey key;
-    key.config = config_fp;
-    key.seed = seed_of(index);
-    std::optional<AppOutcome> hit;
-    {
-      // The span covers the digest too: content addressing is the real
-      // cost of a lookup on large packages.
-      const support::Span lookup_span("cache", "lookup");
-      key.apk = support::sha256(job.apk.span());
-      const DriverFaultGuard faults(driver_faults, journal_mutex);
-      hit = cache->lookup(key);
-    }
-    if (hit.has_value()) {
-      outcome = std::move(*hit);
-      outcome.cache_hit = true;
-      outcome.cache_checked = true;
-      support::count("cache.hit");
-      return;
-    }
-    support::count("cache.miss");
-    analyze_app(job, outcome, index, worker_id);
-    outcome.cache_checked = true;
-    // A sandbox-killed outcome is a fact about the sandbox environment
-    // (limits, deadline, external kills), not about the app content the
-    // key addresses — never cache it; the app recomputes next run.
-    if (outcome.sandbox_fate != SandboxFate::kNone) return;
-    const DriverFaultGuard faults(driver_faults, journal_mutex);
-    cache->insert(key, outcome);
-  };
-
-  /// Write-ahead append of one finished outcome. Returns false when the
-  /// run must abort (failed append or injected driver kill).
-  const auto journal_outcome = [&](std::size_t index,
-                                   const AppOutcome& outcome) {
-    // The span covers encode + lock wait + append, so the trace shows
-    // journal contention as well as raw write latency (the write-only
-    // latency lives in the journal.append_write histogram).
-    const support::Span journal_span("journal", "append");
-    // One long-lived encode buffer per worker thread: capacity sticks
-    // around after the first few appends, so encoding stops allocating.
-    thread_local support::ByteWriter encoder;
-    encoder.clear();
-    encode_outcome_into(index, outcome, encoder);
-    const support::Bytes& payload = encoder.data();
-    support::count("journal.append_bytes", payload.size());
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    if (aborted.load(std::memory_order_relaxed)) return false;
-    // Install the driver fault session (if armed) so the journal.append
-    // site inside JournalWriter::append and the driver.kill checked
-    // boundary below draw from the same deterministic hit stream.
-    std::optional<support::FaultScope> scope;
-    if (driver_faults.has_value()) scope.emplace(&*driver_faults);
-    const support::Status appended = journal->append(payload);
-    if (!appended.ok()) {
-      abort_message = appended.error();
-      aborted.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    if (support::fault_fire(support::FaultSite::kDriverKill)) {
-      abort_message = support::fault_message(support::FaultSite::kDriverKill) +
-                      support::format(" after %zu journal append(s)",
-                                      journal->appended());
-      aborted.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  };
-
-  // Each worker claims the next unprocessed shard slot, maps it to its
-  // global corpus index (slot == index when unsharded), analyzes it with
-  // its global-index-derived seed and writes into that index's pre-sized
+  // Execute. Each worker claims the next unprocessed shard slot, maps it to
+  // its global corpus index, analyzes it (through the cache tier) with its
+  // global-index-derived seed and writes into that index's pre-sized
   // outcome slot — disjoint writes, no locks on the hot path (the journal
-  // mutex is only ever taken when journaling is enabled).
+  // mutex is only ever taken when journaling is enabled). Graceful stops
+  // and aborts are polled between apps only: an in-flight app always
+  // finishes and is journaled.
+  AttemptExecutor executor(*pipeline_, config_, jobs, result.threads);
+  std::atomic<std::size_t> next{0};
   const auto worker = [&](std::size_t worker_id) {
     for (;;) {
-      if (should_quit()) break;
+      if (journal.aborted() ||
+          (config_.stop != nullptr &&
+           config_.stop->load(std::memory_order_relaxed))) {
+        break;
+      }
       const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
       if (slot >= shard_apps) break;
       const std::size_t index = global_index_of(slot);
       if (done[index]) continue;  // replayed from the resume journal
       AppOutcome& outcome = result.outcomes[index];
-      // Ambient tagging for the journal-append span (the per-attempt spans
-      // install their own nested context with the attempt ordinal).
+      const std::uint64_t seed = job_seed(jobs, config_.seed_base, index);
+      // Ambient tagging for the cache and journal spans (the per-attempt
+      // spans install their own nested context with the attempt ordinal).
       const support::TraceContextScope trace_context(
           trace_app_id(index), 0, static_cast<std::uint32_t>(worker_id));
-      process_app(jobs[index], outcome, index, worker_id);
-      if (journal.has_value() && !journal_outcome(index, outcome)) break;
+      cache.process(jobs[index], seed, outcome, [&] {
+        executor.analyze_app(outcome, seed, index, worker_id);
+      });
+      if (!journal.append(index, outcome)) break;
     }
-    // Retire this thread's pooled worker gracefully (EOF-driven exit) on
-    // every way out of the loop — corpus drained, graceful stop, abort.
-    if (worker_id < pool_workers.size() && pool_workers[worker_id]) {
-      pool_workers[worker_id]->shutdown();
-      pool_workers[worker_id].reset();
-    }
+    // Retire this thread's pooled worker on every way out of the loop —
+    // corpus drained, graceful stop, abort.
+    executor.retire(worker_id);
   };
-
   if (result.threads <= 1) {
     worker(0);  // serial fast path: no thread spawn, same code path
   } else {
@@ -1104,51 +1024,18 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
     pool.clear();  // join
   }
 
-  // Reduce the stats once, in corpus order: deterministic counts *and*
-  // deterministic floating-point sums, independent of worker count and of
-  // which outcomes were replayed vs. analyzed. The same ordered pass feeds
-  // the corpus-wide unique-binary dedup table (docs/CACHE.md), so its
-  // stats — and which run first persists a shared blob — are deterministic
-  // too.
-  BinaryDedupStore dedup(
-      config_.cache_dir.empty() ? std::string{} : config_.cache_dir + "/blobs");
-  for (const auto& outcome : result.outcomes) {
-    if (!outcome.completed) continue;
-    result.stats.absorb(outcome);
-    dedup.absorb(outcome.report);
-    if (outcome.replayed) {
-      ++result.replayed;
-    } else {
-      ++result.analyzed;
-    }
-  }
-  result.dedup = dedup.stats();
+  reduce_in_corpus_order(config_.cache_dir, result);
 
   // Seal the journal and the cache before reporting the run's fate:
   // whatever happens next (return or throw), the files on disk are
   // complete, compacted and resumable.
-  std::size_t appended_by_this_run = 0;
-  if (journal.has_value()) {
-    appended_by_this_run = journal->appended();
-    const support::Status sealed = journal->seal();
-    if (!sealed.ok()) support::log_warn("driver", sealed.error());
-    journal.reset();
-  }
-  if (cache.has_value()) {
-    const CacheStats cache_stats = cache->stats();
-    result.cache_evictions = cache_stats.evictions;
-    result.cache_invalidated = cache_stats.invalidated;
-    result.cache_write_failures = cache_stats.write_failures;
-    const support::Status sealed = cache->seal();
-    if (!sealed.ok()) support::log_warn("driver", sealed.error());
-    cache.reset();
-  }
-
-  if (aborted.load(std::memory_order_relaxed)) {
-    throw RunAborted("runner: run aborted mid-corpus: " + abort_message,
+  const std::size_t appended_by_this_run = journal.seal();
+  cache.seal(result);
+  if (journal.aborted()) {
+    throw RunAborted("runner: run aborted mid-corpus: " +
+                         journal.abort_message(),
                      appended_by_this_run);
   }
-
   result.interrupted = result.completed() < shard_apps;
   result.wall_ms = corpus_clock.elapsed_ms();
   return result;

@@ -80,25 +80,25 @@ enum class IsolationMode : std::uint8_t {
   /// Thread mode: attempts run on the worker thread. Fastest; a wild
   /// crash in one app takes the whole driver down.
   kOff = 0,
-  /// One forked child per attempt (support::Subprocess): full containment,
-  /// but every app pays fork + pipe + waitpid.
-  kForkPerApp = 1,
-  /// One persistent forked child per worker thread (support::PoolWorker),
-  /// dispatched over a framed RPC pipe: the same containment and
-  /// crash/OOM/timeout classification at a fraction of the per-app cost —
-  /// one fork is amortized over every app the worker serves.
-  kPool = 2,
+  /// Attempts run in a forked child per worker thread
+  /// (support::PoolWorker), dispatched over a framed RPC pipe: crashes,
+  /// OOMs and hangs become classified outcomes instead of driver outages.
+  /// RunnerConfig::pool_recycle_apps bounds how many apps one child
+  /// serves; 1 (what `--isolate` means) gives every attempt a fresh
+  /// process.
+  kPool = 1,
 };
 
 /// How the process sandbox disposed of an app's final attempt when
 /// isolation is on (docs/ISOLATION.md). kNone for thread-mode
-/// outcomes and for sandboxed apps whose child exited cleanly — including
-/// apps whose *analysis* crashed in the ordinary, in-process-catchable way.
+/// outcomes and for sandboxed apps whose worker responded cleanly —
+/// including apps whose *analysis* crashed in the ordinary,
+/// in-process-catchable way.
 enum class SandboxFate : std::uint8_t {
   kNone = 0,
   /// The child died abnormally (fatal signal recorded in fatal_signal) or
   /// returned a reserved failure code: a wild write, an abort, a torn
-  /// result pipe. The app keeps a synthesized crash report.
+  /// RPC response. The app keeps a synthesized crash report.
   kCrashed = 1,
   /// The child was killed for memory: its allocator failed under
   /// RLIMIT_AS (clean reserved-code exit) or the kernel OOM-killed it.
@@ -160,8 +160,8 @@ struct AppOutcome {
   bool cache_checked = false;
 };
 
-/// Corpus-level tallies. Workers each reduce into a private instance on the
-/// hot path; the runner merges them once after the pool joins.
+/// Corpus-level tallies, reduced once in corpus order after the workers
+/// join.
 struct AggregateStats {
   std::size_t apps = 0;
   // Table II outcome histogram.
@@ -202,8 +202,6 @@ struct AggregateStats {
 
   /// Fold one finished app into the tallies.
   void absorb(const AppOutcome& outcome);
-  /// Merge another (worker-local) tally into this one.
-  void merge(const AggregateStats& other);
 };
 
 struct CorpusResult {
@@ -282,32 +280,26 @@ struct RunnerConfig {
   bool cache_fsync = false;
 
   // --- process-isolation sandbox (docs/ISOLATION.md) -----------------------
-  /// Containment for analysis attempts. kForkPerApp runs every attempt in
-  /// a fresh forked child; kPool dispatches attempts to one persistent
-  /// forked worker per thread over a framed RPC pipe. In both modes clean
-  /// exits decode to outcomes byte-identical to thread mode; signal
+  /// Containment for analysis attempts. kPool dispatches attempts to one
+  /// forked worker per thread over a framed RPC pipe: clean responses
+  /// decode to outcomes byte-identical to thread mode, while signal
   /// deaths, OOM kills and wall-deadline kills become classified,
   /// quarantined crash outcomes instead of taking the driver down. Off by
   /// default: thread mode is untouched.
   IsolationMode isolation_mode = IsolationMode::kOff;
-  /// True when any sandbox (fork-per-app or pool) is on.
+  /// True when the sandbox is on.
   [[nodiscard]] bool isolated() const {
     return isolation_mode != IsolationMode::kOff;
   }
-  /// Pool mode: retire a worker after it has served this many apps and
-  /// fork a fresh one (0 = never). Resets accumulated RLIMIT_CPU time and
-  /// heap growth; reports are unaffected — recycling happens between
-  /// attempts.
+  /// Retire a worker after it has served this many apps and fork a fresh
+  /// one (0 = never; 1 = a fresh process per app, what `--isolate`
+  /// means). Resets accumulated heap growth; reports are unaffected —
+  /// recycling happens between attempts.
   std::uint32_t pool_recycle_apps = 0;
-  /// Pool mode: retire a worker whose resident set grows past this many
-  /// bytes (0 = never). Checked between attempts via /proc/<pid>/statm.
-  std::uint64_t pool_recycle_rss_bytes = 0;
   /// Child RLIMIT_AS in bytes (0 = inherit). Must comfortably exceed the
   /// parent's footprint — the limit covers the whole forked image. Ignored
   /// under ASan/TSan (support::address_space_limit_supported).
   std::uint64_t sandbox_mem_limit_bytes = 0;
-  /// Child RLIMIT_CPU in seconds (0 = inherit).
-  std::uint32_t sandbox_cpu_limit_s = 0;
   /// Wall budget per sandboxed attempt, after which the supervisor
   /// SIGKILLs the child. 0 derives a generous budget from the pipeline's
   /// max_app_wall_ms (so a hung stage is preempted, not just recorded) and

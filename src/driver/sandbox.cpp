@@ -5,58 +5,26 @@
 
 namespace dydroid::driver {
 
-support::Bytes encode_sandbox_result(std::size_t app_index,
-                                     const AppOutcome& outcome) {
-  support::ByteWriter payload;
-  payload.reserve(512);
-  encode_outcome_into(app_index, outcome, payload);
+namespace {
+
+/// Stamp one payload as a complete `magic frame` message.
+support::Bytes framed(const support::Bytes& payload) {
   support::ByteWriter stream;
-  stream.reserve(payload.size() + kSandboxMagic.size() +
+  stream.reserve(payload.size() + kPoolRpcMagic.size() +
                  support::kJournalFrameOverhead);
-  stream.raw(kSandboxMagic);
-  support::encode_frame(stream, payload.data());
+  stream.raw(kPoolRpcMagic);
+  support::encode_frame(stream, payload);
   return stream.take();
 }
 
-support::Result<DecodedOutcome> decode_sandbox_result(
-    std::span<const std::uint8_t> data) {
-  if (data.empty()) {
-    return support::Result<DecodedOutcome>::failure(
-        "sandbox: empty result pipe (child died before writing)");
-  }
-  auto parsed = support::parse_journal(data, kSandboxMagic);
-  if (!parsed.ok()) {
-    return support::Result<DecodedOutcome>::failure("sandbox: " +
-                                                    parsed.error());
-  }
-  const auto& read = parsed.value();
-  if (read.records.size() != 1 || read.torn()) {
-    return support::Result<DecodedOutcome>::failure(support::format(
-        "sandbox: expected one intact result frame, got %zu record(s) with "
-        "%zu damaged trailing byte(s)",
-        read.records.size(), read.bytes_discarded));
-  }
-  try {
-    return decode_outcome(read.records.front());
-  } catch (const std::exception& e) {
-    // A payload that passed its CRC but fails to decode (version skew,
-    // deliberately crafted fuzz input): same quarantine path as a tear.
-    return support::Result<DecodedOutcome>::failure(
-        std::string("sandbox: corrupt result payload: ") + e.what());
-  }
-}
-
-namespace {
-
 /// Parse one `magic frame` message and hand back the single intact record.
 support::Result<support::Bytes> single_record(
-    std::span<const std::uint8_t> data,
-    const std::array<std::uint8_t, 8>& magic, const char* what) {
+    std::span<const std::uint8_t> data, const char* what) {
   if (data.empty()) {
     return support::Result<support::Bytes>::failure(
         std::string("pool: empty ") + what + " message");
   }
-  auto parsed = support::parse_journal(data, magic);
+  auto parsed = support::parse_journal(data, kPoolRpcMagic);
   if (!parsed.ok()) {
     return support::Result<support::Bytes>::failure("pool: " + parsed.error());
   }
@@ -80,17 +48,13 @@ support::Bytes encode_pool_request(const PoolRequest& request) {
   payload.u64(request.seed);
   payload.u32(request.worker);
   payload.u8(request.crash_child ? 1 : 0);
-  support::ByteWriter stream;
-  stream.reserve(payload.size() + kPoolRpcMagic.size() +
-                 support::kJournalFrameOverhead);
-  stream.raw(kPoolRpcMagic);
-  support::encode_frame(stream, payload.data());
-  return stream.take();
+  payload.u8(request.retire ? 1 : 0);
+  return framed(payload.data());
 }
 
 support::Result<PoolRequest> decode_pool_request(
     std::span<const std::uint8_t> data) {
-  auto record = single_record(data, kPoolRpcMagic, "request");
+  auto record = single_record(data, "request");
   if (!record.ok()) {
     return support::Result<PoolRequest>::failure(record.error());
   }
@@ -102,6 +66,7 @@ support::Result<PoolRequest> decode_pool_request(
     request.seed = reader.u64();
     request.worker = reader.u32();
     request.crash_child = reader.u8() != 0;
+    request.retire = reader.u8() != 0;
     if (!reader.at_end()) {
       return support::Result<PoolRequest>::failure(
           "pool: trailing bytes after request payload");
@@ -118,17 +83,12 @@ support::Bytes encode_pool_response(std::size_t app_index,
   support::ByteWriter payload;
   payload.reserve(512);
   encode_outcome_into(app_index, outcome, payload);
-  support::ByteWriter stream;
-  stream.reserve(payload.size() + kPoolRpcMagic.size() +
-                 support::kJournalFrameOverhead);
-  stream.raw(kPoolRpcMagic);
-  support::encode_frame(stream, payload.data());
-  return stream.take();
+  return framed(payload.data());
 }
 
 support::Result<DecodedOutcome> decode_pool_response(
     std::span<const std::uint8_t> data) {
-  auto record = single_record(data, kPoolRpcMagic, "response");
+  auto record = single_record(data, "response");
   if (!record.ok()) {
     return support::Result<DecodedOutcome>::failure(record.error());
   }

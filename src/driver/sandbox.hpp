@@ -1,21 +1,24 @@
-// Sandbox result-pipe protocol (docs/ISOLATION.md).
+// Worker-pool RPC protocol (docs/ISOLATION.md).
 //
-// In isolate mode each analysis attempt runs in a forked child
-// (support::Subprocess); the only thing that crosses back to the
-// supervisor is a byte stream on a pipe. A crashing child can die
-// mid-write, so the stream must be self-validating: the child ships the
-// standard outcome_codec payload inside the same CRC frame layer the
-// write-ahead journal uses, stamped with the sandbox's own magic —
+// In isolated runs every analysis attempt runs in a forked
+// support::PoolWorker; the only thing that crosses between the supervisor
+// and the child is a byte stream on two pipes. A crashing child can die
+// mid-write, so the stream must be self-validating: both directions ship
+// one payload inside the same CRC frame layer the write-ahead journal
+// uses, stamped with the RPC magic —
 //
-//   stream := magic frame
-//   magic  := "DYSBOX01"                      (8 bytes)
-//   frame  := len:u32 crc:u32 payload[len]    (crc = CRC-32 of payload)
+//   message := magic frame
+//   magic   := "DYSBRPC2"                      (8 bytes)
+//   frame   := len:u32 crc:u32 payload[len]    (crc = CRC-32 of payload)
 //
-// — and the supervisor re-reads it with the journal's parse_journal. A
-// torn or bit-flipped stream (child killed mid-write, injected
-// sandbox.pipe fault, fuzzed frames) is detected exactly as a torn
-// journal tail is, and degrades to a quarantined crash outcome: the run
-// is never corrupted by whatever a dying child managed to emit.
+// — and is re-read with the journal's parse_journal. Requests carry the
+// dispatch tuple the forked loop needs to run one attempt; responses carry
+// the standard outcome_codec payload. decode_pool_response is the decoder
+// of all untrusted child output: a torn or bit-flipped response (child
+// killed mid-write, injected sandbox.pool.rpc fault, fuzzed frames) is
+// detected exactly as a torn journal tail is, and degrades to a
+// quarantined crash outcome — the run is never corrupted by whatever a
+// dying child managed to emit.
 #pragma once
 
 #include <array>
@@ -28,42 +31,19 @@
 
 namespace dydroid::driver {
 
-/// Pipe-stream magic: "DYSBOX01" (bump the digits on protocol changes).
-inline constexpr std::array<std::uint8_t, 8> kSandboxMagic = {
-    'D', 'Y', 'S', 'B', 'O', 'X', '0', '1'};
-
-/// Encode one finished attempt as the complete pipe stream the child
-/// writes before exiting: magic + one CRC frame of outcome_codec payload.
-[[nodiscard]] support::Bytes encode_sandbox_result(std::size_t app_index,
-                                                   const AppOutcome& outcome);
-
-/// Decode the bytes the supervisor drained from the pipe. Fails (never
-/// throws) on a missing/wrong magic, a torn or bit-flipped frame, trailing
-/// garbage, anything but exactly one record, or an undecodable payload —
-/// the caller quarantines the app on any failure.
-[[nodiscard]] support::Result<DecodedOutcome> decode_sandbox_result(
-    std::span<const std::uint8_t> data);
-
-// ---- Worker-pool RPC (docs/ISOLATION.md §3) --------------------------------
-//
-// Pool mode replaces the one-shot result pipe with a persistent
-// request/response conversation under its own magic. Both directions use
-// the identical `magic frame` shape: requests carry the dispatch tuple the
-// forked loop needs to run one attempt, responses are byte-for-byte the
-// DYSBOX01 stream under the RPC magic.
-
-/// RPC-stream magic: "DYSBRPC1" (bump the digit on protocol changes).
+/// RPC-stream magic: "DYSBRPC2" (bump the digit on protocol changes).
 inline constexpr std::array<std::uint8_t, 8> kPoolRpcMagic = {
-    'D', 'Y', 'S', 'B', 'R', 'P', 'C', '1'};
+    'D', 'Y', 'S', 'B', 'R', 'P', 'C', '2'};
 
 /// One dispatched attempt: everything the pooled child needs to run the
-/// app body exactly as the fork-per-app child would.
+/// app exactly as thread mode would.
 struct PoolRequest {
   std::uint64_t app_index = 0;  // global corpus index into jobs
   std::uint32_t attempt = 0;    // retry ordinal (salts fault sessions)
   std::uint64_t seed = 0;       // the app's corpus seed (child validates)
   std::uint32_t worker = 0;     // supervisor thread ordinal (trace context)
   bool crash_child = false;     // injected sandbox.crash: abort on receipt
+  bool retire = false;          // recycled: exit after shipping the response
 };
 
 /// Encode one dispatch as a complete framed request message.
@@ -79,8 +59,10 @@ struct PoolRequest {
 [[nodiscard]] support::Bytes encode_pool_response(std::size_t app_index,
                                                   const AppOutcome& outcome);
 
-/// Decode a framed response message; same failure contract (and the same
-/// quarantine-on-failure caller behavior) as decode_sandbox_result.
+/// Decode a framed response message. Fails (never throws) on a missing or
+/// wrong magic, a torn or bit-flipped frame, trailing garbage, anything
+/// but exactly one record, or an undecodable payload — the caller
+/// quarantines the app on any failure.
 [[nodiscard]] support::Result<DecodedOutcome> decode_pool_response(
     std::span<const std::uint8_t> data);
 

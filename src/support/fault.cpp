@@ -27,8 +27,6 @@ constexpr std::array<SiteName, kFaultSiteCount> kSiteNames = {{
     {FaultSite::kDriverKill, "driver.kill"},
     {FaultSite::kCacheRead, "cache.read"},
     {FaultSite::kCacheWrite, "cache.write"},
-    {FaultSite::kSandboxSpawn, "sandbox.spawn"},
-    {FaultSite::kSandboxPipe, "sandbox.pipe"},
     {FaultSite::kSandboxCrash, "sandbox.crash"},
     {FaultSite::kPoolSpawn, "sandbox.pool.spawn"},
     {FaultSite::kPoolRpc, "sandbox.pool.rpc"},

@@ -56,14 +56,11 @@ enum class FaultSite : std::uint8_t {
   kDriverKill,       // CorpusRunner checked boundary — driver dies mid-run
   kCacheRead,        // driver::ResultCache::lookup — read error, treat as miss
   kCacheWrite,       // driver::ResultCache::insert — write error, entry dropped
-  // Sandbox sites (docs/ISOLATION.md). spawn/pipe fire in the supervisor's
-  // per-app sandbox session (fork failure, torn result frame); crash fires
-  // in the *child*, which aborts so the supervisor classifies a real
-  // signal death.
-  kSandboxSpawn,     // CorpusRunner sandbox — fork fails, app quarantined
-  kSandboxPipe,      // sandbox result pipe — torn frame, recover + quarantine
+  // Sandbox site (docs/ISOLATION.md): drawn in the supervisor's per-app
+  // sandbox session, executed in the *child*, which aborts so the
+  // supervisor classifies a real signal death.
   kSandboxCrash,     // sandbox child — deterministic abort (signal death)
-  // Worker-pool sites (docs/ISOLATION.md §pool). All three fire in the
+  // Worker-pool sites (docs/ISOLATION.md). All three fire in the
   // supervisor's per-attempt sandbox session; spawn/rpc fail the attempt
   // (quarantine), recycle forces a worker restart without touching the
   // outcome — so recycling machinery is testable under the fault harness.
@@ -72,7 +69,7 @@ enum class FaultSite : std::uint8_t {
   kPoolRecycle,      // force-recycle the worker after a clean response
 };
 
-inline constexpr std::size_t kFaultSiteCount = 18;
+inline constexpr std::size_t kFaultSiteCount = 16;
 
 /// All sites, in enum order (the injection-site catalog).
 const std::array<FaultSite, kFaultSiteCount>& all_fault_sites();

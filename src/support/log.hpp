@@ -13,7 +13,7 @@ LogLevel log_level();
 
 void log(LogLevel level, std::string_view component, std::string_view message);
 
-/// Fork-safety hooks used by support::Subprocess via pthread_atfork: the
+/// Fork-safety hooks used by support::PoolWorker via pthread_atfork: the
 /// sink mutex is acquired before fork and released in both parent and
 /// child, so a child forked while another thread is mid-log never inherits
 /// a locked sink (a classic post-fork deadlock).

@@ -539,4 +539,16 @@ std::string format_latency_table(const MetricsSnapshot& snapshot,
   return out;
 }
 
+void trace_fork_lock() {
+  registry().mutex.lock();
+  metrics_state().counters.mutex.lock();
+  metrics_state().histograms.mutex.lock();
+}
+
+void trace_fork_unlock() {
+  metrics_state().histograms.mutex.unlock();
+  metrics_state().counters.mutex.unlock();
+  registry().mutex.unlock();
+}
+
 }  // namespace dydroid::support

@@ -230,4 +230,12 @@ void metrics_reset();
     const MetricsSnapshot& snapshot,
     std::span<const std::string_view> prefixes = {});
 
+/// Fork-safety hooks used by support::PoolWorker via pthread_atfork: the
+/// trace ring registry and both metrics name registries are locked before
+/// fork and unlocked in both parent and child, so a child forked while a
+/// sibling thread registers its ring or a new metric name never inherits
+/// that mutex locked (its first span would deadlock).
+void trace_fork_lock();
+void trace_fork_unlock();
+
 }  // namespace dydroid::support

@@ -1,22 +1,27 @@
 #include "support/worker_pool.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "support/io.hpp"
+#include "support/log.hpp"
 #include "support/stopwatch.hpp"
+#include "support/trace.hpp"
 
 #if defined(_WIN32)
 #error "support::PoolWorker requires a POSIX platform"
 #else
 #include <poll.h>
 #include <pthread.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -24,6 +29,12 @@
 namespace dydroid::support {
 
 namespace {
+
+/// How long shutdown() waits for a worker to exit on EOF before SIGKILL.
+constexpr double kShutdownGraceMs = 500.0;
+
+/// Largest single read into a message buffer.
+constexpr std::size_t kReadChunk = 64 * 1024;
 
 // Parent-side pipe fds of every live PoolWorker. The mutex is held across
 // fork(2) so a new child sees a consistent snapshot and can close the fds
@@ -39,6 +50,45 @@ void unregister_pool_fd(int fd) {
   std::lock_guard<std::mutex> lock(g_pool_fd_mutex);
   g_pool_fds.erase(std::remove(g_pool_fds.begin(), g_pool_fds.end(), fd),
                    g_pool_fds.end());
+}
+
+void fork_prepare() {
+  log_fork_lock();
+  trace_fork_lock();
+}
+
+void fork_release() {
+  trace_fork_unlock();
+  log_fork_unlock();
+}
+
+/// Workers fork from driver threads, so a sibling thread can hold the log
+/// sink or a trace/metrics registry mutex at fork time; the atfork
+/// handlers take them across the fork so both sides resume with them
+/// consistent and unlocked. Registered once, lazily, on the first spawn.
+void install_fork_handlers() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    ::pthread_atfork(&fork_prepare, &fork_release, &fork_release);
+  });
+}
+
+[[noreturn]] void oom_exit() { ::_exit(kOomExitCode); }
+
+/// Child-side setup between fork and the serve loop. Only setrlimit,
+/// signal and set_new_handler: the child is single-threaded.
+void child_setup(const WorkerLimits& limits) {
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+  std::signal(SIGPIPE, SIG_DFL);
+  rlimit core{0, 0};
+  (void)::setrlimit(RLIMIT_CORE, &core);
+  if (limits.max_memory_bytes > 0 && address_space_limit_supported()) {
+    rlimit as{static_cast<rlim_t>(limits.max_memory_bytes),
+              static_cast<rlim_t>(limits.max_memory_bytes)};
+    (void)::setrlimit(RLIMIT_AS, &as);
+  }
+  std::set_new_handler(&oom_exit);
 }
 
 /// Write the whole buffer with SIGPIPE suppressed for the calling thread:
@@ -60,18 +110,81 @@ bool write_nosigpipe(int fd, const std::uint8_t* data, std::size_t size) {
   return ok;
 }
 
-std::uint32_t frame_length(const Bytes& buffer) {
-  return static_cast<std::uint32_t>(buffer[8]) |
-         (static_cast<std::uint32_t>(buffer[9]) << 8) |
-         (static_cast<std::uint32_t>(buffer[10]) << 16) |
-         (static_cast<std::uint32_t>(buffer[11]) << 24);
+/// Block until `fd` is readable or hung up, at most `remaining_ms`.
+/// Returns poll's verdict: >0 ready, 0 timed out, <0 error.
+int wait_readable(int fd, double remaining_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  const int timeout_ms = static_cast<int>(
+      std::clamp(std::ceil(remaining_ms), 0.0, static_cast<double>(INT_MAX)));
+  return static_cast<int>(retry_eintr(
+      [&] { return static_cast<ssize_t>(::poll(&pfd, 1, timeout_ms)); }));
 }
 
 }  // namespace
 
+bool address_space_limit_supported() {
+  // ASan reserves terabytes of shadow address space and TSan's runtime
+  // aborts (instead of returning nullptr) on allocation failure, so under
+  // either sanitizer RLIMIT_AS would kill every child at startup or turn
+  // clean OOM exits into uncatchable runtime aborts.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+  return false;
+#else
+  return true;
+#endif
+#else
+  return true;
+#endif
+}
+
+FrameRead read_pool_message(int fd, const std::array<std::uint8_t, 8>& magic,
+                            Bytes& message, double deadline_ms) {
+  const Stopwatch clock;
+  std::size_t want = kPoolMessageHeader;
+  message.clear();
+  for (;;) {
+    if (deadline_ms > 0.0) {
+      const double remaining = deadline_ms - clock.elapsed_ms();
+      if (remaining <= 0.0) return FrameRead::kTimeout;
+      const int ready = wait_readable(fd, remaining);
+      if (ready < 0) return FrameRead::kIoError;
+      if (ready == 0) return FrameRead::kTimeout;
+    }
+    // Grow by at most one chunk per read: a length header is only the
+    // writer's claim, so buffer what arrives rather than what it announces.
+    const std::size_t have = message.size();
+    message.resize(std::min(want, have + kReadChunk));
+    const ssize_t n = retry_eintr([&] {
+      return ::read(fd, message.data() + have, message.size() - have);
+    });
+    message.resize(have + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
+    if (n < 0) return FrameRead::kIoError;
+    if (n == 0) return have == 0 ? FrameRead::kEof : FrameRead::kTorn;
+    if (message.size() < want) continue;
+    if (want == kPoolMessageHeader) {
+      if (!std::equal(magic.begin(), magic.end(), message.begin())) {
+        return FrameRead::kDesync;
+      }
+      const std::uint32_t payload =
+          static_cast<std::uint32_t>(message[8]) |
+          (static_cast<std::uint32_t>(message[9]) << 8) |
+          (static_cast<std::uint32_t>(message[10]) << 16) |
+          (static_cast<std::uint32_t>(message[11]) << 24);
+      if (payload > kPoolMaxMessageBytes) return FrameRead::kDesync;
+      want += payload;
+      if (payload > 0) continue;
+    }
+    return FrameRead::kMessage;
+  }
+}
+
 Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
-                                     const SubprocessLimits& limits) {
-  subprocess_install_fork_handlers();
+                                     const WorkerLimits& limits) {
+  install_fork_handlers();
   std::lock_guard<std::mutex> lock(g_pool_fd_mutex);
   int request[2] = {-1, -1};
   int response[2] = {-1, -1};
@@ -103,8 +216,7 @@ Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
     for (const int fd : g_pool_fds) ::close(fd);
     ::close(request[1]);
     ::close(response[0]);
-    subprocess_child_setup(limits);
-    std::signal(SIGPIPE, SIG_DFL);
+    child_setup(limits);
     int code = kChildExceptionExitCode;
     try {
       code = serve(request[0], response[1]);
@@ -170,13 +282,13 @@ void PoolWorker::reap(PoolRpcResult* result) {
   }
 }
 
-void PoolWorker::kill() {
+void PoolWorker::kill_and_reap(PoolRpcResult* result) {
   close_pipes();
-  if (pid_ > 0) {
-    (void)::kill(pid_, SIGKILL);
-    reap(nullptr);
-  }
+  if (pid_ > 0) (void)::kill(pid_, SIGKILL);
+  reap(result);
 }
+
+void PoolWorker::kill() { kill_and_reap(nullptr); }
 
 void PoolWorker::shutdown() {
   if (pid_ <= 0) {
@@ -184,42 +296,28 @@ void PoolWorker::shutdown() {
     return;
   }
   // Closing the request pipe is the shutdown signal: the serve loop reads
-  // EOF and _exits(0). Give it half a second, then stop being polite.
+  // EOF and _exits(0), and its exit hangs up the response pipe (the child
+  // holds its only write end). Wait for that hang-up, not on a sleep loop,
+  // then reap; a child that lingers past the grace period is killed.
   if (request_fd_ >= 0) {
     unregister_pool_fd(request_fd_);
     ::close(request_fd_);
     request_fd_ = -1;
   }
-  for (int waited_ms = 0; waited_ms < 500; waited_ms += 5) {
-    int status = 0;
-    const ssize_t reaped = retry_eintr([&] {
-      return static_cast<ssize_t>(::waitpid(pid_, &status, WNOHANG));
-    });
-    if (reaped != 0) {
-      pid_ = -1;
-      close_pipes();
-      return;
-    }
-    ::usleep(5000);
+  const Stopwatch clock;
+  bool hung_up = false;
+  while (!hung_up) {
+    const double remaining = kShutdownGraceMs - clock.elapsed_ms();
+    if (remaining <= 0.0 || wait_readable(response_fd_, remaining) <= 0) break;
+    std::uint8_t discard[512];
+    const ssize_t n = retry_eintr(
+        [&] { return ::read(response_fd_, discard, sizeof discard); });
+    if (n < 0) break;
+    hung_up = n == 0;
   }
-  (void)::kill(pid_, SIGKILL);
+  if (!hung_up) (void)::kill(pid_, SIGKILL);
   reap(nullptr);
   close_pipes();
-}
-
-std::uint64_t PoolWorker::rss_bytes() const {
-  if (pid_ <= 0) return 0;
-  char path[64];
-  std::snprintf(path, sizeof path, "/proc/%d/statm", pid_);
-  std::FILE* file = std::fopen(path, "r");
-  if (file == nullptr) return 0;
-  unsigned long vm_pages = 0;   // NOLINT(google-runtime-int) statm format
-  unsigned long rss_pages = 0;  // NOLINT(google-runtime-int)
-  const int parsed = std::fscanf(file, "%lu %lu", &vm_pages, &rss_pages);
-  std::fclose(file);
-  if (parsed != 2) return 0;
-  return static_cast<std::uint64_t>(rss_pages) *
-         static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
 }
 
 PoolRpcResult PoolWorker::call(const Bytes& request,
@@ -230,7 +328,6 @@ PoolRpcResult PoolWorker::call(const Bytes& request,
     result.error = "pool: worker is not running";
     return result;
   }
-  Stopwatch clock;
   if (deadline_ms <= 0.0) deadline_ms = deadline_ms_;
 
   if (!write_nosigpipe(request_fd_, request.data(), request.size())) {
@@ -245,89 +342,37 @@ PoolRpcResult PoolWorker::call(const Bytes& request,
     return result;
   }
 
-  // Read exactly one framed message: header first (magic + len + crc), then
-  // `len` payload bytes, killing the worker the moment the deadline passes.
-  // Poll timeouts bound how late a deadline kill can land, exactly like
-  // Subprocess::wait.
-  Bytes buffer;
-  std::size_t expected = kPoolMessageHeader;
-  bool sized = false;
-  for (;;) {
-    if (deadline_ms > 0.0 && clock.elapsed_ms() >= deadline_ms) {
-      close_pipes();
-      (void)::kill(pid_, SIGKILL);
-      reap(&result);
-      result.status = PoolRpcResult::Status::kTimeout;
+  switch (read_pool_message(response_fd_, magic, result.message,
+                            deadline_ms)) {
+    case FrameRead::kMessage:
+      result.status = PoolRpcResult::Status::kOk;
+      ++served_;
       return result;
-    }
-    int timeout_ms = 100;
-    if (deadline_ms > 0.0) {
-      const double remaining = deadline_ms - clock.elapsed_ms();
-      timeout_ms = static_cast<int>(
-          std::min(100.0, std::max(1.0, std::ceil(remaining))));
-    }
-    pollfd pfd{response_fd_, POLLIN, 0};
-    const int ready = static_cast<int>(retry_eintr(
-        [&] { return static_cast<ssize_t>(::poll(&pfd, 1, timeout_ms)); }));
-    if (ready < 0) {
-      const std::string io_error =
-          std::string("pool: poll failed: ") + std::strerror(errno);
-      close_pipes();
-      (void)::kill(pid_, SIGKILL);
-      reap(&result);
-      result.error = io_error;
-      return result;
-    }
-    if (ready == 0) continue;  // timeout: re-check the deadline
-    std::uint8_t chunk[4096];
-    const std::size_t want = std::min(sizeof chunk, expected - buffer.size());
-    const ssize_t n =
-        retry_eintr([&] { return ::read(response_fd_, chunk, want); });
-    if (n < 0) {
-      const std::string io_error =
-          std::string("pool: response read failed: ") + std::strerror(errno);
-      close_pipes();
-      (void)::kill(pid_, SIGKILL);
-      reap(&result);
-      result.error = io_error;
-      return result;
-    }
-    if (n == 0) {
-      // EOF before a complete message: the worker died mid-app. Reap and
-      // hand the raw facts to the caller for crash/OOM classification.
+    case FrameRead::kEof:
+    case FrameRead::kTorn:
+      // The worker died mid-app. Reap and hand the raw facts to the caller
+      // for crash/OOM classification.
       close_pipes();
       reap(&result);
       result.status = PoolRpcResult::Status::kWorkerExit;
       result.error = "pool: worker exited before shipping a response";
       return result;
-    }
-    buffer.insert(buffer.end(), chunk, chunk + n);
-    if (!sized && buffer.size() >= kPoolMessageHeader) {
-      if (!std::equal(magic.begin(), magic.end(), buffer.begin())) {
-        close_pipes();
-        (void)::kill(pid_, SIGKILL);
-        reap(&result);
-        result.error = "pool: response stream desynchronized (bad magic)";
-        return result;
-      }
-      const std::uint32_t payload = frame_length(buffer);
-      if (payload > kPoolMaxMessageBytes) {
-        close_pipes();
-        (void)::kill(pid_, SIGKILL);
-        reap(&result);
-        result.error = "pool: response length header is implausible";
-        return result;
-      }
-      expected = kPoolMessageHeader + payload;
-      sized = true;
-    }
-    if (sized && buffer.size() == expected) {
-      result.status = PoolRpcResult::Status::kOk;
-      result.message = std::move(buffer);
-      ++served_;
+    case FrameRead::kTimeout:
+      kill_and_reap(&result);
+      result.status = PoolRpcResult::Status::kTimeout;
       return result;
-    }
+    case FrameRead::kDesync:
+      kill_and_reap(&result);
+      result.error = "pool: response stream desynchronized";
+      return result;
+    case FrameRead::kIoError:
+      break;
   }
+  const std::string io_error =
+      std::string("pool: response read failed: ") + std::strerror(errno);
+  kill_and_reap(&result);
+  result.error = io_error;
+  return result;
 }
 
 }  // namespace dydroid::support

@@ -1,27 +1,50 @@
-// Persistent pre-forked sandbox workers (docs/ISOLATION.md §3).
+// Sandboxed worker processes (docs/ISOLATION.md).
 //
-// Fork-per-app isolation buys crash containment at a brutal price: every
-// app pays fork(2) + pipe setup + waitpid(2), which BENCH_corpus.json
-// measured at ~13x the analysis itself. A PoolWorker amortizes that cost:
-// the child is forked ONCE, applies the same rlimits/new-handler contract
-// as support::Subprocess, then loops over a CRC-framed request/response
-// pipe protocol — the parent ships one framed request per app attempt and
-// blocks (deadline-bounded) for one framed response. One fork now serves
-// thousands of apps, while every per-app failure mode is preserved:
+// DyDroid survived its 58,739-app crawl because every sample ran in a
+// disposable environment: an app that crashes, hangs or exhausts memory
+// must never take the measurement infrastructure down with it. A
+// PoolWorker is that boundary for the corpus driver. It forks one child,
+// applies hard resource limits, then loops over a CRC-framed
+// request/response pipe protocol: the parent ships one framed request per
+// app attempt and blocks (deadline-bounded) for one framed response. A
+// worker serves as many apps as the driver lets it — one for
+// `--isolate`, which recycles after every app, the whole run by default —
+// and every per-app failure mode is reported:
 //
 //   * deadline overrun  → SIGKILL + reap, status kTimeout
 //   * child signal/exit → EOF mid-message + reap, status kWorkerExit with
 //                         the raw exit facts (the driver classifies
-//                         crash/OOM exactly as in fork-per-app mode)
+//                         crash/OOM from them)
 //   * clean response    → status kOk with the complete framed message
 //
-// After kTimeout or kWorkerExit the worker is dead and reaped; the caller
-// respawns a fresh one (the driver re-dispatches the in-flight app).
+// After kTimeout, kWorkerExit or kError the worker is dead and reaped; the
+// caller respawns a fresh one (the driver re-dispatches the in-flight app).
+//
+// Child-side contract (applied before the serve loop runs):
+//   * RLIMIT_CORE = 0 — a crashing child never litters core dumps.
+//   * RLIMIT_AS when max_memory_bytes > 0 and the build supports it (see
+//     address_space_limit_supported).
+//   * std::set_new_handler(_exit(kOomExitCode)) — an allocation failure
+//     exits with a reserved code instead of unwinding, so the supervisor
+//     can classify out-of-memory deaths distinctly from crashes.
+//   * SIGINT/SIGTERM/SIGPIPE reset to SIG_DFL — the parent's handlers must
+//     not leak into children.
+//   * The serve loop's return value becomes the exit code; an exception
+//     escaping it exits with kChildExceptionExitCode. The child always
+//     leaves via _exit(2): no destructors, no atexit handlers, no
+//     double-flushed stdio buffers inherited from the parent.
 //
 // Framing: every message is `magic[8] | len:u32 | crc:u32 | payload[len]`
 // — the journal frame layer (support/journal.hpp) under a caller-chosen
-// magic. The parent locates message boundaries from the length header;
-// CRC validation happens in the caller's decoder.
+// magic. read_pool_message locates message boundaries from the length
+// header on both sides of the pipe; CRC validation happens in the
+// caller's decoder.
+//
+// fork() in a multithreaded parent: the driver forks from worker threads.
+// glibc's malloc is made fork-safe by its own atfork handlers; the log
+// sink mutex and the trace and metrics registry mutexes are held across
+// every fork by handlers this file registers, so a child never inherits
+// one of them locked by a sibling thread.
 //
 // fd hygiene across forks: a pool runs one worker per driver thread, and a
 // child forked later would inherit the parent-side pipe ends of every
@@ -38,9 +61,29 @@
 
 #include "support/bytes.hpp"
 #include "support/error.hpp"
-#include "support/subprocess.hpp"
 
 namespace dydroid::support {
+
+/// Reserved child exit codes (chosen high to stay clear of app-meaningful
+/// small codes; a serve loop returning them would be misclassified, so
+/// don't).
+inline constexpr int kOomExitCode = 97;             // new_handler fired
+inline constexpr int kChildExceptionExitCode = 96;  // exception escaped loop
+
+/// Hard limits for one worker.
+struct WorkerLimits {
+  /// RLIMIT_AS in bytes; 0 inherits the parent's limit. The limit covers
+  /// the whole address space (the forked image included), so it must
+  /// comfortably exceed the parent's footprint. Ignored under ASan/TSan,
+  /// whose shadow mappings are incompatible with RLIMIT_AS.
+  std::uint64_t max_memory_bytes = 0;
+  /// Default per-call wall deadline in ms; past it the worker is
+  /// SIGKILLed. 0 = wait forever.
+  double wall_deadline_ms = 0.0;
+};
+
+/// True when this build can enforce RLIMIT_AS (false under ASan/TSan).
+[[nodiscard]] bool address_space_limit_supported();
 
 /// Bytes preceding the payload of a framed pool message: the 8-byte magic
 /// plus the journal frame header (len + crc).
@@ -49,6 +92,24 @@ inline constexpr std::size_t kPoolMessageHeader = 16;
 /// Upper bound on a single framed message's payload; a length header past
 /// it is treated as stream desync, not an allocation request.
 inline constexpr std::uint32_t kPoolMaxMessageBytes = 256u * 1024u * 1024u;
+
+/// What read_pool_message found on the stream.
+enum class FrameRead : std::uint8_t {
+  kMessage,  // one complete message (magic + len + crc + payload)
+  kEof,      // clean EOF before the first byte of a message
+  kTorn,     // EOF inside a message: the writer died mid-frame
+  kDesync,   // wrong magic or an implausible length header
+  kTimeout,  // the deadline passed before the message completed
+  kIoError,  // poll/read failed (errno describes it)
+};
+
+/// Read exactly one framed message from `fd` into `message`, blocking until
+/// it is complete, the stream ends or breaks, or `deadline_ms` passes
+/// (measured from the call; 0 = no deadline). Checks the magic and bounds
+/// the length header; the CRC is left to the caller's decoder.
+[[nodiscard]] FrameRead read_pool_message(
+    int fd, const std::array<std::uint8_t, 8>& magic, Bytes& message,
+    double deadline_ms = 0.0);
 
 /// Outcome of one PoolWorker::call round trip.
 struct PoolRpcResult {
@@ -61,8 +122,8 @@ struct PoolRpcResult {
   Status status = Status::kError;
   /// The complete message (magic + frame) on kOk.
   Bytes message;
-  /// Reap facts, valid for kTimeout/kWorkerExit/kError (mirrors
-  /// SubprocessResult): WIFEXITED → exited/exit_code, else term_signal.
+  /// Reap facts, valid for kTimeout/kWorkerExit/kError: WIFEXITED →
+  /// exited/exit_code, else term_signal.
   bool exited = false;
   int exit_code = 0;
   int term_signal = 0;
@@ -78,11 +139,11 @@ class PoolWorker {
   using ServeLoop = std::function<int(int request_fd, int response_fd)>;
 
   /// Fork a persistent child running `serve` under `limits`. The rlimits
-  /// apply to the worker's whole lifetime (RLIMIT_CPU accumulates across
-  /// the apps it serves — pair tight CPU limits with recycling). The
-  /// wall_deadline_ms in `limits` is the default per-call deadline.
+  /// apply to the worker's whole lifetime; limits.wall_deadline_ms is the
+  /// default per-call deadline. Fails (no child) when pipe(2) or fork(2)
+  /// fail.
   static Result<PoolWorker> spawn(const ServeLoop& serve,
-                                  const SubprocessLimits& limits);
+                                  const WorkerLimits& limits);
 
   PoolWorker(PoolWorker&& other) noexcept;
   PoolWorker& operator=(PoolWorker&& other) noexcept;
@@ -102,18 +163,17 @@ class PoolWorker {
                                    double deadline_ms = 0.0);
 
   /// Graceful shutdown: close the request pipe (the loop sees EOF and
-  /// exits), wait briefly, escalate to SIGKILL if the child lingers.
+  /// exits), wait up to half a second for the child to hang up its
+  /// response pipe, reap it, and escalate to SIGKILL if it lingers.
   void shutdown();
 
-  /// SIGKILL + reap immediately (recycling a wedged or bloated worker).
+  /// SIGKILL + reap immediately (retiring a wedged worker).
   void kill();
 
   [[nodiscard]] bool alive() const { return pid_ > 0; }
   [[nodiscard]] int pid() const { return pid_; }
   /// Completed (kOk) calls served by this worker.
   [[nodiscard]] std::uint64_t served() const { return served_; }
-  /// Resident set size from /proc/<pid>/statm; 0 when unavailable.
-  [[nodiscard]] std::uint64_t rss_bytes() const;
 
  private:
   PoolWorker(int pid, int request_fd, int response_fd, double deadline_ms)
@@ -124,6 +184,8 @@ class PoolWorker {
 
   void close_pipes();
   void reap(PoolRpcResult* result);
+  /// close_pipes + SIGKILL + reap, recording the facts in `result`.
+  void kill_and_reap(PoolRpcResult* result);
 
   int pid_ = -1;
   int request_fd_ = -1;

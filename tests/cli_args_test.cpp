@@ -311,6 +311,34 @@ TEST(CliShard, ShardedSurveysMergeAndReplayToTheUnshardedSummary) {
   std::remove(merged.c_str());
 }
 
+// --- process isolation flags (docs/ISOLATION.md) ---------------------------
+
+TEST(CliArgs, SurveyIsolatePrintsThreadSummaryPlusSandboxLine) {
+  REQUIRE_CLI();
+  // `--isolate` runs every app in a fresh worker: the summary is the
+  // thread-mode one plus exactly one sandbox tally line.
+  const std::string base = "survey --scale 0.002 --seed 7 --jobs 2";
+  const auto thread = run_cli(base);
+  const auto isolated = run_cli(base + " --isolate");
+  ASSERT_EQ(thread.exit_code, 0) << thread.output;
+  ASSERT_EQ(isolated.exit_code, 0) << isolated.output;
+  const std::string sandbox_line =
+      "  sandbox: worker-pool, 0 crashed, 0 oom-killed, 0 deadline-killed\n";
+  std::string summary = stable_output(isolated.output);
+  const auto at = summary.find(sandbox_line);
+  ASSERT_NE(at, std::string::npos) << isolated.output;
+  summary.erase(at, sandbox_line.size());
+  EXPECT_EQ(summary, stable_output(thread.output));
+}
+
+TEST(CliArgs, SurveyRejectsUnknownIsolateMode) {
+  REQUIRE_CLI();
+  const auto result = run_cli("survey --scale 0.002 --jobs 1 --isolate=vm");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("invalid --isolate mode"), std::string::npos)
+      << result.output;
+}
+
 // --- signal-disposition regression (the leaked-handler bug) ----------------
 
 TEST(CliSignals, StopHandlerIsRestoredBeforeReportPrinting) {

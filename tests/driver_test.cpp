@@ -175,28 +175,6 @@ TEST(CorpusRunner, StatsMatchSerialRecount) {
   EXPECT_DOUBLE_EQ(got.max_app_ms, expected.max_app_ms);
 }
 
-TEST(AggregateStats, MergeIsComponentwiseSum) {
-  AggregateStats a;
-  a.apps = 3;
-  a.exercised = 2;
-  a.crashed = 1;
-  a.max_app_ms = 5.0;
-  a.total_app_ms = 9.0;
-  AggregateStats b;
-  b.apps = 2;
-  b.exercised = 1;
-  b.vulnerable = 1;
-  b.max_app_ms = 7.5;
-  b.total_app_ms = 8.0;
-  a.merge(b);
-  EXPECT_EQ(a.apps, 5u);
-  EXPECT_EQ(a.exercised, 3u);
-  EXPECT_EQ(a.crashed, 1u);
-  EXPECT_EQ(a.vulnerable, 1u);
-  EXPECT_DOUBLE_EQ(a.max_app_ms, 7.5);
-  EXPECT_DOUBLE_EQ(a.total_app_ms, 17.0);
-}
-
 // ---------------------------------------------------------------------------
 // (c) One bad app never aborts the batch.
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 // each exercised from real bytecode.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "dex/builder.hpp"
 #include "os/device.hpp"
 #include "vm/vm.hpp"
@@ -144,6 +147,18 @@ struct SourceCase {
   const char* method;
 };
 
+/// "android.util.Log" -> "Log"; "libc" stays "libc".
+std::string_view simple_name(std::string_view cls) {
+  return cls.substr(cls.rfind('.') + 1);
+}
+
+// gtest_discover_tests names each case after its printed GetParam(). The
+// default printer dumps the struct's bytes, i.e. the string literals'
+// addresses, which ASLR moves on every run; print the call instead.
+void PrintTo(const SourceCase& c, std::ostream* os) {
+  *os << simple_name(c.cls) << '.' << c.method;
+}
+
 class SourceTest : public FrameworkTest,
                    public ::testing::WithParamInterface<SourceCase> {};
 
@@ -187,6 +202,10 @@ struct EventCase {
   const char* method;
   const char* event;
 };
+
+void PrintTo(const EventCase& c, std::ostream* os) {
+  *os << simple_name(c.cls) << '.' << c.method;
+}
 
 class SinkEventTest : public FrameworkTest,
                       public ::testing::WithParamInterface<EventCase> {};

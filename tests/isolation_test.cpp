@@ -1,22 +1,21 @@
-// Process-isolation sandbox suite (docs/ISOLATION.md): Subprocess
-// supervision facts (pipe shipment, exit codes, signal deaths, deadline
-// kills, OOM-limit exits), the sandbox result-pipe protocol, and the
-// CorpusRunner integration — isolate-mode runs must reproduce thread-mode
-// reports byte-for-byte at any worker count (faults on and off), while
-// signal/OOM/deadline deaths classify into quarantined crash outcomes
-// that journal, replay and interact with the result cache correctly.
+// Process-isolation sandbox suite (docs/ISOLATION.md): the sandbox result
+// stream (the pool response codec) and the CorpusRunner integration in the
+// `--isolate` configuration — a worker pool that recycles after every
+// app, so every attempt runs in a fresh process. Isolated runs must
+// reproduce thread-mode reports byte-for-byte at any worker count (faults
+// on and off), while signal/OOM/deadline deaths classify into quarantined
+// crash outcomes that journal, replay and interact with the result cache
+// correctly.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,11 +24,10 @@
 #include "appgen/generator.hpp"
 #include "core/report_json.hpp"
 #include "driver/corpus_runner.hpp"
-#include "driver/outcome_codec.hpp"
 #include "driver/sandbox.hpp"
 #include "support/fault.hpp"
 #include "support/io.hpp"
-#include "support/subprocess.hpp"
+#include "support/worker_pool.hpp"
 
 namespace dydroid::driver {
 namespace {
@@ -98,136 +96,19 @@ void expect_same_counts(const AggregateStats& got, const AggregateStats& want) {
   EXPECT_EQ(got.killed_timeout, want.killed_timeout);
 }
 
-// ---------------------------------------------------------------------------
-// support::Subprocess: raw supervision facts.
-// ---------------------------------------------------------------------------
-
-TEST(Subprocess, CleanChildShipsPipeBytesAndExitCode) {
-  const std::vector<std::uint8_t> payload = {'s', 'b', 'o', 'x', 0x00, 0xff};
-  auto spawned = support::Subprocess::spawn(
-      [&payload](int fd) {
-        return support::write_fully(fd, payload.data(), payload.size()) ? 0
-                                                                        : 3;
-      },
-      {});
-  ASSERT_TRUE(spawned.ok()) << spawned.error();
-  auto child = std::move(spawned).take();
-  EXPECT_GT(child.pid(), 0);
-  const auto result = child.wait();
-  EXPECT_TRUE(result.exited);
-  EXPECT_EQ(result.exit_code, 0);
-  EXPECT_EQ(result.term_signal, 0);
-  EXPECT_FALSE(result.deadline_killed);
-  EXPECT_FALSE(result.output_truncated);
-  EXPECT_EQ(result.output, support::Bytes(payload.begin(), payload.end()));
-  EXPECT_GT(result.wall_ms, 0.0);
-}
-
-TEST(Subprocess, LargePipePayloadDrainsWithoutDeadlock) {
-  // More than any pipe buffer (64 KiB default): the poll-driven drain must
-  // keep reading while the child is still writing.
-  constexpr std::size_t kSize = 1 << 20;
-  auto spawned = support::Subprocess::spawn(
-      [](int fd) {
-        support::Bytes big(kSize);
-        for (std::size_t i = 0; i < big.size(); ++i) {
-          big[i] = static_cast<std::uint8_t>(i * 31u);
-        }
-        return support::write_fully(fd, big.data(), big.size()) ? 0 : 3;
-      },
-      {});
-  ASSERT_TRUE(spawned.ok()) << spawned.error();
-  const auto result = std::move(spawned).take().wait();
-  ASSERT_TRUE(result.exited);
-  EXPECT_EQ(result.exit_code, 0);
-  ASSERT_EQ(result.output.size(), kSize);
-  for (std::size_t i = 0; i < kSize; i += 4099) {
-    ASSERT_EQ(result.output[i], static_cast<std::uint8_t>(i * 31u));
-  }
-}
-
-TEST(Subprocess, BodyReturnValueBecomesExitCode) {
-  auto spawned = support::Subprocess::spawn([](int) { return 7; }, {});
-  ASSERT_TRUE(spawned.ok());
-  const auto result = std::move(spawned).take().wait();
-  EXPECT_TRUE(result.exited);
-  EXPECT_EQ(result.exit_code, 7);
-}
-
-TEST(Subprocess, EscapedExceptionExitsWithReservedCode) {
-  auto spawned = support::Subprocess::spawn(
-      [](int) -> int { throw std::runtime_error("child boom"); }, {});
-  ASSERT_TRUE(spawned.ok());
-  const auto result = std::move(spawned).take().wait();
-  EXPECT_TRUE(result.exited);
-  EXPECT_EQ(result.exit_code, support::kChildExceptionExitCode);
-}
-
-TEST(Subprocess, SignalDeathIsReportedNotAbsorbed) {
-  auto spawned = support::Subprocess::spawn(
-      [](int) -> int {
-        std::abort();
-      },
-      {});
-  ASSERT_TRUE(spawned.ok());
-  const auto result = std::move(spawned).take().wait();
-  EXPECT_FALSE(result.exited);
-  EXPECT_EQ(result.term_signal, SIGABRT);
-  EXPECT_FALSE(result.deadline_killed);
-}
-
-TEST(Subprocess, InfiniteLoopIsDeadlineKilledWithinBudget) {
-  support::SubprocessLimits limits;
-  limits.wall_deadline_ms = 250.0;
-  auto spawned = support::Subprocess::spawn(
-      [](int) -> int {
-        for (;;) ::usleep(10000);  // never returns on its own
-      },
-      limits);
-  ASSERT_TRUE(spawned.ok());
-  const auto result = std::move(spawned).take().wait();
-  EXPECT_TRUE(result.deadline_killed);
-  EXPECT_FALSE(result.exited);
-  EXPECT_EQ(result.term_signal, SIGKILL);
-  // The kill budget, not the child's infinite loop, bounds the wait.
-  EXPECT_LT(result.wall_ms, 10000.0);
-}
-
-TEST(Subprocess, MemoryHogExitsWithReservedOomCode) {
-  if (!support::address_space_limit_supported()) {
-    GTEST_SKIP() << "RLIMIT_AS unsupported under this sanitizer";
-  }
-  support::SubprocessLimits limits;
-  limits.max_memory_bytes = 3ull << 30;  // generous vs. the parent image
-  auto spawned = support::Subprocess::spawn(
-      [](int) -> int {
-        std::vector<std::byte*> hog;
-        for (;;) hog.push_back(new std::byte[64 << 20]);  // until new fails
-      },
-      limits);
-  ASSERT_TRUE(spawned.ok());
-  const auto result = std::move(spawned).take().wait();
-  EXPECT_TRUE(result.exited);
-  EXPECT_EQ(result.exit_code, support::kOomExitCode);
-}
-
-TEST(Subprocess, DestructorKillsAndReapsUnwaitedChild) {
-  int pid = -1;
-  {
-    auto spawned = support::Subprocess::spawn(
-        [](int) -> int {
-          for (;;) ::usleep(10000);
-        },
-        {});
-    ASSERT_TRUE(spawned.ok());
-    pid = std::move(spawned).take().pid();
-  }  // destructor: SIGKILL + reap
-  EXPECT_EQ(::kill(pid, 0), -1);
-  EXPECT_EQ(errno, ESRCH);
+/// What `--isolate` means: the worker pool, recycled after every app, so
+/// every attempt gets a fresh process.
+RunnerConfig isolate_config(std::size_t jobs) {
+  RunnerConfig config;
+  config.jobs = jobs;
+  config.isolation_mode = IsolationMode::kPool;
+  config.pool_recycle_apps = 1;
+  return config;
 }
 
 // ---------------------------------------------------------------------------
-// Result-pipe protocol: magic + one CRC frame of outcome_codec payload.
+// Result stream: the pool response, magic + one CRC frame of outcome_codec
+// payload.
 // ---------------------------------------------------------------------------
 
 AppOutcome fated_outcome() {
@@ -247,8 +128,8 @@ AppOutcome fated_outcome() {
 
 TEST(SandboxCodec, ResultStreamRoundTrips) {
   const AppOutcome outcome = fated_outcome();
-  const support::Bytes stream = encode_sandbox_result(42, outcome);
-  auto decoded = decode_sandbox_result(stream);
+  const support::Bytes stream = encode_pool_response(42, outcome);
+  auto decoded = decode_pool_response(stream);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   EXPECT_EQ(decoded.value().index, 42u);
   const auto& shipped = decoded.value().outcome;
@@ -263,35 +144,22 @@ TEST(SandboxCodec, ResultStreamRoundTrips) {
 }
 
 TEST(SandboxCodec, TornAndEmptyStreamsFailWithoutThrowing) {
-  const support::Bytes stream = encode_sandbox_result(1, fated_outcome());
-  EXPECT_FALSE(decode_sandbox_result({}).ok());  // child died pre-write
+  const support::Bytes stream = encode_pool_response(1, fated_outcome());
+  EXPECT_FALSE(decode_pool_response({}).ok());  // child died pre-write
   for (const std::size_t keep :
        {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{12},
         stream.size() - 1}) {
-    const auto torn = decode_sandbox_result(
+    const auto torn = decode_pool_response(
         std::span<const std::uint8_t>(stream.data(), keep));
     EXPECT_FALSE(torn.ok()) << "prefix of " << keep << " bytes decoded";
   }
   support::Bytes flipped = stream;
   flipped[flipped.size() / 2] ^= 0x40;
-  EXPECT_FALSE(decode_sandbox_result(flipped).ok());
-}
-
-TEST(OutcomeCodec, FateAndSignalRoundTripAndBadFateIsRejected) {
-  const AppOutcome outcome = fated_outcome();
-  const support::Bytes payload = encode_outcome(3, outcome);
-  const auto decoded = decode_outcome(payload);
-  EXPECT_EQ(decoded.outcome.sandbox_fate, SandboxFate::kOomKilled);
-  EXPECT_EQ(decoded.outcome.fatal_signal, SIGKILL);
-  // The fate byte sits after version(1) + index(8) + seed(8) + wall(8) +
-  // attempts(4) + flags(1); values past kTimedOut are invalid.
-  support::Bytes bad = payload;
-  bad[1 + 8 + 8 + 8 + 4 + 1] = 0x07;
-  EXPECT_THROW((void)decode_outcome(bad), support::ParseError);
+  EXPECT_FALSE(decode_pool_response(flipped).ok());
 }
 
 // ---------------------------------------------------------------------------
-// Golden equivalence: isolate mode reproduces thread mode byte-for-byte.
+// Golden equivalence: isolated runs reproduce thread mode byte-for-byte.
 // ---------------------------------------------------------------------------
 
 TEST(Isolation, IsolateModeMatchesThreadModeAtAnyWorkerCount) {
@@ -305,9 +173,7 @@ TEST(Isolation, IsolateModeMatchesThreadModeAtAnyWorkerCount) {
   const auto golden_json = report_jsons(golden);
 
   for (const std::size_t jobs : {1u, 2u, 8u}) {
-    RunnerConfig config;
-    config.jobs = jobs;
-    config.isolation_mode = IsolationMode::kForkPerApp;
+    const RunnerConfig config = isolate_config(jobs);
     const auto isolated = CorpusRunner(pipeline, config).run(corpus);
     ASSERT_EQ(isolated.outcomes.size(), corpus.apps.size());
     const auto isolated_json = report_jsons(isolated);
@@ -337,12 +203,10 @@ TEST(Isolation, IsolateModeMatchesThreadModeUnderFaultInjection) {
   thread_config.jobs = 2;
   const auto golden = CorpusRunner(pipeline, thread_config).run(corpus);
 
-  RunnerConfig config;
-  config.jobs = 2;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(2);
   const auto isolated = CorpusRunner(pipeline, config).run(corpus);
 
-  // The child runs the identical per-app fault session, so injected
+  // The worker runs the identical per-app fault session, so injected
   // pipeline crashes, retries and quarantines reproduce exactly.
   const auto golden_json = report_jsons(golden);
   const auto isolated_json = report_jsons(isolated);
@@ -370,9 +234,7 @@ TEST(Isolation, InjectedChildCrashClassifiesWithFatalSignal) {
   options.faults = &plan;
   const core::DyDroid pipeline(std::move(options));
 
-  RunnerConfig config;
-  config.jobs = 2;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(2);
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
 
   ASSERT_EQ(result.outcomes.size(), 3u);
@@ -403,9 +265,7 @@ TEST(Isolation, MemoryExplodingAppIsKilledOomAndQuarantined) {
   };
 
   const core::DyDroid pipeline{core::PipelineOptions{}};
-  RunnerConfig config;
-  config.jobs = 1;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(1);
   config.sandbox_mem_limit_bytes = 3ull << 30;
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
 
@@ -426,9 +286,7 @@ TEST(Isolation, HangingAppIsDeadlineKilledWithinBudget) {
   };
 
   const core::DyDroid pipeline{core::PipelineOptions{}};
-  RunnerConfig config;
-  config.jobs = 1;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(1);
   config.sandbox_deadline_ms = 300.0;
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
 
@@ -463,7 +321,7 @@ class TempPath {
 };
 
 // ---------------------------------------------------------------------------
-// External SIGKILL: transparent respawn, bounded escalation.
+// External SIGKILL: transparent re-dispatch, bounded escalation.
 // ---------------------------------------------------------------------------
 
 TEST(Isolation, ExternallyKilledChildRespawnsTransparently) {
@@ -474,8 +332,8 @@ TEST(Isolation, ExternallyKilledChildRespawnsTransparently) {
   thread_config.jobs = 1;
   const auto golden = CorpusRunner(pipeline, thread_config).run(fixture.jobs);
 
-  // First execution of the app SIGKILLs its own child (indistinguishable
-  // from an external kill); the marker file makes the respawn run clean.
+  // First execution of the app SIGKILLs its own worker (indistinguishable
+  // from an external kill); the marker file makes the re-dispatch clean.
   TempPath marker("respawn");
   fixture.jobs[0].scenario = [&app = fixture.app,
                               path = marker.path()](os::Device& device) {
@@ -486,9 +344,7 @@ TEST(Isolation, ExternallyKilledChildRespawnsTransparently) {
     appgen::apply_scenario(app.scenario, device);
   };
 
-  RunnerConfig config;
-  config.jobs = 1;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(1);
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
 
   EXPECT_TRUE(std::filesystem::exists(marker.path()));  // the kill happened
@@ -508,9 +364,7 @@ TEST(Isolation, RepeatedExternalSigkillEscalatesToOomClassification) {
   fixture.jobs[0].scenario = [](os::Device&) { ::raise(SIGKILL); };
 
   const core::DyDroid pipeline{core::PipelineOptions{}};
-  RunnerConfig config;
-  config.jobs = 1;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(1);
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
 
   const auto& outcome = result.outcomes[0];
@@ -537,9 +391,7 @@ TEST(Isolation, FatedOutcomesJournalAndReplayIdentically) {
   options.faults = &plan;
   const core::DyDroid pipeline(std::move(options));
 
-  RunnerConfig config;
-  config.jobs = 2;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(2);
   config.journal_path = journal.path();
   const auto live = CorpusRunner(pipeline, config).run(corpus);
   // The probabilistic injection must actually have fated some apps — and
@@ -569,9 +421,7 @@ TEST(Isolation, FatedOutcomesAreNeverCachedButCleanOnesAre) {
   ASSERT_TRUE(plan_result.ok()) << plan_result.error();
   const auto& plan = plan_result.value();
 
-  RunnerConfig config;
-  config.jobs = 1;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  RunnerConfig config = isolate_config(1);
   config.cache_dir = cache.path();
 
   {

@@ -5,6 +5,7 @@
 // damaged payloads with ParseError, never undefined behaviour.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -202,6 +203,24 @@ TEST(OutcomeCodec, OutcomeRoundTripsWithDriverFields) {
   EXPECT_TRUE(decoded.outcome.replayed);
   EXPECT_EQ(core::report_to_json(decoded.outcome.report),
             core::report_to_json(outcome.report));
+}
+
+TEST(OutcomeCodec, FateAndSignalRoundTripAndBadFateIsRejected) {
+  driver::AppOutcome outcome;
+  outcome.report.status = core::DynamicStatus::kCrash;
+  outcome.report.crash_message = "sandbox: child SIGKILLed repeatedly";
+  outcome.seed = 0xBE9C0007ull;
+  outcome.sandbox_fate = driver::SandboxFate::kOomKilled;
+  outcome.fatal_signal = SIGKILL;
+  const Bytes payload = driver::encode_outcome(3, outcome);
+  const auto decoded = driver::decode_outcome(payload);
+  EXPECT_EQ(decoded.outcome.sandbox_fate, driver::SandboxFate::kOomKilled);
+  EXPECT_EQ(decoded.outcome.fatal_signal, SIGKILL);
+  // The fate byte sits after version(1) + index(8) + seed(8) + wall(8) +
+  // attempts(4) + flags(1); values past kTimedOut are invalid.
+  Bytes bad = payload;
+  bad[1 + 8 + 8 + 8 + 4 + 1] = 0x07;
+  EXPECT_THROW((void)driver::decode_outcome(bad), ParseError);
 }
 
 // ---------------------------------------------------------------------------

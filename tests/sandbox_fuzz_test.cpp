@@ -1,9 +1,10 @@
-// Sandbox pipe-protocol fuzz belt (tier 2, docs/ISOLATION.md): whatever a
-// dying child managed to emit — torn, bit-flipped, duplicated, padded or
-// plain garbage — decode_sandbox_result must either reject it cleanly or
-// return the original outcome; it must never throw, and a full corpus run
-// under injected pipe corruption must degrade app-by-app (quarantined
-// crash outcomes) without corrupting any other app's report.
+// Sandbox RPC fuzz belt (tier 2, docs/ISOLATION.md): whatever a dying
+// worker managed to emit — torn, bit-flipped, duplicated, padded or plain
+// garbage — decode_pool_response, the decoder of all untrusted child
+// output, must either reject it cleanly or return the original outcome; it
+// must never throw, and a full corpus run under injected response
+// corruption must degrade app-by-app (quarantined crash outcomes) without
+// corrupting any other app's report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,9 +40,9 @@ bool matches_sample(const DecodedOutcome& decoded, std::size_t index,
 
 TEST(SandboxFuzz, EveryTruncationFailsCleanly) {
   const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_sandbox_result(9, outcome);
+  const support::Bytes stream = encode_pool_response(9, outcome);
   for (std::size_t keep = 0; keep < stream.size(); ++keep) {
-    const auto decoded = decode_sandbox_result(
+    const auto decoded = decode_pool_response(
         std::span<const std::uint8_t>(stream.data(), keep));
     EXPECT_FALSE(decoded.ok()) << "prefix of " << keep << " bytes decoded";
   }
@@ -49,14 +50,14 @@ TEST(SandboxFuzz, EveryTruncationFailsCleanly) {
 
 TEST(SandboxFuzz, EverySingleBitFlipIsRejectedOrEquivalent) {
   const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_sandbox_result(9, outcome);
+  const support::Bytes stream = encode_pool_response(9, outcome);
   for (std::size_t byte = 0; byte < stream.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       support::Bytes mutated = stream;
       mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
       // Must not throw; a CRC-colliding accept would have to decode to the
       // same content, anything else is corruption leaking through.
-      const auto decoded = decode_sandbox_result(mutated);
+      const auto decoded = decode_pool_response(mutated);
       if (decoded.ok()) {
         EXPECT_TRUE(matches_sample(decoded.value(), 9, outcome))
             << "flip at byte " << byte << " bit " << bit
@@ -68,22 +69,22 @@ TEST(SandboxFuzz, EverySingleBitFlipIsRejectedOrEquivalent) {
 
 TEST(SandboxFuzz, StructuralMutationsAreRejected) {
   const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_sandbox_result(9, outcome);
+  const support::Bytes stream = encode_pool_response(9, outcome);
 
   // A duplicated frame: two records where the protocol demands exactly one.
   support::Bytes doubled = stream;
   doubled.insert(doubled.end(), stream.begin() + 8, stream.end());
-  EXPECT_FALSE(decode_sandbox_result(doubled).ok());
+  EXPECT_FALSE(decode_pool_response(doubled).ok());
 
   // Trailing garbage after the valid frame parses as a torn second frame.
   support::Bytes padded = stream;
   for (int i = 0; i < 11; ++i) padded.push_back(0xAB);
-  EXPECT_FALSE(decode_sandbox_result(padded).ok());
+  EXPECT_FALSE(decode_pool_response(padded).ok());
 
-  // Wrong magic: a journal file (or anything else) fed to the sandbox.
+  // Wrong magic: a journal file (or anything else) fed to the supervisor.
   support::Bytes wrong_magic = stream;
   wrong_magic[0] = 'X';
-  EXPECT_FALSE(decode_sandbox_result(wrong_magic).ok());
+  EXPECT_FALSE(decode_pool_response(wrong_magic).ok());
 
   // Pure noise of assorted sizes.
   for (const std::size_t size : {1u, 8u, 16u, 64u, 333u}) {
@@ -91,7 +92,7 @@ TEST(SandboxFuzz, StructuralMutationsAreRejected) {
     for (std::size_t i = 0; i < size; ++i) {
       noise[i] = static_cast<std::uint8_t>(i * 37u + 5u);
     }
-    EXPECT_FALSE(decode_sandbox_result(noise).ok()) << "noise size " << size;
+    EXPECT_FALSE(decode_pool_response(noise).ok()) << "noise size " << size;
   }
 }
 
@@ -106,7 +107,7 @@ TEST(SandboxFuzz, PipeCorruptionNeverCorruptsTheRun) {
   thread_config.jobs = 2;
   const auto golden = CorpusRunner(clean, thread_config).run(corpus);
 
-  const auto plan_result = support::FaultPlan::parse("sandbox.pipe=p:0.5");
+  const auto plan_result = support::FaultPlan::parse("sandbox.pool.rpc=p:0.5");
   ASSERT_TRUE(plan_result.ok()) << plan_result.error();
   const auto& plan = plan_result.value();
   core::PipelineOptions options;
@@ -115,7 +116,7 @@ TEST(SandboxFuzz, PipeCorruptionNeverCorruptsTheRun) {
 
   RunnerConfig config;
   config.jobs = 2;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  config.isolation_mode = IsolationMode::kPool;
   const auto result = CorpusRunner(faulty, config).run(corpus);
 
   ASSERT_EQ(result.outcomes.size(), corpus.apps.size());

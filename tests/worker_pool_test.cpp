@@ -1,21 +1,28 @@
-// Persistent sandbox worker-pool suite (docs/ISOLATION.md §pool):
-// support::PoolWorker RPC facts (framed round trips, graceful EOF
-// shutdown, deadline kills, death detection), the request/response codec,
-// and the CorpusRunner integration — pool mode must reproduce thread-mode
-// reports byte-for-byte at any worker count (faults on and off, recycling
-// on and off), classify worker deaths exactly like fork-per-app mode,
-// re-dispatch the in-flight app of an externally killed worker, and
-// interoperate with the journal and the result cache.
+// Sandbox worker-pool suite (docs/ISOLATION.md): the worker subprocess's
+// child-side contract (exit codes, limits, signal and deadline deaths,
+// teardown), support::PoolWorker RPC facts (framed round trips, graceful
+// EOF shutdown, deadline kills, death detection), the request/response
+// codec, and the CorpusRunner integration — pool mode must reproduce
+// thread-mode reports byte-for-byte at any worker count (faults on and
+// off, recycling on and off), classify worker deaths into fates,
+// re-dispatch the in-flight app of an externally killed worker, survive
+// forks racing the trace registries, and interoperate with the journal
+// and the result cache.
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,7 +34,6 @@
 #include "support/fault.hpp"
 #include "support/io.hpp"
 #include "support/journal.hpp"
-#include "support/subprocess.hpp"
 #include "support/trace.hpp"
 #include "support/worker_pool.hpp"
 
@@ -96,20 +102,12 @@ constexpr std::array<std::uint8_t, 8> kEchoMagic = {'D', 'Y', 'T', 'E',
 
 /// A serve loop that echoes every framed message back verbatim.
 int echo_serve(int request_fd, int response_fd) {
+  support::Bytes message;
   for (;;) {
-    std::uint8_t header[support::kPoolMessageHeader];
-    const ssize_t got = support::read_exact(request_fd, header, sizeof header);
-    if (got == 0) return 0;
-    if (got != static_cast<ssize_t>(sizeof header)) return 3;
-    const std::uint32_t len = static_cast<std::uint32_t>(header[8]) |
-                              (static_cast<std::uint32_t>(header[9]) << 8) |
-                              (static_cast<std::uint32_t>(header[10]) << 16) |
-                              (static_cast<std::uint32_t>(header[11]) << 24);
-    std::vector<std::uint8_t> message(header, header + sizeof header);
-    message.resize(sizeof header + len);
-    if (len > 0 && support::read_exact(request_fd, message.data() + sizeof header,
-                                       len) != static_cast<ssize_t>(len)) {
-      return 3;
+    switch (support::read_pool_message(request_fd, kEchoMagic, message)) {
+      case support::FrameRead::kEof: return 0;
+      case support::FrameRead::kMessage: break;
+      default: return 3;
     }
     if (!support::write_fully(response_fd, message.data(), message.size())) {
       return 3;
@@ -117,13 +115,181 @@ int echo_serve(int request_fd, int response_fd) {
   }
 }
 
-support::Bytes framed_echo_message(std::string_view text) {
-  support::ByteWriter payload;
-  for (const char c : text) payload.u8(static_cast<std::uint8_t>(c));
+support::Bytes framed(std::span<const std::uint8_t> payload) {
   support::ByteWriter stream;
   stream.raw(kEchoMagic);
-  support::encode_frame(stream, payload.data());
+  support::encode_frame(stream, payload);
   return stream.take();
+}
+
+support::Bytes framed_echo_message(std::string_view text) {
+  return framed(std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                          text.size()));
+}
+
+/// A serve loop that never returns on its own.
+int spin_serve(int, int) {
+  for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+// ---------------------------------------------------------------------------
+// The worker subprocess: child-side contract.
+// ---------------------------------------------------------------------------
+
+TEST(Subprocess, CleanChildShipsPipeBytesAndExitCode) {
+  // A loop that ships one response and returns 0: the bytes arrive intact,
+  // and the next call reports the clean exit.
+  auto spawned = support::PoolWorker::spawn(
+      [](int request_fd, int response_fd) {
+        support::Bytes message;
+        if (support::read_pool_message(request_fd, kEchoMagic, message) !=
+            support::FrameRead::kMessage) {
+          return 3;
+        }
+        return support::write_fully(response_fd, message.data(),
+                                    message.size())
+                   ? 0
+                   : 3;
+      },
+      {});
+  ASSERT_TRUE(spawned.ok()) << spawned.error();
+  auto worker = std::move(spawned).take();
+  EXPECT_GT(worker.pid(), 0);
+  const auto request = framed_echo_message(std::string("sbox\0\xff", 6));
+  const auto shipped = worker.call(request, kEchoMagic);
+  ASSERT_EQ(shipped.status, support::PoolRpcResult::Status::kOk)
+      << shipped.error;
+  EXPECT_EQ(shipped.message, request);
+  const auto exited = worker.call(framed_echo_message("again"), kEchoMagic);
+  EXPECT_EQ(exited.status, support::PoolRpcResult::Status::kWorkerExit);
+  EXPECT_TRUE(exited.exited);
+  EXPECT_EQ(exited.exit_code, 0);
+  EXPECT_EQ(exited.term_signal, 0);
+  EXPECT_FALSE(worker.alive());
+}
+
+TEST(Subprocess, LargePipePayloadDrainsWithoutDeadlock) {
+  // A response larger than any pipe buffer (64 KiB default): the parent
+  // must keep reading while the child is still writing.
+  constexpr std::size_t kSize = 1 << 20;
+  auto spawned = support::PoolWorker::spawn(
+      [](int request_fd, int response_fd) {
+        support::Bytes message;
+        if (support::read_pool_message(request_fd, kEchoMagic, message) !=
+            support::FrameRead::kMessage) {
+          return 3;
+        }
+        support::Bytes big(kSize);
+        for (std::size_t i = 0; i < big.size(); ++i) {
+          big[i] = static_cast<std::uint8_t>(i * 31u);
+        }
+        const support::Bytes response = framed(big);
+        return support::write_fully(response_fd, response.data(),
+                                    response.size())
+                   ? 0
+                   : 3;
+      },
+      {});
+  ASSERT_TRUE(spawned.ok()) << spawned.error();
+  auto worker = std::move(spawned).take();
+  const auto result =
+      worker.call(framed_echo_message("big"), kEchoMagic, 30000.0);
+  ASSERT_EQ(result.status, support::PoolRpcResult::Status::kOk)
+      << result.error;
+  ASSERT_EQ(result.message.size(), support::kPoolMessageHeader + kSize);
+  for (std::size_t i = 0; i < kSize; i += 4099) {
+    ASSERT_EQ(result.message[support::kPoolMessageHeader + i],
+              static_cast<std::uint8_t>(i * 31u));
+  }
+}
+
+TEST(Subprocess, BodyReturnValueBecomesExitCode) {
+  auto spawned = support::PoolWorker::spawn([](int, int) { return 7; }, {});
+  ASSERT_TRUE(spawned.ok()) << spawned.error();
+  auto worker = std::move(spawned).take();
+  const auto result = worker.call(framed_echo_message("x"), kEchoMagic);
+  EXPECT_EQ(result.status, support::PoolRpcResult::Status::kWorkerExit);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 7);
+}
+
+TEST(Subprocess, EscapedExceptionExitsWithReservedCode) {
+  auto spawned = support::PoolWorker::spawn(
+      [](int, int) -> int { throw std::runtime_error("child boom"); }, {});
+  ASSERT_TRUE(spawned.ok()) << spawned.error();
+  auto worker = std::move(spawned).take();
+  const auto result = worker.call(framed_echo_message("x"), kEchoMagic);
+  EXPECT_EQ(result.status, support::PoolRpcResult::Status::kWorkerExit);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, support::kChildExceptionExitCode);
+}
+
+TEST(Subprocess, SignalDeathIsReportedNotAbsorbed) {
+  // The worker dies *between* calls: the next request write meets a closed
+  // pipe (EPIPE, never a SIGPIPE in the supervisor) and the death is
+  // reported with its signal.
+  auto spawned = support::PoolWorker::spawn(
+      [](int, int) -> int { std::abort(); }, {});
+  ASSERT_TRUE(spawned.ok()) << spawned.error();
+  auto worker = std::move(spawned).take();
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(worker.pid()), &info,
+                     WEXITED | WNOWAIT),
+            0);
+  const auto result = worker.call(framed_echo_message("x"), kEchoMagic);
+  EXPECT_EQ(result.status, support::PoolRpcResult::Status::kWorkerExit);
+  EXPECT_FALSE(result.exited);
+  EXPECT_EQ(result.term_signal, SIGABRT);
+}
+
+TEST(Subprocess, InfiniteLoopIsDeadlineKilledWithinBudget) {
+  // The spawn-time default deadline applies when a call names none.
+  support::WorkerLimits limits;
+  limits.wall_deadline_ms = 250.0;
+  auto spawned = support::PoolWorker::spawn(spin_serve, limits);
+  ASSERT_TRUE(spawned.ok()) << spawned.error();
+  auto worker = std::move(spawned).take();
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = worker.call(framed_echo_message("x"), kEchoMagic);
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_EQ(result.status, support::PoolRpcResult::Status::kTimeout);
+  EXPECT_FALSE(result.exited);
+  EXPECT_EQ(result.term_signal, SIGKILL);
+  // The kill budget, not the child's infinite loop, bounds the wait.
+  EXPECT_LT(elapsed_ms, 10000);
+}
+
+TEST(Subprocess, MemoryHogExitsWithReservedOomCode) {
+  if (!support::address_space_limit_supported()) {
+    GTEST_SKIP() << "RLIMIT_AS unsupported under this sanitizer";
+  }
+  support::WorkerLimits limits;
+  limits.max_memory_bytes = 3ull << 30;  // generous vs. the parent image
+  auto spawned = support::PoolWorker::spawn(
+      [](int, int) -> int {
+        std::vector<std::byte*> hog;
+        for (;;) hog.push_back(new std::byte[64 << 20]);  // until new fails
+      },
+      limits);
+  ASSERT_TRUE(spawned.ok()) << spawned.error();
+  auto worker = std::move(spawned).take();
+  const auto result = worker.call(framed_echo_message("x"), kEchoMagic);
+  EXPECT_EQ(result.status, support::PoolRpcResult::Status::kWorkerExit);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, support::kOomExitCode);
+}
+
+TEST(Subprocess, DestructorKillsAndReapsUnwaitedChild) {
+  int pid = -1;
+  {
+    auto spawned = support::PoolWorker::spawn(spin_serve, {});
+    ASSERT_TRUE(spawned.ok()) << spawned.error();
+    pid = std::move(spawned).take().pid();
+  }  // destructor: SIGKILL + reap
+  EXPECT_EQ(::kill(pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH);
 }
 
 // ---------------------------------------------------------------------------
@@ -145,7 +311,6 @@ TEST(PoolWorker, FramedRequestsRoundTripAndCountServedApps) {
     EXPECT_EQ(result.message, request);  // one long-lived child served all 5
   }
   EXPECT_EQ(worker.served(), 5u);
-  EXPECT_GT(worker.rss_bytes(), 0u);
   worker.shutdown();
   EXPECT_FALSE(worker.alive());
 }
@@ -180,12 +345,7 @@ TEST(PoolWorker, DyingWorkerIsDetectedAndClassifiedBySignal) {
 }
 
 TEST(PoolWorker, HangingWorkerIsDeadlineKilled) {
-  auto spawned = support::PoolWorker::spawn(
-      [](int, int) {
-        for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        return 0;  // unreachable
-      },
-      {});
+  auto spawned = support::PoolWorker::spawn(spin_serve, {});
   ASSERT_TRUE(spawned.ok()) << spawned.error();
   auto worker = std::move(spawned).take();
   const auto start = std::chrono::steady_clock::now();
@@ -230,6 +390,7 @@ TEST(PoolCodec, RequestRoundTripsAllFields) {
   request.seed = 0xDEADBEEFCAFEull;
   request.worker = 7;
   request.crash_child = true;
+  request.retire = true;
   const auto encoded = encode_pool_request(request);
   const auto decoded = decode_pool_request(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
@@ -238,6 +399,7 @@ TEST(PoolCodec, RequestRoundTripsAllFields) {
   EXPECT_EQ(decoded.value().seed, request.seed);
   EXPECT_EQ(decoded.value().worker, request.worker);
   EXPECT_TRUE(decoded.value().crash_child);
+  EXPECT_TRUE(decoded.value().retire);
 }
 
 TEST(PoolCodec, DamagedRequestsFailCleanly) {
@@ -269,9 +431,9 @@ TEST(PoolCodec, ResponseRoundTripsAnOutcome) {
   EXPECT_EQ(decoded.value().outcome.seed, outcome.seed);
   EXPECT_EQ(core::report_to_json(decoded.value().outcome.report),
             core::report_to_json(outcome.report));
-  // The sandbox result codec and the pool RPC share the frame layer but
-  // not the magic: a fork-mode result is not a valid pool response.
-  EXPECT_FALSE(decode_pool_response(encode_sandbox_result(41, outcome)).ok());
+  // Requests and responses share the magic but not the payload: a request
+  // is never mistaken for a response.
+  EXPECT_FALSE(decode_pool_response(encode_pool_request(PoolRequest{})).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -343,11 +505,13 @@ TEST(WorkerPool, PoolModeMatchesThreadModeUnderFaultInjection) {
 }
 
 TEST(WorkerPool, PoolModeMatchesForkModeUnderSandboxCrashInjection) {
-  // The three isolation modes must agree app-by-app even when the sandbox
-  // *itself* is under attack: the injected kill decision is drawn in the
-  // supervisor from the same per-app session in both modes, and the
-  // synthesized crash_message strings are identical — which is what keeps
-  // journals from the two modes mutually replayable.
+  // Fork mode (`--isolate=fork`: the pool recycling after every app, a
+  // fresh process per attempt) and the persistent pool must agree app by
+  // app even when the sandbox *itself* is under attack: the injected kill
+  // decision is drawn in the supervisor from the same per-app session in
+  // both, and the synthesized crash_message strings are identical — which
+  // is what keeps journals from the two configurations mutually
+  // replayable.
   const auto corpus = small_corpus();
   const auto plan_result = support::FaultPlan::parse("sandbox.crash=p:0.4");
   ASSERT_TRUE(plan_result.ok()) << plan_result.error();
@@ -359,7 +523,8 @@ TEST(WorkerPool, PoolModeMatchesForkModeUnderSandboxCrashInjection) {
 
   RunnerConfig fork_config;
   fork_config.jobs = 2;
-  fork_config.isolation_mode = IsolationMode::kForkPerApp;
+  fork_config.isolation_mode = IsolationMode::kPool;
+  fork_config.pool_recycle_apps = 1;
   const auto forked = CorpusRunner(pipeline, fork_config).run(corpus);
   ASSERT_GT(forked.stats.sandbox_crashed, 0u);
   ASSERT_LT(forked.stats.sandbox_crashed, corpus.apps.size());
@@ -586,25 +751,32 @@ TEST(WorkerPool, RecycleAfterKAppsIsInvisibleInReports) {
   EXPECT_GE(spawns->value, recycles->value);
 }
 
-TEST(WorkerPool, RssRecycleKnobIsInvisibleInReports) {
-  auto fixture = replicated_jobs(4);
+TEST(WorkerPool, TracedRecyclingRunsNeverInheritALockedRegistry) {
+  // A worker forked while a sibling driver thread held the trace ring
+  // registry or a metrics name registry used to inherit that mutex locked
+  // and hang on its first span. Every run starts fresh driver threads (each
+  // registers a trace ring) and, recycling after every app, forks a worker
+  // per app while its siblings register; the deadline turns a hang into a
+  // classified kill instead of a stalled suite.
+  const auto corpus = small_corpus();
   const core::DyDroid pipeline{core::PipelineOptions{}};
-
-  RunnerConfig thread_config;
-  thread_config.jobs = 1;
-  const auto golden = CorpusRunner(pipeline, thread_config).run(fixture.jobs);
-
   RunnerConfig config;
-  config.jobs = 1;
+  config.jobs = 8;
   config.isolation_mode = IsolationMode::kPool;
-  config.pool_recycle_rss_bytes = 1;  // absurd floor: recycle after every app
-  const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
+  config.pool_recycle_apps = 1;
+  config.sandbox_deadline_ms = 2000.0;
 
-  ASSERT_EQ(result.outcomes.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(core::report_to_json(result.outcomes[i].report),
-              core::report_to_json(golden.outcomes[i].report));
+  support::set_metrics_enabled(true);
+  support::set_trace_enabled(true);
+  for (int run = 0; run < 5 && !HasFailure(); ++run) {
+    const auto result = CorpusRunner(pipeline, config).run(corpus);
+    EXPECT_EQ(result.stats.killed_timeout, 0u) << "run " << run;
+    EXPECT_EQ(result.stats.sandbox_crashed, 0u) << "run " << run;
+    EXPECT_EQ(result.completed(), corpus.apps.size()) << "run " << run;
   }
+  support::set_trace_enabled(false);
+  support::set_metrics_enabled(false);
+  support::metrics_reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,12 +10,9 @@
 # `./build/bench/micro_perf` run to gate new numbers before committing
 # them. Exit 1 on the first budget violation, 2 on a missing file/tool.
 #
-# Budgets (sources: docs/OBSERVABILITY.md cost contract, docs/ISOLATION.md
-# overhead table, docs/CHECKPOINT.md):
+# Budgets (sources: docs/OBSERVABILITY.md cost contract, docs/CHECKPOINT.md):
 #   metrics.overhead_pct            <= 15   instrumentation-on corpus cost
 #   journaled.overhead_pct          <= 25   write-ahead journal cost
-#   isolation.pool.speedup_vs_fork  >= 5    the point of the worker pool
-#   fork overhead >= 5 * pool overhead      same claim, via overhead_pct
 #   every *_identical flag          == true behavior never drifts for speed
 #   cache.hit_rate                  == 1.0  warm run replays every app
 set -euo pipefail
@@ -68,25 +65,7 @@ check_true() {
 echo "==== bench budgets vs $json ===="
 check_number '.metrics.overhead_pct' '<=' 15 "metrics instrumentation"
 check_number '.journaled.overhead_pct' '<=' 25 "write-ahead journal"
-check_number '.isolation.pool.speedup_vs_fork' '>=' 5 "pool vs fork wall"
-
-# The same >= 5x claim stated on overheads relative to thread mode: the
-# fork tax must dwarf the pool tax (a pool overhead at or below zero is
-# measurement noise and trivially passes).
-fork_pct="$(jq -er '.isolation.fork_per_app.overhead_pct' "$json")" || fork_pct=""
-pool_pct="$(jq -er '.isolation.pool.overhead_pct' "$json")" || pool_pct=""
-if [[ -z "$fork_pct" || -z "$pool_pct" ]]; then
-  echo "FAIL isolation overheads missing from $json" >&2
-  failures=$((failures + 1))
-elif awk -v f="$fork_pct" -v p="$pool_pct" 'BEGIN { exit !(f >= 5 * p) }'; then
-  echo "ok   pool overhead: fork $fork_pct% >= 5 * pool $pool_pct%"
-else
-  echo "FAIL pool overhead: fork $fork_pct% < 5 * pool $pool_pct%" >&2
-  failures=$((failures + 1))
-fi
-
 check_true '.reports_identical' "serial vs parallel reports"
-check_true '.isolation.fork_per_app.reports_identical' "fork-mode reports"
 check_true '.isolation.pool.reports_identical' "pool-mode reports"
 check_true '.sharding.replayed_identical' "sharded merge replay"
 check_number '.cache.hit_rate' '>=' 1 "warm cache hit rate"

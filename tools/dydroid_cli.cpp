@@ -37,13 +37,13 @@
 //       trace_event JSON (chrome://tracing / Perfetto) with one span per
 //       (app, stage, attempt); --metrics appends the per-stage latency
 //       table and the top-K slowest apps (docs/OBSERVABILITY.md).
-//       --isolate forks one sandboxed child per analysis attempt
+//       --isolate runs every analysis attempt in a fresh forked worker
 //       (docs/ISOLATION.md): crashes, OOMs and hangs are classified,
 //       quarantined data points instead of driver outages;
-//       --isolate=pool serves apps from one persistent forked worker per
-//       thread instead (same classification, fork cost amortized) with
-//       --recycle-apps K retiring workers after K apps; --mem-limit
-//       caps child address space and implies --isolate.
+//       --isolate=pool keeps one worker per thread for the whole run
+//       (same classification, fork cost amortized), --recycle-apps K
+//       retires it after K apps; --mem-limit caps the worker's address
+//       space and implies --isolate.
 //
 //   dydroid merge <out.journal> <shard.journal>...
 //       Fold the journals of N `survey --shard I/N` runs into one sealed
@@ -356,33 +356,29 @@ std::string configure_cache(const char* cmd, const Args& args,
 
 // --- process-isolation plumbing (docs/ISOLATION.md) -------------------------
 
-/// Fill the sandbox fields of a RunnerConfig from --isolate[=fork|pool],
+/// Fill the sandbox fields of a RunnerConfig from --isolate[=pool|fork],
 /// --mem-limit and --recycle-apps. Returns true when isolation is on.
-/// --mem-limit implies --isolate (a memory cap is only enforceable on a
-/// forked child); a bare --isolate means fork-per-app.
+/// Every spelling runs the worker pool: --isolate=pool keeps each worker
+/// for the whole run, while a bare --isolate, --isolate=fork and
+/// --mem-limit on its own recycle it after every app — a fresh process per
+/// attempt.
 bool configure_isolation(const char* cmd, const Args& args,
                          driver::RunnerConfig& config) {
-  if (args.flag("isolate")) {
-    const std::string mode = args.value("isolate", "");
-    if (mode.empty() || mode == "fork") {
-      config.isolation_mode = driver::IsolationMode::kForkPerApp;
-    } else if (mode == "pool") {
-      config.isolation_mode = driver::IsolationMode::kPool;
-    } else {
-      std::fprintf(stderr,
-                   "%s: invalid --isolate mode '%s' (expected fork or pool)\n",
-                   cmd, mode.c_str());
-      std::exit(2);
-    }
+  const std::string mode = args.value("isolate", "");
+  if (args.flag("isolate") && mode != "pool" && mode != "fork" &&
+      !mode.empty()) {
+    std::fprintf(stderr,
+                 "%s: invalid --isolate mode '%s' (expected fork or pool)\n",
+                 cmd, mode.c_str());
+    std::exit(2);
   }
+  if (!args.flag("isolate") && !args.flag("mem-limit")) return false;
+  config.isolation_mode = driver::IsolationMode::kPool;
+  if (mode != "pool") config.pool_recycle_apps = 1;
   if (args.flag("mem-limit")) {
-    if (!config.isolated()) {
-      config.isolation_mode = driver::IsolationMode::kForkPerApp;
-    }
     config.sandbox_mem_limit_bytes =
         parse_u64_flag(cmd, "mem-limit", args.value("mem-limit", "0"));
   }
-  if (!config.isolated()) return false;
   if (args.flag("recycle-apps")) {
     config.pool_recycle_apps = static_cast<std::uint32_t>(parse_u64_flag(
         cmd, "recycle-apps", args.value("recycle-apps", "0")));
@@ -690,11 +686,8 @@ int cmd_survey(const Args& args) {
   }
   if (isolate) {
     std::printf(
-        "  sandbox: %s, %zu crashed, %zu oom-killed, "
+        "  sandbox: worker-pool, %zu crashed, %zu oom-killed, "
         "%zu deadline-killed\n",
-        runner_config.isolation_mode == driver::IsolationMode::kPool
-            ? "worker-pool"
-            : "fork-per-app",
         stats.sandbox_crashed, stats.killed_oom, stats.killed_timeout);
   }
   if (!shard_spec.empty()) {
@@ -845,13 +838,12 @@ void usage() {
       "(bytes, config, seed) work from a content-addressed store and\n"
       "dedups intercepted binaries corpus-wide; --cache-entries and\n"
       "--cache-bytes bound the store (LRU).\n"
-      "Isolation (docs/ISOLATION.md): --isolate forks one sandboxed child\n"
-      "per analysis attempt (crashes, hangs and OOMs are classified and\n"
-      "quarantined, never fatal); --isolate=pool serves apps from one\n"
-      "persistent forked worker per thread instead (same classification,\n"
-      "the fork cost amortized away); --recycle-apps K retires a pooled\n"
-      "worker after K apps; --mem-limit caps child RLIMIT_AS and implies\n"
-      "--isolate.\n");
+      "Isolation (docs/ISOLATION.md): --isolate (or --isolate=fork) runs\n"
+      "every analysis attempt in a fresh forked worker (crashes, hangs and\n"
+      "OOMs are classified and quarantined, never fatal); --isolate=pool\n"
+      "keeps one worker per thread for the whole run (the fork cost\n"
+      "amortized away); --recycle-apps K retires a worker after K apps;\n"
+      "--mem-limit caps the worker's RLIMIT_AS and implies --isolate.\n");
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Isolation matrix (docs/ISOLATION.md): prove both isolation flavors —
-# fork-per-app and the persistent worker pool — are golden against thread
-# mode from the real CLI, then prove they survive hostile signals.
+# Isolation matrix (docs/ISOLATION.md): prove both isolation configurations
+# — `--isolate` (the worker pool recycled after every app, a fresh process
+# per attempt) and `--isolate=pool` (one worker per thread for the whole
+# run) — are golden against thread mode from the real CLI, then prove they
+# survive hostile signals.
 #
 #   tools/run_isolation_matrix.sh [scale] [seed] [kill_rounds]
 #
@@ -9,17 +11,19 @@
 #   1. Golden thread-mode survey.
 #   2. `--isolate` surveys at 1/2/8 workers — summaries must be
 #      byte-identical to the golden one (timing and sandbox-bookkeeping
-#      lines stripped; clean children reproduce thread-mode reports).
+#      lines stripped; clean workers reproduce thread-mode reports).
 #   3. `--isolate=pool` surveys at 1/2/8 workers, plus a round with an
 #      aggressive `--recycle-apps` budget — all byte-identical to golden
 #      (recycling happens between attempts, so it may never show up in a
 #      report).
-#   4. Child-kill rounds: `--isolate` and `--isolate=pool` surveys while
-#      random live sandbox children are `kill -9`ed mid-run. Fork mode
-#      respawns the killed attempt's child; pool mode re-dispatches the
-#      in-flight app on a fresh worker. Either way the summary must still
+#   4. A traced `--isolate=pool` survey under `timeout`: workers forked
+#      while sibling threads register trace rings and metric names must
+#      not deadlock, and the summary must still match golden.
+#   5. Child-kill rounds: `--isolate` and `--isolate=pool` surveys while
+#      random live sandbox workers are `kill -9`ed mid-run. The in-flight
+#      app is re-dispatched on a fresh worker, so the summary must still
 #      match golden.
-#   5. Kill/resume rounds: journaled `--isolate` / `--isolate=pool`
+#   6. Kill/resume rounds: journaled `--isolate` / `--isolate=pool`
 #      surveys SIGKILLed at a random point, resumed with `--resume`,
 #      compared to golden.
 #
@@ -43,11 +47,12 @@ fi
 workdir="$(mktemp -d "${TMPDIR:-/tmp}/dydroid_isolation.XXXXXX")"
 trap 'rm -rf "$workdir"' EXIT
 
-# Wall-clock lines, journal bookkeeping and the sandbox summary line (the
-# golden run is thread mode and has none) differ by construction.
+# Wall-clock lines, journal bookkeeping, and the sandbox and trace lines
+# (the golden run is untraced thread mode and has neither) differ by
+# construction.
 strip_timing() {
-  grep -v -e ' ms on ' -e 'journal:' -e 'resume with' -e '  sandbox:' "$1" \
-    || true
+  grep -v -e ' ms on ' -e 'journal:' -e 'resume with' -e '  sandbox:' \
+    -e '  trace:' "$1" || true
 }
 
 echo "==== golden thread-mode survey (scale=$scale seed=$seed) ===="
@@ -93,6 +98,20 @@ if ! diff -u "$workdir/golden.stable" "$out.stable"; then
 fi
 echo "pool --recycle-apps 5: byte-identical to thread mode"
 
+echo "==== traced --isolate=pool survey must finish ===="
+out="$workdir/pool-traced.txt"
+if ! timeout 120 "$cli" survey --scale "$scale" --seed "$seed" --jobs 4 \
+  --isolate=pool --trace "$workdir/pool-trace.json" > "$out"; then
+  echo "traced pool survey did not finish (deadlock or failure)" >&2
+  exit 1
+fi
+strip_timing "$out" > "$out.stable"
+if ! diff -u "$workdir/golden.stable" "$out.stable"; then
+  echo "traced pool summary DIFFERS from thread mode" >&2
+  exit 1
+fi
+echo "traced pool: finished, byte-identical to thread mode"
+
 # $1 = mode label for logs, $2 = seconds to sleep between shots ("0" for
 # none), $3... = extra CLI flags for the mode.
 childkill_rounds() {
@@ -103,18 +122,18 @@ childkill_rounds() {
       > "$out" 2>/dev/null &
     local survey_pid=$!
     local kills=0
-    # Fork children are short-lived (one per app attempt), so shoot as
-    # fast as the loop allows; pkill observes and kills in one process,
-    # the best odds of landing inside a child's window. Pool workers are
-    # the opposite — alive the whole run — so an unthrottled loop would
-    # land a kill every few milliseconds and could legitimately escalate
-    # one app past the bounded external-kill respawns into a killed_oom
-    # outcome; the pool round spaces its shots instead. Deterministic
-    # respawn/re-dispatch coverage lives in tests/isolation_test.cpp and
-    # tests/worker_pool_test.cpp; these rounds are the live chaos version.
-    # Landed kills are transparently absorbed (fork: attempt respawned;
-    # pool: in-flight app re-dispatched on a fresh worker), so the summary
-    # must stay golden regardless.
+    # `--isolate` workers are short-lived (one per app), so shoot as fast
+    # as the loop allows; pkill observes and kills in one process, the
+    # best odds of landing inside a worker's window. `--isolate=pool`
+    # workers are the opposite — alive the whole run — so an unthrottled
+    # loop would land a kill every few milliseconds and could legitimately
+    # escalate one app past the bounded external-kill re-dispatches into a
+    # killed_oom outcome; the pool round spaces its shots instead.
+    # Deterministic re-dispatch coverage lives in tests/isolation_test.cpp
+    # and tests/worker_pool_test.cpp; these rounds are the live chaos
+    # version. Landed kills are transparently absorbed (the in-flight app
+    # is re-dispatched on a fresh worker), so the summary must stay golden
+    # regardless.
     while kill -0 "$survey_pid" 2>/dev/null; do
       if pkill -9 -P "$survey_pid" 2>/dev/null; then
         kills=$((kills + 1))
@@ -132,8 +151,8 @@ childkill_rounds() {
   done
 }
 
-echo "==== child-kill rounds: kill -9 random live sandbox children ===="
-childkill_rounds fork 0 --isolate
+echo "==== child-kill rounds: kill -9 random live sandbox workers ===="
+childkill_rounds isolate 0 --isolate
 childkill_rounds pool 0.02 --isolate=pool
 
 # $1 = mode label for logs, $2... = extra CLI flags for the mode.
@@ -175,9 +194,9 @@ resume_rounds() {
 }
 
 echo "==== kill/resume rounds: SIGKILL the journaled isolated survey ===="
-resume_rounds fork --isolate
+resume_rounds isolate --isolate
 resume_rounds pool --isolate=pool
 
-echo "isolation matrix passed: fork + pool golden at 1/2/8 workers," \
-  "pool recycle round, $kill_rounds child-kill + $kill_rounds kill/resume" \
-  "rounds per mode byte-identical"
+echo "isolation matrix passed: --isolate + --isolate=pool golden at 1/2/8" \
+  "workers, pool recycle and traced rounds, $kill_rounds child-kill +" \
+  "$kill_rounds kill/resume rounds per mode byte-identical"

@@ -4,8 +4,9 @@
 # summary against an uninterrupted golden run. Each round then repeats the
 # same cycle with a warm result cache (docs/CACHE.md) attached — replayed
 # journal records plus warm cache hits must reproduce the same summary —
-# and with the fork-per-app sandbox (docs/ISOLATION.md) on: journaled
-# sandbox fates must resume to the same summary too.
+# and with `--isolate` (docs/ISOLATION.md: a worker pool recycled after
+# every app) on: journaled sandbox fates must resume to the same summary
+# too.
 #
 #   tools/run_kill_resume.sh [rounds] [scale] [seed] [jobs]
 #

@@ -13,7 +13,7 @@
 #
 #   tools/run_sanitizer_matrix.sh tsan -- -L isolate
 #
-# runs just the fork-per-app sandbox suites (docs/ISOLATION.md) — worth a
+# runs just the worker-pool sandbox suites (docs/ISOLATION.md) — worth a
 # dedicated pass since they fork from worker threads, and
 #
 #   tools/run_sanitizer_matrix.sh tsan -- -L shard
