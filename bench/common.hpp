@@ -2,9 +2,9 @@
 // full DyDroid pipeline over it through the parallel CorpusRunner, and
 // exposes the measured reports (in corpus order) to the per-table printers.
 // Scale via DYDROID_SCALE (default 0.05 = ~2,937 apps); worker count via
-// DYDROID_JOBS (default: hardware concurrency); Chrome trace of the run
-// via DYDROID_TRACE=out.json (docs/OBSERVABILITY.md); process
-// isolation via DYDROID_ISOLATE=1|pool (docs/ISOLATION.md).
+// DYDROID_JOBS (default: hardware concurrency). Faults, journal, resume,
+// trace, cache, isolation and shards are `dydroid survey` flags
+// (docs/PIPELINE.md); the benches always run the plain thread-mode corpus.
 #pragma once
 
 #include <cstdio>

@@ -19,7 +19,6 @@ void DownloadTracker::add_flow(const vm::FlowNode& from,
   if (from.kind == vm::FlowNodeKind::Url) add_url(from);
   reverse_[key_of(to)].insert(key_of(from));
   reverse_.try_emplace(key_of(from));
-  ++edges_;
 }
 
 std::optional<std::string> DownloadTracker::origin_url(

@@ -29,9 +29,6 @@ class DownloadTracker {
   /// Every file path reachable from some URL.
   [[nodiscard]] std::vector<std::string> remote_files() const;
 
-  [[nodiscard]] std::size_t node_count() const { return reverse_.size(); }
-  [[nodiscard]] std::size_t edge_count() const { return edges_; }
-
  private:
   static std::string key_of(const vm::FlowNode& node);
 
@@ -39,7 +36,6 @@ class DownloadTracker {
   // backwards from the file).
   std::map<std::string, std::set<std::string>> reverse_;
   std::map<std::string, std::string> url_of_node_;  // url-node key -> spec
-  std::size_t edges_ = 0;
 };
 
 }  // namespace dydroid::core

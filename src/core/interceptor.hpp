@@ -31,11 +31,6 @@ class CodeInterceptor {
   }
   [[nodiscard]] const DownloadTracker& tracker() const { return tracker_; }
 
-  /// Paths currently protected from delete/rename.
-  [[nodiscard]] const std::set<std::string>& protected_paths() const {
-    return queue_;
-  }
-
   /// Count of blocked delete/rename attempts (ablation metric).
   [[nodiscard]] std::size_t blocked_mutations() const { return blocked_; }
 

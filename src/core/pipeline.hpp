@@ -49,8 +49,6 @@ struct PipelineOptions {
   std::function<void(os::Device&)> scenario_setup;
   /// Trained malware detector; null disables malware scanning.
   const malware::DroidNative* detector = nullptr;
-  /// Skip the dynamic phase (static-only measurement).
-  bool dynamic_analysis = true;
 
   // --- fault handling (docs/FAULTS.md) --------------------------------------
   /// Deterministic fault-injection plan; null/empty disables injection (the

@@ -40,7 +40,7 @@ StageResult StaticStage::run(AnalysisContext& ctx) const {
     }
   }
 
-  if (!ctx.options->dynamic_analysis || !ctx.report.static_dcl.any()) {
+  if (!ctx.report.static_dcl.any()) {
     return StageAction::kStop;  // DCL-free apps are not exercised (paper §V-A)
   }
   return StageAction::kContinue;

@@ -28,12 +28,6 @@ std::uint32_t DexFile::intern(std::string_view s) {
   return idx;
 }
 
-std::optional<std::uint32_t> DexFile::find_string(std::string_view s) const {
-  const auto it = index_.find(std::string(s));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
-}
-
 const std::string& DexFile::string_at(std::uint32_t idx) const {
   if (idx >= strings_.size()) {
     throw ParseError("string index out of range: " + std::to_string(idx));

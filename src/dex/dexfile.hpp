@@ -58,11 +58,7 @@ class DexFile {
  public:
   /// Intern a string, returning its pool index.
   std::uint32_t intern(std::string_view s);
-  /// Look up an interned string without adding it.
-  [[nodiscard]] std::optional<std::uint32_t> find_string(
-      std::string_view s) const;
   [[nodiscard]] const std::string& string_at(std::uint32_t idx) const;
-  [[nodiscard]] std::size_t string_count() const { return strings_.size(); }
 
   [[nodiscard]] const std::vector<ClassDef>& classes() const {
     return classes_;

@@ -369,8 +369,6 @@ support::Sha256Digest config_fingerprint(const core::DyDroid& pipeline) {
     for (const auto& family : families) w.str(family);
   }
 
-  w.u8(options.dynamic_analysis ? 1 : 0);
-
   // Fault plan: injected failures are part of the deterministic outcome
   // (a crash bucket under faults is a *correct* result for that plan).
   w.u8(options.faults != nullptr ? 1 : 0);

@@ -17,10 +17,6 @@ void Network::host_dynamic(std::string_view url, Handler handler) {
   handlers_[std::string(url)] = std::move(handler);
 }
 
-void Network::unhost(std::string_view url) {
-  handlers_.erase(std::string(url));
-}
-
 Result<Bytes> Network::fetch(std::string_view url) {
   FetchRecord record;
   record.url = std::string(url);

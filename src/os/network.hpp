@@ -35,7 +35,6 @@ class Network {
   /// Serve a dynamic payload; return nullopt to refuse (404 / gated).
   using Handler = std::function<std::optional<support::Bytes>()>;
   void host_dynamic(std::string_view url, Handler handler);
-  void unhost(std::string_view url);
 
   /// Fetch a URL. Fails when the device has no connectivity, the URL is not
   /// hosted, or a dynamic handler refuses.
@@ -44,7 +43,6 @@ class Network {
   [[nodiscard]] const std::vector<FetchRecord>& fetch_log() const {
     return log_;
   }
-  void clear_log() { log_.clear(); }
 
   [[nodiscard]] bool hosts(std::string_view url) const {
     return handlers_.find(std::string(url)) != handlers_.end();

@@ -51,7 +51,6 @@ class SystemServices {
   [[nodiscard]] std::string last_known_location() const {
     return location_ ? location_fix_ : std::string();
   }
-  void set_location_fix(std::string fix) { location_fix_ = std::move(fix); }
 
   // --- identifiers (paper Table X: phone identity / user identity) ---
   [[nodiscard]] const std::string& imei() const { return imei_; }
@@ -60,16 +59,6 @@ class SystemServices {
   [[nodiscard]] const std::string& line1_number() const { return line1_; }
   [[nodiscard]] const std::vector<std::string>& accounts() const {
     return accounts_;
-  }
-  void set_identity(std::string imei, std::string imsi, std::string iccid,
-                    std::string line1) {
-    imei_ = std::move(imei);
-    imsi_ = std::move(imsi);
-    iccid_ = std::move(iccid);
-    line1_ = std::move(line1);
-  }
-  void add_account(std::string account) {
-    accounts_.push_back(std::move(account));
   }
 
   // --- content providers ---

@@ -67,7 +67,6 @@ class Vfs {
       : api_level_(os_api_level), capacity_(capacity_bytes) {}
 
   [[nodiscard]] int api_level() const { return api_level_; }
-  void set_api_level(int level) { api_level_ = level; }
 
   /// Write (create or truncate). Fails on permission or capacity. Files are
   /// stored as immutable Blobs: a write replaces the whole buffer, it never
@@ -96,7 +95,6 @@ class Vfs {
 
   [[nodiscard]] std::uint64_t used_bytes() const { return used_; }
   [[nodiscard]] std::uint64_t capacity_bytes() const { return capacity_; }
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
 
  private:
   int api_level_;

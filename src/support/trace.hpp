@@ -14,15 +14,15 @@
 //     bytes/latency). Every finished span also feeds the histogram of its
 //     own "<cat>.<name>".
 //   * MetricsSnapshot — a point-in-time copy with p50/p95/max estimators,
-//     rendered as the per-stage latency table, the `metrics` section of
-//     BENCH_corpus.json and the CLI `--metrics` output.
+//     rendered as the per-stage latency table and the CLI `--metrics`
+//     output, and read by perfbench for its per-layer rows.
 //   * trace_write_chrome_json — Chrome `trace_event` JSON ("X" complete
 //     events) loadable in chrome://tracing or Perfetto.
 //
 // Cost model: both facilities are **off by default**. A disabled Span
 // constructor is a single relaxed atomic load and nothing else — no clock
-// read, no buffer touch (the ≤1% overhead-off budget is asserted by the
-// tier-2 overhead test and measured in BENCH_corpus.json). Instrumentation
+// read, no buffer touch (bounded per span by the tier-2 overhead test; the
+// enabled cost is perfbench's `trace.overhead_pct`). Instrumentation
 // never feeds back into analysis results: reports are byte-identical with
 // tracing on or off at any worker count (tested).
 //
