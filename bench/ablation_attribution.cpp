@@ -48,7 +48,7 @@ int main() {
     vm::AppContext ctx;
     ctx.manifest = apk.read_manifest();
     vm::Vm vm(device, std::move(ctx));
-    (void)vm.load_app(apk);
+    vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
     core::CodeInterceptor interceptor(vm);
     monkey::MonkeyConfig config;
     support::Rng mrng(1000 + static_cast<std::uint64_t>(i));

@@ -32,7 +32,7 @@ Outcome run(const appgen::GeneratedApp& app, bool block_mutations,
   vm::AppContext ctx;
   ctx.manifest = apk.read_manifest();
   vm::Vm vm(device, std::move(ctx));
-  (void)vm.load_app(apk);
+  vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   core::CodeInterceptor interceptor(vm);
   if (!block_mutations) {
     // Ablated framework: delete/rename behave normally.

@@ -82,7 +82,7 @@ bool dynamic_finds(const dex::DexFile& dexfile, int index) {
   vm::AppContext app;
   app.manifest = man;
   vm::Vm vm(device, std::move(app));
-  (void)vm.load_app(apk);
+  vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   core::DynamicTaintTracker tracker(vm);
   auto obj = vm.instantiate("sdk.tracker.Agent" + std::to_string(index));
   try {

@@ -2,24 +2,10 @@
 
 #include <cstdio>
 
-#include "malware/families.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
 
 namespace dydroid::bench {
-
-malware::DroidNative make_trained_detector(int samples_per_family) {
-  malware::DroidNative detector(0.9);
-  support::Rng rng(0xD401DA);
-  for (int f = 0; f < malware::kNumFamilies; ++f) {
-    const auto family = malware::family_at(f);
-    for (const auto& sample :
-         malware::generate_training_samples(family, samples_per_family, rng)) {
-      detector.train(malware::family_name(family), sample);
-    }
-  }
-  return detector;
-}
 
 core::AppReport rerun_app(const appgen::GeneratedApp& app,
                           const malware::DroidNative* detector,

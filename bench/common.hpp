@@ -38,10 +38,6 @@ struct Measurement {
   std::size_t threads = 1;        // workers used
 };
 
-/// Train MiniDroidNative the way the paper does: samples from 19 families
-/// (scaled-down stand-in for the 1,240-app training set).
-malware::DroidNative make_trained_detector(int samples_per_family = 4);
-
 /// Generate the corpus and run the pipeline over every app (in parallel;
 /// results are deterministic and in corpus order).
 Measurement measure_corpus(const malware::DroidNative* detector,

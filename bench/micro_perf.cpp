@@ -62,7 +62,7 @@ void BM_InterpreterArithLoop(benchmark::State& state) {
   vm::AppContext app;
   app.manifest = man;
   vm::Vm vm(device, std::move(app));
-  (void)vm.load_app(apk);
+  vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   const std::int64_t n = state.range(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -226,12 +226,14 @@ void BM_MonkeySession(benchmark::State& state) {
   const auto app = make_ad_app();
   const auto apk = apk::ApkFile::deserialize(app.apk);
   const auto man = apk.read_manifest();
+  const auto classes_dex =
+      std::make_shared<const dex::DexFile>(*apk.read_classes_dex());
   os::Device device;
   (void)device.install(apk);
   std::uint64_t seed = 0;
   for (auto _ : state) {
     support::Rng rng(seed++);
-    benchmark::DoNotOptimize(core::run_app(device, apk, man, rng));
+    benchmark::DoNotOptimize(core::run_app(device, classes_dex, man, rng));
   }
 }
 BENCHMARK(BM_MonkeySession);

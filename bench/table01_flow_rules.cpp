@@ -41,7 +41,7 @@ int main() {
     vm::AppContext ctx;
     ctx.manifest = apk.read_manifest();
     vm::Vm vm(device, std::move(ctx));
-    (void)vm.load_app(apk);
+    vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
     core::CodeInterceptor interceptor(vm);
     const auto prev_flow = vm.instrumentation().on_flow;
     vm.instrumentation().on_flow = [&](const vm::FlowNode& from,

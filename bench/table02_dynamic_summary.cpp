@@ -46,7 +46,7 @@ void print_column(const char* name, const Column& m, const Column& paper) {
 }  // namespace
 
 int main() {
-  const auto detector = make_trained_detector();
+  const auto detector = malware::paper_detector();
   const auto m = measure_corpus(&detector);
   print_title("Table II",
               "dynamic analysis summary (DEX & native columns)");

@@ -20,7 +20,7 @@ int malware_files(const appgen::GeneratedApp& app,
 }  // namespace
 
 int main() {
-  const auto detector = make_trained_detector();
+  const auto detector = malware::paper_detector();
   const auto m = measure_corpus(&detector);
   print_title("Table VIII",
               "malicious code loaded under runtime configurations");

@@ -14,7 +14,7 @@
 #include "core/pipeline.hpp"
 #include "core/report_json.hpp"
 #include "driver/corpus_runner.hpp"
-#include "malware/families.hpp"
+#include "malware/droidnative.hpp"
 #include "support/log.hpp"
 
 using namespace dydroid;
@@ -27,17 +27,7 @@ int main() {
   appgen::CorpusConfig config;
   config.scale = scale;
   const auto corpus = appgen::generate_corpus(config);
-  malware::DroidNative detector(0.9);
-  {
-    support::Rng rng(0xD401DA);
-    for (int f = 0; f < malware::kNumFamilies; ++f) {
-      const auto family = malware::family_at(f);
-      for (const auto& s :
-           malware::generate_training_samples(family, 4, rng)) {
-        detector.train(malware::family_name(family), s);
-      }
-    }
-  }
+  const auto detector = malware::paper_detector();
   std::printf("surveying %zu apps (scale %.3f), detector trained on %zu"
               " samples\n\n",
               corpus.apps.size(), scale, detector.training_size());

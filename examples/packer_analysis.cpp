@@ -64,7 +64,7 @@ int main() {
 
   // Bonus: the anti-repackaging trap crashes strict tooling.
   const auto rewritten = analysis::rewrite_with_permission(
-      packed.serialize(), manifest::kWriteExternalStorage);
+      apk::ApkImage::from_file(packed), manifest::kWriteExternalStorage);
   std::printf("\nanti-repackaging: strict repacker says: %s\n",
               rewritten.ok() ? "(rewrote fine?)" : rewritten.error().c_str());
   return 0;

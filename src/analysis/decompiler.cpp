@@ -10,11 +10,11 @@ using support::Result;
 Result<Ir> decompile(const apk::ApkImage& image) {
   Ir ir;
   try {
-    ir.image = image;
     ir.manifest = image.file().read_manifest();
     ir.entries = image.file().entry_names();
-    ir.classes_dex = image.file().read_classes_dex();
-    if (ir.classes_dex.has_value()) {
+    if (auto classes = image.file().read_classes_dex()) {
+      ir.classes_dex =
+          std::make_shared<const dex::DexFile>(*std::move(classes));
       // Disassembly applies the tooling-grade strictness (debug_info parse,
       // full validation) that anti-decompilation packers target.
       ir.smali = dex::disassemble(*ir.classes_dex);

@@ -8,7 +8,7 @@
 // apps ("The decompiler crashes and does not generate the smali code").
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,10 +22,11 @@ namespace dydroid::analysis {
 /// Decompiled intermediate representation of one app.
 struct Ir {
   manifest::Manifest manifest;
-  std::optional<dex::DexFile> classes_dex;  // absent if no classes.dex entry
-  std::string smali;                        // disassembly text ("" if no dex)
-  std::vector<std::string> entries;         // package file table
-  apk::ApkImage image;                      // shared parse of the container
+  /// The app's one parse of classes.dex, shared with the VM that runs it;
+  /// null if no classes.dex entry.
+  std::shared_ptr<const dex::DexFile> classes_dex;
+  std::string smali;                 // disassembly text ("" if no dex)
+  std::vector<std::string> entries;  // package file table
 };
 
 /// Decompile an already-parsed APK image (the pipeline path — no re-parse).

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "apk/apk.hpp"
-#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace dydroid::analysis {
@@ -18,16 +17,12 @@ namespace dydroid::analysis {
 inline constexpr std::string_view kResignKey = "dydroid-resign";
 
 /// Add `permission` to the manifest of an already-parsed image and repack.
-/// The strict full re-parse of the old path collapses to a CRC check over
-/// the shared parse's file table — same traps, same error text, no second
-/// deserialize. Returns a fresh image (the one repack that must serialize),
-/// or failure when an anti-repackaging trap or malformed manifest trips it.
+/// Repacking is strict without a second parse: a CRC check over the parsed
+/// file table trips the same traps, with the same error text, as a strict
+/// ApkFile::deserialize. Returns a fresh image (the one repack that must
+/// serialize), or failure when an anti-repackaging trap or malformed
+/// manifest trips it.
 support::Result<apk::ApkImage> rewrite_with_permission(
     const apk::ApkImage& image, std::string_view permission);
-
-/// Byte-level convenience for callers outside the staged pipeline: strict
-/// parse + rewrite + serialize, exactly the historical contract.
-support::Result<support::Bytes> rewrite_with_permission(
-    std::span<const std::uint8_t> apk_bytes, std::string_view permission);
 
 }  // namespace dydroid::analysis

@@ -5,19 +5,15 @@
 namespace dydroid::core {
 namespace {
 
-RunResult run_once(os::Device& device, const apk::ApkFile& apk,
+RunResult run_once(os::Device& device,
+                   std::shared_ptr<const dex::DexFile> classes_dex,
                    const manifest::Manifest& manifest, support::Rng& rng,
                    const EngineConfig& config) {
   RunResult result;
   vm::AppContext app;
   app.manifest = manifest;
   vm::Vm vm(device, std::move(app), config.limits);
-  const auto loaded = vm.load_app(apk);
-  if (!loaded) {
-    result.monkey.outcome = monkey::Outcome::kCrash;
-    result.monkey.crash_message = loaded.error();
-    return result;
-  }
+  vm.load_app(std::move(classes_dex));
   CodeInterceptor interceptor(vm);
   result.monkey = monkey::run_monkey(vm, config.monkey, rng);
   result.events = interceptor.events();
@@ -30,10 +26,11 @@ RunResult run_once(os::Device& device, const apk::ApkFile& apk,
 
 }  // namespace
 
-RunResult run_app(os::Device& device, const apk::ApkFile& apk,
+RunResult run_app(os::Device& device,
+                  std::shared_ptr<const dex::DexFile> classes_dex,
                   const manifest::Manifest& manifest, support::Rng& rng,
                   const EngineConfig& config) {
-  auto result = run_once(device, apk, manifest, rng, config);
+  auto result = run_once(device, classes_dex, manifest, rng, config);
   if (result.monkey.outcome == monkey::Outcome::kCrash &&
       result.monkey.crash_message.find("storage full") != std::string::npos) {
     // Automatic recovery: clear the app's cache (odex staging and ad
@@ -45,7 +42,7 @@ RunResult run_app(os::Device& device, const apk::ApkFile& apk,
     }
     support::log_info("engine", "storage full: cleared cache for " +
                                     manifest.package + ", retrying");
-    result = run_once(device, apk, manifest, rng, config);
+    result = run_once(device, std::move(classes_dex), manifest, rng, config);
     result.storage_recovered = true;
   }
   return result;

@@ -29,8 +29,10 @@ struct RunResult {
   bool storage_recovered = false;
 };
 
-/// Execute an installed app. `apk` must already be installed on `device`.
-RunResult run_app(os::Device& device, const apk::ApkFile& apk,
+/// Execute an app already installed on `device`, running the decompiler's
+/// parse of its classes.dex (non-null).
+RunResult run_app(os::Device& device,
+                  std::shared_ptr<const dex::DexFile> classes_dex,
                   const manifest::Manifest& manifest, support::Rng& rng,
                   const EngineConfig& config = {});
 

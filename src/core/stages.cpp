@@ -35,7 +35,7 @@ StageResult StaticStage::run(AnalysisContext& ctx) const {
   {
     TRACE_SPAN("phase", "static.scan");
     ctx.report.obfuscation = obfuscation::analyze_obfuscation(decompiled);
-    if (decompiled.classes_dex.has_value()) {
+    if (decompiled.classes_dex != nullptr) {
       ctx.report.static_dcl = scan_dcl_apis(*decompiled.classes_dex);
     }
   }
@@ -54,21 +54,8 @@ StageResult RewriteStage::run(AnalysisContext& ctx) const {
   if (ctx.ir->manifest.has_permission(manifest::kWriteExternalStorage)) {
     return StageAction::kContinue;
   }
-  // Custom stage lists may reach here without StaticStage's parse; fall
-  // back to parsing the input blob once so the rewriter always gets an
-  // image (never a second parse on the canonical path).
-  apk::ApkImage image = ctx.image;
-  if (!image.valid()) {
-    try {
-      image = apk::ApkImage::parse(ctx.apk, apk::ParseMode::kLenient);
-    } catch (const support::ParseError& e) {
-      ctx.report.status = DynamicStatus::kRewritingFailure;
-      ctx.report.crash_message = std::string("rewrite: ") + e.what();
-      return StageAction::kStop;
-    }
-  }
   auto result = analysis::rewrite_with_permission(
-      image, manifest::kWriteExternalStorage);
+      ctx.image, manifest::kWriteExternalStorage);
   if (!result.ok()) {
     ctx.report.status = DynamicStatus::kRewritingFailure;
     ctx.report.crash_message = result.error();
@@ -81,6 +68,12 @@ StageResult RewriteStage::run(AnalysisContext& ctx) const {
 // ---- DynamicStage ----------------------------------------------------------
 
 StageResult DynamicStage::run(AnalysisContext& ctx) const {
+  // The app runs on StaticStage's one parse: its decompiled classes.dex and
+  // the image it installs. A stage list without StaticStage has neither.
+  if (!ctx.ir.has_value() || ctx.ir->classes_dex == nullptr ||
+      !ctx.image.valid()) {
+    return StageResult::failure("dynamic: no parsed app (run StaticStage)");
+  }
   std::optional<os::Device> device;
   {
     TRACE_SPAN("phase", "dynamic.boot");
@@ -89,19 +82,13 @@ StageResult DynamicStage::run(AnalysisContext& ctx) const {
     ctx.options->runtime.apply(device->services());
   }
 
-  // The image to exercise: the rewritten one if RewriteStage produced it,
-  // otherwise StaticStage's shared parse. Custom stage lists that skip both
-  // fall back to parsing the input blob here — still routed through the
-  // stage status, so a malformed (e.g. packer-damaged) container is a
-  // per-app crash outcome, never an exception escaping the corpus driver.
-  apk::ApkImage img = ctx.run_image.valid() ? ctx.run_image : ctx.image;
+  // The image to install: the rewritten one if RewriteStage produced it,
+  // otherwise StaticStage's shared parse.
+  const apk::ApkImage& img = ctx.run_image.valid() ? ctx.run_image : ctx.image;
   manifest::Manifest man;
   {
     TRACE_SPAN("phase", "dynamic.install");
     try {
-      if (!img.valid()) {
-        img = apk::ApkImage::parse(ctx.apk, apk::ParseMode::kLenient);
-      }
       man = img.file().read_manifest();
     } catch (const support::ParseError& e) {
       ctx.report.status = DynamicStatus::kCrash;
@@ -118,7 +105,8 @@ StageResult DynamicStage::run(AnalysisContext& ctx) const {
   support::Rng rng(ctx.seed);
   {
     TRACE_SPAN("phase", "dynamic.fuzz");
-    ctx.run = run_app(*device, img.file(), man, rng, ctx.options->engine);
+    ctx.run =
+        run_app(*device, ctx.ir->classes_dex, man, rng, ctx.options->engine);
   }
   auto& run = *ctx.run;
   ctx.report.storage_recovered = run.storage_recovered;

@@ -96,7 +96,8 @@ class RewriteStage final : public Stage {
 };
 
 /// Boot a fresh device, apply the scenario + runtime config, install and
-/// fuzz the app with interception attached (paper §IV-C).
+/// fuzz the app with interception attached (paper §IV-C). Runs on
+/// StaticStage's parse (`ir`, `image`) and fails without it.
 class DynamicStage final : public Stage {
  public:
   [[nodiscard]] std::string_view name() const override { return "dynamic"; }

@@ -35,7 +35,7 @@ Result<UnpackResult> unpack_packed_app(
   auto man = apk.read_manifest();
   support::Rng rng(seed);
   EngineConfig config;
-  const auto run = run_app(device, apk, man, rng, config);
+  const auto run = run_app(device, ir.value().classes_dex, man, rng, config);
 
   // The largest intercepted dex-format payload is the decrypted bytecode
   // (containers may load auxiliary dexes too). A post-decryption crash is

@@ -4,6 +4,7 @@
 
 #include "support/error.hpp"
 #include "support/fault.hpp"
+#include "support/trace.hpp"
 
 namespace dydroid::dex {
 
@@ -118,6 +119,7 @@ Bytes DexFile::serialize() const {
 }
 
 DexFile DexFile::deserialize(std::span<const std::uint8_t> data) {
+  support::count("pipeline.dex_parses", 1);
   // Fault-injection site: bad string/method data (support::FaultInjector).
   if (support::fault_fire(support::FaultSite::kDexParse)) {
     throw ParseError(support::fault_message(support::FaultSite::kDexParse));

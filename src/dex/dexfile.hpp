@@ -74,7 +74,8 @@ class DexFile {
 
   /// Serialize to the SDEX binary format.
   [[nodiscard]] support::Bytes serialize() const;
-  /// Parse; throws support::ParseError on malformed input.
+  /// Parse; throws support::ParseError on malformed input. Feeds the
+  /// `pipeline.dex_parses` counter.
   static DexFile deserialize(std::span<const std::uint8_t> data);
 
   /// Validate internal consistency (string indices, branch targets, register

@@ -51,7 +51,7 @@ bool has_bundled_native_lib(const analysis::Ir& ir) {
 }  // namespace
 
 bool detect_lexical(const analysis::Ir& ir) {
-  if (!ir.classes_dex.has_value()) return false;
+  if (ir.classes_dex == nullptr) return false;
   const auto& dex = *ir.classes_dex;
   double ratio_sum = 0;
   std::size_t identifiers = 0;
@@ -89,7 +89,7 @@ bool detect_reflection(const dex::DexFile& dex) {
 
 bool detect_native(const analysis::Ir& ir) {
   if (has_bundled_native_lib(ir)) return true;
-  if (!ir.classes_dex.has_value()) return false;
+  if (ir.classes_dex == nullptr) return false;
   const auto& dex = *ir.classes_dex;
   for (const auto& cls : dex.classes()) {
     if (calls_jni_load(dex, cls)) return true;
@@ -101,7 +101,7 @@ bool detect_native(const analysis::Ir& ir) {
 }
 
 bool detect_dex_encryption(const analysis::Ir& ir) {
-  if (!ir.classes_dex.has_value()) return false;
+  if (ir.classes_dex == nullptr) return false;
   const auto& dex = *ir.classes_dex;
 
   // Rule 1: android:name declares an application container present in the
@@ -135,7 +135,7 @@ ObfuscationReport analyze_obfuscation(const analysis::Ir& ir) {
   ObfuscationReport report;
   report.lexical = detect_lexical(ir);
   report.reflection =
-      ir.classes_dex.has_value() && detect_reflection(*ir.classes_dex);
+      ir.classes_dex != nullptr && detect_reflection(*ir.classes_dex);
   report.native_code = detect_native(ir);
   report.dex_encryption = detect_dex_encryption(ir);
   return report;

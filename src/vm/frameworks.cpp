@@ -173,14 +173,12 @@ FlowNode url_node_of_connection(const ObjRef& conn) {
 // Registration groups.
 // ---------------------------------------------------------------------------
 
-void install_loaders(Vm& vm) {
-  vm.register_framework_class("java.lang.ClassLoader");
-  vm.register_framework_class("dalvik.system.DexClassLoader",
-                              "java.lang.ClassLoader");
-  vm.register_framework_class("dalvik.system.PathClassLoader",
-                              "java.lang.ClassLoader");
+void install_loaders(FrameworkTable& fw) {
+  fw.add_class("java.lang.ClassLoader");
+  fw.add_class("dalvik.system.DexClassLoader", "java.lang.ClassLoader");
+  fw.add_class("dalvik.system.PathClassLoader", "java.lang.ClassLoader");
 
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "dalvik.system.DexClassLoader", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -197,7 +195,7 @@ void install_loaders(Vm& vm) {
         return Value();
       });
 
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "dalvik.system.PathClassLoader", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -212,7 +210,7 @@ void install_loaders(Vm& vm) {
         return Value();
       });
 
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.lang.ClassLoader", "loadClass",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         auto* loader = loader_of(v, arg(v, args, 0));
@@ -224,8 +222,8 @@ void install_loaders(Vm& vm) {
         return Value(cls_obj);
       });
 
-  vm.register_framework_class("java.lang.Class");
-  vm.register_intrinsic(
+  fw.add_class("java.lang.Class");
+  fw.add_intrinsic(
       "java.lang.Class", "newInstance",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto* h =
@@ -243,12 +241,12 @@ void install_loaders(Vm& vm) {
         }
         return Value(obj);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.lang.Class", "getName",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return arg(v, args, 0).as_obj()->get_field("name");
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.lang.Class", "getMethod",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto* h =
@@ -266,7 +264,7 @@ void install_loaders(Vm& vm) {
         method_obj->set_field("name", Value(name));
         return Value(method_obj);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.lang.Class", "forName",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& name = arg(v, args, 0).as_str();
@@ -277,8 +275,8 @@ void install_loaders(Vm& vm) {
         return Value(cls_obj);
       });
 
-  vm.register_framework_class("java.lang.reflect.Method");
-  vm.register_intrinsic(
+  fw.add_class("java.lang.reflect.Method");
+  fw.add_intrinsic(
       "java.lang.reflect.Method", "invoke",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto* h = std::any_cast<MethodHandle>(
@@ -297,9 +295,9 @@ void install_loaders(Vm& vm) {
       });
 }
 
-void install_native_loading(Vm& vm) {
-  vm.register_framework_class("java.lang.System");
-  vm.register_framework_class("java.lang.Runtime");
+void install_native_loading(FrameworkTable& fw) {
+  fw.add_class("java.lang.System");
+  fw.add_class("java.lang.Runtime");
 
   auto load_by_name = [](Vm& v, const std::vector<Value>& args,
                          std::size_t idx) -> Value {
@@ -312,56 +310,56 @@ void install_native_loading(Vm& vm) {
     return Value();
   };
 
-  vm.register_intrinsic("java.lang.System", "loadLibrary",
-                        [load_by_name](Vm& v, const std::vector<Value>& a) {
-                          return load_by_name(v, a, 0);
-                        });
-  vm.register_intrinsic("java.lang.System", "load",
-                        [load_by_path](Vm& v, const std::vector<Value>& a) {
-                          return load_by_path(v, a, 0);
-                        });
-  vm.register_intrinsic(
+  fw.add_intrinsic("java.lang.System", "loadLibrary",
+                   [load_by_name](Vm& v, const std::vector<Value>& a) {
+                     return load_by_name(v, a, 0);
+                   });
+  fw.add_intrinsic("java.lang.System", "load",
+                   [load_by_path](Vm& v, const std::vector<Value>& a) {
+                     return load_by_path(v, a, 0);
+                   });
+  fw.add_intrinsic(
       "java.lang.System", "mapLibraryName",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return Value(nativebin::map_library_name(arg(v, args, 0).as_str()));
       });
-  vm.register_intrinsic("java.lang.System", "currentTimeMillis",
-                        [](Vm& v, const std::vector<Value>&) -> Value {
-                          return Value(v.device().services().current_time_ms());
-                        });
+  fw.add_intrinsic("java.lang.System", "currentTimeMillis",
+                   [](Vm& v, const std::vector<Value>&) -> Value {
+                     return Value(v.device().services().current_time_ms());
+                   });
 
-  vm.register_intrinsic("java.lang.Runtime", "getRuntime",
-                        [](Vm& v, const std::vector<Value>&) -> Value {
-                          return Value(v.make_object("java.lang.Runtime"));
-                        });
+  fw.add_intrinsic("java.lang.Runtime", "getRuntime",
+                   [](Vm& v, const std::vector<Value>&) -> Value {
+                     return Value(v.make_object("java.lang.Runtime"));
+                   });
   // Instance forms: receiver in args[0], operand in args[1].
-  vm.register_intrinsic("java.lang.Runtime", "loadLibrary",
-                        [load_by_name](Vm& v, const std::vector<Value>& a) {
-                          return load_by_name(v, a, 1);
-                        });
-  vm.register_intrinsic("java.lang.Runtime", "load",
-                        [load_by_path](Vm& v, const std::vector<Value>& a) {
-                          return load_by_path(v, a, 1);
-                        });
+  fw.add_intrinsic("java.lang.Runtime", "loadLibrary",
+                   [load_by_name](Vm& v, const std::vector<Value>& a) {
+                     return load_by_name(v, a, 1);
+                   });
+  fw.add_intrinsic("java.lang.Runtime", "load",
+                   [load_by_path](Vm& v, const std::vector<Value>& a) {
+                     return load_by_path(v, a, 1);
+                   });
   // Android 7.1 adds Runtime.load0 (paper §III-B): one extra hook adapts the
   // system to the latest OS.
-  vm.register_intrinsic("java.lang.Runtime", "load0",
-                        [load_by_path](Vm& v, const std::vector<Value>& a) {
-                          return load_by_path(v, a, 1);
-                        });
+  fw.add_intrinsic("java.lang.Runtime", "load0",
+                   [load_by_path](Vm& v, const std::vector<Value>& a) {
+                     return load_by_path(v, a, 1);
+                   });
 
-  vm.register_framework_class("java.lang.Thread");
-  vm.register_intrinsic("java.lang.Thread", "sleep",
-                        [](Vm& v, const std::vector<Value>& args) -> Value {
-                          v.device().services().advance_ms(
-                              args.empty() ? 0 : arg(v, args, 0).as_int());
-                          return Value();
-                        });
+  fw.add_class("java.lang.Thread");
+  fw.add_intrinsic("java.lang.Thread", "sleep",
+                   [](Vm& v, const std::vector<Value>& args) -> Value {
+                     v.device().services().advance_ms(
+                         args.empty() ? 0 : arg(v, args, 0).as_int());
+                     return Value();
+                   });
 }
 
-void install_files(Vm& vm) {
-  vm.register_framework_class("java.io.File");
-  vm.register_intrinsic(
+void install_files(FrameworkTable& fw) {
+  fw.add_class("java.io.File");
+  fw.add_intrinsic(
       "java.io.File", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -374,21 +372,21 @@ void install_files(Vm& vm) {
         self->set_field("path", Value(std::move(path)));
         return Value();
       });
-  vm.register_intrinsic("java.io.File", "getPath",
-                        [](Vm& v, const std::vector<Value>& args) -> Value {
-                          return arg(v, args, 0).as_obj()->get_field("path");
-                        });
-  vm.register_intrinsic("java.io.File", "getAbsolutePath",
-                        [](Vm& v, const std::vector<Value>& args) -> Value {
-                          return arg(v, args, 0).as_obj()->get_field("path");
-                        });
-  vm.register_intrinsic(
+  fw.add_intrinsic("java.io.File", "getPath",
+                   [](Vm& v, const std::vector<Value>& args) -> Value {
+                     return arg(v, args, 0).as_obj()->get_field("path");
+                   });
+  fw.add_intrinsic("java.io.File", "getAbsolutePath",
+                   [](Vm& v, const std::vector<Value>& args) -> Value {
+                     return arg(v, args, 0).as_obj()->get_field("path");
+                   });
+  fw.add_intrinsic(
       "java.io.File", "exists",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return Value(
             v.device().vfs().exists(path_of(v, arg(v, args, 0))) ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.io.File", "length",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto data =
@@ -396,11 +394,11 @@ void install_files(Vm& vm) {
         return Value(
             static_cast<std::int64_t>(data.has_value() ? data->size() : 0));
       });
-  vm.register_intrinsic("java.io.File", "mkdirs",
-                        [](Vm&, const std::vector<Value>&) -> Value {
-                          return Value(1);  // directories are implicit
-                        });
-  vm.register_intrinsic(
+  fw.add_intrinsic("java.io.File", "mkdirs",
+                   [](Vm&, const std::vector<Value>&) -> Value {
+                     return Value(1);  // directories are implicit
+                   });
+  fw.add_intrinsic(
       "java.io.File", "delete",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto path = path_of(v, arg(v, args, 0));
@@ -414,7 +412,7 @@ void install_files(Vm& vm) {
             v.device().vfs().delete_file(v.app().principal(), path);
         return Value(status ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.io.File", "renameTo",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto from = path_of(v, arg(v, args, 0));
@@ -433,12 +431,10 @@ void install_files(Vm& vm) {
       });
 
   // Input streams.
-  vm.register_framework_class("java.io.InputStream");
-  vm.register_framework_class("java.io.FileInputStream",
-                              "java.io.InputStream");
-  vm.register_framework_class("java.io.BufferedInputStream",
-                              "java.io.InputStream");
-  vm.register_intrinsic(
+  fw.add_class("java.io.InputStream");
+  fw.add_class("java.io.FileInputStream", "java.io.InputStream");
+  fw.add_class("java.io.BufferedInputStream", "java.io.InputStream");
+  fw.add_intrinsic(
       "java.io.FileInputStream", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -449,7 +445,7 @@ void install_files(Vm& vm) {
                     obj_node(FlowNodeKind::InputStream, self));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.io.BufferedInputStream", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -459,21 +455,20 @@ void install_files(Vm& vm) {
                     obj_node(FlowNodeKind::InputStream, self));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.io.InputStream", "read",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return stream_read(v, arg(v, args, 0).as_obj());
       });
-  vm.register_intrinsic("java.io.InputStream", "close",
-                        [](Vm&, const std::vector<Value>&) -> Value {
-                          return Value();
-                        });
+  fw.add_intrinsic("java.io.InputStream", "close",
+                   [](Vm&, const std::vector<Value>&) -> Value {
+                     return Value();
+                   });
 
   // Output streams.
-  vm.register_framework_class("java.io.OutputStream");
-  vm.register_framework_class("java.io.FileOutputStream",
-                              "java.io.OutputStream");
-  vm.register_intrinsic(
+  fw.add_class("java.io.OutputStream");
+  fw.add_class("java.io.FileOutputStream", "java.io.OutputStream");
+  fw.add_intrinsic(
       "java.io.FileOutputStream", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -481,7 +476,7 @@ void install_files(Vm& vm) {
         self->native_state() = OutputStreamState{path, false, "", {}};
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.io.OutputStream", "write",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -507,23 +502,20 @@ void install_files(Vm& vm) {
         }
         return Value();
       });
-  vm.register_intrinsic("java.io.OutputStream", "close",
-                        [](Vm&, const std::vector<Value>&) -> Value {
-                          return Value();
-                        });
+  fw.add_intrinsic("java.io.OutputStream", "close",
+                   [](Vm&, const std::vector<Value>&) -> Value {
+                     return Value();
+                   });
 }
 
-void install_network(Vm& vm) {
-  vm.register_framework_class("java.net.URL");
-  vm.register_framework_class("java.net.URLConnection");
-  vm.register_framework_class("java.net.HttpURLConnection",
-                              "java.net.URLConnection");
-  vm.register_framework_class("java.net.HttpsURLConnection",
-                              "java.net.HttpURLConnection");
-  vm.register_framework_class("java.net.FtpURLConnection",
-                              "java.net.URLConnection");
+void install_network(FrameworkTable& fw) {
+  fw.add_class("java.net.URL");
+  fw.add_class("java.net.URLConnection");
+  fw.add_class("java.net.HttpURLConnection", "java.net.URLConnection");
+  fw.add_class("java.net.HttpsURLConnection", "java.net.HttpURLConnection");
+  fw.add_class("java.net.FtpURLConnection", "java.net.URLConnection");
 
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.net.URL", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -535,7 +527,7 @@ void install_network(Vm& vm) {
         }
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.net.URL", "openConnection",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -561,21 +553,21 @@ void install_network(Vm& vm) {
     return Value(stream);
   };
 
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.net.URL", "openStream",
       [open_input](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto url = self->get_field("url").as_str();
         return open_input(v, url, obj_node(FlowNodeKind::Url, self, url));
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.net.URLConnection", "getInputStream",
       [open_input](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
         return open_input(v, url_of_connection(v, conn),
                           url_node_of_connection(conn));
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.net.URLConnection", "getOutputStream",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
@@ -584,11 +576,11 @@ void install_network(Vm& vm) {
             OutputStreamState{"", true, url_of_connection(v, conn), {}};
         return Value(stream);
       });
-  vm.register_intrinsic("java.net.URLConnection", "connect",
-                        [](Vm&, const std::vector<Value>&) -> Value {
-                          return Value();
-                        });
-  vm.register_intrinsic(
+  fw.add_intrinsic("java.net.URLConnection", "connect",
+                   [](Vm&, const std::vector<Value>&) -> Value {
+                     return Value();
+                   });
+  fw.add_intrinsic(
       "java.net.HttpURLConnection", "getResponseCode",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
@@ -597,54 +589,54 @@ void install_network(Vm& vm) {
       });
 }
 
-void install_privacy_sources(Vm& vm) {
-  vm.register_intrinsic("android.telephony.TelephonyManager", "getDeviceId",
-                        [](Vm& v, const std::vector<Value>&) -> Value {
-                          return Value(v.device().services().imei());
-                        });
-  vm.register_intrinsic("android.telephony.TelephonyManager",
-                        "getSubscriberId",
-                        [](Vm& v, const std::vector<Value>&) -> Value {
-                          return Value(v.device().services().imsi());
-                        });
-  vm.register_intrinsic("android.telephony.TelephonyManager",
-                        "getSimSerialNumber",
-                        [](Vm& v, const std::vector<Value>&) -> Value {
-                          return Value(v.device().services().iccid());
-                        });
-  vm.register_intrinsic("android.telephony.TelephonyManager",
-                        "getLine1Number",
-                        [](Vm& v, const std::vector<Value>&) -> Value {
-                          return Value(v.device().services().line1_number());
-                        });
-  vm.register_intrinsic(
+void install_privacy_sources(FrameworkTable& fw) {
+  fw.add_intrinsic("android.telephony.TelephonyManager", "getDeviceId",
+                   [](Vm& v, const std::vector<Value>&) -> Value {
+                     return Value(v.device().services().imei());
+                   });
+  fw.add_intrinsic("android.telephony.TelephonyManager",
+                   "getSubscriberId",
+                   [](Vm& v, const std::vector<Value>&) -> Value {
+                     return Value(v.device().services().imsi());
+                   });
+  fw.add_intrinsic("android.telephony.TelephonyManager",
+                   "getSimSerialNumber",
+                   [](Vm& v, const std::vector<Value>&) -> Value {
+                     return Value(v.device().services().iccid());
+                   });
+  fw.add_intrinsic("android.telephony.TelephonyManager",
+                   "getLine1Number",
+                   [](Vm& v, const std::vector<Value>&) -> Value {
+                     return Value(v.device().services().line1_number());
+                   });
+  fw.add_intrinsic(
       "android.location.LocationManager", "getLastKnownLocation",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().last_known_location());
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.location.LocationManager", "isProviderEnabled",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().location_enabled() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.accounts.AccountManager", "getAccounts",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(support::join(v.device().services().accounts(), ";"));
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.pm.PackageManager", "getInstalledApplications",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(support::join(
             v.device().package_manager().installed_packages(), ";"));
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.pm.PackageManager", "getInstalledPackages",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(support::join(
             v.device().package_manager().installed_packages(), ";"));
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.ContentResolver", "query",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& uri = arg(v, args, 0).as_str();
@@ -653,91 +645,88 @@ void install_privacy_sources(Vm& vm) {
       });
 }
 
-void install_sinks_and_services(Vm& vm) {
-  vm.register_intrinsic(
+void install_sinks_and_services(FrameworkTable& fw) {
+  fw.add_intrinsic(
       "android.util.Log", "d",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.util.Log", "e",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.telephony.SmsManager", "sendTextMessage",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("sms", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.app.NotificationManager", "notify",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("notification",
                        args.empty() ? "" : args[0].display());
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "com.android.launcher.Shortcut", "install",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("shortcut", args.empty() ? "" : args[0].display());
         return Value();
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.provider.Browser", "setHomepage",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("homepage", args.empty() ? "" : args[0].display());
         return Value();
       });
 
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.net.ConnectivityManager", "isConnected",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().has_connectivity() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.provider.Settings", "isAirplaneModeOn",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().airplane_mode() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.net.wifi.WifiManager", "isWifiEnabled",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().wifi_enabled() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.os.Environment", "getExternalStorageDirectory",
       [](Vm&, const std::vector<Value>&) -> Value {
         return Value(std::string(os::kExternalStorageDir));
       });
 
   // Context conveniences (receiver optional; always answer for the host app).
-  vm.register_framework_class("android.content.Context");
-  vm.register_framework_class("android.app.Activity",
-                              "android.content.Context");
-  vm.register_framework_class("android.app.Application",
-                              "android.content.Context");
-  vm.register_framework_class("android.app.Service",
-                              "android.content.Context");
-  vm.register_framework_class("android.content.BroadcastReceiver");
-  vm.register_framework_class("android.content.ContentProvider");
+  fw.add_class("android.content.Context");
+  fw.add_class("android.app.Activity", "android.content.Context");
+  fw.add_class("android.app.Application", "android.content.Context");
+  fw.add_class("android.app.Service", "android.content.Context");
+  fw.add_class("android.content.BroadcastReceiver");
+  fw.add_class("android.content.ContentProvider");
 
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.Context", "getFilesDir",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(os::internal_storage_dir(v.app().package()) + "/files");
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.Context", "getCacheDir",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(os::internal_storage_dir(v.app().package()) + "/cache");
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.Context", "getPackageName",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.app().package());
@@ -746,7 +735,7 @@ void install_sinks_and_services(Vm& vm) {
   // retrieve the classes contained in another application" (paper §II).
   // Returns a Context whose getClassLoader() is a PathClassLoader over the
   // other app's installed APK — mediated by the same loader hook.
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.Context", "createPackageContext",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         // Static-style: the target package is the last argument.
@@ -758,7 +747,7 @@ void install_sinks_and_services(Vm& vm) {
         ctx->set_field("package", Value(pkg));
         return Value(ctx);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.Context", "getClassLoader",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -775,22 +764,22 @@ void install_sinks_and_services(Vm& vm) {
   // Lifecycle no-ops inherited by app components.
   for (const auto* method : {"<init>", "setContentView", "onCreate",
                              "finish"}) {
-    vm.register_intrinsic("android.app.Activity", method,
-                          [](Vm&, const std::vector<Value>&) -> Value {
-                            return Value();
-                          });
+    fw.add_intrinsic("android.app.Activity", method,
+                     [](Vm&, const std::vector<Value>&) -> Value {
+                       return Value();
+                     });
   }
-  vm.register_intrinsic("android.app.Application", "<init>",
-                        [](Vm&, const std::vector<Value>&) -> Value {
-                          return Value();
-                        });
-  vm.register_intrinsic("android.app.Service", "<init>",
-                        [](Vm&, const std::vector<Value>&) -> Value {
-                          return Value();
-                        });
+  fw.add_intrinsic("android.app.Application", "<init>",
+                   [](Vm&, const std::vector<Value>&) -> Value {
+                     return Value();
+                   });
+  fw.add_intrinsic("android.app.Service", "<init>",
+                   [](Vm&, const std::vector<Value>&) -> Value {
+                     return Value();
+                   });
 
   // Assets: open an entry from the installed APK.
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "android.content.res.AssetManager", "open",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& name = arg(v, args, 0).as_str();
@@ -816,14 +805,14 @@ void install_sinks_and_services(Vm& vm) {
       });
 }
 
-void install_strings_and_crypto(Vm& vm) {
-  vm.register_intrinsic(
+void install_strings_and_crypto(FrameworkTable& fw) {
+  fw.add_intrinsic(
       "java.lang.String", "getBytes",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& s = arg(v, args, 0).as_str();
         return Value(make_buffer(v, support::to_bytes(s)));
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.lang.String", "valueOf",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& val = arg(v, args, 0);
@@ -837,7 +826,7 @@ void install_strings_and_crypto(Vm& vm) {
   // Integrity verification primitive: apps that hash a file before loading
   // it are NOT code-injection vulnerable (paper: "manually confirmed that
   // even [the] developer fails to enforce integrity verification").
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "java.security.MessageDigest", "digest",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& val = arg(v, args, 0);
@@ -854,25 +843,25 @@ void install_strings_and_crypto(Vm& vm) {
       });
 }
 
-void install_libc(Vm& vm) {
-  vm.register_intrinsic(
+void install_libc(FrameworkTable& fw) {
+  fw.add_intrinsic(
       "libc", "ptrace",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("ptrace", args.empty() ? "" : args[0].display());
         return Value(1);
       });
-  vm.register_intrinsic("libc", "su",
-                        [](Vm& v, const std::vector<Value>&) -> Value {
-                          v.record_event("su", "");
-                          return Value(1);
-                        });
-  vm.register_intrinsic(
+  fw.add_intrinsic("libc", "su",
+                   [](Vm& v, const std::vector<Value>&) -> Value {
+                     v.record_event("su", "");
+                     return Value(1);
+                   });
+  fw.add_intrinsic(
       "libc", "hook_method",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("hook", args.empty() ? "" : args[0].display());
         return Value(1);
       });
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "libc", "exec",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("exec", args.empty() ? "" : args[0].display());
@@ -880,7 +869,7 @@ void install_libc(Vm& vm) {
       });
   // Stream-cipher "decryption" used by packer stubs: XOR with a repeating
   // key. Takes a buffer + key string, returns a new buffer.
-  vm.register_intrinsic(
+  fw.add_intrinsic(
       "libc", "xor_decrypt",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& data = buffer_bytes(v, arg(v, args, 0));
@@ -896,17 +885,49 @@ void install_libc(Vm& vm) {
       });
 }
 
+FrameworkTable build_framework() {
+  FrameworkTable fw;
+  install_loaders(fw);
+  install_native_loading(fw);
+  install_files(fw);
+  install_network(fw);
+  install_privacy_sources(fw);
+  install_sinks_and_services(fw);
+  install_strings_and_crypto(fw);
+  install_libc(fw);
+  return fw;
+}
+
 }  // namespace
 
-void install_framework(Vm& vm) {
-  install_loaders(vm);
-  install_native_loading(vm);
-  install_files(vm);
-  install_network(vm);
-  install_privacy_sources(vm);
-  install_sinks_and_services(vm);
-  install_strings_and_crypto(vm);
-  install_libc(vm);
+void FrameworkTable::add_class(std::string_view name, std::string_view super) {
+  auto& entry = supers_[std::string(name)];
+  if (!super.empty()) entry = std::string(super);
 }
+
+void FrameworkTable::add_intrinsic(std::string_view cls,
+                                   std::string_view method, Intrinsic fn) {
+  intrinsics_[std::string(cls) + "." + std::string(method)] = std::move(fn);
+  add_class(cls);
+}
+
+const Intrinsic* FrameworkTable::find(const std::string& cls,
+                                      const std::string& method) const {
+  std::string current = cls;
+  for (int hop = 0; hop < 16; ++hop) {
+    const auto it = intrinsics_.find(current + "." + method);
+    if (it != intrinsics_.end()) return &it->second;
+    const auto sup = supers_.find(current);
+    if (sup == supers_.end() || sup->second.empty()) break;
+    current = sup->second;
+  }
+  return nullptr;
+}
+
+bool FrameworkTable::has_class(std::string_view name) const {
+  return supers_.contains(name) || is_framework_class(name);
+}
+
+const FrameworkTable kFramework = build_framework();
 
 }  // namespace dydroid::vm

@@ -1,14 +1,11 @@
 #include "vm/vm.hpp"
 
-#include <cassert>
-
+#include "apk/apk.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
 #include "vm/frameworks.hpp"
 
 namespace dydroid::vm {
-
-using support::Status;
 
 namespace {
 
@@ -25,7 +22,6 @@ std::string basename_no_ext(std::string_view path) {
 Vm::Vm(os::Device& device, AppContext app, VmLimits limits)
     : device_(&device), app_(std::move(app)), limits_(limits) {
   boot_loader_ = new_loader(LoaderType::Boot, nullptr);
-  install_framework(*this);
 }
 
 Vm::~Vm() = default;
@@ -35,20 +31,9 @@ LoaderState* Vm::new_loader(LoaderType type, LoaderState* parent) {
   return loaders_.back().get();
 }
 
-Status Vm::load_app(const apk::ApkFile& apk) {
-  std::optional<dex::DexFile> classes;
-  try {
-    classes = apk.read_classes_dex();
-  } catch (const support::ParseError& e) {
-    return Status::failure(std::string("load_app: ") + e.what());
-  }
-  if (!classes.has_value()) {
-    return Status::failure("load_app: no classes.dex");
-  }
+void Vm::load_app(std::shared_ptr<const dex::DexFile> classes_dex) {
   app_loader_ = new_loader(LoaderType::AppPath, boot_loader_);
-  app_loader_->add_dex(
-      std::make_shared<const dex::DexFile>(*std::move(classes)));
-  return Status();
+  app_loader_->add_dex(std::move(classes_dex));
 }
 
 ObjRef Vm::make_object(std::string_view class_name, RuntimeClass* rt) {
@@ -74,36 +59,9 @@ LoaderState* Vm::current_loader() const {
   return app_loader_ != nullptr ? app_loader_ : boot_loader_;
 }
 
-void Vm::register_intrinsic(std::string_view cls, std::string_view method,
-                            Intrinsic fn) {
-  intrinsics_[std::string(cls) + "." + std::string(method)] = std::move(fn);
-  register_framework_class(cls);
-}
-
-void Vm::register_framework_class(std::string_view name,
-                                  std::string_view super) {
-  auto& entry = framework_super_[std::string(name)];
-  if (!super.empty()) entry = std::string(super);
-}
-
-const Intrinsic* Vm::find_intrinsic(const std::string& cls,
-                                    const std::string& method) const {
-  // Walk the framework class hierarchy: e.g. HttpURLConnection ->
-  // URLConnection for getInputStream.
-  std::string current = cls;
-  for (int hop = 0; hop < 16; ++hop) {
-    const auto it = intrinsics_.find(current + "." + method);
-    if (it != intrinsics_.end()) return &it->second;
-    const auto sup = framework_super_.find(current);
-    if (sup == framework_super_.end() || sup->second.empty()) break;
-    current = sup->second;
-  }
-  return nullptr;
-}
-
 Value Vm::call_intrinsic(const std::string& cls, const std::string& method,
                          std::vector<Value> args) {
-  const auto* fn = find_intrinsic(cls, method);
+  const auto* fn = kFramework.find(cls, method);
   if (fn == nullptr) {
     throw make_exception("NoSuchMethodError: " + cls + "." + method);
   }
@@ -139,8 +97,7 @@ RuntimeClass* Vm::load_class(LoaderState* loader, std::string_view name) {
     if (from_parent != nullptr) return from_parent;
   }
   if (loader->type() == LoaderType::Boot) {
-    if (framework_super_.find(std::string(name)) != framework_super_.end() ||
-        is_framework_class(name)) {
+    if (kFramework.has_class(name)) {
       auto rt = std::make_unique<RuntimeClass>(std::string(name), nullptr,
                                                nullptr, loader);
       return loader->define(std::move(rt));
@@ -372,8 +329,7 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
           rt = nullptr;
         }
         if (rt != nullptr && rt->is_framework()) rt = nullptr;
-        if (rt == nullptr && !is_framework_class(name) &&
-            framework_super_.find(name) == framework_super_.end()) {
+        if (rt == nullptr && !kFramework.has_class(name)) {
           throw make_exception("ClassNotFoundException: " + name);
         }
         regs[ins.a] = Value(make_object(name, rt));
@@ -465,7 +421,7 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
     // Framework object, or app class inheriting a framework method:
     // dispatch by the receiver's dynamic class first, then superclass walk,
     // then by the declared class.
-    if (find_intrinsic(receiver->class_name(), method_name) != nullptr) {
+    if (kFramework.find(receiver->class_name(), method_name) != nullptr) {
       return call_intrinsic(receiver->class_name(), method_name,
                             std::move(args));
     }
@@ -476,7 +432,7 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
       while (rc != nullptr && !rc->is_framework() && hops++ < 32) {
         const auto& super = rc->super_name();
         if (super.empty()) break;
-        if (find_intrinsic(super, method_name) != nullptr) {
+        if (kFramework.find(super, method_name) != nullptr) {
           return call_intrinsic(super, method_name, std::move(args));
         }
         RuntimeClass* next = nullptr;

@@ -1,22 +1,19 @@
 // MiniDalvik: the Dalvik-analogue virtual machine.
 //
 // One Vm instance hosts one app process on a SimDevice. The interpreter
-// executes SimDex bytecode; framework classes are served as intrinsics
-// (frameworks.cpp); every DCL-relevant API funnels through the
-// Instrumentation observers, giving DyDroid complete mediation exactly as
-// the paper's modified Android 4.3.1 image does.
+// executes SimDex bytecode; framework classes are served as intrinsics from
+// the process-wide table (frameworks.hpp); every DCL-relevant API funnels
+// through the Instrumentation observers, giving DyDroid complete mediation
+// exactly as the paper's modified Android 4.3.1 image does.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "apk/apk.hpp"
 #include "nativebin/native_library.hpp"
 #include "os/device.hpp"
 #include "vm/classloader.hpp"
@@ -66,10 +63,6 @@ struct VmEvent {
   std::string detail;
 };
 
-/// Signature of a framework intrinsic.
-class Vm;
-using Intrinsic = std::function<Value(Vm&, const std::vector<Value>&)>;
-
 class Vm {
  public:
   Vm(os::Device& device, AppContext app, VmLimits limits = {});
@@ -77,9 +70,10 @@ class Vm {
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
 
-  /// Install the app's code: parses classes.dex from the (already installed)
-  /// APK and builds the app PathClassLoader.
-  support::Status load_app(const apk::ApkFile& apk);
+  /// Install the app's code: builds the app PathClassLoader over the
+  /// decompiler's parse of classes.dex (non-null), shared rather than
+  /// re-parsed.
+  void load_app(std::shared_ptr<const dex::DexFile> classes_dex);
 
   [[nodiscard]] Instrumentation& instrumentation() { return hooks_; }
   [[nodiscard]] os::Device& device() { return *device_; }
@@ -144,13 +138,6 @@ class Vm {
   Value invoke(RuntimeClass* cls, const dex::Method& method,
                std::vector<Value> args);
 
-  /// Register an intrinsic under "Class.method" (tests may override).
-  void register_intrinsic(std::string_view cls, std::string_view method,
-                          Intrinsic fn);
-  /// Declare a framework class (boot loader will resolve it) and its super.
-  void register_framework_class(std::string_view name,
-                                std::string_view super = "");
-
   void record_event(std::string kind, std::string detail);
   [[nodiscard]] const std::vector<VmEvent>& events() const { return events_; }
 
@@ -183,8 +170,6 @@ class Vm {
                         std::vector<Value>& regs);
   Value call_intrinsic(const std::string& cls, const std::string& method,
                        std::vector<Value> args);
-  [[nodiscard]] const Intrinsic* find_intrinsic(
-      const std::string& cls, const std::string& method) const;
   RuntimeClass* resolve_app_method(RuntimeClass* start,
                                    std::string_view method_name,
                                    const dex::Method** out);
@@ -198,9 +183,6 @@ class Vm {
   std::vector<std::unique_ptr<LoaderState>> loaders_;
   LoaderState* boot_loader_ = nullptr;
   LoaderState* app_loader_ = nullptr;
-
-  std::map<std::string, Intrinsic> intrinsics_;       // "cls.method"
-  std::map<std::string, std::string> framework_super_;  // class -> super
 
   struct LoadedNative {
     std::string path;

@@ -34,7 +34,7 @@ TEST(Decompiler, ProducesIr) {
   ASSERT_TRUE(result.ok()) << result.error();
   const auto& ir = result.value();
   EXPECT_EQ(ir.manifest.package, "com.sample.app");
-  ASSERT_TRUE(ir.classes_dex.has_value());
+  ASSERT_NE(ir.classes_dex, nullptr);
   EXPECT_NE(ir.smali.find(".class com.sample.app.Main"), std::string::npos);
   EXPECT_EQ(ir.entries.size(), 3u);
 }
@@ -59,7 +59,7 @@ TEST(Decompiler, ToleratesMissingDex) {
   apk.write_manifest(m);
   const auto result = decompile(apk.serialize());
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result.value().classes_dex.has_value());
+  EXPECT_EQ(result.value().classes_dex, nullptr);
   EXPECT_TRUE(result.value().smali.empty());
 }
 
@@ -80,9 +80,9 @@ TEST(Decompiler, LocalBytecodeStoreDetection) {
 
 TEST(Rewriter, InjectsPermissionAndResigns) {
   const auto rewritten = rewrite_with_permission(
-      sample_apk().serialize(), manifest::kWriteExternalStorage);
+      apk::ApkImage::from_file(sample_apk()), manifest::kWriteExternalStorage);
   ASSERT_TRUE(rewritten.ok()) << rewritten.error();
-  const auto apk = apk::ApkFile::deserialize(rewritten.value());
+  const auto apk = apk::ApkFile::deserialize(rewritten.value().bytes());
   EXPECT_TRUE(
       apk.read_manifest().has_permission(manifest::kWriteExternalStorage));
   EXPECT_EQ(apk.signer(), kResignKey);
@@ -94,7 +94,8 @@ TEST(Rewriter, CrashesOnAntiRepackagingTrap) {
   obfuscation::plant_anti_repackaging_trap(apk);
   apk.sign("dev");
   const auto rewritten = rewrite_with_permission(
-      apk.serialize(), manifest::kWriteExternalStorage);
+      apk::ApkImage::parse(support::Blob::take(apk.serialize())),
+      manifest::kWriteExternalStorage);
   EXPECT_FALSE(rewritten.ok());
   EXPECT_NE(rewritten.error().find("CRC"), std::string::npos);
 }

@@ -10,6 +10,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -309,6 +310,42 @@ TEST(CliShard, ShardedSurveysMergeAndReplayToTheUnshardedSummary) {
                     .c_str());
   }
   std::remove(merged.c_str());
+}
+
+// --- single-app analyze through the corpus runner ---------------------------
+
+TEST(CliArgs, AnalyzeThroughTheCorpusRunnerPrintsThePlainReport) {
+  REQUIRE_CLI();
+  // --journal, --resume, --cache (cold, then a warm hit) and --isolate route
+  // the one app through the corpus runner; each must print the JSON report
+  // of the plain run.
+  const std::string base_path = testing::TempDir() + "/cli_analyze_" +
+                                std::to_string(::getpid());
+  const std::string app = base_path + ".sapk";
+  const std::string journal = base_path + ".jrnl";
+  const std::string cache = base_path + "_cache";
+  std::remove(journal.c_str());
+  std::filesystem::remove_all(cache);
+  const auto gen = run_cli("gen " + app + " --own-dex --seed 7");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+
+  const std::string analyze = "analyze " + app + " --seed 42";
+  const auto plain = run_cli(analyze);
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  ASSERT_NE(plain.output.find("\"status\": \"exercised\""),
+            std::string::npos)
+      << plain.output;
+  for (const std::string& flags :
+       {"--journal " + journal, "--resume " + journal, "--cache " + cache,
+        "--cache " + cache, std::string("--isolate")}) {
+    SCOPED_TRACE(flags);
+    const auto run = run_cli(analyze + " " + flags);
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_EQ(run.output, plain.output);
+  }
+  std::remove(app.c_str());
+  std::remove(journal.c_str());
+  std::filesystem::remove_all(cache);
 }
 
 // --- process isolation flags (docs/ISOLATION.md) ---------------------------

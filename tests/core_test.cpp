@@ -72,7 +72,9 @@ TEST(Pipeline, AdPayloadFileStillOnDiskAfterRun) {
   ASSERT_TRUE(device.install(apk).ok());
   auto man = apk.read_manifest();
   support::Rng run_rng(5);
-  const auto result = run_app(device, apk, man, run_rng);
+  const auto result = run_app(
+      device, std::make_shared<const dex::DexFile>(*apk.read_classes_dex()),
+      man, run_rng);
   EXPECT_EQ(result.monkey.outcome, monkey::Outcome::kExercised);
   EXPECT_GE(result.blocked_mutations, 1u);
   EXPECT_TRUE(

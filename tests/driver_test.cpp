@@ -484,18 +484,27 @@ TEST(Stages, DynamicStageReportsCorruptContainerAsCrash) {
   const core::StaticStage static_stage;
   ASSERT_TRUE(static_stage.run(ctx).ok());
 
-  // Corrupt the container after the static phase: the dynamic stage must
-  // resolve it through the stage status, not an escaping ParseError. Drop
-  // the shared parse so the stage falls back to (re-)parsing the input.
-  ctx.apk = ctx.apk.slice(0, app.apk.size() / 4);
-  ctx.image = apk::ApkImage();
-  ctx.run_image = apk::ApkImage();
+  // The dynamic stage runs only on StaticStage's parse: without a parsed
+  // classes.dex, or without the parse at all (here with a corrupt input it
+  // must not re-parse), it reports a failure status.
   const core::DynamicStage dynamic_stage;
+  ctx.ir->classes_dex = nullptr;
+  EXPECT_FALSE(dynamic_stage.run(ctx).ok());
+  ctx.apk = ctx.apk.slice(0, app.apk.size() / 4);
+  ctx.ir.reset();
+  ctx.image = apk::ApkImage();
   const auto result = dynamic_stage.run(ctx);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), core::StageAction::kStop);
-  EXPECT_EQ(ctx.report.status, core::DynamicStatus::kCrash);
-  EXPECT_FALSE(ctx.report.crash_message.empty());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().find("dynamic:"), std::string::npos);
+
+  // A pipeline whose stage list skips StaticStage turns that failure into a
+  // per-app crash outcome.
+  std::vector<std::unique_ptr<const core::Stage>> stages;
+  stages.push_back(std::make_unique<core::DynamicStage>());
+  const core::DyDroid pipeline(options, std::move(stages));
+  const auto report = pipeline.analyze(app.apk, 1);
+  EXPECT_EQ(report.status, core::DynamicStatus::kCrash);
+  EXPECT_EQ(report.crash_message, result.error());
 }
 
 }  // namespace

@@ -34,7 +34,8 @@ class DynamicTaintTest : public ::testing::Test {
     vm::AppContext app;
     app.manifest = man;
     vm_ = std::make_unique<vm::Vm>(device_, std::move(app));
-    EXPECT_TRUE(vm_->load_app(apk).ok());
+    vm_->load_app(
+        std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
     DynamicTaintTracker tracker(*vm_);
     (void)vm_->call_static("com.taint.app.T", "t");
     return tracker.leaks();

@@ -80,7 +80,9 @@ TEST(Engine, StorageFullRecoversByClearingCache) {
   ASSERT_TRUE(device.install(apk).ok());
   const auto man = apk.read_manifest();
   support::Rng rng(1);
-  const auto result = run_app(device, apk, man, rng);
+  const auto result = run_app(
+      device, std::make_shared<const dex::DexFile>(*apk.read_classes_dex()),
+      man, rng);
   // First run crashes with storage full; the engine clears the cache and
   // the retry is reported.
   EXPECT_TRUE(result.storage_recovered);
@@ -92,28 +94,13 @@ TEST(Engine, AmpleStorageNoRecoveryNeeded) {
   ASSERT_TRUE(device.install(apk).ok());
   const auto man = apk.read_manifest();
   support::Rng rng(1);
-  const auto result = run_app(device, apk, man, rng);
+  const auto result = run_app(
+      device, std::make_shared<const dex::DexFile>(*apk.read_classes_dex()),
+      man, rng);
   EXPECT_FALSE(result.storage_recovered);
   EXPECT_EQ(result.monkey.outcome, monkey::Outcome::kExercised)
       << result.monkey.crash_message;
   EXPECT_FALSE(result.events.empty());
-}
-
-TEST(Engine, MissingClassesDexIsCleanCrash) {
-  manifest::Manifest man;
-  man.package = "com.engine.broken";
-  man.components.push_back(manifest::Component{
-      manifest::ComponentKind::Activity, "com.engine.broken.Main", true});
-  apk::ApkFile apk;
-  apk.write_manifest(man);
-  apk.sign("k");
-  os::Device device;
-  ASSERT_TRUE(device.install(apk).ok());
-  support::Rng rng(1);
-  const auto result = run_app(device, apk, man, rng);
-  EXPECT_EQ(result.monkey.outcome, monkey::Outcome::kCrash);
-  EXPECT_NE(result.monkey.crash_message.find("classes.dex"),
-            std::string::npos);
 }
 
 TEST(Engine, EventsAggregatedFromInterceptor) {
@@ -131,7 +118,9 @@ TEST(Engine, EventsAggregatedFromInterceptor) {
   ASSERT_TRUE(device.install(apk).ok());
   const auto man = apk.read_manifest();
   support::Rng rng(2);
-  const auto result = run_app(device, apk, man, rng);
+  const auto result = run_app(
+      device, std::make_shared<const dex::DexFile>(*apk.read_classes_dex()),
+      man, rng);
   EXPECT_EQ(result.monkey.outcome, monkey::Outcome::kExercised)
       << result.monkey.crash_message;
   // Three behaviours, three+ DCL events, mixed kinds.

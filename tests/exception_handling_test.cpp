@@ -29,7 +29,8 @@ Env boot(dex::DexFile dexfile, VmLimits limits = {}) {
   AppContext app;
   app.manifest = man;
   env.vm = std::make_unique<Vm>(env.device, std::move(app), limits);
-  EXPECT_TRUE(env.vm->load_app(apk).ok());
+  env.vm->load_app(
+      std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   return env;
 }
 
@@ -224,7 +225,7 @@ TEST(TryCatch, OfflineTolerantSdkDoesNotCrashHost) {
   AppContext app;
   app.manifest = man;
   Vm vm(device, std::move(app));
-  ASSERT_TRUE(vm.load_app(apk).ok());
+  vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   monkey::MonkeyConfig config;
   support::Rng rng(1);
   const auto result = monkey::run_monkey(vm, config, rng);

@@ -74,7 +74,7 @@ Harness run_dex_payload(Family family, const std::string& payload_class,
   vm::AppContext app;
   app.manifest = man;
   h.vm = std::make_unique<vm::Vm>(h.device, std::move(app));
-  EXPECT_TRUE(h.vm->load_app(apk).ok());
+  h.vm->load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   auto main = h.vm->instantiate(std::string(kPkg) + ".Main");
   (void)h.vm->call_method(main, "go");
   return h;
@@ -156,7 +156,7 @@ TEST(ChathookPtrace, RootsHooksAndExfiltratesChats) {
   vm::AppContext app;
   app.manifest = man;
   h.vm = std::make_unique<vm::Vm>(h.device, std::move(app));
-  ASSERT_TRUE(h.vm->load_app(apk).ok());
+  h.vm->load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   auto main = h.vm->instantiate(std::string(kPkg) + ".Main");
   EXPECT_EQ(h.vm->call_method(main, "go").as_int(), 1);
 

@@ -37,7 +37,8 @@ class FrameworkTest : public ::testing::Test {
     AppContext app;
     app.manifest = man;
     vm_ = std::make_unique<Vm>(device_, std::move(app));
-    EXPECT_TRUE(vm_->load_app(apk).ok());
+    vm_->load_app(
+        std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
     return vm_->call_static("com.fw.app.T", "t");
   }
 

@@ -28,7 +28,8 @@ Env boot(dex::DexFile dexfile, VmLimits limits = {}) {
   AppContext app;
   app.manifest = man;
   env.vm = std::make_unique<Vm>(env.device, std::move(app), limits);
-  EXPECT_TRUE(env.vm->load_app(apk).ok());
+  env.vm->load_app(
+      std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   return env;
 }
 

@@ -29,7 +29,8 @@ Ran run(dex::DexFile dexfile, manifest::Manifest m, int events = 40,
   vm::AppContext app;
   app.manifest = std::move(m);
   ran.vm = std::make_unique<vm::Vm>(ran.device, std::move(app));
-  EXPECT_TRUE(ran.vm->load_app(apk).ok());
+  ran.vm->load_app(
+      std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   MonkeyConfig config;
   config.num_events = events;
   support::Rng rng(seed);

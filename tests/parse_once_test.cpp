@@ -4,7 +4,8 @@
 // ApkImage (or a cheap Blob view of it), never from a re-parse. The
 // `pipeline.parses` counter is incremented only by ApkImage::parse, so this
 // test pins the whole-pipeline parse count and fails if a re-parse sneaks
-// back into any stage.
+// back into any stage. Likewise `pipeline.dex_parses` (DexFile::deserialize)
+// pins classes.dex to the decompiler's one parse, which the VM runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,12 +19,14 @@
 namespace dydroid {
 namespace {
 
-appgen::GeneratedApp make_app(bool write_permission) {
+appgen::GeneratedApp make_app(bool write_permission,
+                              bool dead_dex_dcl = false) {
   appgen::AppSpec spec;
   spec.package = "com.example.parseonce";
   spec.category = "TOOLS";
   spec.write_external_permission = write_permission;
-  spec.own_dex_dcl = true;
+  spec.own_dex_dcl = !dead_dex_dcl;
+  spec.dead_dex_dcl = dead_dex_dcl;
   support::Rng rng(0x9A25E01);
   return appgen::build_app(spec, rng);
 }
@@ -34,8 +37,12 @@ std::uint64_t counter_value(const support::MetricsSnapshot& snapshot,
   return counter == nullptr ? 0u : counter->value;
 }
 
-support::MetricsSnapshot analyze_with_metrics(
-    const appgen::GeneratedApp& app) {
+struct Analyzed {
+  core::AppReport report;
+  support::MetricsSnapshot metrics;
+};
+
+Analyzed analyze_with_metrics(const appgen::GeneratedApp& app) {
   support::set_log_level(support::LogLevel::Error);
   support::set_metrics_enabled(true);
   support::metrics_reset();
@@ -44,18 +51,18 @@ support::MetricsSnapshot analyze_with_metrics(
     appgen::apply_scenario(app.scenario, device);
   };
   const core::DyDroid pipeline(std::move(options));
-  const auto report = pipeline.analyze(app.apk, 0x1234);
-  EXPECT_NE(report.status, core::DynamicStatus::kNotRun)
-      << "guard app must traverse the dynamic stage";
-  auto snapshot = support::metrics_snapshot();
+  Analyzed analyzed{pipeline.analyze(app.apk, 0x1234),
+                    support::metrics_snapshot()};
   support::set_metrics_enabled(false);
-  return snapshot;
+  EXPECT_NE(analyzed.report.status, core::DynamicStatus::kNotRun)
+      << "guard app must traverse the dynamic stage";
+  return analyzed;
 }
 
 TEST(ParseOnce, NonRewrittenAppParsesItsContainerExactlyOnce) {
   // The app already holds WRITE_EXTERNAL_STORAGE, so no rewrite happens and
   // the StaticStage parse is the only container deserialization.
-  const auto snapshot = analyze_with_metrics(make_app(true));
+  const auto snapshot = analyze_with_metrics(make_app(true)).metrics;
   EXPECT_EQ(counter_value(snapshot, "pipeline.parses"), 1u);
 }
 
@@ -63,9 +70,25 @@ TEST(ParseOnce, RewrittenAppStillParsesExactlyOnce) {
   // The permission rewrite repacks the container (ApkImage::from_file — a
   // serialize, counted as copied bytes), but must not re-parse it: the
   // install and the VM consume the rewritten image directly.
-  const auto snapshot = analyze_with_metrics(make_app(false));
+  const auto snapshot = analyze_with_metrics(make_app(false)).metrics;
   EXPECT_EQ(counter_value(snapshot, "pipeline.parses"), 1u);
   EXPECT_GT(counter_value(snapshot, "pipeline.bytes_copied"), 0u);
+}
+
+TEST(ParseOnce, VmRunsTheDecompilersDexParse) {
+  // A dead DCL call site passes the static filter, so the app is exercised,
+  // but it loads no code at runtime: the decompiler's parse of classes.dex
+  // is the only dex parse, with or without the permission rewrite.
+  for (const bool write_permission : {true, false}) {
+    SCOPED_TRACE(write_permission ? "holds WRITE_EXTERNAL_STORAGE"
+                                  : "rewritten");
+    const auto analyzed =
+        analyze_with_metrics(make_app(write_permission, true));
+    EXPECT_EQ(analyzed.report.status, core::DynamicStatus::kExercised);
+    EXPECT_TRUE(analyzed.report.events.empty());
+    EXPECT_TRUE(analyzed.report.binaries.empty());
+    EXPECT_EQ(counter_value(analyzed.metrics, "pipeline.dex_parses"), 1u);
+  }
 }
 
 }  // namespace

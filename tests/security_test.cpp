@@ -76,7 +76,9 @@ RunResult run_on(os::Device& device, const apk::ApkFile& apk,
   EXPECT_TRUE(device.install(apk).ok());
   const auto man = apk.read_manifest();
   support::Rng rng(seed);
-  return run_app(device, apk, man, rng);
+  return run_app(
+      device, std::make_shared<const dex::DexFile>(*apk.read_classes_dex()),
+      man, rng);
 }
 
 appgen::GeneratedApp victim_app(bool verified) {

@@ -46,7 +46,8 @@ Env boot(dex::DexFile dexfile, const std::string& pkg = kPkg) {
   AppContext app;
   app.manifest = man;
   env.vm = std::make_unique<Vm>(env.device, std::move(app));
-  EXPECT_TRUE(env.vm->load_app(apk).ok());
+  env.vm->load_app(
+      std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   return env;
 }
 

@@ -41,7 +41,8 @@ class VmTest : public ::testing::Test {
     AppContext app;
     app.manifest = std::move(m);
     vm_ = std::make_unique<Vm>(device_, std::move(app));
-    ASSERT_TRUE(vm_->load_app(apk_).ok());
+    vm_->load_app(
+        std::make_shared<const dex::DexFile>(*apk_.read_classes_dex()));
   }
   void boot(dex::DexFile dex) { boot(std::move(dex), base_manifest()); }
 
@@ -734,7 +735,7 @@ TEST_F(VmTest, AssetOpenReadsInstalledApkEntry) {
   AppContext app;
   app.manifest = man;
   vm_ = std::make_unique<Vm>(device_, std::move(app));
-  ASSERT_TRUE(vm_->load_app(apk).ok());
+  vm_->load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
 
   auto main = vm_->instantiate("com.example.app.Main");
   const auto buf = vm_->call_method(main, "readAsset");

@@ -76,6 +76,7 @@
 #include "driver/corpus_runner.hpp"
 #include "driver/fault_matrix.hpp"
 #include "driver/shard_merge.hpp"
+#include "malware/droidnative.hpp"
 #include "malware/families.hpp"
 #include "obfuscation/packer.hpp"
 #include "support/blob.hpp"
@@ -473,17 +474,7 @@ int cmd_analyze(const Args& args) {
       (void)device.install(apk::ApkFile::deserialize(companion));
     }
   };
-  malware::DroidNative detector(0.9);
-  {
-    support::Rng rng(0xD401DA);
-    for (int f = 0; f < malware::kNumFamilies; ++f) {
-      const auto family = malware::family_at(f);
-      for (const auto& s :
-           malware::generate_training_samples(family, 4, rng)) {
-        detector.train(malware::family_name(family), s);
-      }
-    }
-  }
+  const auto detector = malware::paper_detector();
   options.detector = &detector;
   const std::uint64_t seed =
       parse_u64_flag("analyze", "seed", args.value("seed", "1"));
@@ -608,17 +599,7 @@ int cmd_survey(const Args& args) {
   config.scale = parse_double_flag("survey", "scale", args.value("scale", "0.02"));
   config.seed = parse_u64_flag("survey", "seed", args.value("seed", "20161101"));
   const auto corpus = appgen::generate_corpus(config);
-  malware::DroidNative detector(0.9);
-  {
-    support::Rng rng(0xD401DA);
-    for (int f = 0; f < malware::kNumFamilies; ++f) {
-      const auto family = malware::family_at(f);
-      for (const auto& s :
-           malware::generate_training_samples(family, 4, rng)) {
-        detector.train(malware::family_name(family), s);
-      }
-    }
-  }
+  const auto detector = malware::paper_detector();
   // One shared pipeline mapped over the corpus by the parallel driver
   // (worker count from --jobs, DYDROID_JOBS or hardware concurrency).
   core::PipelineOptions options;
