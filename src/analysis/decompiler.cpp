@@ -13,11 +13,12 @@ Result<Ir> decompile(const apk::ApkImage& image) {
     ir.manifest = image.file().read_manifest();
     ir.entries = image.file().entry_names();
     if (auto classes = image.file().read_classes_dex()) {
+      // The tooling-grade strictness anti-decompilation packers target:
+      // every debug_info extra must parse. The deserialize above already
+      // validated the code, so disassembly's own validate is not repeated.
+      dex::check_debug_info(*classes);
       ir.classes_dex =
           std::make_shared<const dex::DexFile>(*std::move(classes));
-      // Disassembly applies the tooling-grade strictness (debug_info parse,
-      // full validation) that anti-decompilation packers target.
-      ir.smali = dex::disassemble(*ir.classes_dex);
     }
   } catch (const support::ParseError& e) {
     return Result<Ir>::failure(std::string("decompile: ") + e.what());

@@ -1,11 +1,13 @@
 // Decompiler: the baksmali/apktool front-end of Figure 1. Unpacks a SimApk
 // and produces the intermediate representation (manifest + parsed dex +
-// smali text) consumed by the static filter and the obfuscation analyzer.
+// file table) consumed by the static filter and the obfuscation analyzer.
 //
 // Decompilation intentionally inherits the tooling's strictness: a poisoned
-// debug_info section (anti-decompilation) makes disassembly throw, and the
-// whole app is recorded as "failed reverse engineering" — the paper's 54
-// apps ("The decompiler crashes and does not generate the smali code").
+// debug_info section (anti-decompilation) fails the disassembler's check,
+// and the whole app is recorded as "failed reverse engineering" — the
+// paper's 54 apps ("The decompiler crashes and does not generate the smali
+// code"). Nothing in the pipeline reads smali text, so none is built here;
+// `dydroid disasm` prints it with dex::disassemble.
 #pragma once
 
 #include <memory>
@@ -25,7 +27,6 @@ struct Ir {
   /// The app's one parse of classes.dex, shared with the VM that runs it;
   /// null if no classes.dex entry.
   std::shared_ptr<const dex::DexFile> classes_dex;
-  std::string smali;                 // disassembly text ("" if no dex)
   std::vector<std::string> entries;  // package file table
 };
 

@@ -6,9 +6,10 @@
 // driver::CorpusRunner.
 //
 // The per-app path is decomposed into composable stages (core/stages.hpp)
-// that pass a single AnalysisContext. DyDroid itself is immutable after
-// construction and `analyze` is const, so one instance can be shared by
-// any number of corpus worker threads.
+// that pass a single AnalysisContext. `analyze` is const and thread-safe,
+// so one instance can be shared by any number of corpus worker threads.
+// The one piece of shared mutable state is PerBinaryStage's verdict memo
+// (core/verdict_memo.hpp), which guards itself.
 #pragma once
 
 #include <functional>
@@ -47,7 +48,9 @@ struct PipelineOptions {
   /// Per-app scenarios are passed per AnalysisRequest instead, so one
   /// DyDroid can be shared across a whole corpus.
   std::function<void(os::Device&)> scenario_setup;
-  /// Trained malware detector; null disables malware scanning.
+  /// Trained malware detector; null disables malware scanning. It must
+  /// outlive the pipeline and must not be retrained while set: the
+  /// per-binary verdict memo keys on its address.
   const malware::DroidNative* detector = nullptr;
 
   // --- fault handling (docs/FAULTS.md) --------------------------------------
@@ -144,8 +147,9 @@ class DyDroid {
   DyDroid& operator=(DyDroid&&) noexcept;
 
   /// Analyze one APK end to end. `seed` drives the fuzzing determinism.
-  /// Const and thread-safe: all mutable state lives in the per-call
-  /// AnalysisContext, so one DyDroid serves many worker threads.
+  /// Const and thread-safe: per-app state lives in the per-call
+  /// AnalysisContext and PerBinaryStage's verdict memo locks itself, so one
+  /// DyDroid serves many worker threads.
   AppReport analyze(support::Blob apk, std::uint64_t seed) const;
   /// Borrowed-span convenience: copies once into a fresh Blob.
   AppReport analyze(std::span<const std::uint8_t> apk_bytes,

@@ -1,6 +1,7 @@
 #include "core/stages.hpp"
 
 #include "analysis/rewriter.hpp"
+#include "support/fault.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
 
@@ -129,32 +130,50 @@ StageResult DynamicStage::run(AnalysisContext& ctx) const {
 
 // ---- PerBinaryStage --------------------------------------------------------
 
+namespace {
+
+/// Malware scan and, for DEX payloads, privacy analysis of one payload: a
+/// pure function of the detector, the kind and the bytes.
+BinaryVerdict judge(const VerdictKey& key) {
+  BinaryVerdict verdict;
+  if (key.detector != nullptr) verdict.malware = key.detector->scan(key.bytes);
+  if (key.kind != CodeKind::Dex) return verdict;
+  try {
+    if (dex::looks_like_dex(key.bytes)) {
+      verdict.privacy =
+          privacy::analyze_privacy(dex::DexFile::deserialize(key.bytes));
+    } else if (apk::looks_like_apk(key.bytes)) {
+      const auto pkg = apk::ApkFile::deserialize(key.bytes);
+      if (auto inner = pkg.read_classes_dex()) {
+        verdict.privacy = privacy::analyze_privacy(*inner);
+      }
+    }
+  } catch (const support::ParseError& e) {
+    support::log_warn("pipeline",
+                      std::string("privacy: unparsable binary: ") + e.what());
+  }
+  return verdict;
+}
+
+}  // namespace
+
 StageResult PerBinaryStage::run(AnalysisContext& ctx) const {
   if (!ctx.run.has_value()) return StageAction::kContinue;
   auto& run = *ctx.run;
+  // DyDroid::analyze installs the app's fault session before any stage runs.
+  const bool use_memo = support::current_fault_session() == nullptr;
   for (auto& binary : run.binaries) {
     BinaryReport br;
     br.origin_url = run.tracker.origin_url(binary.path);
-    if (ctx.options->detector != nullptr) {
-      br.malware = ctx.options->detector->scan(binary.bytes);
+    const VerdictKey key{ctx.options->detector, binary.kind, binary.bytes};
+    std::optional<BinaryVerdict> verdict;
+    if (use_memo) verdict = verdicts_.find(key);
+    if (!verdict.has_value()) {
+      verdict = judge(key);
+      if (use_memo) verdicts_.insert(key, *verdict);
     }
-    if (binary.kind == CodeKind::Dex) {
-      try {
-        if (dex::looks_like_dex(binary.bytes)) {
-          br.privacy =
-              privacy::analyze_privacy(dex::DexFile::deserialize(binary.bytes));
-        } else if (apk::looks_like_apk(binary.bytes)) {
-          const auto pkg = apk::ApkFile::deserialize(binary.bytes);
-          if (auto inner = pkg.read_classes_dex()) {
-            br.privacy = privacy::analyze_privacy(*inner);
-          }
-        }
-      } catch (const support::ParseError& e) {
-        support::log_warn("pipeline",
-                          std::string("privacy: unparsable binary: ") +
-                              e.what());
-      }
-    }
+    br.malware = std::move(verdict->malware);
+    br.privacy = std::move(verdict->privacy);
     br.binary = std::move(binary);
     ctx.report.binaries.push_back(std::move(br));
   }

@@ -20,14 +20,17 @@
 #include "apk/apk.hpp"
 #include "core/engine.hpp"
 #include "core/pipeline.hpp"
+#include "core/verdict_memo.hpp"
 #include "support/blob.hpp"
 #include "support/error.hpp"
 
 namespace dydroid::core {
 
 /// Everything one in-flight app analysis owns. The stages only read the
-/// shared PipelineOptions; all mutable state lives here, which is what makes
-/// `DyDroid::analyze` const-callable and safe to run from many threads.
+/// shared PipelineOptions; per-app mutable state lives here, and the one
+/// table shared across apps (PerBinaryStage's verdict memo) locks itself,
+/// which is what makes `DyDroid::analyze` const-callable and safe to run
+/// from many threads.
 struct AnalysisContext {
   // Inputs (fixed for the lifetime of the analysis).
   support::Blob apk;  // the subject APK's serialized bytes (refcounted view)
@@ -105,11 +108,18 @@ class DynamicStage final : public Stage {
 };
 
 /// Per intercepted binary: remote provenance, malware scan, privacy
-/// analysis of loaded DEX code (paper §V-D/E/F).
+/// analysis of loaded DEX code (paper §V-D/E/F). Each payload's malware and
+/// privacy verdicts are judged once per stage instance and then taken from
+/// its memo, except while a support::FaultSession is installed: a verdict
+/// then depends on the injected failures, so the memo is neither read nor
+/// written.
 class PerBinaryStage final : public Stage {
  public:
   [[nodiscard]] std::string_view name() const override { return "per-binary"; }
   [[nodiscard]] StageResult run(AnalysisContext& ctx) const override;
+
+ private:
+  mutable VerdictMemo verdicts_;  // locks itself; see core/verdict_memo.hpp
 };
 
 /// Code-injection vulnerability analysis over the observed events (§V-G).

@@ -187,22 +187,25 @@ std::optional<std::string> DexFile::validate() const {
       const auto ncode = static_cast<std::int32_t>(m.code.size());
       for (std::size_t pc = 0; pc < m.code.size(); ++pc) {
         const auto& ins = m.code[pc];
-        const auto where = c.name + "." + m.name + "@" + std::to_string(pc);
+        // The location is spelled out only for the error being returned.
+        const auto where = [&] {
+          return c.name + "." + m.name + "@" + std::to_string(pc);
+        };
         auto reg_ok = [&](std::uint16_t reg) { return reg < m.num_registers; };
         if (!reg_ok(ins.a) || !reg_ok(ins.b) || !reg_ok(ins.c)) {
-          return where + ": register out of range";
+          return where() + ": register out of range";
         }
         if (ins.has_target() && (ins.target < 0 || ins.target >= ncode)) {
-          return where + ": branch target out of range";
+          return where() + ": branch target out of range";
         }
         const bool uses_cls = ins.op == Op::NewInstance || ins.is_invoke() ||
                               ins.op == Op::SGet || ins.op == Op::SPut;
         const bool uses_name = uses_cls || ins.op == Op::ConstStr ||
                                ins.op == Op::IGet || ins.op == Op::IPut;
-        if (uses_cls && ins.cls >= nstr) return where + ": class index bad";
-        if (uses_name && ins.name >= nstr) return where + ": name index bad";
+        if (uses_cls && ins.cls >= nstr) return where() + ": class index bad";
+        if (uses_name && ins.name >= nstr) return where() + ": name index bad";
         for (std::uint8_t i = 0; i < ins.argc; ++i) {
-          if (!reg_ok(ins.args[i])) return where + ": arg register bad";
+          if (!reg_ok(ins.args[i])) return where() + ": arg register bad";
         }
       }
     }

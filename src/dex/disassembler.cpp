@@ -19,27 +19,27 @@ support::Bytes encode_debug_info(const std::vector<DebugLine>& lines) {
   return w.take();
 }
 
-std::vector<DebugLine> parse_debug_info(std::span<const std::uint8_t> data) {
-  support::ByteReader r(data);
-  const auto n = r.u32();
-  std::vector<DebugLine> out;
-  out.reserve(n);
-  std::int64_t last_pc = -1;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    DebugLine l;
-    l.pc = r.u32();
-    l.line = r.u32();
-    if (static_cast<std::int64_t>(l.pc) <= last_pc) {
-      throw ParseError("debug_info: pcs not strictly increasing at entry " +
-                       std::to_string(i));
+void check_debug_info(const DexFile& dex) {
+  for (const auto& extra : dex.extras()) {
+    if (extra.name != kDebugInfoSection) continue;
+    // Entries are read one by one, never sized from the declared count: a
+    // count larger than the section holds fails as truncation.
+    support::ByteReader r(extra.data);
+    const auto n = r.u32();
+    std::int64_t last_pc = -1;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto pc = r.u32();
+      (void)r.u32();  // line
+      if (static_cast<std::int64_t>(pc) <= last_pc) {
+        throw ParseError("debug_info: pcs not strictly increasing at entry " +
+                         std::to_string(i));
+      }
+      last_pc = pc;
     }
-    last_pc = l.pc;
-    out.push_back(l);
+    if (!r.at_end()) {
+      throw ParseError("debug_info: trailing bytes");
+    }
   }
-  if (!r.at_end()) {
-    throw ParseError("debug_info: trailing bytes");
-  }
-  return out;
 }
 
 namespace {
@@ -123,13 +123,9 @@ void disassemble_instruction(std::ostringstream& out, const DexFile& dex,
 }  // namespace
 
 std::string disassemble(const DexFile& dex) {
-  // Parse known extra sections first; this is the strictness the
+  // Check known extra sections first; this is the strictness the
   // anti-decompilation poisoner exploits.
-  for (const auto& extra : dex.extras()) {
-    if (extra.name == kDebugInfoSection) {
-      (void)parse_debug_info(extra.data);
-    }
-  }
+  check_debug_info(dex);
   if (auto err = dex.validate()) {
     throw ParseError("disassemble: " + *err);
   }

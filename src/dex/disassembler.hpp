@@ -23,15 +23,17 @@ struct DebugLine {
 /// debug_info section is malformed (anti-decompilation).
 std::string disassemble(const DexFile& dex);
 
+/// The disassembler's debug_info strictness without the text: walks every
+/// debug_info extra and builds nothing. Throws support::ParseError if entries
+/// are truncated, pcs are not strictly increasing or bytes trail the entries
+/// (anti-decompilation poison).
+void check_debug_info(const DexFile& dex);
+
 /// Name of the debug-info extra section.
 inline constexpr std::string_view kDebugInfoSection = "debug_info";
 
 /// Encode a debug_info section body (pairs of u32 pc, u32 line; pcs must be
 /// strictly increasing and in range for the method count check).
 support::Bytes encode_debug_info(const std::vector<DebugLine>& lines);
-
-/// Parse a debug_info section; throws support::ParseError if entries are
-/// truncated or pcs are not strictly increasing.
-std::vector<DebugLine> parse_debug_info(std::span<const std::uint8_t> data);
 
 }  // namespace dydroid::dex

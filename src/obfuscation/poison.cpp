@@ -12,13 +12,10 @@ void poison_anti_decompilation(dex::DexFile& dex) {
 }
 
 bool has_anti_decompilation_poison(const dex::DexFile& dex) {
-  for (const auto& extra : dex.extras()) {
-    if (extra.name != dex::kDebugInfoSection) continue;
-    try {
-      (void)dex::parse_debug_info(extra.data);
-    } catch (const support::ParseError&) {
-      return true;
-    }
+  try {
+    dex::check_debug_info(dex);
+  } catch (const support::ParseError&) {
+    return true;
   }
   return false;
 }

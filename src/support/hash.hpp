@@ -7,7 +7,10 @@
 //                      2^32 binaries expects a collision) and collisions
 //                      are craftable, so NOTHING that decides identity —
 //                      cache keys, dedup tables, signatures-as-identity —
-//                      may bottom out here.
+//                      may bottom out here. The per-binary verdict memo
+//                      (core/verdict_memo.hpp) is a bucketing-only use: it
+//                      buckets payloads by FNV-1a, and identity is decided
+//                      by comparing the bytes themselves.
 //   * SHA-256        — content identity. The result cache and the
 //                      unique-binary dedup table (docs/CACHE.md) key on it,
 //                      the way the paper dedups 58,739 apps' payloads by

@@ -35,7 +35,7 @@ TEST(Decompiler, ProducesIr) {
   const auto& ir = result.value();
   EXPECT_EQ(ir.manifest.package, "com.sample.app");
   ASSERT_NE(ir.classes_dex, nullptr);
-  EXPECT_NE(ir.smali.find(".class com.sample.app.Main"), std::string::npos);
+  EXPECT_NE(ir.classes_dex->find_class("com.sample.app.Main"), nullptr);
   EXPECT_EQ(ir.entries.size(), 3u);
 }
 
@@ -60,7 +60,6 @@ TEST(Decompiler, ToleratesMissingDex) {
   const auto result = decompile(apk.serialize());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().classes_dex, nullptr);
-  EXPECT_TRUE(result.value().smali.empty());
 }
 
 TEST(Decompiler, LocalBytecodeStoreDetection) {

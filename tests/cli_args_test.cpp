@@ -14,6 +14,8 @@
 #include <fstream>
 #include <string>
 
+#include "support/hash.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
 #include <unistd.h>
@@ -346,6 +348,22 @@ TEST(CliArgs, AnalyzeThroughTheCorpusRunnerPrintsThePlainReport) {
   std::remove(app.c_str());
   std::remove(journal.c_str());
   std::filesystem::remove_all(cache);
+}
+
+TEST(CliArgs, DisasmListingMatchesItsPinnedDigest) {
+  REQUIRE_CLI();
+  // `dydroid disasm` is the one reader of the smali-like text: its listing
+  // plus manifest for this generated app is pinned by SHA-256.
+  const std::string app = testing::TempDir() + "/cli_disasm_" +
+                          std::to_string(::getpid()) + ".sapk";
+  const auto gen = run_cli("gen " + app + " --own-dex --native --seed 7");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const auto disasm = run_cli("disasm " + app);
+  EXPECT_EQ(disasm.exit_code, 0) << disasm.output;
+  EXPECT_EQ(dydroid::support::sha256(disasm.output).hex(),
+            "55ba9378ed62f42c499ba356f012fbe79468fc6592af94123bdaa72295416ce4")
+      << disasm.output;
+  std::remove(app.c_str());
 }
 
 // --- process isolation flags (docs/ISOLATION.md) ---------------------------

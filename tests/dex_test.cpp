@@ -209,6 +209,7 @@ TEST(Disassembler, ValidDebugInfoAccepted) {
   dex.add_extra(ExtraSection{
       std::string(kDebugInfoSection),
       encode_debug_info({{0, 10}, {1, 11}, {3, 12}})});
+  EXPECT_NO_THROW(check_debug_info(dex));
   EXPECT_NO_THROW((void)disassemble(dex));
 }
 
@@ -218,6 +219,7 @@ TEST(Disassembler, MalformedDebugInfoThrows) {
   // the section) keeps running — the anti-decompilation asymmetry.
   dex.add_extra(ExtraSection{std::string(kDebugInfoSection),
                              encode_debug_info({{5, 1}, {5, 2}})});
+  EXPECT_THROW(check_debug_info(dex), ParseError);
   EXPECT_THROW((void)disassemble(dex), ParseError);
 }
 
@@ -226,6 +228,18 @@ TEST(Disassembler, TruncatedDebugInfoThrows) {
   support::ByteWriter w;
   w.u32(3);  // declares 3 entries, provides none
   dex.add_extra(ExtraSection{std::string(kDebugInfoSection), w.take()});
+  EXPECT_THROW(check_debug_info(dex), ParseError);
+  EXPECT_THROW((void)disassemble(dex), ParseError);
+}
+
+TEST(Disassembler, LyingDebugInfoCountThrowsParseError) {
+  // A count of 0xFFFFFFFF with no entries must fail as a truncated section,
+  // never drive a ~32 GiB reservation into std::bad_alloc.
+  auto dex = make_simple();
+  support::ByteWriter w;
+  w.u32(0xFFFFFFFFu);
+  dex.add_extra(ExtraSection{std::string(kDebugInfoSection), w.take()});
+  EXPECT_THROW(check_debug_info(dex), ParseError);
   EXPECT_THROW((void)disassemble(dex), ParseError);
 }
 

@@ -10,6 +10,7 @@
 #include "appgen/generator.hpp"
 #include "core/pipeline.hpp"
 #include "core/stages.hpp"
+#include "dex/disassembler.hpp"
 #include "support/fault.hpp"
 #include "support/log.hpp"
 
@@ -115,6 +116,26 @@ TEST_F(StageStatusTest, NativeLoadFaultCrashesNativeLoaders) {
   ASSERT_TRUE(plan.ok());
   const auto report = analyze(app, &plan.value());
   EXPECT_EQ(report.status, DynamicStatus::kCrash);
+}
+
+TEST_F(StageStatusTest, LyingDebugInfoCountFailsDecompilation) {
+  // A debug_info section that declares 0xFFFFFFFF entries and holds none is
+  // anti-decompilation poison: the app is "failed reverse engineering",
+  // not a crash.
+  const auto app = make_app(/*write_permission=*/true, /*native=*/false);
+  auto apk = apk::ApkFile::deserialize(app.apk);
+  auto classes = *apk.read_classes_dex();
+  support::ByteWriter lying;
+  lying.u32(0xFFFFFFFFu);
+  classes.add_extra(dex::ExtraSection{std::string(dex::kDebugInfoSection),
+                                      lying.take()});
+  apk.write_classes_dex(classes);
+  const core::DyDroid pipeline;
+  const auto report = pipeline.analyze(apk.serialize(), 0x1234);
+  EXPECT_TRUE(report.decompile_failed);
+  EXPECT_EQ(report.status, DynamicStatus::kNotRun)
+      << core::dynamic_status_name(report.status);
+  EXPECT_TRUE(report.crash_message.empty()) << report.crash_message;
 }
 
 // ---- spec'd pathologies (Table II failure rows) -----------------------------

@@ -73,6 +73,7 @@
 #include "core/pipeline.hpp"
 #include "core/report_json.hpp"
 #include "core/unpacker.hpp"
+#include "dex/disassembler.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/fault_matrix.hpp"
 #include "driver/shard_merge.hpp"
@@ -555,7 +556,10 @@ int cmd_disasm(const Args& args) {
                  ir.error().c_str());
     return 1;
   }
-  std::printf("%s\n-- manifest --\n%s", ir.value().smali.c_str(),
+  const auto& classes_dex = ir.value().classes_dex;
+  const std::string smali =
+      classes_dex == nullptr ? std::string() : dex::disassemble(*classes_dex);
+  std::printf("%s\n-- manifest --\n%s", smali.c_str(),
               ir.value().manifest.to_text().c_str());
   return 0;
 }
