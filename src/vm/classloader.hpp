@@ -95,7 +95,7 @@ class LoaderState {
   }
 
   /// Cache of classes this loader has defined.
-  [[nodiscard]] RuntimeClass* cached(const std::string& name) const {
+  [[nodiscard]] RuntimeClass* cached(std::string_view name) const {
     const auto it = defined_.find(name);
     return it == defined_.end() ? nullptr : it->second.get();
   }
@@ -109,7 +109,7 @@ class LoaderState {
   LoaderType type_;
   LoaderState* parent_;
   std::vector<std::shared_ptr<const dex::DexFile>> dexfiles_;
-  std::map<std::string, std::unique_ptr<RuntimeClass>> defined_;
+  std::map<std::string, std::unique_ptr<RuntimeClass>, std::less<>> defined_;
 };
 
 }  // namespace dydroid::vm

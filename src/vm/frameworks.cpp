@@ -109,6 +109,9 @@ Bytes& buffer_bytes(Vm& vm, const Value& v) {
   return state->data;
 }
 
+/// close(), connect() and the lifecycle methods app components inherit.
+Value noop(Vm&, const std::vector<Value>&) { return Value(); }
+
 LoaderState* loader_of(Vm& vm, const Value& v) {
   if (v.is_obj() && v.as_obj() != nullptr) {
     if (const auto* h =
@@ -119,17 +122,22 @@ LoaderState* loader_of(Vm& vm, const Value& v) {
   throw vm.make_exception("IllegalArgumentException: not a class loader");
 }
 
-/// Recursively read one chunk from a (possibly wrapped) input stream.
-Value stream_read(Vm& vm, const ObjRef& stream) {
+/// Recursively read one chunk from a (possibly wrapped) input stream. The
+/// wrapper chain is bounded like the call stack, so a stream that wraps
+/// itself, directly or through a cycle, raises instead of recursing forever.
+Value stream_read(Vm& vm, const ObjRef& stream, int depth = 0) {
   auto* state = std::any_cast<InputStreamState>(&stream->native_state());
   if (state == nullptr) {
     throw vm.make_exception("IOException: not an input stream");
   }
   if (state->inner != nullptr) {
+    if (depth >= vm.limits().max_call_depth) {
+      throw vm.make_exception("StackOverflowError: input stream wrapper chain");
+    }
     // Wrapper: pull a chunk from the wrapped stream; flows Inner->Wrapper
     // were emitted at construction, Wrapper->Buffer is emitted below by the
     // caller on our own node.
-    auto chunk = stream_read(vm, state->inner);
+    auto chunk = stream_read(vm, state->inner, depth + 1);
     if (chunk.is_null()) return chunk;
     vm.emit_flow(obj_node(FlowNodeKind::InputStream, state->inner),
                  obj_node(FlowNodeKind::InputStream, stream));
@@ -460,10 +468,7 @@ void install_files(FrameworkTable& fw) {
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return stream_read(v, arg(v, args, 0).as_obj());
       });
-  fw.add_intrinsic("java.io.InputStream", "close",
-                   [](Vm&, const std::vector<Value>&) -> Value {
-                     return Value();
-                   });
+  fw.add_intrinsic("java.io.InputStream", "close", noop);
 
   // Output streams.
   fw.add_class("java.io.OutputStream");
@@ -502,10 +507,7 @@ void install_files(FrameworkTable& fw) {
         }
         return Value();
       });
-  fw.add_intrinsic("java.io.OutputStream", "close",
-                   [](Vm&, const std::vector<Value>&) -> Value {
-                     return Value();
-                   });
+  fw.add_intrinsic("java.io.OutputStream", "close", noop);
 }
 
 void install_network(FrameworkTable& fw) {
@@ -576,10 +578,7 @@ void install_network(FrameworkTable& fw) {
             OutputStreamState{"", true, url_of_connection(v, conn), {}};
         return Value(stream);
       });
-  fw.add_intrinsic("java.net.URLConnection", "connect",
-                   [](Vm&, const std::vector<Value>&) -> Value {
-                     return Value();
-                   });
+  fw.add_intrinsic("java.net.URLConnection", "connect", noop);
   fw.add_intrinsic(
       "java.net.HttpURLConnection", "getResponseCode",
       [](Vm& v, const std::vector<Value>& args) -> Value {
@@ -764,19 +763,10 @@ void install_sinks_and_services(FrameworkTable& fw) {
   // Lifecycle no-ops inherited by app components.
   for (const auto* method : {"<init>", "setContentView", "onCreate",
                              "finish"}) {
-    fw.add_intrinsic("android.app.Activity", method,
-                     [](Vm&, const std::vector<Value>&) -> Value {
-                       return Value();
-                     });
+    fw.add_intrinsic("android.app.Activity", method, noop);
   }
-  fw.add_intrinsic("android.app.Application", "<init>",
-                   [](Vm&, const std::vector<Value>&) -> Value {
-                     return Value();
-                   });
-  fw.add_intrinsic("android.app.Service", "<init>",
-                   [](Vm&, const std::vector<Value>&) -> Value {
-                     return Value();
-                   });
+  fw.add_intrinsic("android.app.Application", "<init>", noop);
+  fw.add_intrinsic("android.app.Service", "<init>", noop);
 
   // Assets: open an entry from the installed APK.
   fw.add_intrinsic(
@@ -901,31 +891,32 @@ FrameworkTable build_framework() {
 }  // namespace
 
 void FrameworkTable::add_class(std::string_view name, std::string_view super) {
-  auto& entry = supers_[std::string(name)];
-  if (!super.empty()) entry = std::string(super);
+  auto& entry = classes_[std::string(name)];
+  if (!super.empty()) entry.super = std::string(super);
 }
 
 void FrameworkTable::add_intrinsic(std::string_view cls,
                                    std::string_view method, Intrinsic fn) {
-  intrinsics_[std::string(cls) + "." + std::string(method)] = std::move(fn);
-  add_class(cls);
+  classes_[std::string(cls)].methods[std::string(method)] = std::move(fn);
 }
 
-const Intrinsic* FrameworkTable::find(const std::string& cls,
-                                      const std::string& method) const {
-  std::string current = cls;
+const Intrinsic* FrameworkTable::find(std::string_view cls,
+                                      std::string_view method) const {
   for (int hop = 0; hop < 16; ++hop) {
-    const auto it = intrinsics_.find(current + "." + method);
-    if (it != intrinsics_.end()) return &it->second;
-    const auto sup = supers_.find(current);
-    if (sup == supers_.end() || sup->second.empty()) break;
-    current = sup->second;
+    const auto it = classes_.find(cls);
+    if (it == classes_.end()) break;
+    const auto& entry = it->second;
+    if (const auto m = entry.methods.find(method); m != entry.methods.end()) {
+      return &m->second;
+    }
+    if (entry.super.empty()) break;
+    cls = entry.super;
   }
   return nullptr;
 }
 
 bool FrameworkTable::has_class(std::string_view name) const {
-  return supers_.contains(name) || is_framework_class(name);
+  return classes_.contains(name) || is_framework_class(name);
 }
 
 const FrameworkTable kFramework = build_framework();

@@ -36,16 +36,19 @@ class FrameworkTable {
 
   /// The intrinsic for cls.method, walking the framework class hierarchy
   /// (e.g. HttpURLConnection -> URLConnection for getInputStream); null when
-  /// none serves it.
-  [[nodiscard]] const Intrinsic* find(const std::string& cls,
-                                      const std::string& method) const;
+  /// none serves it. Looks up by view: builds no key.
+  [[nodiscard]] const Intrinsic* find(std::string_view cls,
+                                      std::string_view method) const;
   /// True for a class the boot loader serves: declared here, or in a
   /// framework package (is_framework_class).
   [[nodiscard]] bool has_class(std::string_view name) const;
 
  private:
-  std::map<std::string, Intrinsic, std::less<>> intrinsics_;  // "cls.method"
-  std::map<std::string, std::string, std::less<>> supers_;    // class -> super
+  struct Class {
+    std::string super;  // empty at a hierarchy root
+    std::map<std::string, Intrinsic, std::less<>> methods;
+  };
+  std::map<std::string, Class, std::less<>> classes_;
 };
 
 /// The framework every Vm runs on. Built during static initialization,

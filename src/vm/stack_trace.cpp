@@ -6,11 +6,11 @@ namespace dydroid::vm {
 
 bool is_framework_class(std::string_view class_name) {
   using support::package_has_prefix;
-  const auto pkg = std::string(class_name);
-  return package_has_prefix(pkg, "java") || package_has_prefix(pkg, "javax") ||
-         package_has_prefix(pkg, "dalvik") ||
-         package_has_prefix(pkg, "android") || class_name == "libc" ||
-         package_has_prefix(pkg, "com.android.internal");
+  return package_has_prefix(class_name, "java") ||
+         package_has_prefix(class_name, "javax") ||
+         package_has_prefix(class_name, "dalvik") ||
+         package_has_prefix(class_name, "android") || class_name == "libc" ||
+         package_has_prefix(class_name, "com.android.internal");
 }
 
 std::string format_stack_trace(const StackTrace& trace) {

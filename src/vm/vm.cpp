@@ -3,7 +3,7 @@
 #include "apk/apk.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
-#include "vm/frameworks.hpp"
+#include "support/trace.hpp"
 
 namespace dydroid::vm {
 
@@ -17,7 +17,20 @@ std::string basename_no_ext(std::string_view path) {
   return std::string(base);
 }
 
+// Java long arithmetic wraps in two's complement, where C++ signed overflow
+// is undefined: compute in uint64_t and convert back.
+std::uint64_t bits(const Value& v) {
+  return static_cast<std::uint64_t>(v.as_int());
+}
+std::int64_t wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+
 }  // namespace
+
+VmException::VmException(const std::string& what, StackTrace trace,
+                         bool budget)
+    : std::runtime_error(what), trace_(std::move(trace)), budget_(budget) {
+  support::count("vm.exceptions");
+}
 
 Vm::Vm(os::Device& device, AppContext app, VmLimits limits)
     : device_(&device), app_(std::move(app)), limits_(limits) {
@@ -47,7 +60,8 @@ StackTrace Vm::current_stack_trace() const {
   StackTrace trace;
   trace.reserve(frames_.size());
   for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-    trace.push_back(StackTraceElement{it->class_name, it->method_name});
+    trace.push_back(StackTraceElement{std::string(it->class_name),
+                                      std::string(it->method_name)});
   }
   return trace;
 }
@@ -60,11 +74,7 @@ LoaderState* Vm::current_loader() const {
 }
 
 Value Vm::call_intrinsic(const std::string& cls, const std::string& method,
-                         std::vector<Value> args) {
-  const auto* fn = kFramework.find(cls, method);
-  if (fn == nullptr) {
-    throw make_exception("NoSuchMethodError: " + cls + "." + method);
-  }
+                         const Intrinsic& fn, std::vector<Value> args) {
   frames_.push_back(Frame{nullptr, cls, method});
   if (hooks_.on_api_call) hooks_.on_api_call(cls, method);
   if (hooks_.on_intrinsic_call) hooks_.on_intrinsic_call(cls, method, args);
@@ -77,40 +87,35 @@ Value Vm::call_intrinsic(const std::string& cls, const std::string& method,
   std::uint32_t taint = 0;
   for (const auto& a : args) taint |= a.taint();
   if (hooks_.taint_source) taint |= hooks_.taint_source(cls, method, args);
-  auto result = (*fn)(*this, args);
+  auto result = fn(*this, args);
   result.add_taint(taint);
   return result;
 }
 
 RuntimeClass* Vm::load_class(LoaderState* loader, std::string_view name) {
+  if (auto* rc = find_class(loader, name)) return rc;
+  throw make_exception("ClassNotFoundException: " + std::string(name));
+}
+
+RuntimeClass* Vm::find_class(LoaderState* loader, std::string_view name) {
   if (loader == nullptr) loader = current_loader();
-  if (auto* cached = loader->cached(std::string(name))) return cached;
-  // Parent-first delegation.
+  if (auto* cached = loader->cached(name)) return cached;
+  // Parent-first delegation, walked as ART's class linker walks the loader
+  // chain: a miss at any level is a null, never an exception.
   if (loader->parent() != nullptr) {
-    // Recurse through parents without throwing.
-    RuntimeClass* from_parent = nullptr;
-    try {
-      from_parent = load_class(loader->parent(), name);
-    } catch (const VmException&) {
-      from_parent = nullptr;
+    if (auto* from_parent = find_class(loader->parent(), name)) {
+      return from_parent;
     }
-    if (from_parent != nullptr) return from_parent;
   }
   if (loader->type() == LoaderType::Boot) {
-    if (kFramework.has_class(name)) {
-      auto rt = std::make_unique<RuntimeClass>(std::string(name), nullptr,
-                                               nullptr, loader);
-      return loader->define(std::move(rt));
-    }
-    throw make_exception("ClassNotFoundException: " + std::string(name));
+    if (!kFramework.has_class(name)) return nullptr;
+    return loader->define(std::make_unique<RuntimeClass>(
+        std::string(name), nullptr, nullptr, loader));
   }
   const auto found = loader->find_local(name);
-  if (found.def == nullptr) {
-    throw make_exception("ClassNotFoundException: " + std::string(name));
-  }
-  auto rt = std::make_unique<RuntimeClass>(std::string(name), found.dex,
-                                           found.def, loader);
-  return loader->define(std::move(rt));
+  if (found.def == nullptr) return nullptr;
+  return loader->define(std::make_unique<RuntimeClass>(
+      std::string(name), found.dex, found.def, loader));
 }
 
 RuntimeClass* Vm::resolve_app_method(RuntimeClass* start,
@@ -125,35 +130,26 @@ RuntimeClass* Vm::resolve_app_method(RuntimeClass* start,
     }
     const auto& super = rc->super_name();
     if (super.empty()) break;
-    try {
-      rc = load_class(rc->loader(), super);
-    } catch (const VmException&) {
-      break;
-    }
+    rc = find_class(rc->loader(), super);
   }
   *out = nullptr;
   return nullptr;
 }
 
 ObjRef Vm::instantiate(std::string_view class_name) {
-  RuntimeClass* rc = nullptr;
-  try {
-    rc = load_class(app_loader_, class_name);
-  } catch (const VmException&) {
-    // Packed apps (DEX encryption) declare components that only exist in a
-    // runtime-created loader: packers swizzle the component class loader, so
-    // component resolution falls through to loaders the app created.
-    for (const auto& loader : loaders_) {
-      if (loader->type() != LoaderType::RuntimeDex &&
-          loader->type() != LoaderType::RuntimePath) {
-        continue;
-      }
-      if (loader->find_local(class_name).def != nullptr) {
-        rc = load_class(loader.get(), class_name);
-        break;
-      }
+  RuntimeClass* rc = find_class(app_loader_, class_name);
+  // Packed apps (DEX encryption) declare components that only exist in a
+  // runtime-created loader: packers swizzle the component class loader, so
+  // component resolution falls through to loaders the app created.
+  for (const auto& loader : loaders_) {
+    if (rc != nullptr) break;
+    if (loader->type() == LoaderType::RuntimeDex ||
+        loader->type() == LoaderType::RuntimePath) {
+      rc = find_class(loader.get(), class_name);
     }
-    if (rc == nullptr) throw;
+  }
+  if (rc == nullptr) {
+    throw make_exception("ClassNotFoundException: " + std::string(class_name));
   }
   auto obj = make_object(class_name, rc);
   const dex::Method* init = nullptr;
@@ -217,7 +213,8 @@ Value Vm::invoke(RuntimeClass* cls, const dex::Method& method,
 Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
                        std::vector<Value> args) {
   if (static_cast<int>(frames_.size()) >= limits_.max_call_depth) {
-    throw make_exception("StackOverflowError");
+    throw VmException("StackOverflowError", current_stack_trace(),
+                      /*budget=*/true);
   }
   frames_.push_back(Frame{cls, cls->name(), method.name});
   struct Pop {
@@ -239,7 +236,8 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
   std::size_t pc = 0;
   while (pc < method.code.size()) {
     if (++steps_ > limits_.max_steps_per_entry) {
-      throw make_exception("ANR: step budget exhausted");
+      throw VmException("ANR: step budget exhausted", current_stack_trace(),
+                        /*budget=*/true);
     }
     const auto& ins = method.code[pc];
     using dex::Op;
@@ -270,24 +268,27 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
         Value out;
         switch (ins.op) {
           case Op::Add:
-            out = Value(regs[ins.b].as_int() + regs[ins.c].as_int());
+            out = Value(wrap(bits(regs[ins.b]) + bits(regs[ins.c])));
             break;
           case Op::Sub:
-            out = Value(regs[ins.b].as_int() - regs[ins.c].as_int());
+            out = Value(wrap(bits(regs[ins.b]) - bits(regs[ins.c])));
             break;
           case Op::Mul:
-            out = Value(regs[ins.b].as_int() * regs[ins.c].as_int());
+            out = Value(wrap(bits(regs[ins.b]) * bits(regs[ins.c])));
             break;
           case Op::Div: {
             const auto d = regs[ins.c].as_int();
             if (d == 0) throw make_exception("ArithmeticException: / by zero");
-            out = Value(regs[ins.b].as_int() / d);
+            // Java wraps MIN / -1 back to MIN, where C++ traps.
+            out = Value(d == -1 ? wrap(0 - bits(regs[ins.b]))
+                                : regs[ins.b].as_int() / d);
             break;
           }
           case Op::Rem: {
             const auto d = regs[ins.c].as_int();
             if (d == 0) throw make_exception("ArithmeticException: % by zero");
-            out = Value(regs[ins.b].as_int() % d);
+            // x % -1 is 0, as x % 1 is, but MIN % -1 traps in C++.
+            out = Value(regs[ins.b].as_int() % (d == -1 ? 1 : d));
             break;
           }
           case Op::Concat:
@@ -321,18 +322,15 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
         pc = static_cast<std::size_t>(ins.target);
         continue;
       case Op::NewInstance: {
+        // Every loader chain ends at the boot loader, so a null here means
+        // neither the app nor the framework has the class.
         const auto& name = dexf.string_at(ins.cls);
-        RuntimeClass* rt = nullptr;
-        try {
-          rt = load_class(cls->loader(), name);
-        } catch (const VmException&) {
-          rt = nullptr;
-        }
-        if (rt != nullptr && rt->is_framework()) rt = nullptr;
-        if (rt == nullptr && !kFramework.has_class(name)) {
+        auto* rt = find_class(cls->loader(), name);
+        if (rt == nullptr) {
           throw make_exception("ClassNotFoundException: " + name);
         }
-        regs[ins.a] = Value(make_object(name, rt));
+        regs[ins.a] =
+            Value(make_object(name, rt->is_framework() ? nullptr : rt));
         break;
       }
       case Op::InvokeStatic:
@@ -381,14 +379,10 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
     } catch (const VmException& e) {
       // Budget violations are fatal by design: apps must not be able to
       // catch their way around the ANR/recursion guards.
-      const std::string what = e.what();
-      if (handlers.empty() || what.rfind("ANR", 0) == 0 ||
-          what.rfind("StackOverflowError", 0) == 0) {
-        throw;
-      }
+      if (handlers.empty() || e.budget()) throw;
       const auto [reg, handler_pc] = handlers.back();
       handlers.pop_back();
-      regs[reg] = Value(what);
+      regs[reg] = Value(e.what());
       pc = static_cast<std::size_t>(handler_pc);
       continue;
     }
@@ -406,6 +400,10 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
   args.reserve(ins.argc);
   for (std::uint8_t i = 0; i < ins.argc; ++i) args.push_back(regs[ins.args[i]]);
 
+  // The framework class whose intrinsic serves the call, and the intrinsic;
+  // the declared class unless virtual dispatch finds a closer one.
+  const std::string* owner = &cls_name;
+  const Intrinsic* fn = nullptr;
   if (ins.op == dex::Op::InvokeVirtual) {
     if (args.empty() || !args[0].is_obj() || args[0].as_obj() == nullptr) {
       throw make_exception("NullPointerException: invoke-virtual on null (" +
@@ -414,54 +412,45 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
     const auto& receiver = args[0].as_obj();
     if (auto* start = receiver->rt_class()) {
       const dex::Method* m = nullptr;
-      if (auto* owner = resolve_app_method(start, method_name, &m)) {
-        return invoke(owner, *m, std::move(args));
+      if (auto* app_owner = resolve_app_method(start, method_name, &m)) {
+        return invoke(app_owner, *m, std::move(args));
       }
     }
     // Framework object, or app class inheriting a framework method:
     // dispatch by the receiver's dynamic class first, then superclass walk,
     // then by the declared class.
-    if (kFramework.find(receiver->class_name(), method_name) != nullptr) {
-      return call_intrinsic(receiver->class_name(), method_name,
-                            std::move(args));
-    }
-    if (auto* start = receiver->rt_class()) {
+    fn = kFramework.find(receiver->class_name(), method_name);
+    if (fn != nullptr) {
+      owner = &receiver->class_name();
+    } else if (auto* rc = receiver->rt_class()) {
       // Walk to the nearest framework superclass name for intrinsic lookup.
-      RuntimeClass* rc = start;
-      int hops = 0;
-      while (rc != nullptr && !rc->is_framework() && hops++ < 32) {
+      for (int hops = 0; rc != nullptr && !rc->is_framework() && hops < 32;
+           ++hops) {
         const auto& super = rc->super_name();
         if (super.empty()) break;
-        if (kFramework.find(super, method_name) != nullptr) {
-          return call_intrinsic(super, method_name, std::move(args));
-        }
-        RuntimeClass* next = nullptr;
-        try {
-          next = load_class(rc->loader(), super);
-        } catch (const VmException&) {
+        fn = kFramework.find(super, method_name);
+        if (fn != nullptr) {
+          owner = &super;
           break;
         }
-        if (next->is_framework()) break;
-        rc = next;
+        rc = find_class(rc->loader(), super);
       }
     }
-    return call_intrinsic(cls_name, method_name, std::move(args));
-  }
-
-  // InvokeStatic: app classes first (through the caller's loader), then
-  // framework intrinsics.
-  RuntimeClass* rt = nullptr;
-  try {
-    rt = load_class(caller_cls->loader(), cls_name);
-  } catch (const VmException&) {
-    rt = nullptr;
-  }
-  if (rt != nullptr && !rt->is_framework()) {
-    if (const auto* m = rt->def()->find_method(method_name)) {
-      return invoke(rt, *m, std::move(args));
+  } else {
+    // InvokeStatic: app classes first (through the caller's loader), then
+    // framework intrinsics.
+    auto* rt = find_class(caller_cls->loader(), cls_name);
+    if (rt != nullptr && !rt->is_framework()) {
+      if (const auto* m = rt->def()->find_method(method_name)) {
+        return invoke(rt, *m, std::move(args));
+      }
     }
   }
-  return call_intrinsic(cls_name, method_name, std::move(args));
+  if (fn == nullptr) fn = kFramework.find(cls_name, method_name);
+  if (fn == nullptr) {
+    throw make_exception("NoSuchMethodError: " + cls_name + "." + method_name);
+  }
+  return call_intrinsic(*owner, method_name, *fn, std::move(args));
 }
 
 LoaderState* Vm::create_runtime_loader(LoaderKind kind,

@@ -17,21 +17,27 @@
 #include "nativebin/native_library.hpp"
 #include "os/device.hpp"
 #include "vm/classloader.hpp"
+#include "vm/frameworks.hpp"
 #include "vm/instrumentation.hpp"
 #include "vm/value.hpp"
 
 namespace dydroid::vm {
 
 /// Uncaught app-level exception (also: ClassNotFound, IO errors, ANR budget
-/// exhaustion). Carries the VM stack trace at throw time.
+/// exhaustion). Carries the VM stack trace at throw time. Only the API
+/// boundary and app-visible failures make one; internal resolution returns
+/// null instead. Each one made bumps the `vm.exceptions` counter.
 class VmException : public std::runtime_error {
  public:
-  VmException(const std::string& what, StackTrace trace)
-      : std::runtime_error(what), trace_(std::move(trace)) {}
+  VmException(const std::string& what, StackTrace trace, bool budget = false);
   [[nodiscard]] const StackTrace& trace() const { return trace_; }
+  /// Set only by the step-budget (ANR) and call-depth (StackOverflowError)
+  /// guards: no app handler may catch these.
+  [[nodiscard]] bool budget() const { return budget_; }
 
  private:
   StackTrace trace_;
+  bool budget_;
 };
 
 /// Execution budget guards: dynamic analysis over tens of thousands of apps
@@ -78,6 +84,7 @@ class Vm {
   [[nodiscard]] Instrumentation& instrumentation() { return hooks_; }
   [[nodiscard]] os::Device& device() { return *device_; }
   [[nodiscard]] const AppContext& app() const { return app_; }
+  [[nodiscard]] const VmLimits& limits() const { return limits_; }
 
   // --- entry points -------------------------------------------------------
 
@@ -157,19 +164,27 @@ class Vm {
   [[nodiscard]] std::uint64_t steps_last_entry() const { return steps_; }
 
  private:
+  // A frame holds views, not copies. Each points into an owner that
+  // outlives the frame: the RuntimeClass (its name), the dex::Method (its
+  // name), the caller's DexFile string pool, the receiver VmObject (its
+  // class name) or the ClassDef::super_name the super walk dispatched on.
+  // current_stack_trace() copies them only when a trace is materialized.
   struct Frame {
     RuntimeClass* cls = nullptr;  // nullptr for intrinsic frames
-    std::string class_name;
-    std::string method_name;
+    std::string_view class_name;
+    std::string_view method_name;
   };
 
+  /// Parent-first delegation without throwing: null when no loader in the
+  /// chain defines `name`. A null `loader` means current_loader().
+  RuntimeClass* find_class(LoaderState* loader, std::string_view name);
   Value execute_body(RuntimeClass* cls, const dex::Method& method,
                      std::vector<Value> args);
   Value dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
                         const dex::Instruction& ins,
                         std::vector<Value>& regs);
   Value call_intrinsic(const std::string& cls, const std::string& method,
-                       std::vector<Value> args);
+                       const Intrinsic& fn, std::vector<Value> args);
   RuntimeClass* resolve_app_method(RuntimeClass* start,
                                    std::string_view method_name,
                                    const dex::Method** out);

@@ -6,6 +6,7 @@
 #include "dex/builder.hpp"
 #include "monkey/monkey.hpp"
 #include "os/device.hpp"
+#include "support/trace.hpp"
 #include "vm/vm.hpp"
 
 namespace dydroid::vm {
@@ -16,11 +17,16 @@ struct Env {
   std::unique_ptr<Vm> vm;
 };
 
-Env boot(dex::DexFile dexfile, VmLimits limits = {}) {
+Env boot(dex::DexFile dexfile, VmLimits limits = {},
+         std::string_view launcher = "") {
   Env env;
   manifest::Manifest man;
   man.package = "com.trycatch.app";
   man.add_permission(manifest::kInternet);
+  if (!launcher.empty()) {
+    man.components.push_back(manifest::Component{
+        manifest::ComponentKind::Activity, std::string(launcher), true});
+  }
   apk::ApkFile apk;
   apk.write_manifest(man);
   apk.write_classes_dex(std::move(dexfile));
@@ -170,6 +176,98 @@ TEST(TryCatch, StackOverflowIsNotCatchable) {
   // the topmost frame's guard rethrows past every handler...
   // ...and the OUTER frames' handlers must not swallow it either.
   EXPECT_THROW((void)env.vm->call_static("a.T", "rec"), VmException);
+}
+
+// Only the VM's own budget guards are uncatchable; they are marked as such,
+// not recognized by their text, so an app's look-alike message is caught.
+TEST(TryCatch, AppThrownAnrTextIsCatchable) {
+  dex::DexBuilder b;
+  auto cls = b.cls("a.T");
+  for (const auto& [name, text] :
+       {std::pair{"anr", "ANR: app-made"},
+        std::pair{"overflow", "StackOverflowError"}}) {
+    auto m = cls.static_method(name, 0);
+    m.try_enter(0, "handler");
+    m.const_str(1, text);
+    m.throw_str(1);
+    m.label("handler");
+    m.ret(0);
+    m.done();
+  }
+  auto env = boot(b.build());
+  EXPECT_EQ(env.vm->call_static("a.T", "anr").as_str(), "ANR: app-made");
+  EXPECT_EQ(env.vm->call_static("a.T", "overflow").as_str(),
+            "StackOverflowError");
+}
+
+TEST(TryCatch, ClassForNameMissDeliversClassNotFound) {
+  dex::DexBuilder b;
+  auto m = b.cls("a.T").static_method("f", 0);
+  m.try_enter(0, "handler");
+  m.const_str(1, "com.missing.Plugin");
+  m.invoke_static("java.lang.Class", "forName", {1});
+  m.label("handler");
+  m.ret(0);
+  m.done();
+  auto env = boot(b.build());
+  EXPECT_EQ(env.vm->call_static("a.T", "f").as_str(),
+            "ClassNotFoundException: com.missing.Plugin");
+}
+
+// Class delegation, framework dispatch and loader construction make no
+// VmException on the success path; a miss at the API boundary makes one.
+TEST(VmExceptionCounter, SuccessfulRunMakesNone) {
+  constexpr const char* kPayload = "/data/data/com.trycatch.app/files/p.dex";
+  dex::DexBuilder payload;
+  payload.cls("com.payload.Impl").method("run", 1).const_int(1, 7).ret(1)
+      .done();
+  dex::DexBuilder b;
+  b.cls("com.trycatch.app.Helper").static_method("work", 0).return_void()
+      .done();
+  auto m = b.cls("com.trycatch.app.Main", "android.app.Activity")
+               .method("onCreate", 1);
+  // App classes, resolved past the boot loader.
+  m.invoke_static("com.trycatch.app.Helper", "work");
+  m.new_instance(1, "com.trycatch.app.Helper");
+  // Intrinsics: through the framework superclass, then directly.
+  m.const_int(2, 5);
+  m.invoke_virtual("com.trycatch.app.Main", "setContentView", {0, 2});
+  m.invoke_static("android.telephony.TelephonyManager", "getDeviceId");
+  // A DexClassLoader, and a class loaded and run through it.
+  m.const_str(3, kPayload);
+  m.const_str(4, "/data/data/com.trycatch.app/cache");
+  m.new_instance(5, "dalvik.system.DexClassLoader");
+  m.invoke_virtual("dalvik.system.DexClassLoader", "<init>", {5, 3, 4});
+  m.const_str(6, "com.payload.Impl");
+  m.invoke_virtual("dalvik.system.DexClassLoader", "loadClass", {5, 6});
+  m.move_result(7);
+  m.invoke_virtual("java.lang.Class", "newInstance", {7});
+  m.move_result(8);
+  m.invoke_virtual("com.payload.Impl", "run", {8});
+  m.return_void();
+  m.done();
+  auto env = boot(b.build(), {}, "com.trycatch.app.Main");
+  ASSERT_TRUE(env.device.vfs()
+                  .write_file(os::Principal::system(), kPayload,
+                              payload.build().serialize())
+                  .ok());
+  const auto made = [] {
+    const auto snapshot = support::metrics_snapshot();
+    const auto* counter = snapshot.counter("vm.exceptions");
+    return counter == nullptr ? 0u : counter->value;
+  };
+
+  support::set_metrics_enabled(true);
+  support::metrics_reset();
+  support::Rng rng(1);
+  const auto result = monkey::run_monkey(*env.vm, {}, rng);
+  EXPECT_EQ(result.outcome, monkey::Outcome::kExercised)
+      << result.crash_message;
+  EXPECT_EQ(made(), 0u);
+  EXPECT_THROW((void)env.vm->call_static("com.trycatch.app.Missing", "f"),
+               VmException);
+  EXPECT_EQ(made(), 1u);
+  support::set_metrics_enabled(false);
 }
 
 TEST(TryCatch, RoundTripsThroughSerialization) {

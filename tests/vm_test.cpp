@@ -2,6 +2,8 @@
 // stream instrumentation, native loading, reflection, budgets.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dex/builder.hpp"
 #include "nativebin/native_library.hpp"
 #include "os/device.hpp"
@@ -239,8 +241,39 @@ TEST_F(VmTest, MissingClassThrowsClassNotFound) {
     (void)vm_->call_static("com.example.app.E", "f");
     FAIL();
   } catch (const VmException& e) {
-    EXPECT_NE(std::string(e.what()).find("ClassNotFound"), std::string::npos);
+    EXPECT_STREQ(e.what(), "ClassNotFoundException: com.missing.Clazz");
+    ASSERT_FALSE(e.trace().empty());
+    EXPECT_EQ(e.trace()[0].class_name, "com.example.app.E");
+    EXPECT_EQ(e.trace()[0].method_name, "f");
   }
+}
+
+TEST_F(VmTest, LongArithmeticWrapsLikeJava) {
+  // Java longs are two's complement: MIN / -1 is MIN and MIN % -1 is 0
+  // (not a SIGFPE), and +, - and * wrap around.
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  dex::DexBuilder b;
+  auto cls = b.cls("com.example.app.W");
+  cls.static_method("div", 2).div(2, 0, 1).ret(2).done();
+  cls.static_method("rem", 2).rem(2, 0, 1).ret(2).done();
+  cls.static_method("add", 2).add(2, 0, 1).ret(2).done();
+  cls.static_method("sub", 2).sub(2, 0, 1).ret(2).done();
+  cls.static_method("mul", 2).mul(2, 0, 1).ret(2).done();
+  boot(b.build());
+  const auto run = [&](const char* op, std::int64_t x, std::int64_t y) {
+    return vm_->call_static("com.example.app.W", op, {Value(x), Value(y)})
+        .as_int();
+  };
+  EXPECT_EQ(run("div", kMin, -1), kMin);
+  EXPECT_EQ(run("rem", kMin, -1), 0);
+  EXPECT_EQ(run("add", kMax, 1), kMin);
+  EXPECT_EQ(run("sub", kMin, 1), kMax);
+  EXPECT_EQ(run("mul", kMax, 2), -2);
+  // Division still truncates toward zero, as in Java.
+  EXPECT_EQ(run("div", -7, 2), -3);
+  EXPECT_EQ(run("rem", -7, 2), -1);
+  EXPECT_EQ(run("rem", 7, -1), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,6 +411,39 @@ TEST_F(VmTest, PathClassLoaderHookFires) {
   auto main = vm_->instantiate("com.example.app.Main");
   (void)vm_->call_method(main, "trigger");
   EXPECT_TRUE(fired);
+}
+
+TEST_F(VmTest, InheritedLoaderCtorFrameNamesTheFrameworkSuper) {
+  // An app subclass of DexClassLoader that defines no <init>: the super walk
+  // dispatches to the framework ctor, and the hook's innermost frame is
+  // named by the subclass's ClassDef::super_name.
+  dex::DexBuilder b;
+  b.cls("com.example.app.MyLoader", "dalvik.system.DexClassLoader");
+  auto m = b.cls("com.example.app.Main", "android.app.Activity")
+               .method("trigger", 1);
+  m.const_str(1, "/data/data/com.example.app/files/p.dex");
+  m.const_str(2, "/data/data/com.example.app/cache");
+  m.new_instance(3, "com.example.app.MyLoader");
+  m.invoke_virtual("com.example.app.MyLoader", "<init>", {3, 1, 2});
+  m.return_void();
+  m.done();
+  boot(b.build());
+  ASSERT_TRUE(device_.vfs()
+                  .write_file(os::Principal::system(),
+                              "/data/data/com.example.app/files/p.dex",
+                              payload_dex_bytes())
+                  .ok());
+  StackTrace trace;
+  vm_->instrumentation().on_dex_load = [&](LoaderKind, const std::string&,
+                                           const std::string&,
+                                           const StackTrace& t) { trace = t; };
+  auto main = vm_->instantiate("com.example.app.Main");
+  (void)vm_->call_method(main, "trigger");
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].class_name, "dalvik.system.DexClassLoader");
+  EXPECT_EQ(trace[0].method_name, "<init>");
+  EXPECT_EQ(trace[1].class_name, "com.example.app.Main");
+  EXPECT_EQ(trace[1].method_name, "trigger");
 }
 
 TEST_F(VmTest, ThirdPartySdkIsCallSiteNotApp) {
@@ -537,6 +603,53 @@ TEST_F(VmTest, FetchFailsWithoutConnectivity) {
   device_.services().set_wifi_enabled(false);
   auto main = vm_->instantiate("com.example.app.Main");
   EXPECT_THROW((void)vm_->call_method(main, "update"), VmException);
+}
+
+// A BufferedInputStream chain that revisits a stream must raise, not recurse
+// until the process dies. S.read() wires v0 (and v1) and reads v0; S.held()
+// returns v0. The VM heap is reference-counted, so the test breaks the
+// cycle the app built, or it would outlive the Vm.
+dex::DexFile stream_cycle_app(bool two_streams) {
+  dex::DexBuilder b;
+  auto cls = b.cls("com.example.app.S");
+  cls.static_field("held");
+  auto m = cls.static_method("read", 0);
+  m.new_instance(0, "java.io.BufferedInputStream");
+  m.new_instance(1, "java.io.BufferedInputStream");
+  m.invoke_virtual("java.io.BufferedInputStream", "<init>",
+                   {0, static_cast<std::uint16_t>(two_streams ? 1 : 0)});
+  if (two_streams) {
+    m.invoke_virtual("java.io.BufferedInputStream", "<init>", {1, 0});
+  }
+  m.sput(0, "com.example.app.S", "held");
+  m.invoke_virtual("java.io.InputStream", "read", {0});
+  m.done();
+  cls.static_method("held", 0).sget(0, "com.example.app.S", "held").ret(0)
+      .done();
+  return b.build();
+}
+
+std::string read_cycle_error(Vm& vm) {
+  std::string what = "no exception";
+  try {
+    (void)vm.call_static("com.example.app.S", "read");
+  } catch (const VmException& e) {
+    what = e.what();
+  }
+  vm.call_static("com.example.app.S", "held").as_obj()->native_state().reset();
+  return what;
+}
+
+TEST_F(VmTest, SelfWrappingStreamReadRaises) {
+  boot(stream_cycle_app(/*two_streams=*/false));
+  EXPECT_EQ(read_cycle_error(*vm_),
+            "StackOverflowError: input stream wrapper chain");
+}
+
+TEST_F(VmTest, CyclicStreamWrappersReadRaises) {
+  boot(stream_cycle_app(/*two_streams=*/true));
+  EXPECT_EQ(read_cycle_error(*vm_),
+            "StackOverflowError: input stream wrapper chain");
 }
 
 // ---------------------------------------------------------------------------
