@@ -85,9 +85,6 @@ class MethodBuilder {
   /// called automatically from the destructor.
   void done();
 
-  /// Index the *next* emitted instruction will have.
-  [[nodiscard]] std::size_t next_pc() const { return m().code.size(); }
-
  private:
   friend class ClassBuilder;
   MethodBuilder(DexBuilder* dex, std::size_t cls_idx, std::size_t method_idx);

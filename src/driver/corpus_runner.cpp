@@ -86,139 +86,74 @@ void set_crash(core::AppReport& report, std::string message) {
 
 // ---- journal resume replay (docs/CHECKPOINT.md) ----------------------------
 
-/// Restore the completed outcomes recorded in the resume journal into
-/// `outcomes` and mark their slots in `done` (workers skip them). A torn
-/// tail is chopped off so this run's appends land after the last intact
-/// frame. Any record that does not belong to this corpus, seed base or
-/// shard fails loudly — never a silent re-run. Returns true when the
-/// journal already carries this shard's metadata record.
-bool replay_journal(const RunnerConfig& config,
-                    const support::ShardMeta& shard_meta,
+/// Restore the outcomes recorded in the resume journal into `outcomes` and
+/// mark their slots in `done` (workers skip them). On top of
+/// read_outcome_journal's checks, the journal's metadata must match this
+/// run's and every record must carry its job's seed — any disagreement
+/// fails loudly, never a silent re-run. A torn tail is chopped off so this
+/// run's appends land after the last intact frame. Returns false when the
+/// journal holds no intact record yet (it is then stamped like a fresh
+/// one).
+bool replay_journal(const RunnerConfig& config, const support::ShardMeta& meta,
                     std::span<const AppJob> jobs,
                     std::vector<AppOutcome>& outcomes,
                     std::vector<char>& done) {
-  const bool sharded = config.shard_count > 0;
-  auto read = support::read_journal(config.journal_path);
+  auto read = read_outcome_journal(config.journal_path);
   if (!read.ok()) {
     throw std::runtime_error("runner: resume failed: " + read.error());
   }
-  if (read.value().torn()) {
+  OutcomeJournal& journal = read.value();
+  if (journal.meta.has_value()) {
+    if (const std::string mismatch =
+            describe_shard_meta_mismatch(*journal.meta, meta);
+        !mismatch.empty()) {
+      throw std::runtime_error(
+          "runner: resume failed: journal does not match this run: " +
+          mismatch);
+    }
+  }
+  for (JournalEntry& entry : journal.entries) {
+    const std::uint64_t seed = job_seed(jobs, config.seed_base, entry.index);
+    if (entry.outcome.seed != seed) {
+      throw std::runtime_error(support::format(
+          "runner: resume failed: app %zu was journaled with seed %llu but "
+          "this run derives seed %llu (different seed base or corpus?)",
+          entry.index, static_cast<unsigned long long>(entry.outcome.seed),
+          static_cast<unsigned long long>(seed)));
+    }
+    outcomes[entry.index] = std::move(entry.outcome);
+    done[entry.index] = 1;
+  }
+  if (journal.bytes_discarded > 0) {
     support::log_warn(
         "driver",
-        support::format("journal %s: recovered %zu records, dropped %zu "
+        support::format("journal %s: recovered %zu outcome(s), dropped %zu "
                         "torn/corrupt tail byte(s)",
-                        config.journal_path.c_str(),
-                        read.value().records.size(),
-                        read.value().bytes_discarded));
+                        config.journal_path.c_str(), journal.entries.size(),
+                        journal.bytes_discarded));
     // Chop the damaged tail off before reopening for append, so the
     // records this run writes land after the last *intact* frame (an
     // O_APPEND writer would otherwise bury them behind the garbage,
     // unreachable to the next reader).
     const support::Status truncated = support::truncate_journal(
-        config.journal_path, read.value().bytes_recovered);
+        config.journal_path, journal.bytes_recovered);
     if (!truncated.ok()) {
       throw std::runtime_error("runner: resume failed: " + truncated.error());
     }
   }
-  bool has_meta = false;
-  std::size_t record_ordinal = 0;
-  for (const auto& record : read.value().records) {
-    if (support::is_shard_meta(record)) {
-      // The shard-metadata record pins everything a per-shard resume must
-      // agree on; any disagreement means the journal belongs to a
-      // different shard, corpus or pipeline — fail loudly, never silently
-      // re-run (docs/SHARDING.md).
-      if (record_ordinal != 0) {
-        throw std::runtime_error(
-            "runner: resume failed: shard-metadata record is not the "
-            "journal's first record");
-      }
-      if (!sharded) {
-        throw std::runtime_error(
-            "runner: resume failed: journal belongs to a sharded run "
-            "(resume it with the matching --shard I/N, or merge the "
-            "shard journals first)");
-      }
-      support::ShardMeta meta;
-      try {
-        meta = support::decode_shard_meta(record);
-      } catch (const std::exception& e) {
-        throw std::runtime_error(
-            std::string("runner: resume failed: corrupt shard metadata: ") +
-            e.what());
-      }
-      if (const std::string mismatch =
-              describe_shard_meta_mismatch(meta, shard_meta);
-          !mismatch.empty()) {
-        throw std::runtime_error(
-            "runner: resume failed: journal does not match this run: " +
-            mismatch);
-      }
-      has_meta = true;
-      ++record_ordinal;
-      continue;
-    }
-    if (sharded && record_ordinal == 0) {
-      // A sharded journal leads with its metadata record; the first record
-      // being an outcome means this journal came from an unsharded run —
-      // diagnose that directly instead of tripping over whichever record
-      // first leaves the shard's residue class.
-      throw std::runtime_error(
-          "runner: resume failed: journal has outcome records but no "
-          "shard-metadata record (unsharded journal resumed with "
-          "--shard?)");
-    }
-    ++record_ordinal;
-    DecodedOutcome decoded;
-    try {
-      decoded = decode_outcome(record);
-    } catch (const std::exception& e) {
-      // A framed record that passed its CRC but fails to decode means the
-      // journal does not belong to this build/corpus: fail loudly rather
-      // than silently re-running (and double-counting) apps.
-      throw std::runtime_error(
-          std::string("runner: resume failed: corrupt journal record: ") +
-          e.what());
-    }
-    if (decoded.index >= jobs.size()) {
-      throw std::runtime_error(support::format(
-          "runner: resume failed: journal record for app %zu but the "
-          "corpus has %zu apps (journal/corpus mismatch?)",
-          decoded.index, jobs.size()));
-    }
-    const std::uint64_t seed = job_seed(jobs, config.seed_base, decoded.index);
-    if (decoded.outcome.seed != seed) {
-      throw std::runtime_error(support::format(
-          "runner: resume failed: app %zu was journaled with seed %llu but "
-          "this run derives seed %llu (different seed base or corpus?)",
-          decoded.index,
-          static_cast<unsigned long long>(decoded.outcome.seed),
-          static_cast<unsigned long long>(seed)));
-    }
-    if (sharded && decoded.index % config.shard_count != config.shard_index) {
-      throw std::runtime_error(support::format(
-          "runner: resume failed: journal record for app %zu does not "
-          "belong to shard %u/%u (wrong shard's journal?)",
-          decoded.index, config.shard_index, config.shard_count));
-    }
-    // Duplicate records resolve last-writer-wins: a record re-appended
-    // after an earlier resume supersedes the older one.
-    outcomes[decoded.index] = std::move(decoded.outcome);
-    done[decoded.index] = 1;
-  }
-  return has_meta;
+  return journal.meta.has_value();
 }
 
 // ---- journal and cache opening ---------------------------------------------
 
-/// Open the write-ahead journal (truncating unless resuming). A sharded run
-/// stamps a fresh (or still-empty) journal with its shard-metadata record
-/// before any outcome, so every shard journal is self-describing to
-/// `dydroid merge` and to later resumes. No fault scope is installed here:
-/// stamping is run setup, not a journaled outcome, and must not consume
-/// injected-fault budget.
+/// Open the write-ahead journal (truncating unless resuming). A fresh (or
+/// still-empty) journal is stamped with the run's metadata record before
+/// any outcome, so every journal is self-describing to `dydroid merge` and
+/// to later resumes. No fault scope is installed here: stamping is run
+/// setup, not a journaled outcome, and must not consume injected-fault
+/// budget.
 support::JournalWriter open_journal(const RunnerConfig& config,
-                                    const support::ShardMeta& shard_meta,
+                                    const support::ShardMeta& meta,
                                     bool has_meta) {
   support::JournalWriterOptions options;
   options.fsync_each_record = config.journal_fsync;
@@ -226,11 +161,11 @@ support::JournalWriter open_journal(const RunnerConfig& config,
   auto writer = support::JournalWriter::open(config.journal_path, options);
   if (!writer.ok()) throw std::runtime_error("runner: " + writer.error());
   support::JournalWriter journal = std::move(writer).take();
-  if (config.shard_count > 0 && !has_meta) {
+  if (!has_meta) {
     const support::Status stamped =
-        journal.append(support::encode_shard_meta(shard_meta));
+        journal.append(support::encode_shard_meta(meta));
     if (!stamped.ok()) {
-      throw std::runtime_error("runner: cannot stamp shard metadata: " +
+      throw std::runtime_error("runner: cannot stamp journal metadata: " +
                                stamped.error());
     }
   }
@@ -719,7 +654,9 @@ class JournalSink {
  public:
   JournalSink(std::optional<support::JournalWriter> journal,
               DriverFaults& faults)
-      : journal_(std::move(journal)), faults_(faults) {}
+      : journal_(std::move(journal)),
+        stamped_(journal_.has_value() ? journal_->appended() : 0),
+        faults_(faults) {}
 
   [[nodiscard]] bool active() const { return journal_.has_value(); }
   [[nodiscard]] bool aborted() const {
@@ -755,16 +692,15 @@ class JournalSink {
     if (support::fault_fire(support::FaultSite::kDriverKill)) {
       return mark_aborted(
           support::fault_message(support::FaultSite::kDriverKill) +
-          support::format(" after %zu journal append(s)",
-                          journal_->appended()));
+          support::format(" after %zu journal append(s)", outcomes()));
     }
     return true;
   }
 
-  /// Seal the journal; returns the records this run appended.
+  /// Seal the journal; returns the outcome records this run appended.
   std::size_t seal() {
     if (!journal_.has_value()) return 0;
-    const std::size_t appended = journal_->appended();
+    const std::size_t appended = outcomes();
     const support::Status sealed = journal_->seal();
     if (!sealed.ok()) support::log_warn("driver", sealed.error());
     journal_.reset();
@@ -772,6 +708,9 @@ class JournalSink {
   }
 
  private:
+  /// Outcome records this run appended (the metadata record excluded).
+  std::size_t outcomes() const { return journal_->appended() - stamped_; }
+
   /// Called under the journal mutex: the message is written exactly once.
   bool mark_aborted(std::string message) {
     abort_message_ = std::move(message);
@@ -780,6 +719,9 @@ class JournalSink {
   }
 
   std::optional<support::JournalWriter> journal_;
+  /// Records open_journal appended before the sink took over: the
+  /// metadata record of a fresh journal.
+  std::size_t stamped_ = 0;
   DriverFaults& faults_;
   std::atomic<bool> aborted_{false};
   std::string abort_message_;
@@ -894,12 +836,11 @@ void validate_runner_config(const RunnerConfig& config,
         static_cast<unsigned long long>(config.seed_base),
         static_cast<unsigned long long>(corpus_size)));
   }
-  if (config.shard_count == 0 && config.shard_index != 0) {
-    throw std::runtime_error(support::format(
-        "runner: shard index %u set without a shard count",
-        config.shard_index));
+  if (config.shard_count == 0) {
+    throw std::runtime_error(
+        "runner: shard count must be at least 1 (1 = unsharded)");
   }
-  if (config.shard_count > 0 && config.shard_index >= config.shard_count) {
+  if (config.shard_index >= config.shard_count) {
     throw std::runtime_error(support::format(
         "runner: shard index %u out of range for %u shard(s)",
         config.shard_index, config.shard_count));
@@ -922,13 +863,12 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   // worker loop walks shard-local slots and maps them back to global
   // indices, so seeds, journal records, trace context and cache keys all
   // stay global-index-derived — the invariant `dydroid merge` relies on.
-  const bool sharded = config_.shard_count > 0;
+  // An unsharded run is shard 0 of 1.
   const std::size_t shard_apps = static_cast<std::size_t>(shard_app_count(
       jobs.size(), config_.shard_index, config_.shard_count));
   const auto global_index_of = [&](std::size_t slot) {
-    return sharded ? config_.shard_index +
-                         slot * static_cast<std::size_t>(config_.shard_count)
-                   : slot;
+    return config_.shard_index +
+           slot * static_cast<std::size_t>(config_.shard_count);
   };
 
   CorpusResult result;
@@ -937,35 +877,31 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
                             std::max<std::size_t>(shard_apps, 1));
   result.outcomes.resize(jobs.size());
 
-  // The pipeline fingerprint keys the result cache and — for sharded
-  // journaled runs — pins the shard-metadata record, so compute it once up
-  // front when either consumer needs it.
+  // The pipeline fingerprint keys the result cache and pins the journal's
+  // metadata record, so compute it once up front when either needs it.
   const bool journaled = !config_.journal_path.empty();
   const bool cached = !config_.cache_dir.empty();
   support::Sha256Digest config_fp;
-  if (cached || (sharded && journaled)) {
-    config_fp = config_fingerprint(*pipeline_);
-  }
-  support::ShardMeta shard_meta;
-  shard_meta.shard_index = config_.shard_index;
-  shard_meta.shard_count = config_.shard_count;
-  shard_meta.seed_base = config_.seed_base;
-  shard_meta.corpus_size = jobs.size();
-  shard_meta.outcome_codec_version = kOutcomeCodecVersion;
-  shard_meta.config_fingerprint = config_fp.bytes;
+  if (cached || journaled) config_fp = config_fingerprint(*pipeline_);
+  support::ShardMeta meta;
+  meta.shard_index = config_.shard_index;
+  meta.shard_count = config_.shard_count;
+  meta.seed_base = config_.seed_base;
+  meta.corpus_size = jobs.size();
+  meta.outcome_codec_version = kOutcomeCodecVersion;
+  meta.config_fingerprint = config_fp.bytes;
 
   // Replay: `done[i]` marks outcomes restored from the resume journal.
   std::vector<char> done(jobs.size(), 0);
   const bool journal_has_meta =
       config_.resume &&
-      replay_journal(config_, shard_meta, jobs, result.outcomes, done);
+      replay_journal(config_, meta, jobs, result.outcomes, done);
 
   // Open the journal and the cache, then arm the driver fault session they
   // share.
   DriverFaults driver_faults;
   JournalSink journal(
-      journaled ? std::optional(open_journal(config_, shard_meta,
-                                             journal_has_meta))
+      journaled ? std::optional(open_journal(config_, meta, journal_has_meta))
                 : std::nullopt,
       driver_faults);
   CacheTier cache(cached ? std::optional(open_cache(config_, config_fp))

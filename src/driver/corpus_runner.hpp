@@ -66,11 +66,10 @@ inline constexpr std::uint64_t kMaxCorpusApps = 0xFFFFFFFFull;
 
 /// Apps the shard `shard_index` of `shard_count` owns out of a corpus of
 /// `corpus_size`: the global indices ≡ shard_index (mod shard_count).
-/// shard_count 0 means "unsharded" (the whole corpus).
+/// Shard 0 of 1 is the whole corpus.
 [[nodiscard]] constexpr std::uint64_t shard_app_count(
     std::uint64_t corpus_size, std::uint32_t shard_index,
     std::uint32_t shard_count) {
-  if (shard_count == 0) return corpus_size;
   if (shard_index >= corpus_size) return 0;
   return (corpus_size - shard_index + shard_count - 1) / shard_count;
 }
@@ -242,11 +241,12 @@ struct RunnerConfig {
   /// executes only global indices ≡ shard_index (mod shard_count), keeping
   /// global-index seeds, journal records, trace context and cache keys, so
   /// `dydroid merge` can fold the shard journals back into one journal
-  /// whose replay is byte-identical to an unsharded run. 0 (the default)
-  /// means unsharded; a sharded run with a journal stamps it with a
-  /// support::ShardMeta record before any outcome.
-  std::uint32_t shard_count = 0;
-  /// This run's shard in [0, shard_count). Must be 0 when unsharded.
+  /// whose replay is byte-identical to an unsharded run. 1 (the default)
+  /// means unsharded; 0 is rejected. Every journaled run stamps its journal
+  /// with a support::ShardMeta record (shard_index/shard_count, seed base,
+  /// corpus size, codec version, config fingerprint) before any outcome.
+  std::uint32_t shard_count = 1;
+  /// This run's shard in [0, shard_count).
   std::uint32_t shard_index = 0;
 
   // --- crash-safe journaling (docs/CHECKPOINT.md) --------------------------
@@ -256,7 +256,9 @@ struct RunnerConfig {
   std::string journal_path;
   /// Replay completed outcomes from `journal_path` before running: their
   /// apps are skipped, their stats re-merged, and new outcomes append to
-  /// the same journal. Requires a non-empty journal_path.
+  /// the same journal. The journal's metadata record must match this run
+  /// (shard, seed base, corpus size, codec version, config fingerprint).
+  /// Requires a non-empty journal_path.
   bool resume = false;
   /// fsync the journal after every record (power-loss durability); off by
   /// default — the journal is always fsync'd when sealed.
@@ -316,7 +318,8 @@ class RunAborted : public std::runtime_error {
  public:
   RunAborted(std::string message, std::size_t journaled)
       : std::runtime_error(std::move(message)), journaled_(journaled) {}
-  /// Records appended to the journal by this process before the abort.
+  /// Outcome records appended to the journal by this process before the
+  /// abort (the metadata record is not counted).
   [[nodiscard]] std::size_t journaled() const { return journaled_; }
 
  private:
@@ -330,10 +333,10 @@ class RunAborted : public std::runtime_error {
 /// Throws std::runtime_error (loudly, before any app runs) on: a corpus
 /// larger than kMaxCorpusApps (the u32 trace-context identity would
 /// truncate), a seed base whose index-derived seeds would wrap
-/// (seed_range_overflows — two apps would collide on one seed), shard
-/// fields out of range, or resume without a journal path. Called by
-/// CorpusRunner::run; exposed so tests can probe the boundaries without
-/// materializing a corpus.
+/// (seed_range_overflows — two apps would collide on one seed), a shard
+/// count of 0 or a shard index past it, or resume without a journal path.
+/// Called by CorpusRunner::run; exposed so tests can probe the boundaries
+/// without materializing a corpus.
 void validate_runner_config(const RunnerConfig& config,
                             std::uint64_t corpus_size);
 

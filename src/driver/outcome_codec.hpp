@@ -21,8 +21,8 @@ namespace dydroid::driver {
 /// docs/ISOLATION.md) after the flags byte; v1 records are rejected, which
 /// also invalidates pre-sandbox result caches via the config fingerprint.
 /// Versions count up from 1 and must never reach support::kShardMetaTag
-/// (0xF5): a sharded journal's metadata record (docs/SHARDING.md) is told
-/// apart from outcomes by its first byte alone.
+/// (0xF5): a journal's metadata record (docs/SHARDING.md) is told apart
+/// from outcomes by its first byte alone.
 inline constexpr std::uint8_t kOutcomeCodecVersion = 2;
 
 /// Encode one finished outcome as a journal record payload.

@@ -370,9 +370,18 @@ support::Sha256Digest config_fingerprint(const core::DyDroid& pipeline) {
   }
 
   // Fault plan: injected failures are part of the deterministic outcome
-  // (a crash bucket under faults is a *correct* result for that plan).
-  w.u8(options.faults != nullptr ? 1 : 0);
-  if (options.faults != nullptr) w.str(options.faults->to_string());
+  // (a crash bucket under faults is a *correct* result for that plan). The
+  // driver-level sites are left out: they abort or degrade a run but never
+  // change a report, so a plan arming only them fingerprints like no plan.
+  support::FaultPlan report_faults;
+  if (options.faults != nullptr) report_faults = *options.faults;
+  for (const auto site :
+       {support::FaultSite::kJournalAppend, support::FaultSite::kDriverKill,
+        support::FaultSite::kCacheRead, support::FaultSite::kCacheWrite}) {
+    report_faults.set(site, support::FaultSpec::never());
+  }
+  w.u8(report_faults.empty() ? 0 : 1);
+  if (!report_faults.empty()) w.str(report_faults.to_string());
 
   // Driver policy that shapes outcomes: timeout budget, retry/quarantine.
   w.u64(std::bit_cast<std::uint64_t>(options.max_app_wall_ms));

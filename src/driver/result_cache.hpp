@@ -184,8 +184,11 @@ class ResultCache {
 };
 
 /// SHA-256 fingerprint of everything that changes analysis semantics:
-/// stage list, engine/device/runtime knobs, detector identity, fault plan,
-/// retry/timeout policy and the outcome codec version. Two pipelines with
+/// stage list, engine/device/runtime knobs, detector identity, fault plan
+/// (minus the driver-level journal.append, driver.kill, cache.read and
+/// cache.write sites, which never change a report), retry/timeout policy
+/// and the outcome codec version. It keys the result cache and pins every
+/// journal's metadata record. Two pipelines with
 /// equal fingerprints produce byte-identical reports for equal (apk, seed)
 /// — the invariant the cache's correctness rests on. Caveat: per-app
 /// scenario closures cannot be fingerprinted; only their presence is

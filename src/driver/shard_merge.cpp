@@ -1,10 +1,12 @@
 #include "driver/shard_merge.hpp"
 
+#include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace dydroid::driver {
@@ -14,13 +16,7 @@ namespace {
 using MergeResult = support::Result<ShardMergeSummary>;
 
 std::string hex_prefix(const std::array<std::uint8_t, 32>& fp) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  for (std::size_t i = 0; i < 8; ++i) {
-    out.push_back(kHex[fp[i] >> 4]);
-    out.push_back(kHex[fp[i] & 0xF]);
-  }
-  return out;
+  return support::Sha256Digest{fp}.hex().substr(0, 16);
 }
 
 }  // namespace
@@ -60,6 +56,82 @@ std::string describe_shard_meta_mismatch(const support::ShardMeta& got,
   return {};
 }
 
+support::Result<OutcomeJournal> read_outcome_journal(const std::string& path) {
+  using ReadResult = support::Result<OutcomeJournal>;
+  auto read = support::read_journal(path);
+  if (!read.ok()) return ReadResult::failure(read.error());
+  OutcomeJournal journal;
+  journal.bytes_recovered = read.value().bytes_recovered;
+  journal.bytes_discarded = read.value().bytes_discarded;
+  auto& records = read.value().records;
+  if (records.empty()) return journal;
+  if (!support::is_shard_meta(records.front())) {
+    return ReadResult::failure(
+        path + ": first record is not a metadata record (a journal from an "
+               "older build?)");
+  }
+  support::ShardMeta meta;
+  try {
+    meta = support::decode_shard_meta(records.front());
+  } catch (const std::exception& e) {
+    return ReadResult::failure(path + ": corrupt metadata record: " +
+                               e.what());
+  }
+  if (meta.outcome_codec_version != kOutcomeCodecVersion) {
+    return ReadResult::failure(support::format(
+        "%s: outcome codec version %u but this build reads version %u",
+        path.c_str(), meta.outcome_codec_version, kOutcomeCodecVersion));
+  }
+  if (meta.corpus_size > kMaxCorpusApps) {
+    return ReadResult::failure(support::format(
+        "%s: corpus size %llu exceeds the %llu-app ceiling", path.c_str(),
+        static_cast<unsigned long long>(meta.corpus_size),
+        static_cast<unsigned long long>(kMaxCorpusApps)));
+  }
+  journal.meta = meta;
+  journal.entries.reserve(records.size() - 1);
+  std::unordered_map<std::size_t, std::size_t> slot_of;  // index → entry
+  slot_of.reserve(records.size() - 1);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    DecodedOutcome decoded;
+    try {
+      // Also refuses a second metadata record.
+      decoded = decode_outcome(records[i]);
+    } catch (const std::exception& e) {
+      // A framed record that passed its CRC but fails to decode means the
+      // journal does not belong to this build: never silently re-run (and
+      // double-count) the app.
+      return ReadResult::failure(path + ": corrupt journal record: " +
+                                 e.what());
+    }
+    if (decoded.index >= meta.corpus_size) {
+      return ReadResult::failure(support::format(
+          "%s: record for app %zu but the corpus has %llu apps",
+          path.c_str(), decoded.index,
+          static_cast<unsigned long long>(meta.corpus_size)));
+    }
+    if (decoded.index % meta.shard_count != meta.shard_index) {
+      return ReadResult::failure(support::format(
+          "%s: record for app %zu does not belong to shard %u/%u "
+          "(overlapping shards?)",
+          path.c_str(), decoded.index, meta.shard_index, meta.shard_count));
+    }
+    JournalEntry entry{decoded.index, std::move(decoded.outcome),
+                       std::move(records[i])};
+    // Last writer wins: a record re-appended after an earlier resume
+    // supersedes the older one.
+    const auto [slot, fresh] =
+        slot_of.try_emplace(entry.index, journal.entries.size());
+    if (fresh) {
+      journal.entries.push_back(std::move(entry));
+    } else {
+      ++journal.duplicates_dropped;
+      journal.entries[slot->second] = std::move(entry);
+    }
+  }
+  return journal;
+}
+
 support::Result<ShardMergeSummary> merge_shard_journals(
     const std::string& out_path, std::span<const std::string> shard_paths) {
   if (shard_paths.empty()) {
@@ -67,65 +139,35 @@ support::Result<ShardMergeSummary> merge_shard_journals(
   }
 
   ShardMergeSummary summary;
-  // Winning payload per global index, preserved verbatim (an outcome
-  // payload is never empty — it leads with a version byte — so empty
-  // means "not covered yet").
+  // Winning payload per global index (an outcome payload is never empty —
+  // it leads with a version byte — so empty means "not covered yet").
   std::vector<support::Bytes> winners;
   std::vector<char> shard_seen;
-  bool have_reference = false;
-  support::ShardMeta reference;  // shard_index normalized to 0
+  std::optional<support::ShardMeta> reference;  // shard_index normalized
 
   for (const std::string& path : shard_paths) {
-    auto read = support::read_journal(path);
-    if (!read.ok()) {
-      return MergeResult::failure("merge: " + read.error());
-    }
-    summary.torn_bytes += read.value().bytes_discarded;
-    const auto& records = read.value().records;
-    if (records.empty() || !support::is_shard_meta(records.front())) {
-      return MergeResult::failure(
-          "merge: " + path +
-          ": not a shard journal (no shard-metadata record; merge folds "
-          "journals produced by --shard runs)");
-    }
-    support::ShardMeta meta;
-    try {
-      meta = support::decode_shard_meta(records.front());
-    } catch (const std::exception& e) {
+    auto read = read_outcome_journal(path);
+    if (!read.ok()) return MergeResult::failure("merge: " + read.error());
+    OutcomeJournal& journal = read.value();
+    summary.torn_bytes += journal.bytes_discarded;
+    summary.duplicates_dropped += journal.duplicates_dropped;
+    if (!journal.meta.has_value()) {
       return MergeResult::failure("merge: " + path +
-                                  ": corrupt shard metadata: " + e.what());
+                                  ": holds no metadata record");
     }
-    if (meta.outcome_codec_version != kOutcomeCodecVersion) {
-      return MergeResult::failure(support::format(
-          "merge: %s: outcome codec version %u but this build reads "
-          "version %u",
-          path.c_str(), meta.outcome_codec_version, kOutcomeCodecVersion));
-    }
-    if (meta.corpus_size > kMaxCorpusApps) {
-      return MergeResult::failure(support::format(
-          "merge: %s: corpus size %llu exceeds the %llu-app ceiling",
-          path.c_str(), static_cast<unsigned long long>(meta.corpus_size),
-          static_cast<unsigned long long>(kMaxCorpusApps)));
-    }
-    if (!have_reference) {
-      reference = meta;
-      reference.shard_index = 0;
-      have_reference = true;
+    const support::ShardMeta& meta = *journal.meta;
+    support::ShardMeta normalized = meta;
+    normalized.shard_index = 0;
+    if (!reference.has_value()) {
+      reference = normalized;
       winners.assign(static_cast<std::size_t>(meta.corpus_size), {});
       shard_seen.assign(meta.shard_count, 0);
-      summary.shard_count = meta.shard_count;
-      summary.corpus_size = meta.corpus_size;
-      summary.meta = reference;
-    } else {
-      support::ShardMeta normalized = meta;
-      normalized.shard_index = 0;
-      if (const std::string mismatch =
-              describe_shard_meta_mismatch(normalized, reference);
-          !mismatch.empty()) {
-        return MergeResult::failure("merge: " + path +
-                                    ": metadata disagrees with " +
-                                    shard_paths.front() + ": " + mismatch);
-      }
+    } else if (const std::string mismatch =
+                   describe_shard_meta_mismatch(normalized, *reference);
+               !mismatch.empty()) {
+      return MergeResult::failure("merge: " + path +
+                                  ": metadata disagrees with " +
+                                  shard_paths.front() + ": " + mismatch);
     }
     if (shard_seen[meta.shard_index]) {
       return MergeResult::failure(support::format(
@@ -134,49 +176,24 @@ support::Result<ShardMergeSummary> merge_shard_journals(
     }
     shard_seen[meta.shard_index] = 1;
 
-    for (std::size_t i = 1; i < records.size(); ++i) {
-      const support::Bytes& record = records[i];
-      if (support::is_shard_meta(record)) {
-        return MergeResult::failure(
-            "merge: " + path + ": unexpected extra shard-metadata record");
-      }
-      DecodedOutcome decoded;
-      try {
-        decoded = decode_outcome(record);
-      } catch (const std::exception& e) {
-        return MergeResult::failure("merge: " + path +
-                                    ": corrupt journal record: " + e.what());
-      }
-      if (decoded.index >= meta.corpus_size) {
-        return MergeResult::failure(support::format(
-            "merge: %s: record for app %zu but the corpus has %llu apps",
-            path.c_str(), decoded.index,
-            static_cast<unsigned long long>(meta.corpus_size)));
-      }
-      if (decoded.index % meta.shard_count != meta.shard_index) {
-        return MergeResult::failure(support::format(
-            "merge: %s: record for app %zu does not belong to shard %u/%u "
-            "(overlapping shards?)",
-            path.c_str(), decoded.index, meta.shard_index,
-            meta.shard_count));
-      }
-      if (decoded.outcome.seed !=
-          seed_for_app(meta.seed_base, decoded.index)) {
+    for (JournalEntry& entry : journal.entries) {
+      const std::uint64_t seed = seed_for_app(meta.seed_base, entry.index);
+      if (entry.outcome.seed != seed) {
         return MergeResult::failure(support::format(
             "merge: %s: app %zu journaled with seed %llu but the shard's "
             "seed base derives %llu",
-            path.c_str(), decoded.index,
-            static_cast<unsigned long long>(decoded.outcome.seed),
-            static_cast<unsigned long long>(
-                seed_for_app(meta.seed_base, decoded.index))));
+            path.c_str(), entry.index,
+            static_cast<unsigned long long>(entry.outcome.seed),
+            static_cast<unsigned long long>(seed)));
       }
-      // Last-writer-wins within a shard — the same duplicate resolution a
-      // per-shard resume applies to its own journal.
-      if (!winners[decoded.index].empty()) ++summary.duplicates_dropped;
-      winners[decoded.index] = record;
+      winners[entry.index] = std::move(entry.payload);
     }
   }
 
+  summary.shard_count = reference->shard_count;
+  summary.corpus_size = reference->corpus_size;
+  summary.meta = *reference;
+  summary.meta.shard_count = 1;
   for (std::uint32_t shard = 0; shard < summary.shard_count; ++shard) {
     if (!shard_seen[shard]) {
       return MergeResult::failure(support::format(
@@ -210,6 +227,11 @@ support::Result<ShardMergeSummary> merge_shard_journals(
     return MergeResult::failure("merge: " + writer.error());
   }
   support::JournalWriter out = std::move(writer).take();
+  if (const support::Status stamped =
+          out.append(support::encode_shard_meta(summary.meta));
+      !stamped.ok()) {
+    return MergeResult::failure("merge: " + stamped.error());
+  }
   for (const support::Bytes& record : winners) {
     if (const support::Status appended = out.append(record); !appended.ok()) {
       return MergeResult::failure("merge: " + appended.error());

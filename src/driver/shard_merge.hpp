@@ -1,44 +1,77 @@
-// Deterministic shard-journal merge (docs/SHARDING.md).
+// Outcome-journal reading and the deterministic shard merge
+// (docs/CHECKPOINT.md, docs/SHARDING.md).
 //
-// A sharded campaign runs N independent `dydroid survey --shard I/N`
-// processes, each journaling its residue class of the corpus into its own
-// write-ahead journal (docs/CHECKPOINT.md) stamped with a ShardMeta
-// record. merge_shard_journals folds those N journals into ONE sealed,
-// unsharded journal whose replay (`--resume` against it) is byte-identical
-// to an uninterrupted unsharded run — at any worker count, faults on or
-// off.
+// Every outcome journal leads with one support::ShardMeta record: a
+// `--shard I/N` run stamps I/N, an unsharded run 0/1, a merge 0/1.
+// read_outcome_journal is the one validating reader; both a resume and
+// merge_shard_journals read through it and add only the checks that need
+// their own context (the resuming run's configuration, or all the shards).
 //
 // Merge invariants (all violations are loud failures, never partial
 // output):
-//   * Every input journal must lead with a shard-metadata record; all
-//     records must agree on shard count, seed base, corpus size, outcome
-//     codec version (which must also be THIS build's version) and config
+//   * Every input journal must lead with a metadata record; all records
+//     must agree on shard count, seed base, corpus size, outcome codec
+//     version (which must also be THIS build's version) and config
 //     fingerprint.
 //   * Exactly one journal per shard index 0..N-1 — a duplicated or missing
 //     shard is an error, not a guess.
-//   * Every outcome record must decode, belong to its journal's residue
-//     class (index ≡ shard (mod N) — an overlap is an error), lie inside
-//     the corpus, and carry the index-derived seed.
+//   * Every outcome record must pass read_outcome_journal and carry the
+//     index-derived seed.
 //   * All corpus indices 0..corpus_size-1 must be covered (a torn shard
 //     tail that lost records surfaces here as missing indices).
-//   * Duplicates *within* one shard journal resolve last-writer-wins —
-//     the same rule a per-shard resume applies.
 //
-// The merged journal contains the winning record payloads verbatim (byte
-// preservation, not re-encoding) in ascending global-index order, with no
-// shard-metadata record: it is a plain journal, replayable with a plain
-// `--resume`. Validation completes entirely in memory before the output
-// path is opened, so a failed merge never leaves a half-written journal.
+// The merged journal leads with a 0/1 metadata record carrying the agreed
+// fingerprint, followed by the winning record payloads verbatim (byte
+// preservation, not re-encoding) in ascending global-index order; it
+// resumes like the journal of an unsharded run. Validation completes
+// entirely in memory before the output path is opened, so a failed merge
+// never leaves a half-written journal.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "driver/corpus_runner.hpp"
 #include "support/error.hpp"
 #include "support/journal.hpp"
 
 namespace dydroid::driver {
+
+/// One journaled app: the winning record for its global index.
+struct JournalEntry {
+  std::size_t index = 0;
+  /// The decoded outcome (completed and replayed set).
+  AppOutcome outcome;
+  /// The record payload, verbatim.
+  support::Bytes payload;
+};
+
+/// An outcome journal that passed read_outcome_journal.
+struct OutcomeJournal {
+  /// The leading metadata record. Absent only when the journal holds no
+  /// intact record at all (a run killed before its first append).
+  std::optional<support::ShardMeta> meta;
+  /// One entry per journaled index, in order of first appearance.
+  std::vector<JournalEntry> entries;
+  /// Records superseded by a later record for the same index.
+  std::size_t duplicates_dropped = 0;
+  /// Length of the intact prefix and of the damaged tail dropped after it.
+  std::size_t bytes_recovered = 0;
+  std::size_t bytes_discarded = 0;
+};
+
+/// Read the outcome journal at `path` and check everything the journal
+/// alone determines: the metadata record comes first, is the only one and
+/// decodes; its codec version is this build's and its corpus fits
+/// kMaxCorpusApps; every later record decodes to an index inside the
+/// corpus and in the metadata's residue class. Duplicate records resolve
+/// last-writer-wins. A torn tail is recovered, never repaired here.
+/// Failures name `path` and the first violated rule.
+[[nodiscard]] support::Result<OutcomeJournal> read_outcome_journal(
+    const std::string& path);
 
 /// What a successful merge folded together.
 struct ShardMergeSummary {
@@ -53,8 +86,7 @@ struct ShardMergeSummary {
   /// Damaged tail bytes dropped across all input journals (recovered the
   /// same way a resume would; losses surface as missing indices).
   std::size_t torn_bytes = 0;
-  /// The agreed metadata (shard_index meaningless; kept for seed base,
-  /// corpus size, codec version and config fingerprint).
+  /// The metadata record the merged journal leads with (shard 0/1).
   support::ShardMeta meta;
 };
 
@@ -65,10 +97,10 @@ struct ShardMergeSummary {
 [[nodiscard]] support::Result<ShardMergeSummary> merge_shard_journals(
     const std::string& out_path, std::span<const std::string> shard_paths);
 
-/// Human-readable description of the first field on which two shard-meta
-/// records disagree (shard index/count compared too); empty when they are
-/// equal. Shared by the merge (inter-shard agreement) and the runner's
-/// per-shard resume (journal-vs-run agreement).
+/// Human-readable description of the first field on which two metadata
+/// records disagree; empty when they are equal. Shared by the merge
+/// (inter-shard agreement) and the runner's resume (journal-vs-run
+/// agreement).
 [[nodiscard]] std::string describe_shard_meta_mismatch(
     const support::ShardMeta& got, const support::ShardMeta& want);
 

@@ -56,17 +56,6 @@ bool writev_fully(int fd, const std::uint8_t* header, std::size_t header_size,
   }
 }
 
-bool read_to_eof(int fd, Bytes& out) {
-  std::uint8_t chunk[4096];
-  for (;;) {
-    const ssize_t n =
-        retry_eintr([&] { return ::read(fd, chunk, sizeof chunk); });
-    if (n < 0) return false;
-    if (n == 0) return true;  // EOF
-    out.insert(out.end(), chunk, chunk + n);
-  }
-}
-
 ssize_t read_exact(int fd, std::uint8_t* data, std::size_t size) {
   std::size_t got = 0;
   while (got < size) {

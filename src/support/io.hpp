@@ -19,7 +19,6 @@
 #include <string>
 #include <utility>
 
-#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace dydroid::support {
@@ -43,10 +42,6 @@ bool write_fully(int fd, const std::uint8_t* data, std::size_t size);
 /// writes. The common case is a single syscall with zero copies.
 bool writev_fully(int fd, const std::uint8_t* header, std::size_t header_size,
                   const std::uint8_t* payload, std::size_t payload_size);
-
-/// read(2) until EOF, appending to `out`. Retries on EINTR; returns false
-/// on a read error (partial data already appended stays in `out`).
-bool read_to_eof(int fd, Bytes& out);
 
 /// read(2) exactly `size` bytes (blocking), retrying on EINTR and short
 /// reads. Returns the byte count actually read: `size` on success, less on

@@ -257,9 +257,7 @@ ShardMeta decode_shard_meta(std::span<const std::uint8_t> payload) {
   if (!r.at_end()) {
     throw ParseError("shard meta: trailing bytes after fingerprint");
   }
-  if (meta.shard_count == 0) {
-    throw ParseError("shard meta: shard count must be >= 1");
-  }
+  // Also rejects a shard count of 0: no index is below it.
   if (meta.shard_index >= meta.shard_count) {
     throw ParseError(
         "shard meta: shard index " + std::to_string(meta.shard_index) +

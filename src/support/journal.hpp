@@ -149,18 +149,17 @@ Result<JournalReadResult> parse_journal(
 /// be framed without a file descriptor and read back with parse_journal.
 void encode_frame(ByteWriter& w, std::span<const std::uint8_t> payload);
 
-// ---- shard metadata record (docs/SHARDING.md) ------------------------------
+// ---- journal metadata record (docs/SHARDING.md) ----------------------------
 //
-// A sharded corpus run (RunnerConfig::shard_count > 0) stamps its journal
-// with one shard-metadata record, written first, before any outcome. It
-// pins everything a merge or a per-shard resume must agree on: which shard
-// of how many this journal belongs to, the seed base the global-index
-// seeds derive from, the size of the full corpus, the outcome codec
-// version of the records that follow, and the SHA-256 config fingerprint
-// of the pipeline that produced them. `dydroid merge` refuses to fold
-// journals whose metadata disagrees; a resume refuses a journal whose
-// metadata does not match the resuming run's configuration. Unsharded
-// journals carry no metadata record (the pre-shard format is unchanged).
+// Every outcome journal leads with one metadata record, written before any
+// outcome: a `--shard I/N` run stamps I/N, an unsharded run and a merged
+// journal 0/1. It pins everything a merge or a resume must agree on: which
+// shard of how many this journal belongs to, the seed base the
+// global-index seeds derive from, the size of the full corpus, the outcome
+// codec version of the records that follow, and the SHA-256 config
+// fingerprint of the pipeline that produced them. `dydroid merge` refuses
+// to fold journals whose metadata disagrees; a resume refuses a journal
+// whose metadata does not match the resuming run's configuration.
 
 /// First payload byte of a shard-metadata record. Disjoint from every
 /// outcome-codec version byte (those count up from 1), so a reader can
@@ -194,9 +193,9 @@ struct ShardMeta {
 /// record is shard metadata, not an encoded outcome.
 [[nodiscard]] bool is_shard_meta(std::span<const std::uint8_t> payload);
 
-/// Decode a shard-metadata payload. Throws ParseError on a bad tag,
-/// unsupported version, out-of-range shard fields, truncation or trailing
-/// bytes.
+/// Decode a metadata payload. Throws ParseError on a bad tag, unsupported
+/// version, a shard index not below the shard count (so a count of 0),
+/// truncation or trailing bytes.
 [[nodiscard]] ShardMeta decode_shard_meta(std::span<const std::uint8_t> payload);
 
 }  // namespace dydroid::support

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <new>
 #include <utility>
-#include <vector>
 
 #include "support/io.hpp"
 #include "support/log.hpp"
@@ -36,22 +35,6 @@ constexpr double kShutdownGraceMs = 500.0;
 /// Largest single read into a message buffer.
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-// Parent-side pipe fds of every live PoolWorker. The mutex is held across
-// fork(2) so a new child sees a consistent snapshot and can close the fds
-// it would otherwise inherit from earlier workers (see the header: a leaked
-// write end keeps a sibling's request pipe open and defeats EOF-driven
-// shutdown and death detection).
-std::mutex g_pool_fd_mutex;
-std::vector<int> g_pool_fds;
-
-void register_pool_fd(int fd) { g_pool_fds.push_back(fd); }
-
-void unregister_pool_fd(int fd) {
-  std::lock_guard<std::mutex> lock(g_pool_fd_mutex);
-  g_pool_fds.erase(std::remove(g_pool_fds.begin(), g_pool_fds.end(), fd),
-                   g_pool_fds.end());
-}
-
 void fork_prepare() {
   log_fork_lock();
   trace_fork_lock();
@@ -74,6 +57,19 @@ void install_fork_handlers() {
 }
 
 [[noreturn]] void oom_exit() { ::_exit(kOomExitCode); }
+
+/// Child-side fd hygiene (see the header): close every descriptor above
+/// stderr except the child's own two pipe ends.
+void close_inherited_fds(int keep_a, int keep_b) {
+  unsigned next = 3;
+  for (const int keep : {std::min(keep_a, keep_b), std::max(keep_a, keep_b)}) {
+    const auto fd = static_cast<unsigned>(keep);
+    if (fd < next) continue;
+    if (fd > next) (void)::close_range(next, fd - 1, 0);
+    next = fd + 1;
+  }
+  (void)::close_range(next, ~0U, 0);
+}
 
 /// Child-side setup between fork and the serve loop. Only setrlimit,
 /// signal and set_new_handler: the child is single-threaded.
@@ -185,7 +181,6 @@ FrameRead read_pool_message(int fd, const std::array<std::uint8_t, 8>& magic,
 Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
                                      const WorkerLimits& limits) {
   install_fork_handlers();
-  std::lock_guard<std::mutex> lock(g_pool_fd_mutex);
   int request[2] = {-1, -1};
   int response[2] = {-1, -1};
   if (::pipe(request) != 0) {
@@ -210,12 +205,7 @@ Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
     return Result<PoolWorker>::failure(message);
   }
   if (pid == 0) {
-    // Child. The registry snapshot is consistent (its mutex is held by the
-    // forking thread) and read without locking — the child is
-    // single-threaded and never mutates it.
-    for (const int fd : g_pool_fds) ::close(fd);
-    ::close(request[1]);
-    ::close(response[0]);
+    close_inherited_fds(request[0], response[1]);
     child_setup(limits);
     int code = kChildExceptionExitCode;
     try {
@@ -227,8 +217,6 @@ Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
   }
   ::close(request[0]);
   ::close(response[1]);
-  register_pool_fd(request[1]);
-  register_pool_fd(response[0]);
   return PoolWorker(static_cast<int>(pid), request[1], response[0],
                     limits.wall_deadline_ms);
 }
@@ -256,12 +244,10 @@ PoolWorker::~PoolWorker() { kill(); }
 
 void PoolWorker::close_pipes() {
   if (request_fd_ >= 0) {
-    unregister_pool_fd(request_fd_);
     ::close(request_fd_);
     request_fd_ = -1;
   }
   if (response_fd_ >= 0) {
-    unregister_pool_fd(response_fd_);
     ::close(response_fd_);
     response_fd_ = -1;
   }
@@ -300,7 +286,6 @@ void PoolWorker::shutdown() {
   // holds its only write end). Wait for that hang-up, not on a sleep loop,
   // then reap; a child that lingers past the grace period is killed.
   if (request_fd_ >= 0) {
-    unregister_pool_fd(request_fd_);
     ::close(request_fd_);
     request_fd_ = -1;
   }

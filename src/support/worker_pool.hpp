@@ -49,9 +49,9 @@
 // fd hygiene across forks: a pool runs one worker per driver thread, and a
 // child forked later would inherit the parent-side pipe ends of every
 // earlier worker — keeping a request pipe writable after the parent closes
-// it, so EOF-based death detection and graceful shutdown would hang. Every
-// parent-side fd is tracked in a process-wide registry (its mutex is held
-// across fork) and the child closes all of them before entering the loop.
+// it, so EOF-based death detection and graceful shutdown would hang. The
+// child therefore closes every descriptor above stderr except its own two
+// pipe ends (one close_range(2) per gap) before anything else runs.
 #pragma once
 
 #include <array>

@@ -77,10 +77,6 @@ class LoaderState {
   void add_dex(std::shared_ptr<const dex::DexFile> dexfile) {
     dexfiles_.push_back(std::move(dexfile));
   }
-  [[nodiscard]] const std::vector<std::shared_ptr<const dex::DexFile>>&
-  dexfiles() const {
-    return dexfiles_;
-  }
 
   /// Find a class defined by THIS loader's dex files (no delegation).
   struct Found {

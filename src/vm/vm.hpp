@@ -110,8 +110,6 @@ class Vm {
   /// The defining loader of the innermost non-intrinsic frame (falls back to
   /// the app loader) — the loader used by Class.forName & friends.
   [[nodiscard]] LoaderState* current_loader() const;
-  [[nodiscard]] LoaderState* app_loader() const { return app_loader_; }
-  [[nodiscard]] LoaderState* boot_loader() const { return boot_loader_; }
 
   /// Create a runtime class loader (DexClassLoader / PathClassLoader ctor).
   /// Reads and parses every file in the ':'-separated dex_path; fires the

@@ -388,10 +388,67 @@ TEST(CliArgs, SurveyIsolatePrintsThreadSummaryPlusSandboxLine) {
 
 TEST(CliArgs, SurveyRejectsUnknownIsolateMode) {
   REQUIRE_CLI();
-  const auto result = run_cli("survey --scale 0.002 --jobs 1 --isolate=vm");
-  EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("invalid --isolate mode"), std::string::npos)
-      << result.output;
+  // Only `pool` names a mode; a bare --isolate is the recycling pool.
+  for (const char* mode : {"vm", "fork"}) {
+    const auto result = run_cli(
+        std::string("survey --scale 0.002 --jobs 1 --isolate=") + mode);
+    EXPECT_EQ(result.exit_code, 2) << mode << ": " << result.output;
+    EXPECT_NE(result.output.find("invalid --isolate mode"), std::string::npos)
+        << mode << ": " << result.output;
+  }
+}
+
+// --- resume hints (docs/CHECKPOINT.md) --------------------------------------
+
+/// The command a killed run printed after "resume with: dydroid ", or ""
+/// when it printed none.
+std::string resume_hint(const std::string& output) {
+  const std::string marker = "resume with: dydroid ";
+  const auto at = output.find(marker);
+  if (at == std::string::npos) return {};
+  const auto start = at + marker.size();
+  return output.substr(start, output.find('\n', start) - start);
+}
+
+TEST(CliArgs, ResumeHintsRepeatThePinnedFlags) {
+  REQUIRE_CLI();
+  // A journal's metadata pins the fault plan, budget and retry policy (and
+  // each record its seed), so a killed run's hint must repeat them:
+  // following the hint has to finish the run.
+  const std::string base_path = testing::TempDir() + "/cli_hint_" +
+                                std::to_string(::getpid());
+  const std::string journal = base_path + ".jrnl";
+  const std::string app = base_path + ".sapk";
+
+  const std::string survey =
+      "survey --scale 0.002 --seed 7 --jobs 2 --faults dex.parse=always "
+      "--budget 60000 --retry";
+  const auto golden = run_cli(survey);
+  ASSERT_EQ(golden.exit_code, 0) << golden.output;
+  std::remove(journal.c_str());
+  auto run = run_cli(survey + ",driver.kill=nth:40 --journal " + journal);
+  for (int round = 0; round < 5 && run.exit_code == 3; ++round) {
+    const std::string hint = resume_hint(run.output);
+    ASSERT_NE(hint.find("--budget 60000 --retry"), std::string::npos)
+        << run.output;
+    run = run_cli(hint);
+  }
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(stable_output(run.output), stable_output(golden.output));
+
+  ASSERT_EQ(run_cli("gen " + app + " --own-dex --seed 7").exit_code, 0);
+  const std::string analyze = "analyze " + app + " --seed 42";
+  const auto plain = run_cli(analyze);
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  std::remove(journal.c_str());
+  const auto killed = run_cli(analyze + " --faults driver.kill=nth:1 " +
+                              "--journal " + journal);
+  ASSERT_EQ(killed.exit_code, 3) << killed.output;
+  const auto resumed = run_cli(resume_hint(killed.output));
+  EXPECT_EQ(resumed.exit_code, 0) << resumed.output;
+  EXPECT_EQ(resumed.output, plain.output);
+  std::remove(app.c_str());
+  std::remove(journal.c_str());
 }
 
 // --- signal-disposition regression (the leaked-handler bug) ----------------

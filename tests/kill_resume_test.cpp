@@ -179,11 +179,12 @@ TEST(KillResume, TornAppendRecoversAndResumes) {
     config.journal_path = journal.path();
     EXPECT_THROW((void)CorpusRunner(pipeline, config).run(corpus), RunAborted);
   }
-  // The file genuinely carries a torn frame.
+  // The file genuinely carries a torn frame, after the metadata record
+  // and k - 1 outcomes.
   auto read = support::read_journal(journal.path());
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read.value().torn());
-  ASSERT_EQ(read.value().records.size(), k - 1);
+  ASSERT_EQ(read.value().records.size(), 1 + (k - 1));
 
   RunnerConfig resume_config;
   resume_config.jobs = 2;
@@ -199,12 +200,13 @@ TEST(KillResume, TornAppendRecoversAndResumes) {
     ASSERT_EQ(resumed_json[i], golden_json[i]) << "app " << i;
   }
   expect_same_counts(resumed.stats, golden.stats);
-  // And the resumed journal is whole again: no torn tail, one record per
-  // app (the re-run apps appended after the truncated prefix).
+  // And the resumed journal is whole again: no torn tail, the metadata
+  // record plus one record per app (the re-run apps appended after the
+  // truncated prefix).
   auto reread = support::read_journal(journal.path());
   ASSERT_TRUE(reread.ok());
   EXPECT_FALSE(reread.value().torn());
-  EXPECT_EQ(reread.value().records.size(), n);
+  EXPECT_EQ(reread.value().records.size(), 1 + n);
 }
 
 // ---------------------------------------------------------------------------

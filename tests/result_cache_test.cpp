@@ -269,6 +269,31 @@ TEST(ResultCache, StaleConfigFingerprintInvalidatesLoudly) {
   ASSERT_TRUE(cache.lookup(key_of("c", 0, fp_b)).has_value());
 }
 
+TEST(ResultCache, DriverLevelFaultSitesAreNotFingerprinted) {
+  // journal.append, driver.kill, cache.read and cache.write abort or
+  // degrade a run but never change a report, so a plan arming only them
+  // fingerprints like no plan; a site that moves reports still counts.
+  const auto fingerprint_of = [](const std::string& plan_text) {
+    support::FaultPlan plan;  // outlives the pipeline below
+    core::PipelineOptions options;
+    if (!plan_text.empty()) {
+      auto parsed = support::FaultPlan::parse(plan_text);
+      EXPECT_TRUE(parsed.ok()) << plan_text;
+      plan = parsed.value();
+      options.faults = &plan;
+    }
+    return config_fingerprint(core::DyDroid(std::move(options)));
+  };
+  const auto unfaulted = fingerprint_of("");
+  EXPECT_EQ(fingerprint_of("journal.append=nth:3,driver.kill=nth:40,"
+                           "cache.read=p:0.5,cache.write=always"),
+            unfaulted);
+  EXPECT_EQ(fingerprint_of("driver.kill=nth:1"), unfaulted);
+  const auto dex_parse = fingerprint_of("dex.parse=always");
+  EXPECT_NE(dex_parse, unfaulted);
+  EXPECT_EQ(fingerprint_of("dex.parse=always,driver.kill=nth:40"), dex_parse);
+}
+
 TEST(ResultCache, TornTailIsRecoveredNotFatal) {
   TempCacheDir dir("torn");
   std::string store;

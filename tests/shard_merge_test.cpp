@@ -1,11 +1,13 @@
 // Sharded corpus execution and the deterministic shard-journal merge
 // (docs/SHARDING.md): N independent `--shard I/N` runs, folded by
 // merge_shard_journals into one journal whose replay is byte-identical to
-// an unsharded run — at any worker count, faults on or off. Plus the loud
-// failure matrix (missing/duplicated shards, overlapping residues,
-// mismatched fingerprints, corrupt metadata), the kill-one-shard →
-// resume → merge recovery path, and the validation boundaries for the
-// seed-overflow and trace-context-narrowing bugfixes.
+// an unsharded run — at any worker count, faults on or off. Plus the one
+// journal format (every journal leads with its run's metadata, so resume
+// and merge refuse differently configured runs), the loud failure matrix
+// (missing/duplicated shards, overlapping residues, mismatched
+// fingerprints, corrupt metadata), the kill-one-shard → resume → merge
+// recovery path, and the validation boundaries for the seed-overflow and
+// trace-context-narrowing bugfixes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "core/report_json.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
+#include "driver/result_cache.hpp"
 #include "driver/shard_merge.hpp"
 #include "support/fault.hpp"
 #include "support/journal.hpp"
@@ -160,8 +163,8 @@ void check_golden_equivalence(const core::DyDroid& pipeline,
       EXPECT_EQ(merged.value().duplicates_dropped, 0u);
       EXPECT_EQ(merged.value().torn_bytes, 0u);
 
-      // The merged journal replays like any plain journal: every outcome
-      // restored, none re-analyzed, reports byte-identical to the
+      // The merged journal replays like an unsharded run's journal: every
+      // outcome restored, none re-analyzed, reports byte-identical to the
       // uninterrupted unsharded run.
       RunnerConfig replay_config;
       replay_config.jobs = 2;
@@ -207,8 +210,8 @@ TEST(ShardMerge, GoldenEquivalenceWithFaultsAndRetries) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal format: shard journals lead with metadata; the merged journal is
-// a plain journal preserving the winning payloads verbatim.
+// Journal format: every journal leads with its run's metadata — I/N for a
+// shard, 0/1 unsharded and merged; the merge preserves payloads verbatim.
 // ---------------------------------------------------------------------------
 
 TEST(ShardMerge, ShardJournalLeadsWithItsMetadataRecord) {
@@ -238,24 +241,33 @@ TEST(ShardMerge, ShardJournalLeadsWithItsMetadataRecord) {
   }
 }
 
-TEST(ShardMerge, UnshardedJournalCarriesNoMetadataRecord) {
+TEST(ShardMerge, UnshardedJournalLeadsWithShardZeroOfOneMetadata) {
   support::set_log_level(support::LogLevel::Error);
   const auto corpus = small_corpus();
   const core::DyDroid pipeline{core::PipelineOptions{}};
-  TempFile journal("nometa");
+  TempFile journal("zero_of_one");
   RunnerConfig config;
   config.jobs = 1;
   config.journal_path = journal.path();
   (void)CorpusRunner(pipeline, config).run(corpus);
   auto read = support::read_journal(journal.path());
   ASSERT_TRUE(read.ok());
-  ASSERT_EQ(read.value().records.size(), corpus.apps.size());
-  for (const auto& record : read.value().records) {
-    EXPECT_FALSE(support::is_shard_meta(record));
+  const auto& records = read.value().records;
+  ASSERT_EQ(records.size(), corpus.apps.size() + 1);
+  ASSERT_TRUE(support::is_shard_meta(records.front()));
+  const auto meta = support::decode_shard_meta(records.front());
+  EXPECT_EQ(meta.shard_index, 0u);
+  EXPECT_EQ(meta.shard_count, 1u);
+  EXPECT_EQ(meta.seed_base, kDefaultSeedBase);
+  EXPECT_EQ(meta.corpus_size, corpus.apps.size());
+  EXPECT_EQ(meta.outcome_codec_version, kOutcomeCodecVersion);
+  EXPECT_EQ(meta.config_fingerprint, config_fingerprint(pipeline).bytes);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    EXPECT_FALSE(support::is_shard_meta(records[i]));
   }
 }
 
-TEST(ShardMerge, MergedJournalIsPlainAndBytePreserving) {
+TEST(ShardMerge, MergedJournalLeadsWithMetadataAndPreservesBytes) {
   support::set_log_level(support::LogLevel::Error);
   const auto corpus = small_corpus();
   const std::size_t n = corpus.apps.size();
@@ -268,9 +280,11 @@ TEST(ShardMerge, MergedJournalIsPlainAndBytePreserving) {
 
   // Index the shard journals' outcome payloads by global index.
   std::vector<support::Bytes> expected(n);
+  support::ShardMeta shard_meta;
   for (const auto& journal : journals) {
     auto read = support::read_journal(journal.path());
     ASSERT_TRUE(read.ok());
+    shard_meta = support::decode_shard_meta(read.value().records.front());
     for (std::size_t i = 1; i < read.value().records.size(); ++i) {
       const auto& record = read.value().records[i];
       expected[decode_outcome(record).index] = record;
@@ -284,11 +298,20 @@ TEST(ShardMerge, MergedJournalIsPlainAndBytePreserving) {
   auto read = support::read_journal(merged_out.path());
   ASSERT_TRUE(read.ok());
   const auto& records = read.value().records;
-  ASSERT_EQ(records.size(), n);
+  ASSERT_EQ(records.size(), n + 1);
+  // The shards' metadata, restamped as shard 0/1: same seed base, corpus,
+  // codec version and fingerprint.
+  ASSERT_TRUE(support::is_shard_meta(records.front()));
+  support::ShardMeta want = shard_meta;
+  want.shard_index = 0;
+  want.shard_count = 1;
+  EXPECT_EQ(support::decode_shard_meta(records.front()), want);
+  EXPECT_EQ(merged.value().meta, want);
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_FALSE(support::is_shard_meta(records[i]));
-    EXPECT_EQ(decode_outcome(records[i]).index, i);  // ascending order
-    EXPECT_EQ(records[i], expected[i]);              // verbatim bytes
+    const auto& record = records[i + 1];
+    ASSERT_FALSE(support::is_shard_meta(record));
+    EXPECT_EQ(decode_outcome(record).index, i);  // ascending order
+    EXPECT_EQ(record, expected[i]);              // verbatim bytes
   }
 }
 
@@ -349,46 +372,32 @@ TEST(ShardMerge, KilledShardResumesThenMergesToGolden) {
   for (std::uint32_t i = 0; i < 3; ++i) {
     journals.emplace_back("kill_s" + std::to_string(i));
   }
-  // Every shard runs under the SAME kill plan (the fault plan is part of
-  // the config fingerprint, so mixing a faulted shard with fault-free
-  // shards is — correctly — a merge error). Each shard dies after its
-  // 35th outcome append and is resumed, under the same plan, until done;
-  // the resumed round replays the 35 and appends the remaining few
-  // without re-reaching the kill threshold.
+  // Each shard dies after its 35th outcome append, then resumes without
+  // the kill plan: driver-level fault sites are not part of the config
+  // fingerprint, so the fault-free resume accepts the journal, exactly as
+  // an unsharded KillResume run does.
   const std::size_t k = 35;
-  bool checked_premature = false;
+  auto plan = support::FaultPlan::parse("driver.kill=nth:" +
+                                        std::to_string(k));
+  ASSERT_TRUE(plan.ok());
+  core::PipelineOptions kill_options;
+  kill_options.faults = &plan.value();
+  const core::DyDroid kill_pipeline(std::move(kill_options));
   for (std::uint32_t i = 0; i < 3; ++i) {
-    bool complete = false;
-    bool killed = false;
-    for (int round = 0; round < 4 && !complete; ++round) {
-      auto plan = support::FaultPlan::parse("driver.kill=nth:" +
-                                            std::to_string(k));
-      ASSERT_TRUE(plan.ok());
-      core::PipelineOptions options;
-      options.faults = &plan.value();
-      const core::DyDroid pipeline(std::move(options));
-      RunnerConfig config = shard_config(i, 3, journals[i].path());
-      config.resume = round > 0;
-      try {
-        const auto result = CorpusRunner(pipeline, config).run(corpus);
-        EXPECT_EQ(result.completed(), result.shard_apps);
-        complete = true;
-      } catch (const RunAborted& aborted) {
-        killed = true;
-        if (round == 0) {
-          // The shard-metadata record counts as an append, so a killed
-          // fresh sharded run reports k outcomes + 1 meta record.
-          EXPECT_EQ(aborted.journaled(), k + 1);
-        }
-      }
+    RunnerConfig config = shard_config(i, 3, journals[i].path());
+    try {
+      (void)CorpusRunner(kill_pipeline, config).run(corpus);
+      FAIL() << "shard " << i << " was never killed — raise the corpus scale";
+    } catch (const RunAborted& aborted) {
+      EXPECT_EQ(aborted.journaled(), k);  // outcome records only
     }
-    ASSERT_TRUE(complete) << "shard " << i << " never completed";
-    ASSERT_TRUE(killed) << "shard " << i
-                        << " was never killed — raise the corpus scale";
-    if (i == 0 && !checked_premature) {
+    config.resume = true;
+    const auto result = CorpusRunner(golden_pipeline, config).run(corpus);
+    EXPECT_EQ(result.completed(), result.shard_apps);
+    EXPECT_EQ(result.replayed, k);
+    if (i == 0) {
       // With only one complete shard, merging fails loudly and points at
       // the missing shards.
-      checked_premature = true;
       TempFile premature("kill_premature");
       expect_merge_failure(premature.path(),
                            {journals[0].path()},
@@ -480,15 +489,19 @@ TEST_F(ShardFailures, DuplicatedShardInputFailsLoudly) {
 }
 
 TEST_F(ShardFailures, UnshardedJournalRejected) {
+  // An unsharded journal is shard 0/1: it cannot stand in for shard 0 of
+  // a two-shard campaign.
   const core::DyDroid pipeline{core::PipelineOptions{}};
-  TempFile plain("fail_plain");
+  TempFile unsharded("fail_unsharded");
   RunnerConfig config;
   config.jobs = 1;
-  config.journal_path = plain.path();
+  config.journal_path = unsharded.path();
   (void)CorpusRunner(pipeline, config).run(corpus_);
-  TempFile out("fail_plain_merged");
-  expect_merge_failure(out.path(), {plain.path(), journals_[1].path()},
-                       "not a shard journal");
+  TempFile out("fail_unsharded_merged");
+  expect_merge_failure(out.path(), {unsharded.path(), journals_[1].path()},
+                       "metadata disagrees");
+  expect_merge_failure(out.path(), {unsharded.path(), journals_[1].path()},
+                       "shard 0/2 vs shard 0/1");
 }
 
 TEST_F(ShardFailures, ConfigFingerprintMismatchFailsLoudly) {
@@ -577,8 +590,8 @@ TEST_F(ShardFailures, FailedMergeNeverTouchesTheOutputPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard resume validation: a journal only resumes under the exact
-// shard configuration that produced it.
+// Resume validation: a journal only resumes under the exact shard and
+// pipeline configuration that produced it.
 // ---------------------------------------------------------------------------
 
 void expect_run_failure(const core::DyDroid& pipeline,
@@ -606,7 +619,8 @@ TEST(ShardResume, ShardedJournalRefusesUnshardedResume) {
   config.journal_path = journal.path();
   config.resume = true;
   expect_run_failure(pipeline, config, corpus,
-                     "belongs to a sharded run");
+                     "journal does not match this run: shard 0/2 vs shard "
+                     "0/1");
 }
 
 TEST(ShardResume, ShardedJournalRefusesTheWrongShard) {
@@ -634,7 +648,8 @@ TEST(ShardResume, UnshardedJournalRefusesShardedResume) {
   RunnerConfig sharded = shard_config(0, 2, journal.path());
   sharded.resume = true;
   expect_run_failure(pipeline, sharded, corpus,
-                     "no shard-metadata record");
+                     "journal does not match this run: shard 0/1 vs shard "
+                     "0/2");
 }
 
 TEST(ShardResume, CompletedShardResumesAsANoOp) {
@@ -659,6 +674,150 @@ TEST(ShardResume, CompletedShardResumesAsANoOp) {
     if (support::is_shard_meta(record)) ++metas;
   }
   EXPECT_EQ(metas, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One journal format: sharded, unsharded and merged journals all lead with
+// their run's metadata, so every resume checks the configuration.
+// ---------------------------------------------------------------------------
+
+TEST(JournalFormat, UnshardedResumeUnderADifferentConfigurationThrows) {
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  TempFile journal("format_config");
+  RunnerConfig config;
+  config.jobs = 1;
+  config.journal_path = journal.path();
+  (void)CorpusRunner(pipeline, config).run(corpus);
+  config.resume = true;
+
+  auto plan = support::FaultPlan::parse("dex.parse=always");
+  ASSERT_TRUE(plan.ok());
+  core::PipelineOptions faulted;
+  faulted.faults = &plan.value();
+  core::PipelineOptions budgeted;
+  budgeted.max_app_wall_ms = 60000.0;
+  core::PipelineOptions retrying;
+  retrying.retry_on_crash = true;
+  for (core::PipelineOptions* options : {&faulted, &budgeted, &retrying}) {
+    const core::DyDroid other(std::move(*options));
+    expect_run_failure(other, config, corpus, "config fingerprint");
+  }
+  // Refused, not rewritten: the matching configuration replays it whole.
+  const auto resumed = CorpusRunner(pipeline, config).run(corpus);
+  EXPECT_EQ(resumed.replayed, corpus.apps.size());
+  EXPECT_EQ(resumed.analyzed, 0u);
+}
+
+TEST(JournalFormat, MergedJournalResumedUnderADifferentConfigurationThrows) {
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  std::vector<TempFile> journals;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    journals.emplace_back("format_merge_s" + std::to_string(i));
+  }
+  run_shards(pipeline, corpus, journals, 1);
+  TempFile merged_out("format_merged");
+  const auto merged =
+      merge_shard_journals(merged_out.path(), journal_paths(journals));
+  ASSERT_TRUE(merged.ok()) << merged.error();
+
+  RunnerConfig config;
+  config.jobs = 1;
+  config.journal_path = merged_out.path();
+  config.resume = true;
+  core::PipelineOptions options;
+  options.retry_on_crash = true;
+  const core::DyDroid other(std::move(options));
+  expect_run_failure(other, config, corpus, "config fingerprint");
+}
+
+TEST(JournalFormat, UnshardedAndZeroOfOneRunsAreInterchangeable) {
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const std::size_t n = corpus.apps.size();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  TempFile unsharded("format_unsharded");
+  TempFile zero_of_one("format_zero_of_one");
+  RunnerConfig plain_config;
+  plain_config.jobs = 1;
+  plain_config.journal_path = unsharded.path();
+  (void)CorpusRunner(pipeline, plain_config).run(corpus);
+  RunnerConfig shard_zero = shard_config(0, 1, zero_of_one.path());
+  (void)CorpusRunner(pipeline, shard_zero).run(corpus);
+
+  auto plain_read = support::read_journal(unsharded.path());
+  auto shard_read = support::read_journal(zero_of_one.path());
+  ASSERT_TRUE(plain_read.ok());
+  ASSERT_TRUE(shard_read.ok());
+  ASSERT_FALSE(plain_read.value().records.empty());
+  ASSERT_FALSE(shard_read.value().records.empty());
+  ASSERT_TRUE(support::is_shard_meta(plain_read.value().records.front()));
+  EXPECT_EQ(plain_read.value().records.front(),
+            shard_read.value().records.front());
+
+  // Each journal resumes under the other run's configuration.
+  plain_config.journal_path = zero_of_one.path();
+  plain_config.resume = true;
+  EXPECT_EQ(CorpusRunner(pipeline, plain_config).run(corpus).replayed, n);
+  shard_zero.journal_path = unsharded.path();
+  shard_zero.resume = true;
+  EXPECT_EQ(CorpusRunner(pipeline, shard_zero).run(corpus).replayed, n);
+}
+
+TEST(JournalFormat, JournalWithoutMetadataIsRefusedByResumeAndMerge) {
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  RunnerConfig config;
+  config.jobs = 1;
+  const auto live = CorpusRunner(pipeline, config).run(corpus);
+
+  // Outcome records only: the layout without a metadata record.
+  TempFile bare("format_bare");
+  {
+    support::JournalWriterOptions options;
+    options.truncate = true;
+    auto writer = support::JournalWriter::open(bare.path(), options);
+    ASSERT_TRUE(writer.ok());
+    for (std::size_t i = 0; i < live.outcomes.size(); ++i) {
+      ASSERT_TRUE(
+          writer.value().append(encode_outcome(i, live.outcomes[i])).ok());
+    }
+  }
+  config.journal_path = bare.path();
+  config.resume = true;
+  expect_run_failure(pipeline, config, corpus, "not a metadata record");
+  TempFile out("format_bare_merged");
+  expect_merge_failure(out.path(), {bare.path()}, "not a metadata record");
+}
+
+TEST(JournalFormat, JournalWithNoIntactRecordResumesAsAFreshRun) {
+  // A run killed after the magic but before its metadata record leaves a
+  // journal with no intact record: resuming it runs every app and stamps
+  // the metadata first.
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  TempFile journal("format_empty");
+  {
+    support::JournalWriterOptions options;
+    options.truncate = true;
+    ASSERT_TRUE(support::JournalWriter::open(journal.path(), options).ok());
+  }
+  RunnerConfig config;
+  config.jobs = 1;
+  config.journal_path = journal.path();
+  config.resume = true;
+  const auto result = CorpusRunner(pipeline, config).run(corpus);
+  EXPECT_EQ(result.analyzed, corpus.apps.size());
+  EXPECT_EQ(result.replayed, 0u);
+  auto read = support::read_journal(journal.path());
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read.value().records.size(), corpus.apps.size() + 1);
+  EXPECT_TRUE(support::is_shard_meta(read.value().records.front()));
 }
 
 // ---------------------------------------------------------------------------
@@ -716,7 +875,19 @@ TEST(ShardValidation, CorpusCeilingGuardsTheTraceContextNarrowing) {
 
 TEST(ShardValidation, ShardFieldRejections) {
   RunnerConfig config;
-  config.shard_index = 1;  // index set without a count
+  EXPECT_EQ(config.shard_count, 1u);  // unsharded is shard 0 of 1
+  EXPECT_EQ(config.shard_index, 0u);
+  EXPECT_NO_THROW(validate_runner_config(config, 10));
+  config.shard_count = 0;  // one value means unsharded; 0 is not it
+  try {
+    validate_runner_config(config, 10);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard count"), std::string::npos)
+        << e.what();
+  }
+  config.shard_count = 1;
+  config.shard_index = 1;  // out of range for the one shard
   EXPECT_THROW(validate_runner_config(config, 10), std::runtime_error);
   config.shard_count = 2;
   config.shard_index = 2;  // out of range
@@ -727,7 +898,7 @@ TEST(ShardValidation, ShardFieldRejections) {
 
 TEST(ShardValidation, ShardAppCountPartitionsTheCorpus) {
   for (const std::uint64_t corpus : {0ull, 1ull, 7ull, 12ull, 100ull}) {
-    EXPECT_EQ(shard_app_count(corpus, 0, 0), corpus);  // unsharded
+    EXPECT_EQ(shard_app_count(corpus, 0, 1), corpus);  // unsharded
     for (const std::uint32_t shards : {1u, 2u, 3u, 8u, 16u}) {
       std::uint64_t total = 0;
       for (std::uint32_t i = 0; i < shards; ++i) {

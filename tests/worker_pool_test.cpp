@@ -326,6 +326,30 @@ TEST(PoolWorker, ShutdownIsGracefulEofNotAKill) {
   EXPECT_EQ(::kill(pid, 0), -1);
 }
 
+TEST(PoolWorker, SiblingWorkerDoesNotHoldAnotherWorkersRequestPipe) {
+  // The second child is forked while the first worker's parent-side pipe
+  // ends are open. Unless it closes them, it keeps the first worker's
+  // request pipe writable, the first never reads EOF, and shutdown() has
+  // to SIGKILL it after the grace period.
+  TempPath marker("eof_marker");
+  auto first = support::PoolWorker::spawn(
+      [path = marker.path()](int request_fd, int response_fd) {
+        const int code = echo_serve(request_fd, response_fd);
+        // Reached only when the loop returns — on EOF, with code 0.
+        if (code == 0) std::ofstream(path) << "eof";
+        return code;
+      },
+      {});
+  ASSERT_TRUE(first.ok()) << first.error();
+  auto second = support::PoolWorker::spawn(echo_serve, {});
+  ASSERT_TRUE(second.ok()) << second.error();
+
+  first.value().shutdown();
+  EXPECT_TRUE(std::filesystem::exists(marker.path()))
+      << "the first worker never saw EOF: a sibling holds its request pipe";
+  second.value().shutdown();
+}
+
 TEST(PoolWorker, DyingWorkerIsDetectedAndClassifiedBySignal) {
   auto spawned = support::PoolWorker::spawn(
       [](int request_fd, int) {
@@ -505,8 +529,8 @@ TEST(WorkerPool, PoolModeMatchesThreadModeUnderFaultInjection) {
 }
 
 TEST(WorkerPool, PoolModeMatchesForkModeUnderSandboxCrashInjection) {
-  // Fork mode (`--isolate=fork`: the pool recycling after every app, a
-  // fresh process per attempt) and the persistent pool must agree app by
+  // Fork mode (`--isolate`: the pool recycling after every app, a fresh
+  // process per attempt) and the persistent pool must agree app by
   // app even when the sandbox *itself* is under attack: the injected kill
   // decision is drawn in the supervisor from the same per-app session in
   // both, and the synthesized crash_message strings are identical — which

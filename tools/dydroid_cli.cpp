@@ -10,7 +10,8 @@
 //               [--journal PATH | --resume PATH] [--cache DIR]
 //       Run the full pipeline on one app; print the JSON report. With a
 //       journal the finished outcome is appended to the write-ahead log;
-//       with --resume a journaled outcome is replayed instead of re-run.
+//       with --resume (same --seed and --faults) a journaled outcome is
+//       replayed instead of re-run.
 //       With --cache the outcome is served from / inserted into the
 //       content-addressed result cache (docs/CACHE.md).
 //
@@ -29,8 +30,9 @@
 //       journal, every finished app is appended to a crash-safe
 //       write-ahead log (docs/CHECKPOINT.md); SIGINT/SIGTERM triggers a
 //       graceful stop (in-flight apps finish, the journal is sealed) and
-//       a killed or interrupted run resumes with --resume PATH,
-//       re-running only the missing apps. --cache DIR arms the
+//       a killed or interrupted run resumes with --resume PATH and the
+//       same flags (checked against the journal's metadata), re-running
+//       only the missing apps. --cache DIR arms the
 //       content-addressed result cache + binary dedup store
 //       (docs/CACHE.md): identical (bytes, config, seed) work is
 //       replayed instead of re-analyzed. --trace writes a Chrome
@@ -47,9 +49,10 @@
 //
 //   dydroid merge <out.journal> <shard.journal>...
 //       Fold the journals of N `survey --shard I/N` runs into one sealed
-//       journal whose --resume replay is byte-identical to an unsharded
-//       run (docs/SHARDING.md). Loud failures on overlapping/missing
-//       shards, mismatched config fingerprints or mixed codec versions.
+//       journal, stamped as shard 0/1, whose --resume replay is
+//       byte-identical to an unsharded run (docs/SHARDING.md). Loud
+//       failures on overlapping/missing shards, mismatched config
+//       fingerprints or mixed codec versions.
 //
 //   dydroid faultcheck [--scale S] [--jobs 1,2,8] [--fraction F]
 //               [--no-corruption]
@@ -307,6 +310,22 @@ std::string configure_journal(const Args& args,
   return path;
 }
 
+/// The given flags among `names`, respelled for a "resume with:" hint: a
+/// resume must repeat every flag the journal's metadata pins (corpus,
+/// shard, fault plan, budget, retry policy).
+std::string resume_flags(const Args& args,
+                         std::initializer_list<const char*> names) {
+  std::string flags;
+  for (const char* name : names) {
+    if (!args.flag(name)) continue;
+    flags += std::string(" --") + name;
+    if (const std::string value = args.value(name, ""); !value.empty()) {
+      flags += " " + value;
+    }
+  }
+  return flags;
+}
+
 // --- corpus sharding plumbing (docs/SHARDING.md) ----------------------------
 
 /// Fill the shard fields of a RunnerConfig from --shard I/N. Returns the
@@ -358,20 +377,18 @@ std::string configure_cache(const char* cmd, const Args& args,
 
 // --- process-isolation plumbing (docs/ISOLATION.md) -------------------------
 
-/// Fill the sandbox fields of a RunnerConfig from --isolate[=pool|fork],
+/// Fill the sandbox fields of a RunnerConfig from --isolate[=pool],
 /// --mem-limit and --recycle-apps. Returns true when isolation is on.
 /// Every spelling runs the worker pool: --isolate=pool keeps each worker
-/// for the whole run, while a bare --isolate, --isolate=fork and
-/// --mem-limit on its own recycle it after every app — a fresh process per
-/// attempt.
+/// for the whole run, while a bare --isolate and --mem-limit on its own
+/// recycle it after every app — a fresh process per attempt.
 bool configure_isolation(const char* cmd, const Args& args,
                          driver::RunnerConfig& config) {
   const std::string mode = args.value("isolate", "");
-  if (args.flag("isolate") && mode != "pool" && mode != "fork" &&
-      !mode.empty()) {
+  if (args.flag("isolate") && mode != "pool" && !mode.empty()) {
     std::fprintf(stderr,
-                 "%s: invalid --isolate mode '%s' (expected fork or pool)\n",
-                 cmd, mode.c_str());
+                 "%s: invalid --isolate mode '%s' (expected pool)\n", cmd,
+                 mode.c_str());
     std::exit(2);
   }
   if (!args.flag("isolate") && !args.flag("mem-limit")) return false;
@@ -481,14 +498,10 @@ int cmd_analyze(const Args& args) {
       parse_u64_flag("analyze", "seed", args.value("seed", "1"));
   driver::RunnerConfig runner_config;
   const std::string journal_path = configure_journal(args, runner_config);
-  const std::string shard_spec = configure_shard("analyze", args, runner_config);
   const std::string cache_dir = configure_cache("analyze", args, runner_config);
   const bool isolate = configure_isolation("analyze", args, runner_config);
-  const std::string shard_hint =
-      shard_spec.empty() ? std::string() : " --shard " + shard_spec;
   core::DyDroid pipeline(std::move(options));
-  if (journal_path.empty() && cache_dir.empty() && !isolate &&
-      shard_spec.empty()) {
+  if (journal_path.empty() && cache_dir.empty() && !isolate) {
     const auto report = pipeline.analyze(bytes, seed);
     std::printf("%s", core::report_to_json(report).c_str());
     return 0;
@@ -501,6 +514,11 @@ int cmd_analyze(const Args& args) {
   job.apk = bytes;
   job.seed = seed;  // the journal validates the seed on resume
   const driver::CorpusRunner runner(pipeline, runner_config);
+  // The journal's metadata pins the fault plan and the record the seed.
+  const std::string resume_hint = support::format(
+      "  resume with: dydroid analyze %s --seed %llu%s --resume %s\n",
+      args.positional[0].c_str(), static_cast<unsigned long long>(seed),
+      resume_flags(args, {"faults"}).c_str(), journal_path.c_str());
   driver::CorpusResult result;
   try {
     StopSignalRestorer restore;
@@ -508,32 +526,14 @@ int cmd_analyze(const Args& args) {
     result = runner.run(std::span<const driver::AppJob>(&job, 1));
   } catch (const driver::RunAborted& e) {
     std::fprintf(stderr, "analyze: %s\n", e.what());
-    if (!journal_path.empty()) {
-      std::fprintf(stderr,
-                   "  resume with: dydroid analyze %s --resume %s%s\n",
-                   args.positional[0].c_str(), journal_path.c_str(),
-                   shard_hint.c_str());
-    }
+    if (!journal_path.empty()) std::fputs(resume_hint.c_str(), stderr);
     return 3;
   }
   maybe_test_raise_stop();
-  if (result.shard_apps == 0) {
-    // A 1-app corpus sharded I/N with I > 0: this shard owns no apps —
-    // a valid empty shard, not an error (its journal still carries the
-    // shard metadata `dydroid merge` needs).
-    std::printf("shard %s owns no apps of a 1-app corpus; nothing to do\n",
-                shard_spec.c_str());
-    return 0;
-  }
   if (result.interrupted || result.outcomes.empty() ||
       !result.outcomes[0].completed) {
     std::fprintf(stderr, "analyze: interrupted before the app completed\n");
-    if (!journal_path.empty()) {
-      std::fprintf(stderr,
-                   "  resume with: dydroid analyze %s --resume %s%s\n",
-                   args.positional[0].c_str(), journal_path.c_str(),
-                   shard_hint.c_str());
-    }
+    if (!journal_path.empty()) std::fputs(resume_hint.c_str(), stderr);
     return 3;
   }
   if (isolate && result.outcomes[0].sandbox_fate != driver::SandboxFate::kNone) {
@@ -634,8 +634,13 @@ int cmd_survey(const Args& args) {
   const std::string cache_dir = configure_cache("survey", args, runner_config);
   const bool isolate = configure_isolation("survey", args, runner_config);
   const std::string trace_path = configure_observability(args);
-  const std::string shard_hint =
-      shard_spec.empty() ? std::string() : " --shard " + shard_spec;
+  // A resume must repeat every flag the journal's metadata pins.
+  const std::string resume_command = support::format(
+      "dydroid survey --scale %s --seed %s%s --resume %s",
+      args.value("scale", "0.02").c_str(),
+      args.value("seed", "20161101").c_str(),
+      resume_flags(args, {"faults", "budget", "retry", "shard"}).c_str(),
+      journal_path.c_str());
   const driver::CorpusRunner runner(pipeline, runner_config);
   driver::CorpusResult result;
   try {
@@ -644,12 +649,8 @@ int cmd_survey(const Args& args) {
     result = runner.run(corpus);
   } catch (const driver::RunAborted& e) {
     std::fprintf(stderr, "survey: %s\n", e.what());
-    std::fprintf(stderr,
-                 "  the journal is sealed; resume with: dydroid survey "
-                 "--scale %s --seed %s --resume %s%s\n",
-                 args.value("scale", "0.02").c_str(),
-                 args.value("seed", "20161101").c_str(), journal_path.c_str(),
-                 shard_hint.c_str());
+    std::fprintf(stderr, "  the journal is sealed; resume with: %s\n",
+                 resume_command.c_str());
     return 3;
   }
   maybe_test_raise_stop();
@@ -715,12 +716,9 @@ int cmd_survey(const Args& args) {
   if (result.interrupted) {
     std::fprintf(stderr,
                  "survey: interrupted: %zu/%zu apps completed and journaled\n"
-                 "  resume with: dydroid survey --scale %s --seed %s "
-                 "--resume %s%s\n",
+                 "  resume with: %s\n",
                  result.completed(), result.shard_apps,
-                 args.value("scale", "0.02").c_str(),
-                 args.value("seed", "20161101").c_str(), journal_path.c_str(),
-                 shard_hint.c_str());
+                 resume_command.c_str());
     return 3;
   }
   return 0;
@@ -795,12 +793,12 @@ void usage() {
       "  analyze <app.sapk> [--seed N] [--host URL FILE]...\n"
       "      [--companion FILE] [--faults PLAN]\n"
       "      [--journal PATH | --resume PATH] [--cache DIR]\n"
-      "      [--isolate[=fork|pool]] [--mem-limit BYTES]\n"
+      "      [--isolate[=pool]] [--mem-limit BYTES]\n"
       "  disasm <app.sapk>\n"
       "  pack <in.sapk> <out.sapk> [--trap]\n"
       "  unpack <packed.sapk> <out.sapk> [--seed N]\n"
       "  survey [--scale S] [--seed N] [--jobs J] [--faults PLAN]\n"
-      "      [--budget MS] [--retry] [--isolate[=fork|pool]]\n"
+      "      [--budget MS] [--retry] [--isolate[=pool]]\n"
       "      [--mem-limit BYTES] [--recycle-apps K]\n"
       "      [--journal PATH | --resume PATH] [--fsync] [--shard I/N]\n"
       "      [--cache DIR] [--cache-entries N] [--cache-bytes N]\n"
@@ -813,8 +811,9 @@ void usage() {
       "trace_event JSON; --metrics prints the per-stage latency table and\n"
       "the top-K slowest apps.\n"
       "Crash safety (docs/CHECKPOINT.md): --journal writes a CRC-framed\n"
-      "write-ahead outcome log; a killed or interrupted run resumes with\n"
-      "--resume PATH, re-running only the missing apps.\n"
+      "write-ahead outcome log led by the run's metadata; a killed or\n"
+      "interrupted run resumes with --resume PATH and the same flags,\n"
+      "re-running only the missing apps.\n"
       "Sharding (docs/SHARDING.md): --shard I/N runs only global corpus\n"
       "indices congruent to I mod N (seeds, journal records and cache keys\n"
       "stay global); `merge` folds the N shard journals into one journal\n"
@@ -823,9 +822,9 @@ void usage() {
       "(bytes, config, seed) work from a content-addressed store and\n"
       "dedups intercepted binaries corpus-wide; --cache-entries and\n"
       "--cache-bytes bound the store (LRU).\n"
-      "Isolation (docs/ISOLATION.md): --isolate (or --isolate=fork) runs\n"
-      "every analysis attempt in a fresh forked worker (crashes, hangs and\n"
-      "OOMs are classified and quarantined, never fatal); --isolate=pool\n"
+      "Isolation (docs/ISOLATION.md): --isolate runs every analysis\n"
+      "attempt in a fresh forked worker (crashes, hangs and OOMs are\n"
+      "classified and quarantined, never fatal); --isolate=pool\n"
       "keeps one worker per thread for the whole run (the fork cost\n"
       "amortized away); --recycle-apps K retires a worker after K apps;\n"
       "--mem-limit caps the worker's RLIMIT_AS and implies --isolate.\n");

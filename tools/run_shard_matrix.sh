@@ -5,7 +5,10 @@
 # diff the summary against an unsharded golden run. Repeated for every
 # shard count in the matrix, then one chaos round per shard count: SIGKILL
 # a random shard mid-run, resume that shard to completion, merge, replay —
-# the summary must still match the golden byte for byte.
+# the summary must still match the golden byte for byte. Two rounds check
+# the one journal format: a lone unsharded journal merges (it is shard
+# 0/1) and replays to the golden, and a merged journal resumed with an
+# extra --budget is refused with a message naming the config fingerprint.
 #
 #   tools/run_shard_matrix.sh [scale] [seed] [jobs] [shard_counts...]
 #
@@ -89,7 +92,7 @@ chaos_round() {
       # the golden wall time, so the window is tighter than the
       # kill/resume harness's, and the victim runs single-threaded to
       # stretch it. Then resume it (a no-op if it finished; a fresh run
-      # if the kill landed before the journal header).
+      # if the kill landed before the metadata record).
       "$cli" survey --scale "$scale" --seed "$seed" --jobs 1 \
         --shard "$i/$n" --journal "$journal" > /dev/null 2>&1 &
       local pid=$!
@@ -122,10 +125,39 @@ chaos_round() {
   echo "chaos shards=$n: ok (kill/resume/merge replay byte-identical)"
 }
 
+# An unsharded journal is shard 0/1: it merges alone.
+lone_round() {
+  local journal="$workdir/lone.jrnl"
+  local merged="$workdir/lone_merged.jrnl"
+  rm -f "$journal"
+  "$cli" survey --scale "$scale" --seed "$seed" --jobs "$jobs" \
+    --journal "$journal" > /dev/null
+  "$cli" merge "$merged" "$journal" > /dev/null
+  check_replay "lone" "$merged"
+  echo "lone unsharded journal: ok (merged replay byte-identical)"
+}
+
+# A merged journal keeps the shards' config fingerprint: resuming it under
+# a different configuration must fail loudly and say why.
+mismatch_round() {
+  local out="$workdir/mismatch.txt"
+  if "$cli" survey --scale "$scale" --seed "$seed" --jobs "$jobs" \
+      --budget 60000 --resume "$1" > "$out" 2>&1 ||
+      ! grep -q 'config fingerprint' "$out"; then
+    echo "mismatch: an extra --budget was not refused by fingerprint:" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+  echo "mismatch: ok (merged journal refused under an extra --budget)"
+}
+
 for n in "${shard_counts[@]}"; do
   shard_round "$n"
   chaos_round "$n"
 done
+lone_round
+mismatch_round "$workdir/s${shard_counts[0]}_merged.jrnl"
 
 echo "shard matrix passed: shard counts [${shard_counts[*]}]" \
-  "(clean + kill/resume chaos) byte-identical"
+  "(clean + kill/resume chaos + lone merge) byte-identical," \
+  "mismatched resume refused"
