@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the per-app costs that dominate
 // the 46K-app measurement: interpretation, container (de)serialization,
-// decompilation, ACFG lifting + matching, taint analysis, corpus build and
-// the end-to-end pipeline — plus two corpus cases perfbench does not cover:
-// serial vs parallel CorpusRunner throughput and the shard-journal merge.
+// decompilation, SHA-256, ACFG lifting + matching, taint analysis, corpus
+// build and the end-to-end pipeline — plus two corpus cases perfbench does
+// not cover: serial vs parallel CorpusRunner throughput and the
+// shard-journal merge.
 // Corpus-level performance (thread, pool + journal, primed cache; end to
 // end and per layer) is measured by perfbench (perfbench/README.md).
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "malware/families.hpp"
 #include "obfuscation/packer.hpp"
 #include "privacy/flowdroid.hpp"
+#include "support/hash.hpp"
 #include "support/log.hpp"
 
 using namespace dydroid;
@@ -113,6 +115,20 @@ void BM_ParseOnce(benchmark::State& state) {
   state.SetLabel(legacy ? "reparse-per-stage" : "parse-once");
 }
 BENCHMARK(BM_ParseOnce)->Arg(0)->Arg(1);
+
+// SHA-256, the content identity behind every result-cache key and the
+// dedup table (docs/CACHE.md §1): 2 KiB is a typical package, 64 KiB a
+// large payload. Reports the selected kernel's MB/s.
+void BM_Sha256(benchmark::State& state) {
+  support::Bytes data(static_cast<std::size_t>(state.range(0)));
+  support::Rng rng(3);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::sha256(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256)->Arg(2048)->Arg(65536);
 
 void BM_Decompile(benchmark::State& state) {
   const auto app = make_ad_app();

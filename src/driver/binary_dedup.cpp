@@ -8,19 +8,13 @@ namespace dydroid::driver {
 
 namespace {
 
-/// Write one payload content-addressed: blobs are immutable, so an
-/// existing file is already the payload (equal digest, equal bytes) and is
-/// never rewritten. Best-effort: a write failure costs the blob, not the
-/// run.
+/// Write one payload content-addressed into an existing directory: blobs
+/// are immutable, so an existing file is already the payload (equal
+/// digest, equal bytes) and is never rewritten. Best-effort: a write
+/// failure costs the blob, not the run.
 bool persist_blob(const std::string& dir, const support::Sha256Digest& digest,
                   std::span<const std::uint8_t> bytes) {
   std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "dedup: cannot create blob dir %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
-    return false;
-  }
   const auto path = std::filesystem::path(dir) / (digest.hex() + ".bin");
   if (std::filesystem::exists(path, ec)) return false;  // already stored
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -53,11 +47,29 @@ void BinaryDedupStore::absorb(const core::AppReport& report) {
     } else {
       ++stats_.unique_native;
     }
-    if (!blob_dir_.empty() &&
+    if (blob_dir_ready() &&
         persist_blob(blob_dir_, digest, binary.bytes.span())) {
       ++stats_.blobs_written;
     }
   }
+}
+
+bool BinaryDedupStore::blob_dir_ready() {
+  if (blob_dir_.empty()) return false;
+  if (!blob_dir_made_) {
+    std::error_code ec;
+    std::filesystem::create_directories(blob_dir_, ec);
+    if (ec) {
+      // Best-effort like every blob write: say so once and persist nothing
+      // more, instead of failing the same mkdir for every unique payload.
+      std::fprintf(stderr, "dedup: cannot create blob dir %s: %s\n",
+                   blob_dir_.c_str(), ec.message().c_str());
+      blob_dir_.clear();
+      return false;
+    }
+    blob_dir_made_ = true;
+  }
+  return true;
 }
 
 std::size_t BinaryDedupStore::reuse(const support::Sha256Digest& digest) const {

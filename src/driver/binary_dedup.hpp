@@ -47,7 +47,8 @@ struct BinaryDedupStats {
 class BinaryDedupStore {
  public:
   BinaryDedupStore() = default;
-  /// Persist unique payloads under `blob_dir` (created on first write).
+  /// Persist unique payloads under `blob_dir` (created once, on the first
+  /// unique payload).
   explicit BinaryDedupStore(std::string blob_dir)
       : blob_dir_(std::move(blob_dir)) {}
 
@@ -62,7 +63,12 @@ class BinaryDedupStore {
   [[nodiscard]] const BinaryDedupStats& stats() const { return stats_; }
 
  private:
+  /// Create the blob directory on first use; false once it cannot be made
+  /// (persistence then stays off for this store) or without one.
+  bool blob_dir_ready();
+
   std::string blob_dir_;
+  bool blob_dir_made_ = false;
   std::unordered_map<support::Sha256Digest, std::size_t,
                      support::Sha256DigestHash>
       counts_;

@@ -178,6 +178,8 @@ ResultCache open_cache(const RunnerConfig& config,
   cache_config.max_entries = config.cache_max_entries;
   cache_config.max_bytes = config.cache_max_bytes;
   cache_config.fsync_each_insert = config.cache_fsync;
+  // Serial set-up before any worker starts: reading and indexing the store.
+  const support::Span open_span("cache", "open");
   auto opened = ResultCache::open(config.cache_dir, config_fp, cache_config);
   if (!opened.ok()) throw std::runtime_error("runner: " + opened.error());
   return std::move(opened).take();
@@ -629,6 +631,8 @@ class CacheTier {
   /// Record the cache's bookkeeping in `result` and seal the store.
   void seal(CorpusResult& result) {
     if (!cache_.has_value()) return;
+    // Serial tear-down: compaction when dirty, and the store's fsync.
+    const support::Span seal_span("cache", "seal");
     const CacheStats stats = cache_->stats();
     result.cache_evictions = stats.evictions;
     result.cache_invalidated = stats.invalidated;
@@ -736,6 +740,9 @@ class JournalSink {
 /// — and which run first persists a shared blob — are deterministic too.
 void reduce_in_corpus_order(const std::string& cache_dir,
                             CorpusResult& result) {
+  // Serial, after the workers join: the stats fold and the dedup SHA-256
+  // of every intercepted payload.
+  const support::Span reduce_span("runner", "reduce");
   BinaryDedupStore dedup(cache_dir.empty() ? std::string{}
                                            : cache_dir + "/blobs");
   for (const auto& outcome : result.outcomes) {

@@ -158,7 +158,7 @@ support::Result<ResultCache> ResultCache::open(
     std::lock_guard<std::mutex> lock(*cache.mutex_);
     cache.evict_past_bounds_locked();
   }
-  return std::move(cache);
+  return cache;
 }
 
 ResultCache::~ResultCache() {
@@ -166,36 +166,39 @@ ResultCache::~ResultCache() {
 }
 
 std::optional<AppOutcome> ResultCache::lookup(const CacheKey& key) {
-  std::lock_guard<std::mutex> lock(*mutex_);
-  if (support::fault_fire(support::FaultSite::kCacheRead)) {
-    // Injected read error: the cache is advisory, so a failed read is just
-    // a miss — the app recomputes and the run's outputs do not change.
-    ++stats_.read_faults;
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
+  // The lock covers only the index: find, copy the payload, refresh
+  // recency, count. Decoding (microseconds per hit) runs unlocked, so the
+  // workers' hits do not queue behind each other.
+  support::Bytes payload;
+  {
+    std::lock_guard<std::mutex> lock(*mutex_);
+    if (support::fault_fire(support::FaultSite::kCacheRead)) {
+      // Injected read error: the cache is advisory, so a failed read is
+      // just a miss — the app recomputes and the run's outputs do not
+      // change.
+      ++stats_.read_faults;
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    payload = it->second.payload;
+    touch_locked(it->second, key);
+    ++stats_.hits;
   }
   DecodedOutcome decoded;
   try {
-    decoded = decode_outcome(it->second.payload);
+    decoded = decode_outcome(payload);
   } catch (const support::ParseError& e) {
     // An entry that passed CRC at open but no longer decodes (foreign
     // outcome codec version): drop it and recompute.
     std::fprintf(stderr, "cache: dropping undecodable entry (%s)\n", e.what());
-    payload_bytes_ -= it->second.payload.size();
-    lru_.erase(it->second.lru_it);
-    index_.erase(it);
-    ++stats_.skipped;
-    ++stats_.misses;
-    dirty_ = true;
+    drop_undecodable(key, payload);
     return std::nullopt;
   }
-  touch_locked(it->second, key);
-  ++stats_.hits;
   AppOutcome outcome = std::move(decoded.outcome);
   // decode_outcome stamps journal-replay provenance; a cache hit is not a
   // journal replay. The runner stamps cache provenance on its side.
@@ -230,6 +233,23 @@ void ResultCache::insert(const CacheKey& key, const AppOutcome& outcome) {
     index_.emplace(key, Entry{std::move(payload), lru_it});
   }
   evict_past_bounds_locked();
+}
+
+void ResultCache::drop_undecodable(const CacheKey& key,
+                                   const support::Bytes& payload) {
+  std::lock_guard<std::mutex> lock(*mutex_);
+  // The lookup counted a hit; it served a miss.
+  --stats_.hits;
+  ++stats_.misses;
+  // Another worker may have overwritten the entry since the copy: drop it
+  // only if it still holds the bytes that failed.
+  const auto it = index_.find(key);
+  if (it == index_.end() || it->second.payload != payload) return;
+  payload_bytes_ -= it->second.payload.size();
+  lru_.erase(it->second.lru_it);
+  index_.erase(it);
+  ++stats_.skipped;
+  dirty_ = true;
 }
 
 void ResultCache::touch_locked(Entry& entry, const CacheKey& /*key*/) {

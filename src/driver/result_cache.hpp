@@ -132,7 +132,8 @@ class ResultCache {
   /// Look up one key. A hit refreshes recency and returns the decoded
   /// outcome (completed=true, replayed/cache flags cleared — the caller
   /// stamps provenance). A cache.read fault or an entry that no longer
-  /// decodes degrades to a miss (the bad entry is dropped).
+  /// decodes degrades to a miss (the bad entry is dropped). The lock is
+  /// held only to find and copy the entry; decoding runs unlocked.
   [[nodiscard]] std::optional<AppOutcome> lookup(const CacheKey& key);
 
   /// Insert (or overwrite) one finished outcome. Appends the record to the
@@ -167,6 +168,9 @@ class ResultCache {
 
   void evict_past_bounds_locked();
   void touch_locked(Entry& entry, const CacheKey& key);
+  /// Turn a lookup's counted hit into a miss and drop the entry if it
+  /// still holds `payload`, the bytes that failed to decode.
+  void drop_undecodable(const CacheKey& key, const support::Bytes& payload);
 
   // Behind unique_ptr so the cache stays movable (std::mutex is not).
   std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();

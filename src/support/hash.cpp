@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <array>
 
+#include "support/sha256_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace dydroid::support {
 namespace {
 
@@ -90,11 +97,9 @@ std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256() { state_ = kSha256Init; }
-
-void Sha256::compress(const std::uint8_t* block) {
+/// One 64-byte block of the FIPS 180-4 compression loop.
+void compress_block(std::array<std::uint32_t, 8>& state,
+                    const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -109,8 +114,8 @@ void Sha256::compress(const std::uint8_t* block) {
         rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -127,17 +132,119 @@ void Sha256::compress(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
 
+}  // namespace
+
+namespace sha256_detail {
+
+void compress_portable(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* data, std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) compress_block(state, data);
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+/// The x86 SHA extensions (Intel SHA-NI). SHA256RNDS2 runs two rounds on
+/// the state held as ABEF/CDGH register halves; SHA256MSG1/MSG2 extend the
+/// message schedule four words at a time. Compiled for that ISA by the
+/// target attribute alone (SSE2, which the loads use, is baseline on
+/// x86-64); only ever called after the CPUID check.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_x86_sha(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+    std::size_t blocks) {
+  // Message words are big-endian: byte-swap each 32-bit lane on load.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+  const auto load = [](const void* p) {
+    return _mm_loadu_si128(static_cast<const __m128i*>(p));
+  };
+  // DCBA/HGFE in memory order -> ABEF/CDGH, the round instructions' layout.
+  const __m128i dcba = load(&state[0]);
+  const __m128i hgfe = load(&state[4]);
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[q & 3] holds schedule words 4q..4q+3 while quad q is in flight.
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(load(data + 16 * i), bswap);
+    }
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {
+      const __m128i wk = _mm_add_epi32(w[q & 3], load(&kSha256K[4 * q]));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (q < 12) {
+        // W[t+16..t+19] = sigma1 terms + W[t+9..t+12] + sigma0 terms +
+        // W[t..t+3], for t = 4q: replaces the quad just consumed.
+        __m128i next = _mm_sha256msg1_epu32(w[q & 3], w[(q + 1) & 3]);
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(w[(q + 3) & 3], w[(q + 2) & 3], 4));
+        w[q & 3] = _mm_sha256msg2_epu32(next, w[(q + 3) & 3]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_extensions() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse = (ecx & bit_SSSE3) != 0 && (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return sse && (ebx & bit_SHA) != 0;
+}
+
+}  // namespace
+
+Kernel hardware_kernel() {
+  static const Kernel kernel =
+      cpu_has_sha_extensions() ? &compress_x86_sha : nullptr;
+  return kernel;
+}
+
+#else
+
+Kernel hardware_kernel() { return nullptr; }
+
+#endif
+
+Kernel active_kernel() {
+  static const Kernel kernel =
+      hardware_kernel() != nullptr ? hardware_kernel() : &compress_portable;
+  return kernel;
+}
+
+}  // namespace sha256_detail
+
+Sha256::Sha256() { state_ = kSha256Init; }
+
 void Sha256::update(std::span<const std::uint8_t> data) {
+  const sha256_detail::Kernel kernel = sha256_detail::active_kernel();
   total_bytes_ += data.size();
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
@@ -148,14 +255,15 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     p += take;
     n -= take;
     if (buffered_ == buffer_.size()) {
-      compress(buffer_.data());
+      kernel(state_, buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (n >= 64) {
-    compress(p);
-    p += 64;
-    n -= 64;
+  // Every whole block of the call in one kernel call.
+  if (n >= 64) {
+    kernel(state_, p, n / 64);
+    p += n - n % 64;
+    n %= 64;
   }
   if (n > 0) {
     std::copy_n(p, n, buffer_.begin());
@@ -169,18 +277,26 @@ void Sha256::update(std::string_view s) {
 }
 
 Sha256Digest Sha256::digest() {
+  const sha256_detail::Kernel kernel = sha256_detail::active_kernel();
+  // Pad in place: 0x80, zeros up to byte 56 of a block (spilling into a
+  // second block when fewer than 9 bytes are free), then the message
+  // length in bits, big-endian. update() never leaves a full buffer.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(std::span<const std::uint8_t>(&pad_one, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::fill(buffer_.begin() + static_cast<long>(buffered_), buffer_.end(),
+              std::uint8_t{0});
+    kernel(state_, buffer_.data(), 1);
+    buffered_ = 0;
   }
-  std::uint8_t length_be[8];
+  std::fill(buffer_.begin() + static_cast<long>(buffered_),
+            buffer_.begin() + 56, std::uint8_t{0});
   for (int i = 0; i < 8; ++i) {
-    length_be[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+    buffer_[56 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(length_be, 8));
+  kernel(state_, buffer_.data(), 1);
+  buffered_ = 0;
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {
     out.bytes[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);

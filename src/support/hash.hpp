@@ -15,7 +15,13 @@
 //                      unique-binary dedup table (docs/CACHE.md) key on it,
 //                      the way the paper dedups 58,739 apps' payloads by
 //                      content hash before analyzing each unique binary
-//                      once.
+//                      once. Whole 64-byte blocks run on the x86 SHA
+//                      extensions on x86-64 CPUs whose CPUID reports SHA,
+//                      SSSE3 and SSE4.1, and on the portable FIPS 180-4
+//                      loop on every other CPU
+//                      (support/sha256_kernels.hpp). The kernel is picked
+//                      once per process, at first use; there is no
+//                      option, and both give the same digest.
 #pragma once
 
 #include <array>
@@ -65,8 +71,6 @@ class Sha256 {
   [[nodiscard]] Sha256Digest digest();
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_bytes_ = 0;

@@ -15,6 +15,7 @@
 #error "support::Journal requires a POSIX platform"
 #else
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -25,6 +26,21 @@ namespace {
 std::string errno_message(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
 }
+
+/// A descriptor opened for reading, closed on every way out of its scope.
+class ReadDescriptor {
+ public:
+  explicit ReadDescriptor(int fd) : fd_(fd) {}
+  ~ReadDescriptor() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ReadDescriptor(const ReadDescriptor&) = delete;
+  ReadDescriptor& operator=(const ReadDescriptor&) = delete;
+  [[nodiscard]] int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
 
 /// Little-endian frame header: u32 payload length, u32 CRC-32.
 void encode_frame_header(std::uint8_t (&header)[kJournalFrameOverhead],
@@ -268,12 +284,36 @@ ShardMeta decode_shard_meta(std::span<const std::uint8_t> payload) {
 
 Result<JournalReadResult> read_journal(const std::string& path,
                                        const std::array<std::uint8_t, 8>& magic) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Result<JournalReadResult>::failure("journal: cannot open " + path);
+  // One exact-size buffer and one bulk read: a cache store runs to tens of
+  // megabytes, and every cache open, resume and merge starts here.
+  // O_NONBLOCK keeps a FIFO on the path from blocking the open; it changes
+  // nothing for a regular file.
+  const ReadDescriptor in(static_cast<int>(retry_eintr([&] {
+    return static_cast<ssize_t>(
+        ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+  })));
+  if (in.get() < 0) {
+    return Result<JournalReadResult>::failure(
+        errno_message("journal: cannot open", path));
   }
-  const Bytes data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  struct stat st {};
+  if (::fstat(in.get(), &st) != 0) {
+    return Result<JournalReadResult>::failure(
+        errno_message("journal: cannot stat", path));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    return Result<JournalReadResult>::failure(
+        "journal: " + path + " is not a regular file");
+  }
+  Bytes data(static_cast<std::size_t>(st.st_size));
+  const ssize_t got = read_exact(in.get(), data.data(), data.size());
+  if (got < 0) {
+    return Result<JournalReadResult>::failure(
+        errno_message("journal: cannot read", path));
+  }
+  // A file cut short since the fstat reads as what is there: the frame
+  // walk treats it like any other torn tail.
+  data.resize(static_cast<std::size_t>(got));
   return parse_journal(data, magic);
 }
 

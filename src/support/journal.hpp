@@ -123,8 +123,11 @@ struct JournalReadResult {
 };
 
 /// Read every intact record. An empty file is a valid, empty journal; a
-/// missing file or a wrong magic is a loud failure (never a silent empty
-/// result); a torn or bit-flipped tail is recovered per the header rules.
+/// missing file or anything but a regular file (a directory, a FIFO) fails
+/// naming the path, and a wrong magic fails too — loudly, never as a
+/// silent empty result or an exception; a torn or bit-flipped tail is
+/// recovered per the header rules. The file is read with one bulk read
+/// into an exact-size buffer.
 /// `magic` selects which frame-layer client the file must belong to
 /// (outcome journal by default; the result cache passes its own).
 Result<JournalReadResult> read_journal(

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -146,6 +147,22 @@ TEST(Journal, FsyncEachRecordStillRoundTrips) {
 TEST(Journal, MissingFileFailsLoudly) {
   auto read = read_journal(testing::TempDir() + "does_not_exist.jrnl");
   EXPECT_FALSE(read.ok());
+}
+
+// A directory on the path is not a journal: the reader reports a failed
+// Result naming the path instead of letting an I/O exception escape (both
+// `survey --resume DIR` and `--cache C` with C/results.dyc a directory
+// used to die with libstdc++'s "basic_filebuf::underflow" text).
+TEST(Journal, DirectoryFailsLoudly) {
+  const std::string dir = testing::TempDir() + "dydroid_journal_dir_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const auto read = read_journal(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.error().find(dir), std::string::npos) << read.error();
+  EXPECT_NE(read.error().find("not a regular file"), std::string::npos)
+      << read.error();
 }
 
 TEST(Journal, WrongMagicFailsLoudly) {

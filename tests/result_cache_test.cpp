@@ -9,10 +9,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "appgen/corpus.hpp"
@@ -26,6 +32,7 @@
 #include "support/io.hpp"
 #include "support/journal.hpp"
 #include "support/log.hpp"
+#include "support/trace.hpp"
 
 namespace dydroid::driver {
 namespace {
@@ -392,6 +399,97 @@ TEST(ResultCache, CraftedFnvCollisionLandsInDistinctEntries) {
 }
 
 // ---------------------------------------------------------------------------
+// Concurrency: lookup decodes outside the cache lock (docs/CACHE.md §9).
+// Run under -DDYDROID_TSAN=ON to check the unlocked decode for races.
+// ---------------------------------------------------------------------------
+
+TEST(ResultCache, ConcurrentHitsOverwritesAndAnUndecodableEntry) {
+  TempCacheDir dir("concurrent");
+  constexpr std::size_t kKeys = 8;
+  std::vector<CacheKey> keys;
+  std::vector<AppOutcome> inserted;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(key_of("app-" + std::to_string(i), i));
+    inserted.push_back(make_outcome("com.example.c" + std::to_string(i), i));
+  }
+  const CacheKey bad = key_of("undecodable", 99);
+  std::string store;
+  {
+    auto cache = open_or_die(dir.path());
+    for (std::size_t i = 0; i < kKeys; ++i) cache.insert(keys[i], inserted[i]);
+    store = cache.store_path();
+  }
+  {  // A CRC-intact record whose outcome payload no longer decodes: it
+     // loads at open and fails only when a lookup decodes it.
+    support::ByteWriter record;
+    record.u8(kCacheCodecVersion);
+    record.raw(bad.apk.bytes);
+    record.raw(bad.config.bytes);
+    record.u64(bad.seed);
+    record.blob(support::Bytes{kOutcomeCodecVersion + 1, 0, 0});
+    support::JournalWriterOptions options;
+    options.magic = kCacheMagic;
+    auto writer = support::JournalWriter::open(store, options);
+    ASSERT_TRUE(writer.ok()) << writer.error();
+    ASSERT_TRUE(writer.value().append(record.data()).ok());
+  }
+  auto cache = open_or_die(dir.path());
+  ASSERT_EQ(cache.stats().loaded, kKeys + 1);
+
+  std::vector<std::string> want_json;
+  for (const auto& outcome : inserted) {
+    want_json.push_back(core::report_to_json(outcome.report));
+  }
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 150;
+  std::atomic<std::size_t> good_lookups{0};
+  std::atomic<std::size_t> bad_lookups{0};
+  std::atomic<std::size_t> wrong{0};
+  std::atomic<std::size_t> bad_hits{0};
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          // Every thread races for the undecodable entry first.
+          ++bad_lookups;
+          if (cache.lookup(bad).has_value()) ++bad_hits;
+          for (std::size_t j = 0; j < kKeys; ++j) {
+            const std::size_t i = (j + t) % kKeys;
+            ++good_lookups;
+            const auto hit = cache.lookup(keys[i]);
+            if (!hit.has_value() || hit->seed != inserted[i].seed ||
+                !hit->completed ||
+                core::report_to_json(hit->report) != want_json[i]) {
+              ++wrong;
+            }
+            cache.insert(keys[i], inserted[i]);  // overwrite, same report
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(bad_hits.load(), 0u);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, good_lookups + bad_lookups);
+  EXPECT_EQ(stats.hits, good_lookups.load());
+  EXPECT_EQ(stats.misses, bad_lookups.load());
+  // The bad entry was dropped exactly once, whichever thread lost the race.
+  EXPECT_EQ(stats.skipped, 1u);
+  EXPECT_EQ(cache.size(), kKeys);
+  const auto order = cache.lru_order();
+  EXPECT_EQ(std::count(order.begin(), order.end(), bad), 0);
+  ASSERT_TRUE(cache.seal().ok());
+
+  // The compacted store holds the eight good entries and nothing else.
+  auto reopened = open_or_die(dir.path());
+  EXPECT_EQ(reopened.stats().loaded, kKeys);
+  EXPECT_EQ(reopened.stats().skipped, 0u);
+  EXPECT_FALSE(reopened.lookup(bad).has_value());
+}
+
+// ---------------------------------------------------------------------------
 // Golden equivalence: cached and uncached corpus runs are byte-identical —
 // at 1/2/8 workers, cold and warm, with fault injection off and on.
 // ---------------------------------------------------------------------------
@@ -628,6 +726,42 @@ TEST(CacheEquivalence, KilledJournaledRunResumesWarmFromCache) {
     } else {
       EXPECT_TRUE(resumed.outcomes[i].cache_checked);
       EXPECT_TRUE(resumed.outcomes[i].cache_hit);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Observability: a cached run's serial phases each show up as one span.
+// ---------------------------------------------------------------------------
+
+TEST(CacheTrace, CachedRunRecordsOneSpanPerSerialPhase) {
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  TempCacheDir dir("trace");
+  RunnerConfig config;
+  config.jobs = 2;
+  config.cache_dir = dir.path();
+  (void)CorpusRunner(pipeline, config).run(corpus);  // prime the store
+
+  support::set_trace_enabled(true);
+  const auto warm = CorpusRunner(pipeline, config).run(corpus);
+  support::set_trace_enabled(false);
+  const auto events = support::trace_collect();
+  support::trace_reset();
+  EXPECT_EQ(warm.stats.cache_hits, corpus.apps.size());
+
+  std::map<std::pair<std::string_view, std::string_view>, std::size_t> spans;
+  for (const auto& event : events) ++spans[{event.cat, event.name}];
+  EXPECT_EQ((spans[{"cache", "open"}]), 1u);
+  EXPECT_EQ((spans[{"runner", "reduce"}]), 1u);
+  EXPECT_EQ((spans[{"cache", "seal"}]), 1u);
+  EXPECT_EQ((spans[{"cache", "lookup"}]), corpus.apps.size());
+  for (const auto& event : events) {
+    if (event.name == "open" || event.name == "reduce" ||
+        event.name == "seal") {
+      EXPECT_EQ(event.app, support::kTraceNoApp)
+          << event.cat << "." << event.name << " runs outside any app";
     }
   }
 }

@@ -1,10 +1,16 @@
 // Unit tests for support: byte IO, hashing, RNG determinism, strings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <span>
+
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "support/sha256_kernels.hpp"
 #include "support/strings.hpp"
 
 namespace dydroid::support {
@@ -102,6 +108,63 @@ TEST(Hash, Sha256IncrementalChunkingEquivalence) {
     h.update(std::string_view(message).substr(0, split));
     h.update(std::string_view(message).substr(split));
     EXPECT_EQ(h.digest(), oneshot) << "split at " << split;
+  }
+}
+
+/// FIPS 180-4 padding done here, independently of Sha256::digest(), then
+/// `kernel` over every block from the initial state; returns the digest.
+Sha256Digest sha256_with_kernel(sha256_detail::Kernel kernel,
+                                std::span<const std::uint8_t> message) {
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = message.size() * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  kernel(state, padded.data(), padded.size() / 64);
+  Sha256Digest out;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out.bytes[4 * i + b] =
+          static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return out;
+}
+
+// The SHA-extensions kernel against the portable FIPS 180-4 loop: every
+// length from 0 to 1,100 bytes of random data (every padding case, one to
+// eighteen blocks per kernel call), and Sha256 under random update()
+// chunkings, which runs whichever kernel this CPU selected.
+TEST(Hash, Sha256HardwareKernelMatchesPortable) {
+  const sha256_detail::Kernel hardware = sha256_detail::hardware_kernel();
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions (or no SSSE3/SSE4.1); "
+                    "only the portable kernel runs here";
+  }
+  EXPECT_EQ(sha256_detail::active_kernel(), hardware);
+  Rng rng(0x5a256);
+  Bytes data(1100);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const std::span<const std::uint8_t> message(data.data(), len);
+    const Sha256Digest reference =
+        sha256_with_kernel(&sha256_detail::compress_portable, message);
+    ASSERT_EQ(sha256_with_kernel(hardware, message), reference)
+        << "length " << len;
+    ASSERT_EQ(sha256(message), reference) << "length " << len;
+    Sha256 chunked;
+    for (std::size_t pos = 0; pos < len;) {
+      const std::size_t take = std::min<std::size_t>(
+          len - pos, static_cast<std::size_t>(rng.below(200)));
+      chunked.update(message.subspan(pos, take));
+      pos += take;
+    }
+    ASSERT_EQ(chunked.digest(), reference) << "chunked, length " << len;
   }
 }
 

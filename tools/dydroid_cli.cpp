@@ -214,8 +214,8 @@ int report_observability(const char* cmd, const Args& args,
   }
   if (args.flag("metrics")) {
     const auto snapshot = support::metrics_snapshot();
-    static constexpr std::string_view kPrefixes[] = {"stage.", "phase.",
-                                                     "runner.", "journal."};
+    static constexpr std::string_view kPrefixes[] = {
+        "stage.", "phase.", "runner.", "journal.", "cache.", "sandbox."};
     std::fprintf(out, "%s",
                  support::format_latency_table(snapshot, kPrefixes).c_str());
     for (const auto& counter : snapshot.counters) {
