@@ -26,7 +26,7 @@ Outcome run(const appgen::GeneratedApp& app, bool block_mutations,
             std::uint64_t seed) {
   Outcome out;
   os::Device device;
-  appgen::apply_scenario(app.scenario, device);
+  app.scenario.apply(device);
   const auto apk = apk::ApkFile::deserialize(app.apk);
   (void)device.install(apk);
   vm::AppContext ctx;

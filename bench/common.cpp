@@ -14,11 +14,12 @@ core::AppReport rerun_app(const appgen::GeneratedApp& app,
   core::PipelineOptions options;
   options.detector = detector;
   options.runtime = runtime;
-  options.scenario_setup = [&app](os::Device& device) {
-    appgen::apply_scenario(app.scenario, device);
-  };
-  core::DyDroid pipeline(std::move(options));
-  return pipeline.analyze(app.apk, seed);
+  const core::DyDroid pipeline(std::move(options));
+  core::AnalysisRequest request;
+  request.apk = app.apk;
+  request.seed = seed;
+  request.scenario_setup = &app.scenario;
+  return pipeline.analyze(request);
 }
 
 Measurement measure_corpus(const malware::DroidNative* detector,

@@ -227,13 +227,13 @@ BENCHMARK(BM_BuildApp);
 void BM_FullPipelinePerApp(benchmark::State& state) {
   const auto app = make_ad_app();
   std::uint64_t seed = 0;
+  core::AnalysisRequest request;
+  request.apk = app.apk;
+  request.scenario_setup = &app.scenario;
   for (auto _ : state) {
-    core::PipelineOptions options;
-    options.scenario_setup = [&app](os::Device& device) {
-      appgen::apply_scenario(app.scenario, device);
-    };
-    core::DyDroid pipeline(std::move(options));
-    benchmark::DoNotOptimize(pipeline.analyze(app.apk, seed++));
+    const core::DyDroid pipeline{core::PipelineOptions{}};
+    request.seed = seed++;
+    benchmark::DoNotOptimize(pipeline.analyze(request));
   }
 }
 BENCHMARK(BM_FullPipelinePerApp);

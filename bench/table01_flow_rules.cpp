@@ -35,7 +35,7 @@ int main() {
     const auto app = appgen::build_app(spec, rng);
 
     os::Device device;
-    appgen::apply_scenario(app.scenario, device);
+    app.scenario.apply(device);
     const auto apk = apk::ApkFile::deserialize(app.apk);
     (void)device.install(apk);
     vm::AppContext ctx;

@@ -29,12 +29,13 @@ int main() {
 
   // 2. Run the DyDroid pipeline (decompile -> filter -> obfuscation ->
   //    rewrite -> dynamic analysis -> per-binary analyses).
-  core::PipelineOptions options;
-  options.scenario_setup = [&app](os::Device& device) {
-    appgen::apply_scenario(app.scenario, device);
-  };
-  core::DyDroid pipeline(std::move(options));
-  const auto report = pipeline.analyze(app.apk, /*seed=*/1);
+  //    The app's surroundings (servers, companion apps) ride on the request.
+  const core::DyDroid pipeline;
+  core::AnalysisRequest request;
+  request.apk = app.apk;
+  request.seed = 1;
+  request.scenario_setup = &app.scenario;
+  const auto report = pipeline.analyze(request);
 
   // 3. Results.
   std::printf("\n--- static phase ---\n");

@@ -9,7 +9,6 @@
 // review could not.
 #include <cstdio>
 
-#include "appgen/generator.hpp"
 #include "core/pipeline.hpp"
 #include "dex/builder.hpp"
 #include "malware/families.hpp"
@@ -85,16 +84,18 @@ core::AppReport run(const apk::ApkFile& apk, const malware::DroidNative* det,
                     bool server_delivers, const support::Bytes& payload) {
   core::PipelineOptions options;
   options.detector = det;
-  options.scenario_setup = [&](os::Device& device) {
-    device.network().host_dynamic(
-        "http://update.example.com/payload",
-        [server_delivers, payload]() -> std::optional<support::Bytes> {
-          if (!server_delivers) return std::nullopt;  // review-time refusal
-          return payload;
-        });
-  };
-  core::DyDroid pipeline(std::move(options));
-  return pipeline.analyze(apk.serialize(), 7);
+  const core::DyDroid pipeline(std::move(options));
+  // At review time the server withholds the payload: the URL is not hosted.
+  os::Scenario scenario;
+  if (server_delivers) {
+    scenario.hosted_urls.emplace_back("http://update.example.com/payload",
+                                      support::Blob::copy_of(payload));
+  }
+  core::AnalysisRequest request;
+  request.apk = support::Blob::take(apk.serialize());
+  request.seed = 7;
+  request.scenario_setup = &scenario;
+  return pipeline.analyze(request);
 }
 
 }  // namespace

@@ -290,7 +290,7 @@ struct Build {
   DexBuilder dex;
   apk::ApkFile apk;
   manifest::Manifest man;
-  Scenario scenario;
+  os::Scenario scenario;
   std::vector<std::string> boot_calls;  // static boot() methods to invoke
   int malware_index = 0;
 };
@@ -322,7 +322,8 @@ void add_ad_sdk(Build& b) {
 void add_baidu_sdk(Build& b) {
   const auto url =
       "http://mobads.baidu.com/ads/pa/" + b.man.package + ".jar";
-  b.scenario.hosted_urls.emplace_back(url, baidu_payload_jar());
+  b.scenario.hosted_urls.emplace_back(
+      url, support::Blob::take(baidu_payload_jar()));
   auto cls = b.dex.cls("com.baidu.mobads.AdView");
   auto m = cls.static_method("boot", 0);
   // SDKs check connectivity before fetching.
@@ -453,7 +454,7 @@ void add_malware(Build& b, const MalwarePayloadSpec& payload, Rng& rng) {
     if (payload.family == malware::Family::SwissCodeMonkeys) {
       // Live C2: serves one command, then EOF.
       b.scenario.hosted_urls.emplace_back(options.c2_url,
-                                          support::to_bytes("sms"));
+                                          support::Blob::of_string("sms"));
     }
     auto cls = b.dex.cls(support::format("com.pushcore%d.sdk.Dropper", index));
     auto m = cls.static_method("boot", 0);
@@ -670,16 +671,6 @@ GeneratedApp build_app(const AppSpec& spec, Rng& rng) {
   out.apk = support::Blob::take(b.apk.serialize());
   out.scenario = std::move(b.scenario);
   return out;
-}
-
-void apply_scenario(const Scenario& scenario, os::Device& device) {
-  for (const auto& [url, payload] : scenario.hosted_urls) {
-    device.network().host(url, payload);
-  }
-  for (const auto& apk_bytes : scenario.companion_apks) {
-    const auto companion = apk::ApkFile::deserialize(apk_bytes);
-    (void)device.install(companion);
-  }
 }
 
 }  // namespace dydroid::appgen

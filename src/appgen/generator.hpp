@@ -3,17 +3,12 @@
 #pragma once
 
 #include "appgen/spec.hpp"
-#include "os/device.hpp"
 #include "support/rng.hpp"
 
 namespace dydroid::appgen {
 
 /// Build one app. Deterministic given (spec, rng state).
 GeneratedApp build_app(const AppSpec& spec, support::Rng& rng);
-
-/// Install an app's surroundings onto a device: host its URLs, install its
-/// companion packages.
-void apply_scenario(const Scenario& scenario, os::Device& device);
 
 /// Release timestamp baked into time-gated malware (ms since epoch); the
 /// default device clock sits after it, a "before release" Table VIII run

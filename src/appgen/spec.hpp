@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "malware/families.hpp"
+#include "os/device.hpp"
 #include "privacy/sources.hpp"
 #include "support/blob.hpp"
-#include "support/bytes.hpp"
 
 namespace dydroid::appgen {
 
@@ -103,17 +103,10 @@ struct AppSpec {
   [[nodiscard]] bool has_native_malware() const;
 };
 
-/// Device surroundings an app needs at run time. Companion packages are
-/// refcounted Blobs, so copying a Corpus/Scenario never duplicates them.
-struct Scenario {
-  std::vector<std::pair<std::string, support::Bytes>> hosted_urls;
-  std::vector<support::Blob> companion_apks;
-};
-
 struct GeneratedApp {
   AppSpec spec;
   support::Blob apk;  // serialized package (shared, immutable)
-  Scenario scenario;
+  os::Scenario scenario;  // the device surroundings it runs in
 };
 
 }  // namespace dydroid::appgen

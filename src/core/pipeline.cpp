@@ -115,7 +115,7 @@ AppReport DyDroid::analyze(const AnalysisRequest& request) const {
   ctx.apk = request.apk;
   ctx.seed = request.seed;
   ctx.options = &options_;
-  ctx.scenario_override = request.scenario_setup;
+  ctx.scenario = request.scenario_setup;
 
   // Install the per-app fault session for this thread (docs/FAULTS.md):
   // decisions derive from (seed, attempt), so an injected failure is

@@ -12,7 +12,6 @@
 // (core/verdict_memo.hpp), which guards itself.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -43,11 +42,6 @@ struct PipelineOptions {
   EngineConfig engine;
   os::DeviceConfig device;
   RuntimeConfig runtime;
-  /// Prepares the device before install: hosts remote payloads, installs
-  /// companion apps, pre-places files (the app's real-world surroundings).
-  /// Per-app scenarios are passed per AnalysisRequest instead, so one
-  /// DyDroid can be shared across a whole corpus.
-  std::function<void(os::Device&)> scenario_setup;
   /// Trained malware detector; null disables malware scanning. It must
   /// outlive the pipeline and must not be retrained while set: the
   /// per-binary verdict memo keys on its address.
@@ -119,17 +113,16 @@ struct AppReport {
   [[nodiscard]] std::vector<const BinaryReport*> malware_loaded() const;
 };
 
-/// One unit of corpus work: the bytes, the fuzzing seed and (optionally) a
-/// per-app scenario that overrides PipelineOptions::scenario_setup. The
-/// scenario is taken by pointer so enqueueing a corpus never copies
-/// closures; the referee must outlive the analyze() call.
+/// One unit of corpus work: the bytes, the fuzzing seed and (optionally)
+/// the app's surroundings, applied to the fresh device before install. The
+/// scenario is taken by pointer; it must outlive the analyze() call.
 struct AnalysisRequest {
   /// The APK's serialized bytes as a refcounted view: enqueueing a corpus
   /// never copies package contents, and the whole analysis shares this one
   /// buffer (parsed once by StaticStage).
   support::Blob apk;
   std::uint64_t seed = 0;
-  const std::function<void(os::Device&)>* scenario_setup = nullptr;
+  const os::Scenario* scenario_setup = nullptr;
   /// Retry ordinal (0 = first attempt). Salts the fault session so
   /// probability-mode faults are transient across retries — deterministically.
   std::uint32_t attempt = 0;

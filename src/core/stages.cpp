@@ -79,7 +79,7 @@ StageResult DynamicStage::run(AnalysisContext& ctx) const {
   {
     TRACE_SPAN("phase", "dynamic.boot");
     device.emplace(ctx.options->device);
-    if (const auto& scenario = ctx.scenario(); scenario) scenario(*device);
+    if (ctx.scenario != nullptr) ctx.scenario->apply(*device);
     ctx.options->runtime.apply(device->services());
   }
 

@@ -10,7 +10,6 @@
 // escaping the per-app path.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -36,9 +35,8 @@ struct AnalysisContext {
   support::Blob apk;  // the subject APK's serialized bytes (refcounted view)
   std::uint64_t seed = 0;
   const PipelineOptions* options = nullptr;
-  /// Optional per-app scenario override (corpus jobs); when null the shared
-  /// options->scenario_setup applies.
-  const std::function<void(os::Device&)>* scenario_override = nullptr;
+  /// The app's surroundings (hosted payloads, companions); null = none.
+  const os::Scenario* scenario = nullptr;
 
   // Cross-stage intermediates. The container is parsed ONCE per attempt
   // (`image`, by StaticStage); every later stage shares that parse. A
@@ -51,15 +49,6 @@ struct AnalysisContext {
 
   // Output.
   AppReport report;
-
-  /// The scenario to apply before install: the per-app override when
-  /// present, otherwise the pipeline-wide one. May be an empty function.
-  [[nodiscard]] const std::function<void(os::Device&)>& scenario() const {
-    if (scenario_override != nullptr && *scenario_override) {
-      return *scenario_override;
-    }
-    return options->scenario_setup;
-  }
 };
 
 /// What a stage tells the pipeline driver to do next. A stage that resolves

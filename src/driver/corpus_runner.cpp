@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "appgen/generator.hpp"
 #include "driver/outcome_codec.hpp"
 #include "driver/result_cache.hpp"
 #include "driver/sandbox.hpp"
@@ -406,7 +405,7 @@ class AttemptExecutor {
     request.apk = job.apk;
     request.seed = outcome.seed;
     request.attempt = attempt;
-    request.scenario_setup = job.scenario ? &job.scenario : nullptr;
+    request.scenario_setup = &job.scenario;
     {
       const support::Span attempt_span("runner", "attempt");
       try {
@@ -606,7 +605,7 @@ class CacheTier {
       // The span covers the digest too: content addressing is the real
       // cost of a lookup on large packages.
       const support::Span lookup_span("cache", "lookup");
-      key.apk = support::sha256(job.apk.span());
+      key.apk = job_digest(job);
       const DriverFaultGuard guard(faults_);
       hit = cache_->lookup(key);
     }
@@ -995,9 +994,7 @@ std::vector<AppJob> jobs_from_corpus(const appgen::Corpus& corpus) {
   for (const auto& app : corpus.apps) {
     AppJob job;
     job.apk = app.apk;
-    job.scenario = [&app](os::Device& device) {
-      appgen::apply_scenario(app.scenario, device);
-    };
+    job.scenario = app.scenario;
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
@@ -107,13 +106,14 @@ enum class SandboxFate : std::uint8_t {
   kTimedOut = 3,
 };
 
-/// One unit of corpus work. The APK is a refcounted Blob view (enqueueing
-/// never copies package bytes); the scenario closure is referenced, so the
-/// corpus must outlive the run() call.
+/// One unit of corpus work, as data: the APK and its scenario's payloads
+/// are refcounted Blob views, so enqueueing never copies their bytes and a
+/// job needs nothing else to outlive the run() call.
 struct AppJob {
   support::Blob apk;
-  /// Per-app device preparation (hosted payloads, companion apps, files).
-  std::function<void(os::Device&)> scenario;
+  /// The app's surroundings on the device (hosted payloads, companion
+  /// apps). Part of the result cache's content key (docs/CACHE.md).
+  os::Scenario scenario;
   /// Explicit seed override. When unset, the seed derives from the job's
   /// position (seed_for_app). Set this to the app's *original* corpus seed
   /// when running a filtered/reordered subset, so every app reproduces its
@@ -270,10 +270,10 @@ struct RunnerConfig {
 
   // --- content-addressed result cache (docs/CACHE.md) ----------------------
   /// Non-empty enables the on-disk result cache: each app is looked up by
-  /// (SHA-256 of its bytes, config fingerprint, seed) before analysis and
-  /// inserted after, and unique intercepted binaries are persisted
-  /// content-addressed under <cache_dir>/blobs. Empty (the default) costs
-  /// one branch per app.
+  /// (job_digest of its bytes and scenario, config fingerprint, seed)
+  /// before analysis and inserted after, and unique intercepted binaries
+  /// are persisted content-addressed under <cache_dir>/blobs. Empty (the
+  /// default) costs one branch per app.
   std::string cache_dir;
   /// LRU capacity bounds for the cache; 0 = unlimited.
   std::size_t cache_max_entries = 0;
@@ -358,8 +358,8 @@ class CorpusRunner {
   RunnerConfig config_;
 };
 
-/// Build one AppJob per generated app (bytes + scenario referenced in
-/// place; `corpus` must outlive the jobs).
+/// Build one AppJob per generated app (bytes and scenario shared, not
+/// copied).
 [[nodiscard]] std::vector<AppJob> jobs_from_corpus(const appgen::Corpus& corpus);
 
 }  // namespace dydroid::driver

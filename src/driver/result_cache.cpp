@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <utility>
 
 #include "core/pipeline.hpp"
@@ -253,7 +254,14 @@ void ResultCache::drop_undecodable(const CacheKey& key,
 }
 
 void ResultCache::touch_locked(Entry& entry, const CacheKey& /*key*/) {
+  if (std::next(entry.lru_it) == lru_.end()) return;  // already most recent
   lru_.splice(lru_.end(), lru_, entry.lru_it);
+  // Bounds are set per run (CacheConfig), not stored with the file, so
+  // only a bounded run keeps its hits' recency: the move must reach the
+  // file it evicts by. An unbounded run leaves the file order as it was,
+  // and its seal after hits stays an fsync; a later bounded run on the
+  // same store evicts by that older order.
+  if (config_.max_entries != 0 || config_.max_bytes != 0) dirty_ = true;
 }
 
 void ResultCache::evict_past_bounds_locked() {
@@ -371,22 +379,12 @@ support::Sha256Digest config_fingerprint(const core::DyDroid& pipeline) {
   w.u8(options.runtime.wifi_enabled ? 1 : 0);
   w.u8(options.runtime.location_enabled ? 1 : 0);
 
-  // Scenario closures cannot be hashed; fingerprint their presence only.
-  // docs/CACHE.md spells out why this stays sound for corpus runs (the
-  // per-app scenario is a pure function of the app spec, i.e. of the APK
-  // bytes already in the key) and when to use a fresh cache dir instead.
-  w.u8(options.scenario_setup ? 1 : 0);
-
-  // Detector identity by observable training state (a proxy: the sample
-  // set itself is not reachable from here, but size + families + threshold
-  // catch every supported way of configuring it differently).
+  // Detector identity: its threshold and what it learned (the digest of
+  // every accepted training sample, in training order).
   w.u8(options.detector != nullptr ? 1 : 0);
   if (options.detector != nullptr) {
     w.u64(std::bit_cast<std::uint64_t>(options.detector->threshold()));
-    w.u64(options.detector->training_size());
-    const auto families = options.detector->families();
-    w.u32(static_cast<std::uint32_t>(families.size()));
-    for (const auto& family : families) w.str(family);
+    w.raw(options.detector->training_digest().bytes);
   }
 
   // Fault plan: injected failures are part of the deterministic outcome
@@ -408,6 +406,18 @@ support::Sha256Digest config_fingerprint(const core::DyDroid& pipeline) {
   w.u8(options.retry_on_crash ? 1 : 0);
 
   return support::sha256(w.data());
+}
+
+support::Sha256Digest job_digest(const AppJob& job) {
+  // Prefix-free: the APK's length and the scenario's self-delimiting
+  // encoding lead, so no APK's bytes can pose as another job's scenario.
+  support::ByteWriter w;
+  w.u64(job.apk.size());
+  job.scenario.encode(w);
+  support::Sha256 hasher;
+  hasher.update(w.data());
+  hasher.update(job.apk.span());
+  return hasher.digest();
 }
 
 }  // namespace dydroid::driver

@@ -5,11 +5,12 @@
 // and re-runs of the measurement after a driver upgrade. The cache makes
 // re-analysis of identical work free: it maps
 //
-//   (SHA-256 of the APK bytes, SHA-256 config fingerprint, app seed)
+//   (SHA-256 of the job's inputs, SHA-256 config fingerprint, app seed)
 //     -> encoded AppOutcome (the same payload codec the resume journal uses)
 //
-// so a corpus run can skip analyze() for any app whose exact bytes were
-// already analyzed under the exact same pipeline configuration and seed.
+// so a corpus run can skip analyze() for any app whose exact bytes and
+// surroundings (hosted payloads, companion apps) were already analyzed
+// under the exact same pipeline configuration and seed.
 // Identity bottoms out in SHA-256 — never FNV-1a (see support/hash.hpp's
 // strength classes): a craftable 64-bit collision must land in distinct
 // cache entries, not serve one app's results for another's bytes.
@@ -66,9 +67,10 @@ inline constexpr std::uint8_t kCacheCodecVersion = 1;
 inline constexpr std::string_view kCacheFileName = "results.dyc";
 
 /// Full identity of one cached analysis. Every component is
-/// content-addressed: apk is the digest of the exact package bytes, config
-/// the fingerprint of the exact pipeline semantics, seed the exact fuzzing
-/// stream. Equal keys replay byte-identical reports.
+/// content-addressed: apk is job_digest() — the exact package bytes plus
+/// the exact scenario the app runs in — config the fingerprint of the
+/// exact pipeline semantics, seed the exact fuzzing stream. Equal keys
+/// replay byte-identical reports.
 struct CacheKey {
   support::Sha256Digest apk;
   support::Sha256Digest config;
@@ -188,17 +190,20 @@ class ResultCache {
 };
 
 /// SHA-256 fingerprint of everything that changes analysis semantics:
-/// stage list, engine/device/runtime knobs, detector identity, fault plan
-/// (minus the driver-level journal.append, driver.kill, cache.read and
-/// cache.write sites, which never change a report), retry/timeout policy
-/// and the outcome codec version. It keys the result cache and pins every
-/// journal's metadata record. Two pipelines with
-/// equal fingerprints produce byte-identical reports for equal (apk, seed)
-/// — the invariant the cache's correctness rests on. Caveat: per-app
-/// scenario closures cannot be fingerprinted; only their presence is
-/// (docs/CACHE.md discusses why corpus scenarios derived 1:1 from the app
-/// bytes keep this sound).
+/// stage list, engine/device/runtime knobs, the detector's threshold and
+/// training digest, fault plan (minus the driver-level journal.append,
+/// driver.kill, cache.read and cache.write sites, which never change a
+/// report), retry/timeout policy and the outcome codec version. It keys the
+/// result cache and pins every journal's metadata record. Two pipelines
+/// with equal fingerprints produce byte-identical reports for equal
+/// (job_digest, seed) — the invariant the cache's correctness rests on.
 [[nodiscard]] support::Sha256Digest config_fingerprint(
     const core::DyDroid& pipeline);
+
+/// The content address of one job's inputs (CacheKey::apk): SHA-256 over
+/// one prefix-free encoding of every job — the APK's length (u64), the
+/// scenario's os::Scenario::encode(), then the APK bytes. No APK's bytes
+/// can pose as another job's scenario.
+[[nodiscard]] support::Sha256Digest job_digest(const AppJob& job);
 
 }  // namespace dydroid::driver

@@ -39,4 +39,23 @@ Device::Device(DeviceConfig config)
   services_.put_provider_row(kUriMms, "+1555000002;photo");
 }
 
+void Scenario::apply(Device& device) const {
+  for (const auto& [url, payload] : hosted_urls) {
+    device.network().host(url, payload.to_bytes());
+  }
+  for (const auto& apk_bytes : companion_apks) {
+    (void)device.install(apk::ApkFile::deserialize(apk_bytes));
+  }
+}
+
+void Scenario::encode(support::ByteWriter& w) const {
+  w.u32(static_cast<std::uint32_t>(hosted_urls.size()));
+  for (const auto& [url, payload] : hosted_urls) {
+    w.str(url);
+    w.blob(payload);
+  }
+  w.u32(static_cast<std::uint32_t>(companion_apks.size()));
+  for (const auto& apk_bytes : companion_apks) w.blob(apk_bytes);
+}
+
 }  // namespace dydroid::os

@@ -4,11 +4,16 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "os/network.hpp"
 #include "os/package_manager.hpp"
 #include "os/services.hpp"
 #include "os/vfs.hpp"
+#include "support/blob.hpp"
+#include "support/bytes.hpp"
 
 namespace dydroid::os {
 
@@ -44,6 +49,30 @@ class Device {
   SystemServices services_;
   Network network_;
   PackageManager pm_;
+};
+
+/// An app's surroundings on the device (paper §III-B, Table V; Table IX):
+/// the servers that host its remote payloads and the companion packages
+/// installed beside it. Plain data, so a cache key can digest it and a
+/// job can carry it; the bytes are refcounted Blobs, so copying a Scenario
+/// never duplicates them.
+struct Scenario {
+  std::vector<std::pair<std::string, support::Blob>> hosted_urls;
+  std::vector<support::Blob> companion_apks;
+
+  /// True when the scenario hosts or installs anything.
+  explicit operator bool() const {
+    return !hosted_urls.empty() || !companion_apks.empty();
+  }
+
+  /// Host every URL on the device's network and install every companion.
+  /// Throws support::ParseError for a companion that is not a package.
+  void apply(Device& device) const;
+
+  /// The canonical encoding of everything apply() reads: each list's
+  /// count, then its length-prefixed entries. A field added here must be
+  /// added to both, so a cache key never goes blind to it.
+  void encode(support::ByteWriter& w) const;
 };
 
 }  // namespace dydroid::os

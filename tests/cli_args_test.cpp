@@ -316,6 +316,92 @@ TEST(CliShard, ShardedSurveysMergeAndReplayToTheUnshardedSummary) {
 
 // --- single-app analyze through the corpus runner ---------------------------
 
+/// The `--host URL FILE` arguments `dydroid gen` prints for an app's first
+/// remote dependency (empty when it has none).
+std::string first_host_flags(const std::string& gen_output) {
+  const std::string marker = "--host ";
+  const auto at = gen_output.find(marker);
+  if (at == std::string::npos) return {};
+  const auto end = gen_output.find('\n', at);
+  return gen_output.substr(at, end == std::string::npos ? end : end - at);
+}
+
+/// The plain `analyze` report of two generated apps, pinned by SHA-256: an
+/// own-dex app fuzzed at seed 42, and a Baidu-SDK app served its remote
+/// payload from the side-car `gen` wrote.
+constexpr const char* kOwnDexReportDigest =
+    "a62c21bb7da5d4285c28ce72989a938734ea89cb863e85f9814db8a2c43296de";
+constexpr const char* kBaiduReportDigest =
+    "733b68934e9ec5865c34cb08ce401f30f83257abe0479a85d708120b2b17e394";
+
+TEST(CliArgs, AnalyzeReportsMatchTheirPinnedDigests) {
+  REQUIRE_CLI();
+  const std::string base_path = testing::TempDir() + "/cli_analyze_pin_" +
+                                std::to_string(::getpid());
+  const std::string own = base_path + "_own.sapk";
+  const auto gen_own = run_cli("gen " + own + " --own-dex --seed 7");
+  ASSERT_EQ(gen_own.exit_code, 0) << gen_own.output;
+  const auto own_report = run_cli("analyze " + own + " --seed 42");
+  EXPECT_EQ(own_report.exit_code, 0) << own_report.output;
+  EXPECT_EQ(dydroid::support::sha256(own_report.output).hex(),
+            kOwnDexReportDigest)
+      << own_report.output;
+
+  const std::string baidu = base_path + "_baidu.sapk";
+  const auto gen_baidu = run_cli("gen " + baidu + " --baidu");
+  ASSERT_EQ(gen_baidu.exit_code, 0) << gen_baidu.output;
+  const std::string host = first_host_flags(gen_baidu.output);
+  ASSERT_FALSE(host.empty()) << gen_baidu.output;
+  const auto baidu_report = run_cli("analyze " + baidu + " " + host);
+  EXPECT_EQ(baidu_report.exit_code, 0) << baidu_report.output;
+  EXPECT_EQ(dydroid::support::sha256(baidu_report.output).hex(),
+            kBaiduReportDigest)
+      << baidu_report.output;
+  for (const auto& path : {own, baidu, baidu + ".hosted.0"}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CliArgs, AnalyzeCacheKeysOnTheHostedPayload) {
+  REQUIRE_CLI();
+  // The hosted payload is an input of the analysis: the same app served a
+  // different payload must miss the cache and print that payload's report,
+  // not replay the first payload's.
+  const std::string base_path = testing::TempDir() + "/cli_analyze_host_" +
+                                std::to_string(::getpid());
+  const std::string app = base_path + ".sapk";
+  const std::string other = base_path + "_other.sapk";
+  const std::string cache = base_path + "_cache";
+  std::filesystem::remove_all(cache);
+  const auto gen = run_cli("gen " + app + " --baidu");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const auto gen_other = run_cli("gen " + other + " --own-dex --seed 7");
+  ASSERT_EQ(gen_other.exit_code, 0) << gen_other.output;
+  const std::string host = first_host_flags(gen.output);
+  ASSERT_FALSE(host.empty()) << gen.output;
+  // `--host URL FILE` with FILE swapped for the other app.
+  const std::string url = host.substr(0, host.rfind(' '));
+
+  const std::string own_payload = "analyze " + app + " " + host;
+  const std::string other_payload = "analyze " + app + " " + url + " " + other;
+  const auto plain_own = run_cli(own_payload);
+  const auto plain_other = run_cli(other_payload);
+  ASSERT_EQ(plain_own.exit_code, 0) << plain_own.output;
+  ASSERT_EQ(plain_other.exit_code, 0) << plain_other.output;
+  ASSERT_NE(plain_own.output, plain_other.output);
+
+  const auto cached_own = run_cli(own_payload + " --cache " + cache);
+  EXPECT_EQ(cached_own.exit_code, 0) << cached_own.output;
+  EXPECT_EQ(cached_own.output, plain_own.output);
+  const auto cached_other = run_cli(other_payload + " --cache " + cache);
+  EXPECT_EQ(cached_other.exit_code, 0) << cached_other.output;
+  EXPECT_EQ(cached_other.output, plain_other.output);
+  for (const auto& path : {app, other, app + ".hosted.0"}) {
+    std::remove(path.c_str());
+  }
+  std::filesystem::remove_all(cache);
+}
+
 TEST(CliArgs, AnalyzeThroughTheCorpusRunnerPrintsThePlainReport) {
   REQUIRE_CLI();
   // --journal, --resume, --cache (cold, then a warm hit) and --isolate route
@@ -336,6 +422,8 @@ TEST(CliArgs, AnalyzeThroughTheCorpusRunnerPrintsThePlainReport) {
   ASSERT_EQ(plain.exit_code, 0) << plain.output;
   ASSERT_NE(plain.output.find("\"status\": \"exercised\""),
             std::string::npos)
+      << plain.output;
+  EXPECT_EQ(dydroid::support::sha256(plain.output).hex(), kOwnDexReportDigest)
       << plain.output;
   for (const std::string& flags :
        {"--journal " + journal, "--resume " + journal, "--cache " + cache,

@@ -28,11 +28,12 @@ AppReport run_pipeline(const AppSpec& spec, PipelineOptions options = {},
                        std::uint64_t seed = 7) {
   support::Rng rng(seed);
   auto app = appgen::build_app(spec, rng);
-  options.scenario_setup = [scenario = app.scenario](os::Device& device) {
-    appgen::apply_scenario(scenario, device);
-  };
-  DyDroid pipeline(std::move(options));
-  return pipeline.analyze(app.apk, seed);
+  const DyDroid pipeline(std::move(options));
+  AnalysisRequest request;
+  request.apk = app.apk;
+  request.seed = seed;
+  request.scenario_setup = &app.scenario;
+  return pipeline.analyze(request);
 }
 
 // ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ TEST(Pipeline, AdPayloadFileStillOnDiskAfterRun) {
   support::Rng rng(3);
   auto app = appgen::build_app(spec, rng);
   os::Device device;
-  appgen::apply_scenario(app.scenario, device);
+  app.scenario.apply(device);
   const auto apk = apk::ApkFile::deserialize(app.apk);
   ASSERT_TRUE(device.install(apk).ok());
   auto man = apk.read_manifest();

@@ -18,6 +18,7 @@
 #include "core/stages.hpp"
 #include "driver/corpus_runner.hpp"
 #include "support/fault.hpp"
+#include "hook_stage.hpp"
 
 namespace dydroid::driver {
 namespace {
@@ -67,14 +68,10 @@ TEST(CorpusRunner, ParallelReportsIdenticalToSerial) {
   // Both agree with calling the pipeline directly with the index seed.
   for (std::size_t i = 0; i < corpus.apps.size(); i += 7) {
     const auto& app = corpus.apps[i];
-    const std::function<void(os::Device&)> scenario =
-        [&app](os::Device& device) {
-          appgen::apply_scenario(app.scenario, device);
-        };
     core::AnalysisRequest request;
     request.apk = app.apk;
     request.seed = seed_for_app(kDefaultSeedBase, i);
-    request.scenario_setup = &scenario;
+    request.scenario_setup = &app.scenario;
     EXPECT_EQ(core::report_to_json(pipeline.analyze(request)),
               serial_json[i])
         << "app index " << i;
@@ -89,25 +86,19 @@ TEST(CorpusRunner, SingleJobRunsInlineOnCallerThread) {
   // spawned a thread once benchmarked *slower* than serial.
   const auto corpus = small_corpus();
   const core::DyDroid pipeline{core::PipelineOptions{}};
-  auto jobs = jobs_from_corpus(corpus);
+  const auto jobs = jobs_from_corpus(corpus);
   std::mutex mutex;
   std::vector<std::thread::id> analysis_threads;
-  for (auto& job : jobs) {
-    job.scenario = [inner = std::move(job.scenario), &mutex,
-                    &analysis_threads](os::Device& device) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        analysis_threads.push_back(std::this_thread::get_id());
-      }
-      inner(device);
-    };
-  }
+  // Every app records the thread that analyzes it.
+  const auto recording = test::hooked_pipeline(std::nullopt, [&] {
+    const std::lock_guard<std::mutex> lock(mutex);
+    analysis_threads.push_back(std::this_thread::get_id());
+  });
 
   RunnerConfig config;
   config.jobs = 1;
-  const auto inline_run = CorpusRunner(pipeline, config).run(jobs);
+  const auto inline_run = CorpusRunner(recording, config).run(jobs);
   EXPECT_EQ(inline_run.threads, 1u);
-  // Static-stop apps never reach the scenario, so expect "most", not all.
   ASSERT_GT(analysis_threads.size(), corpus.apps.size() / 2);
   for (const auto& id : analysis_threads) {
     EXPECT_EQ(id, std::this_thread::get_id())
@@ -191,9 +182,7 @@ TEST(CorpusRunner, MalformedAppDoesNotAbortBatch) {
                                              'k', 0xFF, 0x00, 0x7F};
   std::vector<AppJob> jobs(3);
   jobs[0].apk = good.apk;
-  jobs[0].scenario = [&good](os::Device& device) {
-    appgen::apply_scenario(good.scenario, device);
-  };
+  jobs[0].scenario = good.scenario;
   jobs[1].apk = support::Blob::copy_of(garbage);  // decompiler rejects this outright
   jobs[2] = jobs[0];
 
@@ -246,9 +235,7 @@ TEST(CorpusRunner, SubsetAndPermutationReproduceFullRunReports) {
       const auto& app = corpus.apps[index];
       AppJob job;
       job.apk = app.apk;
-      job.scenario = [&app](os::Device& device) {
-        appgen::apply_scenario(app.scenario, device);
-      };
+      job.scenario = app.scenario;
       // The override pins the app to its full-run seed, so filtering and
       // reordering cannot perturb its report.
       job.seed = seed_for_app(kDefaultSeedBase, index);
@@ -283,9 +270,7 @@ TEST(CorpusRunner, WallTimeIsRecordedOnEveryPathIncludingCrashes) {
 
   std::vector<AppJob> jobs(3);
   jobs[0].apk = good.apk;
-  jobs[0].scenario = [&good](os::Device& device) {
-    appgen::apply_scenario(good.scenario, device);
-  };
+  jobs[0].scenario = good.scenario;
   jobs[1].apk = support::Blob::copy_of(garbage);  // crash path
   jobs[2] = jobs[0];
 
@@ -315,14 +300,14 @@ TEST(CorpusRunner, OverBudgetAppIsTimedOutRetriedAndQuarantined) {
   core::PipelineOptions options;
   options.max_app_wall_ms = 1.0;  // every attempt blows this budget
   options.retry_on_crash = true;
-  const core::DyDroid pipeline(std::move(options));
+  const auto pipeline = test::hooked_pipeline(
+      std::nullopt,
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(10)); },
+      std::move(options));
 
   std::vector<AppJob> jobs(1);
   jobs[0].apk = app.apk;
-  jobs[0].scenario = [&app](os::Device& device) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    appgen::apply_scenario(app.scenario, device);
-  };
+  jobs[0].scenario = app.scenario;
 
   RunnerConfig config;
   config.jobs = 1;
@@ -359,16 +344,16 @@ TEST(CorpusRunner, CrashingRetriesAccumulateWallTimeAcrossAttempts) {
   core::PipelineOptions options;
   options.faults = &plan;
   options.retry_on_crash = true;
-  const core::DyDroid pipeline(std::move(options));
+  // Give each attempt a measurable floor: the hook runs ahead of the
+  // analysis on *every* attempt, before the injected install fault.
+  const auto pipeline = test::hooked_pipeline(
+      std::nullopt,
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(10)); },
+      std::move(options));
 
   std::vector<AppJob> jobs(1);
   jobs[0].apk = app.apk;
-  jobs[0].scenario = [&app](os::Device& device) {
-    // Give each attempt a measurable floor: the scenario runs inside the
-    // dynamic stage on *every* attempt, before the injected install fault.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    appgen::apply_scenario(app.scenario, device);
-  };
+  jobs[0].scenario = app.scenario;
 
   RunnerConfig config;
   config.jobs = 1;
@@ -391,10 +376,6 @@ TEST(CorpusRunner, TransientInjectedCrashRetriesCleanlyAndRecovers) {
   spec.ad_sdk = true;
   support::Rng rng(23);
   const auto app = appgen::build_app(spec, rng);
-  const std::function<void(os::Device&)> scenario =
-      [&app](os::Device& device) {
-        appgen::apply_scenario(app.scenario, device);
-      };
 
   const auto plan_result = support::FaultPlan::parse("device.install=p:0.5");
   ASSERT_TRUE(plan_result.ok()) << plan_result.error();
@@ -412,7 +393,7 @@ TEST(CorpusRunner, TransientInjectedCrashRetriesCleanlyAndRecovers) {
     core::AnalysisRequest first;
     first.apk = app.apk;
     first.seed = seed;
-    first.scenario_setup = &scenario;
+    first.scenario_setup = &app.scenario;
     first.attempt = 0;
     core::AnalysisRequest second = first;
     second.attempt = 1;
@@ -426,7 +407,7 @@ TEST(CorpusRunner, TransientInjectedCrashRetriesCleanlyAndRecovers) {
 
   std::vector<AppJob> jobs(1);
   jobs[0].apk = app.apk;
-  jobs[0].scenario = scenario;
+  jobs[0].scenario = app.scenario;
   jobs[0].seed = *flaky_seed;
 
   RunnerConfig config;

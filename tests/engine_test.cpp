@@ -113,7 +113,7 @@ TEST(Engine, EventsAggregatedFromInterceptor) {
   support::Rng grng(9);
   const auto app = appgen::build_app(spec, grng);
   os::Device device;
-  appgen::apply_scenario(app.scenario, device);
+  app.scenario.apply(device);
   const auto apk = apk::ApkFile::deserialize(app.apk);
   ASSERT_TRUE(device.install(apk).ok());
   const auto man = apk.read_manifest();

@@ -28,9 +28,13 @@
 #include "support/fault.hpp"
 #include "support/io.hpp"
 #include "support/worker_pool.hpp"
+#include "hook_stage.hpp"
 
 namespace dydroid::driver {
 namespace {
+
+/// The seed the runner gives the first job of a default-configured run.
+constexpr std::uint64_t kFirstAppSeed = seed_for_app(kDefaultSeedBase, 0);
 
 appgen::Corpus small_corpus(double scale = 0.002) {
   appgen::CorpusConfig config;
@@ -47,8 +51,9 @@ std::vector<std::string> report_jsons(const CorpusResult& result) {
   return out;
 }
 
-/// Jobs that replicate one generated app N times; the scenario may be
-/// overridden to misbehave (hang, hog memory) inside the sandboxed child.
+/// Jobs that replicate one generated app N times. A test makes one of them
+/// misbehave (hang, hog memory) inside the sandboxed child through a
+/// test::hooked_pipeline aimed at its seed.
 struct OneAppJobs {
   appgen::GeneratedApp app;
   std::vector<AppJob> jobs;
@@ -65,9 +70,7 @@ OneAppJobs replicated_jobs(std::size_t count, std::uint64_t rng_seed = 17) {
   out.jobs.resize(count);
   for (auto& job : out.jobs) {
     job.apk = out.app.apk;
-    job.scenario = [&app = out.app](os::Device& device) {
-      appgen::apply_scenario(app.scenario, device);
-    };
+    job.scenario = out.app.scenario;
   }
   return out;
 }
@@ -259,12 +262,11 @@ TEST(Isolation, MemoryExplodingAppIsKilledOomAndQuarantined) {
     GTEST_SKIP() << "RLIMIT_AS unsupported under this sanitizer";
   }
   auto fixture = replicated_jobs(1);
-  fixture.jobs[0].scenario = [](os::Device&) {
+  const auto pipeline = test::hooked_pipeline(kFirstAppSeed, [] {
     std::vector<std::byte*> hog;
     for (;;) hog.push_back(new std::byte[64 << 20]);  // runs in the child
-  };
+  });
 
-  const core::DyDroid pipeline{core::PipelineOptions{}};
   RunnerConfig config = isolate_config(1);
   config.sandbox_mem_limit_bytes = 3ull << 30;
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
@@ -280,12 +282,11 @@ TEST(Isolation, MemoryExplodingAppIsKilledOomAndQuarantined) {
 
 TEST(Isolation, HangingAppIsDeadlineKilledWithinBudget) {
   auto fixture = replicated_jobs(1);
-  fixture.jobs[0].scenario = [](os::Device&) {
+  const auto pipeline = test::hooked_pipeline(kFirstAppSeed, [] {
     // An app stuck forever: only the supervisor's SIGKILL ends it.
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  };
+  });
 
-  const core::DyDroid pipeline{core::PipelineOptions{}};
   RunnerConfig config = isolate_config(1);
   config.sandbox_deadline_ms = 300.0;
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
@@ -335,17 +336,16 @@ TEST(Isolation, ExternallyKilledChildRespawnsTransparently) {
   // First execution of the app SIGKILLs its own worker (indistinguishable
   // from an external kill); the marker file makes the re-dispatch clean.
   TempPath marker("respawn");
-  fixture.jobs[0].scenario = [&app = fixture.app,
-                              path = marker.path()](os::Device& device) {
-    if (!std::filesystem::exists(path)) {
-      std::ofstream(path) << "killed once";
-      ::raise(SIGKILL);
-    }
-    appgen::apply_scenario(app.scenario, device);
-  };
+  const auto killing = test::hooked_pipeline(
+      kFirstAppSeed, [path = marker.path()] {
+        if (!std::filesystem::exists(path)) {
+          std::ofstream(path) << "killed once";
+          ::raise(SIGKILL);
+        }
+      });
 
   RunnerConfig config = isolate_config(1);
-  const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
+  const auto result = CorpusRunner(killing, config).run(fixture.jobs);
 
   EXPECT_TRUE(std::filesystem::exists(marker.path()));  // the kill happened
   const auto& outcome = result.outcomes[0];
@@ -361,9 +361,9 @@ TEST(Isolation, RepeatedExternalSigkillEscalatesToOomClassification) {
   auto fixture = replicated_jobs(1);
   // Every execution dies to SIGKILL: the respawn budget must run out and
   // the app classify as a kernel-style OOM kill, not loop forever.
-  fixture.jobs[0].scenario = [](os::Device&) { ::raise(SIGKILL); };
+  const auto pipeline =
+      test::hooked_pipeline(kFirstAppSeed, [] { ::raise(SIGKILL); });
 
-  const core::DyDroid pipeline{core::PipelineOptions{}};
   RunnerConfig config = isolate_config(1);
   const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
 

@@ -23,6 +23,7 @@
 #include "support/fault.hpp"
 #include "support/journal.hpp"
 #include "support/log.hpp"
+#include "hook_stage.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -224,9 +225,8 @@ TEST(KillResume, GracefulStopJournalsInFlightAppsAndResumes) {
   golden_config.jobs = 1;
   const auto golden = CorpusRunner(pipeline, golden_config).run(corpus);
 
-  // The brake is pulled from inside an app's scenario, so pick one whose
-  // dynamic phase actually runs (a statically filtered app never installs
-  // its scenario).
+  // The brake is pulled while app `stop_at` is analyzed: an exercised app
+  // past the first third, with apps left after it.
   std::size_t stop_at = 0;
   for (std::size_t i = n / 3; i + 1 < n; ++i) {
     if (golden.outcomes[i].report.status == core::DynamicStatus::kExercised) {
@@ -238,21 +238,18 @@ TEST(KillResume, GracefulStopJournalsInFlightAppsAndResumes) {
 
   TempJournal journal("stop");
   std::atomic<bool> stop{false};
+  // App `stop_at` pulls the brake from inside its own analysis — the
+  // deterministic stand-in for the CLI's SIGINT handler. The app itself
+  // must still finish and be journaled (stop is polled *between* apps).
+  // The journal pins the stage list, so the resume runs the same pipeline.
+  const auto braking = test::hooked_pipeline(
+      seed_for_app(kDefaultSeedBase, stop_at), [&stop] { stop.store(true); });
   {
-    auto jobs = jobs_from_corpus(corpus);
-    // App `stop_at` pulls the brake from inside its own scenario — the
-    // deterministic stand-in for the CLI's SIGINT handler. The app itself
-    // must still finish and be journaled (stop is polled *between* apps).
-    const auto original = jobs[stop_at].scenario;
-    jobs[stop_at].scenario = [original, &stop](os::Device& device) {
-      original(device);
-      stop.store(true);
-    };
     RunnerConfig config;
     config.jobs = 1;
     config.journal_path = journal.path();
     config.stop = &stop;
-    const auto partial = CorpusRunner(pipeline, config).run(jobs);
+    const auto partial = CorpusRunner(braking, config).run(corpus);
     EXPECT_TRUE(partial.interrupted);
     EXPECT_EQ(partial.completed(), stop_at + 1);  // in-flight app finished
     EXPECT_TRUE(partial.outcomes[stop_at].completed);
@@ -262,7 +259,7 @@ TEST(KillResume, GracefulStopJournalsInFlightAppsAndResumes) {
   resume_config.jobs = 2;
   resume_config.journal_path = journal.path();
   resume_config.resume = true;
-  const auto resumed = CorpusRunner(pipeline, resume_config).run(corpus);
+  const auto resumed = CorpusRunner(braking, resume_config).run(corpus);
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_EQ(resumed.replayed, stop_at + 1);
   const auto golden_json = report_jsons(golden);

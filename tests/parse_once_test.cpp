@@ -46,13 +46,12 @@ Analyzed analyze_with_metrics(const appgen::GeneratedApp& app) {
   support::set_log_level(support::LogLevel::Error);
   support::set_metrics_enabled(true);
   support::metrics_reset();
-  core::PipelineOptions options;
-  options.scenario_setup = [&app](os::Device& device) {
-    appgen::apply_scenario(app.scenario, device);
-  };
-  const core::DyDroid pipeline(std::move(options));
-  Analyzed analyzed{pipeline.analyze(app.apk, 0x1234),
-                    support::metrics_snapshot()};
+  const core::DyDroid pipeline;
+  core::AnalysisRequest request;
+  request.apk = app.apk;
+  request.seed = 0x1234;
+  request.scenario_setup = &app.scenario;
+  Analyzed analyzed{pipeline.analyze(request), support::metrics_snapshot()};
   support::set_metrics_enabled(false);
   EXPECT_NE(analyzed.report.status, core::DynamicStatus::kNotRun)
       << "guard app must traverse the dynamic stage";

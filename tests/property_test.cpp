@@ -201,12 +201,13 @@ TEST_P(PipelineTotality, RandomSpecsUnderRandomConfigsNeverCrashHost) {
   if (rng.chance(0.3)) {
     options.runtime.time_ms = appgen::kReleaseTimeMs - 1000;
   }
-  options.scenario_setup = [&app](os::Device& device) {
-    appgen::apply_scenario(app.scenario, device);
-  };
-  core::DyDroid pipeline(std::move(options));
+  const core::DyDroid pipeline(std::move(options));
+  core::AnalysisRequest request;
+  request.apk = app.apk;
+  request.seed = GetParam();
+  request.scenario_setup = &app.scenario;
   // Must never throw out of the pipeline, whatever the app does inside.
-  const auto report = pipeline.analyze(app.apk, GetParam());
+  const auto report = pipeline.analyze(request);
   // Sanity: a status was assigned and the package recovered.
   if (!report.decompile_failed) {
     EXPECT_EQ(report.package, spec.package);
@@ -229,12 +230,12 @@ TEST_P(PipelineDeterminism, SameSeedSameReport) {
   const auto app = appgen::build_app(spec, rng);
 
   auto run = [&]() {
-    core::PipelineOptions options;
-    options.scenario_setup = [&app](os::Device& device) {
-      appgen::apply_scenario(app.scenario, device);
-    };
-    core::DyDroid pipeline(std::move(options));
-    return pipeline.analyze(app.apk, GetParam());
+    const core::DyDroid pipeline;
+    core::AnalysisRequest request;
+    request.apk = app.apk;
+    request.seed = GetParam();
+    request.scenario_setup = &app.scenario;
+    return pipeline.analyze(request);
   };
   const auto a = run();
   const auto b = run();

@@ -25,12 +25,12 @@ AppReport sample_report() {
   spec.min_sdk = 16;
   support::Rng rng(1);
   const auto app = appgen::build_app(spec, rng);
-  PipelineOptions options;
-  options.scenario_setup = [&app](os::Device& device) {
-    appgen::apply_scenario(app.scenario, device);
-  };
-  DyDroid pipeline(std::move(options));
-  return pipeline.analyze(app.apk, 1);
+  const DyDroid pipeline;
+  AnalysisRequest request;
+  request.apk = app.apk;
+  request.seed = 1;
+  request.scenario_setup = &app.scenario;
+  return pipeline.analyze(request);
 }
 
 TEST(ReportJson, ContainsAllSections) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -22,11 +23,14 @@
 #include <vector>
 
 #include "appgen/corpus.hpp"
+#include "appgen/generator.hpp"
 #include "core/report_json.hpp"
 #include "support/bytes.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
 #include "driver/result_cache.hpp"
+#include "malware/droidnative.hpp"
+#include "malware/families.hpp"
 #include "support/fault.hpp"
 #include "support/hash.hpp"
 #include "support/io.hpp"
@@ -95,6 +99,11 @@ ResultCache open_or_die(const std::string& dir,
   auto opened = ResultCache::open(dir, config, cache_config);
   EXPECT_TRUE(opened.ok()) << opened.error();
   return std::move(opened).take();
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 appgen::Corpus small_corpus(double scale = 0.002) {
@@ -233,6 +242,55 @@ TEST(ResultCache, LruEvictionOrderAndRecencyAcrossReopen) {
   EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k3, k1, k4}));
 }
 
+TEST(ResultCache, HitRecencySurvivesAReopenWithoutEviction) {
+  // A run whose only event is a hit still moves the entry on disk: the
+  // next run of a bounded store evicts by the recency this one left.
+  TempCacheDir dir("hit_recency");
+  CacheConfig bounds;
+  bounds.max_entries = 3;
+  const auto k1 = key_of("a"), k2 = key_of("b"), k3 = key_of("c"),
+             k4 = key_of("d");
+  {
+    auto cache = open_or_die(dir.path(), kTestConfig, bounds);
+    cache.insert(k1, make_outcome("com.a"));
+    cache.insert(k2, make_outcome("com.b"));
+    cache.insert(k3, make_outcome("com.c"));
+  }
+  {
+    auto cache = open_or_die(dir.path(), kTestConfig, bounds);
+    ASSERT_TRUE(cache.lookup(k1).has_value());
+    EXPECT_EQ(cache.stats().evictions, 0u);
+  }
+  auto cache = open_or_die(dir.path(), kTestConfig, bounds);
+  EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k2, k3, k1}));
+  cache.insert(k4, make_outcome("com.d"));
+  EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k3, k1, k4}));
+  EXPECT_TRUE(cache.lookup(k1).has_value());
+  EXPECT_FALSE(cache.lookup(k2).has_value());
+}
+
+TEST(ResultCache, UnboundedHitsLeaveTheStoreFileAlone) {
+  // An unbounded store never evicts, so recency has no use on disk: a run
+  // of hits seals with the journal's fsync alone, no compaction rewrite.
+  TempCacheDir dir("unbounded_hits");
+  const auto k1 = key_of("a"), k2 = key_of("b");
+  std::string store_path;
+  {
+    auto cache = open_or_die(dir.path());
+    cache.insert(k1, make_outcome("com.a"));
+    cache.insert(k2, make_outcome("com.b"));
+    store_path = cache.store_path();
+  }
+  const auto before = file_bytes(store_path);
+  auto cache = open_or_die(dir.path());
+  ASSERT_TRUE(cache.lookup(k1).has_value());
+  EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k2, k1}));
+  const std::uint64_t dir_syncs = support::dir_fsyncs();
+  ASSERT_TRUE(cache.seal().ok());
+  EXPECT_EQ(support::dir_fsyncs(), dir_syncs);
+  EXPECT_EQ(file_bytes(store_path), before);
+}
+
 TEST(ResultCache, ByteBoundEvicts) {
   TempCacheDir dir("bytes");
   const auto probe = encode_outcome(0, make_outcome("com.probe"));
@@ -299,6 +357,36 @@ TEST(ResultCache, DriverLevelFaultSitesAreNotFingerprinted) {
   const auto dex_parse = fingerprint_of("dex.parse=always");
   EXPECT_NE(dex_parse, unfaulted);
   EXPECT_EQ(fingerprint_of("dex.parse=always,driver.kill=nth:40"), dex_parse);
+}
+
+TEST(ResultCache, DetectorIsFingerprintedByWhatItLearned) {
+  // Two detectors with the same threshold, families and sample count but
+  // different samples judge payloads differently, so they must not share
+  // cache entries or resume each other's journals.
+  const auto trained = [](std::uint64_t seed) {
+    malware::DroidNative detector(0.9);
+    support::Rng rng(seed);
+    for (int f = 0; f < malware::kNumFamilies; ++f) {
+      const auto family = malware::family_at(f);
+      for (const auto& sample :
+           malware::generate_training_samples(family, 2, rng)) {
+        detector.train(malware::family_name(family), sample);
+      }
+    }
+    return detector;
+  };
+  const auto fingerprint_with = [](const malware::DroidNative& detector) {
+    core::PipelineOptions options;
+    options.detector = &detector;
+    return config_fingerprint(core::DyDroid(std::move(options)));
+  };
+  const auto first = trained(1);
+  const auto second = trained(2);
+  ASSERT_EQ(first.threshold(), second.threshold());
+  ASSERT_EQ(first.families(), second.families());
+  ASSERT_EQ(first.training_size(), second.training_size());
+  EXPECT_NE(fingerprint_with(first), fingerprint_with(second));
+  EXPECT_EQ(fingerprint_with(first), fingerprint_with(trained(1)));
 }
 
 TEST(ResultCache, TornTailIsRecoveredNotFatal) {
@@ -550,6 +638,64 @@ TEST(CacheEquivalence, CachedRunsMatchUncachedAtAnyWorkerCount) {
       }
     }
   }
+}
+
+TEST(CacheEquivalence, ScenarioIsPartOfTheKey) {
+  // One remote-loading app, one seed, two servers: the hosted payload is
+  // an input of the analysis, so each scenario gets its own entry and its
+  // own report.
+  support::set_log_level(support::LogLevel::Error);
+  appgen::AppSpec spec;
+  spec.package = "com.cache.remote";
+  spec.category = "Tools";
+  spec.baidu_remote_sdk = true;
+  support::Rng rng(31);
+  const auto app = appgen::build_app(spec, rng);
+  ASSERT_EQ(app.scenario.hosted_urls.size(), 1u);
+  spec.package = "com.cache.other";
+  spec.baidu_remote_sdk = false;
+  spec.own_dex_dcl = true;
+  const auto other = appgen::build_app(spec, rng);
+
+  std::vector<AppJob> jobs(2);
+  for (auto& job : jobs) {
+    job.apk = app.apk;
+    job.seed = 5;
+  }
+  jobs[0].scenario = app.scenario;
+  jobs[1].scenario.hosted_urls.emplace_back(
+      app.scenario.hosted_urls[0].first, other.apk);
+  EXPECT_NE(job_digest(jobs[0]), job_digest(jobs[1]));
+  // A scenario-free job whose APK ends in the scenario's encoding keys
+  // apart from the job that carries that scenario: the package parser
+  // ignores trailing bytes, so that APK runs with no scenario at all.
+  support::ByteWriter crafted;
+  crafted.raw(app.apk);
+  jobs[0].scenario.encode(crafted);
+  AppJob bare;
+  bare.apk = support::Blob::take(crafted.take());
+  EXPECT_NE(job_digest(bare), job_digest(jobs[0]));
+
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  RunnerConfig plain;
+  plain.jobs = 1;
+  const auto golden_json = report_jsons(CorpusRunner(pipeline, plain).run(jobs));
+  ASSERT_NE(golden_json[0], golden_json[1]);
+
+  TempCacheDir dir("scenario_key");
+  RunnerConfig config;
+  config.jobs = 1;
+  config.cache_dir = dir.path();
+  const auto cold = CorpusRunner(pipeline, config).run(jobs);
+  EXPECT_EQ(cold.stats.cache_misses, 2u);
+  EXPECT_EQ(cold.stats.cache_hits, 0u);
+  EXPECT_EQ(report_jsons(cold), golden_json);
+  EXPECT_EQ(open_or_die(dir.path(), config_fingerprint(pipeline)).size(), 2u);
+
+  const auto warm = CorpusRunner(pipeline, config).run(jobs);
+  EXPECT_EQ(warm.stats.cache_hits, 2u);
+  EXPECT_EQ(warm.stats.cache_misses, 0u);
+  EXPECT_EQ(report_jsons(warm), golden_json);
 }
 
 TEST(CacheEquivalence, CacheFaultInjectionDegradesWithoutChangingReports) {

@@ -39,11 +39,12 @@ core::AppReport analyze(const appgen::GeneratedApp& app,
                         std::uint64_t seed = 0x1234) {
   core::PipelineOptions options;
   options.faults = plan;
-  options.scenario_setup = [&app](os::Device& device) {
-    appgen::apply_scenario(app.scenario, device);
-  };
   const core::DyDroid pipeline(std::move(options));
-  return pipeline.analyze(app.apk, seed);
+  core::AnalysisRequest request;
+  request.apk = app.apk;
+  request.seed = seed;
+  request.scenario_setup = &app.scenario;
+  return pipeline.analyze(request);
 }
 
 class StageStatusTest : public ::testing::Test {

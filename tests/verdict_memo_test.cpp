@@ -113,14 +113,10 @@ appgen::GeneratedApp ad_sdk_app(const std::string& package,
 
 core::AppReport analyze(const core::DyDroid& pipeline,
                         const appgen::GeneratedApp& app, std::uint64_t seed) {
-  const std::function<void(os::Device&)> scenario =
-      [&app](os::Device& device) {
-        appgen::apply_scenario(app.scenario, device);
-      };
   core::AnalysisRequest request;
   request.apk = app.apk;
   request.seed = seed;
-  request.scenario_setup = &scenario;
+  request.scenario_setup = &app.scenario;
   return pipeline.analyze(request);
 }
 

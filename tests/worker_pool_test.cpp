@@ -36,9 +36,13 @@
 #include "support/journal.hpp"
 #include "support/trace.hpp"
 #include "support/worker_pool.hpp"
+#include "hook_stage.hpp"
 
 namespace dydroid::driver {
 namespace {
+
+/// The seed the runner gives the first job of a default-configured run.
+constexpr std::uint64_t kFirstAppSeed = seed_for_app(kDefaultSeedBase, 0);
 
 appgen::Corpus small_corpus(double scale = 0.002) {
   appgen::CorpusConfig config;
@@ -55,8 +59,9 @@ std::vector<std::string> report_jsons(const CorpusResult& result) {
   return out;
 }
 
-/// Jobs replicating one generated app N times; scenarios may be overridden
-/// to misbehave (hang, kill themselves) inside the pooled worker.
+/// Jobs replicating one generated app N times. A test makes one of them
+/// misbehave (hang, kill itself) inside the pooled worker through a
+/// test::hooked_pipeline aimed at its seed.
 struct OneAppJobs {
   appgen::GeneratedApp app;
   std::vector<AppJob> jobs;
@@ -73,9 +78,7 @@ OneAppJobs replicated_jobs(std::size_t count, std::uint64_t rng_seed = 23) {
   out.jobs.resize(count);
   for (auto& job : out.jobs) {
     job.apk = out.app.apk;
-    job.scenario = [&app = out.app](os::Device& device) {
-      appgen::apply_scenario(app.scenario, device);
-    };
+    job.scenario = out.app.scenario;
   }
   return out;
 }
@@ -631,14 +634,14 @@ TEST(WorkerPool, HangingAppIsDeadlineKilledAndPoolRecovers) {
   thread_config.jobs = 1;
   const auto golden = CorpusRunner(pipeline, thread_config).run(fixture.jobs);
 
-  fixture.jobs[0].scenario = [](os::Device&) {
+  const auto hanging = test::hooked_pipeline(kFirstAppSeed, [] {
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  };
+  });
   RunnerConfig config;
   config.jobs = 1;
   config.isolation_mode = IsolationMode::kPool;
   config.sandbox_deadline_ms = 300.0;
-  const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
+  const auto result = CorpusRunner(hanging, config).run(fixture.jobs);
 
   const auto& hung = result.outcomes[0];
   EXPECT_EQ(hung.sandbox_fate, SandboxFate::kTimedOut);
@@ -658,12 +661,11 @@ TEST(WorkerPool, MemoryExplodingAppIsKilledOomAndQuarantined) {
     GTEST_SKIP() << "RLIMIT_AS unsupported under this sanitizer";
   }
   auto fixture = replicated_jobs(1);
-  fixture.jobs[0].scenario = [](os::Device&) {
+  const auto pipeline = test::hooked_pipeline(kFirstAppSeed, [] {
     std::vector<std::byte*> hog;
     for (;;) hog.push_back(new std::byte[64 << 20]);  // runs in the worker
-  };
+  });
 
-  const core::DyDroid pipeline{core::PipelineOptions{}};
   RunnerConfig config;
   config.jobs = 1;
   config.isolation_mode = IsolationMode::kPool;
@@ -692,19 +694,18 @@ TEST(WorkerPool, ExternallyKilledWorkerRedispatchesInFlightApp) {
   // First execution SIGKILLs its own worker mid-app (indistinguishable
   // from an external kill); the marker makes the re-dispatched run clean.
   TempPath marker("redispatch");
-  fixture.jobs[0].scenario = [&app = fixture.app,
-                              path = marker.path()](os::Device& device) {
-    if (!std::filesystem::exists(path)) {
-      std::ofstream(path) << "killed once";
-      ::raise(SIGKILL);
-    }
-    appgen::apply_scenario(app.scenario, device);
-  };
+  const auto killing = test::hooked_pipeline(
+      kFirstAppSeed, [path = marker.path()] {
+        if (!std::filesystem::exists(path)) {
+          std::ofstream(path) << "killed once";
+          ::raise(SIGKILL);
+        }
+      });
 
   RunnerConfig config;
   config.jobs = 1;
   config.isolation_mode = IsolationMode::kPool;
-  const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
+  const auto result = CorpusRunner(killing, config).run(fixture.jobs);
 
   EXPECT_TRUE(std::filesystem::exists(marker.path()));  // the kill happened
   const auto& outcome = result.outcomes[0];
@@ -718,9 +719,9 @@ TEST(WorkerPool, ExternallyKilledWorkerRedispatchesInFlightApp) {
 
 TEST(WorkerPool, RepeatedExternalSigkillEscalatesToOomClassification) {
   auto fixture = replicated_jobs(1);
-  fixture.jobs[0].scenario = [](os::Device&) { ::raise(SIGKILL); };
+  const auto pipeline =
+      test::hooked_pipeline(kFirstAppSeed, [] { ::raise(SIGKILL); });
 
-  const core::DyDroid pipeline{core::PipelineOptions{}};
   RunnerConfig config;
   config.jobs = 1;
   config.isolation_mode = IsolationMode::kPool;

@@ -463,7 +463,11 @@ int cmd_analyze(const Args& args) {
     std::fprintf(stderr, "analyze: missing input path\n");
     return 2;
   }
-  const auto bytes = support::Blob::take(read_file(args.positional[0]));
+  // The app is one corpus job: its surroundings (--host, --companion) are
+  // data the result cache keys on, and the runner adds the write-ahead
+  // journal, the cache or the sandbox only when asked for.
+  driver::AppJob job;
+  job.apk = support::Blob::take(read_file(args.positional[0]));
   core::PipelineOptions options;
   support::FaultPlan faults;  // must outlive the pipeline
   if (args.flag("faults")) {
@@ -476,48 +480,28 @@ int cmd_analyze(const Args& args) {
     faults = std::move(parsed.value());
     options.faults = &faults;
   }
-  std::vector<std::pair<std::string, support::Bytes>> hosted;
   for (const auto& [url, file] : args.hosts) {
-    hosted.emplace_back(url, read_file(file));
+    job.scenario.hosted_urls.emplace_back(url,
+                                          support::Blob::take(read_file(file)));
   }
-  std::vector<support::Bytes> companions;
   if (args.flag("companion")) {
-    companions.push_back(read_file(args.value("companion", "")));
+    job.scenario.companion_apks.push_back(
+        support::Blob::take(read_file(args.value("companion", ""))));
   }
-  options.scenario_setup = [hosted, companions](os::Device& device) {
-    for (const auto& [url, payload] : hosted) {
-      device.network().host(url, payload);
-    }
-    for (const auto& companion : companions) {
-      (void)device.install(apk::ApkFile::deserialize(companion));
-    }
-  };
   const auto detector = malware::paper_detector();
   options.detector = &detector;
-  const std::uint64_t seed =
-      parse_u64_flag("analyze", "seed", args.value("seed", "1"));
+  job.seed = parse_u64_flag("analyze", "seed", args.value("seed", "1"));
   driver::RunnerConfig runner_config;
-  const std::string journal_path = configure_journal(args, runner_config);
-  const std::string cache_dir = configure_cache("analyze", args, runner_config);
-  const bool isolate = configure_isolation("analyze", args, runner_config);
-  core::DyDroid pipeline(std::move(options));
-  if (journal_path.empty() && cache_dir.empty() && !isolate) {
-    const auto report = pipeline.analyze(bytes, seed);
-    std::printf("%s", core::report_to_json(report).c_str());
-    return 0;
-  }
-  // Journaled and/or cached single-app run: route through the corpus
-  // runner so the outcome is written ahead (and replayed byte-identically
-  // on --resume) and/or served by the content-addressed cache.
   runner_config.jobs = 1;
-  driver::AppJob job;
-  job.apk = bytes;
-  job.seed = seed;  // the journal validates the seed on resume
+  const std::string journal_path = configure_journal(args, runner_config);
+  (void)configure_cache("analyze", args, runner_config);
+  const bool isolate = configure_isolation("analyze", args, runner_config);
+  const core::DyDroid pipeline(std::move(options));
   const driver::CorpusRunner runner(pipeline, runner_config);
   // The journal's metadata pins the fault plan and the record the seed.
   const std::string resume_hint = support::format(
       "  resume with: dydroid analyze %s --seed %llu%s --resume %s\n",
-      args.positional[0].c_str(), static_cast<unsigned long long>(seed),
+      args.positional[0].c_str(), static_cast<unsigned long long>(*job.seed),
       resume_flags(args, {"faults"}).c_str(), journal_path.c_str());
   driver::CorpusResult result;
   try {
