@@ -85,9 +85,8 @@ int main() {
     os::Device device;
     device.network().host(url, payload());
     (void)device.install(apk);
-    vm::AppContext ctx;
-    ctx.manifest = apk.read_manifest();
-    vm::Vm vm(device, std::move(ctx));
+    const auto manifest = apk.read_manifest();
+    vm::Vm vm(device, manifest);
     vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
     core::CodeInterceptor interceptor(vm);
 

@@ -29,9 +29,8 @@ Outcome run(const appgen::GeneratedApp& app, bool block_mutations,
   app.scenario.apply(device);
   const auto apk = apk::ApkFile::deserialize(app.apk);
   (void)device.install(apk);
-  vm::AppContext ctx;
-  ctx.manifest = apk.read_manifest();
-  vm::Vm vm(device, std::move(ctx));
+  const auto manifest = apk.read_manifest();
+  vm::Vm vm(device, manifest);
   vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   core::CodeInterceptor interceptor(vm);
   if (!block_mutations) {

@@ -79,9 +79,7 @@ bool dynamic_finds(const dex::DexFile& dexfile, int index) {
   apk.write_classes_dex(dexfile);
   os::Device device;
   (void)device.install(apk);
-  vm::AppContext app;
-  app.manifest = man;
-  vm::Vm vm(device, std::move(app));
+  vm::Vm vm(device, man);
   vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   core::DynamicTaintTracker tracker(vm);
   auto obj = vm.instantiate("sdk.tracker.Agent" + std::to_string(index));

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -61,14 +62,12 @@ void BM_InterpreterArithLoop(benchmark::State& state) {
   apk.write_manifest(man);
   apk.write_classes_dex(b.build());
   os::Device device;
-  vm::AppContext app;
-  app.manifest = man;
-  vm::Vm vm(device, std::move(app));
+  vm::Vm vm(device, man);
   vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   const std::int64_t n = state.range(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        vm.call_static("bench.Calc", "sum", {vm::Value(n)}));
+        vm.call_static("bench.Calc", "sum", std::array{vm::Value(n)}));
   }
   state.SetItemsProcessed(state.iterations() * n * 4);  // ~4 ops per round
 }

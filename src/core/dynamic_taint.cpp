@@ -8,9 +8,9 @@ DynamicTaintTracker::DynamicTaintTracker(vm::Vm& vm) : vm_(&vm) {
   auto& hooks = vm.instrumentation();
 
   const auto prev_source = hooks.taint_source;
-  hooks.taint_source = [prev_source](const std::string& cls,
-                                     const std::string& method,
-                                     const std::vector<vm::Value>& args)
+  hooks.taint_source = [prev_source](std::string_view cls,
+                                     std::string_view method,
+                                     std::span<const vm::Value> args)
       -> std::uint32_t {
     std::uint32_t mask = prev_source ? prev_source(cls, method, args) : 0;
     if (const auto type = privacy::source_api(cls, method)) {
@@ -28,9 +28,8 @@ DynamicTaintTracker::DynamicTaintTracker(vm::Vm& vm) : vm_(&vm) {
 
   const auto prev_call = hooks.on_intrinsic_call;
   hooks.on_intrinsic_call = [this, prev_call](
-                                const std::string& cls,
-                                const std::string& method,
-                                const std::vector<vm::Value>& args) {
+                                std::string_view cls, std::string_view method,
+                                std::span<const vm::Value> args) {
     if (prev_call) prev_call(cls, method, args);
     if (!privacy::is_sink_api(cls, method)) return;
     std::uint32_t mask = 0;
@@ -38,7 +37,7 @@ DynamicTaintTracker::DynamicTaintTracker(vm::Vm& vm) : vm_(&vm) {
     if (mask == 0) return;
     DynamicLeak leak;
     leak.mask = mask;
-    leak.sink_api = cls + "." + method;
+    leak.sink_api = std::string(cls) + "." + std::string(method);
     leak.call_site_class = call_site_of(vm_->current_stack_trace());
     leaks_.push_back(std::move(leak));
   };

@@ -10,17 +10,19 @@ RunResult run_once(os::Device& device,
                    const manifest::Manifest& manifest, support::Rng& rng,
                    const EngineConfig& config) {
   RunResult result;
-  vm::AppContext app;
-  app.manifest = manifest;
-  vm::Vm vm(device, std::move(app), config.limits);
+  vm::Vm vm(device, manifest, config.limits);
   vm.load_app(std::move(classes_dex));
   CodeInterceptor interceptor(vm);
   result.monkey = monkey::run_monkey(vm, config.monkey, rng);
-  result.events = interceptor.events();
-  result.binaries = interceptor.binaries();
-  result.tracker = interceptor.tracker();
+  // Moved, not copied. The app's report keeps the two event logs for the
+  // rest of the corpus run, so they are handed over at their size.
+  result.events = interceptor.take_events();
+  result.events.shrink_to_fit();
+  result.binaries = interceptor.take_binaries();
+  result.tracker = interceptor.take_tracker();
   result.blocked_mutations = interceptor.blocked_mutations();
-  result.vm_events = vm.events();
+  result.vm_events = vm.take_events();
+  result.vm_events.shrink_to_fit();
   return result;
 }
 

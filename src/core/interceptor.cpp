@@ -7,19 +7,19 @@
 namespace dydroid::core {
 
 CodeInterceptor::CodeInterceptor(vm::Vm& vm)
-    : vm_(&vm), app_package_(vm.app().package()) {
+    : vm_(&vm), app_package_(vm.package()) {
   auto& hooks = vm.instrumentation();
 
   hooks.on_dex_load = [this](vm::LoaderKind, const std::string& dex_path,
                              const std::string& optimized_dir,
-                             const vm::StackTrace& trace) {
+                             vm::StackTrace trace) {
     on_load(CodeKind::Dex, support::split(dex_path, ':'), optimized_dir,
-            trace);
+            std::move(trace));
   };
 
   hooks.on_native_load = [this](const std::string& path,
-                                const vm::StackTrace& trace) {
-    on_load(CodeKind::Native, {path}, "", trace);
+                                vm::StackTrace trace) {
+    on_load(CodeKind::Native, {path}, "", std::move(trace));
   };
 
   hooks.allow_file_delete = [this](const std::string& path) {
@@ -47,8 +47,7 @@ CodeInterceptor::CodeInterceptor(vm::Vm& vm)
     tracker_.add_flow(from, to);
   };
 
-  hooks.on_api_call = [this](const std::string& cls,
-                             const std::string& method) {
+  hooks.on_api_call = [this](std::string_view cls, std::string_view method) {
     if (cls == "java.security.MessageDigest" && method == "digest") {
       digest_seen_ = true;
     }
@@ -58,12 +57,12 @@ CodeInterceptor::CodeInterceptor(vm::Vm& vm)
 void CodeInterceptor::on_load(CodeKind kind,
                               const std::vector<std::string>& paths,
                               const std::string& optimized_dir,
-                              const vm::StackTrace& trace) {
+                              vm::StackTrace trace) {
   DclEvent event;
   event.kind = kind;
   event.optimized_dir = optimized_dir;
-  event.trace = trace;
   event.call_site_class = call_site_of(trace);
+  event.trace = std::move(trace);
   event.entity = classify_entity(event.call_site_class, app_package_);
   event.integrity_check_before = digest_seen_;
 

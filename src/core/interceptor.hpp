@@ -31,12 +31,21 @@ class CodeInterceptor {
   }
   [[nodiscard]] const DownloadTracker& tracker() const { return tracker_; }
 
+  /// Hand the results over once the run is done, leaving them empty.
+  [[nodiscard]] std::vector<DclEvent> take_events() {
+    return std::move(events_);
+  }
+  [[nodiscard]] std::vector<InterceptedBinary> take_binaries() {
+    return std::move(binaries_);
+  }
+  [[nodiscard]] DownloadTracker take_tracker() { return std::move(tracker_); }
+
   /// Count of blocked delete/rename attempts (ablation metric).
   [[nodiscard]] std::size_t blocked_mutations() const { return blocked_; }
 
  private:
   void on_load(CodeKind kind, const std::vector<std::string>& paths,
-               const std::string& optimized_dir, const vm::StackTrace& trace);
+               const std::string& optimized_dir, vm::StackTrace trace);
 
   vm::Vm* vm_;
   std::string app_package_;

@@ -1,6 +1,7 @@
 #include "vm/frameworks.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "apk/apk.hpp"
 #include "support/hash.hpp"
@@ -24,39 +25,8 @@ namespace {
 
 using support::Bytes;
 
-// ---------------------------------------------------------------------------
-// Native state carried by framework objects.
-// ---------------------------------------------------------------------------
-
-struct LoaderHandle {
-  LoaderState* loader = nullptr;
-};
-
-struct ClassHandle {
-  RuntimeClass* cls = nullptr;
-};
-
-struct MethodHandle {
-  RuntimeClass* cls = nullptr;
-  const dex::Method* method = nullptr;
-};
-
-struct InputStreamState {
-  support::Blob data;  // snapshot view of the source (file entry, asset…)
-  std::size_t pos = 0;
-  ObjRef inner;  // set for wrapping streams (BufferedInputStream)
-};
-
-struct OutputStreamState {
-  std::string path;      // file-backed streams
-  bool is_network = false;
-  std::string url;       // network-backed streams
-  Bytes written;
-};
-
-struct BufferState {
-  Bytes data;
-};
+// The native state framework objects carry (loader and reflection handles,
+// streams, buffers) is declared with the object model in vm/value.hpp.
 
 constexpr std::size_t kReadChunk = 4096;
 constexpr std::string_view kBufferClass = "byte[]";
@@ -65,8 +35,16 @@ constexpr std::string_view kBufferClass = "byte[]";
 // Small helpers.
 // ---------------------------------------------------------------------------
 
-FlowNode obj_node(FlowNodeKind kind, const ObjRef& obj,
-                  std::string label = {}) {
+/// Field `name` of a framework object: framework objects keep their
+/// app-visible state in ordinary fields.
+Value field(Vm& vm, ObjRef obj, std::string_view name) {
+  return obj->get_field(vm.intern(name));
+}
+void set_field(Vm& vm, ObjRef obj, std::string_view name, Value value) {
+  obj->set_field(vm.intern(name), value);
+}
+
+FlowNode obj_node(FlowNodeKind kind, ObjRef obj, std::string label = {}) {
   return FlowNode{kind, obj->id(), std::move(label)};
 }
 
@@ -77,14 +55,14 @@ FlowNode file_node(std::string path) {
 /// Resolve a java.io.File argument that may be a File object or a string.
 std::string path_of(Vm& vm, const Value& v) {
   if (v.is_str()) return v.as_str();
-  if (v.is_obj() && v.as_obj() != nullptr) {
-    const auto path = v.as_obj()->get_field("path");
+  if (v.is_obj()) {
+    const auto path = field(vm, v.as_obj(), "path");
     if (path.is_str()) return path.as_str();
   }
   throw vm.make_exception("IllegalArgumentException: expected path");
 }
 
-const Value& arg(Vm& vm, const std::vector<Value>& args, std::size_t i) {
+const Value& arg(Vm& vm, std::span<const Value> args, std::size_t i) {
   if (i >= args.size()) {
     throw vm.make_exception("IllegalArgumentException: missing argument " +
                             std::to_string(i));
@@ -99,10 +77,10 @@ ObjRef make_buffer(Vm& vm, Bytes data) {
 }
 
 Bytes& buffer_bytes(Vm& vm, const Value& v) {
-  if (!v.is_obj() || v.as_obj() == nullptr) {
+  if (!v.is_obj()) {
     throw vm.make_exception("IllegalArgumentException: expected buffer");
   }
-  auto* state = std::any_cast<BufferState>(&v.as_obj()->native_state());
+  auto* state = v.as_obj()->native<BufferState>();
   if (state == nullptr) {
     throw vm.make_exception("IllegalArgumentException: not a buffer");
   }
@@ -110,14 +88,11 @@ Bytes& buffer_bytes(Vm& vm, const Value& v) {
 }
 
 /// close(), connect() and the lifecycle methods app components inherit.
-Value noop(Vm&, const std::vector<Value>&) { return Value(); }
+Value noop(Vm&, std::span<const Value>) { return Value(); }
 
 LoaderState* loader_of(Vm& vm, const Value& v) {
-  if (v.is_obj() && v.as_obj() != nullptr) {
-    if (const auto* h =
-            std::any_cast<LoaderHandle>(&v.as_obj()->native_state())) {
-      return h->loader;
-    }
+  if (v.is_obj()) {
+    if (const auto* h = v.as_obj()->native<LoaderHandle>()) return h->loader;
   }
   throw vm.make_exception("IllegalArgumentException: not a class loader");
 }
@@ -125,8 +100,8 @@ LoaderState* loader_of(Vm& vm, const Value& v) {
 /// Recursively read one chunk from a (possibly wrapped) input stream. The
 /// wrapper chain is bounded like the call stack, so a stream that wraps
 /// itself, directly or through a cycle, raises instead of recursing forever.
-Value stream_read(Vm& vm, const ObjRef& stream, int depth = 0) {
-  auto* state = std::any_cast<InputStreamState>(&stream->native_state());
+Value stream_read(Vm& vm, ObjRef stream, int depth = 0) {
+  auto* state = stream->native<InputStreamState>();
   if (state == nullptr) {
     throw vm.make_exception("IOException: not an input stream");
   }
@@ -162,19 +137,18 @@ ObjRef make_input_stream(Vm& vm, std::string_view cls, support::Blob data) {
   return obj;
 }
 
-std::string url_of_connection(Vm& vm, const ObjRef& conn) {
-  const auto url = conn->get_field("url");
+std::string url_of_connection(Vm& vm, ObjRef conn) {
+  const auto url = field(vm, conn, "url");
   if (!url.is_str()) throw vm.make_exception("IOException: bad connection");
   return url.as_str();
 }
 
-FlowNode url_node_of_connection(const ObjRef& conn) {
-  const auto id = conn->get_field("url_obj_id");
+FlowNode url_node_of_connection(Vm& vm, ObjRef conn) {
+  const auto id = field(vm, conn, "url_obj_id");
+  const auto url = field(vm, conn, "url");
   return FlowNode{FlowNodeKind::Url,
                   static_cast<std::uint64_t>(id.is_int() ? id.as_int() : 0),
-                  conn->get_field("url").is_str()
-                      ? conn->get_field("url").as_str()
-                      : std::string()};
+                  url.is_str() ? url.as_str() : std::string()};
 }
 
 // ---------------------------------------------------------------------------
@@ -188,13 +162,13 @@ void install_loaders(FrameworkTable& fw) {
 
   fw.add_intrinsic(
       "dalvik.system.DexClassLoader", "<init>",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto dex_path = arg(v, args, 1).as_str();
         const auto opt_dir =
             args.size() > 2 && args[2].is_str() ? args[2].as_str() : "";
         LoaderState* parent = nullptr;
-        if (args.size() > 4 && args[4].is_obj() && args[4].as_obj()) {
+        if (args.size() > 4 && args[4].is_obj()) {
           parent = loader_of(v, args[4]);
         }
         auto* loader = v.create_runtime_loader(LoaderKind::DexClassLoader,
@@ -205,11 +179,11 @@ void install_loaders(FrameworkTable& fw) {
 
   fw.add_intrinsic(
       "dalvik.system.PathClassLoader", "<init>",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto dex_path = arg(v, args, 1).as_str();
         LoaderState* parent = nullptr;
-        if (args.size() > 2 && args[2].is_obj() && args[2].as_obj()) {
+        if (args.size() > 2 && args[2].is_obj()) {
           parent = loader_of(v, args[2]);
         }
         auto* loader = v.create_runtime_loader(LoaderKind::PathClassLoader,
@@ -220,45 +194,44 @@ void install_loaders(FrameworkTable& fw) {
 
   fw.add_intrinsic(
       "java.lang.ClassLoader", "loadClass",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         auto* loader = loader_of(v, arg(v, args, 0));
         const auto& name = arg(v, args, 1).as_str();
         auto* rc = v.load_class(loader, name);
         auto cls_obj = v.make_object("java.lang.Class");
         cls_obj->native_state() = ClassHandle{rc};
-        cls_obj->set_field("name", Value(name));
+        set_field(v, cls_obj, "name", Value::of_str(name));
         return Value(cls_obj);
       });
 
   fw.add_class("java.lang.Class");
   fw.add_intrinsic(
       "java.lang.Class", "newInstance",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
-        const auto* h =
-            std::any_cast<ClassHandle>(&arg(v, args, 0).as_obj()->native_state());
+      [](Vm& v, std::span<const Value> args) -> Value {
+        const auto* h = arg(v, args, 0).as_obj()->native<ClassHandle>();
         if (h == nullptr || h->cls == nullptr) {
           throw v.make_exception("InstantiationException");
         }
         auto* rc = h->cls;
-        auto obj = v.make_object(rc->name(), rc->is_framework() ? nullptr : rc);
+        auto obj = v.make_object(rc);
         if (!rc->is_framework()) {
           if (const auto* init = rc->def()->find_method("<init>");
               init != nullptr && init->num_params == 1) {
-            v.invoke(rc, *init, {Value(obj)});
+            const Value self(obj);
+            v.invoke(rc, *init, {&self, 1});
           }
         }
         return Value(obj);
       });
   fw.add_intrinsic(
       "java.lang.Class", "getName",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
-        return arg(v, args, 0).as_obj()->get_field("name");
+      [](Vm& v, std::span<const Value> args) -> Value {
+        return field(v, arg(v, args, 0).as_obj(), "name");
       });
   fw.add_intrinsic(
       "java.lang.Class", "getMethod",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
-        const auto* h =
-            std::any_cast<ClassHandle>(&arg(v, args, 0).as_obj()->native_state());
+      [](Vm& v, std::span<const Value> args) -> Value {
+        const auto* h = arg(v, args, 0).as_obj()->native<ClassHandle>();
         const auto& name = arg(v, args, 1).as_str();
         if (h == nullptr || h->cls == nullptr || h->cls->is_framework()) {
           throw v.make_exception("NoSuchMethodException: " + name);
@@ -269,37 +242,37 @@ void install_loaders(FrameworkTable& fw) {
         }
         auto method_obj = v.make_object("java.lang.reflect.Method");
         method_obj->native_state() = MethodHandle{h->cls, m};
-        method_obj->set_field("name", Value(name));
+        set_field(v, method_obj, "name", Value::of_str(name));
         return Value(method_obj);
       });
   fw.add_intrinsic(
       "java.lang.Class", "forName",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& name = arg(v, args, 0).as_str();
         auto* rc = v.load_class(v.current_loader(), name);
         auto cls_obj = v.make_object("java.lang.Class");
         cls_obj->native_state() = ClassHandle{rc};
-        cls_obj->set_field("name", Value(name));
+        set_field(v, cls_obj, "name", Value::of_str(name));
         return Value(cls_obj);
       });
 
   fw.add_class("java.lang.reflect.Method");
   fw.add_intrinsic(
       "java.lang.reflect.Method", "invoke",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
-        const auto* h = std::any_cast<MethodHandle>(
-            &arg(v, args, 0).as_obj()->native_state());
+      [](Vm& v, std::span<const Value> args) -> Value {
+        const auto* h = arg(v, args, 0).as_obj()->native<MethodHandle>();
         if (h == nullptr || h->method == nullptr) {
           throw v.make_exception("IllegalArgumentException: bad Method");
         }
-        std::vector<Value> call_args;
-        if (!h->method->is_static()) {
-          call_args.push_back(arg(v, args, 1));
+        // The receiver (instance methods only), then the arguments: never
+        // more than the invoke instruction that reached here passed.
+        std::array<Value, dex::kMaxInvokeArgs> call_args;
+        std::size_t n = 0;
+        if (!h->method->is_static()) call_args[n++] = arg(v, args, 1);
+        for (std::size_t i = 2; i < args.size() && n < call_args.size(); ++i) {
+          call_args[n++] = args[i];
         }
-        for (std::size_t i = 2; i < args.size(); ++i) {
-          call_args.push_back(args[i]);
-        }
-        return v.invoke(h->cls, *h->method, std::move(call_args));
+        return v.invoke(h->cls, *h->method, {call_args.data(), n});
       });
 }
 
@@ -307,58 +280,59 @@ void install_native_loading(FrameworkTable& fw) {
   fw.add_class("java.lang.System");
   fw.add_class("java.lang.Runtime");
 
-  auto load_by_name = [](Vm& v, const std::vector<Value>& args,
+  auto load_by_name = [](Vm& v, std::span<const Value> args,
                          std::size_t idx) -> Value {
     v.load_native_library_by_name(arg(v, args, idx).as_str());
     return Value();
   };
-  auto load_by_path = [](Vm& v, const std::vector<Value>& args,
+  auto load_by_path = [](Vm& v, std::span<const Value> args,
                          std::size_t idx) -> Value {
     v.load_native_library(arg(v, args, idx).as_str());
     return Value();
   };
 
   fw.add_intrinsic("java.lang.System", "loadLibrary",
-                   [load_by_name](Vm& v, const std::vector<Value>& a) {
+                   [load_by_name](Vm& v, std::span<const Value> a) {
                      return load_by_name(v, a, 0);
                    });
   fw.add_intrinsic("java.lang.System", "load",
-                   [load_by_path](Vm& v, const std::vector<Value>& a) {
+                   [load_by_path](Vm& v, std::span<const Value> a) {
                      return load_by_path(v, a, 0);
                    });
   fw.add_intrinsic(
       "java.lang.System", "mapLibraryName",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
-        return Value(nativebin::map_library_name(arg(v, args, 0).as_str()));
+      [](Vm& v, std::span<const Value> args) -> Value {
+        return v.make_string(
+            nativebin::map_library_name(arg(v, args, 0).as_str()));
       });
   fw.add_intrinsic("java.lang.System", "currentTimeMillis",
-                   [](Vm& v, const std::vector<Value>&) -> Value {
+                   [](Vm& v, std::span<const Value>) -> Value {
                      return Value(v.device().services().current_time_ms());
                    });
 
   fw.add_intrinsic("java.lang.Runtime", "getRuntime",
-                   [](Vm& v, const std::vector<Value>&) -> Value {
+                   [](Vm& v, std::span<const Value>) -> Value {
                      return Value(v.make_object("java.lang.Runtime"));
                    });
   // Instance forms: receiver in args[0], operand in args[1].
   fw.add_intrinsic("java.lang.Runtime", "loadLibrary",
-                   [load_by_name](Vm& v, const std::vector<Value>& a) {
+                   [load_by_name](Vm& v, std::span<const Value> a) {
                      return load_by_name(v, a, 1);
                    });
   fw.add_intrinsic("java.lang.Runtime", "load",
-                   [load_by_path](Vm& v, const std::vector<Value>& a) {
+                   [load_by_path](Vm& v, std::span<const Value> a) {
                      return load_by_path(v, a, 1);
                    });
   // Android 7.1 adds Runtime.load0 (paper §III-B): one extra hook adapts the
   // system to the latest OS.
   fw.add_intrinsic("java.lang.Runtime", "load0",
-                   [load_by_path](Vm& v, const std::vector<Value>& a) {
+                   [load_by_path](Vm& v, std::span<const Value> a) {
                      return load_by_path(v, a, 1);
                    });
 
   fw.add_class("java.lang.Thread");
   fw.add_intrinsic("java.lang.Thread", "sleep",
-                   [](Vm& v, const std::vector<Value>& args) -> Value {
+                   [](Vm& v, std::span<const Value> args) -> Value {
                      v.device().services().advance_ms(
                          args.empty() ? 0 : arg(v, args, 0).as_int());
                      return Value();
@@ -369,7 +343,7 @@ void install_files(FrameworkTable& fw) {
   fw.add_class("java.io.File");
   fw.add_intrinsic(
       "java.io.File", "<init>",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         std::string path;
         if (args.size() >= 3) {
@@ -377,38 +351,38 @@ void install_files(FrameworkTable& fw) {
         } else {
           path = path_of(v, arg(v, args, 1));
         }
-        self->set_field("path", Value(std::move(path)));
+        set_field(v, self, "path", v.make_string(std::move(path)));
         return Value();
       });
   fw.add_intrinsic("java.io.File", "getPath",
-                   [](Vm& v, const std::vector<Value>& args) -> Value {
-                     return arg(v, args, 0).as_obj()->get_field("path");
+                   [](Vm& v, std::span<const Value> args) -> Value {
+                     return field(v, arg(v, args, 0).as_obj(), "path");
                    });
   fw.add_intrinsic("java.io.File", "getAbsolutePath",
-                   [](Vm& v, const std::vector<Value>& args) -> Value {
-                     return arg(v, args, 0).as_obj()->get_field("path");
+                   [](Vm& v, std::span<const Value> args) -> Value {
+                     return field(v, arg(v, args, 0).as_obj(), "path");
                    });
   fw.add_intrinsic(
       "java.io.File", "exists",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         return Value(
             v.device().vfs().exists(path_of(v, arg(v, args, 0))) ? 1 : 0);
       });
   fw.add_intrinsic(
       "java.io.File", "length",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto data =
             v.device().vfs().read_file(path_of(v, arg(v, args, 0)));
         return Value(
             static_cast<std::int64_t>(data.has_value() ? data->size() : 0));
       });
   fw.add_intrinsic("java.io.File", "mkdirs",
-                   [](Vm&, const std::vector<Value>&) -> Value {
+                   [](Vm&, std::span<const Value>) -> Value {
                      return Value(1);  // directories are implicit
                    });
   fw.add_intrinsic(
       "java.io.File", "delete",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto path = path_of(v, arg(v, args, 0));
         auto& hooks = v.instrumentation();
         if (hooks.allow_file_delete && !hooks.allow_file_delete(path)) {
@@ -417,12 +391,12 @@ void install_files(FrameworkTable& fw) {
           return Value(0);
         }
         const auto status =
-            v.device().vfs().delete_file(v.app().principal(), path);
+            v.device().vfs().delete_file(v.principal(), path);
         return Value(status ? 1 : 0);
       });
   fw.add_intrinsic(
       "java.io.File", "renameTo",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto from = path_of(v, arg(v, args, 0));
         const auto to = path_of(v, arg(v, args, 1));
         auto& hooks = v.instrumentation();
@@ -430,7 +404,7 @@ void install_files(FrameworkTable& fw) {
           return Value(0);
         }
         const auto status =
-            v.device().vfs().rename(v.app().principal(), from, to);
+            v.device().vfs().rename(v.principal(), from, to);
         if (status) {
           v.emit_flow(file_node(from), file_node(to));
           if (hooks.on_file_written) hooks.on_file_written(to);
@@ -444,7 +418,7 @@ void install_files(FrameworkTable& fw) {
   fw.add_class("java.io.BufferedInputStream", "java.io.InputStream");
   fw.add_intrinsic(
       "java.io.FileInputStream", "<init>",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto path = path_of(v, arg(v, args, 1));
         auto data = v.read_file_or_throw(path);
@@ -455,7 +429,7 @@ void install_files(FrameworkTable& fw) {
       });
   fw.add_intrinsic(
       "java.io.BufferedInputStream", "<init>",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto& inner = arg(v, args, 1).as_obj();
         self->native_state() = InputStreamState{{}, 0, inner};
@@ -465,7 +439,7 @@ void install_files(FrameworkTable& fw) {
       });
   fw.add_intrinsic(
       "java.io.InputStream", "read",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         return stream_read(v, arg(v, args, 0).as_obj());
       });
   fw.add_intrinsic("java.io.InputStream", "close", noop);
@@ -475,7 +449,7 @@ void install_files(FrameworkTable& fw) {
   fw.add_class("java.io.FileOutputStream", "java.io.OutputStream");
   fw.add_intrinsic(
       "java.io.FileOutputStream", "<init>",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto path = path_of(v, arg(v, args, 1));
         self->native_state() = OutputStreamState{path, false, "", {}};
@@ -483,9 +457,9 @@ void install_files(FrameworkTable& fw) {
       });
   fw.add_intrinsic(
       "java.io.OutputStream", "write",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
-        auto* state = std::any_cast<OutputStreamState>(&self->native_state());
+        auto* state = self->native<OutputStreamState>();
         if (state == nullptr) {
           throw v.make_exception("IOException: not an output stream");
         }
@@ -519,10 +493,10 @@ void install_network(FrameworkTable& fw) {
 
   fw.add_intrinsic(
       "java.net.URL", "<init>",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto& spec = arg(v, args, 1).as_str();
-        self->set_field("url", Value(spec));
+        set_field(v, self, "url", Value::of_str(spec));
         auto& hooks = v.instrumentation();
         if (hooks.on_url_created) {
           hooks.on_url_created(obj_node(FlowNodeKind::Url, self, spec));
@@ -531,11 +505,11 @@ void install_network(FrameworkTable& fw) {
       });
   fw.add_intrinsic(
       "java.net.URL", "openConnection",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         auto conn = v.make_object("java.net.HttpURLConnection");
-        conn->set_field("url", self->get_field("url"));
-        conn->set_field("url_obj_id",
+        set_field(v, conn, "url", field(v, self, "url"));
+        set_field(v, conn, "url_obj_id",
                         Value(static_cast<std::int64_t>(self->id())));
         return Value(conn);
       });
@@ -557,21 +531,21 @@ void install_network(FrameworkTable& fw) {
 
   fw.add_intrinsic(
       "java.net.URL", "openStream",
-      [open_input](Vm& v, const std::vector<Value>& args) -> Value {
+      [open_input](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
-        const auto url = self->get_field("url").as_str();
+        const auto url = field(v, self, "url").as_str();
         return open_input(v, url, obj_node(FlowNodeKind::Url, self, url));
       });
   fw.add_intrinsic(
       "java.net.URLConnection", "getInputStream",
-      [open_input](Vm& v, const std::vector<Value>& args) -> Value {
+      [open_input](Vm& v, std::span<const Value> args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
         return open_input(v, url_of_connection(v, conn),
-                          url_node_of_connection(conn));
+                          url_node_of_connection(v, conn));
       });
   fw.add_intrinsic(
       "java.net.URLConnection", "getOutputStream",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
         auto stream = v.make_object("java.io.FileOutputStream");
         stream->native_state() =
@@ -581,7 +555,7 @@ void install_network(FrameworkTable& fw) {
   fw.add_intrinsic("java.net.URLConnection", "connect", noop);
   fw.add_intrinsic(
       "java.net.HttpURLConnection", "getResponseCode",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
         auto fetched = v.device().network().fetch(url_of_connection(v, conn));
         return Value(fetched ? 200 : 404);
@@ -590,56 +564,58 @@ void install_network(FrameworkTable& fw) {
 
 void install_privacy_sources(FrameworkTable& fw) {
   fw.add_intrinsic("android.telephony.TelephonyManager", "getDeviceId",
-                   [](Vm& v, const std::vector<Value>&) -> Value {
-                     return Value(v.device().services().imei());
+                   [](Vm& v, std::span<const Value>) -> Value {
+                     return v.make_string(v.device().services().imei());
                    });
   fw.add_intrinsic("android.telephony.TelephonyManager",
                    "getSubscriberId",
-                   [](Vm& v, const std::vector<Value>&) -> Value {
-                     return Value(v.device().services().imsi());
+                   [](Vm& v, std::span<const Value>) -> Value {
+                     return v.make_string(v.device().services().imsi());
                    });
   fw.add_intrinsic("android.telephony.TelephonyManager",
                    "getSimSerialNumber",
-                   [](Vm& v, const std::vector<Value>&) -> Value {
-                     return Value(v.device().services().iccid());
+                   [](Vm& v, std::span<const Value>) -> Value {
+                     return v.make_string(v.device().services().iccid());
                    });
   fw.add_intrinsic("android.telephony.TelephonyManager",
                    "getLine1Number",
-                   [](Vm& v, const std::vector<Value>&) -> Value {
-                     return Value(v.device().services().line1_number());
+                   [](Vm& v, std::span<const Value>) -> Value {
+                     return v.make_string(
+                         v.device().services().line1_number());
                    });
   fw.add_intrinsic(
       "android.location.LocationManager", "getLastKnownLocation",
-      [](Vm& v, const std::vector<Value>&) -> Value {
-        return Value(v.device().services().last_known_location());
+      [](Vm& v, std::span<const Value>) -> Value {
+        return v.make_string(v.device().services().last_known_location());
       });
   fw.add_intrinsic(
       "android.location.LocationManager", "isProviderEnabled",
-      [](Vm& v, const std::vector<Value>&) -> Value {
+      [](Vm& v, std::span<const Value>) -> Value {
         return Value(v.device().services().location_enabled() ? 1 : 0);
       });
   fw.add_intrinsic(
       "android.accounts.AccountManager", "getAccounts",
-      [](Vm& v, const std::vector<Value>&) -> Value {
-        return Value(support::join(v.device().services().accounts(), ";"));
+      [](Vm& v, std::span<const Value>) -> Value {
+        return v.make_string(
+            support::join(v.device().services().accounts(), ";"));
       });
   fw.add_intrinsic(
       "android.content.pm.PackageManager", "getInstalledApplications",
-      [](Vm& v, const std::vector<Value>&) -> Value {
-        return Value(support::join(
+      [](Vm& v, std::span<const Value>) -> Value {
+        return v.make_string(support::join(
             v.device().package_manager().installed_packages(), ";"));
       });
   fw.add_intrinsic(
       "android.content.pm.PackageManager", "getInstalledPackages",
-      [](Vm& v, const std::vector<Value>&) -> Value {
-        return Value(support::join(
+      [](Vm& v, std::span<const Value>) -> Value {
+        return v.make_string(support::join(
             v.device().package_manager().installed_packages(), ";"));
       });
   fw.add_intrinsic(
       "android.content.ContentResolver", "query",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& uri = arg(v, args, 0).as_str();
-        return Value(
+        return v.make_string(
             support::join(v.device().services().query_provider(uri), ";"));
       });
 }
@@ -647,64 +623,64 @@ void install_privacy_sources(FrameworkTable& fw) {
 void install_sinks_and_services(FrameworkTable& fw) {
   fw.add_intrinsic(
       "android.util.Log", "d",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
   fw.add_intrinsic(
       "android.util.Log", "e",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
   fw.add_intrinsic(
       "android.telephony.SmsManager", "sendTextMessage",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("sms", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
   fw.add_intrinsic(
       "android.app.NotificationManager", "notify",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("notification",
                        args.empty() ? "" : args[0].display());
         return Value();
       });
   fw.add_intrinsic(
       "com.android.launcher.Shortcut", "install",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("shortcut", args.empty() ? "" : args[0].display());
         return Value();
       });
   fw.add_intrinsic(
       "android.provider.Browser", "setHomepage",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("homepage", args.empty() ? "" : args[0].display());
         return Value();
       });
 
   fw.add_intrinsic(
       "android.net.ConnectivityManager", "isConnected",
-      [](Vm& v, const std::vector<Value>&) -> Value {
+      [](Vm& v, std::span<const Value>) -> Value {
         return Value(v.device().services().has_connectivity() ? 1 : 0);
       });
   fw.add_intrinsic(
       "android.provider.Settings", "isAirplaneModeOn",
-      [](Vm& v, const std::vector<Value>&) -> Value {
+      [](Vm& v, std::span<const Value>) -> Value {
         return Value(v.device().services().airplane_mode() ? 1 : 0);
       });
   fw.add_intrinsic(
       "android.net.wifi.WifiManager", "isWifiEnabled",
-      [](Vm& v, const std::vector<Value>&) -> Value {
+      [](Vm& v, std::span<const Value>) -> Value {
         return Value(v.device().services().wifi_enabled() ? 1 : 0);
       });
   fw.add_intrinsic(
       "android.os.Environment", "getExternalStorageDirectory",
-      [](Vm&, const std::vector<Value>&) -> Value {
-        return Value(std::string(os::kExternalStorageDir));
+      [](Vm& v, std::span<const Value>) -> Value {
+        return v.make_string(std::string(os::kExternalStorageDir));
       });
 
   // Context conveniences (receiver optional; always answer for the host app).
@@ -717,18 +693,18 @@ void install_sinks_and_services(FrameworkTable& fw) {
 
   fw.add_intrinsic(
       "android.content.Context", "getFilesDir",
-      [](Vm& v, const std::vector<Value>&) -> Value {
-        return Value(os::internal_storage_dir(v.app().package()) + "/files");
+      [](Vm& v, std::span<const Value>) -> Value {
+        return v.make_string(os::internal_storage_dir(v.package()) + "/files");
       });
   fw.add_intrinsic(
       "android.content.Context", "getCacheDir",
-      [](Vm& v, const std::vector<Value>&) -> Value {
-        return Value(os::internal_storage_dir(v.app().package()) + "/cache");
+      [](Vm& v, std::span<const Value>) -> Value {
+        return v.make_string(os::internal_storage_dir(v.package()) + "/cache");
       });
   fw.add_intrinsic(
       "android.content.Context", "getPackageName",
-      [](Vm& v, const std::vector<Value>&) -> Value {
-        return Value(v.app().package());
+      [](Vm& v, std::span<const Value>) -> Value {
+        return Value::of_str(v.package());
       });
   // Package contexts: "an application can even use package contexts to
   // retrieve the classes contained in another application" (paper §II).
@@ -736,23 +712,23 @@ void install_sinks_and_services(FrameworkTable& fw) {
   // other app's installed APK — mediated by the same loader hook.
   fw.add_intrinsic(
       "android.content.Context", "createPackageContext",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         // Static-style: the target package is the last argument.
         const auto& pkg = arg(v, args, args.size() - 1).as_str();
         if (!v.device().package_manager().is_installed(pkg)) {
           throw v.make_exception("NameNotFoundException: " + pkg);
         }
         auto ctx = v.make_object("android.content.Context");
-        ctx->set_field("package", Value(pkg));
+        set_field(v, ctx, "package", Value::of_str(pkg));
         return Value(ctx);
       });
   fw.add_intrinsic(
       "android.content.Context", "getClassLoader",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
-        const auto pkg_field = self->get_field("package");
+        const auto pkg_field = field(v, self, "package");
         const auto pkg =
-            pkg_field.is_str() ? pkg_field.as_str() : v.app().package();
+            pkg_field.is_str() ? pkg_field.as_str() : v.package();
         const auto apk_path = std::string(os::kAppDir) + "/" + pkg + ".apk";
         auto* loader = v.create_runtime_loader(LoaderKind::PathClassLoader,
                                                apk_path, "", nullptr);
@@ -771,10 +747,10 @@ void install_sinks_and_services(FrameworkTable& fw) {
   // Assets: open an entry from the installed APK.
   fw.add_intrinsic(
       "android.content.res.AssetManager", "open",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& name = arg(v, args, 0).as_str();
         const auto apk_path =
-            std::string(os::kAppDir) + "/" + v.app().package() + ".apk";
+            std::string(os::kAppDir) + "/" + v.package() + ".apk";
         const auto raw = v.read_file_or_throw(apk_path);
         apk::ApkFile pkg;
         try {
@@ -798,27 +774,25 @@ void install_sinks_and_services(FrameworkTable& fw) {
 void install_strings_and_crypto(FrameworkTable& fw) {
   fw.add_intrinsic(
       "java.lang.String", "getBytes",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& s = arg(v, args, 0).as_str();
         return Value(make_buffer(v, support::to_bytes(s)));
       });
   fw.add_intrinsic(
       "java.lang.String", "valueOf",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& val = arg(v, args, 0);
-        if (val.is_obj() && val.as_obj() != nullptr &&
-            std::any_cast<BufferState>(&val.as_obj()->native_state()) !=
-                nullptr) {
-          return Value(support::to_string(buffer_bytes(v, val)));
+        if (val.is_obj() && val.as_obj()->native<BufferState>() != nullptr) {
+          return v.make_string(support::to_string(buffer_bytes(v, val)));
         }
-        return Value(val.display());
+        return v.make_string(val.display());
       });
   // Integrity verification primitive: apps that hash a file before loading
   // it are NOT code-injection vulnerable (paper: "manually confirmed that
   // even [the] developer fails to enforce integrity verification").
   fw.add_intrinsic(
       "java.security.MessageDigest", "digest",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& val = arg(v, args, 0);
         std::span<const std::uint8_t> data;
         support::Blob file;  // keeps a by-path read alive for the hash
@@ -836,24 +810,24 @@ void install_strings_and_crypto(FrameworkTable& fw) {
 void install_libc(FrameworkTable& fw) {
   fw.add_intrinsic(
       "libc", "ptrace",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("ptrace", args.empty() ? "" : args[0].display());
         return Value(1);
       });
   fw.add_intrinsic("libc", "su",
-                   [](Vm& v, const std::vector<Value>&) -> Value {
+                   [](Vm& v, std::span<const Value>) -> Value {
                      v.record_event("su", "");
                      return Value(1);
                    });
   fw.add_intrinsic(
       "libc", "hook_method",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("hook", args.empty() ? "" : args[0].display());
         return Value(1);
       });
   fw.add_intrinsic(
       "libc", "exec",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         v.record_event("exec", args.empty() ? "" : args[0].display());
         return Value(0);
       });
@@ -861,7 +835,7 @@ void install_libc(FrameworkTable& fw) {
   // key. Takes a buffer + key string, returns a new buffer.
   fw.add_intrinsic(
       "libc", "xor_decrypt",
-      [](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, std::span<const Value> args) -> Value {
         const auto& data = buffer_bytes(v, arg(v, args, 0));
         const auto& key = arg(v, args, 1).as_str();
         if (key.empty()) {

@@ -10,9 +10,9 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "vm/value.hpp"
 
@@ -20,8 +20,9 @@ namespace dydroid::vm {
 
 class Vm;
 
-/// Signature of a framework intrinsic.
-using Intrinsic = std::function<Value(Vm&, const std::vector<Value>&)>;
+/// Signature of a framework intrinsic: the receiver (for instance methods)
+/// and the arguments, valid during the call.
+using Intrinsic = std::function<Value(Vm&, std::span<const Value>)>;
 
 /// Framework classes, their superclasses, and the intrinsics that serve
 /// their methods.

@@ -11,8 +11,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "vm/stack_trace.hpp"
 #include "vm/value.hpp"
@@ -44,15 +45,14 @@ enum class LoaderKind : std::uint8_t { DexClassLoader, PathClassLoader };
 struct Instrumentation {
   /// A DexClassLoader/PathClassLoader was constructed. `dex_path` is the
   /// ':'-separated file list; `optimized_dir` is where odex output goes
-  /// (empty for PathClassLoader).
+  /// (empty for PathClassLoader). The trace is the observer's to keep.
   std::function<void(LoaderKind kind, const std::string& dex_path,
-                     const std::string& optimized_dir,
-                     const StackTrace& trace)>
+                     const std::string& optimized_dir, StackTrace trace)>
       on_dex_load;
 
   /// Native code was loaded via load()/loadLibrary(); `path` is the resolved
-  /// library file path.
-  std::function<void(const std::string& path, const StackTrace& trace)>
+  /// library file path. The trace is the observer's to keep.
+  std::function<void(const std::string& path, StackTrace trace)>
       on_native_load;
 
   /// File.delete()/renameTo() is about to run. Return false to make the
@@ -75,7 +75,7 @@ struct Instrumentation {
 
   /// Every framework API invocation (class, method) — used by tests and by
   /// behavior verification (notifications, sms, ptrace, ...).
-  std::function<void(const std::string& cls, const std::string& method)>
+  std::function<void(std::string_view cls, std::string_view method)>
       on_api_call;
 
   // --- dynamic taint (TaintDroid/Uranine-style, an alternative privacy
@@ -83,17 +83,16 @@ struct Instrumentation {
 
   /// Called before a framework intrinsic runs, with the concrete argument
   /// values (dynamic analysis sees real URIs and payloads). Used to record
-  /// tainted data reaching sinks.
-  std::function<void(const std::string& cls, const std::string& method,
-                     const std::vector<Value>& args)>
+  /// tainted data reaching sinks. The values are valid during the call.
+  std::function<void(std::string_view cls, std::string_view method,
+                     std::span<const Value> args)>
       on_intrinsic_call;
 
   /// Taint bits to attach to an intrinsic's result (privacy sources).
   /// Returning 0 leaves only the default conservative pass-through of the
   /// arguments' taint.
-  std::function<std::uint32_t(const std::string& cls,
-                              const std::string& method,
-                              const std::vector<Value>& args)>
+  std::function<std::uint32_t(std::string_view cls, std::string_view method,
+                              std::span<const Value> args)>
       taint_source;
 };
 

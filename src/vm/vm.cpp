@@ -1,5 +1,8 @@
 #include "vm/vm.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "apk/apk.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -32,16 +35,23 @@ VmException::VmException(const std::string& what, StackTrace trace,
   support::count("vm.exceptions");
 }
 
-Vm::Vm(os::Device& device, AppContext app, VmLimits limits)
-    : device_(&device), app_(std::move(app)), limits_(limits) {
+Vm::Vm(os::Device& device, const manifest::Manifest& manifest,
+       VmLimits limits)
+    : device_(&device),
+      manifest_(&manifest),
+      principal_{manifest.package,
+                 manifest.has_permission(manifest::kWriteExternalStorage)},
+      limits_(limits),
+      init_name_(names_.intern("<init>")) {
   boot_loader_ = new_loader(LoaderType::Boot, nullptr);
+  frames_.reserve(16);
+  stack_.reserve(256);
 }
 
 Vm::~Vm() = default;
 
 LoaderState* Vm::new_loader(LoaderType type, LoaderState* parent) {
-  loaders_.push_back(std::make_unique<LoaderState>(type, parent));
-  return loaders_.back().get();
+  return &loaders_.emplace(type, parent);
 }
 
 void Vm::load_app(std::shared_ptr<const dex::DexFile> classes_dex) {
@@ -49,11 +59,19 @@ void Vm::load_app(std::shared_ptr<const dex::DexFile> classes_dex) {
   app_loader_->add_dex(std::move(classes_dex));
 }
 
-ObjRef Vm::make_object(std::string_view class_name, RuntimeClass* rt) {
-  auto obj = std::make_shared<VmObject>(next_object_id_++,
-                                        std::string(class_name));
-  obj->set_rt_class(rt);
-  return obj;
+ObjRef Vm::make_object(std::string_view class_name) {
+  const auto name = intern(class_name);
+  return &objects_.emplace(objects_.size() + 1, name, names_.view(name),
+                           nullptr);
+}
+
+ObjRef Vm::make_object(RuntimeClass* cls) {
+  return &objects_.emplace(objects_.size() + 1, cls->name_id(), cls->name(),
+                           cls->is_framework() ? nullptr : cls);
+}
+
+Value Vm::make_string(std::string s) {
+  return Value::of_str(strings_.emplace_back(std::move(s)));
 }
 
 StackTrace Vm::current_stack_trace() const {
@@ -73,8 +91,8 @@ LoaderState* Vm::current_loader() const {
   return app_loader_ != nullptr ? app_loader_ : boot_loader_;
 }
 
-Value Vm::call_intrinsic(const std::string& cls, const std::string& method,
-                         const Intrinsic& fn, std::vector<Value> args) {
+Value Vm::call_intrinsic(std::string_view cls, std::string_view method,
+                         const Intrinsic& fn, std::span<const Value> args) {
   frames_.push_back(Frame{nullptr, cls, method});
   if (hooks_.on_api_call) hooks_.on_api_call(cls, method);
   if (hooks_.on_intrinsic_call) hooks_.on_intrinsic_call(cls, method, args);
@@ -93,100 +111,145 @@ Value Vm::call_intrinsic(const std::string& cls, const std::string& method,
 }
 
 RuntimeClass* Vm::load_class(LoaderState* loader, std::string_view name) {
-  if (auto* rc = find_class(loader, name)) return rc;
+  if (auto* rc = find_class(loader, intern(name))) return rc;
   throw make_exception("ClassNotFoundException: " + std::string(name));
 }
 
-RuntimeClass* Vm::find_class(LoaderState* loader, std::string_view name) {
+RuntimeClass* Vm::find_class(LoaderState* loader, Name name) {
   if (loader == nullptr) loader = current_loader();
   if (auto* cached = loader->cached(name)) return cached;
   // Parent-first delegation, walked as ART's class linker walks the loader
   // chain: a miss at any level is a null, never an exception.
-  if (loader->parent() != nullptr) {
-    if (auto* from_parent = find_class(loader->parent(), name)) {
-      return from_parent;
-    }
-  }
-  if (loader->type() == LoaderType::Boot) {
-    if (!kFramework.has_class(name)) return nullptr;
-    return loader->define(std::make_unique<RuntimeClass>(
-        std::string(name), nullptr, nullptr, loader));
-  }
-  const auto found = loader->find_local(name);
-  if (found.def == nullptr) return nullptr;
-  return loader->define(std::make_unique<RuntimeClass>(
-      std::string(name), found.dex, found.def, loader));
+  RuntimeClass* found = nullptr;
+  if (loader->parent() != nullptr) found = find_class(loader->parent(), name);
+  if (found == nullptr) found = define_class(loader, name);
+  if (found != nullptr) loader->remember(name, found);
+  return found;
 }
 
-RuntimeClass* Vm::resolve_app_method(RuntimeClass* start,
-                                     std::string_view method_name,
-                                     const dex::Method** out) {
+RuntimeClass* Vm::define_class(LoaderState* loader, Name name) {
+  const auto view = names_.view(name);
+  if (loader->type() == LoaderType::Boot) {
+    if (!kFramework.has_class(view)) return nullptr;
+    return &classes_.emplace(name, view, nullptr, nullptr, loader);
+  }
+  const auto found = loader->find_local(view);
+  if (found.def == nullptr) return nullptr;
+  return &classes_.emplace(name, view, found.dex, found.def, loader);
+}
+
+Name Vm::pool_name(LoadedDex& dex, std::uint32_t idx) {
+  if (idx < dex.names.size() && dex.names[idx]) return dex.names[idx];
+  // string_at rejects an index outside the pool (support::ParseError).
+  const auto name = intern(dex.dex->string_at(idx));
+  if (idx >= dex.names.size()) {
+    dex.names.resize(std::max<std::size_t>(idx + 1, 64));
+  }
+  dex.names[idx] = name;
+  return name;
+}
+
+RuntimeClass* Vm::load_pool_class(RuntimeClass* caller, std::uint32_t idx) {
+  auto& pool = *caller->dex();
+  if (auto* rc = find_class(caller->loader(), pool_name(pool, idx))) return rc;
+  // Every loader chain ends at the boot loader, so a null here means
+  // neither the app nor the framework has the class.
+  throw make_exception("ClassNotFoundException: " +
+                       pool.dex->string_at(idx));
+}
+
+RuntimeClass* Vm::super_of(RuntimeClass* cls) {
+  if (!cls->super_known()) {
+    const auto super = cls->super_name();
+    const Name super_id = super.empty() ? Name{} : intern(super);
+    cls->set_super(super_id, super.empty()
+                                 ? nullptr
+                                 : find_class(cls->loader(), super_id));
+  }
+  return cls->super();
+}
+
+const Intrinsic* Vm::find_intrinsic(Name cls, Name method) {
+  for (const auto& known : intrinsics_) {
+    if (known.cls == cls && known.method == method) return known.fn;
+  }
+  const auto* fn = kFramework.find(names_.view(cls), names_.view(method));
+  if (intrinsics_.empty()) intrinsics_.reserve(16);
+  intrinsics_.push_back(KnownIntrinsic{cls, method, fn});
+  return fn;
+}
+
+RuntimeClass::Resolution Vm::resolve_app_method(RuntimeClass* start,
+                                                Name method) {
+  if (const auto* known = start->resolved(method)) return *known;
+  RuntimeClass::Resolution res;
+  const auto view = names_.view(method);
   RuntimeClass* rc = start;
   int hops = 0;
   while (rc != nullptr && !rc->is_framework() && hops++ < 32) {
-    if (const auto* m = rc->def()->find_method(method_name)) {
-      *out = m;
-      return rc;
+    if (const auto* m = rc->def()->find_method(view)) {
+      res = {rc, m};
+      break;
     }
-    const auto& super = rc->super_name();
-    if (super.empty()) break;
-    rc = find_class(rc->loader(), super);
+    rc = super_of(rc);
   }
-  *out = nullptr;
-  return nullptr;
+  start->remember(method, res);
+  return res;
 }
 
 ObjRef Vm::instantiate(std::string_view class_name) {
-  RuntimeClass* rc = find_class(app_loader_, class_name);
+  const auto name = intern(class_name);
+  RuntimeClass* rc = find_class(app_loader_, name);
   // Packed apps (DEX encryption) declare components that only exist in a
   // runtime-created loader: packers swizzle the component class loader, so
   // component resolution falls through to loaders the app created.
-  for (const auto& loader : loaders_) {
-    if (rc != nullptr) break;
-    if (loader->type() == LoaderType::RuntimeDex ||
-        loader->type() == LoaderType::RuntimePath) {
-      rc = find_class(loader.get(), class_name);
+  for (std::size_t i = 0; rc == nullptr && i < loaders_.size(); ++i) {
+    auto& loader = loaders_[i];
+    if (loader.type() == LoaderType::RuntimeDex ||
+        loader.type() == LoaderType::RuntimePath) {
+      rc = find_class(&loader, name);
     }
   }
   if (rc == nullptr) {
     throw make_exception("ClassNotFoundException: " + std::string(class_name));
   }
-  auto obj = make_object(class_name, rc);
-  const dex::Method* init = nullptr;
-  if (auto* owner = resolve_app_method(rc, "<init>", &init);
-      owner != nullptr && init->num_params == 1) {
-    invoke(owner, *init, {Value(obj)});
+  auto obj = make_object(rc);
+  const auto init = resolve_app_method(rc, init_name_);
+  if (init.owner != nullptr && init.method->num_params == 1) {
+    const Value self(obj);
+    invoke(init.owner, *init.method, {&self, 1});
   }
   return obj;
 }
 
-bool Vm::has_method(const ObjRef& receiver, std::string_view method_name) {
+bool Vm::has_method(ObjRef receiver, Name method) {
   if (receiver == nullptr || receiver->rt_class() == nullptr) return false;
-  const dex::Method* m = nullptr;
-  return resolve_app_method(receiver->rt_class(), method_name, &m) != nullptr;
+  return resolve_app_method(receiver->rt_class(), method).owner != nullptr;
 }
 
-Value Vm::call_method(const ObjRef& receiver, std::string_view method_name,
-                      std::vector<Value> extra_args) {
+Value Vm::call_method(ObjRef receiver, Name method,
+                      std::span<const Value> extra_args) {
   if (receiver == nullptr || receiver->rt_class() == nullptr) {
     throw make_exception("NullPointerException: call on null/framework obj");
   }
-  const dex::Method* m = nullptr;
-  auto* owner = resolve_app_method(receiver->rt_class(), method_name, &m);
-  if (owner == nullptr) {
+  const auto res = resolve_app_method(receiver->rt_class(), method);
+  if (res.owner == nullptr) {
     throw make_exception("NoSuchMethodError: " +
-                         receiver->class_name() + "." +
-                         std::string(method_name));
+                         std::string(receiver->class_name()) + "." +
+                         std::string(names_.view(method)));
   }
-  std::vector<Value> args;
-  args.reserve(1 + extra_args.size());
-  args.emplace_back(receiver);
-  for (auto& a : extra_args) args.push_back(std::move(a));
-  return invoke(owner, *m, std::move(args));
+  std::array<Value, dex::kMaxInvokeArgs> args;
+  if (extra_args.size() >= args.size()) {
+    throw make_exception("IllegalArgumentException: too many arguments");
+  }
+  args[0] = Value(receiver);
+  std::copy(extra_args.begin(), extra_args.end(), args.begin() + 1);
+  return invoke(res.owner, *res.method, {args.data(), 1 + extra_args.size()});
 }
 
 Value Vm::call_static(std::string_view class_name,
-                      std::string_view method_name, std::vector<Value> args) {
+                      std::string_view method_name,
+                      std::span<const Value> args) {
   auto* rc = load_class(app_loader_, class_name);
   const dex::Method* m =
       rc->is_framework() ? nullptr : rc->def()->find_method(method_name);
@@ -194,44 +257,53 @@ Value Vm::call_static(std::string_view class_name,
     throw make_exception("NoSuchMethodError: " + std::string(class_name) +
                          "." + std::string(method_name));
   }
-  return invoke(rc, *m, std::move(args));
+  return invoke(rc, *m, args);
 }
 
 Value Vm::invoke(RuntimeClass* cls, const dex::Method& method,
-                 std::vector<Value> args) {
+                 std::span<const Value> args) {
   if (frames_.empty()) steps_ = 0;  // fresh entry: reset the ANR budget
   if (method.is_native()) {
     const auto symbol = find_native_symbol(method.name);
     if (!symbol.has_value()) {
       throw make_exception("UnsatisfiedLinkError: " + method.name);
     }
-    return execute_body(symbol->cls, *symbol->method, std::move(args));
+    return execute_body(symbol->cls, *symbol->method, args);
   }
-  return execute_body(cls, method, std::move(args));
+  return execute_body(cls, method, args);
 }
 
 Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
-                       std::vector<Value> args) {
+                       std::span<const Value> args) {
   if (static_cast<int>(frames_.size()) >= limits_.max_call_depth) {
     throw VmException("StackOverflowError", current_stack_trace(),
                       /*budget=*/true);
   }
+  // The frame's register window sits on top of the register stack, and its
+  // exception handlers on top of the handler stack; both are dropped on any
+  // exit. `args` never point into the stack (callers pass C++ locals), so
+  // growing it cannot invalidate them.
+  const std::size_t base = stack_.size();
+  const std::size_t handler_base = handlers_.size();
   frames_.push_back(Frame{cls, cls->name(), method.name});
   struct Pop {
-    std::vector<Frame>* f;
-    ~Pop() { f->pop_back(); }
-  } pop{&frames_};
+    Vm* vm;
+    std::size_t base;
+    std::size_t handler_base;
+    ~Pop() {
+      vm->stack_.resize(base);
+      vm->handlers_.resize(handler_base);
+      vm->frames_.pop_back();
+    }
+  } pop{this, base, handler_base};
+  stack_.resize(base + method.num_registers);
+  std::copy_n(args.begin(), std::min<std::size_t>(args.size(),
+                                                  method.num_registers),
+              stack_.begin() + static_cast<std::ptrdiff_t>(base));
 
-  const auto& dexf = *cls->dex();
-  std::vector<Value> regs(method.num_registers);
-  for (std::size_t i = 0; i < args.size() && i < regs.size(); ++i) {
-    regs[i] = std::move(args[i]);
-  }
+  LoadedDex& pool = *cls->dex();
+  const auto& dexf = *pool.dex;
   Value last_result;
-
-  // Active exception handlers: (message register, handler pc). Pushed by
-  // TryEnter, popped by TryExit or when an exception dispatches.
-  std::vector<std::pair<std::uint16_t, std::int32_t>> handlers;
 
   std::size_t pc = 0;
   while (pc < method.code.size()) {
@@ -239,6 +311,8 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
       throw VmException("ANR: step budget exhausted", current_stack_trace(),
                         /*budget=*/true);
     }
+    // Re-pointed every step: a call may have grown (moved) the stack.
+    Value* const regs = stack_.data() + base;
     const auto& ins = method.code[pc];
     using dex::Op;
     try {
@@ -249,7 +323,7 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
         regs[ins.a] = Value(ins.imm);
         break;
       case Op::ConstStr:
-        regs[ins.a] = Value(dexf.string_at(ins.name));
+        regs[ins.a] = Value::of_str(dexf.string_at(ins.name));
         break;
       case Op::Move:
         regs[ins.a] = regs[ins.b];
@@ -292,7 +366,7 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
             break;
           }
           case Op::Concat:
-            out = Value(regs[ins.b].display() + regs[ins.c].display());
+            out = make_string(regs[ins.b].display() + regs[ins.c].display());
             break;
           case Op::CmpEq:
             out = Value(regs[ins.b].equals(regs[ins.c]) ? 1 : 0);
@@ -303,7 +377,7 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
         }
         // TaintDroid-style data-flow propagation through arithmetic.
         out.add_taint(regs[ins.b].taint() | regs[ins.c].taint());
-        regs[ins.a] = std::move(out);
+        regs[ins.a] = out;
         break;
       }
       case Op::IfEqz:
@@ -322,45 +396,34 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
         pc = static_cast<std::size_t>(ins.target);
         continue;
       case Op::NewInstance: {
-        // Every loader chain ends at the boot loader, so a null here means
-        // neither the app nor the framework has the class.
-        const auto& name = dexf.string_at(ins.cls);
-        auto* rt = find_class(cls->loader(), name);
-        if (rt == nullptr) {
-          throw make_exception("ClassNotFoundException: " + name);
-        }
-        regs[ins.a] =
-            Value(make_object(name, rt->is_framework() ? nullptr : rt));
+        auto* rt = load_pool_class(cls, ins.cls);
+        regs[ins.a] = Value(make_object(rt));
         break;
       }
       case Op::InvokeStatic:
       case Op::InvokeVirtual:
-        last_result = dispatch_invoke(cls, dexf, ins, regs);
+        last_result = dispatch_invoke(cls, ins, regs);
         break;
       case Op::IGet: {
         const auto& obj = regs[ins.b];
-        if (!obj.is_obj() || obj.as_obj() == nullptr) {
-          throw make_exception("NullPointerException: iget");
-        }
-        regs[ins.a] = obj.as_obj()->get_field(dexf.string_at(ins.name));
+        if (!obj.is_obj()) throw make_exception("NullPointerException: iget");
+        regs[ins.a] = obj.as_obj()->get_field(pool_name(pool, ins.name));
         break;
       }
       case Op::IPut: {
         const auto& obj = regs[ins.b];
-        if (!obj.is_obj() || obj.as_obj() == nullptr) {
-          throw make_exception("NullPointerException: iput");
-        }
-        obj.as_obj()->set_field(dexf.string_at(ins.name), regs[ins.a]);
+        if (!obj.is_obj()) throw make_exception("NullPointerException: iput");
+        obj.as_obj()->set_field(pool_name(pool, ins.name), regs[ins.a]);
         break;
       }
       case Op::SGet: {
-        auto* rt = load_class(cls->loader(), dexf.string_at(ins.cls));
-        regs[ins.a] = rt->get_static(dexf.string_at(ins.name));
+        auto* rt = load_pool_class(cls, ins.cls);
+        regs[ins.a] = rt->get_static(pool_name(pool, ins.name));
         break;
       }
       case Op::SPut: {
-        auto* rt = load_class(cls->loader(), dexf.string_at(ins.cls));
-        rt->set_static(dexf.string_at(ins.name), regs[ins.a]);
+        auto* rt = load_pool_class(cls, ins.cls);
+        rt->set_static(pool_name(pool, ins.name), regs[ins.a]);
         break;
       }
       case Op::Return:
@@ -370,20 +433,20 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
       case Op::Throw:
         throw make_exception(regs[ins.a].display());
       case Op::TryEnter:
-        handlers.emplace_back(ins.a, ins.target);
+        handlers_.push_back(Handler{ins.a, ins.target});
         break;
       case Op::TryExit:
-        if (!handlers.empty()) handlers.pop_back();
+        if (handlers_.size() > handler_base) handlers_.pop_back();
         break;
     }
     } catch (const VmException& e) {
       // Budget violations are fatal by design: apps must not be able to
       // catch their way around the ANR/recursion guards.
-      if (handlers.empty() || e.budget()) throw;
-      const auto [reg, handler_pc] = handlers.back();
-      handlers.pop_back();
-      regs[reg] = Value(e.what());
-      pc = static_cast<std::size_t>(handler_pc);
+      if (handlers_.size() == handler_base || e.budget()) throw;
+      const auto handler = handlers_.back();
+      handlers_.pop_back();
+      stack_[base + handler.reg] = make_string(e.what());
+      pc = static_cast<std::size_t>(handler.pc);
       continue;
     }
     ++pc;
@@ -391,66 +454,68 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
   return Value();
 }
 
-Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
-                          const dex::Instruction& ins,
-                          std::vector<Value>& regs) {
-  const auto& cls_name = dexf.string_at(ins.cls);
-  const auto& method_name = dexf.string_at(ins.name);
-  std::vector<Value> args;
-  args.reserve(ins.argc);
-  for (std::uint8_t i = 0; i < ins.argc; ++i) args.push_back(regs[ins.args[i]]);
+Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::Instruction& ins,
+                          const Value* regs) {
+  LoadedDex& pool = *caller_cls->dex();
+  const auto& cls_name = pool.dex->string_at(ins.cls);
+  const auto& method_name = pool.dex->string_at(ins.name);
+  std::array<Value, dex::kMaxInvokeArgs> arg_buf;
+  const std::size_t argc = std::min<std::size_t>(ins.argc, arg_buf.size());
+  for (std::size_t i = 0; i < argc; ++i) arg_buf[i] = regs[ins.args[i]];
+  const std::span<const Value> args(arg_buf.data(), argc);
+
+  const Name cls_id = pool_name(pool, ins.cls);
+  const Name method = pool_name(pool, ins.name);
 
   // The framework class whose intrinsic serves the call, and the intrinsic;
   // the declared class unless virtual dispatch finds a closer one.
-  const std::string* owner = &cls_name;
+  std::string_view owner = cls_name;
   const Intrinsic* fn = nullptr;
   if (ins.op == dex::Op::InvokeVirtual) {
-    if (args.empty() || !args[0].is_obj() || args[0].as_obj() == nullptr) {
+    if (args.empty() || !args[0].is_obj()) {
       throw make_exception("NullPointerException: invoke-virtual on null (" +
                            cls_name + "." + method_name + ")");
     }
-    const auto& receiver = args[0].as_obj();
+    const ObjRef receiver = args[0].as_obj();
     if (auto* start = receiver->rt_class()) {
-      const dex::Method* m = nullptr;
-      if (auto* app_owner = resolve_app_method(start, method_name, &m)) {
-        return invoke(app_owner, *m, std::move(args));
-      }
+      const auto res = resolve_app_method(start, method);
+      if (res.owner != nullptr) return invoke(res.owner, *res.method, args);
     }
     // Framework object, or app class inheriting a framework method:
     // dispatch by the receiver's dynamic class first, then superclass walk,
     // then by the declared class.
-    fn = kFramework.find(receiver->class_name(), method_name);
+    fn = find_intrinsic(receiver->class_id(), method);
     if (fn != nullptr) {
-      owner = &receiver->class_name();
+      owner = receiver->class_name();
     } else if (auto* rc = receiver->rt_class()) {
       // Walk to the nearest framework superclass name for intrinsic lookup.
       for (int hops = 0; rc != nullptr && !rc->is_framework() && hops < 32;
            ++hops) {
-        const auto& super = rc->super_name();
-        if (super.empty()) break;
-        fn = kFramework.find(super, method_name);
+        auto* super = super_of(rc);
+        if (!rc->super_id()) break;
+        fn = find_intrinsic(rc->super_id(), method);
         if (fn != nullptr) {
-          owner = &super;
+          owner = rc->super_name();
           break;
         }
-        rc = find_class(rc->loader(), super);
+        rc = super;
       }
     }
   } else {
     // InvokeStatic: app classes first (through the caller's loader), then
     // framework intrinsics.
-    auto* rt = find_class(caller_cls->loader(), cls_name);
+    auto* rt = find_class(caller_cls->loader(), cls_id);
     if (rt != nullptr && !rt->is_framework()) {
       if (const auto* m = rt->def()->find_method(method_name)) {
-        return invoke(rt, *m, std::move(args));
+        return invoke(rt, *m, args);
       }
     }
   }
-  if (fn == nullptr) fn = kFramework.find(cls_name, method_name);
+  if (fn == nullptr) fn = find_intrinsic(cls_id, method);
   if (fn == nullptr) {
     throw make_exception("NoSuchMethodError: " + cls_name + "." + method_name);
   }
-  return call_intrinsic(*owner, method_name, *fn, std::move(args));
+  return call_intrinsic(owner, method_name, *fn, args);
 }
 
 LoaderState* Vm::create_runtime_loader(LoaderKind kind,
@@ -491,7 +556,7 @@ LoaderState* Vm::create_runtime_loader(LoaderKind kind,
       // the load itself).
       const auto odex = optimized_dir + "/" + basename_no_ext(path) + ".odex";
       const auto status =
-          device_->vfs().write_file(app_.principal(), odex, bytes);
+          device_->vfs().write_file(principal_, odex, bytes);
       if (!status) record_event("odex_write_failed", status.error());
     }
   }
@@ -517,19 +582,19 @@ void Vm::load_native_library(const std::string& path) {
     throw make_exception(std::string("UnsatisfiedLinkError: ") + e.what());
   }
   auto* loader = new_loader(LoaderType::NativeLib, boot_loader_);
-  auto holder = std::make_unique<LoadedNative>();
-  holder->path = path;
-  holder->lib = std::move(lib);
-  holder->loader = loader;
-  loader->add_dex(std::make_shared<const dex::DexFile>(
-      holder->lib.code()));  // copy: loader owns an immutable snapshot
+  auto holder = std::make_shared<LoadedNative>(
+      LoadedNative{path, std::move(lib), loader});
+  // The loader's dex is the library's own code, shared rather than copied:
+  // the pointer keeps the whole library alive.
+  loader->add_dex(
+      std::shared_ptr<const dex::DexFile>(holder, &holder->lib.code()));
   natives_.push_back(std::move(holder));
 }
 
 void Vm::load_native_library_by_name(const std::string& name) {
   const auto file = nativebin::map_library_name(name);
   const auto app_lib =
-      os::internal_storage_dir(app_.package()) + "/lib/" + file;
+      os::internal_storage_dir(package()) + "/lib/" + file;
   if (device_->vfs().exists(app_lib)) {
     load_native_library(app_lib);
     return;
@@ -547,8 +612,6 @@ std::optional<Vm::NativeSymbol> Vm::find_native_symbol(std::string_view name) {
     const auto symbol = loaded->lib.find_symbol(name);
     if (symbol.has_value()) {
       auto* rc = load_class(loaded->loader, symbol->cls->name);
-      // Locate the method inside the loader's snapshot (the lib's own
-      // DexFile copy), not the original.
       const auto* m = rc->def()->find_method(name);
       if (m != nullptr) return NativeSymbol{rc, m};
     }
@@ -570,7 +633,7 @@ support::Blob Vm::read_file_or_throw(const std::string& path) {
 
 void Vm::write_file_as_app(const std::string& path, support::Bytes data) {
   const auto status =
-      device_->vfs().write_file(app_.principal(), path, std::move(data));
+      device_->vfs().write_file(principal_, path, std::move(data));
   if (!status) {
     throw make_exception("IOException: " + status.error());
   }

@@ -535,8 +535,29 @@ TEST(CliArgs, ResumeHintsRepeatThePinnedFlags) {
   const auto resumed = run_cli(resume_hint(killed.output));
   EXPECT_EQ(resumed.exit_code, 0) << resumed.output;
   EXPECT_EQ(resumed.output, plain.output);
-  std::remove(app.c_str());
+
+  // The app's scenario is part of the job: a hint without the hosted
+  // payload would resume the app with its download failing.
+  const std::string baidu = base_path + "_baidu.sapk";
+  const auto gen_baidu = run_cli("gen " + baidu + " --baidu");
+  ASSERT_EQ(gen_baidu.exit_code, 0) << gen_baidu.output;
+  const std::string host = first_host_flags(gen_baidu.output);
+  ASSERT_FALSE(host.empty()) << gen_baidu.output;
+  const std::string analyze_baidu = "analyze " + baidu + " " + host;
+  const auto served = run_cli(analyze_baidu);
+  ASSERT_EQ(served.exit_code, 0) << served.output;
   std::remove(journal.c_str());
+  const auto killed_baidu = run_cli(
+      analyze_baidu + " --faults driver.kill=nth:1 --journal " + journal);
+  ASSERT_EQ(killed_baidu.exit_code, 3) << killed_baidu.output;
+  const std::string baidu_hint = resume_hint(killed_baidu.output);
+  ASSERT_NE(baidu_hint.find(host), std::string::npos) << killed_baidu.output;
+  const auto resumed_baidu = run_cli(baidu_hint);
+  EXPECT_EQ(resumed_baidu.exit_code, 0) << resumed_baidu.output;
+  EXPECT_EQ(resumed_baidu.output, served.output);
+  for (const auto& path : {app, baidu, baidu + ".hosted.0", journal}) {
+    std::remove(path.c_str());
+  }
 }
 
 // --- signal-disposition regression (the leaked-handler bug) ----------------

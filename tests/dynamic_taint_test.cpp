@@ -31,9 +31,8 @@ class DynamicTaintTest : public ::testing::Test {
     apk.write_classes_dex(dexfile_);
     apk.sign("k");
     EXPECT_TRUE(device_.install(apk).ok());
-    vm::AppContext app;
-    app.manifest = man;
-    vm_ = std::make_unique<vm::Vm>(device_, std::move(app));
+    manifest_ = man;
+    vm_ = std::make_unique<vm::Vm>(device_, manifest_);
     vm_->load_app(
         std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
     DynamicTaintTracker tracker(*vm_);
@@ -49,6 +48,7 @@ class DynamicTaintTest : public ::testing::Test {
   }
 
   os::Device device_;
+  manifest::Manifest manifest_;  // the Vm borrows it
   std::unique_ptr<vm::Vm> vm_;
   dex::DexFile dexfile_;
 };
@@ -109,6 +109,35 @@ TEST_F(DynamicTaintTest, FlowsThroughFieldsAndCalls) {
     m.done();
   });
   EXPECT_EQ(mask, mask_of(DataType::Account));
+}
+
+// Instance fields and returns carry labels as static fields do: the IMSI
+// goes through iput/iget on an app object, back out of an app method and
+// through move-result before it reaches the sink.
+TEST_F(DynamicTaintTest, FlowsThroughInstanceFieldsAndReturns) {
+  const auto leaks = run([](dex::DexBuilder& b) {
+    auto box = b.cls("com.taint.app.Box");
+    box.instance_field("v");
+    auto grab = box.method("grab", 1);
+    grab.invoke_static("android.telephony.TelephonyManager",
+                       "getSubscriberId");
+    grab.move_result(1);
+    grab.iput(1, 0, "v");
+    grab.const_int(1, 0);  // the field, not the register, must carry it
+    grab.iget(2, 0, "v");
+    grab.ret(2);
+    grab.done();
+    auto m = b.cls("com.taint.app.T").static_method("t", 0);
+    m.new_instance(0, "com.taint.app.Box");
+    m.invoke_virtual("com.taint.app.Box", "grab", {0});
+    m.move_result(1);
+    m.invoke_static("android.util.Log", "d", {1, 1});
+    m.done();
+  });
+  ASSERT_EQ(leaks.size(), 1u);
+  EXPECT_EQ(leaks[0].mask, mask_of(DataType::Imsi));
+  EXPECT_EQ(leaks[0].sink_api, "android.util.Log.d");
+  EXPECT_EQ(leaks[0].call_site_class, "com.taint.app.T");
 }
 
 TEST_F(DynamicTaintTest, ConcreteUriResolvesProviderType) {

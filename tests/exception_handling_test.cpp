@@ -14,13 +14,14 @@ namespace {
 
 struct Env {
   os::Device device;
+  manifest::Manifest manifest;  // the Vm borrows it
   std::unique_ptr<Vm> vm;
 };
 
 Env boot(dex::DexFile dexfile, VmLimits limits = {},
          std::string_view launcher = "") {
   Env env;
-  manifest::Manifest man;
+  auto& man = env.manifest;
   man.package = "com.trycatch.app";
   man.add_permission(manifest::kInternet);
   if (!launcher.empty()) {
@@ -32,9 +33,7 @@ Env boot(dex::DexFile dexfile, VmLimits limits = {},
   apk.write_classes_dex(std::move(dexfile));
   apk.sign("k");
   EXPECT_TRUE(env.device.install(apk).ok());
-  AppContext app;
-  app.manifest = man;
-  env.vm = std::make_unique<Vm>(env.device, std::move(app), limits);
+  env.vm = std::make_unique<Vm>(env.device, man, limits);
   env.vm->load_app(
       std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   return env;
@@ -320,9 +319,7 @@ TEST(TryCatch, OfflineTolerantSdkDoesNotCrashHost) {
   ASSERT_TRUE(device.install(apk).ok());
   device.services().set_airplane_mode(true);
   device.services().set_wifi_enabled(false);
-  AppContext app;
-  app.manifest = man;
-  Vm vm(device, std::move(app));
+  Vm vm(device, man);
   vm.load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   monkey::MonkeyConfig config;
   support::Rng rng(1);

@@ -16,6 +16,7 @@ constexpr const char* kPkg = "com.family.host";
 
 struct Harness {
   os::Device device;
+  manifest::Manifest manifest;  // the Vm borrows it
   std::unique_ptr<vm::Vm> vm;
 
   bool saw(const std::string& kind, const std::string& detail_part = "") {
@@ -71,9 +72,8 @@ Harness run_dex_payload(Family family, const std::string& payload_class,
     h.device.network().host("http://c2.test/gate",
                             support::to_bytes(c2_body));
   }
-  vm::AppContext app;
-  app.manifest = man;
-  h.vm = std::make_unique<vm::Vm>(h.device, std::move(app));
+  h.manifest = man;
+  h.vm = std::make_unique<vm::Vm>(h.device, h.manifest);
   h.vm->load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   auto main = h.vm->instantiate(std::string(kPkg) + ".Main");
   (void)h.vm->call_method(main, "go");
@@ -153,9 +153,8 @@ TEST(ChathookPtrace, RootsHooksAndExfiltratesChats) {
                               "/data/data/com.family.host/lib/libchat.so",
                               lib)
                   .ok());
-  vm::AppContext app;
-  app.manifest = man;
-  h.vm = std::make_unique<vm::Vm>(h.device, std::move(app));
+  h.manifest = man;
+  h.vm = std::make_unique<vm::Vm>(h.device, h.manifest);
   h.vm->load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   auto main = h.vm->instantiate(std::string(kPkg) + ".Main");
   EXPECT_EQ(h.vm->call_method(main, "go").as_int(), 1);

@@ -34,9 +34,8 @@ class FrameworkTest : public ::testing::Test {
     apk.write_classes_dex(b.build());
     apk.sign("k");
     EXPECT_TRUE(device_.install(apk).ok());
-    AppContext app;
-    app.manifest = man;
-    vm_ = std::make_unique<Vm>(device_, std::move(app));
+    manifest_ = man;
+    vm_ = std::make_unique<Vm>(device_, manifest_);
     vm_->load_app(
         std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
     return vm_->call_static("com.fw.app.T", "t");
@@ -50,6 +49,7 @@ class FrameworkTest : public ::testing::Test {
   }
 
   os::Device device_;
+  manifest::Manifest manifest_;  // the Vm borrows it
   std::unique_ptr<Vm> vm_;
 };
 

@@ -3,6 +3,8 @@
 // step/depth budgets always terminate runaway programs.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "dex/builder.hpp"
 #include "os/device.hpp"
 #include "support/rng.hpp"
@@ -13,6 +15,7 @@ namespace {
 
 struct Env {
   os::Device device;
+  manifest::Manifest manifest;  // the Vm borrows it
   std::unique_ptr<Vm> vm;
 };
 
@@ -25,9 +28,8 @@ Env boot(dex::DexFile dexfile, VmLimits limits = {}) {
   apk.write_classes_dex(std::move(dexfile));
   apk.sign("k");
   EXPECT_TRUE(env.device.install(apk).ok());
-  AppContext app;
-  app.manifest = man;
-  env.vm = std::make_unique<Vm>(env.device, std::move(app), limits);
+  env.manifest = man;
+  env.vm = std::make_unique<Vm>(env.device, env.manifest, limits);
   env.vm->load_app(
       std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   return env;
@@ -121,11 +123,12 @@ TEST(Budgets, TightStepBudgetTerminatesLongLoops) {
   limits.max_steps_per_entry = 100;  // loop of 1000 cannot finish
   auto env = boot(b.build(), limits);
   EXPECT_THROW(
-      (void)env.vm->call_static("com.prop.vm.P", "f", {Value(1000)}),
+      (void)env.vm->call_static("com.prop.vm.P", "f",
+                                std::array{Value(1000)}),
       VmException);
   // A fresh entry gets a fresh budget: a short run still succeeds.
   EXPECT_NO_THROW(
-      (void)env.vm->call_static("com.prop.vm.P", "f", {Value(3)}));
+      (void)env.vm->call_static("com.prop.vm.P", "f", std::array{Value(3)}));
 }
 
 TEST(Budgets, DepthBudgetIndependentOfStepBudget) {
@@ -138,7 +141,7 @@ TEST(Budgets, DepthBudgetIndependentOfStepBudget) {
   limits.max_call_depth = 10;
   auto env = boot(b.build(), limits);
   try {
-    (void)env.vm->call_static("com.prop.vm.P", "rec", {Value(0)});
+    (void)env.vm->call_static("com.prop.vm.P", "rec", std::array{Value(0)});
     FAIL();
   } catch (const VmException& e) {
     EXPECT_NE(std::string(e.what()).find("StackOverflow"), std::string::npos);
@@ -148,21 +151,25 @@ TEST(Budgets, DepthBudgetIndependentOfStepBudget) {
 }
 
 TEST(ValueSemantics, DisplayAndEquality) {
+  const std::string s = "s";
+  const std::string one = "1";
   EXPECT_EQ(Value().display(), "null");
   EXPECT_EQ(Value(42).display(), "42");
-  EXPECT_EQ(Value("s").display(), "s");
+  EXPECT_EQ(Value::of_str(s).display(), "s");
   EXPECT_TRUE(Value().equals(Value()));
   EXPECT_TRUE(Value(1).equals(Value(1)));
-  EXPECT_FALSE(Value(1).equals(Value("1")));
+  EXPECT_FALSE(Value(1).equals(Value::of_str(one)));
   EXPECT_FALSE(Value(1).equals(Value()));
 }
 
 TEST(ValueSemantics, Truthiness) {
+  const std::string empty;
+  const std::string x = "x";
   EXPECT_FALSE(Value().truthy());
   EXPECT_FALSE(Value(0).truthy());
   EXPECT_TRUE(Value(-1).truthy());
-  EXPECT_FALSE(Value("").truthy());
-  EXPECT_TRUE(Value("x").truthy());
+  EXPECT_FALSE(Value::of_str(empty).truthy());
+  EXPECT_TRUE(Value::of_str(x).truthy());
 }
 
 }  // namespace

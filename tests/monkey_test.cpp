@@ -17,6 +17,7 @@ apk::ApkFile make_apk(dex::DexFile dexfile, manifest::Manifest m) {
 
 struct Ran {
   os::Device device;
+  manifest::Manifest manifest;  // the Vm borrows it
   std::unique_ptr<vm::Vm> vm;
   MonkeyResult result;
 };
@@ -26,9 +27,8 @@ Ran run(dex::DexFile dexfile, manifest::Manifest m, int events = 40,
   Ran ran;
   auto apk = make_apk(std::move(dexfile), m);
   EXPECT_TRUE(ran.device.install(apk).ok());
-  vm::AppContext app;
-  app.manifest = std::move(m);
-  ran.vm = std::make_unique<vm::Vm>(ran.device, std::move(app));
+  ran.manifest = std::move(m);
+  ran.vm = std::make_unique<vm::Vm>(ran.device, ran.manifest);
   ran.vm->load_app(
       std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   MonkeyConfig config;

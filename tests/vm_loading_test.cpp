@@ -35,6 +35,7 @@ support::Bytes payload_with(const std::string& cls, int value) {
 
 struct Env {
   os::Device device;
+  manifest::Manifest manifest;  // the Vm borrows it
   std::unique_ptr<Vm> vm;
 };
 
@@ -43,9 +44,8 @@ Env boot(dex::DexFile dexfile, const std::string& pkg = kPkg) {
   auto man = man_for(pkg);
   auto apk = wrap(std::move(dexfile), man);
   EXPECT_TRUE(env.device.install(apk).ok());
-  AppContext app;
-  app.manifest = man;
-  env.vm = std::make_unique<Vm>(env.device, std::move(app));
+  env.manifest = man;
+  env.vm = std::make_unique<Vm>(env.device, env.manifest);
   env.vm->load_app(
       std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
   return env;

@@ -2,8 +2,10 @@
 // stream instrumentation, native loading, reflection, budgets.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 
+#include "core/interceptor.hpp"
 #include "dex/builder.hpp"
 #include "nativebin/native_library.hpp"
 #include "os/device.hpp"
@@ -40,16 +42,28 @@ class VmTest : public ::testing::Test {
   void boot(dex::DexFile dex, manifest::Manifest m) {
     apk_ = wrap_apk(std::move(dex), m);
     ASSERT_TRUE(device_.install(apk_).ok());
-    AppContext app;
-    app.manifest = std::move(m);
-    vm_ = std::make_unique<Vm>(device_, std::move(app));
+    manifest_ = std::move(m);
+    vm_ = std::make_unique<Vm>(device_, manifest_);
     vm_->load_app(
         std::make_shared<const dex::DexFile>(*apk_.read_classes_dex()));
   }
   void boot(dex::DexFile dex) { boot(std::move(dex), base_manifest()); }
+  /// A fresh Vm over the app boot() installed, as a second process would
+  /// host it.
+  void restart() {
+    vm_ = std::make_unique<Vm>(device_, manifest_);
+    vm_->load_app(
+        std::make_shared<const dex::DexFile>(*apk_.read_classes_dex()));
+  }
+
+  /// Runs Runtime.getRuntime().<method>(operand) from an app class and
+  /// checks the native-load hook and the interceptor's event.
+  void expect_runtime_load_hooked(std::string_view method,
+                                  std::string_view operand);
 
   os::Device device_;
   apk::ApkFile apk_;
+  manifest::Manifest manifest_;  // the Vm borrows it
   std::unique_ptr<Vm> vm_;
 };
 
@@ -85,7 +99,8 @@ TEST_F(VmTest, LoopWithBranches) {
   m.ret(1);
   m.done();
   boot(b.build());
-  EXPECT_EQ(vm_->call_static("com.example.app.Calc", "sum", {Value(10)})
+  EXPECT_EQ(vm_->call_static("com.example.app.Calc", "sum",
+                             std::array{Value(10)})
                 .as_int(),
             55);
 }
@@ -262,7 +277,8 @@ TEST_F(VmTest, LongArithmeticWrapsLikeJava) {
   cls.static_method("mul", 2).mul(2, 0, 1).ret(2).done();
   boot(b.build());
   const auto run = [&](const char* op, std::int64_t x, std::int64_t y) {
-    return vm_->call_static("com.example.app.W", op, {Value(x), Value(y)})
+    return vm_->call_static("com.example.app.W", op,
+                            std::array{Value(x), Value(y)})
         .as_int();
   };
   EXPECT_EQ(run("div", kMin, -1), kMin);
@@ -606,13 +622,11 @@ TEST_F(VmTest, FetchFailsWithoutConnectivity) {
 }
 
 // A BufferedInputStream chain that revisits a stream must raise, not recurse
-// until the process dies. S.read() wires v0 (and v1) and reads v0; S.held()
-// returns v0. The VM heap is reference-counted, so the test breaks the
-// cycle the app built, or it would outlive the Vm.
+// until the process dies. S.read() wires v0 (and v1) and reads v0. The
+// cycle the app built dies with the Vm's heap (LeakSanitizer checks it).
 dex::DexFile stream_cycle_app(bool two_streams) {
   dex::DexBuilder b;
   auto cls = b.cls("com.example.app.S");
-  cls.static_field("held");
   auto m = cls.static_method("read", 0);
   m.new_instance(0, "java.io.BufferedInputStream");
   m.new_instance(1, "java.io.BufferedInputStream");
@@ -621,11 +635,8 @@ dex::DexFile stream_cycle_app(bool two_streams) {
   if (two_streams) {
     m.invoke_virtual("java.io.BufferedInputStream", "<init>", {1, 0});
   }
-  m.sput(0, "com.example.app.S", "held");
   m.invoke_virtual("java.io.InputStream", "read", {0});
   m.done();
-  cls.static_method("held", 0).sget(0, "com.example.app.S", "held").ret(0)
-      .done();
   return b.build();
 }
 
@@ -636,7 +647,6 @@ std::string read_cycle_error(Vm& vm) {
   } catch (const VmException& e) {
     what = e.what();
   }
-  vm.call_static("com.example.app.S", "held").as_obj()->native_state().reset();
   return what;
 }
 
@@ -650,6 +660,86 @@ TEST_F(VmTest, CyclicStreamWrappersReadRaises) {
   boot(stream_cycle_app(/*two_streams=*/true));
   EXPECT_EQ(read_cycle_error(*vm_),
             "StackOverflowError: input stream wrapper chain");
+}
+
+// An object whose field points back at itself is an app-built cycle too:
+// it reads back as the same object, and dies with the Vm (LeakSanitizer
+// checks it).
+TEST_F(VmTest, SelfReferencingFieldIsFreedWithTheVm) {
+  dex::DexBuilder b;
+  auto cls = b.cls("com.example.app.Node");
+  cls.instance_field("self");
+  auto m = cls.static_method("loop", 0);
+  m.new_instance(0, "com.example.app.Node");
+  m.iput(0, 0, "self");
+  m.iget(1, 0, "self");
+  m.cmp_eq(2, 0, 1);
+  m.ret(2);
+  m.done();
+  boot(b.build());
+  EXPECT_EQ(vm_->call_static("com.example.app.Node", "loop").as_int(), 1);
+  vm_.reset();
+}
+
+// ---------------------------------------------------------------------------
+// Value semantics: how values render and compare.
+// ---------------------------------------------------------------------------
+
+class ValueSemantics : public VmTest {};
+
+// An object renders as <class>@<id>, and each Vm counts ids from 1: the
+// download tracker's "hash code" (Table I) and every crash message that
+// names an object depend on both.
+TEST_F(ValueSemantics, ObjectDisplayIsClassAtVmId) {
+  dex::DexBuilder b;
+  auto m = b.cls("com.example.app.Main", "android.app.Activity")
+               .method("boom", 1);
+  m.new_instance(1, "java.io.File");
+  m.new_instance(2, "com.example.app.Main");
+  m.const_str(3, "x");
+  m.concat(4, 3, 2);
+  m.concat(5, 4, 1);
+  m.throw_str(5);
+  m.done();
+  boot(b.build());
+  for (int run = 0; run < 2; ++run) {
+    if (run == 1) restart();
+    auto main = vm_->instantiate("com.example.app.Main");
+    std::string what = "no exception";
+    try {
+      (void)vm_->call_method(main, "boom");
+    } catch (const VmException& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "xcom.example.app.Main@3java.io.File@2") << "run " << run;
+  }
+}
+
+// Objects compare by identity, not by class or content; a copy of a
+// reference is the same object; null equals null.
+TEST_F(ValueSemantics, ObjectsCompareByIdentity) {
+  dex::DexBuilder b;
+  auto cls = b.cls("com.example.app.Q");
+  auto twins = cls.static_method("twins", 0);
+  twins.new_instance(0, "com.example.app.Q");
+  twins.new_instance(1, "com.example.app.Q");
+  twins.cmp_eq(2, 0, 1);
+  twins.ret(2);
+  twins.done();
+  auto copy = cls.static_method("copy", 0);
+  copy.new_instance(0, "com.example.app.Q");
+  copy.move(1, 0);
+  copy.cmp_eq(2, 0, 1);
+  copy.ret(2);
+  copy.done();
+  auto nulls = cls.static_method("nulls", 0);
+  nulls.cmp_eq(2, 0, 1);  // v0 and v1 were never written
+  nulls.ret(2);
+  nulls.done();
+  boot(b.build());
+  EXPECT_EQ(vm_->call_static("com.example.app.Q", "twins").as_int(), 0);
+  EXPECT_EQ(vm_->call_static("com.example.app.Q", "copy").as_int(), 1);
+  EXPECT_EQ(vm_->call_static("com.example.app.Q", "nulls").as_int(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -733,12 +823,62 @@ TEST_F(VmTest, Runtime0LoadAlsoHooked) {
                               "/data/data/com.example.app/lib/libhook.so",
                               hook_lib_bytes())
                   .ok());
-  bool fired = false;
+  std::string loaded_path;
   vm_->instrumentation().on_native_load =
-      [&](const std::string&, const StackTrace&) { fired = true; };
+      [&](const std::string& path, const StackTrace&) { loaded_path = path; };
   auto main = vm_->instantiate("com.example.app.Main");
   (void)vm_->call_method(main, "go");
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(loaded_path, "/data/data/com.example.app/lib/libhook.so");
+}
+
+// Runtime.getRuntime().load(path) / .loadLibrary(name): the instance forms
+// take their operand after the receiver. Each is a native DCL mediation
+// point: the hook sees the resolved path and the interceptor logs a
+// Native event attributed to the app class that made the call.
+void VmTest::expect_runtime_load_hooked(std::string_view method,
+                                        std::string_view operand) {
+  dex::DexBuilder b;
+  auto m = b.cls("com.example.app.Main", "android.app.Activity")
+               .method("go", 1);
+  m.invoke_static("java.lang.Runtime", "getRuntime");
+  m.move_result(1);
+  m.const_str(2, operand);
+  m.invoke_virtual("java.lang.Runtime", method, {1, 2});
+  m.return_void();
+  m.done();
+  boot(b.build());
+  ASSERT_TRUE(device_.vfs()
+                  .write_file(os::Principal::system(),
+                              "/data/data/com.example.app/lib/libhook.so",
+                              hook_lib_bytes())
+                  .ok());
+  core::CodeInterceptor interceptor(*vm_);
+  std::string loaded_path;
+  auto& hooks = vm_->instrumentation();
+  hooks.on_native_load = [&, logged = hooks.on_native_load](
+                             const std::string& path,
+                             const StackTrace& trace) {
+    loaded_path = path;
+    logged(path, trace);
+  };
+  auto main = vm_->instantiate("com.example.app.Main");
+  (void)vm_->call_method(main, "go");
+  EXPECT_EQ(loaded_path, "/data/data/com.example.app/lib/libhook.so");
+  ASSERT_EQ(interceptor.events().size(), 1u);
+  const auto& event = interceptor.events()[0];
+  EXPECT_EQ(event.kind, core::CodeKind::Native);
+  EXPECT_EQ(event.call_site_class, "com.example.app.Main");
+  EXPECT_EQ(event.paths, std::vector<std::string>{
+                             "/data/data/com.example.app/lib/libhook.so"});
+}
+
+TEST_F(VmTest, RuntimeLoadInstanceFormIsHooked) {
+  expect_runtime_load_hooked("load",
+                             "/data/data/com.example.app/lib/libhook.so");
+}
+
+TEST_F(VmTest, RuntimeLoadLibraryInstanceFormIsHooked) {
+  expect_runtime_load_hooked("loadLibrary", "hook");
 }
 
 TEST_F(VmTest, MissingNativeLibraryThrows) {
@@ -815,9 +955,9 @@ TEST_F(VmTest, ApiCallHookSeesFrameworkInvocations) {
       .done();
   boot(b.build());
   std::vector<std::string> calls;
-  vm_->instrumentation().on_api_call = [&](const std::string& c,
-                                           const std::string& m2) {
-    calls.push_back(c + "." + m2);
+  vm_->instrumentation().on_api_call = [&](std::string_view c,
+                                           std::string_view m2) {
+    calls.push_back(std::string(c) + "." + std::string(m2));
   };
   (void)vm_->call_static("com.example.app.P", "f");
   EXPECT_NE(std::find(calls.begin(), calls.end(),
@@ -845,9 +985,8 @@ TEST_F(VmTest, AssetOpenReadsInstalledApkEntry) {
   apk.put("assets/blob.bin", to_bytes("asset-payload"));
   apk.sign("test-key");
   ASSERT_TRUE(device_.install(apk).ok());
-  AppContext app;
-  app.manifest = man;
-  vm_ = std::make_unique<Vm>(device_, std::move(app));
+  manifest_ = man;
+  vm_ = std::make_unique<Vm>(device_, manifest_);
   vm_->load_app(std::make_shared<const dex::DexFile>(*apk.read_classes_dex()));
 
   auto main = vm_->instantiate("com.example.app.Main");

@@ -10,8 +10,8 @@
 //               [--journal PATH | --resume PATH] [--cache DIR]
 //       Run the full pipeline on one app; print the JSON report. With a
 //       journal the finished outcome is appended to the write-ahead log;
-//       with --resume (same --seed and --faults) a journaled outcome is
-//       replayed instead of re-run.
+//       with --resume (same --seed, --faults, --host and --companion) a
+//       journaled outcome is replayed instead of re-run.
 //       With --cache the outcome is served from / inserted into the
 //       content-addressed result cache (docs/CACHE.md).
 //
@@ -498,11 +498,17 @@ int cmd_analyze(const Args& args) {
   const bool isolate = configure_isolation("analyze", args, runner_config);
   const core::DyDroid pipeline(std::move(options));
   const driver::CorpusRunner runner(pipeline, runner_config);
-  // The journal's metadata pins the fault plan and the record the seed.
+  // The journal's metadata pins the fault plan and the record the seed;
+  // the app's scenario (--host, --companion) is part of the job itself.
+  std::string scenario_flags;
+  for (const auto& [url, file] : args.hosts) {
+    scenario_flags += " --host " + url + " " + file;
+  }
+  scenario_flags += resume_flags(args, {"companion", "faults"});
   const std::string resume_hint = support::format(
       "  resume with: dydroid analyze %s --seed %llu%s --resume %s\n",
       args.positional[0].c_str(), static_cast<unsigned long long>(*job.seed),
-      resume_flags(args, {"faults"}).c_str(), journal_path.c_str());
+      scenario_flags.c_str(), journal_path.c_str());
   driver::CorpusResult result;
   try {
     StopSignalRestorer restore;

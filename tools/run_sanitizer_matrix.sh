@@ -9,7 +9,13 @@
 #
 #   tools/run_sanitizer_matrix.sh asan -- -L tier1
 #
-# runs only the fast tier-1 suite under AddressSanitizer, and
+# runs only the fast tier-1 suite under AddressSanitizer,
+#
+#   tools/run_sanitizer_matrix.sh asan -- -L vm
+#
+# runs the MiniDalvik suites (interpreter, frameworks, taint, monkey,
+# behaviours) with LeakSanitizer on: the Vm frees its whole heap, cycles
+# an app built included, when it dies. And
 #
 #   tools/run_sanitizer_matrix.sh tsan -- -L isolate
 #
