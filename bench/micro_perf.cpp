@@ -28,6 +28,7 @@
 #include "obfuscation/packer.hpp"
 #include "privacy/flowdroid.hpp"
 #include "support/hash.hpp"
+#include "support/hash_kernels.hpp"
 #include "support/log.hpp"
 
 using namespace dydroid;
@@ -128,6 +129,36 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(2048)->Arg(65536);
+
+// CRC-32, the check on every journal, cache-store and RPC frame
+// (docs/CHECKPOINT.md §1): 2 KiB is a few cache records, 64 KiB a large
+// frame. BM_Crc32 reports the selected kernel's MB/s, BM_Crc32Portable the
+// slicing-by-8 loop's on the same bytes.
+support::Bytes random_bytes(std::int64_t size) {
+  support::Bytes data(static_cast<std::size_t>(size));
+  support::Rng rng(5);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+  return data;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const support::Bytes data = random_bytes(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(2048)->Arg(65536);
+
+void BM_Crc32Portable(benchmark::State& state) {
+  const support::Bytes data = random_bytes(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::crc32_detail::update_portable(
+        0xffffffffu, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Portable)->Arg(2048)->Arg(65536);
 
 void BM_Decompile(benchmark::State& state) {
   const auto app = make_ad_app();

@@ -30,25 +30,34 @@ bool persist_blob(const std::string& dir, const support::Sha256Digest& digest,
 
 }  // namespace
 
-void BinaryDedupStore::absorb(const core::AppReport& report) {
+std::vector<PayloadDigest> digest_payloads(const core::AppReport& report) {
+  std::vector<PayloadDigest> payloads;
+  payloads.reserve(report.binaries.size());
   for (const auto& binary_report : report.binaries) {
     const core::InterceptedBinary& binary = binary_report.binary;
-    const auto digest = support::sha256(binary.bytes.span());
+    payloads.push_back(
+        {support::sha256(binary.bytes.span()), binary.kind, binary.bytes});
+  }
+  return payloads;
+}
+
+void BinaryDedupStore::absorb(std::span<const PayloadDigest> payloads) {
+  for (const PayloadDigest& payload : payloads) {
     ++stats_.total;
-    stats_.total_bytes += binary.bytes.size();
-    auto [it, fresh] = counts_.emplace(digest, 0);
+    stats_.total_bytes += payload.bytes.size();
+    auto [it, fresh] = counts_.emplace(payload.digest, 0);
     ++it->second;
     if (it->second > stats_.max_reuse) stats_.max_reuse = it->second;
     if (!fresh) continue;
     ++stats_.unique;
-    stats_.unique_bytes += binary.bytes.size();
-    if (binary.kind == core::CodeKind::Dex) {
+    stats_.unique_bytes += payload.bytes.size();
+    if (payload.kind == core::CodeKind::Dex) {
       ++stats_.unique_dex;
     } else {
       ++stats_.unique_native;
     }
     if (blob_dir_ready() &&
-        persist_blob(blob_dir_, digest, binary.bytes.span())) {
+        persist_blob(blob_dir_, payload.digest, payload.bytes.span())) {
       ++stats_.blobs_written;
     }
   }
@@ -70,11 +79,6 @@ bool BinaryDedupStore::blob_dir_ready() {
     blob_dir_made_ = true;
   }
   return true;
-}
-
-std::size_t BinaryDedupStore::reuse(const support::Sha256Digest& digest) const {
-  const auto it = counts_.find(digest);
-  return it == counts_.end() ? 0 : it->second;
 }
 
 }  // namespace dydroid::driver

@@ -13,15 +13,22 @@
 // persisted content-addressed under DIR/blobs/<hex-digest>.bin — a binary
 // already on disk is never written again, across runs.
 //
-// Thread-safety: none. The runner absorbs outcomes in corpus order after
+// The SHA-256 of each payload is taken by the worker that ran its app, as
+// the app finishes (digest_payloads, a pure function); the store only folds
+// the digests.
+//
+// Thread-safety: none. The runner absorbs the digests in corpus order after
 // the worker pool joins, which also makes every stat deterministic.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/pipeline.hpp"
+#include "support/blob.hpp"
 #include "support/hash.hpp"
 
 namespace dydroid::driver {
@@ -43,6 +50,19 @@ struct BinaryDedupStats {
   }
 };
 
+/// One intercepted payload as the dedup table sees it: its content digest,
+/// its kind and its bytes (a view shared with the app's report, for
+/// persisting a first occurrence).
+struct PayloadDigest {
+  support::Sha256Digest digest;
+  core::CodeKind kind = core::CodeKind::Dex;
+  support::Blob bytes;
+};
+
+/// Digest every intercepted payload of one finished app, in report order.
+[[nodiscard]] std::vector<PayloadDigest> digest_payloads(
+    const core::AppReport& report);
+
 /// Content-addressed table of every intercepted binary in a corpus run.
 class BinaryDedupStore {
  public:
@@ -52,14 +72,10 @@ class BinaryDedupStore {
   explicit BinaryDedupStore(std::string blob_dir)
       : blob_dir_(std::move(blob_dir)) {}
 
-  /// Absorb every intercepted binary of one finished app.
-  void absorb(const core::AppReport& report);
+  /// Absorb every intercepted binary of one finished app, as
+  /// digest_payloads returned them.
+  void absorb(std::span<const PayloadDigest> payloads);
 
-  [[nodiscard]] bool contains(const support::Sha256Digest& digest) const {
-    return counts_.find(digest) != counts_.end();
-  }
-  /// Interceptions recorded for one payload digest (0 = never seen).
-  [[nodiscard]] std::size_t reuse(const support::Sha256Digest& digest) const;
   [[nodiscard]] const BinaryDedupStats& stats() const { return stats_; }
 
  private:

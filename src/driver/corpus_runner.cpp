@@ -734,20 +734,24 @@ class JournalSink {
 
 /// Reduce the stats once, in corpus order: deterministic counts *and*
 /// deterministic floating-point sums, independent of worker count and of
-/// which outcomes were replayed vs. analyzed. The same ordered pass feeds
-/// the corpus-wide unique-binary dedup table (docs/CACHE.md), so its stats
-/// — and which run first persists a shared blob — are deterministic too.
-void reduce_in_corpus_order(const std::string& cache_dir,
-                            CorpusResult& result) {
-  // Serial, after the workers join: the stats fold and the dedup SHA-256
-  // of every intercepted payload.
+/// which outcomes were replayed vs. analyzed. The same ordered pass folds
+/// the workers' payload digests into the corpus-wide unique-binary dedup
+/// table (docs/CACHE.md), so its stats — and which run first persists a
+/// shared blob — are deterministic too.
+void reduce_in_corpus_order(
+    const std::string& cache_dir,
+    std::span<const std::vector<PayloadDigest>> payloads,
+    CorpusResult& result) {
+  // Serial, after the workers join: the stats fold and the dedup fold of
+  // digests the workers already took.
   const support::Span reduce_span("runner", "reduce");
   BinaryDedupStore dedup(cache_dir.empty() ? std::string{}
                                            : cache_dir + "/blobs");
-  for (const auto& outcome : result.outcomes) {
+  for (std::size_t index = 0; index < result.outcomes.size(); ++index) {
+    const AppOutcome& outcome = result.outcomes[index];
     if (!outcome.completed) continue;
     result.stats.absorb(outcome);
-    dedup.absorb(outcome.report);
+    dedup.absorb(payloads[index]);
     if (outcome.replayed) {
       ++result.replayed;
     } else {
@@ -928,6 +932,9 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   // and aborts are polled between apps only: an in-flight app always
   // finishes and is journaled.
   AttemptExecutor executor(*pipeline_, config_, jobs, result.threads);
+  // Each completed app's payload digests for the dedup table, taken by the
+  // worker that ran or replayed it while its report is still hot.
+  std::vector<std::vector<PayloadDigest>> payloads(jobs.size());
   std::atomic<std::size_t> next{0};
   const auto worker = [&](std::size_t worker_id) {
     for (;;) {
@@ -939,7 +946,10 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
       if (slot >= shard_apps) break;
       const std::size_t index = global_index_of(slot);
-      if (done[index]) continue;  // replayed from the resume journal
+      if (done[index]) {  // replayed from the resume journal
+        payloads[index] = digest_payloads(result.outcomes[index].report);
+        continue;
+      }
       AppOutcome& outcome = result.outcomes[index];
       const std::uint64_t seed = job_seed(jobs, config_.seed_base, index);
       // Ambient tagging for the cache and journal spans (the per-attempt
@@ -949,6 +959,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       cache.process(jobs[index], seed, outcome, [&] {
         executor.analyze_app(outcome, seed, index, worker_id);
       });
+      // Outside the attempt's wall clock: wall_ms stays the analysis's.
+      payloads[index] = digest_payloads(outcome.report);
       if (!journal.append(index, outcome)) break;
     }
     // Retire this thread's pooled worker on every way out of the loop —
@@ -965,8 +977,16 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
     }
     pool.clear();  // join
   }
+  // A stopped or aborted run leaves the replayed slots past the last claim
+  // undigested: no worker reached them.
+  for (std::size_t slot = next.load(); slot < shard_apps; ++slot) {
+    const std::size_t index = global_index_of(slot);
+    if (done[index]) {
+      payloads[index] = digest_payloads(result.outcomes[index].report);
+    }
+  }
 
-  reduce_in_corpus_order(config_.cache_dir, result);
+  reduce_in_corpus_order(config_.cache_dir, payloads, result);
 
   // Seal the journal and the cache before reporting the run's fate:
   // whatever happens next (return or throw), the files on disk are

@@ -34,27 +34,32 @@ support::Bytes encode_record(const CacheKey& key,
   return w.take();
 }
 
-struct DecodedRecord {
+/// A record's key and outcome payload, read in place: the payload is a
+/// slice of the record, so nothing is copied out of the store buffer.
+struct RecordView {
   CacheKey key;
-  support::Bytes outcome_payload;
+  support::Blob outcome_payload;
 };
 
 /// Throws support::ParseError on truncation / version mismatch.
-DecodedRecord decode_record(std::span<const std::uint8_t> payload) {
-  support::ByteReader r(payload);
+RecordView view_record(const support::Blob& record) {
+  support::ByteReader r(record);
   const std::uint8_t version = r.u8();
   if (version != kCacheCodecVersion) {
     throw support::ParseError("cache: unsupported record version " +
                               std::to_string(version));
   }
-  DecodedRecord out;
-  const auto apk = r.raw(32);
-  const auto config = r.raw(32);
+  RecordView out;
+  const auto apk = r.view(32);
+  const auto config = r.view(32);
   std::copy(apk.begin(), apk.end(), out.key.apk.bytes.begin());
   std::copy(config.begin(), config.end(), out.key.config.bytes.begin());
   out.key.seed = r.u64();
-  out.outcome_payload = r.blob();
+  const std::uint32_t length = r.u32();
+  const std::size_t offset = r.position();
+  (void)r.view(length);
   if (!r.at_end()) throw support::ParseError("cache: trailing record bytes");
+  out.outcome_payload = record.slice(offset, length);
   return out;
 }
 
@@ -95,10 +100,15 @@ support::Result<ResultCache> ResultCache::open(
         return support::Result<ResultCache>::failure(truncated.error());
       }
     }
-    for (const auto& record : read.value().records) {
-      DecodedRecord decoded;
+    const auto& records = read.value().records;
+    // Room for the loaded entries and as many inserts again: growing the
+    // index rehashes every entry, and an insert would do that under the
+    // lock, stalling every worker's lookups.
+    cache.index_.reserve(2 * records.size());
+    for (const support::Blob& record : records) {
+      RecordView view;
       try {
-        decoded = decode_record(record);
+        view = view_record(record);
       } catch (const support::ParseError&) {
         // CRC-intact but semantically unreadable (foreign codec version,
         // truncated fields): skip and recompute — never crash.
@@ -106,27 +116,24 @@ support::Result<ResultCache> ResultCache::open(
         cache.dirty_ = true;
         continue;
       }
-      if (decoded.key.config != expected_config) {
+      if (view.key.config != expected_config) {
         ++cache.stats_.invalidated;
         cache.dirty_ = true;
         continue;
       }
       // Last writer wins on duplicate keys (same rule as journal replay);
       // a later record also refreshes recency.
-      auto it = cache.index_.find(decoded.key);
-      if (it != cache.index_.end()) {
-        cache.payload_bytes_ -= it->second.payload.size();
-        cache.payload_bytes_ += decoded.outcome_payload.size();
-        it->second.payload = std::move(decoded.outcome_payload);
-        cache.lru_.splice(cache.lru_.end(), cache.lru_, it->second.lru_it);
-        cache.dirty_ = true;  // duplicate frames on disk
+      const auto [it, fresh] = cache.index_.try_emplace(view.key);
+      Entry& entry = it->second;
+      if (fresh) {
+        entry.lru_it = cache.lru_.insert(cache.lru_.end(), view.key);
       } else {
-        const auto lru_it =
-            cache.lru_.insert(cache.lru_.end(), decoded.key);
-        cache.payload_bytes_ += decoded.outcome_payload.size();
-        cache.index_.emplace(decoded.key,
-                             Entry{std::move(decoded.outcome_payload), lru_it});
+        cache.payload_bytes_ -= entry.payload.size();
+        cache.lru_.splice(cache.lru_.end(), cache.lru_, entry.lru_it);
+        cache.dirty_ = true;  // duplicate frames on disk
       }
+      cache.payload_bytes_ += view.outcome_payload.size();
+      entry.payload = std::move(view.outcome_payload);
     }
     cache.stats_.loaded = cache.index_.size();
     if (cache.stats_.invalidated > 0) {
@@ -167,10 +174,12 @@ ResultCache::~ResultCache() {
 }
 
 std::optional<AppOutcome> ResultCache::lookup(const CacheKey& key) {
-  // The lock covers only the index: find, copy the payload, refresh
-  // recency, count. Decoding (microseconds per hit) runs unlocked, so the
-  // workers' hits do not queue behind each other.
-  support::Bytes payload;
+  // The lock covers only the index: find, copy the payload's Blob (a
+  // refcount bump, never its bytes), refresh recency, count. Decoding
+  // (microseconds per hit) runs unlocked, so the workers' hits do not queue
+  // behind each other; the Blob keeps its bytes alive even if another
+  // worker overwrites or drops the entry meanwhile.
+  support::Blob payload;
   {
     std::lock_guard<std::mutex> lock(*mutex_);
     if (support::fault_fire(support::FaultSite::kCacheRead)) {
@@ -187,7 +196,7 @@ std::optional<AppOutcome> ResultCache::lookup(const CacheKey& key) {
       return std::nullopt;
     }
     payload = it->second.payload;
-    touch_locked(it->second, key);
+    touch_locked(it->second);
     ++stats_.hits;
   }
   DecodedOutcome decoded;
@@ -208,10 +217,12 @@ std::optional<AppOutcome> ResultCache::lookup(const CacheKey& key) {
 }
 
 void ResultCache::insert(const CacheKey& key, const AppOutcome& outcome) {
+  // Encoding needs no lock: only the append and the index update do.
+  support::Bytes encoded = encode_outcome(0, outcome);
+  const support::Bytes record = encode_record(key, encoded);
+  support::Blob payload = support::Blob::take(std::move(encoded));
   std::lock_guard<std::mutex> lock(*mutex_);
   if (!writer_.has_value()) return;  // sealed: run is shutting down
-  support::Bytes payload = encode_outcome(0, outcome);
-  const support::Bytes record = encode_record(key, payload);
   const auto appended = writer_->append(record);
   if (!appended.ok()) {
     // cache.write fault or real I/O error: the frame on disk is torn, the
@@ -226,7 +237,7 @@ void ResultCache::insert(const CacheKey& key, const AppOutcome& outcome) {
     payload_bytes_ -= it->second.payload.size();
     payload_bytes_ += payload.size();
     it->second.payload = std::move(payload);
-    touch_locked(it->second, key);
+    touch_locked(it->second);
     dirty_ = true;  // the overwritten frame is now garbage on disk
   } else {
     const auto lru_it = lru_.insert(lru_.end(), key);
@@ -237,15 +248,19 @@ void ResultCache::insert(const CacheKey& key, const AppOutcome& outcome) {
 }
 
 void ResultCache::drop_undecodable(const CacheKey& key,
-                                   const support::Bytes& payload) {
+                                   const support::Blob& payload) {
   std::lock_guard<std::mutex> lock(*mutex_);
   // The lookup counted a hit; it served a miss.
   --stats_.hits;
   ++stats_.misses;
-  // Another worker may have overwritten the entry since the copy: drop it
-  // only if it still holds the bytes that failed.
+  // Another worker may have overwritten the entry since the lookup: drop it
+  // only if it still holds the Blob that failed. `payload` keeps its buffer
+  // alive, so an entry viewing the same address views the same bytes.
   const auto it = index_.find(key);
-  if (it == index_.end() || it->second.payload != payload) return;
+  if (it == index_.end() || it->second.payload.data() != payload.data() ||
+      it->second.payload.size() != payload.size()) {
+    return;
+  }
   payload_bytes_ -= it->second.payload.size();
   lru_.erase(it->second.lru_it);
   index_.erase(it);
@@ -253,7 +268,7 @@ void ResultCache::drop_undecodable(const CacheKey& key,
   dirty_ = true;
 }
 
-void ResultCache::touch_locked(Entry& entry, const CacheKey& /*key*/) {
+void ResultCache::touch_locked(Entry& entry) {
   if (std::next(entry.lru_it) == lru_.end()) return;  // already most recent
   lru_.splice(lru_.end(), lru_, entry.lru_it);
   // Bounds are set per run (CacheConfig), not stored with the file, so

@@ -25,6 +25,11 @@
 // max_entries/max_bytes are exceeded and seal() compacts the file to the
 // survivors in LRU order, so recency survives across runs.
 //
+// Memory: open reads the store with one bulk read, and every loaded entry
+// is a slice of that one buffer (support::Blob), so the buffer lives until
+// the last loaded entry is gone — an evicted or invalidated entry frees
+// nothing before the cache closes.
+//
 // Fault sites (docs/FAULTS.md): cache.read fails a lookup (treated as a
 // miss), cache.write fails an insert (the entry is dropped and the frame
 // left genuinely torn). Both degrade, never abort — cached and uncached
@@ -44,6 +49,7 @@
 #include <unordered_map>
 
 #include "driver/corpus_runner.hpp"
+#include "support/blob.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -135,13 +141,15 @@ class ResultCache {
   /// outcome (completed=true, replayed/cache flags cleared — the caller
   /// stamps provenance). A cache.read fault or an entry that no longer
   /// decodes degrades to a miss (the bad entry is dropped). The lock is
-  /// held only to find and copy the entry; decoding runs unlocked.
+  /// held only to find the entry and copy its Blob (a refcount bump);
+  /// decoding runs unlocked.
   [[nodiscard]] std::optional<AppOutcome> lookup(const CacheKey& key);
 
-  /// Insert (or overwrite) one finished outcome. Appends the record to the
-  /// store, then admits it to the index and evicts LRU entries past the
-  /// capacity bounds. A cache.write fault or append error drops the entry
-  /// (counted in write_failures) without failing the run.
+  /// Insert (or overwrite) one finished outcome. Encodes it unlocked, then
+  /// appends the record to the store, admits it to the index and evicts
+  /// LRU entries past the capacity bounds. A cache.write fault or append
+  /// error drops the entry (counted in write_failures) without failing the
+  /// run.
   void insert(const CacheKey& key, const AppOutcome& outcome);
 
   /// Flush and close the store. If entries were evicted, overwritten or
@@ -162,17 +170,19 @@ class ResultCache {
 
  private:
   struct Entry {
-    support::Bytes payload;  // encoded outcome record (codec payload)
+    /// The encoded outcome (codec payload): a slice of the store buffer
+    /// for an entry loaded at open, its own buffer for one inserted since.
+    support::Blob payload;
     std::list<CacheKey>::iterator lru_it;
   };
 
   ResultCache() = default;
 
   void evict_past_bounds_locked();
-  void touch_locked(Entry& entry, const CacheKey& key);
+  void touch_locked(Entry& entry);
   /// Turn a lookup's counted hit into a miss and drop the entry if it
-  /// still holds `payload`, the bytes that failed to decode.
-  void drop_undecodable(const CacheKey& key, const support::Bytes& payload);
+  /// still holds `payload`, the Blob that failed to decode.
+  void drop_undecodable(const CacheKey& key, const support::Blob& payload);
 
   // Behind unique_ptr so the cache stays movable (std::mutex is not).
   std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();

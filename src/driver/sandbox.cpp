@@ -17,26 +17,28 @@ support::Bytes framed(const support::Bytes& payload) {
   return stream.take();
 }
 
-/// Parse one `magic frame` message and hand back the single intact record.
-support::Result<support::Bytes> single_record(
+/// Parse one `magic frame` message and hand back the single intact record,
+/// a slice of one copy of the message.
+support::Result<support::Blob> single_record(
     std::span<const std::uint8_t> data, const char* what) {
   if (data.empty()) {
-    return support::Result<support::Bytes>::failure(
+    return support::Result<support::Blob>::failure(
         std::string("pool: empty ") + what + " message");
   }
-  auto parsed = support::parse_journal(data, kPoolRpcMagic);
+  auto parsed = support::parse_journal(
+      support::Blob::take(support::Bytes(data.begin(), data.end())),
+      kPoolRpcMagic);
   if (!parsed.ok()) {
-    return support::Result<support::Bytes>::failure("pool: " + parsed.error());
+    return support::Result<support::Blob>::failure("pool: " + parsed.error());
   }
-  const auto& read = parsed.value();
+  auto& read = parsed.value();
   if (read.records.size() != 1 || read.torn()) {
-    return support::Result<support::Bytes>::failure(support::format(
+    return support::Result<support::Blob>::failure(support::format(
         "pool: expected one intact %s frame, got %zu record(s) with "
         "%zu damaged trailing byte(s)",
         what, read.records.size(), read.bytes_discarded));
   }
-  return support::Bytes(read.records.front().begin(),
-                        read.records.front().end());
+  return std::move(read.records.front());
 }
 
 }  // namespace

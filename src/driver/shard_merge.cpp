@@ -141,7 +141,7 @@ support::Result<ShardMergeSummary> merge_shard_journals(
   ShardMergeSummary summary;
   // Winning payload per global index (an outcome payload is never empty —
   // it leads with a version byte — so empty means "not covered yet").
-  std::vector<support::Bytes> winners;
+  std::vector<support::Blob> winners;
   std::vector<char> shard_seen;
   std::optional<support::ShardMeta> reference;  // shard_index normalized
 
@@ -232,7 +232,7 @@ support::Result<ShardMergeSummary> merge_shard_journals(
       !stamped.ok()) {
     return MergeResult::failure("merge: " + stamped.error());
   }
-  for (const support::Bytes& record : winners) {
+  for (const support::Blob& record : winners) {
     if (const support::Status appended = out.append(record); !appended.ok()) {
       return MergeResult::failure("merge: " + appended.error());
     }

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "driver/corpus_runner.hpp"
+#include "support/blob.hpp"
 #include "support/error.hpp"
 #include "support/journal.hpp"
 
@@ -45,8 +46,9 @@ struct JournalEntry {
   std::size_t index = 0;
   /// The decoded outcome (completed and replayed set).
   AppOutcome outcome;
-  /// The record payload, verbatim.
-  support::Bytes payload;
+  /// The record payload, verbatim: a slice of the buffer the journal was
+  /// read into (support::read_journal), which it keeps alive.
+  support::Blob payload;
 };
 
 /// An outcome journal that passed read_outcome_journal.

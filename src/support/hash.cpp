@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 
-#include "support/sha256_kernels.hpp"
+#include "support/hash_kernels.hpp"
 
 #if defined(__x86_64__)
 #include <cpuid.h>
@@ -19,9 +19,8 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 /// CRC-32 (zlib polynomial) lookup tables for slicing-by-8: tables[0] is
 /// the classic byte-at-a-time table; tables[j] advances a byte that sits
 /// j positions deeper in the stream. Produces bit-identical CRCs to the
-/// scalar loop while consuming 8 bytes per iteration — the checksum is on
-/// the journal append hot path (docs/CHECKPOINT.md) and in SimApk entry
-/// verification.
+/// scalar loop while consuming 8 bytes per iteration. The portable CRC-32
+/// kernel, and the tail of the PCLMULQDQ one.
 std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
@@ -335,11 +334,16 @@ Sha256Digest sha256(std::string_view s) {
   return hasher.digest();
 }
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
+// ---- CRC-32 ---------------------------------------------------------------
+
+namespace crc32_detail {
+
+std::uint32_t update_portable(std::uint32_t crc, const std::uint8_t* data,
+                              std::size_t size) {
   static const auto tables = make_crc_tables();
-  std::uint32_t c = 0xffffffffu;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
+  std::uint32_t c = crc;
+  const std::uint8_t* p = data;
+  std::size_t n = size;
   while (n >= 8) {
     const std::uint32_t lo = c ^ load_le32(p);
     const std::uint32_t hi = load_le32(p + 4);
@@ -353,7 +357,107 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   while (n-- > 0) {
     c = tables[0][(c ^ *p++) & 0xff] ^ (c >> 8);
   }
-  return c ^ 0xffffffffu;
+  return c;
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+/// One folding step: the 128 bits of `x`, advanced by the distance whose
+/// two constants `k` holds, carry-less-multiplied half by half and added to
+/// `next`, the block that distance ahead.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold(__m128i x,
+                                                             __m128i k,
+                                                             __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x11),
+                                     _mm_clmulepi64_si128(x, k, 0x00)),
+                       next);
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline __m128i load16(
+    const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Carry-less-multiply folding (Gopal et al., Intel 2009), with the
+/// bit-reflected constants Intel published for the IEEE polynomial (the
+/// ones zlib's and the Linux kernel's PCLMULQDQ CRC-32 use): k1/k2 fold a
+/// 128-bit lane 512 bits ahead, k3/k4 128 bits ahead, k5 folds 96 bits to
+/// 64, and the last pair is P(x) and its Barrett quotient mu. Folds every
+/// whole 16-byte block of an input of at least 64 bytes, then hands the
+/// remaining 0..15 bytes (and any shorter input) to the portable loop.
+/// Compiled for that ISA by the target attribute alone; only ever called
+/// after the CPUID check.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t update_pclmul(
+    std::uint32_t crc, const std::uint8_t* data, std::size_t size) {
+  if (size < 64) return update_portable(crc, data, size);
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  const std::uint8_t* p = data;
+  std::size_t n = size & ~std::size_t{15};
+  const std::size_t tail = size - n;
+
+  // Four lanes over the first 64 bytes, the register added into lane 0,
+  // each lane then folded 512 bits ahead onto the next 64 bytes.
+  __m128i lane[4];
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) lane[i] = load16(p + 16 * i);
+  lane[0] = _mm_xor_si128(lane[0], _mm_cvtsi32_si128(static_cast<int>(crc)));
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      lane[i] = fold(lane[i], k1k2, load16(p + 16 * i));
+    }
+  }
+  // The four lanes into one, then each remaining 16-byte block onto it.
+  __m128i x = lane[0];
+  for (int i = 1; i < 4; ++i) x = fold(x, k3k4, lane[i]);
+  for (; n >= 16; p += 16, n -= 16) x = fold(x, k3k4, load16(p));
+  // 128 bits to 64, then 64 to 32 by Barrett reduction.
+  x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k3k4, 0x10));
+  x = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+                    _mm_srli_si128(x, 4));
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
+  x = _mm_xor_si128(x, q);
+  const auto folded = static_cast<std::uint32_t>(_mm_extract_epi32(x, 1));
+  return update_portable(folded, p, tail);
+}
+
+bool cpu_has_pclmul() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ecx & bit_PCLMUL) != 0 && (ecx & bit_SSE4_1) != 0;
+}
+
+}  // namespace
+
+Kernel hardware_kernel() {
+  static const Kernel kernel = cpu_has_pclmul() ? &update_pclmul : nullptr;
+  return kernel;
+}
+
+#else
+
+Kernel hardware_kernel() { return nullptr; }
+
+#endif
+
+Kernel active_kernel() {
+  static const Kernel kernel =
+      hardware_kernel() != nullptr ? hardware_kernel() : &update_portable;
+  return kernel;
+}
+
+}  // namespace crc32_detail
+
+std::uint32_t crc32(std::span<const std::uint8_t> data) {
+  return crc32_detail::active_kernel()(0xffffffffu, data.data(), data.size()) ^
+         0xffffffffu;
 }
 
 }  // namespace dydroid::support

@@ -1,6 +1,13 @@
 // Hashes used across the stack, by strength class:
 //   * CRC-32         — error *detection* (SimApk file table, journal and
 //                      cache frames). Catches bit flips, not adversaries.
+//                      Inputs of 64 bytes and more fold 16 bytes at a time
+//                      with carry-less multiplies (PCLMULQDQ) on x86-64
+//                      CPUs whose CPUID reports PCLMULQDQ and SSE4.1; the
+//                      tail, shorter inputs and every other CPU run the
+//                      portable slicing-by-8 loop
+//                      (support/hash_kernels.hpp). Picked once per
+//                      process, at first use; both give the same CRC.
 //   * FNV-1a (64)    — cheap structural fingerprints for display and
 //                      non-identity bucketing only. 64 bits of non-crypto
 //                      mixing collide under birthday pressure (a corpus of
@@ -19,7 +26,7 @@
 //                      extensions on x86-64 CPUs whose CPUID reports SHA,
 //                      SSSE3 and SSE4.1, and on the portable FIPS 180-4
 //                      loop on every other CPU
-//                      (support/sha256_kernels.hpp). The kernel is picked
+//                      (support/hash_kernels.hpp). The kernel is picked
 //                      once per process, at first use; there is no
 //                      option, and both give the same digest.
 #pragma once
@@ -39,7 +46,8 @@ std::uint64_t fnv1a64(std::string_view s);
 /// Combine two 64-bit hashes (boost::hash_combine style).
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b);
 
-/// CRC-32 (IEEE 802.3 polynomial), used by the SimApk file table.
+/// CRC-32 (IEEE 802.3 polynomial): the SimApk file table and every frame
+/// of the journal layer.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 // ---- SHA-256 (FIPS 180-4) --------------------------------------------------

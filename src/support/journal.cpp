@@ -172,9 +172,10 @@ Status JournalWriter::seal() {
   return status;
 }
 
-Result<JournalReadResult> parse_journal(std::span<const std::uint8_t> data,
+Result<JournalReadResult> parse_journal(const Blob& blob,
                                         const std::array<std::uint8_t, 8>& magic) {
   JournalReadResult result;
+  const std::span<const std::uint8_t> data = blob.span();
   if (data.empty()) return result;  // a fresh, never-written journal
   if (data.size() < magic.size() ||
       std::memcmp(data.data(), magic.data(), magic.size()) != 0) {
@@ -194,7 +195,7 @@ Result<JournalReadResult> parse_journal(std::span<const std::uint8_t> data,
     if (len > data.size() - pos - kJournalFrameOverhead) break;
     const auto payload = data.subspan(pos + kJournalFrameOverhead, len);
     if (crc32(payload) != crc) break;  // bit flip in len, crc or payload
-    result.records.emplace_back(payload.begin(), payload.end());
+    result.records.push_back(blob.slice(pos + kJournalFrameOverhead, len));
     pos += kJournalFrameOverhead + len;
     result.bytes_recovered = pos;
   }
@@ -285,7 +286,8 @@ ShardMeta decode_shard_meta(std::span<const std::uint8_t> payload) {
 Result<JournalReadResult> read_journal(const std::string& path,
                                        const std::array<std::uint8_t, 8>& magic) {
   // One exact-size buffer and one bulk read: a cache store runs to tens of
-  // megabytes, and every cache open, resume and merge starts here.
+  // megabytes, and every cache open, resume and merge starts here. The
+  // buffer becomes the records' one owner; nothing is copied out of it.
   // O_NONBLOCK keeps a FIFO on the path from blocking the open; it changes
   // nothing for a regular file.
   const ReadDescriptor in(static_cast<int>(retry_eintr([&] {
@@ -314,7 +316,7 @@ Result<JournalReadResult> read_journal(const std::string& path,
   // A file cut short since the fstat reads as what is there: the frame
   // walk treats it like any other torn tail.
   data.resize(static_cast<std::size_t>(got));
-  return parse_journal(data, magic);
+  return parse_journal(Blob::take(std::move(data)), magic);
 }
 
 }  // namespace dydroid::support

@@ -36,7 +36,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "support/blob.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -112,7 +114,10 @@ class JournalWriter {
 };
 
 struct JournalReadResult {
-  std::vector<Bytes> records;
+  /// Every intact record's payload, in file order: slices of the one
+  /// buffer the journal was read into, which they keep alive. No record is
+  /// copied out of it.
+  std::vector<Blob> records;
   /// Length of the valid prefix (magic + intact frames).
   std::size_t bytes_recovered = 0;
   /// Trailing bytes dropped by torn-tail / bad-CRC recovery.
@@ -127,7 +132,8 @@ struct JournalReadResult {
 /// naming the path, and a wrong magic fails too — loudly, never as a
 /// silent empty result or an exception; a torn or bit-flipped tail is
 /// recovered per the header rules. The file is read with one bulk read
-/// into an exact-size buffer.
+/// into an exact-size buffer, which becomes one Blob; the records are
+/// slices of it, so the buffer lives as long as any record does.
 /// `magic` selects which frame-layer client the file must belong to
 /// (outcome journal by default; the result cache passes its own).
 Result<JournalReadResult> read_journal(
@@ -139,10 +145,11 @@ Result<JournalReadResult> read_journal(
 /// instead of behind unreadable garbage.
 Status truncate_journal(const std::string& path, std::size_t bytes_recovered);
 
-/// Parse journal bytes already in memory (the reader core; exposed for the
-/// fuzz suite).
+/// Parse journal bytes already in memory (the reader core, shared with the
+/// pool's RPC decoders; exposed for the fuzz suite). The records are
+/// slices of `blob`.
 Result<JournalReadResult> parse_journal(
-    std::span<const std::uint8_t> data,
+    const Blob& blob,
     const std::array<std::uint8_t, 8>& magic = kJournalMagic);
 
 /// Append one CRC frame (len + crc + payload) for `payload` to an

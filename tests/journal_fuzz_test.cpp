@@ -19,6 +19,7 @@
 #include "core/report_json.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
+#include "support/blob.hpp"
 #include "support/error.hpp"
 #include "support/journal.hpp"
 #include "support/log.hpp"
@@ -75,7 +76,7 @@ Bytes sample_journal_bytes() {
 TEST(JournalFuzz, MutatedJournalBytesParseOrFailLoudly) {
   const Bytes intact = sample_journal_bytes();
   {
-    const auto parsed = support::parse_journal(intact);
+    const auto parsed = support::parse_journal(support::Blob::copy_of(intact));
     ASSERT_TRUE(parsed.ok());
     ASSERT_EQ(parsed.value().records.size(), sample_payloads().size());
   }
@@ -85,7 +86,7 @@ TEST(JournalFuzz, MutatedJournalBytesParseOrFailLoudly) {
   int rejected = 0;
   for (int i = 0; i < kIterations; ++i) {
     const auto mutated = appgen::mutate_bytes(intact, rng);
-    const auto parsed = support::parse_journal(mutated);
+    const auto parsed = support::parse_journal(support::Blob::copy_of(mutated));
     if (!parsed.ok()) {
       ++rejected;  // magic destroyed — loud failure, never a silent empty
       continue;
@@ -154,7 +155,7 @@ TEST(JournalFuzz, TruncatedJournalNeverLosesTheValidPrefix) {
   // cuts) and recovered records must be an exact prefix.
   for (std::size_t cut = 0; cut <= intact.size(); cut += 7) {
     const Bytes torn(intact.begin(), intact.begin() + static_cast<long>(cut));
-    const auto parsed = support::parse_journal(torn);
+    const auto parsed = support::parse_journal(support::Blob::copy_of(torn));
     if (!parsed.ok()) {
       ASSERT_LT(cut, support::kJournalMagic.size()) << "cut " << cut;
       continue;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "support/blob.hpp"
 #include "support/hash.hpp"
 #include "support/io.hpp"
 #include "support/journal.hpp"
@@ -220,7 +221,7 @@ TEST(Journal, TornTailRecoversPrefix) {
       intact.size() - (kJournalFrameOverhead + 3);
   for (std::size_t cut = last_frame_start + 1; cut < intact.size(); ++cut) {
     Bytes torn(intact.begin(), intact.begin() + static_cast<long>(cut));
-    const auto parsed = parse_journal(torn);
+    const auto parsed = parse_journal(Blob::copy_of(torn));
     ASSERT_TRUE(parsed.ok()) << "cut at " << cut;
     EXPECT_EQ(parsed.value().records.size(), 2u) << "cut at " << cut;
     EXPECT_TRUE(parsed.value().torn()) << "cut at " << cut;
@@ -238,7 +239,7 @@ TEST(Journal, BitFlipAnywhereInLastFrameDropsOnlyThatRecord) {
     for (int bit = 0; bit < 8; ++bit) {
       Bytes flipped = intact;
       flipped[pos] ^= static_cast<std::uint8_t>(1u << bit);
-      const auto parsed = parse_journal(flipped);
+      const auto parsed = parse_journal(Blob::copy_of(flipped));
       ASSERT_TRUE(parsed.ok()) << "flip at " << pos << " bit " << bit;
       // A flipped length can make the frame look short (torn) or the CRC
       // fail; either way at most the last record is lost and the first two
@@ -256,7 +257,7 @@ TEST(Journal, BitFlipInFirstRecordDropsEverything) {
   Bytes intact = intact_journal(file.path());
   // Corrupt the first payload byte (after magic + len + crc).
   intact[kJournalMagic.size() + kJournalFrameOverhead] ^= 0x01;
-  const auto parsed = parse_journal(intact);
+  const auto parsed = parse_journal(Blob::copy_of(intact));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().records.empty());
   EXPECT_TRUE(parsed.value().torn());
@@ -268,7 +269,7 @@ TEST(Journal, LengthPastEofIsTornNotOverread) {
   // Frame claiming a 4GiB-ish payload with only 2 bytes behind it.
   for (std::uint8_t b : {0xff, 0xff, 0xff, 0x7f}) data.push_back(b);
   for (int i = 0; i < 6; ++i) data.push_back(0xab);
-  const auto parsed = parse_journal(data);
+  const auto parsed = parse_journal(Blob::copy_of(data));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().records.empty());
   EXPECT_TRUE(parsed.value().torn());
@@ -320,10 +321,55 @@ TEST(Journal, RecoveredByteAccountingAddsUp) {
   TempFile file("accounting");
   const Bytes intact = intact_journal(file.path());
   Bytes torn(intact.begin(), intact.end() - 2);
-  const auto parsed = parse_journal(torn);
+  const auto parsed = parse_journal(Blob::copy_of(torn));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().bytes_recovered + parsed.value().bytes_discarded,
             torn.size());
+}
+
+// ---------------------------------------------------------------------------
+// Records are views: slices of the one buffer a read fills.
+// ---------------------------------------------------------------------------
+
+TEST(Journal, RecordsOfOneReadShareOneBuffer) {
+  TempFile file("onebuffer");
+  const Bytes intact = intact_journal(file.path());
+  auto read = read_journal(file.path());
+  ASSERT_TRUE(read.ok());
+  const auto& records = read.value().records;
+  ASSERT_EQ(records.size(), 3u);
+  for (const Blob& record : records) {
+    EXPECT_TRUE(record.shares_buffer_with(records.front()));
+  }
+  // parse_journal slices the caller's buffer the same way.
+  const Blob bytes = Blob::copy_of(intact);
+  const auto parsed = parse_journal(bytes);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed.value().records.size(), 3u);
+  for (const Blob& record : parsed.value().records) {
+    EXPECT_TRUE(record.shares_buffer_with(bytes));
+  }
+}
+
+TEST(Journal, RecordOutlivesItsReadResult) {
+  TempFile file("outlive");
+  const Bytes intact = intact_journal(file.path());
+  Blob kept;
+  {
+    auto read = read_journal(file.path());
+    ASSERT_TRUE(read.ok());
+    ASSERT_EQ(read.value().records.size(), 3u);
+    kept = read.value().records[1];
+  }  // the read result and every other record are gone
+  // Re-framed, the record is its frame on disk byte for byte: the second
+  // frame, behind the magic and the 4-byte first record's frame.
+  ByteWriter framed;
+  encode_frame(framed, kept);
+  const std::size_t second = kJournalMagic.size() + kJournalFrameOverhead + 4;
+  ASSERT_LE(second + framed.size(), intact.size());
+  EXPECT_EQ(framed.data(),
+            Bytes(intact.begin() + static_cast<long>(second),
+                  intact.begin() + static_cast<long>(second + framed.size())));
 }
 
 // ---------------------------------------------------------------------------

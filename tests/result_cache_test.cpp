@@ -790,6 +790,111 @@ TEST(CacheEquivalence, DedupStatsAndBlobStoreAreConsistent) {
   EXPECT_EQ(uncached.dedup.blobs_written, 0u);
 }
 
+/// Every BinaryDedupStats field.
+void expect_same_dedup(const BinaryDedupStats& got,
+                       const BinaryDedupStats& want, const std::string& run) {
+  EXPECT_EQ(got.total, want.total) << run;
+  EXPECT_EQ(got.unique, want.unique) << run;
+  EXPECT_EQ(got.unique_dex, want.unique_dex) << run;
+  EXPECT_EQ(got.unique_native, want.unique_native) << run;
+  EXPECT_EQ(got.total_bytes, want.total_bytes) << run;
+  EXPECT_EQ(got.unique_bytes, want.unique_bytes) << run;
+  EXPECT_EQ(got.max_reuse, want.max_reuse) << run;
+  EXPECT_EQ(got.blobs_written, want.blobs_written) << run;
+}
+
+// gcc 12's AddressSanitizer allocator has no fork handler: a pool worker
+// forked by one driver thread while another allocates can deadlock in the
+// child (docs/ISOLATION.md §6). Under ASan the pooled runs below therefore
+// fork from one driver thread only; every other build runs them at 2 and
+// 8 workers too.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::size_t kMaxPooledWorkers = 1;
+#else
+constexpr std::size_t kMaxPooledWorkers = 8;
+#endif
+
+TEST(CacheEquivalence, DedupStatsMatchAtAnyWorkerCountAndAcrossResume) {
+  // The dedup table counts every completed app's payloads exactly once, in
+  // corpus order, however the app completed: analyzed in a thread or a
+  // pooled worker, served by the cache, or replayed from a journal.
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus(0.003);
+  const std::size_t n = corpus.apps.size();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  RunnerConfig golden_config;
+  golden_config.jobs = 1;
+  const BinaryDedupStats golden =
+      CorpusRunner(pipeline, golden_config).run(corpus).dedup;
+  ASSERT_GT(golden.total, golden.unique) << "no payload repeats";
+  ASSERT_EQ(golden.blobs_written, 0u);
+  // A cold cached run persists each unique payload once.
+  BinaryDedupStats persisted = golden;
+  persisted.blobs_written = golden.unique;
+
+  for (const IsolationMode mode : {IsolationMode::kOff, IsolationMode::kPool}) {
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      if (mode == IsolationMode::kPool && workers > kMaxPooledWorkers) break;
+      const std::string run = std::string(mode == IsolationMode::kPool
+                                              ? "pool"
+                                              : "thread") +
+                              " workers=" + std::to_string(workers);
+      RunnerConfig config;
+      config.jobs = workers;
+      config.isolation_mode = mode;
+      expect_same_dedup(CorpusRunner(pipeline, config).run(corpus).dedup,
+                        golden, run + " uncached");
+
+      TempCacheDir dir("dedup_" + run.substr(0, 4) + std::to_string(workers));
+      config.cache_dir = dir.path();
+      const auto cold = CorpusRunner(pipeline, config).run(corpus);
+      EXPECT_EQ(cold.stats.cache_misses, n) << run;
+      expect_same_dedup(cold.dedup, persisted, run + " cold");
+      const auto warm = CorpusRunner(pipeline, config).run(corpus);
+      EXPECT_EQ(warm.stats.cache_hits, n) << run;
+      expect_same_dedup(warm.dedup, golden, run + " warm");
+    }
+  }
+
+  // A journaled run killed on the k-th append, then resumed: the k
+  // replayed outcomes count like analyzed ones. driver.kill is not
+  // fingerprinted, so the journal resumes under the same configuration.
+  const std::size_t k = (2 * n) / 3;
+  auto plan = support::FaultPlan::parse("driver.kill=nth:" + std::to_string(k));
+  ASSERT_TRUE(plan.ok());
+  core::PipelineOptions kill_options;
+  kill_options.faults = &plan.value();
+  const core::DyDroid killing(std::move(kill_options));
+  for (const IsolationMode mode : {IsolationMode::kOff, IsolationMode::kPool}) {
+    const std::string run =
+        mode == IsolationMode::kPool ? "pool resume" : "thread resume";
+    TempJournal journal("dedup_" + run.substr(0, 4));
+    RunnerConfig config;
+    config.jobs = mode == IsolationMode::kPool
+                      ? std::min<std::size_t>(2, kMaxPooledWorkers)
+                      : 2;
+    config.isolation_mode = mode;
+    config.journal_path = journal.path();
+    EXPECT_THROW((void)CorpusRunner(killing, config).run(corpus), RunAborted)
+        << run;
+    config.resume = true;
+    // A resume stopped before it claims a slot still counts its replays.
+    const std::atomic<bool> stop{true};
+    config.stop = &stop;
+    const auto stopped = CorpusRunner(killing, config).run(corpus);
+    EXPECT_TRUE(stopped.interrupted) << run;
+    EXPECT_EQ(stopped.replayed, k) << run;
+    EXPECT_GT(stopped.stats.binaries, 0u) << run;
+    EXPECT_EQ(stopped.dedup.total, stopped.stats.binaries) << run;
+    config.stop = nullptr;
+    const auto resumed = CorpusRunner(killing, config).run(corpus);
+    EXPECT_EQ(resumed.replayed, k) << run;
+    EXPECT_EQ(resumed.completed(), n) << run;
+    expect_same_dedup(resumed.dedup, golden, run);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Interplay with the write-ahead journal (docs/CHECKPOINT.md): a journaled
 // run killed mid-corpus resumes against a warm cache to a result

@@ -287,7 +287,7 @@ TEST(ShardMerge, MergedJournalLeadsWithMetadataAndPreservesBytes) {
     shard_meta = support::decode_shard_meta(read.value().records.front());
     for (std::size_t i = 1; i < read.value().records.size(); ++i) {
       const auto& record = read.value().records[i];
-      expected[decode_outcome(record).index] = record;
+      expected[decode_outcome(record).index] = record.to_bytes();
     }
   }
 

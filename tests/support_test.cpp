@@ -6,11 +6,13 @@
 #include <cstdint>
 #include <span>
 
+#include "support/blob.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/hash_kernels.hpp"
+#include "support/journal.hpp"
 #include "support/rng.hpp"
-#include "support/sha256_kernels.hpp"
 #include "support/strings.hpp"
 
 namespace dydroid::support {
@@ -165,6 +167,57 @@ TEST(Hash, Sha256HardwareKernelMatchesPortable) {
       pos += take;
     }
     ASSERT_EQ(chunked.digest(), reference) << "chunked, length " << len;
+  }
+}
+
+// The PCLMULQDQ CRC-32 kernel against the slicing-by-8 loop: every length
+// from 0 to 2,048 bytes at buffer offsets 0, 1 and 7 (below the 64-byte
+// folding threshold, one to 128 whole blocks, every tail length and
+// alignment), and every frame of a generated journal.
+TEST(Hash, Crc32HardwareKernelMatchesPortable) {
+  const crc32_detail::Kernel hardware = crc32_detail::hardware_kernel();
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "CPUID reports no PCLMULQDQ (or no SSE4.1); only the "
+                    "portable kernel runs here";
+  }
+  EXPECT_EQ(crc32_detail::active_kernel(), hardware);
+  const auto portable = [](std::span<const std::uint8_t> bytes) {
+    return crc32_detail::update_portable(0xffffffffu, bytes.data(),
+                                         bytes.size()) ^
+           0xffffffffu;
+  };
+  Rng rng(0xc7c32);
+  Bytes data(2048 + 7);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+  for (const std::size_t offset :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+    for (std::size_t len = 0; len + offset <= data.size() && len <= 2048;
+         ++len) {
+      const std::span<const std::uint8_t> message(data.data() + offset, len);
+      const std::uint32_t reference = portable(message);
+      ASSERT_EQ(hardware(0xffffffffu, message.data(), len) ^ 0xffffffffu,
+                reference)
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(crc32(message), reference)
+          << "offset " << offset << " length " << len;
+    }
+  }
+
+  ByteWriter journal;
+  journal.raw(kJournalMagic);
+  for (int i = 0; i < 300; ++i) {
+    Bytes payload(static_cast<std::size_t>(rng.below(3000)));
+    for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next());
+    encode_frame(journal, payload);
+  }
+  const auto parsed = parse_journal(Blob::take(journal.take()));
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  ASSERT_EQ(parsed.value().records.size(), 300u);
+  for (const Blob& record : parsed.value().records) {
+    ASSERT_EQ(hardware(0xffffffffu, record.data(), record.size()) ^
+                  0xffffffffu,
+              portable(record))
+        << "frame of " << record.size() << " bytes";
   }
 }
 

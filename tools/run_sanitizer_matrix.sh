@@ -15,7 +15,13 @@
 #
 # runs the MiniDalvik suites (interpreter, frameworks, taint, monkey,
 # behaviours) with LeakSanitizer on: the Vm frees its whole heap, cycles
-# an app built included, when it dies. And
+# an app built included, when it dies,
+#
+#   tools/run_sanitizer_matrix.sh asan -- -L journal
+#
+# runs every suite that reads the CRC frame layer (journal, kill/resume,
+# shard merge, result cache, and their fuzz belts): their records are
+# slices of one read buffer that must outlive every record. And
 #
 #   tools/run_sanitizer_matrix.sh tsan -- -L isolate
 #
