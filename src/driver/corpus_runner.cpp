@@ -88,20 +88,25 @@ void set_crash(core::AppReport& report, std::string message) {
 /// Restore the outcomes recorded in the resume journal into `outcomes` and
 /// mark their slots in `done` (workers skip them). On top of
 /// read_outcome_journal's checks, the journal's metadata must match this
-/// run's and every record must carry its job's seed — any disagreement
-/// fails loudly, never a silent re-run. A torn tail is chopped off so this
-/// run's appends land after the last intact frame. Returns false when the
-/// journal holds no intact record yet (it is then stamped like a fresh
-/// one).
+/// run's and every record must carry its job's seed and digest — the
+/// lowest disagreeing index fails loudly, never a silent re-run. A torn
+/// tail is chopped off so this run's appends land after the last intact
+/// frame. Returns false when the journal holds no intact record yet (it is
+/// then stamped like a fresh one).
 bool replay_journal(const RunnerConfig& config, const support::ShardMeta& meta,
                     std::span<const AppJob> jobs,
                     std::vector<AppOutcome>& outcomes,
                     std::vector<char>& done) {
-  auto read = read_outcome_journal(config.journal_path);
+  auto read = read_outcome_journal(
+      config.journal_path, [&](std::size_t index, AppOutcome&& outcome) {
+        if (index >= jobs.size()) return;  // refused by the metadata check
+        outcomes[index] = std::move(outcome);
+        done[index] = 1;
+      });
   if (!read.ok()) {
     throw std::runtime_error("runner: resume failed: " + read.error());
   }
-  OutcomeJournal& journal = read.value();
+  const OutcomeRecords& journal = read.value();
   if (journal.meta.has_value()) {
     if (const std::string mismatch =
             describe_shard_meta_mismatch(*journal.meta, meta);
@@ -111,24 +116,31 @@ bool replay_journal(const RunnerConfig& config, const support::ShardMeta& meta,
           mismatch);
     }
   }
-  for (JournalEntry& entry : journal.entries) {
-    const std::uint64_t seed = job_seed(jobs, config.seed_base, entry.index);
-    if (entry.outcome.seed != seed) {
+  for (std::size_t index = 0; index < jobs.size(); ++index) {
+    if (!done[index]) continue;
+    const std::uint64_t seed = job_seed(jobs, config.seed_base, index);
+    if (outcomes[index].seed != seed) {
       throw std::runtime_error(support::format(
           "runner: resume failed: app %zu was journaled with seed %llu but "
           "this run derives seed %llu (different seed base or corpus?)",
-          entry.index, static_cast<unsigned long long>(entry.outcome.seed),
+          index, static_cast<unsigned long long>(outcomes[index].seed),
           static_cast<unsigned long long>(seed)));
     }
-    outcomes[entry.index] = std::move(entry.outcome);
-    done[entry.index] = 1;
+    const support::Sha256Digest job = job_digest(jobs[index]);
+    if (outcomes[index].job != job) {
+      throw std::runtime_error(support::format(
+          "runner: resume failed: app %zu was journaled for job %s... but "
+          "this run's job is %s... (a different APK or scenario?)",
+          index, outcomes[index].job.hex().substr(0, 16).c_str(),
+          job.hex().substr(0, 16).c_str()));
+    }
   }
   if (journal.bytes_discarded > 0) {
     support::log_warn(
         "driver",
         support::format("journal %s: recovered %zu outcome(s), dropped %zu "
                         "torn/corrupt tail byte(s)",
-                        config.journal_path.c_str(), journal.entries.size(),
+                        config.journal_path.c_str(), journal.records.size(),
                         journal.bytes_discarded));
     // Chop the damaged tail off before reopening for append, so the
     // records this run writes land after the last *intact* frame (an
@@ -617,12 +629,9 @@ class CacheTier {
       return;
     }
     support::count("cache.miss");
+    outcome.job = key.apk;
     analyze();
     outcome.cache_checked = true;
-    // A sandbox-killed outcome is a fact about the sandbox environment
-    // (limits, deadline, external kills), not about the app content the
-    // key addresses — never cache it; the app recomputes next run.
-    if (outcome.sandbox_fate != SandboxFate::kNone) return;
     const DriverFaultGuard guard(faults_);
     cache_->insert(key, outcome);
   }
@@ -956,6 +965,10 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       // spans install their own nested context with the attempt ordinal).
       const support::TraceContextScope trace_context(
           trace_app_id(index), 0, static_cast<std::uint32_t>(worker_id));
+      // One digest per app: the cache tier takes it in its lookup span.
+      if (journal.active() && !cache.active()) {
+        outcome.job = job_digest(jobs[index]);
+      }
       cache.process(jobs[index], seed, outcome, [&] {
         executor.analyze_app(outcome, seed, index, worker_id);
       });

@@ -125,6 +125,9 @@ struct AppJob {
 struct AppOutcome {
   core::AppReport report;
   std::uint64_t seed = 0;
+  /// job_digest of the app's job, stamped when a journal or a cache is
+  /// configured (zero otherwise). Journaled: a record names its inputs.
+  support::Sha256Digest job;
   /// Total wall time spent on the app, summed across attempts. Recorded on
   /// every path — including crash outcomes and escaping exceptions.
   double wall_ms = 0.0;

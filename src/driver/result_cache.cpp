@@ -1,6 +1,5 @@
 #include "driver/result_cache.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -10,60 +9,12 @@
 #include "core/pipeline.hpp"
 #include "core/stages.hpp"
 #include "driver/outcome_codec.hpp"
+#include "driver/shard_merge.hpp"
 #include "malware/droidnative.hpp"
 #include "support/fault.hpp"
 #include "support/io.hpp"
 
 namespace dydroid::driver {
-
-namespace {
-
-/// Cache record payload, inside the CRC frame:
-///   version:u8 apk[32] config[32] seed:u64 outcome:blob
-/// where outcome is an encode_outcome payload (index 0; the corpus index
-/// is positional state of a *run*, not of the content-addressed result).
-support::Bytes encode_record(const CacheKey& key,
-                             std::span<const std::uint8_t> outcome_payload) {
-  support::ByteWriter w;
-  w.reserve(1 + 32 + 32 + 8 + 4 + outcome_payload.size());
-  w.u8(kCacheCodecVersion);
-  w.raw(key.apk.bytes);
-  w.raw(key.config.bytes);
-  w.u64(key.seed);
-  w.blob(outcome_payload);
-  return w.take();
-}
-
-/// A record's key and outcome payload, read in place: the payload is a
-/// slice of the record, so nothing is copied out of the store buffer.
-struct RecordView {
-  CacheKey key;
-  support::Blob outcome_payload;
-};
-
-/// Throws support::ParseError on truncation / version mismatch.
-RecordView view_record(const support::Blob& record) {
-  support::ByteReader r(record);
-  const std::uint8_t version = r.u8();
-  if (version != kCacheCodecVersion) {
-    throw support::ParseError("cache: unsupported record version " +
-                              std::to_string(version));
-  }
-  RecordView out;
-  const auto apk = r.view(32);
-  const auto config = r.view(32);
-  std::copy(apk.begin(), apk.end(), out.key.apk.bytes.begin());
-  std::copy(config.begin(), config.end(), out.key.config.bytes.begin());
-  out.key.seed = r.u64();
-  const std::uint32_t length = r.u32();
-  const std::size_t offset = r.position();
-  (void)r.view(length);
-  if (!r.at_end()) throw support::ParseError("cache: trailing record bytes");
-  out.outcome_payload = record.slice(offset, length);
-  return out;
-}
-
-}  // namespace
 
 support::Result<ResultCache> ResultCache::open(
     const std::string& dir, const support::Sha256Digest& expected_config,
@@ -76,64 +27,71 @@ support::Result<ResultCache> ResultCache::open(
   }
   ResultCache cache;
   cache.config_ = config;
-  cache.expected_config_ = expected_config;
+  support::ShardMeta meta;  // shard 0/1, seed base 0, corpus size 0
+  meta.outcome_codec_version = kOutcomeCodecVersion;
+  meta.config_fingerprint = expected_config.bytes;
+  cache.meta_record_ = support::encode_shard_meta(meta);
   cache.store_path_ = (std::filesystem::path(dir) / kCacheFileName).string();
 
   // Load the existing store, journal-style: walk intact frames, stop at
   // the first damaged one, chop the damaged tail so appends land after the
   // last intact record. Damaged *contents* never fail the open — the cache
-  // is advisory — but a store file we cannot read as our own format (bad
-  // magic: some other file squatting on the path) is a loud failure.
+  // is advisory — but a file that is no journal (a store from an older
+  // build, some other file squatting on the path) is a loud failure.
+  bool current = false;  // the store's metadata record is this run's
   if (std::filesystem::exists(cache.store_path_, ec)) {
-    auto read = support::read_journal(cache.store_path_, kCacheMagic);
+    auto read = read_outcome_records(cache.store_path_);
     if (!read.ok()) {
-      return support::Result<ResultCache>::failure(read.error());
+      return support::Result<ResultCache>::failure(
+          "cache: " + cache.store_path_ + ": " + read.error() +
+          "; delete the store to start an empty one");
     }
-    if (read.value().torn()) {
+    OutcomeRecords& store = read.value();
+    if (store.bytes_discarded > 0) {
       cache.stats_.torn_tail = true;
       std::fprintf(stderr,
                    "cache: recovered torn tail in %s (%zu bytes discarded)\n",
-                   cache.store_path_.c_str(), read.value().bytes_discarded);
-      const auto truncated = support::truncate_journal(
-          cache.store_path_, read.value().bytes_recovered);
+                   cache.store_path_.c_str(), store.bytes_discarded);
+      const auto truncated =
+          support::truncate_journal(cache.store_path_, store.bytes_recovered);
       if (!truncated.ok()) {
         return support::Result<ResultCache>::failure(truncated.error());
       }
     }
-    const auto& records = read.value().records;
+    current = store.meta.has_value() &&
+              store.meta->outcome_codec_version == kOutcomeCodecVersion &&
+              store.meta->config_fingerprint == meta.config_fingerprint;
+    if (!current) {
+      cache.stats_.invalidated = store.records.size();
+      store.records.clear();
+    }
     // Room for the loaded entries and as many inserts again: growing the
     // index rehashes every entry, and an insert would do that under the
     // lock, stalling every worker's lookups.
-    cache.index_.reserve(2 * records.size());
-    for (const support::Blob& record : records) {
-      RecordView view;
-      try {
-        view = view_record(record);
-      } catch (const support::ParseError&) {
-        // CRC-intact but semantically unreadable (foreign codec version,
-        // truncated fields): skip and recompute — never crash.
-        ++cache.stats_.skipped;
+    cache.index_.reserve(2 * store.records.size());
+    for (OutcomeRecord& record : store.records) {
+      if (!record.readable || record.sandbox_fate != SandboxFate::kNone) {
+        // CRC-intact but unreadable (foreign codec version, truncated
+        // fields): skip and recompute — never crash. A journal's sandbox
+        // kills are skipped too: the cache never serves them.
+        if (!record.readable) ++cache.stats_.skipped;
         cache.dirty_ = true;
         continue;
       }
-      if (view.key.config != expected_config) {
-        ++cache.stats_.invalidated;
-        cache.dirty_ = true;
-        continue;
-      }
+      const CacheKey key{record.job, expected_config, record.seed};
       // Last writer wins on duplicate keys (same rule as journal replay);
       // a later record also refreshes recency.
-      const auto [it, fresh] = cache.index_.try_emplace(view.key);
+      const auto [it, fresh] = cache.index_.try_emplace(key);
       Entry& entry = it->second;
       if (fresh) {
-        entry.lru_it = cache.lru_.insert(cache.lru_.end(), view.key);
+        entry.lru_it = cache.lru_.insert(cache.lru_.end(), key);
       } else {
         cache.payload_bytes_ -= entry.payload.size();
         cache.lru_.splice(cache.lru_.end(), cache.lru_, entry.lru_it);
         cache.dirty_ = true;  // duplicate frames on disk
       }
-      cache.payload_bytes_ += view.outcome_payload.size();
-      entry.payload = std::move(view.outcome_payload);
+      cache.payload_bytes_ += record.payload.size();
+      entry.payload = std::move(record.payload);
     }
     cache.stats_.loaded = cache.index_.size();
     if (cache.stats_.invalidated > 0) {
@@ -150,15 +108,23 @@ support::Result<ResultCache> ResultCache::open(
     }
   }
 
+  // Re-stamp a stale store now, not at seal: a run killed before its seal
+  // must not leave fresh records behind a stale metadata record.
   support::JournalWriterOptions writer_options;
   writer_options.fsync_each_record = config.fsync_each_insert;
-  writer_options.magic = kCacheMagic;
+  writer_options.truncate = !current;
   writer_options.fault_site = support::FaultSite::kCacheWrite;
   auto writer = support::JournalWriter::open(cache.store_path_, writer_options);
   if (!writer.ok()) {
     return support::Result<ResultCache>::failure(writer.error());
   }
   cache.writer_.emplace(std::move(writer).take());
+  if (!current) {
+    const auto stamped = cache.writer_->append(cache.meta_record_);
+    if (!stamped.ok()) {
+      return support::Result<ResultCache>::failure(stamped.error());
+    }
+  }
 
   // Loaded entries may already exceed this run's (possibly tighter)
   // bounds.
@@ -217,13 +183,16 @@ std::optional<AppOutcome> ResultCache::lookup(const CacheKey& key) {
 }
 
 void ResultCache::insert(const CacheKey& key, const AppOutcome& outcome) {
-  // Encoding needs no lock: only the append and the index update do.
-  support::Bytes encoded = encode_outcome(0, outcome);
-  const support::Bytes record = encode_record(key, encoded);
-  support::Blob payload = support::Blob::take(std::move(encoded));
+  // A sandbox-killed outcome is a fact about the sandbox environment
+  // (limits, deadline, external kills), not about the app content the key
+  // addresses — never cache it; the app recomputes next run.
+  if (outcome.sandbox_fate != SandboxFate::kNone) return;
+  // Encoding needs no lock. Index 0: the corpus index belongs to a run,
+  // not to the content-addressed result.
+  support::Blob payload = support::Blob::take(encode_outcome(0, outcome));
   std::lock_guard<std::mutex> lock(*mutex_);
   if (!writer_.has_value()) return;  // sealed: run is shutting down
-  const auto appended = writer_->append(record);
+  const auto appended = writer_->append(payload);
   if (!appended.ok()) {
     // cache.write fault or real I/O error: the frame on disk is torn, the
     // entry is dropped. dirty_ forces seal() to compact, which rewrites
@@ -301,27 +270,26 @@ support::Status ResultCache::seal() {
   writer_.reset();
   if (!dirty_) return status;
 
-  // Compact: rewrite the store to the surviving entries in LRU order
-  // (least recent first — file order IS recency order at the next open),
-  // then atomically swap it in. On any failure the original file is left
-  // in place: it still replays correctly, just with garbage frames.
+  // Compact: rewrite the store to its metadata record and the surviving
+  // records, verbatim, in LRU order (least recent first — file order IS
+  // recency order at the next open), then atomically swap it in. On any
+  // failure the original file is left in place: it still replays
+  // correctly, just with garbage frames.
   const std::string tmp_path = store_path_ + ".compact";
   support::JournalWriterOptions writer_options;
   writer_options.truncate = true;
-  writer_options.magic = kCacheMagic;
   writer_options.fault_site = support::FaultSite::kCacheWrite;
   auto writer = support::JournalWriter::open(tmp_path, writer_options);
   if (!writer.ok()) return support::Status::failure(writer.error());
-  for (const auto& key : lru_) {
-    const auto& entry = index_.at(key);
-    const auto appended =
-        writer.value().append(encode_record(key, entry.payload));
-    if (!appended.ok()) {
-      (void)writer.value().seal();
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return appended;
-    }
+  support::Status appended = writer.value().append(meta_record_);
+  for (auto key = lru_.begin(); appended.ok() && key != lru_.end(); ++key) {
+    appended = writer.value().append(index_.at(*key).payload);
+  }
+  if (!appended.ok()) {
+    (void)writer.value().seal();
+    std::error_code ec;
+    std::filesystem::remove(tmp_path, ec);
+    return appended;
   }
   const auto sealed = writer.value().seal();
   if (!sealed.ok()) return sealed;
@@ -371,7 +339,6 @@ support::Sha256Digest config_fingerprint(const core::DyDroid& pipeline) {
   // Domain label + codec version: bumping the outcome codec re-keys every
   // entry, so a new driver never replays payloads it cannot decode.
   w.str("dydroid.config.v1");
-  w.u8(kCacheCodecVersion);
   w.u8(kOutcomeCodecVersion);
 
   // Stage list (execution order). A custom stage list — extra stage,

@@ -6,7 +6,7 @@
 // re-analysis of identical work free: it maps
 //
 //   (SHA-256 of the job's inputs, SHA-256 config fingerprint, app seed)
-//     -> encoded AppOutcome (the same payload codec the resume journal uses)
+//     -> outcome record (the record the resume journal holds)
 //
 // so a corpus run can skip analyze() for any app whose exact bytes and
 // surroundings (hosted payloads, companion apps) were already analyzed
@@ -15,15 +15,15 @@
 // strength classes): a craftable 64-bit collision must land in distinct
 // cache entries, not serve one app's results for another's bytes.
 //
-// On-disk layout: DIR/results.dyc reuses the journal frame layer
-// (support/journal.hpp) under its own magic "DYCACH01" — CRC-framed
-// records, append-only writes, torn-tail recovery. Unlike the journal the
-// cache is *advisory*: a torn tail, an undecodable record or a stale
-// config fingerprint never aborts a run — damaged entries are skipped
-// (loudly, to stderr) and the apps recompute. File order doubles as the
-// LRU order (front = least recent); eviction drops in-memory entries once
-// max_entries/max_bytes are exceeded and seal() compacts the file to the
-// survivors in LRU order, so recency survives across runs.
+// On-disk layout: DIR/results.dyc is an outcome journal (docs/CHECKPOINT.md)
+// whose metadata record names the fingerprint; each outcome record names
+// the job and seed it is keyed on, so a finished journal primes a cache.
+// Unlike a resume the cache is *advisory*: a torn tail, an unreadable
+// record or a stale fingerprint never aborts a run — damaged entries are
+// skipped (loudly, to stderr) and the apps recompute. File order doubles
+// as the LRU order (front = least recent); eviction drops in-memory
+// entries once max_entries/max_bytes are exceeded and seal() compacts the
+// file to the survivors in LRU order, so recency survives across runs.
 //
 // Memory: open reads the store with one bulk read, and every loaded entry
 // is a slice of that one buffer (support::Blob), so the buffer lives until
@@ -39,7 +39,6 @@
 // ResultCache serves every corpus worker.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -60,14 +59,6 @@ class DyDroid;
 }
 
 namespace dydroid::driver {
-
-/// Cache file magic: "DYCACH01" (bump the digits on format changes). Keeps
-/// a cache file from ever being mistaken for an outcome journal.
-inline constexpr std::array<std::uint8_t, 8> kCacheMagic = {
-    'D', 'Y', 'C', 'A', 'C', 'H', '0', '1'};
-
-/// Cache record payload version (first byte of every record payload).
-inline constexpr std::uint8_t kCacheCodecVersion = 1;
 
 /// The store file inside the cache directory.
 inline constexpr std::string_view kCacheFileName = "results.dyc";
@@ -93,7 +84,7 @@ struct CacheKeyHash {
   }
 };
 
-/// Capacity bounds. 0 means unlimited. Bytes count encoded record
+/// Capacity bounds. 0 means unlimited. Bytes count outcome record
 /// payloads (the dominant cost), not framing.
 struct CacheConfig {
   std::size_t max_entries = 0;
@@ -106,8 +97,8 @@ struct CacheConfig {
 /// `skipped` describe open-time recovery; the rest accumulate per call.
 struct CacheStats {
   std::size_t loaded = 0;        // intact, current-config entries at open
-  std::size_t invalidated = 0;   // entries under a stale config fingerprint
-  std::size_t skipped = 0;       // undecodable records dropped at open
+  std::size_t invalidated = 0;   // records under a stale metadata record
+  std::size_t skipped = 0;       // unreadable records dropped
   bool torn_tail = false;        // open recovered a damaged tail
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -121,12 +112,13 @@ struct CacheStats {
 class ResultCache {
  public:
   /// Open (creating the directory and store file if absent) the cache at
-  /// `dir`. Entries whose config digest differs from `expected_config` are
-  /// invalidated — dropped from the index with a stderr warning naming
-  /// both fingerprints, so a semantic config change is loud, never a
-  /// silent corpus-wide miss. Damaged records/tails are recovered
-  /// journal-style. Fails only on real I/O errors (unwritable dir, store
-  /// open failure) — never on damaged contents.
+  /// `dir`. A store whose metadata record is missing or names another
+  /// codec version or fingerprint than `expected_config` is invalidated —
+  /// counted with a stderr warning, so a config change is loud, never a
+  /// silent corpus-wide miss — and re-stamped. Unreadable and sandbox-fated
+  /// records are skipped; a damaged tail is recovered journal-style. Fails
+  /// on I/O errors and on a file that is no journal (left untouched, the
+  /// message says to delete it) — never on damaged contents.
   static support::Result<ResultCache> open(
       const std::string& dir, const support::Sha256Digest& expected_config,
       CacheConfig config = {});
@@ -147,9 +139,10 @@ class ResultCache {
 
   /// Insert (or overwrite) one finished outcome. Encodes it unlocked, then
   /// appends the record to the store, admits it to the index and evicts
-  /// LRU entries past the capacity bounds. A cache.write fault or append
-  /// error drops the entry (counted in write_failures) without failing the
-  /// run.
+  /// LRU entries past the capacity bounds; a sandbox-fated outcome is not
+  /// stored. The next open keys the record on the outcome's job and seed,
+  /// so `key` must name them. A cache.write fault or append error drops
+  /// the entry (counted in write_failures) without failing the run.
   void insert(const CacheKey& key, const AppOutcome& outcome);
 
   /// Flush and close the store. If entries were evicted, overwritten or
@@ -170,8 +163,8 @@ class ResultCache {
 
  private:
   struct Entry {
-    /// The encoded outcome (codec payload): a slice of the store buffer
-    /// for an entry loaded at open, its own buffer for one inserted since.
+    /// The outcome record: a slice of the store buffer for an entry loaded
+    /// at open, its own buffer for one inserted since.
     support::Blob payload;
     std::list<CacheKey>::iterator lru_it;
   };
@@ -188,7 +181,7 @@ class ResultCache {
   std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
   std::string store_path_;
   CacheConfig config_;
-  support::Sha256Digest expected_config_{};
+  support::Bytes meta_record_;  // what the store leads with
   std::optional<support::JournalWriter> writer_;
   std::unordered_map<CacheKey, Entry, CacheKeyHash> index_;
   std::list<CacheKey> lru_;  // front = least recently used
@@ -210,10 +203,10 @@ class ResultCache {
 [[nodiscard]] support::Sha256Digest config_fingerprint(
     const core::DyDroid& pipeline);
 
-/// The content address of one job's inputs (CacheKey::apk): SHA-256 over
-/// one prefix-free encoding of every job — the APK's length (u64), the
-/// scenario's os::Scenario::encode(), then the APK bytes. No APK's bytes
-/// can pose as another job's scenario.
+/// The content address of one job's inputs (CacheKey::apk, and the job an
+/// outcome record names): SHA-256 over one prefix-free encoding of every
+/// job — the APK's length (u64), the scenario's os::Scenario::encode(),
+/// then the APK bytes. No APK's bytes can pose as another job's scenario.
 [[nodiscard]] support::Sha256Digest job_digest(const AppJob& job);
 
 }  // namespace dydroid::driver

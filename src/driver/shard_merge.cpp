@@ -1,7 +1,6 @@
 #include "driver/shard_merge.hpp"
 
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -56,27 +55,54 @@ std::string describe_shard_meta_mismatch(const support::ShardMeta& got,
   return {};
 }
 
-support::Result<OutcomeJournal> read_outcome_journal(const std::string& path) {
-  using ReadResult = support::Result<OutcomeJournal>;
+support::Result<OutcomeRecords> read_outcome_records(const std::string& path) {
   auto read = support::read_journal(path);
-  if (!read.ok()) return ReadResult::failure(read.error());
-  OutcomeJournal journal;
-  journal.bytes_recovered = read.value().bytes_recovered;
-  journal.bytes_discarded = read.value().bytes_discarded;
-  auto& records = read.value().records;
-  if (records.empty()) return journal;
-  if (!support::is_shard_meta(records.front())) {
-    return ReadResult::failure(
-        path + ": first record is not a metadata record (a journal from an "
-               "older build?)");
+  if (!read.ok()) return support::Result<OutcomeRecords>::failure(read.error());
+  OutcomeRecords out;
+  out.bytes_recovered = read.value().bytes_recovered;
+  out.bytes_discarded = read.value().bytes_discarded;
+  std::span<support::Blob> frames(read.value().records);
+  if (!frames.empty()) {
+    try {
+      out.meta = support::decode_shard_meta(frames.front());
+      frames = frames.subspan(1);
+    } catch (const support::ParseError& e) {
+      out.meta_error = support::is_shard_meta(frames.front())
+                           ? std::string("corrupt metadata record: ") + e.what()
+                           : "first record is not a metadata record (a "
+                             "journal from an older build?)";
+    }
   }
-  support::ShardMeta meta;
-  try {
-    meta = support::decode_shard_meta(records.front());
-  } catch (const std::exception& e) {
-    return ReadResult::failure(path + ": corrupt metadata record: " +
-                               e.what());
+  out.records.reserve(frames.size());
+  AppOutcome header;  // each record's fixed fields; no report is decoded
+  for (support::Blob& frame : frames) {
+    OutcomeRecord& record = out.records.emplace_back();
+    try {
+      support::ByteReader r(frame);
+      record.index = decode_outcome_header(r, header);
+      record.seed = header.seed;
+      record.job = header.job;
+      record.sandbox_fate = header.sandbox_fate;
+      record.readable = true;
+    } catch (const support::ParseError&) {  // unreadable: reported
+    }
+    record.payload = std::move(frame);
   }
+  return out;
+}
+
+support::Result<OutcomeRecords> read_outcome_journal(
+    const std::string& path,
+    const std::function<void(std::size_t index, AppOutcome&&)>& take) {
+  using ReadResult = support::Result<OutcomeRecords>;
+  auto read = read_outcome_records(path);
+  if (!read.ok()) return read;
+  const OutcomeRecords& journal = read.value();
+  if (!journal.meta_error.empty()) {
+    return ReadResult::failure(path + ": " + journal.meta_error);
+  }
+  if (!journal.meta.has_value()) return read;  // no intact record at all
+  const support::ShardMeta& meta = *journal.meta;
   if (meta.outcome_codec_version != kOutcomeCodecVersion) {
     return ReadResult::failure(support::format(
         "%s: outcome codec version %u but this build reads version %u",
@@ -88,15 +114,11 @@ support::Result<OutcomeJournal> read_outcome_journal(const std::string& path) {
         static_cast<unsigned long long>(meta.corpus_size),
         static_cast<unsigned long long>(kMaxCorpusApps)));
   }
-  journal.meta = meta;
-  journal.entries.reserve(records.size() - 1);
-  std::unordered_map<std::size_t, std::size_t> slot_of;  // index → entry
-  slot_of.reserve(records.size() - 1);
-  for (std::size_t i = 1; i < records.size(); ++i) {
+  for (const OutcomeRecord& record : journal.records) {
     DecodedOutcome decoded;
     try {
       // Also refuses a second metadata record.
-      decoded = decode_outcome(records[i]);
+      decoded = decode_outcome(record.payload);
     } catch (const std::exception& e) {
       // A framed record that passed its CRC but fails to decode means the
       // journal does not belong to this build: never silently re-run (and
@@ -116,20 +138,9 @@ support::Result<OutcomeJournal> read_outcome_journal(const std::string& path) {
           "(overlapping shards?)",
           path.c_str(), decoded.index, meta.shard_index, meta.shard_count));
     }
-    JournalEntry entry{decoded.index, std::move(decoded.outcome),
-                       std::move(records[i])};
-    // Last writer wins: a record re-appended after an earlier resume
-    // supersedes the older one.
-    const auto [slot, fresh] =
-        slot_of.try_emplace(entry.index, journal.entries.size());
-    if (fresh) {
-      journal.entries.push_back(std::move(entry));
-    } else {
-      ++journal.duplicates_dropped;
-      journal.entries[slot->second] = std::move(entry);
-    }
+    if (take) take(decoded.index, std::move(decoded.outcome));
   }
-  return journal;
+  return read;
 }
 
 support::Result<ShardMergeSummary> merge_shard_journals(
@@ -148,9 +159,8 @@ support::Result<ShardMergeSummary> merge_shard_journals(
   for (const std::string& path : shard_paths) {
     auto read = read_outcome_journal(path);
     if (!read.ok()) return MergeResult::failure("merge: " + read.error());
-    OutcomeJournal& journal = read.value();
+    OutcomeRecords& journal = read.value();
     summary.torn_bytes += journal.bytes_discarded;
-    summary.duplicates_dropped += journal.duplicates_dropped;
     if (!journal.meta.has_value()) {
       return MergeResult::failure("merge: " + path +
                                   ": holds no metadata record");
@@ -176,17 +186,19 @@ support::Result<ShardMergeSummary> merge_shard_journals(
     }
     shard_seen[meta.shard_index] = 1;
 
-    for (JournalEntry& entry : journal.entries) {
-      const std::uint64_t seed = seed_for_app(meta.seed_base, entry.index);
-      if (entry.outcome.seed != seed) {
+    for (OutcomeRecord& record : journal.records) {
+      const std::uint64_t seed = seed_for_app(meta.seed_base, record.index);
+      if (record.seed != seed) {
         return MergeResult::failure(support::format(
             "merge: %s: app %zu journaled with seed %llu but the shard's "
             "seed base derives %llu",
-            path.c_str(), entry.index,
-            static_cast<unsigned long long>(entry.outcome.seed),
+            path.c_str(), record.index,
+            static_cast<unsigned long long>(record.seed),
             static_cast<unsigned long long>(seed)));
       }
-      winners[entry.index] = std::move(entry.payload);
+      // Last writer wins; residue classes keep the shards apart.
+      if (!winners[record.index].empty()) ++summary.duplicates_dropped;
+      winners[record.index] = std::move(record.payload);
     }
   }
 

@@ -3,9 +3,11 @@
 //
 // Every outcome journal leads with one support::ShardMeta record: a
 // `--shard I/N` run stamps I/N, an unsharded run 0/1, a merge 0/1.
-// read_outcome_journal is the one validating reader; both a resume and
-// merge_shard_journals read through it and add only the checks that need
-// their own context (the resuming run's configuration, or all the shards).
+// read_outcome_records is the one reader, under the result cache's
+// advisory open too (docs/CACHE.md). read_outcome_journal applies the
+// strict rules on top of it; both a resume and merge_shard_journals read
+// through that and add only the checks that need their own context (the
+// resuming run's jobs and configuration, or all the shards).
 //
 // Merge invariants (all violations are loud failures, never partial
 // output):
@@ -29,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -41,39 +44,45 @@
 
 namespace dydroid::driver {
 
-/// One journaled app: the winning record for its global index.
-struct JournalEntry {
-  std::size_t index = 0;
-  /// The decoded outcome (completed and replayed set).
-  AppOutcome outcome;
-  /// The record payload, verbatim: a slice of the buffer the journal was
-  /// read into (support::read_journal), which it keeps alive.
+/// One record, read in place: the payload verbatim (a slice of the read
+/// buffer, which it keeps alive) and, when its header decodes, its fields.
+struct OutcomeRecord {
   support::Blob payload;
+  bool readable = false;
+  std::size_t index = 0;
+  std::uint64_t seed = 0;
+  support::Sha256Digest job;
+  SandboxFate sandbox_fate = SandboxFate::kNone;
 };
 
-/// An outcome journal that passed read_outcome_journal.
-struct OutcomeJournal {
-  /// The leading metadata record. Absent only when the journal holds no
-  /// intact record at all (a run killed before its first append).
+/// A journal's records, never rejected for their contents.
+struct OutcomeRecords {
+  /// The leading metadata record, when the first record decodes as one;
+  /// otherwise, if there are records, meta_error says why not.
   std::optional<support::ShardMeta> meta;
-  /// One entry per journaled index, in order of first appearance.
-  std::vector<JournalEntry> entries;
-  /// Records superseded by a later record for the same index.
-  std::size_t duplicates_dropped = 0;
-  /// Length of the intact prefix and of the damaged tail dropped after it.
-  std::size_t bytes_recovered = 0;
-  std::size_t bytes_discarded = 0;
+  std::string meta_error;
+  /// Every record but a leading metadata record, in file order.
+  std::vector<OutcomeRecord> records;
+  std::size_t bytes_recovered = 0;  // intact prefix
+  std::size_t bytes_discarded = 0;  // damaged tail
 };
+
+/// Read the journal at `path`: frames, metadata record and each record's
+/// header, no report. Fails only when the file cannot be read as a journal.
+[[nodiscard]] support::Result<OutcomeRecords> read_outcome_records(
+    const std::string& path);
 
 /// Read the outcome journal at `path` and check everything the journal
 /// alone determines: the metadata record comes first, is the only one and
 /// decodes; its codec version is this build's and its corpus fits
 /// kMaxCorpusApps; every later record decodes to an index inside the
-/// corpus and in the metadata's residue class. Duplicate records resolve
-/// last-writer-wins. A torn tail is recovered, never repaired here.
-/// Failures name `path` and the first violated rule.
-[[nodiscard]] support::Result<OutcomeJournal> read_outcome_journal(
-    const std::string& path);
+/// corpus and in the metadata's residue class. Each decoded outcome goes
+/// to `take` in file order, before the caller's own checks; keeping the
+/// last per index is last-writer-wins. A torn tail is recovered, never
+/// repaired here. Failures name `path` and the first violated rule.
+[[nodiscard]] support::Result<OutcomeRecords> read_outcome_journal(
+    const std::string& path,
+    const std::function<void(std::size_t index, AppOutcome&&)>& take = {});
 
 /// What a successful merge folded together.
 struct ShardMergeSummary {

@@ -64,8 +64,8 @@ Result<JournalWriter> JournalWriter::open(const std::string& path,
   }
   const off_t size = ::lseek(fd, 0, SEEK_END);
   if (size == 0) {
-    // Fresh (or truncated) journal: stamp the configured magic.
-    if (!write_fully(fd, options.magic.data(), options.magic.size())) {
+    // Fresh (or truncated) journal: stamp the magic.
+    if (!write_fully(fd, kJournalMagic.data(), kJournalMagic.size())) {
       const std::string message =
           errno_message("journal: cannot write header to", path);
       ::close(fd);
@@ -73,14 +73,13 @@ Result<JournalWriter> JournalWriter::open(const std::string& path,
     }
   } else {
     // Existing journal (resume): verify the magic so we never append
-    // records to a file belonging to a different frame-layer client (or
-    // to something that is not a journal at all).
+    // records to something that is not a journal.
     std::ifstream in(path, std::ios::binary);
     std::array<char, 8> magic{};
     in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
     const bool good =
         in.gcount() == static_cast<std::streamsize>(magic.size()) &&
-        std::memcmp(magic.data(), options.magic.data(), magic.size()) == 0;
+        std::memcmp(magic.data(), kJournalMagic.data(), magic.size()) == 0;
     if (!good) {
       ::close(fd);
       return Result<JournalWriter>::failure(
@@ -283,8 +282,7 @@ ShardMeta decode_shard_meta(std::span<const std::uint8_t> payload) {
   return meta;
 }
 
-Result<JournalReadResult> read_journal(const std::string& path,
-                                       const std::array<std::uint8_t, 8>& magic) {
+Result<JournalReadResult> read_journal(const std::string& path) {
   // One exact-size buffer and one bulk read: a cache store runs to tens of
   // megabytes, and every cache open, resume and merge starts here. The
   // buffer becomes the records' one owner; nothing is copied out of it.
@@ -316,7 +314,7 @@ Result<JournalReadResult> read_journal(const std::string& path,
   // A file cut short since the fstat reads as what is there: the frame
   // walk treats it like any other torn tail.
   data.resize(static_cast<std::size_t>(got));
-  return parse_journal(Blob::take(std::move(data)), magic);
+  return parse_journal(Blob::take(std::move(data)));
 }
 
 }  // namespace dydroid::support

@@ -60,13 +60,9 @@ struct JournalWriterOptions {
   /// Start a fresh journal (truncate any existing file) instead of
   /// appending to it. Resume runs append; fresh runs truncate.
   bool truncate = false;
-  /// File magic stamped on a fresh file and demanded of an existing one.
-  /// The result cache (docs/CACHE.md) reuses the frame layer under its own
-  /// magic so a cache file can never be mistaken for an outcome journal.
-  std::array<std::uint8_t, 8> magic = kJournalMagic;
   /// Injection site honored by append(): an injected failure leaves a
   /// genuinely torn half-frame on disk. The outcome journal keeps
-  /// journal.append; the result cache writes under cache.write.
+  /// journal.append; the result cache's store writes under cache.write.
   FaultSite fault_site = FaultSite::kJournalAppend;
 };
 
@@ -134,11 +130,7 @@ struct JournalReadResult {
 /// recovered per the header rules. The file is read with one bulk read
 /// into an exact-size buffer, which becomes one Blob; the records are
 /// slices of it, so the buffer lives as long as any record does.
-/// `magic` selects which frame-layer client the file must belong to
-/// (outcome journal by default; the result cache passes its own).
-Result<JournalReadResult> read_journal(
-    const std::string& path,
-    const std::array<std::uint8_t, 8>& magic = kJournalMagic);
+Result<JournalReadResult> read_journal(const std::string& path);
 
 /// Chop a damaged journal back to its valid prefix (the bytes_recovered a
 /// read reported) so a resume run can append after the last intact record
@@ -146,8 +138,8 @@ Result<JournalReadResult> read_journal(
 Status truncate_journal(const std::string& path, std::size_t bytes_recovered);
 
 /// Parse journal bytes already in memory (the reader core, shared with the
-/// pool's RPC decoders; exposed for the fuzz suite). The records are
-/// slices of `blob`.
+/// pool's RPC decoders, which pass their own magic; exposed for the fuzz
+/// suite). The records are slices of `blob`.
 Result<JournalReadResult> parse_journal(
     const Blob& blob,
     const std::array<std::uint8_t, 8>& magic = kJournalMagic);
@@ -155,8 +147,8 @@ Result<JournalReadResult> parse_journal(
 /// Append one CRC frame (len + crc + payload) for `payload` to an
 /// in-memory writer. Produces exactly the bytes JournalWriter::append puts
 /// on disk, so any stream stamped with a frame-layer magic — a journal
-/// file, a cache store, the sandbox result pipe (docs/ISOLATION.md) — can
-/// be framed without a file descriptor and read back with parse_journal.
+/// file, the sandbox result pipe (docs/ISOLATION.md) — can be framed
+/// without a file descriptor and read back with parse_journal.
 void encode_frame(ByteWriter& w, std::span<const std::uint8_t> payload);
 
 // ---- journal metadata record (docs/SHARDING.md) ----------------------------

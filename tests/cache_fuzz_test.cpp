@@ -104,7 +104,10 @@ Bytes sample_store_bytes() {
       EXPECT_TRUE(opened.ok());
       auto cache = std::move(opened).take();
       for (std::size_t i = 0; i < sample_entries().size(); ++i) {
-        cache.insert(sample_entries()[i].key, result.outcomes[i]);
+        // The record names its key's job, as the runner's records do.
+        AppOutcome outcome = result.outcomes[i];
+        outcome.job = sample_entries()[i].key.apk;
+        cache.insert(sample_entries()[i].key, outcome);
       }
       store_path = cache.store_path();
       EXPECT_TRUE(cache.seal().ok());

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <string>
 
 #include "support/hash.hpp"
@@ -436,6 +437,65 @@ TEST(CliArgs, AnalyzeThroughTheCorpusRunnerPrintsThePlainReport) {
   std::remove(app.c_str());
   std::remove(journal.c_str());
   std::filesystem::remove_all(cache);
+}
+
+TEST(CliArgs, AnalyzeResumeOfAnotherAppFails) {
+  REQUIRE_CLI();
+  // A journal records the job it was made from: resuming it with another
+  // APK must fail naming the app and both job digests, not print the
+  // journaled app's report.
+  const std::string base_path = testing::TempDir() + "/cli_resume_other_" +
+                                std::to_string(::getpid());
+  const std::string own = base_path + "_own.sapk";
+  const std::string baidu = base_path + "_baidu.sapk";
+  const std::string journal = base_path + ".jrnl";
+  std::remove(journal.c_str());
+  ASSERT_EQ(run_cli("gen " + own + " --pkg com.demo.own --own-dex --seed 7")
+                .exit_code,
+            0);
+  ASSERT_EQ(run_cli("gen " + baidu + " --baidu").exit_code, 0);
+  const auto journaled =
+      run_cli("analyze " + own + " --seed 1 --journal " + journal);
+  ASSERT_EQ(journaled.exit_code, 0) << journaled.output;
+  ASSERT_NE(journaled.output.find("com.demo.own"), std::string::npos);
+
+  const auto resumed =
+      run_cli("analyze " + baidu + " --seed 1 --resume " + journal);
+  EXPECT_NE(resumed.exit_code, 0) << resumed.output;
+  std::smatch digests;
+  ASSERT_TRUE(std::regex_search(
+      resumed.output, digests,
+      std::regex("app 0 was journaled for job ([0-9a-f]{16})\\.\\.\\. but "
+                 "this run's job is ([0-9a-f]{16})\\.\\.\\.")))
+      << resumed.output;
+  EXPECT_NE(digests[1].str(), digests[2].str());
+  EXPECT_EQ(resumed.output.find("\"package\""), std::string::npos)
+      << resumed.output;
+  for (const auto& path : {own, baidu, baidu + ".hosted.0", journal}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CliArgs, SurveyResumeUnderAnotherCorpusSeedFails) {
+  REQUIRE_CLI();
+  // Corpus seeds 1 and 2 generate different apps with the same corpus
+  // size, seed base and per-app seeds: only the records' job digests tell
+  // the journals apart, and the resume must refuse at app 0.
+  const std::string journal = testing::TempDir() + "/cli_resume_seed_" +
+                              std::to_string(::getpid()) + ".jrnl";
+  std::remove(journal.c_str());
+  const auto first =
+      run_cli("survey --scale 0.005 --seed 1 --jobs 2 --journal " + journal);
+  ASSERT_EQ(first.exit_code, 0) << first.output;
+  const auto resumed =
+      run_cli("survey --scale 0.005 --seed 2 --jobs 2 --resume " + journal);
+  EXPECT_NE(resumed.exit_code, 0) << resumed.output;
+  EXPECT_NE(resumed.output.find("app 0 was journaled for job"),
+            std::string::npos)
+      << resumed.output;
+  EXPECT_EQ(resumed.output.find("replayed"), std::string::npos)
+      << resumed.output;
+  std::remove(journal.c_str());
 }
 
 TEST(CliArgs, DisasmListingMatchesItsPinnedDigest) {

@@ -1,16 +1,19 @@
 // Fuzz suite for the crash-safety persistence layer (docs/CHECKPOINT.md):
 // structurally mutated journal files must parse (recovering a valid
-// prefix) or fail loudly, and mutated outcome payloads must decode or
-// raise support::ParseError — never crash, never over-allocate, never
-// trip a sanitizer (tools/run_sanitizer_matrix.sh runs this suite under
-// ASan/UBSan).
+// prefix) or fail loudly, the strict journal reader and the result cache's
+// advisory open of the same bytes must agree, and mutated outcome payloads
+// must decode or raise support::ParseError — never crash, never
+// over-allocate, never trip a sanitizer (tools/run_sanitizer_matrix.sh
+// runs this suite under ASan/UBSan).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,8 +22,11 @@
 #include "core/report_json.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
+#include "driver/result_cache.hpp"
+#include "driver/shard_merge.hpp"
 #include "support/blob.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/journal.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
@@ -32,7 +38,13 @@ constexpr int kIterations = 400;
 
 using support::Bytes;
 
-/// Real journal payloads: outcomes of a small corpus run.
+/// The fingerprint the sample journal's metadata record names.
+const support::Sha256Digest kFuzzFingerprint =
+    support::sha256("journal-fuzz-config");
+
+/// Real journal payloads: the metadata record, then the outcomes of a small
+/// corpus run, each naming a job; every 7th carries a sandbox fate, as a
+/// pooled run's kills do.
 const std::vector<Bytes>& sample_payloads() {
   static const std::vector<Bytes> payloads = [] {
     support::set_log_level(support::LogLevel::Error);
@@ -45,9 +57,18 @@ const std::vector<Bytes>& sample_payloads() {
     const auto result =
         driver::CorpusRunner(pipeline, runner_config).run(corpus);
     std::vector<Bytes> out;
-    out.reserve(result.outcomes.size());
+    out.reserve(result.outcomes.size() + 1);
+    support::ShardMeta meta;
+    meta.seed_base = driver::kDefaultSeedBase;
+    meta.corpus_size = result.outcomes.size();
+    meta.outcome_codec_version = driver::kOutcomeCodecVersion;
+    meta.config_fingerprint = kFuzzFingerprint.bytes;
+    out.push_back(support::encode_shard_meta(meta));
     for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-      out.push_back(driver::encode_outcome(i, result.outcomes[i]));
+      driver::AppOutcome outcome = result.outcomes[i];
+      outcome.job = support::sha256("journal-fuzz-job-" + std::to_string(i));
+      if (i % 7 == 3) outcome.sandbox_fate = driver::SandboxFate::kCrashed;
+      out.push_back(driver::encode_outcome(i, outcome));
     }
     return out;
   }();
@@ -73,6 +94,43 @@ Bytes sample_journal_bytes() {
   return bytes;
 }
 
+/// Read `journal` strictly, as a resume or a merge does, and open it as a
+/// cache store under its fingerprint. Neither may crash; whenever the
+/// strict read accepts it, the cache loads one entry per strict entry
+/// without a sandbox fate. Returns whether the strict read accepted it.
+bool expect_readers_agree(const Bytes& journal, int iteration) {
+  const std::string dir = testing::TempDir() + "dydroid_fuzz_agree_" +
+                          std::to_string(::getpid()) + "_" +
+                          std::to_string(iteration);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string store = dir + "/" + std::string(driver::kCacheFileName);
+  {
+    std::ofstream out(store, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(journal.data()),
+              static_cast<std::streamsize>(journal.size()));
+  }
+  std::map<std::size_t, bool> fated;  // last writer per index
+  const auto strict = driver::read_outcome_journal(
+      store, [&](std::size_t index, driver::AppOutcome&& outcome) {
+        fated[index] = outcome.sandbox_fate != driver::SandboxFate::kNone;
+      });
+  // The open may rewrite the store; the strict read is already done.
+  auto cache = driver::ResultCache::open(dir, kFuzzFingerprint);
+  if (strict.ok()) {
+    EXPECT_TRUE(cache.ok()) << "iteration " << iteration << ": "
+                            << cache.error();
+    std::size_t clean = 0;
+    for (const auto& [index, killed] : fated) clean += killed ? 0 : 1;
+    if (cache.ok()) {
+      EXPECT_EQ(cache.value().stats().loaded, clean) << "iteration "
+                                                     << iteration;
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return strict.ok();
+}
+
 TEST(JournalFuzz, MutatedJournalBytesParseOrFailLoudly) {
   const Bytes intact = sample_journal_bytes();
   {
@@ -84,8 +142,10 @@ TEST(JournalFuzz, MutatedJournalBytesParseOrFailLoudly) {
   int recovered_all = 0;
   int recovered_prefix = 0;
   int rejected = 0;
+  int strictly_accepted = 0;
   for (int i = 0; i < kIterations; ++i) {
     const auto mutated = appgen::mutate_bytes(intact, rng);
+    if (expect_readers_agree(mutated, i)) ++strictly_accepted;
     const auto parsed = support::parse_journal(support::Blob::copy_of(mutated));
     if (!parsed.ok()) {
       ++rejected;  // magic destroyed — loud failure, never a silent empty
@@ -124,6 +184,7 @@ TEST(JournalFuzz, MutatedJournalBytesParseOrFailLoudly) {
   // actually occur across 400 iterations.
   EXPECT_GT(recovered_prefix, 0);
   EXPECT_GT(rejected + recovered_all + recovered_prefix, kIterations / 2);
+  EXPECT_GT(strictly_accepted, 0);
 }
 
 TEST(JournalFuzz, MutatedOutcomePayloadsDecodeOrThrowParseError) {

@@ -20,9 +20,11 @@
 #include "core/report_json.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
+#include "driver/result_cache.hpp"
 #include "support/fault.hpp"
 #include "support/journal.hpp"
 #include "support/log.hpp"
+#include "support/rng.hpp"
 #include "hook_stage.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -337,6 +339,66 @@ TEST(KillResume, JournalFromBiggerCorpusFailsLoudly) {
   resume_config.resume = true;
   EXPECT_THROW((void)CorpusRunner(pipeline, resume_config).run(subset),
                std::runtime_error);
+}
+
+TEST(KillResume, ResumeWithAnotherAppsRecordFailsLoudly) {
+  // A record names its job (job_digest): a resume whose job at some index
+  // is another APK, or the same APK with another hosted payload, must not
+  // replay the journaled report — it fails naming that index.
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  std::vector<AppJob> jobs = jobs_from_corpus(corpus);
+  appgen::AppSpec spec;
+  spec.package = "com.resume.remote";
+  spec.category = "Tools";
+  spec.baidu_remote_sdk = true;
+  support::Rng rng(41);
+  const auto remote = appgen::build_app(spec, rng);
+  ASSERT_EQ(remote.scenario.hosted_urls.size(), 1u);
+  AppJob hosted_job;
+  hosted_job.apk = remote.apk;
+  hosted_job.scenario = remote.scenario;
+  jobs.push_back(hosted_job);
+  const std::size_t hosted = jobs.size() - 1;
+
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  TempJournal journal("another_app");
+  RunnerConfig config;
+  config.jobs = 2;
+  config.journal_path = journal.path();
+  (void)CorpusRunner(pipeline, config).run(jobs);
+
+  RunnerConfig resume_config = config;
+  resume_config.resume = true;
+  const auto expect_refused = [&](const std::vector<AppJob>& resumed,
+                                  std::size_t index) {
+    const std::string want =
+        "app " + std::to_string(index) + " was journaled for job ";
+    try {
+      (void)CorpusRunner(pipeline, resume_config).run(resumed);
+      ADD_FAILURE() << "resume replayed another job's record at " << index;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(job_digest(resumed[index])
+                                               .hex()
+                                               .substr(0, 16)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  std::vector<AppJob> swapped = jobs;
+  swapped[3].apk = jobs[4].apk;
+  expect_refused(swapped, 3);
+  std::vector<AppJob> rehosted = jobs;
+  rehosted[hosted].scenario.hosted_urls[0].second =
+      support::Blob::of_string("another payload");
+  expect_refused(rehosted, hosted);
+
+  // The refusals left the journal as it was: the same jobs still replay.
+  const auto resumed = CorpusRunner(pipeline, resume_config).run(jobs);
+  EXPECT_EQ(resumed.replayed, jobs.size());
+  EXPECT_EQ(resumed.analyzed, 0u);
 }
 
 TEST(KillResume, ResumeWithoutJournalPathFailsLoudly) {

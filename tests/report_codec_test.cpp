@@ -18,6 +18,7 @@
 #include "privacy/sources.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace dydroid {
 namespace {
@@ -187,6 +188,7 @@ TEST(OutcomeCodec, OutcomeRoundTripsWithDriverFields) {
   driver::AppOutcome outcome;
   outcome.report = all_fields_report();
   outcome.seed = 0xBE9C0042ull;
+  outcome.job = support::sha256("outcome-codec-job");
   outcome.wall_ms = 12.625;
   outcome.attempts = 2;
   outcome.timed_out = true;
@@ -195,6 +197,7 @@ TEST(OutcomeCodec, OutcomeRoundTripsWithDriverFields) {
   const auto decoded = driver::decode_outcome(payload);
   EXPECT_EQ(decoded.index, 17u);
   EXPECT_EQ(decoded.outcome.seed, outcome.seed);
+  EXPECT_EQ(decoded.outcome.job, outcome.job);
   EXPECT_EQ(decoded.outcome.wall_ms, outcome.wall_ms);
   EXPECT_EQ(decoded.outcome.attempts, 2u);
   EXPECT_TRUE(decoded.outcome.timed_out);
@@ -216,10 +219,10 @@ TEST(OutcomeCodec, FateAndSignalRoundTripAndBadFateIsRejected) {
   const auto decoded = driver::decode_outcome(payload);
   EXPECT_EQ(decoded.outcome.sandbox_fate, driver::SandboxFate::kOomKilled);
   EXPECT_EQ(decoded.outcome.fatal_signal, SIGKILL);
-  // The fate byte sits after version(1) + index(8) + seed(8) + wall(8) +
-  // attempts(4) + flags(1); values past kTimedOut are invalid.
+  // The fate byte sits after version(1) + index(8) + seed(8) + job(32) +
+  // wall(8) + attempts(4) + flags(1); values past kTimedOut are invalid.
   Bytes bad = payload;
-  bad[1 + 8 + 8 + 8 + 4 + 1] = 0x07;
+  bad[1 + 8 + 8 + 32 + 8 + 4 + 1] = 0x07;
   EXPECT_THROW((void)driver::decode_outcome(bad), ParseError);
 }
 
@@ -276,9 +279,9 @@ TEST(OutcomeCodec, VersionMismatchAndTrailingBytesThrow) {
   trailing.push_back(0x00);
   EXPECT_THROW((void)driver::decode_outcome(trailing), ParseError);
   Bytes bad_flags = payload;
-  // flags byte sits after version(1) + index(8) + seed(8) + wall(8) +
-  // attempts(4).
-  bad_flags[1 + 8 + 8 + 8 + 4] = 0xf0;
+  // flags byte sits after version(1) + index(8) + seed(8) + job(32) +
+  // wall(8) + attempts(4).
+  bad_flags[1 + 8 + 8 + 32 + 8 + 4] = 0xf0;
   EXPECT_THROW((void)driver::decode_outcome(bad_flags), ParseError);
 }
 

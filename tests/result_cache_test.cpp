@@ -29,6 +29,7 @@
 #include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
 #include "driver/result_cache.hpp"
+#include "driver/shard_merge.hpp"
 #include "malware/droidnative.hpp"
 #include "malware/families.hpp"
 #include "support/fault.hpp"
@@ -74,16 +75,6 @@ class TempJournal {
 
 const support::Sha256Digest kTestConfig = support::sha256("test-config-A");
 
-AppOutcome make_outcome(const std::string& package, std::uint64_t seed = 7) {
-  AppOutcome outcome;
-  outcome.report.package = package;
-  outcome.seed = seed;
-  outcome.wall_ms = 1.25;
-  outcome.attempts = 1;
-  outcome.completed = true;
-  return outcome;
-}
-
 CacheKey key_of(std::string_view apk_tag, std::uint64_t seed = 0,
                 const support::Sha256Digest& config = kTestConfig) {
   CacheKey key;
@@ -91,6 +82,19 @@ CacheKey key_of(std::string_view apk_tag, std::uint64_t seed = 0,
   key.config = config;
   key.seed = seed;
   return key;
+}
+
+/// An outcome that names `key`'s job and seed, as every outcome the runner
+/// inserts does: the store keys each record on them at the next open.
+AppOutcome make_outcome(const std::string& package, const CacheKey& key) {
+  AppOutcome outcome;
+  outcome.report.package = package;
+  outcome.seed = key.seed;
+  outcome.job = key.apk;
+  outcome.wall_ms = 1.25;
+  outcome.attempts = 1;
+  outcome.completed = true;
+  return outcome;
 }
 
 ResultCache open_or_die(const std::string& dir,
@@ -156,7 +160,7 @@ TEST(ResultCache, HitMissSemanticsAndPersistence) {
     auto cache = open_or_die(dir.path());
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_FALSE(cache.lookup(key).has_value());
-    cache.insert(key, make_outcome("com.example.one", 42));
+    cache.insert(key, make_outcome("com.example.one", key));
     const auto hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->report.package, "com.example.one");
@@ -187,8 +191,9 @@ TEST(ResultCache, SealCompactionFsyncsTheParentDirectory) {
   auto cache = open_or_die(dir.path());
   // An overwrite dirties the store: the superseded frame must be compacted
   // away at seal time, which is what triggers the rename + directory sync.
-  cache.insert(key_of("app", 1), make_outcome("com.example.v1", 1));
-  cache.insert(key_of("app", 1), make_outcome("com.example.v2", 1));
+  const auto key = key_of("app", 1);
+  cache.insert(key, make_outcome("com.example.v1", key));
+  cache.insert(key, make_outcome("com.example.v2", key));
   const std::uint64_t before = support::dir_fsyncs();
   ASSERT_TRUE(cache.seal().ok());
   EXPECT_GT(support::dir_fsyncs(), before);
@@ -199,8 +204,8 @@ TEST(ResultCache, OverwriteIsLastWriterWins) {
   const auto key = key_of("app", 1);
   {
     auto cache = open_or_die(dir.path());
-    cache.insert(key, make_outcome("com.example.v1", 1));
-    cache.insert(key, make_outcome("com.example.v2", 1));
+    cache.insert(key, make_outcome("com.example.v1", key));
+    cache.insert(key, make_outcome("com.example.v2", key));
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.lookup(key)->report.package, "com.example.v2");
   }
@@ -209,9 +214,9 @@ TEST(ResultCache, OverwriteIsLastWriterWins) {
   auto cache = open_or_die(dir.path());
   EXPECT_EQ(cache.stats().loaded, 1u);
   EXPECT_EQ(cache.lookup(key)->report.package, "com.example.v2");
-  auto read = support::read_journal(cache.store_path(), kCacheMagic);
+  auto read = support::read_journal(cache.store_path());
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value().records.size(), 1u);
+  EXPECT_EQ(read.value().records.size(), 2u);  // metadata + the one entry
 }
 
 TEST(ResultCache, LruEvictionOrderAndRecencyAcrossReopen) {
@@ -222,15 +227,15 @@ TEST(ResultCache, LruEvictionOrderAndRecencyAcrossReopen) {
              k4 = key_of("d");
   {
     auto cache = open_or_die(dir.path(), kTestConfig, bounds);
-    cache.insert(k1, make_outcome("com.a"));
-    cache.insert(k2, make_outcome("com.b"));
-    cache.insert(k3, make_outcome("com.c"));
+    cache.insert(k1, make_outcome("com.a", k1));
+    cache.insert(k2, make_outcome("com.b", k2));
+    cache.insert(k3, make_outcome("com.c", k3));
     EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k1, k2, k3}));
     // A hit refreshes recency: k1 moves off the chopping block...
     ASSERT_TRUE(cache.lookup(k1).has_value());
     EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k2, k3, k1}));
     // ...so the next insert evicts k2, the least recently used.
-    cache.insert(k4, make_outcome("com.d"));
+    cache.insert(k4, make_outcome("com.d", k4));
     EXPECT_EQ(cache.size(), 3u);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k3, k1, k4}));
@@ -252,9 +257,9 @@ TEST(ResultCache, HitRecencySurvivesAReopenWithoutEviction) {
              k4 = key_of("d");
   {
     auto cache = open_or_die(dir.path(), kTestConfig, bounds);
-    cache.insert(k1, make_outcome("com.a"));
-    cache.insert(k2, make_outcome("com.b"));
-    cache.insert(k3, make_outcome("com.c"));
+    cache.insert(k1, make_outcome("com.a", k1));
+    cache.insert(k2, make_outcome("com.b", k2));
+    cache.insert(k3, make_outcome("com.c", k3));
   }
   {
     auto cache = open_or_die(dir.path(), kTestConfig, bounds);
@@ -263,7 +268,7 @@ TEST(ResultCache, HitRecencySurvivesAReopenWithoutEviction) {
   }
   auto cache = open_or_die(dir.path(), kTestConfig, bounds);
   EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k2, k3, k1}));
-  cache.insert(k4, make_outcome("com.d"));
+  cache.insert(k4, make_outcome("com.d", k4));
   EXPECT_EQ(cache.lru_order(), (std::vector<CacheKey>{k3, k1, k4}));
   EXPECT_TRUE(cache.lookup(k1).has_value());
   EXPECT_FALSE(cache.lookup(k2).has_value());
@@ -277,8 +282,8 @@ TEST(ResultCache, UnboundedHitsLeaveTheStoreFileAlone) {
   std::string store_path;
   {
     auto cache = open_or_die(dir.path());
-    cache.insert(k1, make_outcome("com.a"));
-    cache.insert(k2, make_outcome("com.b"));
+    cache.insert(k1, make_outcome("com.a", k1));
+    cache.insert(k2, make_outcome("com.b", k2));
     store_path = cache.store_path();
   }
   const auto before = file_bytes(store_path);
@@ -293,14 +298,14 @@ TEST(ResultCache, UnboundedHitsLeaveTheStoreFileAlone) {
 
 TEST(ResultCache, ByteBoundEvicts) {
   TempCacheDir dir("bytes");
-  const auto probe = encode_outcome(0, make_outcome("com.probe"));
+  const auto probe = encode_outcome(0, make_outcome("com.probe", key_of("a")));
   CacheConfig bounds;
   bounds.max_bytes = probe.size() * 2 + probe.size() / 2;  // fits 2, not 3
   auto cache = open_or_die(dir.path(), kTestConfig, bounds);
-  cache.insert(key_of("a"), make_outcome("com.probe"));
-  cache.insert(key_of("b"), make_outcome("com.probe"));
+  cache.insert(key_of("a"), make_outcome("com.probe", key_of("a")));
+  cache.insert(key_of("b"), make_outcome("com.probe", key_of("b")));
   EXPECT_EQ(cache.stats().evictions, 0u);
-  cache.insert(key_of("c"), make_outcome("com.probe"));
+  cache.insert(key_of("c"), make_outcome("com.probe", key_of("c")));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.payload_bytes(), bounds.max_bytes);
@@ -311,8 +316,8 @@ TEST(ResultCache, StaleConfigFingerprintInvalidatesLoudly) {
   const auto fp_b = support::sha256("test-config-B");
   {
     auto cache = open_or_die(dir.path());  // fingerprint A
-    cache.insert(key_of("a"), make_outcome("com.a"));
-    cache.insert(key_of("b"), make_outcome("com.b"));
+    cache.insert(key_of("a"), make_outcome("com.a", key_of("a")));
+    cache.insert(key_of("b"), make_outcome("com.b", key_of("b")));
   }
   {
     // A semantic config change: every entry drops, none served stale.
@@ -325,7 +330,8 @@ TEST(ResultCache, StaleConfigFingerprintInvalidatesLoudly) {
     EXPECT_EQ(cache.stats().loaded, 0u);
     EXPECT_FALSE(
         cache.lookup(key_of("a", 0, fp_b)).has_value());
-    cache.insert(key_of("c", 0, fp_b), make_outcome("com.c"));
+    const auto key = key_of("c", 0, fp_b);
+    cache.insert(key, make_outcome("com.c", key));
   }
   // The stale frames were compacted away; the new-config entry remains.
   auto cache = open_or_die(dir.path(), fp_b);
@@ -394,8 +400,8 @@ TEST(ResultCache, TornTailIsRecoveredNotFatal) {
   std::string store;
   {
     auto cache = open_or_die(dir.path());
-    cache.insert(key_of("a"), make_outcome("com.a"));
-    cache.insert(key_of("b"), make_outcome("com.b"));
+    cache.insert(key_of("a"), make_outcome("com.a", key_of("a")));
+    cache.insert(key_of("b"), make_outcome("com.b", key_of("b")));
     store = cache.store_path();
   }
   {  // Tear the tail: half a fake frame of garbage after the real records.
@@ -419,15 +425,15 @@ TEST(ResultCache, CorruptedMidFileRecordDropsTheSuffixNotTheRun) {
   std::uintmax_t after_first = 0;
   {
     auto cache = open_or_die(dir.path());
-    cache.insert(key_of("a"), make_outcome("com.a"));
+    cache.insert(key_of("a"), make_outcome("com.a", key_of("a")));
     (void)cache.seal();
     after_first = std::filesystem::file_size(cache.store_path());
     store = cache.store_path();
   }
   {
     auto cache = open_or_die(dir.path());
-    cache.insert(key_of("b"), make_outcome("com.b"));
-    cache.insert(key_of("c"), make_outcome("com.c"));
+    cache.insert(key_of("b"), make_outcome("com.b", key_of("b")));
+    cache.insert(key_of("c"), make_outcome("com.c", key_of("c")));
   }
   {  // Flip one byte inside the second record's frame.
     std::fstream f(store, std::ios::binary | std::ios::in | std::ios::out);
@@ -450,14 +456,23 @@ TEST(ResultCache, ForeignFileMagicFailsLoudly) {
   std::filesystem::create_directories(dir.path());
   const std::string store =
       (std::filesystem::path(dir.path()) / kCacheFileName).string();
-  {  // An outcome *journal* squatting on the store path: not our format.
-    auto writer = support::JournalWriter::open(store);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append(support::to_bytes("not-a-cache")).ok());
+  // A store from an older build (its own "DYCACH01" magic) and a file that
+  // is no journal at all: neither is a store, both fail the open naming
+  // the path and saying to delete it, and both are left as they were.
+  for (const std::string& squatter :
+       {std::string("DYCACH01") + std::string(24, '\x01'),
+        std::string("not a journal")}) {
+    {
+      std::ofstream out(store, std::ios::binary | std::ios::trunc);
+      out << squatter;
+    }
+    auto opened = ResultCache::open(dir.path(), kTestConfig);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_NE(opened.error().find("magic"), std::string::npos);
+    EXPECT_NE(opened.error().find(store), std::string::npos);
+    EXPECT_NE(opened.error().find("delete"), std::string::npos);
+    EXPECT_EQ(file_bytes(store), squatter);
   }
-  auto opened = ResultCache::open(dir.path(), kTestConfig);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_NE(opened.error().find("magic"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,8 +492,8 @@ TEST(ResultCache, CraftedFnvCollisionLandsInDistinctEntries) {
   CacheKey key_a = key_of(apk_a, 9);
   CacheKey key_b = key_of(apk_b, 9);
   EXPECT_NE(key_a, key_b);  // sha256 keeps the identities apart
-  cache.insert(key_a, make_outcome("com.example.first", 9));
-  cache.insert(key_b, make_outcome("com.example.second", 9));
+  cache.insert(key_a, make_outcome("com.example.first", key_a));
+  cache.insert(key_b, make_outcome("com.example.second", key_b));
   EXPECT_EQ(cache.size(), 2u);
   // Neither entry shadows the other: each set of bytes replays its own
   // result, not its FNV twin's.
@@ -498,7 +513,8 @@ TEST(ResultCache, ConcurrentHitsOverwritesAndAnUndecodableEntry) {
   std::vector<AppOutcome> inserted;
   for (std::size_t i = 0; i < kKeys; ++i) {
     keys.push_back(key_of("app-" + std::to_string(i), i));
-    inserted.push_back(make_outcome("com.example.c" + std::to_string(i), i));
+    inserted.push_back(
+        make_outcome("com.example.c" + std::to_string(i), keys.back()));
   }
   const CacheKey bad = key_of("undecodable", 99);
   std::string store;
@@ -507,19 +523,13 @@ TEST(ResultCache, ConcurrentHitsOverwritesAndAnUndecodableEntry) {
     for (std::size_t i = 0; i < kKeys; ++i) cache.insert(keys[i], inserted[i]);
     store = cache.store_path();
   }
-  {  // A CRC-intact record whose outcome payload no longer decodes: it
-     // loads at open and fails only when a lookup decodes it.
-    support::ByteWriter record;
-    record.u8(kCacheCodecVersion);
-    record.raw(bad.apk.bytes);
-    record.raw(bad.config.bytes);
-    record.u64(bad.seed);
-    record.blob(support::Bytes{kOutcomeCodecVersion + 1, 0, 0});
-    support::JournalWriterOptions options;
-    options.magic = kCacheMagic;
-    auto writer = support::JournalWriter::open(store, options);
+  {  // A CRC-intact outcome record whose header reads but whose report is
+     // cut short: it loads at open and fails only when a lookup decodes it.
+    support::Bytes record = encode_outcome(0, make_outcome("com.bad", bad));
+    record.pop_back();
+    auto writer = support::JournalWriter::open(store);
     ASSERT_TRUE(writer.ok()) << writer.error();
-    ASSERT_TRUE(writer.value().append(record.data()).ok());
+    ASSERT_TRUE(writer.value().append(record).ok());
   }
   auto cache = open_or_die(dir.path());
   ASSERT_EQ(cache.stats().loaded, kKeys + 1);
@@ -978,6 +988,102 @@ TEST(CacheEquivalence, KilledJournaledRunResumesWarmFromCache) {
       EXPECT_TRUE(resumed.outcomes[i].cache_checked);
       EXPECT_TRUE(resumed.outcomes[i].cache_hit);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One format: a finished outcome journal is a cache store as it is.
+// ---------------------------------------------------------------------------
+
+TEST(CacheEquivalence, FinishedJournalPrimesACacheAsItIs) {
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const std::size_t n = corpus.apps.size();
+  const core::DyDroid plain{core::PipelineOptions{}};
+  // Pooled under a sandbox.crash plan: the journal holds fated outcomes,
+  // which the cache must skip and the cached run (same plan) recompute.
+  auto plan = support::FaultPlan::parse("sandbox.crash=p:0.3");
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  core::PipelineOptions crash_options;
+  crash_options.faults = &plan.value();
+  const core::DyDroid crashing(std::move(crash_options));
+  RunnerConfig thread_config;
+  thread_config.jobs = 2;
+  RunnerConfig pool_config = thread_config;
+  pool_config.jobs = std::min<std::size_t>(2, kMaxPooledWorkers);
+  pool_config.isolation_mode = IsolationMode::kPool;
+
+  // Prime the cache of a run under `config` from `journal`, the finished
+  // journal of `golden`, an uncached run under the same configuration.
+  const auto expect_primes = [&](const std::string& tag,
+                                 const core::DyDroid& pipeline,
+                                 RunnerConfig config,
+                                 const std::string& journal,
+                                 const CorpusResult& golden) {
+    std::size_t clean = 0;
+    for (const auto& outcome : golden.outcomes) {
+      if (outcome.sandbox_fate == SandboxFate::kNone) ++clean;
+    }
+    const auto golden_json = report_jsons(golden);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      if (config.isolated() && workers > kMaxPooledWorkers) break;
+      SCOPED_TRACE(tag + " at " + std::to_string(workers) + " worker(s)");
+      TempCacheDir dir("primed_" + tag + std::to_string(workers));
+      std::filesystem::create_directories(dir.path());
+      const auto store = std::filesystem::path(dir.path()) / kCacheFileName;
+      std::filesystem::copy_file(journal, store);
+      config.jobs = workers;
+      config.journal_path.clear();
+      config.cache_dir = dir.path();
+      const auto cached = CorpusRunner(pipeline, config).run(corpus);
+      EXPECT_EQ(cached.stats.cache_hits, clean);
+      EXPECT_EQ(cached.stats.cache_misses, n - clean);
+      EXPECT_EQ(cached.cache_invalidated, 0u);
+      EXPECT_EQ(report_jsons(cached), golden_json);
+      auto sealed = read_outcome_records(store.string());
+      ASSERT_TRUE(sealed.ok()) << sealed.error();
+      EXPECT_TRUE(sealed.value().meta.has_value());
+      EXPECT_EQ(sealed.value().records.size(), clean);
+      for (const auto& record : sealed.value().records) {
+        EXPECT_EQ(record.sandbox_fate, SandboxFate::kNone);
+      }
+    }
+  };
+
+  {
+    TempJournal journal("primes_thread");
+    RunnerConfig config = thread_config;
+    config.journal_path = journal.path();
+    const auto golden = CorpusRunner(plain, config).run(corpus);
+    expect_primes("thread", plain, thread_config, journal.path(), golden);
+  }
+  {
+    TempJournal journal("primes_pool");
+    RunnerConfig config = pool_config;
+    config.journal_path = journal.path();
+    const auto golden = CorpusRunner(crashing, config).run(corpus);
+    ASSERT_GT(golden.stats.sandbox_crashed, 0u);
+    ASSERT_LT(golden.stats.sandbox_crashed, n);
+    expect_primes("pool", crashing, pool_config, journal.path(), golden);
+  }
+  {
+    std::vector<TempJournal> shards;
+    shards.reserve(3);  // a TempJournal removes its file when destroyed
+    std::vector<std::string> shard_paths;
+    for (std::uint32_t shard = 0; shard < 3; ++shard) {
+      shards.emplace_back("primes_shard" + std::to_string(shard));
+      RunnerConfig config = thread_config;
+      config.shard_index = shard;
+      config.shard_count = 3;
+      config.journal_path = shards.back().path();
+      (void)CorpusRunner(plain, config).run(corpus);
+      shard_paths.push_back(shards.back().path());
+    }
+    TempJournal merged("primes_merged");
+    const auto merge = merge_shard_journals(merged.path(), shard_paths);
+    ASSERT_TRUE(merge.ok()) << merge.error();
+    const auto golden = CorpusRunner(plain, thread_config).run(corpus);
+    expect_primes("merged", plain, thread_config, merged.path(), golden);
   }
 }
 

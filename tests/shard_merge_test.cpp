@@ -325,12 +325,13 @@ TEST(ShardMerge, DuplicateRecordsWithinAShardResolveLastWriterWins) {
   }
   run_shards(pipeline, corpus, journals, 1);
 
-  // Forge a newer record for app 0 (shard 0's residue class, correct seed)
-  // — the artifact a kill-during-resume leaves behind.
+  // Forge a newer record for app 0 (shard 0's residue class, correct seed
+  // and job) — the artifact a kill-during-resume leaves behind.
   const auto shard0 =
       CorpusRunner(pipeline, shard_config(0, 2, "")).run(corpus);
   AppOutcome forged = shard0.outcomes[0];
   forged.report.package = "com.example.superseded.by.this";
+  forged.job = job_digest(jobs_from_corpus(corpus)[0]);
   {
     auto writer = support::JournalWriter::open(journals[0].path());
     ASSERT_TRUE(writer.ok());

@@ -6,7 +6,9 @@
 # journal records plus warm cache hits must reproduce the same summary —
 # and with `--isolate` (docs/ISOLATION.md: a worker pool recycled after
 # every app) on: journaled sandbox fates must resume to the same summary
-# too.
+# too. The warm cache is the golden run's journal, copied in as the store
+# (a finished journal is a cache store), and a resume of that journal under
+# another corpus seed must be refused: its records name other jobs.
 #
 #   tools/run_kill_resume.sh [rounds] [scale] [seed] [jobs]
 #
@@ -42,15 +44,42 @@ strip_timing() {
 
 echo "==== golden run (scale=$scale seed=$seed jobs=$jobs) ===="
 "$cli" survey --scale "$scale" --seed "$seed" --jobs "$jobs" \
-  > "$workdir/golden.txt"
+  --journal "$workdir/golden.jrnl" > "$workdir/golden.txt"
 strip_timing "$workdir/golden.txt" > "$workdir/golden.stable"
+apps="$(sed -n 's/^surveyed \([0-9]*\) apps.*/\1/p' "$workdir/golden.txt")"
 
-# Warm cache for the cached kill/resume cycle: one full cached run, so
-# every later lookup under the same (bytes, config, seed) key hits.
+# Warm cache for the cached kill/resume cycle: the golden journal is a
+# store as it is, so every later lookup under the same (job, config, seed)
+# key hits.
 cachedir="$workdir/cache"
-echo "==== warming result cache ===="
+echo "==== warming result cache from the golden journal ===="
+mkdir -p "$cachedir"
+cp "$workdir/golden.jrnl" "$cachedir/results.dyc"
 "$cli" survey --scale "$scale" --seed "$seed" --jobs "$jobs" \
-  --cache "$cachedir" > /dev/null
+  --cache "$cachedir" > "$workdir/warm.txt"
+if ! grep -q "  cache: $apps hits, 0 misses" "$workdir/warm.txt"; then
+  echo "warm cache: expected $apps hits and 0 misses:" >&2
+  cat "$workdir/warm.txt" >&2
+  exit 1
+fi
+echo "warm cache: $apps hits, 0 misses"
+
+# A resume under another corpus seed sees the same corpus size, seed base
+# and per-app seeds but other apps: the records' job digests refuse it.
+echo "==== resume under --seed $((seed + 1)) must be refused ===="
+cp "$workdir/golden.jrnl" "$workdir/other_seed.jrnl"
+if "$cli" survey --scale "$scale" --seed "$((seed + 1))" --jobs "$jobs" \
+    --resume "$workdir/other_seed.jrnl" > /dev/null \
+    2> "$workdir/other_seed.err"; then
+  echo "resume under another corpus seed was accepted" >&2
+  exit 1
+fi
+if ! grep -q "app 0 " "$workdir/other_seed.err"; then
+  echo "refusal does not name app 0:" >&2
+  cat "$workdir/other_seed.err" >&2
+  exit 1
+fi
+echo "other seed: refused ($(head -c 160 "$workdir/other_seed.err"))"
 
 kill_resume_round() {
   local tag="$1"; shift
