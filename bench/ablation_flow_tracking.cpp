@@ -83,7 +83,7 @@ int main() {
     const auto apk = renaming_downloader(pkg, url);
 
     os::Device device;
-    device.network().host(url, payload());
+    device.network().host(url, support::Blob::take(payload()));
     (void)device.install(apk);
     const auto manifest = apk.read_manifest();
     vm::Vm vm(device, manifest);

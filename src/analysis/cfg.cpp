@@ -7,13 +7,6 @@ namespace dydroid::analysis {
 
 using dex::Op;
 
-std::size_t Cfg::block_of(std::size_t pc) const {
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    if (pc >= blocks[i].begin && pc < blocks[i].end) return i;
-  }
-  return blocks.size();
-}
-
 Cfg build_cfg(const dex::Method& method) {
   Cfg cfg;
   const auto& code = method.code;

@@ -17,10 +17,6 @@ struct BasicBlock {
 
 struct Cfg {
   std::vector<BasicBlock> blocks;
-
-  /// Block containing instruction `pc` (linear search acceptable for the
-  /// short methods SimDex apps carry).
-  [[nodiscard]] std::size_t block_of(std::size_t pc) const;
 };
 
 /// Build the CFG of a method. Leaders: entry, branch targets, fall-throughs

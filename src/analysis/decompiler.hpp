@@ -36,7 +36,7 @@ struct Ir {
 support::Result<Ir> decompile(const apk::ApkImage& image);
 
 /// Decompile from raw bytes: parses the container first (one parse), then
-/// delegates. Kept for callers outside the staged pipeline.
+/// delegates. `dydroid disasm` reads its input this way.
 support::Result<Ir> decompile(std::span<const std::uint8_t> apk_bytes);
 
 /// True if the IR contains a locally packed file whose format can store

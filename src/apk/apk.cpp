@@ -42,10 +42,6 @@ bool ApkFile::remove(std::string_view path) {
   return true;
 }
 
-bool ApkFile::contains(std::string_view path) const {
-  return entries_.find(path) != entries_.end();
-}
-
 std::optional<Blob> ApkFile::get(std::string_view path) const {
   const auto it = entries_.find(path);
   if (it == entries_.end()) return std::nullopt;
@@ -92,16 +88,6 @@ void ApkFile::sign(std::string_view signer_key) {
   signer_ = std::string(signer_key);
   signature_ =
       support::hash_combine(content_hash(), support::fnv1a64(signer_key));
-}
-
-bool ApkFile::verify_signature() const {
-  if (signer_.empty()) return false;
-  return signature_ ==
-         support::hash_combine(content_hash(), support::fnv1a64(signer_));
-}
-
-bool ApkFile::has_crc_trap() const {
-  return first_crc_mismatch().has_value();
 }
 
 std::optional<std::string> ApkFile::first_crc_mismatch() const {

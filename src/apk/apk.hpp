@@ -53,7 +53,6 @@ class ApkFile {
   /// Remove an entry; returns false if absent.
   bool remove(std::string_view path);
 
-  [[nodiscard]] bool contains(std::string_view path) const;
   /// The entry's bytes as a refcounted view (cheap copy), or nullopt if
   /// absent. The view stays valid after the ApkFile is destroyed.
   [[nodiscard]] std::optional<support::Blob> get(std::string_view path) const;
@@ -71,10 +70,7 @@ class ApkFile {
   /// Sign with a developer key string (hash-based signature over entries).
   void sign(std::string_view signer_key);
   [[nodiscard]] const std::string& signer() const { return signer_; }
-  [[nodiscard]] bool verify_signature() const;
 
-  /// True if any entry's stored CRC mismatches its content.
-  [[nodiscard]] bool has_crc_trap() const;
   /// Name of the first entry (in table order) whose stored CRC mismatches
   /// its content, or nullopt when the container is clean. The cheap
   /// index-level equivalent of a strict re-parse.

@@ -2,16 +2,6 @@
 
 namespace dydroid::appgen {
 
-std::string_view trigger_name(MalwareTrigger trigger) {
-  switch (trigger) {
-    case MalwareTrigger::SystemTime: return "system-time";
-    case MalwareTrigger::AirplaneMode: return "airplane-mode";
-    case MalwareTrigger::Connectivity: return "connectivity";
-    case MalwareTrigger::Location: return "location";
-  }
-  return "?";
-}
-
 bool AppSpec::has_dex_malware() const {
   for (const auto& m : malware) {
     if (!malware::family_is_native(m.family)) return true;

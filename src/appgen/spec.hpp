@@ -31,8 +31,6 @@ enum class MalwareTrigger {
   Location,      // skip when location service is off
 };
 
-std::string_view trigger_name(MalwareTrigger trigger);
-
 /// One malicious payload file carried by an app.
 struct MalwarePayloadSpec {
   malware::Family family = malware::Family::SwissCodeMonkeys;

@@ -41,14 +41,4 @@ std::optional<std::string> DownloadTracker::origin_url(
   return std::nullopt;
 }
 
-std::vector<std::string> DownloadTracker::remote_files() const {
-  std::vector<std::string> out;
-  for (const auto& [key, _] : reverse_) {
-    if (!key.starts_with("F:")) continue;
-    const auto path = key.substr(2);
-    if (origin_url(path).has_value()) out.push_back(path);
-  }
-  return out;
-}
-
 }  // namespace dydroid::core

@@ -10,7 +10,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "vm/instrumentation.hpp"
 
@@ -25,9 +24,6 @@ class DownloadTracker {
   /// for locally produced files.
   [[nodiscard]] std::optional<std::string> origin_url(
       const std::string& file_path) const;
-
-  /// Every file path reachable from some URL.
-  [[nodiscard]] std::vector<std::string> remote_files() const;
 
  private:
   static std::string key_of(const vm::FlowNode& node);

@@ -68,8 +68,6 @@ DyDroid::DyDroid(PipelineOptions options,
     : options_(std::move(options)), stages_(std::move(stages)) {}
 
 DyDroid::~DyDroid() = default;
-DyDroid::DyDroid(DyDroid&&) noexcept = default;
-DyDroid& DyDroid::operator=(DyDroid&&) noexcept = default;
 
 std::vector<std::string_view> DyDroid::stage_names() const {
   std::vector<std::string_view> names;

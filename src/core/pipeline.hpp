@@ -136,8 +136,6 @@ class DyDroid {
   DyDroid(PipelineOptions options,
           std::vector<std::unique_ptr<const Stage>> stages);
   ~DyDroid();
-  DyDroid(DyDroid&&) noexcept;
-  DyDroid& operator=(DyDroid&&) noexcept;
 
   /// Analyze one APK end to end. `seed` drives the fuzzing determinism.
   /// Const and thread-safe: per-app state lives in the per-call

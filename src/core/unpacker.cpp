@@ -12,7 +12,17 @@ using support::Result;
 
 Result<UnpackResult> unpack_packed_app(
     std::span<const std::uint8_t> packed_apk, std::uint64_t seed) {
-  auto ir = analysis::decompile(packed_apk);
+  // One container parse serves the decompiler, the installer and the
+  // reassembly below.
+  apk::ApkImage image;
+  try {
+    image = apk::ApkImage::parse(support::Blob::copy_of(packed_apk),
+                                 apk::ParseMode::kLenient);
+  } catch (const support::ParseError& e) {
+    return Result<UnpackResult>::failure(std::string("unpack: decompile: ") +
+                                         e.what());
+  }
+  auto ir = analysis::decompile(image);
   if (!ir.ok()) {
     return Result<UnpackResult>::failure("unpack: " + ir.error());
   }
@@ -23,16 +33,10 @@ Result<UnpackResult> unpack_packed_app(
 
   // Sandbox run: let the container decrypt and load, intercept the payload.
   os::Device device;
-  apk::ApkFile apk;
-  try {
-    apk = apk::ApkFile::deserialize(packed_apk, apk::ParseMode::kLenient);
-  } catch (const support::ParseError& e) {
-    return Result<UnpackResult>::failure(std::string("unpack: ") + e.what());
-  }
-  if (const auto installed = device.install(apk); !installed) {
+  if (const auto installed = device.install(image); !installed) {
     return Result<UnpackResult>::failure("unpack: " + installed.error());
   }
-  auto man = apk.read_manifest();
+  auto man = ir.value().manifest;
   support::Rng rng(seed);
   EngineConfig config;
   const auto run = run_app(device, ir.value().classes_dex, man, rng, config);
@@ -61,7 +65,7 @@ Result<UnpackResult> unpack_packed_app(
   // artifacts, clear android:name.
   UnpackResult result;
   result.payload_path = best->path;
-  result.apk = apk;
+  result.apk = image.file();
   result.apk.put(apk::kClassesDexEntry, best->bytes);
   result.apk.remove(std::string(apk::kAssetsDirPrefix) +
                     std::string(obfuscation::kEncryptedPayloadAsset));

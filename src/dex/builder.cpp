@@ -8,17 +8,6 @@ MethodBuilder::MethodBuilder(DexBuilder* dex, std::size_t cls_idx,
                              std::size_t method_idx)
     : dex_(dex), cls_idx_(cls_idx), method_idx_(method_idx) {}
 
-MethodBuilder::MethodBuilder(MethodBuilder&& other) noexcept
-    : dex_(other.dex_),
-      cls_idx_(other.cls_idx_),
-      method_idx_(other.method_idx_),
-      finalized_(other.finalized_),
-      max_reg_(other.max_reg_),
-      labels_(std::move(other.labels_)),
-      fixups_(std::move(other.fixups_)) {
-  other.finalized_ = true;  // moved-from builder must not re-finalize
-}
-
 MethodBuilder::~MethodBuilder() {
   if (!finalized_) done();
 }
@@ -308,8 +297,6 @@ void MethodBuilder::done() {
 }
 
 ClassDef& ClassBuilder::c() const { return dex_->dex_->classes()[cls_idx_]; }
-
-const std::string& ClassBuilder::name() const { return c().name; }
 
 MethodBuilder ClassBuilder::method(std::string_view name, std::uint16_t params,
                                    std::uint32_t flags) {

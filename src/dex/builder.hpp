@@ -34,7 +34,6 @@ class MethodBuilder {
  public:
   MethodBuilder(const MethodBuilder&) = delete;
   MethodBuilder& operator=(const MethodBuilder&) = delete;
-  MethodBuilder(MethodBuilder&& other) noexcept;
   ~MethodBuilder();
 
   MethodBuilder& const_int(std::uint16_t dst, std::int64_t value);
@@ -114,8 +113,6 @@ class ClassBuilder {
   ClassBuilder& native_method(std::string_view name, std::uint16_t params);
   ClassBuilder& instance_field(std::string_view name);
   ClassBuilder& static_field(std::string_view name);
-
-  [[nodiscard]] const std::string& name() const;
 
  private:
   friend class DexBuilder;

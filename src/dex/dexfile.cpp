@@ -213,14 +213,6 @@ std::optional<std::string> DexFile::validate() const {
   return std::nullopt;
 }
 
-std::size_t DexFile::instruction_count() const {
-  std::size_t n = 0;
-  for (const auto& c : classes_) {
-    for (const auto& m : c.methods) n += m.code.size();
-  }
-  return n;
-}
-
 bool looks_like_dex(std::span<const std::uint8_t> data) {
   const auto magic = DexFile::kMagic;
   if (data.size() < magic.size()) return false;

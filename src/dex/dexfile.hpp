@@ -82,9 +82,6 @@ class DexFile {
   /// numbers). Returns an error description, or nullopt if well-formed.
   [[nodiscard]] std::optional<std::string> validate() const;
 
-  /// Total instruction count across all methods.
-  [[nodiscard]] std::size_t instruction_count() const;
-
   /// Magic bytes at the front of every serialized SimDex file.
   static constexpr std::string_view kMagic = "SDEX1";
 

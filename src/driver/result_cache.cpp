@@ -43,7 +43,7 @@ support::Result<ResultCache> ResultCache::open(
     auto read = read_outcome_records(cache.store_path_);
     if (!read.ok()) {
       return support::Result<ResultCache>::failure(
-          "cache: " + cache.store_path_ + ": " + read.error() +
+          "cache: " + read.error() +
           "; delete the store to start an empty one");
     }
     OutcomeRecords& store = read.value();

@@ -10,15 +10,6 @@ using vm::ObjRef;
 using vm::Value;
 using vm::VmException;
 
-std::string_view outcome_name(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kNoActivity: return "no-activity";
-    case Outcome::kCrash: return "crash";
-    case Outcome::kExercised: return "exercised";
-  }
-  return "?";
-}
-
 MonkeyResult run_monkey(vm::Vm& vm, const MonkeyConfig& config,
                         support::Rng& rng) {
   MonkeyResult result;

@@ -27,8 +27,6 @@ enum class Outcome {
   kExercised,   // event budget delivered
 };
 
-std::string_view outcome_name(Outcome outcome);
-
 struct MonkeyResult {
   Outcome outcome = Outcome::kExercised;
   std::string crash_message;

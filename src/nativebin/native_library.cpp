@@ -9,14 +9,6 @@ namespace dydroid::nativebin {
 
 using support::ParseError;
 
-std::string_view arch_name(Arch arch) {
-  switch (arch) {
-    case Arch::Arm: return "ARM";
-    case Arch::X86: return "x86";
-  }
-  return "?";
-}
-
 std::optional<NativeLibrary::Symbol> NativeLibrary::find_symbol(
     std::string_view name) const {
   for (const auto& cls : code_.classes()) {
@@ -25,16 +17,6 @@ std::optional<NativeLibrary::Symbol> NativeLibrary::find_symbol(
     }
   }
   return std::nullopt;
-}
-
-std::vector<std::string> NativeLibrary::exported_symbols() const {
-  std::vector<std::string> out;
-  for (const auto& cls : code_.classes()) {
-    for (const auto& m : cls.methods) {
-      if (m.is_static()) out.push_back(m.name);
-    }
-  }
-  return out;
 }
 
 support::Bytes NativeLibrary::serialize() const {

@@ -16,8 +16,6 @@ namespace dydroid::nativebin {
 
 enum class Arch : std::uint8_t { Arm = 0, X86 = 1 };
 
-std::string_view arch_name(Arch arch);
-
 class NativeLibrary {
  public:
   NativeLibrary() = default;
@@ -39,9 +37,6 @@ class NativeLibrary {
   };
   [[nodiscard]] std::optional<Symbol> find_symbol(
       std::string_view name) const;
-
-  /// Names of all exported symbols.
-  [[nodiscard]] std::vector<std::string> exported_symbols() const;
 
   [[nodiscard]] support::Bytes serialize() const;
   static NativeLibrary deserialize(std::span<const std::uint8_t> data);

@@ -141,15 +141,4 @@ ObfuscationReport analyze_obfuscation(const analysis::Ir& ir) {
   return report;
 }
 
-ObfuscationReport analyze_obfuscation(
-    std::span<const std::uint8_t> apk_bytes) {
-  auto ir = analysis::decompile(apk_bytes);
-  if (!ir.ok()) {
-    ObfuscationReport report;
-    report.anti_decompilation = true;
-    return report;
-  }
-  return analyze_obfuscation(ir.value());
-}
-
 }  // namespace dydroid::obfuscation

@@ -27,13 +27,10 @@ struct ObfuscationReport {
 /// obfuscated.
 inline constexpr double kLexicalThreshold = 0.5;
 
-/// Analyze a decompiled app.
+/// Analyze a decompiled app. Leaves anti_decompilation false: an app the
+/// decompiler rejects never reaches here, and core::StaticStage sets that
+/// flag alone.
 ObfuscationReport analyze_obfuscation(const analysis::Ir& ir);
-
-/// Convenience: decompile + analyze. When decompilation fails the report
-/// has anti_decompilation set and everything else false.
-ObfuscationReport analyze_obfuscation(
-    std::span<const std::uint8_t> apk_bytes);
 
 /// Rule helpers, exposed for tests and ablations.
 bool detect_lexical(const analysis::Ir& ir);

@@ -11,15 +11,6 @@ void poison_anti_decompilation(dex::DexFile& dex) {
       dex::encode_debug_info({{7, 1}, {7, 2}})});
 }
 
-bool has_anti_decompilation_poison(const dex::DexFile& dex) {
-  try {
-    dex::check_debug_info(dex);
-  } catch (const support::ParseError&) {
-    return true;
-  }
-  return false;
-}
-
 void plant_anti_repackaging_trap(apk::ApkFile& apk) {
   apk.put_with_bad_crc(std::string(kTrapEntry),
                        support::to_bytes("\x7f\x00trap"));

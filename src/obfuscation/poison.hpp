@@ -16,11 +16,9 @@ namespace dydroid::obfuscation {
 /// Name of the trap entry planted by anti-repackaging.
 inline constexpr std::string_view kTrapEntry = "assets/.integrity";
 
-/// Append a malformed debug_info extra section to the dex.
+/// Append a malformed debug_info extra section to the dex: check_debug_info
+/// (dex/disassembler.hpp), and so analysis::decompile, then rejects it.
 void poison_anti_decompilation(dex::DexFile& dex);
-
-/// True if the dex carries the malformed-debug-info poison.
-bool has_anti_decompilation_poison(const dex::DexFile& dex);
 
 /// Plant the CRC trap entry in an APK (call before signing).
 void plant_anti_repackaging_trap(apk::ApkFile& apk);

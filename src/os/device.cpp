@@ -41,7 +41,7 @@ Device::Device(DeviceConfig config)
 
 void Scenario::apply(Device& device) const {
   for (const auto& [url, payload] : hosted_urls) {
-    device.network().host(url, payload.to_bytes());
+    device.network().host(url, payload);
   }
   for (const auto& apk_bytes : companion_apks) {
     (void)device.install(apk::ApkFile::deserialize(apk_bytes));

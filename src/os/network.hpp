@@ -1,19 +1,17 @@
-// Simulated network: a registry of remote servers keyed by URL.
+// Simulated network: the payloads a remote server hosts, keyed by URL.
 //
-// Payloads can be static bytes or a callable — the callable form models the
-// server-side gating used in the paper's Bouncer-evasion experiment (§III-B:
-// "The server decides whether or not to send App_L the link to the copy of
-// App_M"). Every fetch is recorded for the measurement log.
+// A payload is data: the run's os::Scenario decides what is hosted, and the
+// paper's Bouncer-evasion gate (§III-B: "The server decides whether or not
+// to send App_L the link to the copy of App_M") is a URL the scenario does
+// not host. Every fetch is recorded for the measurement log.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "support/bytes.hpp"
+#include "support/blob.hpp"
 #include "support/error.hpp"
 
 namespace dydroid::os {
@@ -30,27 +28,20 @@ class Network {
  public:
   explicit Network(const SystemServices* services) : services_(services) {}
 
-  /// Serve static bytes at a URL.
-  void host(std::string_view url, support::Bytes payload);
-  /// Serve a dynamic payload; return nullopt to refuse (404 / gated).
-  using Handler = std::function<std::optional<support::Bytes>()>;
-  void host_dynamic(std::string_view url, Handler handler);
+  /// Serve `payload` at a URL.
+  void host(std::string_view url, support::Blob payload);
 
-  /// Fetch a URL. Fails when the device has no connectivity, the URL is not
-  /// hosted, or a dynamic handler refuses.
-  support::Result<support::Bytes> fetch(std::string_view url);
+  /// Fetch a URL: a view of the hosted payload, no copy. Fails when the
+  /// device has no connectivity or the URL is not hosted.
+  support::Result<support::Blob> fetch(std::string_view url);
 
   [[nodiscard]] const std::vector<FetchRecord>& fetch_log() const {
     return log_;
   }
 
-  [[nodiscard]] bool hosts(std::string_view url) const {
-    return handlers_.find(std::string(url)) != handlers_.end();
-  }
-
  private:
   const SystemServices* services_;
-  std::map<std::string, Handler> handlers_;
+  std::map<std::string, support::Blob, std::less<>> payloads_;
   std::vector<FetchRecord> log_;
 };
 

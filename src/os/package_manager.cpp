@@ -30,16 +30,11 @@ Status PackageManager::install(const apk::ApkImage& image) {
   }
   if (m.package.empty()) return Status::failure("install: empty package");
 
-  InstalledPackage pkg;
-  pkg.pkg = m.package;
-  pkg.manifest = m;
-  pkg.signer = apk.signer();
-  pkg.apk_path = std::string(kAppDir) + "/" + m.package + ".apk";
-
-  // The image's serialized Blob goes straight into the VFS — a refcount
-  // bump, not a re-serialize.
+  // The image's serialized Blob goes straight into the VFS at
+  // /data/app/<pkg>.apk — a refcount bump, not a re-serialize.
   const auto sys = Principal::system();
-  if (auto s = vfs_->write_file(sys, pkg.apk_path, image.bytes()); !s) {
+  const auto apk_path = std::string(kAppDir) + "/" + m.package + ".apk";
+  if (auto s = vfs_->write_file(sys, apk_path, image.bytes()); !s) {
     return s;
   }
   // Private data dir marker so the dir "exists".
@@ -57,35 +52,12 @@ Status PackageManager::install(const apk::ApkImage& image) {
       if (auto s = vfs_->write_file(sys, dest, *apk.get(name)); !s) return s;
     }
   }
-  packages_.insert_or_assign(m.package, std::move(pkg));
+  packages_.insert(std::move(m.package));
   return Status();
-}
-
-Status PackageManager::uninstall(std::string_view pkg) {
-  const auto it = packages_.find(pkg);
-  if (it == packages_.end()) {
-    return Status::failure("uninstall: not installed: " + std::string(pkg));
-  }
-  const auto sys = Principal::system();
-  (void)vfs_->delete_file(sys, it->second.apk_path);
-  for (const auto& path : vfs_->list_dir(internal_storage_dir(pkg))) {
-    (void)vfs_->delete_file(sys, path);
-  }
-  packages_.erase(it);
-  return Status();
-}
-
-const InstalledPackage* PackageManager::find(std::string_view pkg) const {
-  const auto it = packages_.find(pkg);
-  if (it == packages_.end()) return nullptr;
-  return &it->second;
 }
 
 std::vector<std::string> PackageManager::installed_packages() const {
-  std::vector<std::string> out;
-  out.reserve(packages_.size());
-  for (const auto& [name, _] : packages_) out.push_back(name);
-  return out;
+  return {packages_.begin(), packages_.end()};
 }
 
 }  // namespace dydroid::os

@@ -3,8 +3,7 @@
 // "usage pattern": installed applications / installed packages).
 #pragma once
 
-#include <map>
-#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,13 +14,6 @@
 namespace dydroid::os {
 
 class Vfs;
-
-struct InstalledPackage {
-  std::string pkg;
-  manifest::Manifest manifest;
-  std::string signer;
-  std::string apk_path;  // /data/app/<pkg>.apk
-};
 
 class PackageManager {
  public:
@@ -34,18 +26,16 @@ class PackageManager {
   support::Status install(const apk::ApkImage& image);
   /// Install from a parsed file only: serializes once, then installs.
   support::Status install(const apk::ApkFile& apk);
-  support::Status uninstall(std::string_view pkg);
 
-  [[nodiscard]] const InstalledPackage* find(std::string_view pkg) const;
   [[nodiscard]] bool is_installed(std::string_view pkg) const {
-    return find(pkg) != nullptr;
+    return packages_.contains(pkg);
   }
   [[nodiscard]] std::vector<std::string> installed_packages() const;
   [[nodiscard]] std::size_t count() const { return packages_.size(); }
 
  private:
   Vfs* vfs_;
-  std::map<std::string, InstalledPackage, std::less<>> packages_;
+  std::set<std::string, std::less<>> packages_;
 };
 
 }  // namespace dydroid::os

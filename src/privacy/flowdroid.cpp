@@ -223,14 +223,6 @@ TaintMask PrivacyReport::leaked_mask() const {
   return mask;
 }
 
-std::vector<Leak> PrivacyReport::of_type(DataType type) const {
-  std::vector<Leak> out;
-  for (const auto& l : leaks) {
-    if (l.type == type) out.push_back(l);
-  }
-  return out;
-}
-
 PrivacyReport analyze_privacy(const dex::DexFile& dex) {
   Global g;
   g.dex = &dex;

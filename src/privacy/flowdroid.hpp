@@ -28,8 +28,6 @@ struct PrivacyReport {
 
   /// Union of leaked data types.
   [[nodiscard]] TaintMask leaked_mask() const;
-  /// Leaks of a specific type.
-  [[nodiscard]] std::vector<Leak> of_type(DataType type) const;
 };
 
 /// Analyze one loaded binary (parsed dex).

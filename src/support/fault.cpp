@@ -202,10 +202,6 @@ bool FaultSession::should_fire(FaultSite site) {
   return fire;
 }
 
-std::uint32_t FaultSession::hits(FaultSite site) const {
-  return hits_[static_cast<std::size_t>(site)];
-}
-
 // ---- ambient scope ---------------------------------------------------------
 
 FaultScope::FaultScope(FaultSession* session) : previous_(t_session) {

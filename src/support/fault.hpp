@@ -135,8 +135,6 @@ class FaultSession {
   /// of (seed, site, hit index) — independent of how other sites interleave.
   [[nodiscard]] bool should_fire(FaultSite site);
 
-  /// Hits observed at a site so far.
-  [[nodiscard]] std::uint32_t hits(FaultSite site) const;
   /// Total faults fired in this session.
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }

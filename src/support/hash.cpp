@@ -316,12 +316,6 @@ std::string Sha256Digest::hex() const {
   return out;
 }
 
-std::uint64_t Sha256Digest::prefix64() const {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
-  return v;
-}
-
 Sha256Digest sha256(std::span<const std::uint8_t> data) {
   Sha256 hasher;
   hasher.update(data);

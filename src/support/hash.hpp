@@ -60,9 +60,6 @@ struct Sha256Digest {
 
   /// Lowercase hex (64 chars), the on-report spelling.
   [[nodiscard]] std::string hex() const;
-  /// First 8 bytes as a u64 (big-endian, like the hex prefix reads) — for
-  /// cheap bucketing where the full digest is overkill. NOT an identity.
-  [[nodiscard]] std::uint64_t prefix64() const;
 
   friend bool operator==(const Sha256Digest&, const Sha256Digest&) = default;
   friend auto operator<=>(const Sha256Digest&, const Sha256Digest&) = default;

@@ -95,17 +95,6 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
       options_(other.options_),
       appended_(other.appended_) {}
 
-JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
-  if (this != &other) {
-    (void)seal();
-    fd_ = std::exchange(other.fd_, -1);
-    path_ = std::move(other.path_);
-    options_ = other.options_;
-    appended_ = other.appended_;
-  }
-  return *this;
-}
-
 JournalWriter::~JournalWriter() { (void)seal(); }
 
 Status JournalWriter::append(std::span<const std::uint8_t> payload) {
@@ -179,7 +168,7 @@ Result<JournalReadResult> parse_journal(const Blob& blob,
   if (data.size() < magic.size() ||
       std::memcmp(data.data(), magic.data(), magic.size()) != 0) {
     return Result<JournalReadResult>::failure(
-        "journal: bad magic (not a journal file)");
+        "bad magic (not a journal file)");
   }
   std::size_t pos = magic.size();
   result.bytes_recovered = pos;
@@ -314,7 +303,12 @@ Result<JournalReadResult> read_journal(const std::string& path) {
   // A file cut short since the fstat reads as what is there: the frame
   // walk treats it like any other torn tail.
   data.resize(static_cast<std::size_t>(got));
-  return parse_journal(Blob::take(std::move(data)));
+  auto parsed = parse_journal(Blob::take(std::move(data)));
+  if (!parsed.ok()) {
+    return Result<JournalReadResult>::failure("journal: " + path + ": " +
+                                              parsed.error());
+  }
+  return parsed;
 }
 
 }  // namespace dydroid::support

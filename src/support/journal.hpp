@@ -75,7 +75,6 @@ class JournalWriter {
                                     JournalWriterOptions options = {});
 
   JournalWriter(JournalWriter&& other) noexcept;
-  JournalWriter& operator=(JournalWriter&& other) noexcept;
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
@@ -124,9 +123,9 @@ struct JournalReadResult {
 };
 
 /// Read every intact record. An empty file is a valid, empty journal; a
-/// missing file or anything but a regular file (a directory, a FIFO) fails
-/// naming the path, and a wrong magic fails too — loudly, never as a
-/// silent empty result or an exception; a torn or bit-flipped tail is
+/// missing file, anything but a regular file (a directory, a FIFO) and a
+/// wrong magic each fail naming the path — loudly, never as a silent empty
+/// result or an exception; a torn or bit-flipped tail is
 /// recovered per the header rules. The file is read with one bulk read
 /// into an exact-size buffer, which becomes one Blob; the records are
 /// slices of it, so the buffer lives as long as any record does.
@@ -139,7 +138,8 @@ Status truncate_journal(const std::string& path, std::size_t bytes_recovered);
 
 /// Parse journal bytes already in memory (the reader core, shared with the
 /// pool's RPC decoders, which pass their own magic; exposed for the fuzz
-/// suite). The records are slices of `blob`.
+/// suite). The records are slices of `blob`. A wrong magic fails with a
+/// message that names no source; each caller says which.
 Result<JournalReadResult> parse_journal(
     const Blob& blob,
     const std::array<std::uint8_t, 8>& magic = kJournalMagic);

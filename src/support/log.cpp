@@ -28,7 +28,6 @@ const char* level_name(LogLevel level) {
 void set_log_level(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
 }
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void log(LogLevel level, std::string_view component, std::string_view message) {
   if (level < g_level.load(std::memory_order_relaxed)) return;

@@ -9,7 +9,6 @@ namespace dydroid::support {
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 void log(LogLevel level, std::string_view component, std::string_view message);
 

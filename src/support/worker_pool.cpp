@@ -25,6 +25,14 @@
 #include <unistd.h>
 #endif
 
+// libgcov's flush entry points. Weak, so they stay null unless a
+// `--coverage` link pulls them in (tools/coverage.sh passes
+// `-Wl,-u,__gcov_dump,-u,__gcov_reset`): a forked worker then drops the
+// counts it inherited and writes its own before `_exit`, which skips the
+// atexit flush.
+extern "C" void __gcov_dump() __attribute__((weak));
+extern "C" void __gcov_reset() __attribute__((weak));
+
 namespace dydroid::support {
 
 namespace {
@@ -205,6 +213,7 @@ Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
     return Result<PoolWorker>::failure(message);
   }
   if (pid == 0) {
+    if (__gcov_reset != nullptr) __gcov_reset();
     close_inherited_fds(request[0], response[1]);
     child_setup(limits);
     int code = kChildExceptionExitCode;
@@ -213,6 +222,7 @@ Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
     } catch (...) {
       code = kChildExceptionExitCode;
     }
+    if (__gcov_dump != nullptr) __gcov_dump();
     ::_exit(code);
   }
   ::close(request[0]);
@@ -227,18 +237,6 @@ PoolWorker::PoolWorker(PoolWorker&& other) noexcept
       response_fd_(std::exchange(other.response_fd_, -1)),
       deadline_ms_(other.deadline_ms_),
       served_(other.served_) {}
-
-PoolWorker& PoolWorker::operator=(PoolWorker&& other) noexcept {
-  if (this != &other) {
-    this->~PoolWorker();
-    pid_ = std::exchange(other.pid_, -1);
-    request_fd_ = std::exchange(other.request_fd_, -1);
-    response_fd_ = std::exchange(other.response_fd_, -1);
-    deadline_ms_ = other.deadline_ms_;
-    served_ = other.served_;
-  }
-  return *this;
-}
 
 PoolWorker::~PoolWorker() { kill(); }
 

@@ -146,7 +146,6 @@ class PoolWorker {
                                   const WorkerLimits& limits);
 
   PoolWorker(PoolWorker&& other) noexcept;
-  PoolWorker& operator=(PoolWorker&& other) noexcept;
   PoolWorker(const PoolWorker&) = delete;
   PoolWorker& operator=(const PoolWorker&) = delete;
   /// A live worker is SIGKILLed and reaped — destruction never leaks

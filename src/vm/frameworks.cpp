@@ -520,9 +520,8 @@ void install_network(FrameworkTable& fw) {
     if (!fetched) {
       throw v.make_exception("IOException: " + fetched.error());
     }
-    auto stream =
-        make_input_stream(v, "java.io.FileInputStream",
-                          support::Blob::take(std::move(fetched).take()));
+    auto stream = make_input_stream(v, "java.io.FileInputStream",
+                                    std::move(fetched).take());
     // The stream is network-sourced, not file-sourced; present it as a
     // plain InputStream node fed by the URL (Table I: URL -> InputStream).
     v.emit_flow(url_node, obj_node(FlowNodeKind::InputStream, stream));
@@ -621,20 +620,13 @@ void install_privacy_sources(FrameworkTable& fw) {
 }
 
 void install_sinks_and_services(FrameworkTable& fw) {
-  fw.add_intrinsic(
-      "android.util.Log", "d",
-      [](Vm& v, std::span<const Value> args) -> Value {
-        v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
-                                  (args.size() > 1 ? args[1].display() : ""));
-        return Value();
-      });
-  fw.add_intrinsic(
-      "android.util.Log", "e",
-      [](Vm& v, std::span<const Value> args) -> Value {
-        v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
-                                  (args.size() > 1 ? args[1].display() : ""));
-        return Value();
-      });
+  const auto log = [](Vm& v, std::span<const Value> args) -> Value {
+    v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
+                              (args.size() > 1 ? args[1].display() : ""));
+    return Value();
+  };
+  fw.add_intrinsic("android.util.Log", "d", log);
+  fw.add_intrinsic("android.util.Log", "e", log);
   fw.add_intrinsic(
       "android.telephony.SmsManager", "sendTextMessage",
       [](Vm& v, std::span<const Value> args) -> Value {

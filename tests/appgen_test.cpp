@@ -39,7 +39,7 @@ TEST(Generator, AdSdkAppCarriesPayloadAssetAndDclCode) {
   support::Rng rng(2);
   const auto app = build_app(spec, rng);
   const auto apk = apk::ApkFile::deserialize(app.apk);
-  EXPECT_TRUE(apk.contains("assets/ad_payload.bin"));
+  EXPECT_TRUE(apk.get("assets/ad_payload.bin").has_value());
   EXPECT_TRUE(core::scan_dcl_apis(dex_of(app)).dex_dcl);
 }
 
@@ -63,7 +63,7 @@ TEST(Generator, NativeVulnAppShipsCompanion) {
   const auto companion =
       apk::ApkFile::deserialize(app.scenario.companion_apks[0]);
   EXPECT_EQ(companion.read_manifest().package, "com.adobe.air");
-  EXPECT_TRUE(companion.contains("lib/armeabi/libCore.so"));
+  EXPECT_TRUE(companion.get("lib/armeabi/libCore.so").has_value());
 }
 
 TEST(Generator, DeadDclNeverHostsOrLeaks) {
@@ -83,12 +83,13 @@ TEST(Generator, PackedAppStructure) {
   spec.dex_encryption = true;
   support::Rng rng(6);
   const auto app = build_app(spec, rng);
-  const auto report = obfuscation::analyze_obfuscation(app.apk);
+  const auto report =
+      obfuscation::analyze_obfuscation(analysis::decompile(app.apk).value());
   EXPECT_TRUE(report.dex_encryption);
   // The original ad payload asset survives packing (assets are copied).
   const auto apk = apk::ApkFile::deserialize(app.apk);
-  EXPECT_TRUE(apk.contains("assets/ad_payload.bin"));
-  EXPECT_TRUE(apk.contains("assets/shield_payload.bin"));
+  EXPECT_TRUE(apk.get("assets/ad_payload.bin").has_value());
+  EXPECT_TRUE(apk.get("assets/shield_payload.bin").has_value());
 }
 
 TEST(Generator, NoActivityAppHasNoLauncher) {
@@ -119,11 +120,6 @@ TEST(Generator, DeterministicGivenSeed) {
   support::Rng r1(9);
   support::Rng r2(9);
   EXPECT_EQ(build_app(spec, r1).apk, build_app(spec, r2).apk);
-}
-
-TEST(Generator, TriggerNames) {
-  EXPECT_EQ(trigger_name(MalwareTrigger::SystemTime), "system-time");
-  EXPECT_EQ(trigger_name(MalwareTrigger::Location), "location");
 }
 
 // ---------------------------------------------------------------------------

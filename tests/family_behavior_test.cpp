@@ -70,7 +70,7 @@ Harness run_dex_payload(Family family, const std::string& payload_class,
                   .ok());
   if (!c2_body.empty()) {
     h.device.network().host("http://c2.test/gate",
-                            support::to_bytes(c2_body));
+                            support::Blob::of_string(c2_body));
   }
   h.manifest = man;
   h.vm = std::make_unique<vm::Vm>(h.device, h.manifest);

@@ -90,6 +90,37 @@ TEST_F(FrameworkTest, FileTwoArgConstructorJoinsPath) {
   EXPECT_EQ(result.as_str(), "/data/data/com.fw.app/cache/z.bin");
 }
 
+TEST_F(FrameworkTest, FileAbsolutePathIsItsPath) {
+  const auto result = run([](dex::MethodBuilder& m) {
+    m.new_instance(0, "java.io.File");
+    m.const_str(1, "/data/data/com.fw.app/files/a.dex");
+    m.invoke_virtual("java.io.File", "<init>", {0, 1});
+    m.invoke_virtual("java.io.File", "getAbsolutePath", {0});
+    m.move_result(2);
+    m.ret(2);
+  });
+  EXPECT_EQ(result.as_str(), "/data/data/com.fw.app/files/a.dex");
+}
+
+TEST_F(FrameworkTest, FileMkdirsSucceedsWithoutWriting) {
+  // Directories are implicit in the VFS: mkdirs reports success and
+  // creates nothing a later exists() would see.
+  const auto result = run([](dex::MethodBuilder& m) {
+    m.new_instance(0, "java.io.File");
+    m.const_str(1, "/data/data/com.fw.app/files/sub");
+    m.invoke_virtual("java.io.File", "<init>", {0, 1});
+    m.invoke_virtual("java.io.File", "mkdirs", {0});
+    m.move_result(2);
+    m.invoke_virtual("java.io.File", "exists", {0});
+    m.move_result(3);
+    m.const_int(4, 10);
+    m.mul(2, 2, 4);
+    m.add(2, 2, 3);
+    m.ret(2);
+  });
+  EXPECT_EQ(result.as_int(), 10);
+}
+
 TEST_F(FrameworkTest, WritePermissionViolationThrows) {
   EXPECT_THROW(run([](dex::MethodBuilder& m) {
                  m.new_instance(0, "java.io.FileOutputStream");
@@ -232,7 +263,9 @@ INSTANTIATE_TEST_SUITE_P(
         EventCase{"android.provider.Browser", "setHomepage", "homepage"},
         EventCase{"libc", "exec", "exec"},
         EventCase{"libc", "ptrace", "ptrace"},
-        EventCase{"libc", "hook_method", "hook"}));
+        EventCase{"libc", "hook_method", "hook"},
+        // Log.e is a privacy sink (privacy/sources.cpp) like Log.d.
+        EventCase{"android.util.Log", "e", "log"}));
 
 // ---------------------------------------------------------------------------
 // Services / environment.
@@ -274,6 +307,18 @@ TEST_F(FrameworkTest, AirplaneFlagAndConnectivityDiffer) {
   EXPECT_EQ(result.as_int(), 11);
 }
 
+TEST_F(FrameworkTest, WifiStateFollowsTheDevice) {
+  device_.services().set_wifi_enabled(false);
+  const auto off = run([](dex::MethodBuilder& m) {
+    m.invoke_static("android.net.wifi.WifiManager", "isWifiEnabled");
+    m.move_result(0);
+    m.ret(0);
+  });
+  EXPECT_EQ(off.as_int(), 0);
+  device_.services().set_wifi_enabled(true);
+  EXPECT_EQ(vm_->call_static("com.fw.app.T", "t").as_int(), 1);
+}
+
 TEST_F(FrameworkTest, ExternalStorageDirConstant) {
   const auto result = run([](dex::MethodBuilder& m) {
     m.invoke_static("android.os.Environment", "getExternalStorageDirectory");
@@ -294,6 +339,27 @@ TEST_F(FrameworkTest, ContextDirsScopedToApp) {
   });
   EXPECT_EQ(result.as_str(),
             "/data/data/com.fw.app/files/data/data/com.fw.app/cache");
+}
+
+TEST_F(FrameworkTest, ContextPackageNameIsTheHostApp) {
+  const auto result = run([](dex::MethodBuilder& m) {
+    m.invoke_static("android.content.Context", "getPackageName");
+    m.move_result(0);
+    m.ret(0);
+  });
+  EXPECT_EQ(result.as_str(), kPkg);
+}
+
+TEST_F(FrameworkTest, ClassGetNameNamesTheLoadedClass) {
+  const auto result = run([](dex::MethodBuilder& m) {
+    m.const_str(0, "com.fw.app.T");
+    m.invoke_static("java.lang.Class", "forName", {0});
+    m.move_result(1);
+    m.invoke_virtual("java.lang.Class", "getName", {1});
+    m.move_result(2);
+    m.ret(2);
+  });
+  EXPECT_EQ(result.as_str(), "com.fw.app.T");
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +436,8 @@ TEST_F(FrameworkTest, UnknownIntrinsicThrowsNoSuchMethod) {
 }
 
 TEST_F(FrameworkTest, NetWriteRecordsEvent) {
-  device_.network().host("http://sink.example/up", support::to_bytes("ok"));
+  device_.network().host("http://sink.example/up",
+                         support::Blob::of_string("ok"));
   (void)run([](dex::MethodBuilder& m) {
     m.new_instance(0, "java.net.URL");
     m.const_str(1, "http://sink.example/up");
@@ -388,7 +455,8 @@ TEST_F(FrameworkTest, NetWriteRecordsEvent) {
 }
 
 TEST_F(FrameworkTest, ResponseCodeReflectsHosting) {
-  device_.network().host("http://up.example/x", support::to_bytes("y"));
+  device_.network().host("http://up.example/x",
+                         support::Blob::of_string("y"));
   const auto result = run([](dex::MethodBuilder& m) {
     m.new_instance(0, "java.net.URL");
     m.const_str(1, "http://up.example/x");

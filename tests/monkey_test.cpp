@@ -194,11 +194,5 @@ TEST(Monkey, DeterministicAcrossRuns) {
   EXPECT_NE(events_of(42), events_of(43));
 }
 
-TEST(Monkey, OutcomeNames) {
-  EXPECT_EQ(outcome_name(Outcome::kNoActivity), "no-activity");
-  EXPECT_EQ(outcome_name(Outcome::kCrash), "crash");
-  EXPECT_EQ(outcome_name(Outcome::kExercised), "exercised");
-}
-
 }  // namespace
 }  // namespace dydroid::monkey

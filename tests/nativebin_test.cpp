@@ -30,11 +30,6 @@ TEST(NativeLibrary, SymbolsAreStaticMethods) {
   EXPECT_FALSE(lib.find_symbol("missing").has_value());
 }
 
-TEST(NativeLibrary, ExportedSymbolList) {
-  const auto symbols = make_lib().exported_symbols();
-  EXPECT_EQ(symbols.size(), 2u);
-}
-
 TEST(NativeLibrary, SerializeRoundTrip) {
   const auto lib = make_lib();
   const auto bytes = lib.serialize();
@@ -49,7 +44,6 @@ TEST(NativeLibrary, X86ArchPreserved) {
   NativeLibrary lib("libx", Arch::X86);
   const auto back = NativeLibrary::deserialize(lib.serialize());
   EXPECT_EQ(back.arch(), Arch::X86);
-  EXPECT_EQ(arch_name(back.arch()), "x86");
 }
 
 TEST(NativeLibrary, BadMagicThrows) {

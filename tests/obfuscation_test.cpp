@@ -4,6 +4,7 @@
 
 #include "analysis/decompiler.hpp"
 #include "dex/builder.hpp"
+#include "dex/disassembler.hpp"
 #include "obfuscation/detector.hpp"
 #include "obfuscation/language_db.hpp"
 #include "obfuscation/lexical.hpp"
@@ -182,8 +183,8 @@ TEST(Packer, OutputStructure) {
   const auto packed = pack(plain_app(), PackerOptions{});
   const auto man = packed.read_manifest();
   EXPECT_EQ(man.application_name, "com.shield.core.StubApplication");
-  EXPECT_TRUE(packed.contains("assets/shield_payload.bin"));
-  EXPECT_TRUE(packed.contains("lib/armeabi/libshield.so"));
+  EXPECT_TRUE(packed.get("assets/shield_payload.bin").has_value());
+  EXPECT_TRUE(packed.get("lib/armeabi/libshield.so").has_value());
   // Original components stay declared, but the stub dex lacks them.
   const auto stub = *packed.read_classes_dex();
   EXPECT_EQ(stub.find_class("com.tv.remote.Main"), nullptr);
@@ -201,7 +202,8 @@ TEST(Packer, PayloadDecryptsToOriginalDex) {
 
 TEST(Packer, DetectorFlagsPackedApp) {
   const auto packed = pack(plain_app(), PackerOptions{});
-  const auto report = analyze_obfuscation(packed.serialize());
+  const auto report =
+      analyze_obfuscation(analysis::decompile(packed.serialize()).value());
   EXPECT_TRUE(report.dex_encryption);
   EXPECT_FALSE(report.anti_decompilation);
 }
@@ -212,7 +214,8 @@ TEST(Packer, DetectorRulesRequireAllThree) {
   auto man = apk.read_manifest();
   man.application_name = "com.missing.Container";
   apk.write_manifest(man);
-  const auto report = analyze_obfuscation(apk.serialize());
+  const auto report =
+      analyze_obfuscation(analysis::decompile(apk.serialize()).value());
   EXPECT_FALSE(report.dex_encryption);
 }
 
@@ -234,7 +237,7 @@ TEST(Packer, AntiRepackagingOptionPlantsTrap) {
   PackerOptions options;
   options.anti_repackaging = true;
   const auto packed = pack(plain_app(), options);
-  EXPECT_TRUE(packed.has_crc_trap());
+  EXPECT_TRUE(packed.first_crc_mismatch().has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -245,10 +248,11 @@ TEST(Poison, AntiDecompilationDetectableAndVmSafe) {
   dex::DexBuilder b;
   b.cls("a.B").method("f", 1).return_void().done();
   auto dexfile = b.build();
-  EXPECT_FALSE(has_anti_decompilation_poison(dexfile));
+  EXPECT_NO_THROW(dex::check_debug_info(dexfile));
   poison_anti_decompilation(dexfile);
-  EXPECT_TRUE(has_anti_decompilation_poison(dexfile));
-  // VM-level deserialization ignores the poisoned section.
+  // The decompiler's debug-info check rejects the poison...
+  EXPECT_THROW(dex::check_debug_info(dexfile), support::ParseError);
+  // ...while VM-level deserialization ignores the poisoned section.
   EXPECT_NO_THROW((void)dex::DexFile::deserialize(dexfile.serialize()));
 }
 
@@ -290,7 +294,8 @@ TEST(Detector, NativeRuleFromLoadCall) {
 }
 
 TEST(Detector, PlainAppHasNoFlags) {
-  const auto report = analyze_obfuscation(plain_app().serialize());
+  const auto report =
+      analyze_obfuscation(analysis::decompile(plain_app().serialize()).value());
   EXPECT_FALSE(report.lexical);
   EXPECT_FALSE(report.reflection);
   EXPECT_FALSE(report.native_code);

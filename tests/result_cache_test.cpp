@@ -458,7 +458,7 @@ TEST(ResultCache, ForeignFileMagicFailsLoudly) {
       (std::filesystem::path(dir.path()) / kCacheFileName).string();
   // A store from an older build (its own "DYCACH01" magic) and a file that
   // is no journal at all: neither is a store, both fail the open naming
-  // the path and saying to delete it, and both are left as they were.
+  // the path once and saying to delete it, and both are left as they were.
   for (const std::string& squatter :
        {std::string("DYCACH01") + std::string(24, '\x01'),
         std::string("not a journal")}) {
@@ -469,7 +469,9 @@ TEST(ResultCache, ForeignFileMagicFailsLoudly) {
     auto opened = ResultCache::open(dir.path(), kTestConfig);
     ASSERT_FALSE(opened.ok());
     EXPECT_NE(opened.error().find("magic"), std::string::npos);
-    EXPECT_NE(opened.error().find(store), std::string::npos);
+    const auto named = opened.error().find(store);
+    ASSERT_NE(named, std::string::npos);
+    EXPECT_EQ(opened.error().find(store, named + 1), std::string::npos);
     EXPECT_NE(opened.error().find("delete"), std::string::npos);
     EXPECT_EQ(file_bytes(store), squatter);
   }

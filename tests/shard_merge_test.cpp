@@ -590,6 +590,19 @@ TEST_F(ShardFailures, FailedMergeNeverTouchesTheOutputPath) {
   EXPECT_NE(::access(out.path().c_str(), F_OK), 0);
 }
 
+TEST_F(ShardFailures, NonJournalInputNamesItsPath) {
+  // Among several inputs, the failure says which one is no journal.
+  TempFile squatter("fail_notj");
+  std::FILE* f = std::fopen(squatter.path().c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("not a journal at all", f);
+  std::fclose(f);
+  TempFile out("fail_notj_merged");
+  expect_merge_failure(out.path(), {journals_[0].path(), squatter.path()},
+                       "journal: " + squatter.path() +
+                           ": bad magic (not a journal file)");
+}
+
 // ---------------------------------------------------------------------------
 // Resume validation: a journal only resumes under the exact shard and
 // pipeline configuration that produced it.

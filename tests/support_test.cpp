@@ -223,9 +223,7 @@ TEST(Hash, Crc32HardwareKernelMatchesPortable) {
 
 TEST(Hash, Sha256DigestHelpers) {
   const auto d = sha256("abc");
-  EXPECT_EQ(d.hex().size(), 64u);
-  // prefix64 reads like the leading hex digits.
-  EXPECT_EQ(d.prefix64(), 0xba7816bf8f01cfeaull);
+  EXPECT_EQ(d.hex().substr(0, 16), "ba7816bf8f01cfea");
   EXPECT_EQ(Sha256DigestHash{}(d), Sha256DigestHash{}(sha256("abc")));
   EXPECT_NE(sha256("abc"), sha256("abd"));
   EXPECT_LT(d, sha256(""));  // ba... orders before e3... bytewise

@@ -33,8 +33,8 @@ TEST(Unpacker, RecoversOriginalClassesDex) {
   EXPECT_NE(dexfile->find_class("com.google.ads.sdk.MediaLoader"), nullptr);
   EXPECT_EQ(dexfile->find_class("com.shield.core.StubApplication"), nullptr);
   // Container artifacts removed, android:name cleared.
-  EXPECT_FALSE(recovered.contains("assets/shield_payload.bin"));
-  EXPECT_FALSE(recovered.contains("lib/armeabi/libshield.so"));
+  EXPECT_FALSE(recovered.get("assets/shield_payload.bin").has_value());
+  EXPECT_FALSE(recovered.get("lib/armeabi/libshield.so").has_value());
   EXPECT_TRUE(recovered.read_manifest().application_name.empty());
   EXPECT_NE(result.value().payload_path.find(".shield"), std::string::npos);
 }
@@ -62,7 +62,7 @@ TEST(Unpacker, WorksDespiteAntiRepackagingTrap) {
   const auto packed = make_packed(/*trap=*/true);
   const auto result = unpack_packed_app(packed.apk);
   ASSERT_TRUE(result.ok()) << result.error();
-  EXPECT_FALSE(result.value().apk.has_crc_trap());
+  EXPECT_FALSE(result.value().apk.first_crc_mismatch().has_value());
 }
 
 TEST(Unpacker, RejectsUnpackedApps) {

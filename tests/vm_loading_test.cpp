@@ -274,7 +274,7 @@ TEST(Https, SubclassHierarchyResolvesIntrinsics) {
   m.done();
   auto env = boot(b.build());
   env.device.network().host("https://secure.example.com/x",
-                            support::to_bytes("tls-payload"));
+                            support::Blob::of_string("tls-payload"));
   auto main = env.vm->instantiate(std::string(kPkg) + ".Main");
   EXPECT_EQ(env.vm->call_method(main, "fetch").as_str(), "tls-payload");
 }

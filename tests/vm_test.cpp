@@ -581,7 +581,7 @@ dex::DexFile downloader_app() {
 TEST_F(VmTest, DownloadEmitsTableOneFlows) {
   boot(downloader_app());
   device_.network().host("http://cdn.example.com/update.dex",
-                         payload_dex_bytes());
+                         support::Blob::take(payload_dex_bytes()));
   std::vector<std::pair<FlowNodeKind, FlowNodeKind>> edges;
   std::string url_label;
   std::string file_label;
@@ -614,11 +614,161 @@ TEST_F(VmTest, DownloadEmitsTableOneFlows) {
 TEST_F(VmTest, FetchFailsWithoutConnectivity) {
   boot(downloader_app());
   device_.network().host("http://cdn.example.com/update.dex",
-                         payload_dex_bytes());
+                         support::Blob::take(payload_dex_bytes()));
   device_.services().set_airplane_mode(true);
   device_.services().set_wifi_enabled(false);
   auto main = vm_->instantiate("com.example.app.Main");
   EXPECT_THROW((void)vm_->call_method(main, "update"), VmException);
+}
+
+// The Table I flow sources DownloadEmitsTableOneFlows does not take, one
+// method each: URL.openStream, a FileInputStream wrapped in a
+// BufferedInputStream (built, then read), File.renameTo and
+// AssetManager.open.
+constexpr const char* kStreamUrl = "http://cdn.example.com/a.dex";
+constexpr const char* kFileA = "/data/data/com.example.app/files/a.dex";
+constexpr const char* kFileB = "/data/data/com.example.app/files/b.dex";
+
+dex::DexFile flow_sources_app() {
+  dex::DexBuilder b;
+  auto cls = b.cls("com.example.app.Main", "android.app.Activity");
+  auto open = cls.method("open_stream", 1);
+  open.new_instance(1, "java.net.URL");
+  open.const_str(2, kStreamUrl);
+  open.invoke_virtual("java.net.URL", "<init>", {1, 2});
+  open.invoke_virtual("java.net.URL", "openStream", {1});
+  open.return_void();
+  open.done();
+  for (const bool read : {false, true}) {
+    auto m = cls.method(read ? "read_wrapped" : "wrap_file", 1);
+    m.new_instance(1, "java.io.FileInputStream");
+    m.const_str(2, kFileA);
+    m.invoke_virtual("java.io.FileInputStream", "<init>", {1, 2});
+    m.new_instance(3, "java.io.BufferedInputStream");
+    m.invoke_virtual("java.io.BufferedInputStream", "<init>", {3, 1});
+    if (read) m.invoke_virtual("java.io.InputStream", "read", {3});
+    m.ret(3);
+    m.done();
+  }
+  auto rename = cls.method("rename", 1);
+  rename.new_instance(1, "java.io.File");
+  rename.const_str(2, kFileA);
+  rename.invoke_virtual("java.io.File", "<init>", {1, 2});
+  rename.new_instance(3, "java.io.File");
+  rename.const_str(4, kFileB);
+  rename.invoke_virtual("java.io.File", "<init>", {3, 4});
+  rename.invoke_virtual("java.io.File", "renameTo", {1, 3});
+  rename.move_result(5);
+  rename.ret(5);
+  rename.done();
+  auto asset = cls.method("open_asset", 1);
+  asset.const_str(1, "a.bin");
+  asset.invoke_static("android.content.res.AssetManager", "open", {1});
+  asset.return_void();
+  asset.done();
+  return b.build();
+}
+
+class FlowSourceTest : public VmTest {
+ protected:
+  void SetUp() override {
+    boot(flow_sources_app());
+    ASSERT_TRUE(device_.vfs()
+                    .write_file(os::Principal::system(), kFileA,
+                                to_bytes("payload"))
+                    .ok());
+    vm_->instrumentation().on_flow = [this](const FlowNode& from,
+                                            const FlowNode& to) {
+      flows_.emplace_back(from, to);
+    };
+  }
+
+  Value call(std::string_view method) {
+    return vm_->call_method(vm_->instantiate("com.example.app.Main"), method);
+  }
+
+  /// True when some recorded edge runs from a `from` node to a `to` node;
+  /// an empty label or a zero object id matches any.
+  bool has_flow(FlowNodeKind from, std::string_view from_label,
+                FlowNodeKind to, std::string_view to_label = "",
+                std::uint64_t from_id = 0) const {
+    for (const auto& [a, b] : flows_) {
+      if (a.kind == from && b.kind == to &&
+          (from_label.empty() || a.label == from_label) &&
+          (to_label.empty() || b.label == to_label) &&
+          (from_id == 0 || a.object_id == from_id)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::vector<std::pair<FlowNode, FlowNode>> flows_;
+};
+
+TEST_F(FlowSourceTest, OpenStreamReportsTheUrlAndItsFlow) {
+  device_.network().host(kStreamUrl, support::Blob::of_string("dex"));
+  std::vector<std::string> urls;
+  vm_->instrumentation().on_url_created = [&](const FlowNode& node) {
+    urls.push_back(node.label);
+  };
+  (void)call("open_stream");
+  EXPECT_EQ(urls, std::vector<std::string>{kStreamUrl});
+  EXPECT_TRUE(has_flow(FlowNodeKind::Url, kStreamUrl,
+                       FlowNodeKind::InputStream));
+}
+
+TEST_F(FlowSourceTest, FileStreamsEmitTheirFlowsWhenBuilt) {
+  // No read: the File -> stream and stream -> wrapper edges come from the
+  // two constructors alone.
+  (void)call("wrap_file");
+  EXPECT_TRUE(has_flow(FlowNodeKind::File, kFileA, FlowNodeKind::InputStream));
+  EXPECT_TRUE(has_flow(FlowNodeKind::InputStream, "",
+                       FlowNodeKind::InputStream));
+}
+
+TEST_F(FlowSourceTest, WrappedReadFlowsFromTheWrapper) {
+  const auto wrapper = call("read_wrapped").as_obj()->id();
+  EXPECT_TRUE(has_flow(FlowNodeKind::InputStream, "", FlowNodeKind::Buffer,
+                       "", wrapper));
+}
+
+TEST_F(FlowSourceTest, RenameMovesTheFileAndItsProvenance) {
+  std::vector<std::string> written;
+  vm_->instrumentation().on_file_written = [&](const std::string& path) {
+    written.push_back(path);
+  };
+  EXPECT_EQ(call("rename").as_int(), 1);
+  EXPECT_FALSE(device_.vfs().exists(kFileA));
+  EXPECT_TRUE(device_.vfs().exists(kFileB));
+  EXPECT_TRUE(has_flow(FlowNodeKind::File, kFileA, FlowNodeKind::File, kFileB));
+  EXPECT_EQ(written, std::vector<std::string>{kFileB});
+}
+
+TEST_F(FlowSourceTest, AssetOpenFlowsFromTheInstalledApk) {
+  // Reinstalled with an asset, the package's APK under /data/app is the
+  // File node the asset stream flows from.
+  apk_.put("assets/a.bin", to_bytes("payload"));
+  ASSERT_TRUE(device_.install(apk_).ok());
+  (void)call("open_asset");
+  EXPECT_TRUE(has_flow(FlowNodeKind::File, "/data/app/com.example.app.apk",
+                       FlowNodeKind::InputStream));
+}
+
+TEST_F(FlowSourceTest, RenameBlockedByHookSilentlyFails) {
+  // The interceptor refuses to let a queued payload move (paper §III-B).
+  std::vector<std::pair<std::string, std::string>> asked;
+  vm_->instrumentation().allow_file_rename = [&](const std::string& from,
+                                                 const std::string& to) {
+    asked.emplace_back(from, to);
+    return false;
+  };
+  EXPECT_EQ(call("rename").as_int(), 0);
+  EXPECT_TRUE(device_.vfs().exists(kFileA));
+  EXPECT_FALSE(device_.vfs().exists(kFileB));
+  ASSERT_EQ(asked.size(), 1u);
+  EXPECT_EQ(asked[0].first, kFileA);
+  EXPECT_EQ(asked[0].second, kFileB);
 }
 
 // A BufferedInputStream chain that revisits a stream must raise, not recurse
