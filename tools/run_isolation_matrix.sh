@@ -19,15 +19,22 @@
 #   4. A traced `--isolate=pool` survey under `timeout`: workers forked
 #      while sibling threads register trace rings and metric names must
 #      not deadlock, and the summary must still match golden.
-#   5. Child-kill rounds: `--isolate` and `--isolate=pool` surveys while
+#   5. Sandbox-fault rounds: `--isolate=pool --retry` surveys at 1/2/8
+#      workers with injected child aborts, torn responses and recycles
+#      must print the summary of an `--isolate` survey with the same
+#      flags, sandbox line included: every fate, retry and quarantine
+#      belongs to one app, whatever the worker count or the number of
+#      apps a worker serves per round trip.
+#   6. Child-kill rounds: `--isolate` and `--isolate=pool` surveys while
 #      random live sandbox workers are `kill -9`ed mid-run. The in-flight
 #      app is re-dispatched on a fresh worker, so the summary must still
 #      match golden.
-#   6. Kill/resume rounds: journaled `--isolate` / `--isolate=pool`
+#   7. Kill/resume rounds: journaled `--isolate` / `--isolate=pool`
 #      surveys SIGKILLed at a random point, resumed with `--resume`,
 #      compared to golden.
 #
-# Defaults: --scale 0.01, --seed 20161101, 5 kill rounds. The dydroid
+# Defaults: --scale 0.01, --seed 20161101, 5 kill rounds (0 skips phases 6
+# and 7: no random kills, so the run is deterministic). The dydroid
 # binary is taken from $DYDROID_CLI or ./build/tools/dydroid. Exit 1 on
 # the first mismatch.
 set -euo pipefail
@@ -111,6 +118,26 @@ if ! diff -u "$workdir/golden.stable" "$out.stable"; then
   exit 1
 fi
 echo "traced pool: finished, byte-identical to thread mode"
+
+echo "==== sandbox faults: --isolate=pool at 1/2/8 workers vs --isolate ===="
+sandbox_faults=(--retry --faults
+  sandbox.crash=p:0.05,sandbox.pool.rpc=p:0.05,sandbox.pool.recycle=p:0.1)
+out="$workdir/faults-isolate.txt"
+"$cli" survey --scale "$scale" --seed "$seed" --jobs 2 --isolate \
+  "${sandbox_faults[@]}" > "$out"
+grep -v ' ms on ' "$out" > "$out.stable"
+for jobs in 1 2 8; do
+  out="$workdir/faults-pool-j$jobs.txt"
+  "$cli" survey --scale "$scale" --seed "$seed" --jobs "$jobs" \
+    --isolate=pool "${sandbox_faults[@]}" > "$out"
+  grep -v ' ms on ' "$out" > "$out.stable"
+  if ! diff -u "$workdir/faults-isolate.txt.stable" "$out.stable"; then
+    echo "pool summary under sandbox faults at jobs=$jobs DIFFERS from" \
+      "--isolate" >&2
+    exit 1
+  fi
+  echo "sandbox faults, pool jobs=$jobs: identical to --isolate"
+done
 
 # $1 = mode label for logs, $2 = seconds to sleep between shots ("0" for
 # none), $3... = extra CLI flags for the mode.
@@ -198,5 +225,6 @@ resume_rounds isolate --isolate
 resume_rounds pool --isolate=pool
 
 echo "isolation matrix passed: --isolate + --isolate=pool golden at 1/2/8" \
-  "workers, pool recycle and traced rounds, $kill_rounds child-kill +" \
+  "workers, pool recycle, traced and sandbox-fault rounds, $kill_rounds" \
+  "child-kill +" \
   "$kill_rounds kill/resume rounds per mode byte-identical"

@@ -6,9 +6,12 @@
 # journal records plus warm cache hits must reproduce the same summary —
 # and with `--isolate` (docs/ISOLATION.md: a worker pool recycled after
 # every app) on: journaled sandbox fates must resume to the same summary
-# too. The warm cache is the golden run's journal, copied in as the store
-# (a finished journal is a cache store), and a resume of that journal under
-# another corpus seed must be refused: its records name other jobs.
+# too. Before the rounds, a cached survey into an empty directory must miss
+# every app and insert it, and its repeat must hit every app, both printing
+# the golden summary. The warm cache is the golden run's journal, copied in
+# as the store (a finished journal is a cache store), and a resume of that
+# journal under another corpus seed must be refused: its records name other
+# jobs.
 #
 #   tools/run_kill_resume.sh [rounds] [scale] [seed] [jobs]
 #
@@ -47,6 +50,27 @@ echo "==== golden run (scale=$scale seed=$seed jobs=$jobs) ===="
   --journal "$workdir/golden.jrnl" > "$workdir/golden.txt"
 strip_timing "$workdir/golden.txt" > "$workdir/golden.stable"
 apps="$(sed -n 's/^surveyed \([0-9]*\) apps.*/\1/p' "$workdir/golden.txt")"
+
+# A cold cache: the first run over an empty directory misses every app and
+# inserts it (the store grows and is sealed), the second serves every app
+# from that store. Both print the golden summary.
+colddir="$workdir/cold_cache"
+echo "==== cold result cache: $apps misses, then $apps hits ===="
+for expect in "0 hits, $apps misses" "$apps hits, 0 misses"; do
+  "$cli" survey --scale "$scale" --seed "$seed" --jobs "$jobs" \
+    --cache "$colddir" > "$workdir/cold.txt"
+  if ! grep -q "  cache: $expect" "$workdir/cold.txt"; then
+    echo "cold cache: expected $expect:" >&2
+    cat "$workdir/cold.txt" >&2
+    exit 1
+  fi
+  strip_timing "$workdir/cold.txt" > "$workdir/cold.stable"
+  if ! diff -u "$workdir/golden.stable" "$workdir/cold.stable"; then
+    echo "cold cache ($expect): summary DIFFERS from golden" >&2
+    exit 1
+  fi
+  echo "cold cache: $expect, golden summary"
+done
 
 # Warm cache for the cached kill/resume cycle: the golden journal is a
 # store as it is, so every later lookup under the same (job, config, seed)
