@@ -8,15 +8,10 @@ namespace dydroid::driver {
 
 namespace {
 
-/// Write one payload content-addressed into an existing directory: blobs
-/// are immutable, so an existing file is already the payload (equal
-/// digest, equal bytes) and is never rewritten. Best-effort: a write
-/// failure costs the blob, not the run.
-bool persist_blob(const std::string& dir, const support::Sha256Digest& digest,
+/// Write one payload content-addressed into an existing directory.
+/// Best-effort: a write failure costs the blob, not the run.
+bool persist_blob(const std::filesystem::path& path,
                   std::span<const std::uint8_t> bytes) {
-  std::error_code ec;
-  const auto path = std::filesystem::path(dir) / (digest.hex() + ".bin");
-  if (std::filesystem::exists(path, ec)) return false;  // already stored
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -56,8 +51,13 @@ void BinaryDedupStore::absorb(std::span<const PayloadDigest> payloads) {
     } else {
       ++stats_.unique_native;
     }
-    if (blob_dir_ready() &&
-        persist_blob(blob_dir_, payload.digest, payload.bytes.span())) {
+    if (!blob_dir_ready()) continue;
+    // Blobs are immutable, so a listed file is already the payload (equal
+    // digest, equal bytes) and is never rewritten.
+    const std::string name = payload.digest.hex() + ".bin";
+    if (stored_.contains(name)) continue;
+    if (persist_blob(std::filesystem::path(blob_dir_) / name,
+                     payload.bytes.span())) {
       ++stats_.blobs_written;
     }
   }
@@ -75,6 +75,13 @@ bool BinaryDedupStore::blob_dir_ready() {
                    blob_dir_.c_str(), ec.message().c_str());
       blob_dir_.clear();
       return false;
+    }
+    // One listing instead of one stat per unique payload. An unreadable
+    // listing leaves the set short, which only costs rewrites of equal
+    // bytes.
+    for (std::filesystem::directory_iterator it(blob_dir_, ec), end;
+         !ec && it != end; it.increment(ec)) {
+      stored_.insert(it->path().filename().string());
     }
     blob_dir_made_ = true;
   }

@@ -11,7 +11,8 @@
 //
 // Optionally (when the runner has a cache directory) unique payloads are
 // persisted content-addressed under DIR/blobs/<hex-digest>.bin — a binary
-// already on disk is never written again, across runs.
+// already on disk is never written again, across runs. The directory is
+// listed once, when the store first needs it, not stat'ed per payload.
 //
 // The SHA-256 of each payload is taken by the worker that ran its app, as
 // the app finishes (digest_payloads, a pure function); the store only folds
@@ -25,6 +26,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -79,12 +81,15 @@ class BinaryDedupStore {
   [[nodiscard]] const BinaryDedupStats& stats() const { return stats_; }
 
  private:
-  /// Create the blob directory on first use; false once it cannot be made
-  /// (persistence then stays off for this store) or without one.
+  /// Create and list the blob directory on first use; false once it
+  /// cannot be made (persistence then stays off for this store) or without
+  /// one.
   bool blob_dir_ready();
 
   std::string blob_dir_;
   bool blob_dir_made_ = false;
+  /// File names in blob_dir_ when it was first listed.
+  std::unordered_set<std::string> stored_;
   std::unordered_map<support::Sha256Digest, std::size_t,
                      support::Sha256DigestHash>
       counts_;

@@ -1,5 +1,6 @@
 #include "driver/corpus_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -85,18 +86,52 @@ void set_crash(core::AppReport& report, std::string message) {
 
 // ---- journal resume replay (docs/CHECKPOINT.md) ----------------------------
 
+/// The lowest replayed index whose record names another job than this
+/// run's, or jobs.size() when every one matches. The digests are split
+/// into one contiguous range per thread; each range stops at its first
+/// mismatch, and the lowest range's wins.
+std::size_t first_foreign_job(std::span<const AppJob> jobs,
+                              std::span<const AppOutcome> outcomes,
+                              std::span<const char> done,
+                              std::size_t threads) {
+  const std::size_t n = jobs.size();
+  threads = std::clamp<std::size_t>(threads, 1, std::max<std::size_t>(n, 1));
+  const std::size_t chunk = (n + threads - 1) / threads;
+  std::vector<std::size_t> found(threads, n);
+  const auto scan = [&](std::size_t part) {
+    const std::size_t end = std::min(n, (part + 1) * chunk);
+    for (std::size_t index = part * chunk; index < end; ++index) {
+      if (done[index] && outcomes[index].job != job_digest(jobs[index])) {
+        found[part] = index;
+        return;
+      }
+    }
+  };
+  if (threads == 1) {
+    scan(0);
+  } else {
+    std::vector<std::jthread> pool;
+    pool.reserve(threads);
+    for (std::size_t part = 0; part < threads; ++part) {
+      pool.emplace_back(scan, part);
+    }
+  }
+  return *std::min_element(found.begin(), found.end());
+}
+
 /// Restore the outcomes recorded in the resume journal into `outcomes` and
 /// mark their slots in `done` (workers skip them). On top of
 /// read_outcome_journal's checks, the journal's metadata must match this
 /// run's and every record must carry its job's seed and digest — the
-/// lowest disagreeing index fails loudly, never a silent re-run. A torn
-/// tail is chopped off so this run's appends land after the last intact
-/// frame. Returns false when the journal holds no intact record yet (it is
-/// then stamped like a fresh one).
+/// lowest disagreeing index fails loudly, never a silent re-run; the
+/// digests are taken on the run's `threads` before any worker starts. A
+/// torn tail is chopped off so this run's appends land after the last
+/// intact frame. Returns false when the journal holds no intact record yet
+/// (it is then stamped like a fresh one).
 bool replay_journal(const RunnerConfig& config, const support::ShardMeta& meta,
                     std::span<const AppJob> jobs,
                     std::vector<AppOutcome>& outcomes,
-                    std::vector<char>& done) {
+                    std::vector<char>& done, std::size_t threads) {
   auto read = read_outcome_journal(
       config.journal_path, [&](std::size_t index, AppOutcome&& outcome) {
         if (index >= jobs.size()) return;  // refused by the metadata check
@@ -116,7 +151,12 @@ bool replay_journal(const RunnerConfig& config, const support::ShardMeta& meta,
           mismatch);
     }
   }
-  for (std::size_t index = 0; index < jobs.size(); ++index) {
+  // The seed check is cheap and serial; at one index it is reported ahead
+  // of the job check.
+  const std::size_t foreign =
+      first_foreign_job(jobs, outcomes, done, threads);
+  for (std::size_t index = 0; index < std::min(foreign + 1, jobs.size());
+       ++index) {
     if (!done[index]) continue;
     const std::uint64_t seed = job_seed(jobs, config.seed_base, index);
     if (outcomes[index].seed != seed) {
@@ -126,14 +166,13 @@ bool replay_journal(const RunnerConfig& config, const support::ShardMeta& meta,
           index, static_cast<unsigned long long>(outcomes[index].seed),
           static_cast<unsigned long long>(seed)));
     }
-    const support::Sha256Digest job = job_digest(jobs[index]);
-    if (outcomes[index].job != job) {
-      throw std::runtime_error(support::format(
-          "runner: resume failed: app %zu was journaled for job %s... but "
-          "this run's job is %s... (a different APK or scenario?)",
-          index, outcomes[index].job.hex().substr(0, 16).c_str(),
-          job.hex().substr(0, 16).c_str()));
-    }
+  }
+  if (foreign < jobs.size()) {
+    throw std::runtime_error(support::format(
+        "runner: resume failed: app %zu was journaled for job %s... but "
+        "this run's job is %s... (a different APK or scenario?)",
+        foreign, outcomes[foreign].job.hex().substr(0, 16).c_str(),
+        job_digest(jobs[foreign]).hex().substr(0, 16).c_str()));
   }
   if (journal.bytes_discarded > 0) {
     support::log_warn(
@@ -221,6 +260,12 @@ struct DriverFaultGuard {
 
 // ---- the attempt executor (docs/ISOLATION.md) ------------------------------
 
+/// Most apps one pooled round trip carries, chosen on perfbench `campaign`
+/// (EXPERIMENTS.md: caps of 1, 8, 16 and 32 gave 44–48k, 60–67k, 60–61k
+/// and 70–72k apps/s). A larger cap only lengthens what a failed batch
+/// re-runs, and a batch of 32 apps stays far inside one app's deadline.
+constexpr std::size_t kPoolBatchCap = 32;
+
 /// Accumulates an attempt's elapsed time into the outcome's wall_ms on
 /// every exit path — normal return, a synthesized fate, or an exception
 /// escaping the attempt machinery — exactly once.
@@ -303,13 +348,21 @@ bool settle_fate(AppOutcome& outcome, Fate fate) {
   return true;
 }
 
+/// One app of a claimed run, as the cache tier and the executor see it.
+struct BatchApp {
+  std::size_t index = 0;
+  std::uint64_t seed = 0;
+  AppOutcome* outcome = nullptr;
+};
+
 /// Runs analysis attempts and the per-app retry policy. Thread mode runs
-/// an attempt inline on the driver thread; pool mode ships it to the
+/// an attempt inline on the driver thread; pool mode ships attempts to the
 /// thread's forked worker, whose serve loop runs the very same inline path
 /// — same seeds, same per-app fault session, same crash-conversion belt,
 /// which is what keeps clean pooled outcomes byte-identical to thread
-/// mode. Both paths share one preamble; every non-clean round trip is
-/// classified by classify_rpc. Worker ownership is strictly 1:1 — each
+/// mode. In pool mode a round trip carries a batch of first attempts
+/// (analyze_batch); the batch of one is the single-app path every fate is
+/// classified on, by classify_rpc. Worker ownership is strictly 1:1 — each
 /// driver thread only ever touches its own slot, so no locks.
 class AttemptExecutor {
  public:
@@ -319,7 +372,7 @@ class AttemptExecutor {
         options_(pipeline.options()),
         config_(config),
         jobs_(jobs),
-        workers_(config.isolated() ? threads : 0) {
+        slots_(config.isolated() ? threads : 0) {
     limits_.max_memory_bytes = config.sandbox_mem_limit_bytes;
     limits_.wall_deadline_ms =
         config.sandbox_deadline_ms > 0.0
@@ -331,15 +384,100 @@ class AttemptExecutor {
   }
 
   /// Full per-app policy: timeout + single-retry-then-quarantine
-  /// (docs/FAULTS.md), wrapped in the escaping-exception belt so that an
-  /// exception leaking out of the attempt machinery itself still resolves
-  /// into a consistent outcome — attempts ≥ 1, wall time accumulated by the
-  /// attempt's AttemptWall, timed_out derived by the same budget rule —
-  /// instead of terminating the driver.
+  /// (docs/FAULTS.md), wrapped in the escaping-exception belt.
   void analyze_app(AppOutcome& outcome, std::uint64_t seed, std::size_t index,
                    std::size_t worker) {
     outcome.seed = seed;
-    const bool pooled = !workers_.empty();
+    settle_app(outcome, index, worker, [&] {
+      return run_attempt(outcome, 0, index, worker, !slots_.empty());
+    });
+  }
+
+  /// Apps the next round trip of pooled `worker` may carry: the batch cap,
+  /// and never past what its worker's recycling budget has left (so a
+  /// budget of 1 keeps one app per process).
+  [[nodiscard]] std::size_t batch_room(std::size_t worker) const {
+    if (config_.pool_recycle_apps == 0) return kPoolBatchCap;
+    const PoolSlot& slot = slots_[worker];
+    const std::uint64_t served = slot.worker.has_value() ? slot.apps : 0;
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        kPoolBatchCap, config_.pool_recycle_apps - served));
+  }
+
+  /// Analyze the apps of a claimed run on pooled `worker`. Their first
+  /// attempts share one round trip, except for an app whose own
+  /// sandbox.crash, sandbox.pool.recycle or sandbox.pool.spawn draw fires:
+  /// it runs alone. A batch is all or nothing: a round trip that does not
+  /// come back clean (worker death, deadline, desync, torn, undecodable or
+  /// misaddressed response) leaves every outcome untouched, and each of
+  /// its apps re-runs alone, so every fate, re-dispatch and deadline
+  /// message stays with the app that caused it. Retries run alone after
+  /// the batch. Returns false when the batch was split.
+  bool analyze_batch(std::span<const BatchApp> apps, std::size_t worker) {
+    std::vector<char> alone(apps.size(), 0);
+    std::vector<std::size_t> batch;
+    batch.reserve(apps.size());
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      apps[i].outcome->seed = apps[i].seed;
+      alone[i] = runs_alone(apps[i].seed);
+      if (!alone[i]) batch.push_back(i);
+    }
+    std::vector<char> failed(apps.size(), 0);
+    bool split = false;
+    if (batch.size() >= 2) {
+      try {
+        split = !run_batch(apps, batch, failed, worker);
+      } catch (...) {
+        // The escaping-exception belt, batch-sized: split, and let each
+        // app's own attempts settle it.
+        slots_[worker].worker.reset();
+        split = true;
+      }
+    }
+    if (batch.size() < 2 || split) {
+      for (const std::size_t i : batch) {
+        apps[i].outcome->wall_ms = 0.0;
+        apps[i].outcome->timed_out = false;
+        alone[i] = 1;
+      }
+    }
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      const BatchApp& app = apps[i];
+      if (alone[i]) {
+        analyze_app(*app.outcome, app.seed, app.index, worker);
+      } else {
+        settle_app(*app.outcome, app.index, worker,
+                   [&] { return failed[i] != 0; });
+      }
+    }
+    return !split;
+  }
+
+  /// Retire `worker`'s pooled child gracefully (EOF-driven exit).
+  void retire(std::size_t worker) {
+    if (worker < slots_.size() && slots_[worker].worker.has_value()) {
+      slots_[worker].worker->shutdown();
+      slots_[worker].worker.reset();
+    }
+  }
+
+ private:
+  /// One driver thread's pooled worker and the apps it has served, which
+  /// the recycling budget counts (a round trip may carry several).
+  struct PoolSlot {
+    std::optional<support::PoolWorker> worker;
+    std::uint64_t apps = 0;
+  };
+
+  /// The policy around an app's first attempt (`first` runs or has run it
+  /// and says whether it failed): the retry, quarantine and the escaping-
+  /// exception belt — an exception leaking out of the attempt machinery
+  /// itself still resolves into a consistent outcome (attempts ≥ 1, wall
+  /// time accumulated by the attempt's AttemptWall, timed_out derived by
+  /// the same budget rule) instead of terminating the driver.
+  template <typename First>
+  void settle_app(AppOutcome& outcome, std::size_t index, std::size_t worker,
+                  const First& first) {
     const auto escaped = [&](std::string message) {
       set_crash(outcome.report, std::move(message));
       if (outcome.attempts == 0) outcome.attempts = 1;
@@ -351,14 +489,14 @@ class AttemptExecutor {
       }
     };
     try {
-      bool failed = run_attempt(outcome, 0, index, worker, pooled);
+      bool failed = first();
       if (failed && options_.retry_on_crash) {
         // The retry's fault session is salted by the attempt, so transient
         // injected faults clear deterministically; if the retry fails too,
         // the app is quarantined — its final report keeps its Table II
         // bucket.
         support::count("runner.retry");
-        failed = run_attempt(outcome, 1, index, worker, pooled);
+        failed = run_attempt(outcome, 1, index, worker, !slots_.empty());
         outcome.quarantined = failed;
       }
     } catch (const std::exception& e) {
@@ -378,15 +516,6 @@ class AttemptExecutor {
                         static_cast<std::uint64_t>(outcome.wall_ms * 1000.0));
   }
 
-  /// Retire `worker`'s pooled child gracefully (EOF-driven exit).
-  void retire(std::size_t worker) {
-    if (worker < workers_.size() && workers_[worker].has_value()) {
-      workers_[worker]->shutdown();
-      workers_[worker].reset();
-    }
-  }
-
- private:
   /// One attempt, recording the attempt count, trace context and wall time
   /// on every path. Returns the "failed" predicate the retry policy uses.
   bool run_attempt(AppOutcome& outcome, std::uint32_t attempt,
@@ -435,20 +564,63 @@ class AttemptExecutor {
            outcome.report.status == core::DynamicStatus::kCrash;
   }
 
+  /// The supervisor-side sandbox fault session of one attempt
+  /// (sandbox.crash / sandbox.pool.*), or none when injection is off.
+  [[nodiscard]] std::optional<support::FaultSession> sandbox_session(
+      std::uint64_t seed, std::uint32_t attempt) const {
+    if (options_.faults == nullptr || options_.faults->empty()) {
+      return std::nullopt;
+    }
+    return std::optional<support::FaultSession>(
+        std::in_place, *options_.faults,
+        support::fault_session_seed(seed ^ kSandboxFaultSalt, attempt));
+  }
+
+  /// True when an app's first attempt must run alone: one of the draws
+  /// run_pooled makes before dispatch (sandbox.crash, sandbox.pool.recycle,
+  /// sandbox.pool.spawn) fires in its session. A decision depends only on
+  /// the session seed, the site and its hit count, so run_pooled, drawing
+  /// again from a fresh session, meets the same ones.
+  [[nodiscard]] bool runs_alone(std::uint64_t seed) const {
+    std::optional<support::FaultSession> session = sandbox_session(seed, 0);
+    return session.has_value() &&
+           (session->should_fire(support::FaultSite::kSandboxCrash) ||
+            session->should_fire(support::FaultSite::kPoolRecycle) ||
+            session->should_fire(support::FaultSite::kPoolSpawn));
+  }
+
+  /// Fork `slot`'s worker.
+  support::Status spawn(PoolSlot& slot) {
+    const support::Span spawn_span("sandbox", "pool.spawn");
+    auto spawned = support::PoolWorker::spawn(
+        [this](int request_fd, int response_fd) {
+          return serve(request_fd, response_fd);
+        },
+        limits_);
+    if (!spawned.ok()) return support::Status::failure(spawned.error());
+    slot.worker.emplace(std::move(spawned).take());
+    slot.apps = 0;
+    support::count("sandbox.pool.spawned");
+    return {};
+  }
+
+  /// One round trip, counted and spanned as such, to `slot`'s live worker.
+  support::PoolRpcResult call(PoolSlot& slot, const support::Bytes& request) {
+    const support::Span rpc_span("sandbox", "pool.rpc");
+    support::count("sandbox.pool.rpcs");
+    return slot.worker->call(request, kPoolRpcMagic, limits_.wall_deadline_ms);
+  }
+
   /// Ship the attempt to this thread's worker, spawning one if needed, and
   /// settle whatever comes back. Recycling (injected, or after K apps)
   /// happens strictly *between* attempts, so it can never change an
   /// outcome: a worker told to retire ships its response, then exits.
   bool run_pooled(AppOutcome& outcome, std::uint32_t attempt,
                   std::size_t index, std::size_t worker) {
-    std::optional<support::FaultSession> faults;
+    std::optional<support::FaultSession> faults =
+        sandbox_session(outcome.seed, attempt);
     std::optional<support::FaultScope> scope;
-    if (options_.faults != nullptr && !options_.faults->empty()) {
-      faults.emplace(*options_.faults,
-                     support::fault_session_seed(
-                         outcome.seed ^ kSandboxFaultSalt, attempt));
-      scope.emplace(&*faults);
-    }
+    if (faults.has_value()) scope.emplace(&*faults);
     PoolRequest request;
     request.app_index = index;
     request.attempt = attempt;
@@ -462,7 +634,7 @@ class AttemptExecutor {
     const bool recycle_fault =
         support::fault_fire(support::FaultSite::kPoolRecycle);
 
-    std::optional<support::PoolWorker>& slot = workers_[worker];
+    PoolSlot& slot = slots_[worker];
     for (int respawn = 0;; ++respawn) {
       // The spawn fault is drawn *unconditionally* — "would the spawn this
       // attempt might need fail?" — never gated on whether this thread's
@@ -470,40 +642,28 @@ class AttemptExecutor {
       // hit stream (and therefore which apps fail under p: mode) depend on
       // the worker count, breaking byte-identical reports at any -j.
       if (support::fault_fire(support::FaultSite::kPoolSpawn)) {
-        slot.reset();
+        slot.worker.reset();
         return settle_fate(outcome, {SandboxFate::kCrashed, 0,
                                      "sandbox: spawn failed: " +
                                          support::fault_message(
                                              support::FaultSite::kPoolSpawn)});
       }
-      if (!slot.has_value()) {
-        const support::Span spawn_span("sandbox", "pool.spawn");
-        auto spawned = support::PoolWorker::spawn(
-            [this](int request_fd, int response_fd) {
-              return serve(request_fd, response_fd);
-            },
-            limits_);
+      if (!slot.worker.has_value()) {
+        const support::Status spawned = spawn(slot);
         if (!spawned.ok()) {
           return settle_fate(outcome, {SandboxFate::kCrashed, 0,
                                        "sandbox: spawn failed: " +
                                            spawned.error()});
         }
-        slot.emplace(std::move(spawned).take());
-        support::count("sandbox.pool.spawned");
       }
 
       request.retire =
           recycle_fault || (config_.pool_recycle_apps > 0 &&
-                            slot->served() + 1 >= config_.pool_recycle_apps);
-      support::PoolRpcResult rpc;
-      {
-        const support::Span rpc_span("sandbox", "pool.rpc");
-        support::count("sandbox.pool.rpcs");
-        rpc = slot->call(encode_pool_request(request), kPoolRpcMagic,
-                         limits_.wall_deadline_ms);
-      }
+                            slot.apps + 1 >= config_.pool_recycle_apps);
+      const support::PoolRpcResult rpc =
+          call(slot, encode_pool_request(request));
       if (rpc.status != support::PoolRpcResult::Status::kOk) {
-        slot.reset();  // already dead and reaped
+        slot.worker.reset();  // already dead and reaped
         if (external_kill(rpc) && respawn < kExternalKillRespawns) {
           // Re-dispatch the in-flight app to a fresh worker.
           support::count("sandbox.respawned");
@@ -512,6 +672,7 @@ class AttemptExecutor {
         return settle_fate(outcome,
                            classify_rpc(rpc, limits_.wall_deadline_ms));
       }
+      ++slot.apps;
 
       // Clean response: decode it, honoring the torn-RPC injection site.
       auto decoded =
@@ -527,7 +688,7 @@ class AttemptExecutor {
       if (!decoded.ok()) {
         // A response that framed but does not decode means the stream can
         // no longer be trusted: retire the worker along with the outcome.
-        slot.reset();
+        slot.worker.reset();
         return settle_fate(outcome,
                            {SandboxFate::kCrashed, 0, decoded.error()});
       }
@@ -536,8 +697,8 @@ class AttemptExecutor {
       if (shipped.timed_out) outcome.timed_out = true;
 
       if (request.retire) {
-        slot->shutdown();
-        slot.reset();
+        slot.worker->shutdown();
+        slot.worker.reset();
         support::count("sandbox.pool.recycled");
       }
       return shipped.timed_out ||
@@ -545,37 +706,136 @@ class AttemptExecutor {
     }
   }
 
+  /// One round trip carrying the first attempts of `apps[i]` for each i in
+  /// `batch` (at least two). On a clean response every one of them is
+  /// settled as run_pooled settles a single app — the worker's report and
+  /// timed_out, its own sandbox.pool.rpc draw, `failed` for the retry
+  /// policy — and its wall_ms is the worker's attempt wall plus an equal
+  /// share of the round trip's overhead, so the batch's walls sum to what
+  /// the supervisor waited. Anything else (a spawn failure, a dead or
+  /// deadline-killed worker, a desync, a torn, undecodable or misaddressed
+  /// response) settles nothing, retires the worker and returns false.
+  bool run_batch(std::span<const BatchApp> apps,
+                 std::span<const std::size_t> batch, std::span<char> failed,
+                 std::size_t worker) {
+    const support::Stopwatch clock;
+    const support::TraceContextScope trace_context(
+        trace_app_id(apps[batch.front()].index), 0,
+        static_cast<std::uint32_t>(worker));
+    PoolSlot& slot = slots_[worker];
+    const auto split = [&] {
+      slot.worker.reset();
+      support::count("sandbox.pool.split");
+      return false;
+    };
+    if (!slot.worker.has_value() && !spawn(slot).ok()) return split();
+
+    std::vector<PoolRequest> requests(batch.size());
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      requests[k].app_index = apps[batch[k]].index;
+      requests[k].seed = apps[batch[k]].seed;
+      requests[k].worker = static_cast<std::uint32_t>(worker);
+    }
+    const bool retire = config_.pool_recycle_apps > 0 &&
+                        slot.apps + batch.size() >= config_.pool_recycle_apps;
+    requests.back().retire = retire;
+    const support::PoolRpcResult rpc =
+        call(slot, encode_pool_request(requests));
+    if (rpc.status != support::PoolRpcResult::Status::kOk) return split();
+    auto decoded = decode_pool_responses(rpc.message);
+    if (!decoded.ok() || decoded.value().size() != batch.size()) {
+      return split();
+    }
+    std::vector<DecodedOutcome>& shipped = decoded.value();
+    double worker_ms = 0.0;
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      if (shipped[k].index != requests[k].app_index ||
+          shipped[k].outcome.seed != requests[k].seed) {
+        return split();
+      }
+      worker_ms += shipped[k].outcome.wall_ms;
+    }
+    slot.apps += batch.size();
+    if (retire) {
+      slot.worker->shutdown();
+      slot.worker.reset();
+      support::count("sandbox.pool.recycled");
+    }
+
+    const double share = std::max(0.0, clock.elapsed_ms() - worker_ms) /
+                         static_cast<double>(batch.size());
+    bool torn = false;
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      const std::size_t i = batch[k];
+      AppOutcome& outcome = *apps[i].outcome;
+      AppOutcome& result = shipped[k].outcome;
+      outcome.attempts = 1;
+      outcome.sandbox_fate = SandboxFate::kNone;
+      outcome.fatal_signal = 0;
+      outcome.wall_ms += result.wall_ms + share;
+      // The app's own sandbox.pool.rpc draw, as run_pooled would make it
+      // (see runs_alone).
+      std::optional<support::FaultSession> faults =
+          sandbox_session(apps[i].seed, 0);
+      std::optional<support::FaultScope> scope;
+      if (faults.has_value()) scope.emplace(&*faults);
+      if (support::fault_fire(support::FaultSite::kPoolRpc)) {
+        torn = true;
+        failed[i] = settle_fate(
+            outcome, {SandboxFate::kCrashed, 0,
+                      support::fault_message(support::FaultSite::kPoolRpc)});
+        continue;
+      }
+      outcome.report = std::move(result.report);
+      if (result.timed_out) outcome.timed_out = true;
+      failed[i] = result.timed_out ||
+                  outcome.report.status == core::DynamicStatus::kCrash;
+    }
+    // As for a single app: a response that cannot be trusted retires the
+    // worker.
+    if (torn) slot.worker.reset();
+    return true;
+  }
+
   /// Child-side serve loop (runs in the forked worker): one framed request
-  /// per iteration, each run through the inline attempt path. EOF on the
-  /// request pipe is the graceful-shutdown signal; any protocol damage
-  /// exits loudly.
+  /// per iteration, its dispatches run back to back through the inline
+  /// attempt path and their outcomes shipped in one framed response. EOF
+  /// on the request pipe is the graceful-shutdown signal; any protocol
+  /// damage exits loudly.
   int serve(int request_fd, int response_fd) {
     support::Bytes message;
+    PoolResponseEncoder response;
     for (;;) {
       const support::FrameRead read =
           support::read_pool_message(request_fd, kPoolRpcMagic, message);
       if (read == support::FrameRead::kEof) return 0;
       if (read != support::FrameRead::kMessage) return kServeProtocolExitCode;
-      const auto request = decode_pool_request(message);
-      if (!request.ok() || request.value().app_index >= jobs_.size()) {
+      const auto batch = decode_pool_requests(message);
+      if (!batch.ok() ||
+          std::any_of(batch.value().begin(), batch.value().end(),
+                      [&](const PoolRequest& request) {
+                        return request.app_index >= jobs_.size();
+                      })) {
         return kServeProtocolExitCode;
       }
-      const PoolRequest& req = request.value();
-      // The injected sandbox.crash decision, drawn by the supervisor.
-      if (req.crash_child) std::abort();
-      AppOutcome outcome;
-      outcome.seed = req.seed;
-      (void)run_attempt(outcome, req.attempt, req.app_index, req.worker,
-                        /*pooled=*/false);
-      const support::Bytes response =
-          encode_pool_response(req.app_index, outcome);
-      if (!support::write_fully(response_fd, response.data(),
-                                response.size())) {
+      bool retire = false;
+      for (const PoolRequest& request : batch.value()) {
+        // The injected sandbox.crash decision, drawn by the supervisor.
+        if (request.crash_child) std::abort();
+        AppOutcome outcome;
+        outcome.seed = request.seed;
+        (void)run_attempt(outcome, request.attempt, request.app_index,
+                          request.worker, /*pooled=*/false);
+        response.add(request.app_index, outcome);
+        retire = retire || request.retire;
+      }
+      const support::Bytes shipped = response.finish();
+      if (!support::write_fully(response_fd, shipped.data(), shipped.size())) {
         return kServeProtocolExitCode;
       }
       // Exiting now, not on the EOF the supervisor's shutdown would send,
-      // saves a recycled app one wakeup round trip.
-      if (req.retire) return 0;
+      // saves a recycled worker one wakeup round trip.
+      if (retire) return 0;
     }
   }
 
@@ -584,7 +844,7 @@ class AttemptExecutor {
   const RunnerConfig& config_;
   std::span<const AppJob> jobs_;
   support::WorkerLimits limits_;
-  std::vector<std::optional<support::PoolWorker>> workers_;
+  std::vector<PoolSlot> slots_;
 };
 
 // ---- the cache tier (docs/CACHE.md) ----------------------------------------
@@ -609,31 +869,38 @@ class CacheTier {
       analyze();
       return;
     }
-    CacheKey key;
-    key.config = config_fp_;
-    key.seed = seed;
-    std::optional<AppOutcome> hit;
-    {
-      // The span covers the digest too: content addressing is the real
-      // cost of a lookup on large packages.
-      const support::Span lookup_span("cache", "lookup");
-      key.apk = job_digest(job);
-      const DriverFaultGuard guard(faults_);
-      hit = cache_->lookup(key);
-    }
-    if (hit.has_value()) {
-      outcome = std::move(*hit);
-      outcome.cache_hit = true;
-      outcome.cache_checked = true;
-      support::count("cache.hit");
-      return;
-    }
-    support::count("cache.miss");
-    outcome.job = key.apk;
+    const std::optional<CacheKey> miss = lookup(job, seed, outcome);
+    if (!miss.has_value()) return;
     analyze();
-    outcome.cache_checked = true;
-    const DriverFaultGuard guard(faults_);
-    cache_->insert(key, outcome);
+    insert(*miss, outcome);
+  }
+
+  /// The tier over a claimed run (pool mode): every app is looked up, the
+  /// misses go to `analyze` as one batch, and their outcomes are inserted.
+  /// Returns what `analyze` returned (true when nothing missed).
+  template <typename AnalyzeBatch>
+  bool process_run(std::span<const AppJob> jobs, std::span<const BatchApp> run,
+                   std::size_t worker, const AnalyzeBatch& analyze) {
+    if (!cache_.has_value()) return run.empty() || analyze(run);
+    std::vector<BatchApp> misses;
+    std::vector<CacheKey> keys;
+    for (const BatchApp& app : run) {
+      const support::TraceContextScope trace_context(
+          trace_app_id(app.index), 0, static_cast<std::uint32_t>(worker));
+      std::optional<CacheKey> miss =
+          lookup(jobs[app.index], app.seed, *app.outcome);
+      if (!miss.has_value()) continue;
+      misses.push_back(app);
+      keys.push_back(*miss);
+    }
+    const bool clean = misses.empty() || analyze(std::span(misses));
+    for (std::size_t k = 0; k < misses.size(); ++k) {
+      const support::TraceContextScope trace_context(
+          trace_app_id(misses[k].index), 0,
+          static_cast<std::uint32_t>(worker));
+      insert(keys[k], *misses[k].outcome);
+    }
+    return clean;
   }
 
   /// Record the cache's bookkeeping in `result` and seal the store.
@@ -651,6 +918,41 @@ class CacheTier {
   }
 
  private:
+  /// Look `job` up. A hit settles `outcome` and returns nothing; a miss
+  /// stamps the app's job digest and returns the key to insert under.
+  std::optional<CacheKey> lookup(const AppJob& job, std::uint64_t seed,
+                                 AppOutcome& outcome) {
+    CacheKey key;
+    key.config = config_fp_;
+    key.seed = seed;
+    std::optional<AppOutcome> hit;
+    {
+      // The span covers the digest too: content addressing is the real
+      // cost of a lookup on large packages.
+      const support::Span lookup_span("cache", "lookup");
+      key.apk = job_digest(job);
+      const DriverFaultGuard guard(faults_);
+      hit = cache_->lookup(key);
+    }
+    if (hit.has_value()) {
+      outcome = std::move(*hit);
+      outcome.cache_hit = true;
+      outcome.cache_checked = true;
+      support::count("cache.hit");
+      return std::nullopt;
+    }
+    support::count("cache.miss");
+    outcome.job = key.apk;
+    return key;
+  }
+
+  /// Insert a miss's settled outcome.
+  void insert(const CacheKey& key, AppOutcome& outcome) {
+    outcome.cache_checked = true;
+    const DriverFaultGuard guard(faults_);
+    cache_->insert(key, outcome);
+  }
+
   std::optional<ResultCache> cache_;
   support::Sha256Digest config_fp_;
   DriverFaults& faults_;
@@ -914,7 +1216,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   std::vector<char> done(jobs.size(), 0);
   const bool journal_has_meta =
       config_.resume &&
-      replay_journal(config_, meta, jobs, result.outcomes, done);
+      replay_journal(config_, meta, jobs, result.outcomes, done,
+                     result.threads);
 
   // Open the journal and the cache, then arm the driver fault session they
   // share.
@@ -937,21 +1240,23 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   // its global corpus index, analyzes it (through the cache tier) with its
   // global-index-derived seed and writes into that index's pre-sized
   // outcome slot — disjoint writes, no locks on the hot path (the journal
-  // mutex is only ever taken when journaling is enabled). Graceful stops
-  // and aborts are polled between apps only: an in-flight app always
-  // finishes and is journaled.
+  // mutex is only ever taken when journaling is enabled). A pooled worker
+  // claims a run of slots instead and sends their misses to its child in
+  // one round trip (docs/ISOLATION.md §3). Graceful stops and aborts are
+  // polled between claims only: every app of an in-flight claim finishes
+  // and is journaled.
   AttemptExecutor executor(*pipeline_, config_, jobs, result.threads);
   // Each completed app's payload digests for the dedup table, taken by the
   // worker that ran or replayed it while its report is still hot.
   std::vector<std::vector<PayloadDigest>> payloads(jobs.size());
   std::atomic<std::size_t> next{0};
-  const auto worker = [&](std::size_t worker_id) {
-    for (;;) {
-      if (journal.aborted() ||
-          (config_.stop != nullptr &&
-           config_.stop->load(std::memory_order_relaxed))) {
-        break;
-      }
+  const auto stopping = [&] {
+    return journal.aborted() ||
+           (config_.stop != nullptr &&
+            config_.stop->load(std::memory_order_relaxed));
+  };
+  const auto thread_loop = [&](std::size_t worker_id) {
+    while (!stopping()) {
       const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
       if (slot >= shard_apps) break;
       const std::size_t index = global_index_of(slot);
@@ -975,6 +1280,58 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       // Outside the attempt's wall clock: wall_ms stays the analysis's.
       payloads[index] = digest_payloads(outcome.report);
       if (!journal.append(index, outcome)) break;
+    }
+  };
+  const auto pool_loop = [&](std::size_t worker_id) {
+    // Apps per claim: 1 at first and after a split batch, doubling after
+    // each clean one, at most about half of this thread's fair share of
+    // what is left (so the threads drain together) and never past the
+    // batch room of its worker.
+    std::size_t limit = 1;
+    std::vector<BatchApp> run;
+    while (!stopping()) {
+      const std::size_t claimed = next.load(std::memory_order_relaxed);
+      const std::size_t fair =
+          claimed < shard_apps ? (shard_apps - claimed) / (2 * result.threads)
+                               : 0;
+      const std::size_t want = std::max<std::size_t>(
+          1, std::min({limit, fair, executor.batch_room(worker_id)}));
+      const std::size_t first =
+          next.fetch_add(want, std::memory_order_relaxed);
+      if (first >= shard_apps) break;
+      run.clear();
+      for (std::size_t slot = first; slot < std::min(first + want, shard_apps);
+           ++slot) {
+        const std::size_t index = global_index_of(slot);
+        if (done[index]) {  // replayed from the resume journal
+          payloads[index] = digest_payloads(result.outcomes[index].report);
+          continue;
+        }
+        AppOutcome& outcome = result.outcomes[index];
+        if (journal.active() && !cache.active()) {
+          outcome.job = job_digest(jobs[index]);
+        }
+        run.push_back({index, job_seed(jobs, config_.seed_base, index),
+                       &outcome});
+      }
+      const bool clean = cache.process_run(
+          jobs, run, worker_id, [&](std::span<const BatchApp> misses) {
+            return executor.analyze_batch(misses, worker_id);
+          });
+      limit = clean ? std::min(2 * limit, kPoolBatchCap) : 1;
+      for (const BatchApp& app : run) {
+        const support::TraceContextScope trace_context(
+            trace_app_id(app.index), 0, static_cast<std::uint32_t>(worker_id));
+        payloads[app.index] = digest_payloads(app.outcome->report);
+        if (!journal.append(app.index, *app.outcome)) return;
+      }
+    }
+  };
+  const auto worker = [&](std::size_t worker_id) {
+    if (config_.isolated()) {
+      pool_loop(worker_id);
+    } else {
+      thread_loop(worker_id);
     }
     // Retire this thread's pooled worker on every way out of the loop —
     // corpus drained, graceful stop, abort.

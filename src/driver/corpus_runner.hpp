@@ -79,10 +79,11 @@ enum class IsolationMode : std::uint8_t {
   /// crash in one app takes the whole driver down.
   kOff = 0,
   /// Attempts run in a forked child per worker thread
-  /// (support::PoolWorker), dispatched over a framed RPC pipe: crashes,
-  /// OOMs and hangs become classified outcomes instead of driver outages.
-  /// RunnerConfig::pool_recycle_apps bounds how many apps one child
-  /// serves; 1 (what `--isolate` means) gives every attempt a fresh
+  /// (support::PoolWorker), dispatched over a framed RPC pipe, a batch of
+  /// first attempts per round trip: crashes, OOMs and hangs become
+  /// classified outcomes of the app that caused them instead of driver
+  /// outages. RunnerConfig::pool_recycle_apps bounds how many apps one
+  /// child serves; 1 (what `--isolate` means) gives every attempt a fresh
   /// process.
   kPool = 1,
 };
@@ -296,10 +297,11 @@ struct RunnerConfig {
   [[nodiscard]] bool isolated() const {
     return isolation_mode != IsolationMode::kOff;
   }
-  /// Retire a worker after it has served this many apps and fork a fresh
-  /// one (0 = never; 1 = a fresh process per app, what `--isolate`
-  /// means). Resets accumulated heap growth; reports are unaffected —
-  /// recycling happens between attempts.
+  /// Retire a worker after it has served this many apps (apps, not round
+  /// trips: no batch carries a worker past it) and fork a fresh one (0 =
+  /// never; 1 = a fresh process per app, what `--isolate` means). Resets
+  /// accumulated heap growth; reports are unaffected — recycling happens
+  /// between attempts.
   std::uint32_t pool_recycle_apps = 0;
   /// Child RLIMIT_AS in bytes (0 = inherit). Must comfortably exceed the
   /// parent's footprint — the limit covers the whole forked image. Ignored

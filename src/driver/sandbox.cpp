@@ -1,11 +1,16 @@
 #include "driver/sandbox.hpp"
 
+#include <utility>
+
 #include "support/journal.hpp"
 #include "support/strings.hpp"
 
 namespace dydroid::driver {
 
 namespace {
+
+/// Wire size of one dispatch.
+constexpr std::size_t kDispatchBytes = 8 + 4 + 8 + 4 + 1 + 1;
 
 /// Stamp one payload as a complete `magic frame` message.
 support::Bytes framed(const support::Bytes& payload) {
@@ -43,63 +48,113 @@ support::Result<support::Blob> single_record(
 
 }  // namespace
 
-support::Bytes encode_pool_request(const PoolRequest& request) {
+support::Bytes encode_pool_request(std::span<const PoolRequest> batch) {
   support::ByteWriter payload;
-  payload.u64(request.app_index);
-  payload.u32(request.attempt);
-  payload.u64(request.seed);
-  payload.u32(request.worker);
-  payload.u8(request.crash_child ? 1 : 0);
-  payload.u8(request.retire ? 1 : 0);
+  payload.reserve(batch.size() * kDispatchBytes);
+  for (const PoolRequest& request : batch) {
+    payload.u64(request.app_index);
+    payload.u32(request.attempt);
+    payload.u64(request.seed);
+    payload.u32(request.worker);
+    payload.u8(request.crash_child ? 1 : 0);
+    payload.u8(request.retire ? 1 : 0);
+  }
   return framed(payload.data());
 }
 
-support::Result<PoolRequest> decode_pool_request(
+support::Bytes encode_pool_request(const PoolRequest& request) {
+  return encode_pool_request(std::span(&request, 1));
+}
+
+support::Result<std::vector<PoolRequest>> decode_pool_requests(
     std::span<const std::uint8_t> data) {
+  using Decoded = support::Result<std::vector<PoolRequest>>;
   auto record = single_record(data, "request");
-  if (!record.ok()) {
-    return support::Result<PoolRequest>::failure(record.error());
+  if (!record.ok()) return Decoded::failure(record.error());
+  const support::Blob& payload = record.value();
+  if (payload.empty() || payload.size() % kDispatchBytes != 0) {
+    return Decoded::failure(support::format(
+        "pool: request payload of %zu byte(s) is not a batch of %zu-byte "
+        "dispatches",
+        payload.size(), kDispatchBytes));
   }
-  try {
-    support::ByteReader reader(record.value());
-    PoolRequest request;
+  std::vector<PoolRequest> batch(payload.size() / kDispatchBytes);
+  support::ByteReader reader(payload);
+  for (PoolRequest& request : batch) {
     request.app_index = reader.u64();
     request.attempt = reader.u32();
     request.seed = reader.u64();
     request.worker = reader.u32();
     request.crash_child = reader.u8() != 0;
     request.retire = reader.u8() != 0;
-    if (!reader.at_end()) {
-      return support::Result<PoolRequest>::failure(
-          "pool: trailing bytes after request payload");
-    }
-    return request;
-  } catch (const std::exception& e) {
-    return support::Result<PoolRequest>::failure(
-        std::string("pool: corrupt request payload: ") + e.what());
   }
+  return batch;
+}
+
+support::Result<PoolRequest> decode_pool_request(
+    std::span<const std::uint8_t> data) {
+  auto batch = decode_pool_requests(data);
+  if (!batch.ok()) return support::Result<PoolRequest>::failure(batch.error());
+  if (batch.value().size() != 1) {
+    return support::Result<PoolRequest>::failure(support::format(
+        "pool: expected one dispatch, got %zu", batch.value().size()));
+  }
+  return batch.value().front();
+}
+
+void PoolResponseEncoder::add(std::size_t app_index,
+                              const AppOutcome& outcome) {
+  record_.clear();
+  encode_outcome_into(app_index, outcome, record_);
+  payload_.blob(record_.data());
+}
+
+support::Bytes PoolResponseEncoder::finish() {
+  support::Bytes message = framed(payload_.data());
+  payload_.clear();
+  return message;
 }
 
 support::Bytes encode_pool_response(std::size_t app_index,
                                     const AppOutcome& outcome) {
-  support::ByteWriter payload;
-  payload.reserve(512);
-  encode_outcome_into(app_index, outcome, payload);
-  return framed(payload.data());
+  PoolResponseEncoder encoder;
+  encoder.add(app_index, outcome);
+  return encoder.finish();
+}
+
+support::Result<std::vector<DecodedOutcome>> decode_pool_responses(
+    std::span<const std::uint8_t> data) {
+  using Decoded = support::Result<std::vector<DecodedOutcome>>;
+  auto record = single_record(data, "response");
+  if (!record.ok()) return Decoded::failure(record.error());
+  if (record.value().empty()) {
+    return Decoded::failure("pool: response carries no outcome");
+  }
+  try {
+    std::vector<DecodedOutcome> outcomes;
+    support::ByteReader reader(record.value());
+    while (!reader.at_end()) {
+      const std::uint32_t size = reader.u32();
+      outcomes.push_back(decode_outcome(reader.view(size)));
+    }
+    return outcomes;
+  } catch (const std::exception& e) {
+    return Decoded::failure(std::string("pool: corrupt response payload: ") +
+                            e.what());
+  }
 }
 
 support::Result<DecodedOutcome> decode_pool_response(
     std::span<const std::uint8_t> data) {
-  auto record = single_record(data, "response");
-  if (!record.ok()) {
-    return support::Result<DecodedOutcome>::failure(record.error());
+  auto outcomes = decode_pool_responses(data);
+  if (!outcomes.ok()) {
+    return support::Result<DecodedOutcome>::failure(outcomes.error());
   }
-  try {
-    return decode_outcome(record.value());
-  } catch (const std::exception& e) {
-    return support::Result<DecodedOutcome>::failure(
-        std::string("pool: corrupt response payload: ") + e.what());
+  if (outcomes.value().size() != 1) {
+    return support::Result<DecodedOutcome>::failure(support::format(
+        "pool: expected one outcome, got %zu", outcomes.value().size()));
   }
+  return std::move(outcomes.value().front());
 }
 
 }  // namespace dydroid::driver

@@ -7,23 +7,30 @@
 // one payload inside the same CRC frame layer the write-ahead journal
 // uses, stamped with the RPC magic —
 //
-//   message := magic frame
-//   magic   := "DYSBRPC2"                      (8 bytes)
-//   frame   := len:u32 crc:u32 payload[len]    (crc = CRC-32 of payload)
+//   message  := magic frame
+//   magic    := "DYSBRPC3"                     (8 bytes)
+//   frame    := len:u32 crc:u32 payload[len]   (crc = CRC-32 of payload)
+//   request  := dispatch+
+//   dispatch := app_index:u64 attempt:u32 seed:u64 worker:u32 crash:u8
+//               retire:u8
+//   response := (len:u32 outcome-record[len])+   (one per dispatch, in order)
 //
-// — and is re-read with the journal's parse_journal. Requests carry the
-// dispatch tuple the forked loop needs to run one attempt; responses carry
-// the standard outcome_codec payload. decode_pool_response is the decoder
-// of all untrusted child output: a torn or bit-flipped response (child
-// killed mid-write, injected sandbox.pool.rpc fault, fuzzed frames) is
-// detected exactly as a torn journal tail is, and degrades to a
-// quarantined crash outcome — the run is never corrupted by whatever a
-// dying child managed to emit.
+// — and is re-read with the journal's parse_journal. One round trip
+// carries a batch: the child runs its dispatches back to back and ships
+// every outcome in one response. A single-app RPC is the batch of one.
+// Requests carry the dispatch tuple the forked loop needs to run each
+// attempt; responses carry the standard outcome_codec records.
+// decode_pool_responses is the decoder of all untrusted child output: a
+// torn or bit-flipped response (child killed mid-write, injected
+// sandbox.pool.rpc fault, fuzzed frames) is detected exactly as a torn
+// journal tail is, and degrades to re-running or quarantining the apps —
+// the run is never corrupted by whatever a dying child managed to emit.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "driver/outcome_codec.hpp"
 #include "support/bytes.hpp"
@@ -31,9 +38,9 @@
 
 namespace dydroid::driver {
 
-/// RPC-stream magic: "DYSBRPC2" (bump the digit on protocol changes).
+/// RPC-stream magic: "DYSBRPC3" (bump the digit on protocol changes).
 inline constexpr std::array<std::uint8_t, 8> kPoolRpcMagic = {
-    'D', 'Y', 'S', 'B', 'R', 'P', 'C', '2'};
+    'D', 'Y', 'S', 'B', 'R', 'P', 'C', '3'};
 
 /// One dispatched attempt: everything the pooled child needs to run the
 /// app exactly as thread mode would.
@@ -46,23 +53,50 @@ struct PoolRequest {
   bool retire = false;          // recycled: exit after shipping the response
 };
 
-/// Encode one dispatch as a complete framed request message.
+/// Encode a batch of dispatches (at least one) as one framed request
+/// message.
+[[nodiscard]] support::Bytes encode_pool_request(
+    std::span<const PoolRequest> batch);
+/// The batch of one.
 [[nodiscard]] support::Bytes encode_pool_request(const PoolRequest& request);
 
-/// Decode a framed request message. Fails (never throws) on a bad magic,
-/// torn frame or malformed payload — the serve loop exits loudly on any
+/// Decode a framed request message into its dispatches. Fails (never
+/// throws) on a bad magic, torn frame, empty batch or a payload that is not
+/// a whole number of dispatches — the serve loop exits loudly on any
 /// failure (a desynchronized stream cannot be resynchronized).
+[[nodiscard]] support::Result<std::vector<PoolRequest>> decode_pool_requests(
+    std::span<const std::uint8_t> data);
+/// The batch of one: fails unless the message carries exactly one
+/// dispatch.
 [[nodiscard]] support::Result<PoolRequest> decode_pool_request(
     std::span<const std::uint8_t> data);
 
-/// Encode one finished attempt as a framed response message.
+/// Builds one framed response message, one finished attempt at a time, in
+/// dispatch order. Reusable: finish() hands the message over and leaves
+/// the encoder empty, with its buffers' capacity kept.
+class PoolResponseEncoder {
+ public:
+  void add(std::size_t app_index, const AppOutcome& outcome);
+  [[nodiscard]] support::Bytes finish();
+
+ private:
+  support::ByteWriter payload_;
+  support::ByteWriter record_;
+};
+
+/// Encode one finished attempt as a framed response message (the batch of
+/// one).
 [[nodiscard]] support::Bytes encode_pool_response(std::size_t app_index,
                                                   const AppOutcome& outcome);
 
-/// Decode a framed response message. Fails (never throws) on a missing or
-/// wrong magic, a torn or bit-flipped frame, trailing garbage, anything
-/// but exactly one record, or an undecodable payload — the caller
-/// quarantines the app on any failure.
+/// Decode a framed response message into its outcomes, in dispatch order.
+/// Fails (never throws) on a missing or wrong magic, a torn or bit-flipped
+/// frame, trailing garbage, anything but exactly one frame, an empty batch
+/// or an undecodable record — the caller re-runs or quarantines the apps
+/// on any failure.
+[[nodiscard]] support::Result<std::vector<DecodedOutcome>>
+decode_pool_responses(std::span<const std::uint8_t> data);
+/// The batch of one: fails unless the message carries exactly one outcome.
 [[nodiscard]] support::Result<DecodedOutcome> decode_pool_response(
     std::span<const std::uint8_t> data);
 

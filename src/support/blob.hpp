@@ -2,12 +2,13 @@
 // ownership primitive behind the parse-once pipeline (docs/FORMATS.md,
 // "Buffer ownership & zero-copy views").
 //
-// A Blob is (shared owner, offset, length). Copying one is a refcount bump;
-// slice() produces an aliasing sub-view that keeps the parent buffer alive
-// past the parent Blob's destruction; converting to std::span is free. The
-// underlying Bytes are immutable for the Blob's whole lifetime, which is
-// what makes a Blob held by a reader a true snapshot: writers replace whole
-// buffers (copy-on-write), they never mutate in place.
+// A Blob is (shared owner, data pointer, length); the owner is a Bytes or
+// a raw array. Copying one is a refcount bump; slice() produces an
+// aliasing sub-view that keeps the parent buffer alive past the parent
+// Blob's destruction; converting to std::span is free. The underlying
+// bytes are immutable for the Blob's whole lifetime, which is what makes a
+// Blob held by a reader a true snapshot: writers replace whole buffers
+// (copy-on-write), they never mutate in place.
 #pragma once
 
 #include <algorithm>
@@ -31,14 +32,16 @@ class Blob {
   static Blob copy_of(std::span<const std::uint8_t> data);
   /// Adopt an already-materialized buffer without copying.
   static Blob take(Bytes&& data);
+  /// Adopt the first `size` bytes of a raw array without copying — for a
+  /// buffer allocated for overwrite (std::make_shared_for_overwrite) and
+  /// filled by read(2), which no zero-fill has to touch first.
+  static Blob take(std::shared_ptr<const std::uint8_t[]> data,
+                   std::size_t size);
   /// Copy a string's characters into a fresh buffer.
   static Blob of_string(std::string_view s);
 
   [[nodiscard]] std::span<const std::uint8_t> span() const {
-    return owner_ == nullptr
-               ? std::span<const std::uint8_t>{}
-               : std::span<const std::uint8_t>(owner_->data() + offset_,
-                                               size_);
+    return std::span<const std::uint8_t>(data_, size_);
   }
   // NOLINTNEXTLINE(google-explicit-constructor): free view conversion is the
   // point — every span-taking parser/hash/writer accepts a Blob unchanged.
@@ -84,12 +87,13 @@ class Blob {
   }
 
  private:
-  Blob(std::shared_ptr<const Bytes> owner, std::size_t offset,
+  Blob(std::shared_ptr<const void> owner, const std::uint8_t* data,
        std::size_t size)
-      : owner_(std::move(owner)), offset_(offset), size_(size) {}
+      : owner_(std::move(owner)), data_(data), size_(size) {}
 
-  std::shared_ptr<const Bytes> owner_;
-  std::size_t offset_ = 0;
+  /// Keeps the backing buffer (a Bytes or a raw array) alive.
+  std::shared_ptr<const void> owner_;
+  const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <utility>
 
 #include "support/fault.hpp"
@@ -294,16 +295,20 @@ Result<JournalReadResult> read_journal(const std::string& path) {
     return Result<JournalReadResult>::failure(
         "journal: " + path + " is not a regular file");
   }
-  Bytes data(static_cast<std::size_t>(st.st_size));
-  const ssize_t got = read_exact(in.get(), data.data(), data.size());
+  // Allocated for overwrite: read(2) fills it, so a zero-fill of the whole
+  // store first would be pure waste.
+  const auto size = static_cast<std::size_t>(st.st_size);
+  std::shared_ptr<std::uint8_t[]> data =
+      std::make_shared_for_overwrite<std::uint8_t[]>(size);
+  const ssize_t got = read_exact(in.get(), data.get(), size);
   if (got < 0) {
     return Result<JournalReadResult>::failure(
         errno_message("journal: cannot read", path));
   }
   // A file cut short since the fstat reads as what is there: the frame
   // walk treats it like any other torn tail.
-  data.resize(static_cast<std::size_t>(got));
-  auto parsed = parse_journal(Blob::take(std::move(data)));
+  auto parsed = parse_journal(
+      Blob::take(std::move(data), static_cast<std::size_t>(got)));
   if (!parsed.ok()) {
     return Result<JournalReadResult>::failure("journal: " + path + ": " +
                                               parsed.error());

@@ -5,11 +5,11 @@
 // must never take the measurement infrastructure down with it. A
 // PoolWorker is that boundary for the corpus driver. It forks one child,
 // applies hard resource limits, then loops over a CRC-framed
-// request/response pipe protocol: the parent ships one framed request per
-// app attempt and blocks (deadline-bounded) for one framed response. A
-// worker serves as many apps as the driver lets it — one for
-// `--isolate`, which recycles after every app, the whole run by default —
-// and every per-app failure mode is reported:
+// request/response pipe protocol: the parent ships one framed request (one
+// app attempt, or a batch of them) and blocks (deadline-bounded) for one
+// framed response. A worker serves as many apps as the driver lets it —
+// one for `--isolate`, which recycles after every app, the whole run by
+// default — and every failure mode of a round trip is reported:
 //
 //   * deadline overrun  → SIGKILL + reap, status kTimeout
 //   * child signal/exit → EOF mid-message + reap, status kWorkerExit with

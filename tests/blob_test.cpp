@@ -6,6 +6,7 @@
 // change to Blob or the VFS storage model.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 
 #include "os/vfs.hpp"
@@ -46,6 +47,28 @@ TEST(Blob, TakeAdoptsWithoutCopying) {
   const auto* raw = src.data();
   const auto b = Blob::take(std::move(src));
   EXPECT_EQ(b.data(), raw);
+}
+
+TEST(Blob, TakeAdoptsAnArrayWithoutCopying) {
+  // The journal reader's buffer: allocated for overwrite, filled, and
+  // adopted at the length the read returned, which may fall short of the
+  // allocation.
+  std::shared_ptr<std::uint8_t[]> array =
+      std::make_shared_for_overwrite<std::uint8_t[]>(8);
+  for (std::uint8_t i = 0; i < 8; ++i) array[i] = i;
+  const std::uint8_t* raw = array.get();
+  Blob tail;
+  {
+    const auto b = Blob::take(std::move(array), 6);
+    EXPECT_EQ(b.data(), raw);
+    ASSERT_EQ(b.size(), 6u);
+    EXPECT_EQ(b[5], 5);
+    tail = b.slice(4, 2);
+    EXPECT_TRUE(tail.shares_buffer_with(b));
+  }
+  // The slice keeps the array alive after the parent Blob is gone.
+  EXPECT_EQ(tail.data(), raw + 4);
+  EXPECT_EQ(tail[1], 5);
 }
 
 TEST(Blob, OfStringCopiesCharacters) {

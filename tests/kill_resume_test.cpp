@@ -401,6 +401,41 @@ TEST(KillResume, ResumeWithAnotherAppsRecordFailsLoudly) {
   EXPECT_EQ(resumed.analyzed, 0u);
 }
 
+TEST(KillResume, TwoForeignRecordsReportTheLowerIndexAtAnyWorkerCount) {
+  // The job check is split across the run's threads: whichever range
+  // finishes first, the refusal names the lowest disagreeing index.
+  support::set_log_level(support::LogLevel::Error);
+  const auto corpus = small_corpus();
+  const std::vector<AppJob> jobs = jobs_from_corpus(corpus);
+  ASSERT_GT(jobs.size(), 16u);
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  TempJournal journal("two_foreign");
+  RunnerConfig config;
+  config.jobs = 2;
+  config.journal_path = journal.path();
+  (void)CorpusRunner(pipeline, config).run(jobs);
+
+  const std::size_t low = 5;
+  const std::size_t high = jobs.size() - 3;
+  std::vector<AppJob> swapped = jobs;
+  swapped[low].apk = jobs[low + 1].apk;
+  swapped[high].apk = jobs[high - 1].apk;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    RunnerConfig resume_config = config;
+    resume_config.jobs = workers;
+    resume_config.resume = true;
+    try {
+      (void)CorpusRunner(pipeline, resume_config).run(swapped);
+      ADD_FAILURE() << "resume replayed foreign records at jobs " << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "app " + std::to_string(low) + " was journaled for job "),
+                std::string::npos)
+          << "jobs " << workers << ": " << e.what();
+    }
+  }
+}
+
 TEST(KillResume, ResumeWithoutJournalPathFailsLoudly) {
   const core::DyDroid pipeline{core::PipelineOptions{}};
   RunnerConfig config;

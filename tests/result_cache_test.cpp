@@ -802,6 +802,37 @@ TEST(CacheEquivalence, DedupStatsAndBlobStoreAreConsistent) {
   EXPECT_EQ(uncached.dedup.blobs_written, 0u);
 }
 
+TEST(CacheEquivalence, BlobStoreWritesOnlyWhatItsDirectoryLacks) {
+  // The store lists blobs/ once: a second store over the same directory
+  // finds every payload listed and writes none, and a blob deleted since
+  // is missing from the next listing and written again.
+  TempCacheDir dir("blob_listing");
+  const std::string blobs = dir.path() + "/blobs";
+  std::vector<PayloadDigest> payloads;
+  for (const std::string_view text : {"dex one", "dex two", "native three"}) {
+    const support::Blob bytes = support::Blob::of_string(text);
+    payloads.push_back({support::sha256(bytes.span()),
+                        text.starts_with("native") ? core::CodeKind::Native
+                                                   : core::CodeKind::Dex,
+                        bytes});
+  }
+  const auto written = [&] {
+    BinaryDedupStore store(blobs);
+    store.absorb(payloads);
+    return store.stats().blobs_written;
+  };
+  EXPECT_EQ(written(), 3u);
+  EXPECT_EQ(written(), 0u);
+  const auto deleted = std::filesystem::path(blobs) /
+                       (payloads[1].digest.hex() + ".bin");
+  ASSERT_TRUE(std::filesystem::remove(deleted));
+  EXPECT_EQ(written(), 1u);
+  std::ifstream in(deleted, std::ios::binary);
+  const support::Bytes bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(payloads[1].bytes, bytes);
+}
+
 /// Every BinaryDedupStats field.
 void expect_same_dedup(const BinaryDedupStats& got,
                        const BinaryDedupStats& want, const std::string& run) {

@@ -1,10 +1,11 @@
 // Sandbox RPC fuzz belt (tier 2, docs/ISOLATION.md): whatever a dying
 // worker managed to emit — torn, bit-flipped, duplicated, padded or plain
-// garbage — decode_pool_response, the decoder of all untrusted child
-// output, must either reject it cleanly or return the original outcome; it
-// must never throw, and a full corpus run under injected response
-// corruption must degrade app-by-app (quarantined crash outcomes) without
-// corrupting any other app's report.
+// garbage, for one app or a batch — decode_pool_response(s), the decoders
+// of all untrusted child output, must either reject it cleanly or return
+// the original outcomes (and a damaged multi-app request never decodes
+// into another dispatch); they must never throw, and a full corpus run
+// under injected response corruption must degrade app-by-app (quarantined
+// crash outcomes) without corrupting any other app's report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -62,6 +63,101 @@ TEST(SandboxFuzz, EverySingleBitFlipIsRejectedOrEquivalent) {
         EXPECT_TRUE(matches_sample(decoded.value(), 9, outcome))
             << "flip at byte " << byte << " bit " << bit
             << " decoded to different content";
+      }
+    }
+  }
+}
+
+/// A response carrying three outcomes, as a batched worker ships it.
+support::Bytes batch_response(std::vector<AppOutcome>& outcomes) {
+  PoolResponseEncoder encoder;
+  for (std::size_t k = 0; k < 3; ++k) {
+    AppOutcome outcome = sample_outcome();
+    outcome.report.package += std::to_string(k);
+    outcome.seed += k;
+    outcome.attempts = static_cast<std::uint32_t>(k + 1);
+    encoder.add(20 + k, outcome);
+    outcomes.push_back(std::move(outcome));
+  }
+  return encoder.finish();
+}
+
+/// True when `decoded` is the three-outcome batch exactly.
+bool matches_batch(const std::vector<DecodedOutcome>& decoded,
+                   const std::vector<AppOutcome>& outcomes) {
+  if (decoded.size() != outcomes.size()) return false;
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    if (!matches_sample(decoded[k], 20 + k, outcomes[k]) ||
+        decoded[k].outcome.attempts != outcomes[k].attempts) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SandboxFuzz, MultiAppResponseNeverDecodesIntoAWrongOutcome) {
+  std::vector<AppOutcome> outcomes;
+  const support::Bytes stream = batch_response(outcomes);
+  ASSERT_TRUE(decode_pool_responses(stream).ok());
+  for (std::size_t keep = 0; keep < stream.size(); ++keep) {
+    EXPECT_FALSE(decode_pool_responses(
+                     std::span<const std::uint8_t>(stream.data(), keep))
+                     .ok())
+        << "prefix of " << keep << " bytes decoded";
+  }
+  for (std::size_t byte = 0; byte < stream.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      support::Bytes mutated = stream;
+      mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      const auto decoded = decode_pool_responses(mutated);
+      if (decoded.ok()) {
+        EXPECT_TRUE(matches_batch(decoded.value(), outcomes))
+            << "flip at byte " << byte << " bit " << bit
+            << " decoded to different content";
+      }
+    }
+  }
+}
+
+TEST(SandboxFuzz, MultiAppRequestNeverDecodesIntoAnotherDispatch) {
+  std::vector<PoolRequest> batch(3);
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    batch[k].app_index = 40 + k;
+    batch[k].attempt = static_cast<std::uint32_t>(k % 2);
+    batch[k].seed = 0xBE9C0040ull + k;
+    batch[k].worker = 3;
+  }
+  batch.back().retire = true;
+  const support::Bytes stream = encode_pool_request(batch);
+  const auto same = [&](const std::vector<PoolRequest>& decoded) {
+    if (decoded.size() != batch.size()) return false;
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      const PoolRequest& a = decoded[k];
+      const PoolRequest& b = batch[k];
+      if (a.app_index != b.app_index || a.attempt != b.attempt ||
+          a.seed != b.seed || a.worker != b.worker ||
+          a.crash_child != b.crash_child || a.retire != b.retire) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(decode_pool_requests(stream).ok());
+  for (std::size_t keep = 0; keep < stream.size(); ++keep) {
+    EXPECT_FALSE(decode_pool_requests(
+                     std::span<const std::uint8_t>(stream.data(), keep))
+                     .ok())
+        << "prefix of " << keep << " bytes decoded";
+  }
+  for (std::size_t byte = 0; byte < stream.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      support::Bytes mutated = stream;
+      mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      const auto decoded = decode_pool_requests(mutated);
+      if (decoded.ok()) {
+        EXPECT_TRUE(same(decoded.value()))
+            << "flip at byte " << byte << " bit " << bit
+            << " decoded to another dispatch";
       }
     }
   }

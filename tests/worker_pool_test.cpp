@@ -7,7 +7,8 @@
 // off, recycling on and off), classify worker deaths into fates,
 // re-dispatch the in-flight app of an externally killed worker, survive
 // forks racing the trace registries, and interoperate with the journal
-// and the result cache.
+// and the result cache. Batched dispatch (several apps per round trip)
+// must keep every fate with the app that caused it.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -461,6 +462,61 @@ TEST(PoolCodec, ResponseRoundTripsAnOutcome) {
   // Requests and responses share the magic but not the payload: a request
   // is never mistaken for a response.
   EXPECT_FALSE(decode_pool_response(encode_pool_request(PoolRequest{})).ok());
+}
+
+TEST(PoolCodec, BatchesRoundTripInDispatchOrder) {
+  std::vector<PoolRequest> batch(3);
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    batch[k].app_index = 100 + k;
+    batch[k].seed = 0xBE9C0000ull + k;
+    batch[k].worker = 2;
+  }
+  batch.back().retire = true;
+  const auto requests = decode_pool_requests(encode_pool_request(batch));
+  ASSERT_TRUE(requests.ok()) << requests.error();
+  ASSERT_EQ(requests.value().size(), 3u);
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    EXPECT_EQ(requests.value()[k].app_index, batch[k].app_index);
+    EXPECT_EQ(requests.value()[k].seed, batch[k].seed);
+    EXPECT_EQ(requests.value()[k].worker, 2u);
+    EXPECT_EQ(requests.value()[k].retire, k == 2);
+  }
+  // The single-app decoders take the batch of one only.
+  EXPECT_FALSE(decode_pool_request(encode_pool_request(batch)).ok());
+
+  PoolResponseEncoder encoder;
+  for (std::size_t k = 0; k < 3; ++k) {
+    AppOutcome outcome;
+    outcome.report.package = "com.pool.batch" + std::to_string(k);
+    outcome.seed = batch[k].seed;
+    outcome.wall_ms = 1.5 * static_cast<double>(k);
+    encoder.add(batch[k].app_index, outcome);
+  }
+  const support::Bytes response = encoder.finish();
+  const auto outcomes = decode_pool_responses(response);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.error();
+  ASSERT_EQ(outcomes.value().size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(outcomes.value()[k].index, batch[k].app_index);
+    EXPECT_EQ(outcomes.value()[k].outcome.seed, batch[k].seed);
+    EXPECT_EQ(outcomes.value()[k].outcome.report.package,
+              "com.pool.batch" + std::to_string(k));
+    EXPECT_EQ(outcomes.value()[k].outcome.wall_ms, 1.5 * static_cast<double>(k));
+  }
+  EXPECT_FALSE(decode_pool_response(response).ok());
+  // The encoder is empty again after finish(): the next message is the
+  // next batch only.
+  AppOutcome single;
+  single.seed = 7;
+  encoder.add(9, single);
+  const auto next = decode_pool_response(encoder.finish());
+  ASSERT_TRUE(next.ok()) << next.error();
+  EXPECT_EQ(next.value().index, 9u);
+  // Empty batches are not messages of the protocol.
+  EXPECT_FALSE(decode_pool_requests(encode_pool_request(
+                                        std::span<const PoolRequest>{}))
+                   .ok());
+  EXPECT_FALSE(decode_pool_responses(encoder.finish()).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -989,6 +1045,237 @@ TEST(WorkerPool, ShardedPoolRunMatchesUnshardedThreadRun) {
   }
   for (std::size_t i = 0; i < covered.size(); ++i) {
     EXPECT_TRUE(covered[i]) << "app " << i << " analyzed by neither shard";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batched dispatch: a round trip carries several apps, and every fate stays
+// with the app that caused it.
+// ---------------------------------------------------------------------------
+
+/// 24 replicas on one driver thread claim runs of 1, 2, 4, 8, 4, 2, 1, ...
+/// apps: the app at kMidBatch rides in the middle of the run of 8.
+constexpr std::size_t kBatchedApps = 24;
+constexpr std::size_t kMidBatch = 10;
+constexpr std::uint64_t kMidBatchSeed =
+    seed_for_app(kDefaultSeedBase, kMidBatch);
+
+/// Metrics of one pooled run, reset before and disabled after.
+struct MeteredRun {
+  CorpusResult result;
+  support::MetricsSnapshot metrics;
+
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    const auto* c = metrics.counter(name);
+    return c == nullptr ? 0 : c->value;
+  }
+};
+
+MeteredRun metered_run(const core::DyDroid& pipeline, const RunnerConfig& config,
+                       std::span<const AppJob> jobs) {
+  support::metrics_reset();
+  support::set_metrics_enabled(true);
+  MeteredRun run{CorpusRunner(pipeline, config).run(jobs), {}};
+  support::set_metrics_enabled(false);
+  run.metrics = support::metrics_snapshot();
+  support::metrics_reset();
+  return run;
+}
+
+RunnerConfig batched_config(std::size_t jobs = 1) {
+  RunnerConfig config;
+  config.jobs = jobs;
+  config.isolation_mode = IsolationMode::kPool;
+  return config;
+}
+
+/// Every app but `fated` reports exactly as in `golden`, without a fate.
+void expect_golden_except(const CorpusResult& result,
+                          const CorpusResult& golden, std::size_t fated) {
+  ASSERT_EQ(result.outcomes.size(), golden.outcomes.size());
+  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
+    if (i == fated) continue;
+    EXPECT_EQ(result.outcomes[i].sandbox_fate, SandboxFate::kNone) << "app " << i;
+    EXPECT_FALSE(result.outcomes[i].quarantined) << "app " << i;
+    EXPECT_EQ(core::report_to_json(result.outcomes[i].report),
+              core::report_to_json(golden.outcomes[i].report))
+        << "app " << i;
+  }
+}
+
+TEST(BatchedPool, SignalDeathMidBatchFatesOnlyTheDyingApp) {
+  auto fixture = replicated_jobs(kBatchedApps);
+  const core::DyDroid clean{core::PipelineOptions{}};
+  const auto golden = CorpusRunner(clean, RunnerConfig{}).run(fixture.jobs);
+
+  // SIGABRT, not SIGSEGV: AddressSanitizer turns a SIGSEGV into an exit
+  // code, and abort(3) is what a wild write usually ends in anyway.
+  const auto dying =
+      test::hooked_pipeline(kMidBatchSeed, [] { ::raise(SIGABRT); });
+  const MeteredRun run = metered_run(dying, batched_config(), fixture.jobs);
+
+  const auto& fated = run.result.outcomes[kMidBatch];
+  EXPECT_EQ(fated.sandbox_fate, SandboxFate::kCrashed);
+  EXPECT_EQ(fated.fatal_signal, SIGABRT);
+  EXPECT_TRUE(fated.quarantined);
+  EXPECT_EQ(fated.attempts, 1u);
+  EXPECT_EQ(fated.report.crash_message,
+            "sandbox: child died on signal " + std::to_string(SIGABRT));
+  expect_golden_except(run.result, golden, kMidBatch);
+  EXPECT_EQ(run.result.stats.sandbox_crashed, 1u);
+  // The death split exactly one batch; the rest shared round trips.
+  EXPECT_EQ(run.counter("sandbox.pool.split"), 1u);
+  EXPECT_LT(run.counter("sandbox.pool.rpcs"), kBatchedApps);
+}
+
+TEST(BatchedPool, HangMidBatchIsDeadlineKilledAndTheRestRecover) {
+  auto fixture = replicated_jobs(kBatchedApps);
+  const core::DyDroid clean{core::PipelineOptions{}};
+  const auto golden = CorpusRunner(clean, RunnerConfig{}).run(fixture.jobs);
+
+  const auto hanging = test::hooked_pipeline(kMidBatchSeed, [] {
+    for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  });
+  RunnerConfig config = batched_config();
+  config.sandbox_deadline_ms = 300.0;
+  const MeteredRun run = metered_run(hanging, config, fixture.jobs);
+
+  const auto& hung = run.result.outcomes[kMidBatch];
+  EXPECT_EQ(hung.sandbox_fate, SandboxFate::kTimedOut);
+  EXPECT_EQ(hung.fatal_signal, SIGKILL);
+  EXPECT_TRUE(hung.timed_out);
+  EXPECT_TRUE(hung.quarantined);
+  EXPECT_EQ(hung.report.crash_message,
+            "sandbox: killed after exceeding the 300 ms wall deadline");
+  EXPECT_LT(hung.wall_ms, 15000.0);
+  expect_golden_except(run.result, golden, kMidBatch);
+  for (std::size_t i = 0; i < kBatchedApps; ++i) {
+    if (i != kMidBatch) {
+      EXPECT_FALSE(run.result.outcomes[i].timed_out) << "app " << i;
+    }
+  }
+  EXPECT_EQ(run.result.stats.killed_timeout, 1u);
+  EXPECT_EQ(run.counter("sandbox.pool.split"), 1u);
+}
+
+TEST(BatchedPool, ExternalSigkillMidBatchIsAbsorbed) {
+  auto fixture = replicated_jobs(kBatchedApps);
+  const core::DyDroid clean{core::PipelineOptions{}};
+  const auto golden = CorpusRunner(clean, RunnerConfig{}).run(fixture.jobs);
+
+  // The first run of the app SIGKILLs its worker mid-batch, as an
+  // operator or the kernel would; the marker keeps the re-run clean.
+  TempPath marker("batch_sigkill");
+  const auto killing = test::hooked_pipeline(
+      kMidBatchSeed, [path = marker.path()] {
+        if (!std::filesystem::exists(path)) {
+          std::ofstream(path) << "killed once";
+          ::raise(SIGKILL);
+        }
+      });
+  const MeteredRun run = metered_run(killing, batched_config(), fixture.jobs);
+
+  EXPECT_TRUE(std::filesystem::exists(marker.path()));
+  expect_golden_except(run.result, golden, kBatchedApps);
+  EXPECT_EQ(run.result.stats.killed_oom, 0u);
+  EXPECT_EQ(run.result.stats.quarantined, 0u);
+  EXPECT_EQ(run.counter("sandbox.pool.split"), 1u);
+}
+
+TEST(BatchedPool, RpcFaultInsideABatchQuarantinesOnlyItsApp) {
+  auto fixture = replicated_jobs(kBatchedApps);
+  const auto plan = support::FaultPlan::parse("sandbox.pool.rpc=p:0.3");
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  core::PipelineOptions options;
+  options.faults = &plan.value();
+  const core::DyDroid pipeline(std::move(options));
+
+  // One app per process draws the same per-app decisions.
+  RunnerConfig fork_config = batched_config();
+  fork_config.pool_recycle_apps = 1;
+  const auto forked = CorpusRunner(pipeline, fork_config).run(fixture.jobs);
+  const MeteredRun run = metered_run(pipeline, batched_config(), fixture.jobs);
+
+  std::size_t torn = 0;
+  for (std::size_t i = 0; i < kBatchedApps; ++i) {
+    const auto& outcome = run.result.outcomes[i];
+    EXPECT_EQ(outcome.sandbox_fate, forked.outcomes[i].sandbox_fate) << i;
+    EXPECT_EQ(outcome.quarantined, forked.outcomes[i].quarantined) << i;
+    EXPECT_EQ(core::report_to_json(outcome.report),
+              core::report_to_json(forked.outcomes[i].report))
+        << "app " << i;
+    if (outcome.sandbox_fate != SandboxFate::kNone) {
+      ++torn;
+      EXPECT_EQ(outcome.report.crash_message,
+                support::fault_message(support::FaultSite::kPoolRpc));
+    }
+  }
+  ASSERT_GT(torn, 1u);
+  ASSERT_LT(torn, kBatchedApps);
+  // A torn response costs its own app, not its batch: nothing split.
+  EXPECT_EQ(run.counter("sandbox.pool.split"), 0u);
+  EXPECT_LT(run.counter("sandbox.pool.rpcs"), kBatchedApps);
+}
+
+TEST(BatchedPool, RecycleBudgetCountsAppsNotRoundTrips) {
+  constexpr std::size_t kApps = 40;
+  constexpr std::uint32_t kBudget = 4;
+  auto fixture = replicated_jobs(kApps);
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  RunnerConfig config = batched_config();
+  config.pool_recycle_apps = kBudget;
+  const MeteredRun run = metered_run(pipeline, config, fixture.jobs);
+
+  EXPECT_EQ(run.result.completed(), kApps);
+  // Every worker serves exactly kBudget apps, over fewer round trips.
+  EXPECT_EQ(run.counter("sandbox.pool.spawned"), kApps / kBudget);
+  EXPECT_EQ(run.counter("sandbox.pool.recycled"), kApps / kBudget);
+  EXPECT_LT(run.counter("sandbox.pool.rpcs"), kApps);
+  EXPECT_GT(run.counter("sandbox.pool.rpcs"), kApps / kBudget);
+}
+
+TEST(BatchedPool, EveryFateMatchesOneAppPerProcessUnderCombinedFaults) {
+  // Supervisor-side sandbox faults and an in-child pipeline fault, with
+  // the retry policy on: at any worker count, the batched pool settles
+  // every app exactly as a fresh process per attempt does.
+  const auto corpus = small_corpus();
+  const std::vector<AppJob> jobs_of_corpus = jobs_from_corpus(corpus);
+  const auto plan = support::FaultPlan::parse(
+      "sandbox.crash=p:0.1,sandbox.pool.spawn=p:0.1,sandbox.pool.rpc=p:0.1,"
+      "sandbox.pool.recycle=p:0.1,device.install=p:0.2");
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  core::PipelineOptions options;
+  options.faults = &plan.value();
+  options.retry_on_crash = true;
+  const core::DyDroid pipeline(std::move(options));
+
+  RunnerConfig fork_config = batched_config(2);
+  fork_config.pool_recycle_apps = 1;
+  const auto forked = CorpusRunner(pipeline, fork_config).run(corpus);
+  ASSERT_GT(forked.stats.sandbox_crashed, 0u);
+  ASSERT_GT(forked.stats.retried, 0u);
+  ASSERT_GT(forked.stats.quarantined, 0u);
+
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const MeteredRun run =
+        metered_run(pipeline, batched_config(jobs), jobs_of_corpus);
+    EXPECT_LT(run.counter("sandbox.pool.rpcs"), corpus.apps.size()) << jobs;
+    ASSERT_EQ(run.result.outcomes.size(), forked.outcomes.size());
+    for (std::size_t i = 0; i < forked.outcomes.size(); ++i) {
+      const AppOutcome& got = run.result.outcomes[i];
+      const AppOutcome& want = forked.outcomes[i];
+      const std::string where =
+          "jobs " + std::to_string(jobs) + " app " + std::to_string(i);
+      EXPECT_EQ(got.sandbox_fate, want.sandbox_fate) << where;
+      EXPECT_EQ(got.fatal_signal, want.fatal_signal) << where;
+      EXPECT_EQ(got.report.crash_message, want.report.crash_message) << where;
+      EXPECT_EQ(got.attempts, want.attempts) << where;
+      EXPECT_EQ(got.quarantined, want.quarantined) << where;
+      EXPECT_EQ(got.timed_out, want.timed_out) << where;
+      EXPECT_EQ(core::report_to_json(got.report),
+                core::report_to_json(want.report))
+          << where;
+    }
   }
 }
 
