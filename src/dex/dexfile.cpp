@@ -131,11 +131,16 @@ DexFile DexFile::deserialize(std::span<const std::uint8_t> data) {
   }
   DexFile dex;
   const auto num_strings = r.u32();
+  // Every string carries a 4-byte length, so the bytes left bound an
+  // honest count; a lying one fails on its first missing string instead of
+  // driving the reservation into std::bad_alloc.
+  dex.strings_.reserve(std::min<std::size_t>(num_strings, r.remaining() / 4));
   for (std::uint32_t i = 0; i < num_strings; ++i) {
     // Preserve pool order: duplicate strings are not re-interned so indices
     // embedded in instructions remain stable.
     dex.strings_.push_back(r.str());
   }
+  dex.index_.reserve(dex.strings_.size());
   for (std::uint32_t i = 0; i < dex.strings_.size(); ++i) {
     dex.index_.emplace(dex.strings_[i], i);
   }

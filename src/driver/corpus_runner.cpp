@@ -262,25 +262,59 @@ struct DriverFaultGuard {
 
 /// Most apps one pooled round trip carries, chosen on perfbench `campaign`
 /// (EXPERIMENTS.md: caps of 1, 8, 16 and 32 gave 44–48k, 60–67k, 60–61k
-/// and 70–72k apps/s). A larger cap only lengthens what a failed batch
-/// re-runs, and a batch of 32 apps stays far inside one app's deadline.
+/// and 70–72k apps/s). A larger cap only lengthens what a failed round
+/// trip re-sends, and 32 apps stay far inside one app's deadline.
 constexpr std::size_t kPoolBatchCap = 32;
 
-/// Accumulates an attempt's elapsed time into the outcome's wall_ms on
-/// every exit path — normal return, a synthesized fate, or an exception
-/// escaping the attempt machinery — exactly once.
+/// One app of a claimed run, as the cache tier and the executor see it.
+struct BatchApp {
+  std::size_t index = 0;
+  std::uint64_t seed = 0;
+  AppOutcome* outcome = nullptr;
+};
+
+/// Grows the wall_ms of the apps one attempt runs for, on every exit path
+/// — normal return, a synthesized fate, or an exception escaping the
+/// attempt machinery — exactly once: each app gets what its worker
+/// measured of its own attempt (charge_worker; nothing inline or without
+/// a clean response) plus an equal share of the rest of the elapsed time.
+/// The walls therefore sum to what the caller waited, and an app that ran
+/// alone gets the whole of it. A split round trip charges nothing
+/// (cancel): the round trips its apps are re-sent in do.
 class AttemptWall {
  public:
-  explicit AttemptWall(double& into) : into_(into) {}
+  explicit AttemptWall(std::span<const BatchApp> apps) : apps_(apps) {}
   AttemptWall(const AttemptWall&) = delete;
   AttemptWall& operator=(const AttemptWall&) = delete;
-  ~AttemptWall() { into_ += clock_.elapsed_ms(); }
+  ~AttemptWall() {
+    if (apps_.empty()) return;
+    const double share = std::max(0.0, clock_.elapsed_ms() - worker_ms_) /
+                         static_cast<double>(apps_.size());
+    for (const BatchApp& app : apps_) app.outcome->wall_ms += share;
+  }
   [[nodiscard]] double elapsed_ms() const { return clock_.elapsed_ms(); }
+  void charge_worker(AppOutcome& outcome, double ms) {
+    outcome.wall_ms += ms;
+    worker_ms_ += ms;
+  }
+  void cancel() { apps_ = {}; }
 
  private:
   support::Stopwatch clock_;
-  double& into_;
+  std::span<const BatchApp> apps_;
+  double worker_ms_ = 0.0;
 };
+
+/// Record an attempt as it *starts*: a journaled outcome must never claim
+/// an attempt that did not run (live stats and journal replay count
+/// `retried` from this field). The fate reflects the *final* attempt: a
+/// kill on attempt 0 that clears on the retry leaves the app clean, like
+/// any transient crash.
+void begin_attempt(AppOutcome& outcome, std::uint32_t attempt) {
+  outcome.attempts = attempt + 1;
+  outcome.sandbox_fate = SandboxFate::kNone;
+  outcome.fatal_signal = 0;
+}
 
 /// How the sandbox disposed of an attempt whose round trip did not come
 /// back clean.
@@ -348,22 +382,27 @@ bool settle_fate(AppOutcome& outcome, Fate fate) {
   return true;
 }
 
-/// One app of a claimed run, as the cache tier and the executor see it.
-struct BatchApp {
-  std::size_t index = 0;
-  std::uint64_t seed = 0;
-  AppOutcome* outcome = nullptr;
-};
+/// True when a response answers `requests`: one outcome per dispatch, in
+/// order, each naming its app and seed.
+bool answers(const std::vector<DecodedOutcome>& shipped,
+             std::span<const PoolRequest> requests) {
+  return std::equal(shipped.begin(), shipped.end(), requests.begin(),
+                    requests.end(),
+                    [](const DecodedOutcome& got, const PoolRequest& sent) {
+                      return got.index == sent.app_index &&
+                             got.outcome.seed == sent.seed;
+                    });
+}
 
-/// Runs analysis attempts and the per-app retry policy. Thread mode runs
-/// an attempt inline on the driver thread; pool mode ships attempts to the
-/// thread's forked worker, whose serve loop runs the very same inline path
-/// — same seeds, same per-app fault session, same crash-conversion belt,
-/// which is what keeps clean pooled outcomes byte-identical to thread
-/// mode. In pool mode a round trip carries a batch of first attempts
-/// (analyze_batch); the batch of one is the single-app path every fate is
-/// classified on, by classify_rpc. Worker ownership is strictly 1:1 — each
-/// driver thread only ever touches its own slot, so no locks.
+/// Runs analysis attempts and the per-app retry policy over claimed runs
+/// of apps. Thread mode runs an attempt inline on the driver thread; pool
+/// mode ships attempts to the thread's forked worker, whose serve loop
+/// runs the very same inline path — same seeds, same per-app fault
+/// session, same crash-conversion belt, which is what keeps clean pooled
+/// outcomes byte-identical to thread mode. Every pooled attempt goes
+/// through one round trip, whatever the number of apps it carries.
+/// Worker ownership is strictly 1:1 — each driver thread only ever
+/// touches its own slot, so no locks.
 class AttemptExecutor {
  public:
   AttemptExecutor(const core::DyDroid& pipeline, const RunnerConfig& config,
@@ -383,20 +422,11 @@ class AttemptExecutor {
                    : 0.0);
   }
 
-  /// Full per-app policy: timeout + single-retry-then-quarantine
-  /// (docs/FAULTS.md), wrapped in the escaping-exception belt.
-  void analyze_app(AppOutcome& outcome, std::uint64_t seed, std::size_t index,
-                   std::size_t worker) {
-    outcome.seed = seed;
-    settle_app(outcome, index, worker, [&] {
-      return run_attempt(outcome, 0, index, worker, !slots_.empty());
-    });
-  }
-
-  /// Apps the next round trip of pooled `worker` may carry: the batch cap,
-  /// and never past what its worker's recycling budget has left (so a
-  /// budget of 1 keeps one app per process).
-  [[nodiscard]] std::size_t batch_room(std::size_t worker) const {
+  /// Apps the next claim of `worker` may carry: one in thread mode; in
+  /// pool mode the batch cap, never past what its worker's recycling
+  /// budget has left (so a budget of 1 keeps one app per process).
+  [[nodiscard]] std::size_t room(std::size_t worker) const {
+    if (slots_.empty()) return 1;
     if (config_.pool_recycle_apps == 0) return kPoolBatchCap;
     const PoolSlot& slot = slots_[worker];
     const std::uint64_t served = slot.worker.has_value() ? slot.apps : 0;
@@ -404,53 +434,46 @@ class AttemptExecutor {
         kPoolBatchCap, config_.pool_recycle_apps - served));
   }
 
-  /// Analyze the apps of a claimed run on pooled `worker`. Their first
-  /// attempts share one round trip, except for an app whose own
-  /// sandbox.crash, sandbox.pool.recycle or sandbox.pool.spawn draw fires:
-  /// it runs alone. A batch is all or nothing: a round trip that does not
-  /// come back clean (worker death, deadline, desync, torn, undecodable or
-  /// misaddressed response) leaves every outcome untouched, and each of
-  /// its apps re-runs alone, so every fate, re-dispatch and deadline
-  /// message stays with the app that caused it. Retries run alone after
-  /// the batch. Returns false when the batch was split.
-  bool analyze_batch(std::span<const BatchApp> apps, std::size_t worker) {
-    std::vector<char> alone(apps.size(), 0);
-    std::vector<std::size_t> batch;
-    batch.reserve(apps.size());
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      apps[i].outcome->seed = apps[i].seed;
-      alone[i] = runs_alone(apps[i].seed);
-      if (!alone[i]) batch.push_back(i);
+  /// Analyze the apps of a claimed run, each under the full per-app policy
+  /// (settle_app), in run order. In pool mode the first attempts of the
+  /// apps whose own sandbox.crash, sandbox.pool.recycle and
+  /// sandbox.pool.spawn draws do not fire share one round trip when there
+  /// are two or more; every other first attempt, every retry and each app
+  /// of a split round trip goes as a round trip of one, so every fate,
+  /// re-dispatch and deadline message stays with the app that caused it.
+  /// Returns false when a round trip was split.
+  bool analyze(std::span<const BatchApp> apps, std::size_t worker) {
+    std::vector<BatchApp> shared;
+    for (const BatchApp& app : apps) {
+      app.outcome->seed = app.seed;
+      if (!slots_.empty() && !runs_alone(app.seed)) shared.push_back(app);
     }
-    std::vector<char> failed(apps.size(), 0);
-    bool split = false;
-    if (batch.size() >= 2) {
+    std::vector<char> failed(shared.size(), 0);
+    bool clean = true;
+    if (shared.size() > 1) {
       try {
-        split = !run_batch(apps, batch, failed, worker);
+        clean = round_trip(shared, 0, worker, failed);
       } catch (...) {
-        // The escaping-exception belt, batch-sized: split, and let each
-        // app's own attempts settle it.
+        // The escaping-exception belt, round-trip-sized: the worker is
+        // retired and each app starts over alone.
         slots_[worker].worker.reset();
-        split = true;
+        for (const BatchApp& app : shared) {
+          app.outcome->wall_ms = 0.0;
+          app.outcome->timed_out = false;
+        }
+        clean = false;
       }
     }
-    if (batch.size() < 2 || split) {
-      for (const std::size_t i : batch) {
-        apps[i].outcome->wall_ms = 0.0;
-        apps[i].outcome->timed_out = false;
-        alone[i] = 1;
-      }
+    if (!clean || shared.size() < 2) shared.clear();
+    std::size_t k = 0;
+    for (const BatchApp& app : apps) {
+      const bool rode = k < shared.size() && shared[k].outcome == app.outcome;
+      settle_app(app, worker, [&] {
+        return rode ? failed[k] != 0 : run_attempt(app, 0, worker);
+      });
+      if (rode) ++k;
     }
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      const BatchApp& app = apps[i];
-      if (alone[i]) {
-        analyze_app(*app.outcome, app.seed, app.index, worker);
-      } else {
-        settle_app(*app.outcome, app.index, worker,
-                   [&] { return failed[i] != 0; });
-      }
-    }
-    return !split;
+    return clean;
   }
 
   /// Retire `worker`'s pooled child gracefully (EOF-driven exit).
@@ -476,8 +499,9 @@ class AttemptExecutor {
   /// time accumulated by the attempt's AttemptWall, timed_out derived by
   /// the same budget rule) instead of terminating the driver.
   template <typename First>
-  void settle_app(AppOutcome& outcome, std::size_t index, std::size_t worker,
+  void settle_app(const BatchApp& app, std::size_t worker,
                   const First& first) {
+    AppOutcome& outcome = *app.outcome;
     const auto escaped = [&](std::string message) {
       set_crash(outcome.report, std::move(message));
       if (outcome.attempts == 0) outcome.attempts = 1;
@@ -496,7 +520,7 @@ class AttemptExecutor {
         // the app is quarantined — its final report keeps its Table II
         // bucket.
         support::count("runner.retry");
-        failed = run_attempt(outcome, 1, index, worker, !slots_.empty());
+        failed = run_attempt(app, 1, worker);
         outcome.quarantined = failed;
       }
     } catch (const std::exception& e) {
@@ -516,32 +540,31 @@ class AttemptExecutor {
                         static_cast<std::uint64_t>(outcome.wall_ms * 1000.0));
   }
 
-  /// One attempt, recording the attempt count, trace context and wall time
-  /// on every path. Returns the "failed" predicate the retry policy uses.
-  bool run_attempt(AppOutcome& outcome, std::uint32_t attempt,
-                   std::size_t index, std::size_t worker, bool pooled) {
-    // Record the attempt as it *starts*: a journaled outcome must never
-    // claim an attempt that did not run (live stats and journal replay
-    // count `retried` from this field). The fate reflects the *final*
-    // attempt: a kill on attempt 0 that clears on the retry leaves the app
-    // clean, like any transient crash.
-    outcome.attempts = attempt + 1;
-    outcome.sandbox_fate = SandboxFate::kNone;
-    outcome.fatal_signal = 0;
+  /// One attempt of `app`: inline in thread mode, a round trip of one in
+  /// pool mode. Returns the "failed" predicate the retry policy uses.
+  bool run_attempt(const BatchApp& app, std::uint32_t attempt,
+                   std::size_t worker) {
+    if (slots_.empty()) return run_inline(app, attempt, worker);
+    char failed = 0;
+    (void)round_trip(std::span(&app, 1), attempt, worker,
+                     std::span(&failed, 1));
+    return failed != 0;
+  }
+
+  /// One attempt in this process, recording the attempt count, trace
+  /// context and wall time on every path. The pipeline already converts
+  /// stage failures into crash outcomes; the catch blocks are the
+  /// last-resort belt for anything else (bad_alloc, internal logic errors).
+  bool run_inline(const BatchApp& app, std::uint32_t attempt,
+                  std::size_t worker) {
+    AppOutcome& outcome = *app.outcome;
+    begin_attempt(outcome, attempt);
     // Nested ambient context: every span opened under this attempt is
     // tagged (app index, attempt, worker) without any plumbing.
     const support::TraceContextScope trace_context(
-        trace_app_id(index), attempt, static_cast<std::uint32_t>(worker));
-    const AttemptWall wall(outcome.wall_ms);
-    return pooled ? run_pooled(outcome, attempt, index, worker)
-                  : run_inline(jobs_[index], outcome, attempt, wall);
-  }
-
-  /// Analyze in this process. The pipeline already converts stage failures
-  /// into crash outcomes; the catch blocks are the last-resort belt for
-  /// anything else (bad_alloc, internal logic errors).
-  bool run_inline(const AppJob& job, AppOutcome& outcome,
-                  std::uint32_t attempt, const AttemptWall& wall) {
+        trace_app_id(app.index), attempt, static_cast<std::uint32_t>(worker));
+    const AttemptWall wall(std::span(&app, 1));
+    const AppJob& job = jobs_[app.index];
     core::AnalysisRequest request;
     request.apk = job.apk;
     request.seed = outcome.seed;
@@ -576,11 +599,12 @@ class AttemptExecutor {
         support::fault_session_seed(seed ^ kSandboxFaultSalt, attempt));
   }
 
-  /// True when an app's first attempt must run alone: one of the draws
-  /// run_pooled makes before dispatch (sandbox.crash, sandbox.pool.recycle,
-  /// sandbox.pool.spawn) fires in its session. A decision depends only on
-  /// the session seed, the site and its hit count, so run_pooled, drawing
-  /// again from a fresh session, meets the same ones.
+  /// True when an app's first attempt must go alone: one of the draws a
+  /// round trip makes before dispatch (sandbox.crash,
+  /// sandbox.pool.recycle, sandbox.pool.spawn) fires in its session. A
+  /// decision depends only on the session seed, the site and its hit
+  /// count, so the round trip, drawing again from a fresh session, meets
+  /// the same ones.
   [[nodiscard]] bool runs_alone(std::uint64_t seed) const {
     std::optional<support::FaultSession> session = sandbox_session(seed, 0);
     return session.has_value() &&
@@ -608,193 +632,142 @@ class AttemptExecutor {
   support::PoolRpcResult call(PoolSlot& slot, const support::Bytes& request) {
     const support::Span rpc_span("sandbox", "pool.rpc");
     support::count("sandbox.pool.rpcs");
-    return slot.worker->call(request, kPoolRpcMagic, limits_.wall_deadline_ms);
+    return slot.worker->call(request, kPoolRpcMagic);
   }
 
-  /// Ship the attempt to this thread's worker, spawning one if needed, and
-  /// settle whatever comes back. Recycling (injected, or after K apps)
-  /// happens strictly *between* attempts, so it can never change an
-  /// outcome: a worker told to retire ships its response, then exits.
-  bool run_pooled(AppOutcome& outcome, std::uint32_t attempt,
-                  std::size_t index, std::size_t worker) {
-    std::optional<support::FaultSession> faults =
-        sandbox_session(outcome.seed, attempt);
-    std::optional<support::FaultScope> scope;
-    if (faults.has_value()) scope.emplace(&*faults);
-    PoolRequest request;
-    request.app_index = index;
-    request.attempt = attempt;
-    request.seed = outcome.seed;
-    request.worker = static_cast<std::uint32_t>(worker);
-    // Drawn here so the decision is deterministic in the supervisor's
-    // stream; *executed* in the child as a real abort, so the injected
-    // crash exercises genuine signal-death classification end to end.
-    request.crash_child =
-        support::fault_fire(support::FaultSite::kSandboxCrash);
-    const bool recycle_fault =
-        support::fault_fire(support::FaultSite::kPoolRecycle);
-
+  /// One round trip to `worker`'s child, spawning one if needed, carrying
+  /// attempt `attempt` of each of `apps` (only first attempts ever share
+  /// one). Each app draws sandbox.crash, sandbox.pool.recycle and
+  /// sandbox.pool.spawn before dispatch and sandbox.pool.rpc after a clean
+  /// response, from its own session. A clean response settles every app
+  /// (`failed[k]` for the retry policy): the worker's report and
+  /// timed_out, or a torn-response fate where its rpc draw fires, which
+  /// retires the worker. A round trip that does not come back clean — a
+  /// failed spawn, a dead or deadline-killed worker, a desync, a torn,
+  /// undecodable or misaddressed response — retires the worker, and that
+  /// is the one step that depends on the size: a round trip of one fates
+  /// its app (classify_rpc; an external SIGKILL is re-dispatched at most
+  /// twice), a larger one counts sandbox.pool.split, settles nothing and
+  /// returns false, and the caller re-sends each app alone. Recycling
+  /// (injected, or after pool_recycle_apps apps) happens strictly between
+  /// round trips: a worker told to retire ships its response, then exits.
+  bool round_trip(std::span<const BatchApp> apps, std::uint32_t attempt,
+                  std::size_t worker, std::span<char> failed) {
+    const support::TraceContextScope trace_context(
+        trace_app_id(apps.front().index), attempt,
+        static_cast<std::uint32_t>(worker));
+    AttemptWall wall(apps);
     PoolSlot& slot = slots_[worker];
+    std::vector<std::optional<support::FaultSession>> faults;
+    faults.reserve(apps.size());
+    const auto fires = [&](std::size_t k, support::FaultSite site) {
+      if (!faults[k].has_value()) return false;
+      const support::FaultScope scope(&*faults[k]);
+      return support::fault_fire(site);
+    };
+    std::vector<PoolRequest> requests(apps.size());
+    bool recycle = false;
+    for (std::size_t k = 0; k < apps.size(); ++k) {
+      begin_attempt(*apps[k].outcome, attempt);
+      faults.push_back(sandbox_session(apps[k].seed, attempt));
+      requests[k].app_index = apps[k].index;
+      requests[k].attempt = attempt;
+      requests[k].seed = apps[k].seed;
+      requests[k].worker = static_cast<std::uint32_t>(worker);
+      // Drawn here so the decision is deterministic in the supervisor's
+      // stream; *executed* in the child as a real abort, so the injected
+      // crash exercises genuine signal-death classification end to end.
+      requests[k].crash_child = fires(k, support::FaultSite::kSandboxCrash);
+      recycle = fires(k, support::FaultSite::kPoolRecycle) || recycle;
+    }
+    const auto fail = [&](Fate fate) {
+      slot.worker.reset();
+      if (apps.size() == 1) {
+        failed[0] = settle_fate(*apps[0].outcome, std::move(fate));
+        return true;
+      }
+      wall.cancel();
+      support::count("sandbox.pool.split");
+      return false;
+    };
+
     for (int respawn = 0;; ++respawn) {
       // The spawn fault is drawn *unconditionally* — "would the spawn this
       // attempt might need fail?" — never gated on whether this thread's
       // worker happens to be alive. Gating it on pool state would make the
       // hit stream (and therefore which apps fail under p: mode) depend on
       // the worker count, breaking byte-identical reports at any -j.
-      if (support::fault_fire(support::FaultSite::kPoolSpawn)) {
-        slot.worker.reset();
-        return settle_fate(outcome, {SandboxFate::kCrashed, 0,
-                                     "sandbox: spawn failed: " +
-                                         support::fault_message(
-                                             support::FaultSite::kPoolSpawn)});
+      bool spawn_fault = false;
+      for (std::size_t k = 0; k < apps.size(); ++k) {
+        spawn_fault = fires(k, support::FaultSite::kPoolSpawn) || spawn_fault;
+      }
+      if (spawn_fault) {
+        return fail(
+            {SandboxFate::kCrashed, 0,
+             "sandbox: spawn failed: " +
+                 support::fault_message(support::FaultSite::kPoolSpawn)});
       }
       if (!slot.worker.has_value()) {
         const support::Status spawned = spawn(slot);
         if (!spawned.ok()) {
-          return settle_fate(outcome, {SandboxFate::kCrashed, 0,
-                                       "sandbox: spawn failed: " +
-                                           spawned.error()});
+          return fail({SandboxFate::kCrashed, 0,
+                       "sandbox: spawn failed: " + spawned.error()});
         }
       }
-
-      request.retire =
-          recycle_fault || (config_.pool_recycle_apps > 0 &&
-                            slot.apps + 1 >= config_.pool_recycle_apps);
+      const bool retire =
+          recycle || (config_.pool_recycle_apps > 0 &&
+                      slot.apps + apps.size() >= config_.pool_recycle_apps);
+      requests.back().retire = retire;
       const support::PoolRpcResult rpc =
-          call(slot, encode_pool_request(request));
+          call(slot, encode_pool_request(requests));
       if (rpc.status != support::PoolRpcResult::Status::kOk) {
-        slot.worker.reset();  // already dead and reaped
-        if (external_kill(rpc) && respawn < kExternalKillRespawns) {
+        if (apps.size() == 1 && external_kill(rpc) &&
+            respawn < kExternalKillRespawns) {
           // Re-dispatch the in-flight app to a fresh worker.
+          slot.worker.reset();  // already dead and reaped
           support::count("sandbox.respawned");
           continue;
         }
-        return settle_fate(outcome,
-                           classify_rpc(rpc, limits_.wall_deadline_ms));
+        return fail(classify_rpc(rpc, limits_.wall_deadline_ms));
       }
-      ++slot.apps;
-
-      // Clean response: decode it, honoring the torn-RPC injection site.
-      auto decoded =
-          support::fault_fire(support::FaultSite::kPoolRpc)
-              ? support::Result<DecodedOutcome>::failure(
-                    support::fault_message(support::FaultSite::kPoolRpc))
-              : decode_pool_response(rpc.message);
-      if (decoded.ok() && (decoded.value().index != index ||
-                           decoded.value().outcome.seed != outcome.seed)) {
-        decoded = support::Result<DecodedOutcome>::failure(
+      auto decoded = decode_pool_responses(rpc.message);
+      if (decoded.ok() && !answers(decoded.value(), requests)) {
+        decoded = support::Result<std::vector<DecodedOutcome>>::failure(
             "sandbox: result frame for the wrong app");
       }
+      // A response that framed but does not decode means the stream can no
+      // longer be trusted.
       if (!decoded.ok()) {
-        // A response that framed but does not decode means the stream can
-        // no longer be trusted: retire the worker along with the outcome.
-        slot.worker.reset();
-        return settle_fate(outcome,
-                           {SandboxFate::kCrashed, 0, decoded.error()});
+        return fail({SandboxFate::kCrashed, 0, decoded.error()});
       }
-      AppOutcome& shipped = decoded.value().outcome;
-      outcome.report = std::move(shipped.report);
-      if (shipped.timed_out) outcome.timed_out = true;
-
-      if (request.retire) {
+      slot.apps += apps.size();
+      bool torn = false;
+      for (std::size_t k = 0; k < apps.size(); ++k) {
+        AppOutcome& outcome = *apps[k].outcome;
+        AppOutcome& shipped = decoded.value()[k].outcome;
+        wall.charge_worker(outcome, shipped.wall_ms);
+        if (fires(k, support::FaultSite::kPoolRpc)) {
+          torn = true;
+          failed[k] = settle_fate(
+              outcome, {SandboxFate::kCrashed, 0,
+                        support::fault_message(support::FaultSite::kPoolRpc)});
+          continue;
+        }
+        outcome.report = std::move(shipped.report);
+        if (shipped.timed_out) outcome.timed_out = true;
+        failed[k] = shipped.timed_out ||
+                    outcome.report.status == core::DynamicStatus::kCrash;
+      }
+      // A torn response retires the worker along with its outcome.
+      if (torn) {
+        slot.worker.reset();
+      } else if (retire) {
         slot.worker->shutdown();
         slot.worker.reset();
         support::count("sandbox.pool.recycled");
       }
-      return shipped.timed_out ||
-             outcome.report.status == core::DynamicStatus::kCrash;
+      return true;
     }
-  }
-
-  /// One round trip carrying the first attempts of `apps[i]` for each i in
-  /// `batch` (at least two). On a clean response every one of them is
-  /// settled as run_pooled settles a single app — the worker's report and
-  /// timed_out, its own sandbox.pool.rpc draw, `failed` for the retry
-  /// policy — and its wall_ms is the worker's attempt wall plus an equal
-  /// share of the round trip's overhead, so the batch's walls sum to what
-  /// the supervisor waited. Anything else (a spawn failure, a dead or
-  /// deadline-killed worker, a desync, a torn, undecodable or misaddressed
-  /// response) settles nothing, retires the worker and returns false.
-  bool run_batch(std::span<const BatchApp> apps,
-                 std::span<const std::size_t> batch, std::span<char> failed,
-                 std::size_t worker) {
-    const support::Stopwatch clock;
-    const support::TraceContextScope trace_context(
-        trace_app_id(apps[batch.front()].index), 0,
-        static_cast<std::uint32_t>(worker));
-    PoolSlot& slot = slots_[worker];
-    const auto split = [&] {
-      slot.worker.reset();
-      support::count("sandbox.pool.split");
-      return false;
-    };
-    if (!slot.worker.has_value() && !spawn(slot).ok()) return split();
-
-    std::vector<PoolRequest> requests(batch.size());
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      requests[k].app_index = apps[batch[k]].index;
-      requests[k].seed = apps[batch[k]].seed;
-      requests[k].worker = static_cast<std::uint32_t>(worker);
-    }
-    const bool retire = config_.pool_recycle_apps > 0 &&
-                        slot.apps + batch.size() >= config_.pool_recycle_apps;
-    requests.back().retire = retire;
-    const support::PoolRpcResult rpc =
-        call(slot, encode_pool_request(requests));
-    if (rpc.status != support::PoolRpcResult::Status::kOk) return split();
-    auto decoded = decode_pool_responses(rpc.message);
-    if (!decoded.ok() || decoded.value().size() != batch.size()) {
-      return split();
-    }
-    std::vector<DecodedOutcome>& shipped = decoded.value();
-    double worker_ms = 0.0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      if (shipped[k].index != requests[k].app_index ||
-          shipped[k].outcome.seed != requests[k].seed) {
-        return split();
-      }
-      worker_ms += shipped[k].outcome.wall_ms;
-    }
-    slot.apps += batch.size();
-    if (retire) {
-      slot.worker->shutdown();
-      slot.worker.reset();
-      support::count("sandbox.pool.recycled");
-    }
-
-    const double share = std::max(0.0, clock.elapsed_ms() - worker_ms) /
-                         static_cast<double>(batch.size());
-    bool torn = false;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const std::size_t i = batch[k];
-      AppOutcome& outcome = *apps[i].outcome;
-      AppOutcome& result = shipped[k].outcome;
-      outcome.attempts = 1;
-      outcome.sandbox_fate = SandboxFate::kNone;
-      outcome.fatal_signal = 0;
-      outcome.wall_ms += result.wall_ms + share;
-      // The app's own sandbox.pool.rpc draw, as run_pooled would make it
-      // (see runs_alone).
-      std::optional<support::FaultSession> faults =
-          sandbox_session(apps[i].seed, 0);
-      std::optional<support::FaultScope> scope;
-      if (faults.has_value()) scope.emplace(&*faults);
-      if (support::fault_fire(support::FaultSite::kPoolRpc)) {
-        torn = true;
-        failed[i] = settle_fate(
-            outcome, {SandboxFate::kCrashed, 0,
-                      support::fault_message(support::FaultSite::kPoolRpc)});
-        continue;
-      }
-      outcome.report = std::move(result.report);
-      if (result.timed_out) outcome.timed_out = true;
-      failed[i] = result.timed_out ||
-                  outcome.report.status == core::DynamicStatus::kCrash;
-    }
-    // As for a single app: a response that cannot be trusted retires the
-    // worker.
-    if (torn) slot.worker.reset();
-    return true;
   }
 
   /// Child-side serve loop (runs in the forked worker): one framed request
@@ -824,8 +797,8 @@ class AttemptExecutor {
         if (request.crash_child) std::abort();
         AppOutcome outcome;
         outcome.seed = request.seed;
-        (void)run_attempt(outcome, request.attempt, request.app_index,
-                          request.worker, /*pooled=*/false);
+        (void)run_inline({request.app_index, request.seed, &outcome},
+                         request.attempt, request.worker);
         response.add(request.app_index, outcome);
         retire = retire || request.retire;
       }
@@ -862,43 +835,26 @@ class CacheTier {
 
   [[nodiscard]] bool active() const { return cache_.has_value(); }
 
-  template <typename Analyze>
-  void process(const AppJob& job, std::uint64_t seed, AppOutcome& outcome,
-               const Analyze& analyze) {
-    if (!cache_.has_value()) {
-      analyze();
-      return;
-    }
-    const std::optional<CacheKey> miss = lookup(job, seed, outcome);
-    if (!miss.has_value()) return;
-    analyze();
-    insert(*miss, outcome);
-  }
-
-  /// The tier over a claimed run (pool mode): every app is looked up, the
-  /// misses go to `analyze` as one batch, and their outcomes are inserted.
+  /// The tier over a claimed run: every app is looked up, the misses go
+  /// to `analyze` in one call, and their settled outcomes are inserted.
   /// Returns what `analyze` returned (true when nothing missed).
-  template <typename AnalyzeBatch>
-  bool process_run(std::span<const AppJob> jobs, std::span<const BatchApp> run,
-                   std::size_t worker, const AnalyzeBatch& analyze) {
+  template <typename Analyze>
+  bool process(std::span<const AppJob> jobs, std::span<const BatchApp> run,
+               std::size_t worker, const Analyze& analyze) {
     if (!cache_.has_value()) return run.empty() || analyze(run);
     std::vector<BatchApp> misses;
-    std::vector<CacheKey> keys;
     for (const BatchApp& app : run) {
       const support::TraceContextScope trace_context(
           trace_app_id(app.index), 0, static_cast<std::uint32_t>(worker));
-      std::optional<CacheKey> miss =
-          lookup(jobs[app.index], app.seed, *app.outcome);
-      if (!miss.has_value()) continue;
-      misses.push_back(app);
-      keys.push_back(*miss);
+      if (!lookup(jobs[app.index], app.seed, *app.outcome)) {
+        misses.push_back(app);
+      }
     }
     const bool clean = misses.empty() || analyze(std::span(misses));
-    for (std::size_t k = 0; k < misses.size(); ++k) {
+    for (const BatchApp& app : misses) {
       const support::TraceContextScope trace_context(
-          trace_app_id(misses[k].index), 0,
-          static_cast<std::uint32_t>(worker));
-      insert(keys[k], *misses[k].outcome);
+          trace_app_id(app.index), 0, static_cast<std::uint32_t>(worker));
+      insert(app.seed, *app.outcome);
     }
     return clean;
   }
@@ -918,10 +874,9 @@ class CacheTier {
   }
 
  private:
-  /// Look `job` up. A hit settles `outcome` and returns nothing; a miss
-  /// stamps the app's job digest and returns the key to insert under.
-  std::optional<CacheKey> lookup(const AppJob& job, std::uint64_t seed,
-                                 AppOutcome& outcome) {
+  /// Look `job` up under `seed`. A hit settles `outcome` and returns true;
+  /// a miss stamps the app's job digest, which its insert keys on.
+  bool lookup(const AppJob& job, std::uint64_t seed, AppOutcome& outcome) {
     CacheKey key;
     key.config = config_fp_;
     key.seed = seed;
@@ -939,16 +894,20 @@ class CacheTier {
       outcome.cache_hit = true;
       outcome.cache_checked = true;
       support::count("cache.hit");
-      return std::nullopt;
+      return true;
     }
     support::count("cache.miss");
     outcome.job = key.apk;
-    return key;
+    return false;
   }
 
-  /// Insert a miss's settled outcome.
-  void insert(const CacheKey& key, AppOutcome& outcome) {
+  /// Insert a miss's settled outcome under its job digest and `seed`.
+  void insert(std::uint64_t seed, AppOutcome& outcome) {
     outcome.cache_checked = true;
+    CacheKey key;
+    key.apk = outcome.job;
+    key.config = config_fp_;
+    key.seed = seed;
     const DriverFaultGuard guard(faults_);
     cache_->insert(key, outcome);
   }
@@ -1236,15 +1195,16 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
         support::fault_session_seed(config_.seed_base ^ kDriverFaultSalt, 0));
   }
 
-  // Execute. Each worker claims the next unprocessed shard slot, maps it to
-  // its global corpus index, analyzes it (through the cache tier) with its
-  // global-index-derived seed and writes into that index's pre-sized
-  // outcome slot — disjoint writes, no locks on the hot path (the journal
-  // mutex is only ever taken when journaling is enabled). A pooled worker
-  // claims a run of slots instead and sends their misses to its child in
-  // one round trip (docs/ISOLATION.md §3). Graceful stops and aborts are
-  // polled between claims only: every app of an in-flight claim finishes
-  // and is journaled.
+  // Execute. Each worker claims the next run of unprocessed shard slots,
+  // maps them to their global corpus indices, looks them up in the cache
+  // tier, analyzes the misses with their global-index-derived seeds and
+  // writes each outcome into its index's pre-sized slot — disjoint writes,
+  // no locks on the hot path (the journal mutex is only ever taken when
+  // journaling is enabled) — then journals them in slot order. A run is
+  // one slot in thread mode; a pooled worker's misses share one round trip
+  // (docs/ISOLATION.md §3). Graceful stops and aborts are polled between
+  // claims only: every app of an in-flight claim finishes, and is
+  // journaled unless the journal itself failed.
   AttemptExecutor executor(*pipeline_, config_, jobs, result.threads);
   // Each completed app's payload digests for the dedup table, taken by the
   // worker that ran or replayed it while its report is still hot.
@@ -1255,38 +1215,11 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
            (config_.stop != nullptr &&
             config_.stop->load(std::memory_order_relaxed));
   };
-  const auto thread_loop = [&](std::size_t worker_id) {
-    while (!stopping()) {
-      const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= shard_apps) break;
-      const std::size_t index = global_index_of(slot);
-      if (done[index]) {  // replayed from the resume journal
-        payloads[index] = digest_payloads(result.outcomes[index].report);
-        continue;
-      }
-      AppOutcome& outcome = result.outcomes[index];
-      const std::uint64_t seed = job_seed(jobs, config_.seed_base, index);
-      // Ambient tagging for the cache and journal spans (the per-attempt
-      // spans install their own nested context with the attempt ordinal).
-      const support::TraceContextScope trace_context(
-          trace_app_id(index), 0, static_cast<std::uint32_t>(worker_id));
-      // One digest per app: the cache tier takes it in its lookup span.
-      if (journal.active() && !cache.active()) {
-        outcome.job = job_digest(jobs[index]);
-      }
-      cache.process(jobs[index], seed, outcome, [&] {
-        executor.analyze_app(outcome, seed, index, worker_id);
-      });
-      // Outside the attempt's wall clock: wall_ms stays the analysis's.
-      payloads[index] = digest_payloads(outcome.report);
-      if (!journal.append(index, outcome)) break;
-    }
-  };
-  const auto pool_loop = [&](std::size_t worker_id) {
-    // Apps per claim: 1 at first and after a split batch, doubling after
-    // each clean one, at most about half of this thread's fair share of
-    // what is left (so the threads drain together) and never past the
-    // batch room of its worker.
+  const auto worker = [&](std::size_t worker_id) {
+    // Apps per claim: 1 at first and after a split round trip, doubling
+    // after each clean one, at most about half of this thread's fair share
+    // of what is left (so the threads drain together) and never past the
+    // executor's room for this worker (1 in thread mode).
     std::size_t limit = 1;
     std::vector<BatchApp> run;
     while (!stopping()) {
@@ -1295,7 +1228,7 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
           claimed < shard_apps ? (shard_apps - claimed) / (2 * result.threads)
                                : 0;
       const std::size_t want = std::max<std::size_t>(
-          1, std::min({limit, fair, executor.batch_room(worker_id)}));
+          1, std::min({limit, fair, executor.room(worker_id)}));
       const std::size_t first =
           next.fetch_add(want, std::memory_order_relaxed);
       if (first >= shard_apps) break;
@@ -1308,30 +1241,27 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
           continue;
         }
         AppOutcome& outcome = result.outcomes[index];
+        // One digest per app: the cache tier takes it in its lookup span.
         if (journal.active() && !cache.active()) {
           outcome.job = job_digest(jobs[index]);
         }
         run.push_back({index, job_seed(jobs, config_.seed_base, index),
                        &outcome});
       }
-      const bool clean = cache.process_run(
+      const bool clean = cache.process(
           jobs, run, worker_id, [&](std::span<const BatchApp> misses) {
-            return executor.analyze_batch(misses, worker_id);
+            return executor.analyze(misses, worker_id);
           });
       limit = clean ? std::min(2 * limit, kPoolBatchCap) : 1;
       for (const BatchApp& app : run) {
+        // Ambient tagging for the journal span.
         const support::TraceContextScope trace_context(
             trace_app_id(app.index), 0, static_cast<std::uint32_t>(worker_id));
+        // Outside the attempt's wall clock: wall_ms stays the analysis's.
         payloads[app.index] = digest_payloads(app.outcome->report);
-        if (!journal.append(app.index, *app.outcome)) return;
+        // A failed append aborts the run, which ends the claim loop.
+        if (!journal.append(app.index, *app.outcome)) break;
       }
-    }
-  };
-  const auto worker = [&](std::size_t worker_id) {
-    if (config_.isolated()) {
-      pool_loop(worker_id);
-    } else {
-      thread_loop(worker_id);
     }
     // Retire this thread's pooled worker on every way out of the loop —
     // corpus drained, graceful stop, abort.

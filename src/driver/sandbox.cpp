@@ -62,10 +62,6 @@ support::Bytes encode_pool_request(std::span<const PoolRequest> batch) {
   return framed(payload.data());
 }
 
-support::Bytes encode_pool_request(const PoolRequest& request) {
-  return encode_pool_request(std::span(&request, 1));
-}
-
 support::Result<std::vector<PoolRequest>> decode_pool_requests(
     std::span<const std::uint8_t> data) {
   using Decoded = support::Result<std::vector<PoolRequest>>;
@@ -91,17 +87,6 @@ support::Result<std::vector<PoolRequest>> decode_pool_requests(
   return batch;
 }
 
-support::Result<PoolRequest> decode_pool_request(
-    std::span<const std::uint8_t> data) {
-  auto batch = decode_pool_requests(data);
-  if (!batch.ok()) return support::Result<PoolRequest>::failure(batch.error());
-  if (batch.value().size() != 1) {
-    return support::Result<PoolRequest>::failure(support::format(
-        "pool: expected one dispatch, got %zu", batch.value().size()));
-  }
-  return batch.value().front();
-}
-
 void PoolResponseEncoder::add(std::size_t app_index,
                               const AppOutcome& outcome) {
   record_.clear();
@@ -113,13 +98,6 @@ support::Bytes PoolResponseEncoder::finish() {
   support::Bytes message = framed(payload_.data());
   payload_.clear();
   return message;
-}
-
-support::Bytes encode_pool_response(std::size_t app_index,
-                                    const AppOutcome& outcome) {
-  PoolResponseEncoder encoder;
-  encoder.add(app_index, outcome);
-  return encoder.finish();
 }
 
 support::Result<std::vector<DecodedOutcome>> decode_pool_responses(
@@ -142,19 +120,6 @@ support::Result<std::vector<DecodedOutcome>> decode_pool_responses(
     return Decoded::failure(std::string("pool: corrupt response payload: ") +
                             e.what());
   }
-}
-
-support::Result<DecodedOutcome> decode_pool_response(
-    std::span<const std::uint8_t> data) {
-  auto outcomes = decode_pool_responses(data);
-  if (!outcomes.ok()) {
-    return support::Result<DecodedOutcome>::failure(outcomes.error());
-  }
-  if (outcomes.value().size() != 1) {
-    return support::Result<DecodedOutcome>::failure(support::format(
-        "pool: expected one outcome, got %zu", outcomes.value().size()));
-  }
-  return std::move(outcomes.value().front());
 }
 
 }  // namespace dydroid::driver

@@ -15,16 +15,17 @@
 //               retire:u8
 //   response := (len:u32 outcome-record[len])+   (one per dispatch, in order)
 //
-// — and is re-read with the journal's parse_journal. One round trip
-// carries a batch: the child runs its dispatches back to back and ships
-// every outcome in one response. A single-app RPC is the batch of one.
-// Requests carry the dispatch tuple the forked loop needs to run each
-// attempt; responses carry the standard outcome_codec records.
-// decode_pool_responses is the decoder of all untrusted child output: a
-// torn or bit-flipped response (child killed mid-write, injected
-// sandbox.pool.rpc fault, fuzzed frames) is detected exactly as a torn
-// journal tail is, and degrades to re-running or quarantining the apps —
-// the run is never corrupted by whatever a dying child managed to emit.
+// — and is re-read with the journal's parse_journal. Every round trip
+// carries a batch of one or more dispatches: the child runs them back to
+// back and ships every outcome in one response, and one codec per
+// direction serves every size. Requests carry the dispatch tuple the
+// forked loop needs to run each attempt; responses carry the standard
+// outcome_codec records. decode_pool_responses is the decoder of all
+// untrusted child output: a torn or bit-flipped response (child killed
+// mid-write, injected sandbox.pool.rpc fault, fuzzed frames) is detected
+// exactly as a torn journal tail is, and degrades to re-sending or
+// quarantining the apps — the run is never corrupted by whatever a dying
+// child managed to emit.
 #pragma once
 
 #include <array>
@@ -57,18 +58,12 @@ struct PoolRequest {
 /// message.
 [[nodiscard]] support::Bytes encode_pool_request(
     std::span<const PoolRequest> batch);
-/// The batch of one.
-[[nodiscard]] support::Bytes encode_pool_request(const PoolRequest& request);
 
 /// Decode a framed request message into its dispatches. Fails (never
 /// throws) on a bad magic, torn frame, empty batch or a payload that is not
 /// a whole number of dispatches — the serve loop exits loudly on any
 /// failure (a desynchronized stream cannot be resynchronized).
 [[nodiscard]] support::Result<std::vector<PoolRequest>> decode_pool_requests(
-    std::span<const std::uint8_t> data);
-/// The batch of one: fails unless the message carries exactly one
-/// dispatch.
-[[nodiscard]] support::Result<PoolRequest> decode_pool_request(
     std::span<const std::uint8_t> data);
 
 /// Builds one framed response message, one finished attempt at a time, in
@@ -84,11 +79,6 @@ class PoolResponseEncoder {
   support::ByteWriter record_;
 };
 
-/// Encode one finished attempt as a framed response message (the batch of
-/// one).
-[[nodiscard]] support::Bytes encode_pool_response(std::size_t app_index,
-                                                  const AppOutcome& outcome);
-
 /// Decode a framed response message into its outcomes, in dispatch order.
 /// Fails (never throws) on a missing or wrong magic, a torn or bit-flipped
 /// frame, trailing garbage, anything but exactly one frame, an empty batch
@@ -96,8 +86,5 @@ class PoolResponseEncoder {
 /// on any failure.
 [[nodiscard]] support::Result<std::vector<DecodedOutcome>>
 decode_pool_responses(std::span<const std::uint8_t> data);
-/// The batch of one: fails unless the message carries exactly one outcome.
-[[nodiscard]] support::Result<DecodedOutcome> decode_pool_response(
-    std::span<const std::uint8_t> data);
 
 }  // namespace dydroid::driver

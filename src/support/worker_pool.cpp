@@ -235,8 +235,7 @@ PoolWorker::PoolWorker(PoolWorker&& other) noexcept
     : pid_(std::exchange(other.pid_, -1)),
       request_fd_(std::exchange(other.request_fd_, -1)),
       response_fd_(std::exchange(other.response_fd_, -1)),
-      deadline_ms_(other.deadline_ms_),
-      served_(other.served_) {}
+      deadline_ms_(other.deadline_ms_) {}
 
 PoolWorker::~PoolWorker() { kill(); }
 
@@ -304,14 +303,12 @@ void PoolWorker::shutdown() {
 }
 
 PoolRpcResult PoolWorker::call(const Bytes& request,
-                               const std::array<std::uint8_t, 8>& magic,
-                               double deadline_ms) {
+                               const std::array<std::uint8_t, 8>& magic) {
   PoolRpcResult result;
   if (pid_ <= 0 || request_fd_ < 0 || response_fd_ < 0) {
     result.error = "pool: worker is not running";
     return result;
   }
-  if (deadline_ms <= 0.0) deadline_ms = deadline_ms_;
 
   if (!write_nosigpipe(request_fd_, request.data(), request.size())) {
     // The worker died between calls (EPIPE) or the pipe broke: surface the
@@ -326,10 +323,9 @@ PoolRpcResult PoolWorker::call(const Bytes& request,
   }
 
   switch (read_pool_message(response_fd_, magic, result.message,
-                            deadline_ms)) {
+                            deadline_ms_)) {
     case FrameRead::kMessage:
       result.status = PoolRpcResult::Status::kOk;
-      ++served_;
       return result;
     case FrameRead::kEof:
     case FrameRead::kTorn:

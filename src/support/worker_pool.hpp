@@ -5,11 +5,12 @@
 // must never take the measurement infrastructure down with it. A
 // PoolWorker is that boundary for the corpus driver. It forks one child,
 // applies hard resource limits, then loops over a CRC-framed
-// request/response pipe protocol: the parent ships one framed request (one
-// app attempt, or a batch of them) and blocks (deadline-bounded) for one
-// framed response. A worker serves as many apps as the driver lets it —
-// one for `--isolate`, which recycles after every app, the whole run by
-// default — and every failure mode of a round trip is reported:
+// request/response pipe protocol: the parent ships one framed request (a
+// batch of one or more app attempts) and blocks, for at most the spawn's
+// wall deadline, for one framed response. A worker serves as many apps as
+// the driver lets it — one for `--isolate`, which recycles after every
+// app, the whole run by default — and every failure mode of a round trip
+// is reported:
 //
 //   * deadline overrun  → SIGKILL + reap, status kTimeout
 //   * child signal/exit → EOF mid-message + reap, status kWorkerExit with
@@ -18,7 +19,8 @@
 //   * clean response    → status kOk with the complete framed message
 //
 // After kTimeout, kWorkerExit or kError the worker is dead and reaped; the
-// caller respawns a fresh one (the driver re-dispatches the in-flight app).
+// caller respawns a fresh one (the driver re-dispatches or re-sends the
+// in-flight apps).
 //
 // Child-side contract (applied before the serve loop runs):
 //   * RLIMIT_CORE = 0 — a crashing child never litters core dumps.
@@ -77,8 +79,8 @@ struct WorkerLimits {
   /// comfortably exceed the parent's footprint. Ignored under ASan/TSan,
   /// whose shadow mappings are incompatible with RLIMIT_AS.
   std::uint64_t max_memory_bytes = 0;
-  /// Default per-call wall deadline in ms; past it the worker is
-  /// SIGKILLed. 0 = wait forever.
+  /// Wall deadline of every call in ms; past it the worker is SIGKILLed.
+  /// 0 = wait forever.
   double wall_deadline_ms = 0.0;
 };
 
@@ -139,9 +141,8 @@ class PoolWorker {
   using ServeLoop = std::function<int(int request_fd, int response_fd)>;
 
   /// Fork a persistent child running `serve` under `limits`. The rlimits
-  /// apply to the worker's whole lifetime; limits.wall_deadline_ms is the
-  /// default per-call deadline. Fails (no child) when pipe(2) or fork(2)
-  /// fail.
+  /// apply to the worker's whole lifetime; limits.wall_deadline_ms bounds
+  /// every call. Fails (no child) when pipe(2) or fork(2) fail.
   static Result<PoolWorker> spawn(const ServeLoop& serve,
                                   const WorkerLimits& limits);
 
@@ -154,12 +155,11 @@ class PoolWorker {
 
   /// One framed round trip: ship `request` (a complete magic+frame
   /// message), then read exactly one framed response whose magic must be
-  /// `magic`, killing the worker past `deadline_ms` (0 = the spawn
-  /// default; both 0 = wait forever). On anything but kOk the worker is
-  /// dead and reaped — alive() turns false and the caller respawns.
+  /// `magic`, killing the worker past the spawn's wall deadline. On
+  /// anything but kOk the worker is dead and reaped — alive() turns false
+  /// and the caller respawns.
   [[nodiscard]] PoolRpcResult call(const Bytes& request,
-                                   const std::array<std::uint8_t, 8>& magic,
-                                   double deadline_ms = 0.0);
+                                   const std::array<std::uint8_t, 8>& magic);
 
   /// Graceful shutdown: close the request pipe (the loop sees EOF and
   /// exits), wait up to half a second for the child to hang up its
@@ -171,8 +171,6 @@ class PoolWorker {
 
   [[nodiscard]] bool alive() const { return pid_ > 0; }
   [[nodiscard]] int pid() const { return pid_; }
-  /// Completed (kOk) calls served by this worker.
-  [[nodiscard]] std::uint64_t served() const { return served_; }
 
  private:
   PoolWorker(int pid, int request_fd, int response_fd, double deadline_ms)
@@ -190,7 +188,6 @@ class PoolWorker {
   int request_fd_ = -1;
   int response_fd_ = -1;
   double deadline_ms_ = 0.0;
-  std::uint64_t served_ = 0;
 };
 
 }  // namespace dydroid::support

@@ -130,6 +130,15 @@ TEST(DexFile, DeserializeTruncatedThrows) {
   EXPECT_THROW((void)DexFile::deserialize(bytes), ParseError);
 }
 
+TEST(DexFile, LyingStringCountThrowsParseError) {
+  // A string count of 0xFFFFFFFF with no strings must fail as a truncated
+  // pool, never drive a reservation into std::bad_alloc.
+  support::ByteWriter w;
+  w.raw(support::to_bytes(DexFile::kMagic));
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW((void)DexFile::deserialize(w.data()), ParseError);
+}
+
 TEST(DexFile, ValidateCatchesBadStringIndex) {
   DexFile dex;
   ClassDef cls;

@@ -18,6 +18,7 @@
 #include "core/stages.hpp"
 #include "driver/corpus_runner.hpp"
 #include "support/fault.hpp"
+#include "support/trace.hpp"
 #include "hook_stage.hpp"
 
 namespace dydroid::driver {
@@ -351,22 +352,51 @@ TEST(CorpusRunner, CrashingRetriesAccumulateWallTimeAcrossAttempts) {
       [] { std::this_thread::sleep_for(std::chrono::milliseconds(10)); },
       std::move(options));
 
-  std::vector<AppJob> jobs(1);
-  jobs[0].apk = app.apk;
-  jobs[0].scenario = app.scenario;
+  // One app in thread mode, and 24 replicas in pool mode, where the first
+  // attempts ride shared round trips and the retries go alone: every app
+  // reports both attempts summed, whatever its round trips carried.
+  struct Input {
+    const char* name;
+    std::size_t apps;
+    IsolationMode mode;
+  };
+  for (const Input input : {Input{"thread mode", 1, IsolationMode::kOff},
+                            Input{"pool mode", 24, IsolationMode::kPool}}) {
+    SCOPED_TRACE(input.name);
+    std::vector<AppJob> jobs(input.apps);
+    for (AppJob& job : jobs) {
+      job.apk = app.apk;
+      job.scenario = app.scenario;
+    }
 
-  RunnerConfig config;
-  config.jobs = 1;
-  const auto result = CorpusRunner(pipeline, config).run(jobs);
-  const auto& outcome = result.outcomes[0];
-  EXPECT_EQ(outcome.attempts, 2u);
-  EXPECT_TRUE(outcome.quarantined);
-  EXPECT_EQ(outcome.report.status, core::DynamicStatus::kCrash);
-  // Both attempts' elapsed time summed — not just the final attempt's.
-  EXPECT_GE(outcome.wall_ms, 20.0);
-  EXPECT_EQ(result.stats.retried, 1u);
-  EXPECT_EQ(result.stats.quarantined, 1u);
-  EXPECT_DOUBLE_EQ(result.stats.total_app_ms, outcome.wall_ms);
+    RunnerConfig config;
+    config.jobs = 1;
+    config.isolation_mode = input.mode;
+    support::metrics_reset();
+    support::set_metrics_enabled(true);
+    const auto result = CorpusRunner(pipeline, config).run(jobs);
+    support::set_metrics_enabled(false);
+    const support::MetricsSnapshot metrics = support::metrics_snapshot();
+    support::metrics_reset();
+    const auto* rpcs = metrics.counter("sandbox.pool.rpcs");
+    double total = 0.0;
+    for (const auto& outcome : result.outcomes) {
+      EXPECT_EQ(outcome.attempts, 2u);
+      EXPECT_TRUE(outcome.quarantined);
+      EXPECT_EQ(outcome.report.status, core::DynamicStatus::kCrash);
+      // Both attempts' elapsed time summed — not just the final attempt's.
+      EXPECT_GE(outcome.wall_ms, 20.0);
+      total += outcome.wall_ms;
+    }
+    EXPECT_EQ(result.stats.retried, input.apps);
+    EXPECT_EQ(result.stats.quarantined, input.apps);
+    EXPECT_DOUBLE_EQ(result.stats.total_app_ms, total);
+    if (input.mode == IsolationMode::kPool) {
+      // Fewer round trips than attempts: first attempts shared them.
+      ASSERT_NE(rpcs, nullptr);
+      EXPECT_LT(rpcs->value, 2 * input.apps);
+    }
+  }
 }
 
 TEST(CorpusRunner, TransientInjectedCrashRetriesCleanlyAndRecovers) {

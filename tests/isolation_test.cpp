@@ -129,13 +129,21 @@ AppOutcome fated_outcome() {
   return outcome;
 }
 
+/// The framed response carrying one finished attempt.
+support::Bytes one_response(std::size_t app_index, const AppOutcome& outcome) {
+  PoolResponseEncoder encoder;
+  encoder.add(app_index, outcome);
+  return encoder.finish();
+}
+
 TEST(SandboxCodec, ResultStreamRoundTrips) {
   const AppOutcome outcome = fated_outcome();
-  const support::Bytes stream = encode_pool_response(42, outcome);
-  auto decoded = decode_pool_response(stream);
+  const support::Bytes stream = one_response(42, outcome);
+  auto decoded = decode_pool_responses(stream);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
-  EXPECT_EQ(decoded.value().index, 42u);
-  const auto& shipped = decoded.value().outcome;
+  ASSERT_EQ(decoded.value().size(), 1u);
+  EXPECT_EQ(decoded.value()[0].index, 42u);
+  const auto& shipped = decoded.value()[0].outcome;
   EXPECT_EQ(shipped.seed, outcome.seed);
   EXPECT_EQ(shipped.attempts, outcome.attempts);
   EXPECT_TRUE(shipped.timed_out);
@@ -147,18 +155,18 @@ TEST(SandboxCodec, ResultStreamRoundTrips) {
 }
 
 TEST(SandboxCodec, TornAndEmptyStreamsFailWithoutThrowing) {
-  const support::Bytes stream = encode_pool_response(1, fated_outcome());
-  EXPECT_FALSE(decode_pool_response({}).ok());  // child died pre-write
+  const support::Bytes stream = one_response(1, fated_outcome());
+  EXPECT_FALSE(decode_pool_responses({}).ok());  // child died pre-write
   for (const std::size_t keep :
        {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{12},
         stream.size() - 1}) {
-    const auto torn = decode_pool_response(
+    const auto torn = decode_pool_responses(
         std::span<const std::uint8_t>(stream.data(), keep));
     EXPECT_FALSE(torn.ok()) << "prefix of " << keep << " bytes decoded";
   }
   support::Bytes flipped = stream;
   flipped[flipped.size() / 2] ^= 0x40;
-  EXPECT_FALSE(decode_pool_response(flipped).ok());
+  EXPECT_FALSE(decode_pool_responses(flipped).ok());
 }
 
 // ---------------------------------------------------------------------------

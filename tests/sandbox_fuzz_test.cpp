@@ -1,9 +1,9 @@
 // Sandbox RPC fuzz belt (tier 2, docs/ISOLATION.md): whatever a dying
 // worker managed to emit — torn, bit-flipped, duplicated, padded or plain
-// garbage, for one app or a batch — decode_pool_response(s), the decoders
-// of all untrusted child output, must either reject it cleanly or return
-// the original outcomes (and a damaged multi-app request never decodes
-// into another dispatch); they must never throw, and a full corpus run
+// garbage, for one app or a batch — decode_pool_responses, the decoder of
+// all untrusted child output, must either reject it cleanly or return the
+// original outcomes (and a damaged multi-app request never decodes into
+// another dispatch); it must never throw, and a full corpus run
 // under injected response corruption must degrade app-by-app (quarantined
 // crash outcomes) without corrupting any other app's report.
 #include <gtest/gtest.h>
@@ -39,11 +39,18 @@ bool matches_sample(const DecodedOutcome& decoded, std::size_t index,
              core::report_to_json(original.report);
 }
 
+/// A response carrying one outcome, as a worker ships a round trip of one.
+support::Bytes one_response(std::size_t index, const AppOutcome& outcome) {
+  PoolResponseEncoder encoder;
+  encoder.add(index, outcome);
+  return encoder.finish();
+}
+
 TEST(SandboxFuzz, EveryTruncationFailsCleanly) {
   const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_pool_response(9, outcome);
+  const support::Bytes stream = one_response(9, outcome);
   for (std::size_t keep = 0; keep < stream.size(); ++keep) {
-    const auto decoded = decode_pool_response(
+    const auto decoded = decode_pool_responses(
         std::span<const std::uint8_t>(stream.data(), keep));
     EXPECT_FALSE(decoded.ok()) << "prefix of " << keep << " bytes decoded";
   }
@@ -51,16 +58,17 @@ TEST(SandboxFuzz, EveryTruncationFailsCleanly) {
 
 TEST(SandboxFuzz, EverySingleBitFlipIsRejectedOrEquivalent) {
   const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_pool_response(9, outcome);
+  const support::Bytes stream = one_response(9, outcome);
   for (std::size_t byte = 0; byte < stream.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       support::Bytes mutated = stream;
       mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
       // Must not throw; a CRC-colliding accept would have to decode to the
       // same content, anything else is corruption leaking through.
-      const auto decoded = decode_pool_response(mutated);
+      const auto decoded = decode_pool_responses(mutated);
       if (decoded.ok()) {
-        EXPECT_TRUE(matches_sample(decoded.value(), 9, outcome))
+        EXPECT_TRUE(decoded.value().size() == 1 &&
+                    matches_sample(decoded.value()[0], 9, outcome))
             << "flip at byte " << byte << " bit " << bit
             << " decoded to different content";
       }
@@ -165,22 +173,22 @@ TEST(SandboxFuzz, MultiAppRequestNeverDecodesIntoAnotherDispatch) {
 
 TEST(SandboxFuzz, StructuralMutationsAreRejected) {
   const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_pool_response(9, outcome);
+  const support::Bytes stream = one_response(9, outcome);
 
   // A duplicated frame: two records where the protocol demands exactly one.
   support::Bytes doubled = stream;
   doubled.insert(doubled.end(), stream.begin() + 8, stream.end());
-  EXPECT_FALSE(decode_pool_response(doubled).ok());
+  EXPECT_FALSE(decode_pool_responses(doubled).ok());
 
   // Trailing garbage after the valid frame parses as a torn second frame.
   support::Bytes padded = stream;
   for (int i = 0; i < 11; ++i) padded.push_back(0xAB);
-  EXPECT_FALSE(decode_pool_response(padded).ok());
+  EXPECT_FALSE(decode_pool_responses(padded).ok());
 
   // Wrong magic: a journal file (or anything else) fed to the supervisor.
   support::Bytes wrong_magic = stream;
   wrong_magic[0] = 'X';
-  EXPECT_FALSE(decode_pool_response(wrong_magic).ok());
+  EXPECT_FALSE(decode_pool_responses(wrong_magic).ok());
 
   // Pure noise of assorted sizes.
   for (const std::size_t size : {1u, 8u, 16u, 64u, 333u}) {
@@ -188,7 +196,7 @@ TEST(SandboxFuzz, StructuralMutationsAreRejected) {
     for (std::size_t i = 0; i < size; ++i) {
       noise[i] = static_cast<std::uint8_t>(i * 37u + 5u);
     }
-    EXPECT_FALSE(decode_pool_response(noise).ok()) << "noise size " << size;
+    EXPECT_FALSE(decode_pool_responses(noise).ok()) << "noise size " << size;
   }
 }
 

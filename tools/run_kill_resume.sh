@@ -11,7 +11,11 @@
 # the golden summary. The warm cache is the golden run's journal, copied in
 # as the store (a finished journal is a cache store), and a resume of that
 # journal under another corpus seed must be refused: its records name other
-# jobs.
+# jobs. A deterministic abort round, once in thread mode and once with
+# `--isolate=pool`, arms `--faults driver.kill=nth:K` (K about half the
+# apps): the run must exit 3 with a resume hint, and following the hints
+# must reach exit 0 and the golden summary, minus the `fault policy:` line
+# an armed plan adds.
 #
 #   tools/run_kill_resume.sh [rounds] [scale] [seed] [jobs]
 #
@@ -105,6 +109,53 @@ if ! grep -q "app 0 " "$workdir/other_seed.err"; then
 fi
 echo "other seed: refused ($(head -c 160 "$workdir/other_seed.err"))"
 
+# The armed driver.kill ends the run right after its K-th journal append,
+# mid-claim under --isolate=pool; the sealed journal resumes. The hint
+# repeats --faults, so a resume can abort again; after at most three runs
+# every app is journaled and the run exits 0.
+abort_resume_round() {
+  local tag="$1"; shift
+  local journal="$workdir/$tag.jrnl"
+  local kill_at=$(( apps / 2 ))
+  local -a cmd=(survey --scale "$scale" --seed "$seed"
+                --faults "driver.kill=nth:$kill_at" --journal "$journal")
+  local runs=0 code hint
+  rm -f "$journal"
+  while :; do
+    runs=$((runs + 1))
+    code=0
+    "$cli" "${cmd[@]}" --jobs "$jobs" "$@" > "$workdir/$tag.txt" \
+      2> "$workdir/$tag.err" || code=$?
+    (( code == 0 )) && break
+    hint="$(sed -n 's/.*resume with: dydroid //p' "$workdir/$tag.err")"
+    if (( code != 3 )) || [[ -z "$hint" ]]; then
+      echo "$tag: run $runs exited $code without a resume hint:" >&2
+      cat "$workdir/$tag.err" >&2
+      exit 1
+    fi
+    if (( runs == 3 )); then
+      echo "$tag: no exit 0 after $runs runs" >&2
+      exit 1
+    fi
+    read -r -a cmd <<< "$hint"
+  done
+  if (( runs == 1 )); then
+    echo "$tag: driver.kill=nth:$kill_at did not abort the run" >&2
+    exit 1
+  fi
+  strip_timing "$workdir/$tag.txt" | grep -v '  fault policy:' \
+    > "$workdir/$tag.stable" || true
+  if ! diff -u "$workdir/golden.stable" "$workdir/$tag.stable"; then
+    echo "$tag: summary after following the hints DIFFERS from golden" >&2
+    exit 1
+  fi
+  echo "$tag: ok (aborted after $kill_at appends, exit 0 on run $runs)"
+}
+
+echo "==== deterministic abort: driver.kill, then follow the resume hints ===="
+abort_resume_round abort-thread
+abort_resume_round abort-pool --isolate=pool
+
 kill_resume_round() {
   local tag="$1"; shift
   local journal="$workdir/$tag.jrnl"
@@ -149,5 +200,5 @@ for round in $(seq 1 "$rounds"); do
   kill_resume_round "round$round-isolated" --isolate
 done
 
-echo "kill/resume harness passed: $rounds rounds" \
+echo "kill/resume harness passed: abort rounds and $rounds rounds" \
   "(plain + warm-cache + isolate) byte-identical"
