@@ -1,5 +1,7 @@
 #include "core/dcl_log.hpp"
 
+#include <utility>
+
 #include "support/strings.hpp"
 
 namespace dydroid::core {
@@ -10,6 +12,11 @@ std::string_view code_kind_name(CodeKind kind) {
 
 std::string_view entity_name(Entity entity) {
   return entity == Entity::Own ? "Own" : "3rd-party";
+}
+
+void InterceptedBinary::set_bytes(support::Blob payload) {
+  bytes = std::move(payload);
+  digest = support::sha256(bytes.span());
 }
 
 std::string call_site_of(const vm::StackTrace& trace) {

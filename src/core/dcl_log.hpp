@@ -9,6 +9,7 @@
 
 #include "support/blob.hpp"
 #include "support/bytes.hpp"
+#include "support/hash.hpp"
 #include "vm/stack_trace.hpp"
 
 namespace dydroid::core {
@@ -40,12 +41,19 @@ struct DclEvent {
 /// A dynamically loaded binary captured by the interceptor. `bytes` is a
 /// refcounted snapshot view: VFS files are immutable Blobs replaced whole
 /// on write, so holding the view IS the snapshot — no copy needed.
+/// `digest` is the payload's content identity (support/hash.hpp): the
+/// verdict memo, the corpus dedup table and the JSON report all read it.
+/// Set both through set_bytes(), the one place a payload's SHA-256 is taken.
 struct InterceptedBinary {
   CodeKind kind = CodeKind::Dex;
   std::string path;
   support::Blob bytes;
+  support::Sha256Digest digest;  // SHA-256 of `bytes`
   std::string call_site_class;
   Entity entity = Entity::ThirdParty;
+
+  /// Take `payload` as the binary's bytes, and its SHA-256 as its digest.
+  void set_bytes(support::Blob payload);
 };
 
 /// Walk a stack trace from the innermost frame past framework classes to

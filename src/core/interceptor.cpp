@@ -88,7 +88,7 @@ void CodeInterceptor::on_load(CodeKind kind,
           InterceptedBinary binary;
           binary.kind = kind;
           binary.path = path;
-          binary.bytes = *bytes;
+          binary.set_bytes(*bytes);
           binary.call_site_class = event.call_site_class;
           binary.entity = event.entity;
           binaries_.push_back(std::move(binary));

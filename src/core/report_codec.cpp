@@ -139,7 +139,7 @@ BinaryReport get_binary(ByteReader& r) {
   BinaryReport binary;
   binary.binary.kind = get_enum<CodeKind>(r, 2, "code kind");
   binary.binary.path = r.str();
-  binary.binary.bytes = support::Blob::take(r.blob());
+  binary.binary.set_bytes(support::Blob::take(r.blob()));
   binary.binary.call_site_class = r.str();
   binary.binary.entity = get_enum<Entity>(r, 2, "entity");
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace dydroid::core {
@@ -69,8 +68,8 @@ void write_binary(std::ostringstream& out, const BinaryReport& binary,
   out << indent << "  \"kind\": "
       << quoted(code_kind_name(binary.binary.kind)) << ",\n";
   out << indent << "  \"size\": " << binary.binary.bytes.size() << ",\n";
-  out << indent << "  \"sha256\": \""
-      << support::sha256(binary.binary.bytes.span()).hex() << "\",\n";
+  out << indent << "  \"sha256\": \"" << binary.binary.digest.hex()
+      << "\",\n";
   out << indent << "  \"call_site\": " << quoted(binary.binary.call_site_class)
       << ",\n";
   out << indent << "  \"entity\": "

@@ -134,16 +134,18 @@ namespace {
 
 /// Malware scan and, for DEX payloads, privacy analysis of one payload: a
 /// pure function of the detector, the kind and the bytes.
-BinaryVerdict judge(const VerdictKey& key) {
+BinaryVerdict judge(const malware::DroidNative* detector,
+                    const InterceptedBinary& binary) {
+  const std::span<const std::uint8_t> bytes = binary.bytes.span();
   BinaryVerdict verdict;
-  if (key.detector != nullptr) verdict.malware = key.detector->scan(key.bytes);
-  if (key.kind != CodeKind::Dex) return verdict;
+  if (detector != nullptr) verdict.malware = detector->scan(bytes);
+  if (binary.kind != CodeKind::Dex) return verdict;
   try {
-    if (dex::looks_like_dex(key.bytes)) {
+    if (dex::looks_like_dex(bytes)) {
       verdict.privacy =
-          privacy::analyze_privacy(dex::DexFile::deserialize(key.bytes));
-    } else if (apk::looks_like_apk(key.bytes)) {
-      const auto pkg = apk::ApkFile::deserialize(key.bytes);
+          privacy::analyze_privacy(dex::DexFile::deserialize(bytes));
+    } else if (apk::looks_like_apk(bytes)) {
+      const auto pkg = apk::ApkFile::deserialize(bytes);
       if (auto inner = pkg.read_classes_dex()) {
         verdict.privacy = privacy::analyze_privacy(*inner);
       }
@@ -165,11 +167,11 @@ StageResult PerBinaryStage::run(AnalysisContext& ctx) const {
   for (auto& binary : run.binaries) {
     BinaryReport br;
     br.origin_url = run.tracker.origin_url(binary.path);
-    const VerdictKey key{ctx.options->detector, binary.kind, binary.bytes};
+    const VerdictKey key{ctx.options->detector, binary.kind, binary.digest};
     std::optional<BinaryVerdict> verdict;
     if (use_memo) verdict = verdicts_.find(key);
     if (!verdict.has_value()) {
-      verdict = judge(key);
+      verdict = judge(ctx.options->detector, binary);
       if (use_memo) verdicts_.insert(key, *verdict);
     }
     br.malware = std::move(verdict->malware);

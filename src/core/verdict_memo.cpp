@@ -1,21 +1,10 @@
 #include "core/verdict_memo.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "support/hash.hpp"
 #include "support/trace.hpp"
 
 namespace dydroid::core {
-
-std::size_t VerdictMemo::Hash::operator()(const VerdictKey& key) const {
-  return support::fnv1a64(key.bytes);
-}
-
-bool VerdictMemo::Equal::operator()(const VerdictKey& a,
-                                    const VerdictKey& b) const {
-  return a.detector == b.detector && a.kind == b.kind &&
-         std::ranges::equal(a.bytes, b.bytes);
-}
 
 std::optional<BinaryVerdict> VerdictMemo::find(const VerdictKey& key) const {
   std::optional<BinaryVerdict> hit;
@@ -31,15 +20,8 @@ std::optional<BinaryVerdict> VerdictMemo::find(const VerdictKey& key) const {
 }
 
 void VerdictMemo::insert(const VerdictKey& key, BinaryVerdict verdict) {
-  {
-    const std::lock_guard lock(mutex_);
-    if (verdicts_.contains(key)) return;
-    verdicts_.emplace(
-        OwnedKey{key.detector, key.kind,
-                 support::Bytes(key.bytes.begin(), key.bytes.end())},
-        std::move(verdict));
-  }
-  support::count("pipeline.bytes_copied", key.bytes.size());
+  const std::lock_guard lock(mutex_);
+  verdicts_.try_emplace(key, std::move(verdict));
 }
 
 }  // namespace dydroid::core

@@ -25,19 +25,9 @@ bool persist_blob(const std::filesystem::path& path,
 
 }  // namespace
 
-std::vector<PayloadDigest> digest_payloads(const core::AppReport& report) {
-  std::vector<PayloadDigest> payloads;
-  payloads.reserve(report.binaries.size());
-  for (const auto& binary_report : report.binaries) {
-    const core::InterceptedBinary& binary = binary_report.binary;
-    payloads.push_back(
-        {support::sha256(binary.bytes.span()), binary.kind, binary.bytes});
-  }
-  return payloads;
-}
-
-void BinaryDedupStore::absorb(std::span<const PayloadDigest> payloads) {
-  for (const PayloadDigest& payload : payloads) {
+void BinaryDedupStore::absorb(std::span<const core::BinaryReport> binaries) {
+  for (const core::BinaryReport& binary : binaries) {
+    const core::InterceptedBinary& payload = binary.binary;
     ++stats_.total;
     stats_.total_bytes += payload.bytes.size();
     auto [it, fresh] = counts_.emplace(payload.digest, 0);

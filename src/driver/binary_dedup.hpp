@@ -14,11 +14,11 @@
 // already on disk is never written again, across runs. The directory is
 // listed once, when the store first needs it, not stat'ed per payload.
 //
-// The SHA-256 of each payload is taken by the worker that ran its app, as
-// the app finishes (digest_payloads, a pure function); the store only folds
-// the digests.
+// The SHA-256 of each payload is the report's own (InterceptedBinary::
+// digest, taken where the bytes entered it: the interceptor's snapshot or
+// the report decoder); the store only folds the digests.
 //
-// Thread-safety: none. The runner absorbs the digests in corpus order after
+// Thread-safety: none. The runner absorbs the reports in corpus order after
 // the worker pool joins, which also makes every stat deterministic.
 #pragma once
 
@@ -27,10 +27,8 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "core/pipeline.hpp"
-#include "support/blob.hpp"
 #include "support/hash.hpp"
 
 namespace dydroid::driver {
@@ -52,19 +50,6 @@ struct BinaryDedupStats {
   }
 };
 
-/// One intercepted payload as the dedup table sees it: its content digest,
-/// its kind and its bytes (a view shared with the app's report, for
-/// persisting a first occurrence).
-struct PayloadDigest {
-  support::Sha256Digest digest;
-  core::CodeKind kind = core::CodeKind::Dex;
-  support::Blob bytes;
-};
-
-/// Digest every intercepted payload of one finished app, in report order.
-[[nodiscard]] std::vector<PayloadDigest> digest_payloads(
-    const core::AppReport& report);
-
 /// Content-addressed table of every intercepted binary in a corpus run.
 class BinaryDedupStore {
  public:
@@ -74,9 +59,8 @@ class BinaryDedupStore {
   explicit BinaryDedupStore(std::string blob_dir)
       : blob_dir_(std::move(blob_dir)) {}
 
-  /// Absorb every intercepted binary of one finished app, as
-  /// digest_payloads returned them.
-  void absorb(std::span<const PayloadDigest> payloads);
+  /// Absorb every intercepted binary of one finished app's report.
+  void absorb(std::span<const core::BinaryReport> binaries);
 
   [[nodiscard]] const BinaryDedupStats& stats() const { return stats_; }
 

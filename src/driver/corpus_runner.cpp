@@ -227,7 +227,7 @@ ResultCache open_cache(const RunnerConfig& config,
   CacheConfig cache_config;
   cache_config.max_entries = config.cache_max_entries;
   cache_config.max_bytes = config.cache_max_bytes;
-  cache_config.fsync_each_insert = config.cache_fsync;
+  cache_config.fsync_each_insert = config.journal_fsync;
   // Serial set-up before any worker starts: reading and indexing the store.
   const support::Span open_span("cache", "open");
   auto opened = ResultCache::open(config.cache_dir, config_fp, cache_config);
@@ -1005,23 +1005,20 @@ class JournalSink {
 /// Reduce the stats once, in corpus order: deterministic counts *and*
 /// deterministic floating-point sums, independent of worker count and of
 /// which outcomes were replayed vs. analyzed. The same ordered pass folds
-/// the workers' payload digests into the corpus-wide unique-binary dedup
+/// each report's payload digests into the corpus-wide unique-binary dedup
 /// table (docs/CACHE.md), so its stats — and which run first persists a
 /// shared blob — are deterministic too.
-void reduce_in_corpus_order(
-    const std::string& cache_dir,
-    std::span<const std::vector<PayloadDigest>> payloads,
-    CorpusResult& result) {
+void reduce_in_corpus_order(const std::string& cache_dir,
+                            CorpusResult& result) {
   // Serial, after the workers join: the stats fold and the dedup fold of
-  // digests the workers already took.
+  // digests the reports already carry.
   const support::Span reduce_span("runner", "reduce");
   BinaryDedupStore dedup(cache_dir.empty() ? std::string{}
                                            : cache_dir + "/blobs");
-  for (std::size_t index = 0; index < result.outcomes.size(); ++index) {
-    const AppOutcome& outcome = result.outcomes[index];
+  for (const AppOutcome& outcome : result.outcomes) {
     if (!outcome.completed) continue;
     result.stats.absorb(outcome);
-    dedup.absorb(payloads[index]);
+    dedup.absorb(outcome.report.binaries);
     if (outcome.replayed) {
       ++result.replayed;
     } else {
@@ -1206,9 +1203,6 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   // claims only: every app of an in-flight claim finishes, and is
   // journaled unless the journal itself failed.
   AttemptExecutor executor(*pipeline_, config_, jobs, result.threads);
-  // Each completed app's payload digests for the dedup table, taken by the
-  // worker that ran or replayed it while its report is still hot.
-  std::vector<std::vector<PayloadDigest>> payloads(jobs.size());
   std::atomic<std::size_t> next{0};
   const auto stopping = [&] {
     return journal.aborted() ||
@@ -1236,10 +1230,7 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       for (std::size_t slot = first; slot < std::min(first + want, shard_apps);
            ++slot) {
         const std::size_t index = global_index_of(slot);
-        if (done[index]) {  // replayed from the resume journal
-          payloads[index] = digest_payloads(result.outcomes[index].report);
-          continue;
-        }
+        if (done[index]) continue;  // replayed from the resume journal
         AppOutcome& outcome = result.outcomes[index];
         // One digest per app: the cache tier takes it in its lookup span.
         if (journal.active() && !cache.active()) {
@@ -1257,8 +1248,6 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
         // Ambient tagging for the journal span.
         const support::TraceContextScope trace_context(
             trace_app_id(app.index), 0, static_cast<std::uint32_t>(worker_id));
-        // Outside the attempt's wall clock: wall_ms stays the analysis's.
-        payloads[app.index] = digest_payloads(app.outcome->report);
         // A failed append aborts the run, which ends the claim loop.
         if (!journal.append(app.index, *app.outcome)) break;
       }
@@ -1277,16 +1266,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
     }
     pool.clear();  // join
   }
-  // A stopped or aborted run leaves the replayed slots past the last claim
-  // undigested: no worker reached them.
-  for (std::size_t slot = next.load(); slot < shard_apps; ++slot) {
-    const std::size_t index = global_index_of(slot);
-    if (done[index]) {
-      payloads[index] = digest_payloads(result.outcomes[index].report);
-    }
-  }
 
-  reduce_in_corpus_order(config_.cache_dir, payloads, result);
+  reduce_in_corpus_order(config_.cache_dir, result);
 
   // Seal the journal and the cache before reporting the run's fate:
   // whatever happens next (return or throw), the files on disk are

@@ -264,8 +264,10 @@ struct RunnerConfig {
   /// (shard, seed base, corpus size, codec version, config fingerprint).
   /// Requires a non-empty journal_path.
   bool resume = false;
-  /// fsync the journal after every record (power-loss durability); off by
-  /// default — the journal is always fsync'd when sealed.
+  /// fsync every outcome journal this run writes after every record
+  /// (power-loss durability): the `journal_path` journal and the cache
+  /// store, which is a journal too. Off by default; both are always
+  /// fsync'd when sealed.
   bool journal_fsync = false;
   /// Graceful-shutdown flag (e.g. set by a SIGINT/SIGTERM handler): when
   /// it becomes true, workers finish their in-flight apps, the journal is
@@ -282,8 +284,6 @@ struct RunnerConfig {
   /// LRU capacity bounds for the cache; 0 = unlimited.
   std::size_t cache_max_entries = 0;
   std::uint64_t cache_max_bytes = 0;
-  /// fsync the cache store after every insert; off by default.
-  bool cache_fsync = false;
 
   // --- process-isolation sandbox (docs/ISOLATION.md) -----------------------
   /// Containment for analysis attempts. kPool dispatches attempts to one

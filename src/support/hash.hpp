@@ -14,18 +14,18 @@
 //                      2^32 binaries expects a collision) and collisions
 //                      are craftable, so NOTHING that decides identity —
 //                      cache keys, dedup tables, signatures-as-identity —
-//                      may bottom out here. The per-binary verdict memo
-//                      (core/verdict_memo.hpp) is a bucketing-only use: it
-//                      buckets payloads by FNV-1a, and identity is decided
-//                      by comparing the bytes themselves.
-//   * SHA-256        — content identity. The result cache and the
-//                      unique-binary dedup table (docs/CACHE.md) key on it,
-//                      the way the paper dedups 58,739 apps' payloads by
-//                      content hash before analyzing each unique binary
-//                      once. Whole 64-byte blocks run on the x86 SHA
-//                      extensions on x86-64 CPUs whose CPUID reports SHA,
-//                      SSSE3 and SSE4.1, and on the portable FIPS 180-4
-//                      loop on every other CPU
+//                      may bottom out here.
+//   * SHA-256        — content identity. The result cache, the
+//                      unique-binary dedup table (docs/CACHE.md) and the
+//                      per-binary verdict memo (core/verdict_memo.hpp) key
+//                      on it, the way the paper dedups 58,739 apps'
+//                      payloads by content hash before analyzing each
+//                      unique binary once. An intercepted payload's digest
+//                      is taken once, where its bytes enter a report
+//                      (core::InterceptedBinary::set_bytes). Whole 64-byte
+//                      blocks run on the x86 SHA extensions on x86-64 CPUs
+//                      whose CPUID reports SHA, SSSE3 and SSE4.1, and on
+//                      the portable FIPS 180-4 loop on every other CPU
 //                      (support/hash_kernels.hpp). The kernel is picked
 //                      once per process, at first use; there is no
 //                      option, and both give the same digest.

@@ -562,7 +562,8 @@ TEST(CliArgs, ResumeHintsRepeatThePinnedFlags) {
   REQUIRE_CLI();
   // A journal's metadata pins the fault plan, budget and retry policy (and
   // each record its seed), so a killed run's hint must repeat them:
-  // following the hint has to finish the run.
+  // following the hint has to finish the run. The hint is the command as
+  // run, so it keeps the flags the metadata does not pin too.
   const std::string base_path = testing::TempDir() + "/cli_hint_" +
                                 std::to_string(::getpid());
   const std::string journal = base_path + ".jrnl";
@@ -583,6 +584,33 @@ TEST(CliArgs, ResumeHintsRepeatThePinnedFlags) {
   }
   ASSERT_EQ(run.exit_code, 0) << run.output;
   EXPECT_EQ(stable_output(run.output), stable_output(golden.output));
+
+  // An aborted pooled, memory-capped run resumes pooled, capped and at the
+  // same worker count, and ends with the summary of an unjournaled run
+  // (which arms no driver fault), sandbox line included. Its journal is
+  // spelled --journal=P, which the hint respells --resume P.
+  const std::string pooled =
+      "survey --scale 0.002 --seed 7 --jobs 2 --isolate=pool "
+      "--mem-limit 4000000000 --faults driver.kill=nth:40";
+  const auto pooled_golden = run_cli(pooled);
+  ASSERT_EQ(pooled_golden.exit_code, 0) << pooled_golden.output;
+  ASSERT_NE(pooled_golden.output.find("  sandbox: worker-pool"),
+            std::string::npos)
+      << pooled_golden.output;
+  std::remove(journal.c_str());
+  run = run_cli(pooled + " --journal=" + journal);
+  ASSERT_EQ(run.exit_code, 3) << run.output;
+  for (int round = 0; round < 5 && run.exit_code == 3; ++round) {
+    const std::string hint = resume_hint(run.output);
+    for (const char* flag :
+         {"--jobs 2", "--isolate=pool", "--mem-limit 4000000000"}) {
+      ASSERT_NE(hint.find(flag), std::string::npos)
+          << flag << " missing from the hint:\n" << run.output;
+    }
+    run = run_cli(hint);
+  }
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(stable_output(run.output), stable_output(pooled_golden.output));
 
   ASSERT_EQ(run_cli("gen " + app + " --own-dex --seed 7").exit_code, 0);
   const std::string analyze = "analyze " + app + " --seed 42";

@@ -88,8 +88,8 @@ AppReport all_fields_report() {
   core::BinaryReport binary;
   binary.binary.kind = core::CodeKind::Dex;
   binary.binary.path = "/sdcard/payload.dex";
-  binary.binary.bytes =
-      support::Blob::take(Bytes{0xde, 0xad, 0x00, 0xbe, 0xef});
+  binary.binary.set_bytes(
+      support::Blob::take(Bytes{0xde, 0xad, 0x00, 0xbe, 0xef}));
   binary.binary.call_site_class = "Lcom/ads/Loader;";
   binary.binary.entity = core::Entity::ThirdParty;
   binary.origin_url = "http://cdn.example.com/payload.dex";
@@ -109,6 +109,7 @@ AppReport all_fields_report() {
   core::BinaryReport bare;  // no optionals set
   bare.binary.kind = core::CodeKind::Native;
   bare.binary.path = "/data/data/app/lib/libfoo.so";
+  bare.binary.set_bytes(support::Blob{});  // an empty payload
   report.binaries.push_back(bare);
 
   vm::VmEvent vm_event;
@@ -144,6 +145,25 @@ TEST(ReportCodec, AllFieldsRoundTripJsonIdentical) {
   EXPECT_EQ(decoded.events[0].trace.size(), 2u);
   EXPECT_TRUE(decoded.events[0].integrity_check_before);
   EXPECT_TRUE(decoded.events[1].system_binary);
+}
+
+TEST(ReportCodec, DecodedBinariesCarryTheirPayloadDigest) {
+  // The decoder takes each payload's SHA-256 as it sets the bytes, so a
+  // replayed, pooled or cached report carries the digest the verdict memo,
+  // the dedup table and the JSON read. (A live report's digest comes from
+  // the interceptor; CorpusReportsRoundTripJsonIdentical compares the two
+  // through the JSON.)
+  const AppReport decoded = decode_report(encode_report(all_fields_report()));
+  const std::string json = core::report_to_json(decoded);
+  ASSERT_EQ(decoded.binaries.size(), 2u);
+  for (const auto& binary : decoded.binaries) {
+    const support::Sha256Digest digest =
+        support::sha256(binary.binary.bytes.span());
+    EXPECT_EQ(binary.binary.digest, digest) << binary.binary.path;
+    EXPECT_NE(json.find("\"sha256\": \"" + digest.hex() + "\""),
+              std::string::npos)
+        << binary.binary.path << "\n" << json;
+  }
 }
 
 TEST(ReportCodec, DefaultReportRoundTrips) {

@@ -808,29 +808,28 @@ TEST(CacheEquivalence, BlobStoreWritesOnlyWhatItsDirectoryLacks) {
   // is missing from the next listing and written again.
   TempCacheDir dir("blob_listing");
   const std::string blobs = dir.path() + "/blobs";
-  std::vector<PayloadDigest> payloads;
+  std::vector<core::BinaryReport> binaries;
   for (const std::string_view text : {"dex one", "dex two", "native three"}) {
-    const support::Blob bytes = support::Blob::of_string(text);
-    payloads.push_back({support::sha256(bytes.span()),
-                        text.starts_with("native") ? core::CodeKind::Native
-                                                   : core::CodeKind::Dex,
-                        bytes});
+    core::BinaryReport& binary = binaries.emplace_back();
+    binary.binary.kind = text.starts_with("native") ? core::CodeKind::Native
+                                                    : core::CodeKind::Dex;
+    binary.binary.set_bytes(support::Blob::of_string(text));
   }
   const auto written = [&] {
     BinaryDedupStore store(blobs);
-    store.absorb(payloads);
+    store.absorb(binaries);
     return store.stats().blobs_written;
   };
   EXPECT_EQ(written(), 3u);
   EXPECT_EQ(written(), 0u);
   const auto deleted = std::filesystem::path(blobs) /
-                       (payloads[1].digest.hex() + ".bin");
+                       (binaries[1].binary.digest.hex() + ".bin");
   ASSERT_TRUE(std::filesystem::remove(deleted));
   EXPECT_EQ(written(), 1u);
   std::ifstream in(deleted, std::ios::binary);
   const support::Bytes bytes((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-  EXPECT_EQ(payloads[1].bytes, bytes);
+  EXPECT_EQ(binaries[1].binary.bytes, bytes);
 }
 
 /// Every BinaryDedupStats field.

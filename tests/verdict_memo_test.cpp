@@ -1,8 +1,8 @@
 // Per-binary verdict memo (core/verdict_memo.hpp, docs/PIPELINE.md): a
 // DyDroid judges each distinct intercepted payload once. These tests pin
-// the memo's identity rules (bytes, not FNV-1a; detector; code kind), the
-// saved work (a repeated payload costs no dex parse), its fault bypass and
-// that sharing one DyDroid across a corpus changes no report.
+// the memo's identity rules (SHA-256 digest, not FNV-1a; detector; code
+// kind), the saved work (a repeated payload costs no dex parse), its fault
+// bypass and that sharing one DyDroid across a corpus changes no report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -59,40 +59,44 @@ BinaryVerdict verdict_named(const std::string& family) {
 
 TEST(VerdictMemo, CraftedFnvTwinMisses) {
   // Same length, same FNV-1a (tests/support_test.cpp), different bytes:
-  // they share a bucket, and only byte equality tells them apart.
+  // their SHA-256 digests differ, so the memo keeps them apart without
+  // holding either payload.
   const std::string a = std::string("adhkfmajpgmp") + '\x61';
   const std::string b = std::string("dknbajjdhieb") + '\x17';
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(support::fnv1a64(a), support::fnv1a64(b));
-  const auto bytes_a = support::to_bytes(a);
-  const auto bytes_b = support::to_bytes(b);
+  const auto digest_a = support::sha256(a);
+  const auto digest_b = support::sha256(b);
+  ASSERT_NE(digest_a, digest_b);
 
   const MetricsWindow metrics;
   VerdictMemo memo;
-  memo.insert(VerdictKey{nullptr, CodeKind::Dex, bytes_a},
+  memo.insert(VerdictKey{nullptr, CodeKind::Dex, digest_a},
               verdict_named("twin"));
-  EXPECT_FALSE(memo.find(VerdictKey{nullptr, CodeKind::Dex, bytes_b}));
-  const auto hit = memo.find(VerdictKey{nullptr, CodeKind::Dex, bytes_a});
+  EXPECT_FALSE(memo.find(VerdictKey{nullptr, CodeKind::Dex, digest_b}));
+  const auto hit = memo.find(VerdictKey{nullptr, CodeKind::Dex, digest_a});
   ASSERT_TRUE(hit.has_value());
   ASSERT_TRUE(hit->malware.has_value());
   EXPECT_EQ(hit->malware->family, "twin");
   EXPECT_EQ(counter_value("pipeline.verdict_hits"), 1u);
   EXPECT_EQ(counter_value("pipeline.verdict_misses"), 1u);
-  EXPECT_EQ(counter_value("pipeline.bytes_copied"), bytes_a.size());
+  // The key is the digest: an insert copies no payload bytes.
+  EXPECT_EQ(counter_value("pipeline.bytes_copied"), 0u);
 }
 
 TEST(VerdictMemo, KeyedByDetectorAndKind) {
   const malware::DroidNative first(0.9);
   const malware::DroidNative second(0.9);
-  const auto bytes = support::to_bytes("payload");
+  const auto digest = support::sha256("payload");
   VerdictMemo memo;
-  memo.insert(VerdictKey{&first, CodeKind::Dex, bytes}, verdict_named("one"));
-  EXPECT_FALSE(memo.find(VerdictKey{&second, CodeKind::Dex, bytes}));
-  EXPECT_FALSE(memo.find(VerdictKey{nullptr, CodeKind::Dex, bytes}));
-  EXPECT_FALSE(memo.find(VerdictKey{&first, CodeKind::Native, bytes}));
-  memo.insert(VerdictKey{&second, CodeKind::Dex, bytes}, verdict_named("two"));
-  const auto one = memo.find(VerdictKey{&first, CodeKind::Dex, bytes});
-  const auto two = memo.find(VerdictKey{&second, CodeKind::Dex, bytes});
+  memo.insert(VerdictKey{&first, CodeKind::Dex, digest}, verdict_named("one"));
+  EXPECT_FALSE(memo.find(VerdictKey{&second, CodeKind::Dex, digest}));
+  EXPECT_FALSE(memo.find(VerdictKey{nullptr, CodeKind::Dex, digest}));
+  EXPECT_FALSE(memo.find(VerdictKey{&first, CodeKind::Native, digest}));
+  memo.insert(VerdictKey{&second, CodeKind::Dex, digest},
+              verdict_named("two"));
+  const auto one = memo.find(VerdictKey{&first, CodeKind::Dex, digest});
+  const auto two = memo.find(VerdictKey{&second, CodeKind::Dex, digest});
   ASSERT_TRUE(one.has_value() && one->malware.has_value());
   ASSERT_TRUE(two.has_value() && two->malware.has_value());
   EXPECT_EQ(one->malware->family, "one");

@@ -11,7 +11,8 @@
 //       Run the full pipeline on one app; print the JSON report. With a
 //       journal the finished outcome is appended to the write-ahead log;
 //       with --resume (same --seed, --faults, --host and --companion) a
-//       journaled outcome is replayed instead of re-run.
+//       journaled outcome is replayed instead of re-run. A killed run
+//       prints its own command with --journal respelled --resume.
 //       With --cache the outcome is served from / inserted into the
 //       content-addressed result cache (docs/CACHE.md).
 //
@@ -31,8 +32,10 @@
 //       write-ahead log (docs/CHECKPOINT.md); SIGINT/SIGTERM triggers a
 //       graceful stop (in-flight apps finish, the journal is sealed) and
 //       a killed or interrupted run resumes with --resume PATH and the
-//       same flags (checked against the journal's metadata), re-running
-//       only the missing apps. --cache DIR arms the
+//       same flags (checked against the journal's metadata; the printed
+//       hint is the command as run, --journal respelled --resume),
+//       re-running only the missing apps. --fsync syncs every record of
+//       the journal and of the cache store. --cache DIR arms the
 //       content-addressed result cache + binary dedup store
 //       (docs/CACHE.md): identical (bytes, config, seed) work is
 //       replayed instead of re-analyzed. --trace writes a Chrome
@@ -108,6 +111,7 @@ void write_file(const std::string& path, std::span<const std::uint8_t> data) {
 }
 
 struct Args {
+  std::vector<std::string> tokens;  // every argument after the command
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;  // --k v (or "" for flags)
   std::vector<std::pair<std::string, std::string>> hosts;  // --host URL FILE
@@ -124,6 +128,7 @@ struct Args {
 Args parse(int argc, char** argv, int first,
            const std::set<std::string>& value_opts) {
   Args args;
+  args.tokens.assign(argv + first, argv + argc);
   for (int i = first; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--host" && i + 2 < argc) {
@@ -310,20 +315,24 @@ std::string configure_journal(const Args& args,
   return path;
 }
 
-/// The given flags among `names`, respelled for a "resume with:" hint: a
+/// The "resume with:" hint of a killed or interrupted run: the command as
+/// it was run, its --journal P (or --journal=P) respelled --resume P. A
 /// resume must repeat every flag the journal's metadata pins (corpus,
-/// shard, fault plan, budget, retry policy).
-std::string resume_flags(const Args& args,
-                         std::initializer_list<const char*> names) {
-  std::string flags;
-  for (const char* name : names) {
-    if (!args.flag(name)) continue;
-    flags += std::string(" --") + name;
-    if (const std::string value = args.value(name, ""); !value.empty()) {
-      flags += " " + value;
+/// shard, fault plan, budget, retry policy) and every --host/--companion
+/// of an analyzed app; repeating the whole command also keeps the run's
+/// workers, isolation and cache.
+std::string resume_command(const std::string& cmd, const Args& args) {
+  std::string command = "dydroid " + cmd;
+  for (const std::string& token : args.tokens) {
+    if (token == "--journal") {
+      command += " --resume";
+    } else if (token.starts_with("--journal=")) {
+      command += " --resume " + token.substr(token.find('=') + 1);
+    } else {
+      command += " " + token;
     }
   }
-  return flags;
+  return command;
 }
 
 // --- corpus sharding plumbing (docs/SHARDING.md) ----------------------------
@@ -371,7 +380,6 @@ std::string configure_cache(const char* cmd, const Args& args,
       cmd, "cache-entries", args.value("cache-entries", "0")));
   config.cache_max_bytes =
       parse_u64_flag(cmd, "cache-bytes", args.value("cache-bytes", "0"));
-  config.cache_fsync = args.flag("fsync");
   return config.cache_dir;
 }
 
@@ -498,17 +506,8 @@ int cmd_analyze(const Args& args) {
   const bool isolate = configure_isolation("analyze", args, runner_config);
   const core::DyDroid pipeline(std::move(options));
   const driver::CorpusRunner runner(pipeline, runner_config);
-  // The journal's metadata pins the fault plan and the record the seed;
-  // the app's scenario (--host, --companion) is part of the job itself.
-  std::string scenario_flags;
-  for (const auto& [url, file] : args.hosts) {
-    scenario_flags += " --host " + url + " " + file;
-  }
-  scenario_flags += resume_flags(args, {"companion", "faults"});
-  const std::string resume_hint = support::format(
-      "  resume with: dydroid analyze %s --seed %llu%s --resume %s\n",
-      args.positional[0].c_str(), static_cast<unsigned long long>(*job.seed),
-      scenario_flags.c_str(), journal_path.c_str());
+  const std::string resume_hint =
+      "  resume with: " + resume_command("analyze", args) + "\n";
   driver::CorpusResult result;
   try {
     StopSignalRestorer restore;
@@ -624,13 +623,6 @@ int cmd_survey(const Args& args) {
   const std::string cache_dir = configure_cache("survey", args, runner_config);
   const bool isolate = configure_isolation("survey", args, runner_config);
   const std::string trace_path = configure_observability(args);
-  // A resume must repeat every flag the journal's metadata pins.
-  const std::string resume_command = support::format(
-      "dydroid survey --scale %s --seed %s%s --resume %s",
-      args.value("scale", "0.02").c_str(),
-      args.value("seed", "20161101").c_str(),
-      resume_flags(args, {"faults", "budget", "retry", "shard"}).c_str(),
-      journal_path.c_str());
   const driver::CorpusRunner runner(pipeline, runner_config);
   driver::CorpusResult result;
   try {
@@ -640,7 +632,7 @@ int cmd_survey(const Args& args) {
   } catch (const driver::RunAborted& e) {
     std::fprintf(stderr, "survey: %s\n", e.what());
     std::fprintf(stderr, "  the journal is sealed; resume with: %s\n",
-                 resume_command.c_str());
+                 resume_command("survey", args).c_str());
     return 3;
   }
   maybe_test_raise_stop();
@@ -708,7 +700,7 @@ int cmd_survey(const Args& args) {
                  "survey: interrupted: %zu/%zu apps completed and journaled\n"
                  "  resume with: %s\n",
                  result.completed(), result.shard_apps,
-                 resume_command.c_str());
+                 resume_command("survey", args).c_str());
     return 3;
   }
   return 0;
@@ -802,8 +794,9 @@ void usage() {
       "the top-K slowest apps.\n"
       "Crash safety (docs/CHECKPOINT.md): --journal writes a CRC-framed\n"
       "write-ahead outcome log led by the run's metadata; a killed or\n"
-      "interrupted run resumes with --resume PATH and the same flags,\n"
-      "re-running only the missing apps.\n"
+      "interrupted run prints how to resume: the same command with\n"
+      "--resume PATH, which re-runs only the missing apps. --fsync syncs\n"
+      "every record of the journal and of the --cache store.\n"
       "Sharding (docs/SHARDING.md): --shard I/N runs only global corpus\n"
       "indices congruent to I mod N (seeds, journal records and cache keys\n"
       "stay global); `merge` folds the N shard journals into one journal\n"

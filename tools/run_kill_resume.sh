@@ -13,9 +13,10 @@
 # journal under another corpus seed must be refused: its records name other
 # jobs. A deterministic abort round, once in thread mode and once with
 # `--isolate=pool`, arms `--faults driver.kill=nth:K` (K about half the
-# apps): the run must exit 3 with a resume hint, and following the hints
-# must reach exit 0 and the golden summary, minus the `fault policy:` line
-# an armed plan adds.
+# apps): the run must exit 3 with a resume hint that repeats the command as
+# run (its `--jobs` and, in the pooled round, `--isolate=pool` included),
+# and running the hints verbatim must reach exit 0 and the golden summary,
+# minus the `fault policy:` line an armed plan adds.
 #
 #   tools/run_kill_resume.sh [rounds] [scale] [seed] [jobs]
 #
@@ -110,22 +111,23 @@ fi
 echo "other seed: refused ($(head -c 160 "$workdir/other_seed.err"))"
 
 # The armed driver.kill ends the run right after its K-th journal append,
-# mid-claim under --isolate=pool; the sealed journal resumes. The hint
-# repeats --faults, so a resume can abort again; after at most three runs
-# every app is journaled and the run exits 0.
+# mid-claim under --isolate=pool; the sealed journal resumes. The hint is
+# the command as run with --journal respelled --resume, so it repeats
+# --faults and a resume can abort again; after at most three runs every
+# app is journaled and the run exits 0.
 abort_resume_round() {
   local tag="$1"; shift
   local journal="$workdir/$tag.jrnl"
   local kill_at=$(( apps / 2 ))
-  local -a cmd=(survey --scale "$scale" --seed "$seed"
-                --faults "driver.kill=nth:$kill_at" --journal "$journal")
-  local runs=0 code hint
+  local -a cmd=(survey --scale "$scale" --seed "$seed" --jobs "$jobs"
+                --faults "driver.kill=nth:$kill_at" --journal "$journal" "$@")
+  local runs=0 code hint flag
   rm -f "$journal"
   while :; do
     runs=$((runs + 1))
     code=0
-    "$cli" "${cmd[@]}" --jobs "$jobs" "$@" > "$workdir/$tag.txt" \
-      2> "$workdir/$tag.err" || code=$?
+    "$cli" "${cmd[@]}" > "$workdir/$tag.txt" 2> "$workdir/$tag.err" ||
+      code=$?
     (( code == 0 )) && break
     hint="$(sed -n 's/.*resume with: dydroid //p' "$workdir/$tag.err")"
     if (( code != 3 )) || [[ -z "$hint" ]]; then
@@ -133,6 +135,12 @@ abort_resume_round() {
       cat "$workdir/$tag.err" >&2
       exit 1
     fi
+    for flag in "--jobs $jobs" "$@"; do
+      if [[ " $hint " != *" $flag "* ]]; then
+        echo "$tag: run $runs hint lacks '$flag': $hint" >&2
+        exit 1
+      fi
+    done
     if (( runs == 3 )); then
       echo "$tag: no exit 0 after $runs runs" >&2
       exit 1
