@@ -168,6 +168,31 @@ void BM_Decompile(benchmark::State& state) {
 }
 BENCHMARK(BM_Decompile);
 
+// The two decoders under every decompile, each reading the package's entry
+// in place: classes.dex through support::ByteReader, and the manifest text.
+void BM_DexDeserialize(benchmark::State& state) {
+  const auto apk = apk::ApkFile::deserialize(make_ad_app().apk);
+  const auto dex = *apk.get(apk::kClassesDexEntry);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dex::DexFile::deserialize(dex));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(dex.size()));
+}
+BENCHMARK(BM_DexDeserialize);
+
+void BM_ManifestFromText(benchmark::State& state) {
+  const auto apk = apk::ApkFile::deserialize(make_ad_app().apk);
+  const auto text = *apk.get(apk::kManifestEntry);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        manifest::Manifest::from_text(support::as_chars(text)));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ManifestFromText);
+
 void BM_PackApp(benchmark::State& state) {
   const auto app = make_ad_app();
   const auto apk = apk::ApkFile::deserialize(app.apk);

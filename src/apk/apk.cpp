@@ -58,7 +58,7 @@ std::vector<std::string> ApkFile::entry_names() const {
 manifest::Manifest ApkFile::read_manifest() const {
   const auto data = get(kManifestEntry);
   if (!data) throw ParseError("apk: no AndroidManifest.xml");
-  return manifest::Manifest::from_text(support::to_string(*data));
+  return manifest::Manifest::from_text(support::as_chars(*data));
 }
 
 void ApkFile::write_manifest(const manifest::Manifest& m) {
@@ -121,8 +121,9 @@ ApkFile ApkFile::deserialize(Blob data, ParseMode mode) {
     throw ParseError(support::fault_message(support::FaultSite::kApkDeserialize));
   }
   support::ByteReader r(data);
-  const auto magic = r.raw(kMagic.size());
-  if (support::to_string(magic) != kMagic) throw ParseError("bad SimApk magic");
+  if (support::as_chars(r.view(kMagic.size())) != kMagic) {
+    throw ParseError("bad SimApk magic");
+  }
   ApkFile apk;
   apk.signer_ = r.str();
   apk.signature_ = r.u64();

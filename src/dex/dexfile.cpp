@@ -21,6 +21,16 @@ const Method* ClassDef::find_method(std::string_view method_name) const {
 }
 
 std::uint32_t DexFile::intern(std::string_view s) {
+  // A parsed file indexes its pool here, on its first intern, not in
+  // deserialize: the pipeline parses files and never interns into them
+  // (the builder and the obfuscators intern into fresh ones). The first
+  // index of a duplicated pool string wins.
+  if (index_.empty() && !strings_.empty()) {
+    index_.reserve(strings_.size());
+    for (std::uint32_t i = 0; i < strings_.size(); ++i) {
+      index_.emplace(strings_[i], i);
+    }
+  }
   const auto it = index_.find(std::string(s));
   if (it != index_.end()) return it->second;
   const auto idx = static_cast<std::uint32_t>(strings_.size());
@@ -125,8 +135,7 @@ DexFile DexFile::deserialize(std::span<const std::uint8_t> data) {
     throw ParseError(support::fault_message(support::FaultSite::kDexParse));
   }
   ByteReader r(data);
-  const auto magic = r.raw(kMagic.size());
-  if (support::to_string(magic) != kMagic) {
+  if (support::as_chars(r.view(kMagic.size())) != kMagic) {
     throw ParseError("bad SimDex magic");
   }
   DexFile dex;
@@ -139,10 +148,6 @@ DexFile DexFile::deserialize(std::span<const std::uint8_t> data) {
     // Preserve pool order: duplicate strings are not re-interned so indices
     // embedded in instructions remain stable.
     dex.strings_.push_back(r.str());
-  }
-  dex.index_.reserve(dex.strings_.size());
-  for (std::uint32_t i = 0; i < dex.strings_.size(); ++i) {
-    dex.index_.emplace(dex.strings_[i], i);
   }
   const auto num_classes = r.u32();
   for (std::uint32_t i = 0; i < num_classes; ++i) {

@@ -87,6 +87,8 @@ class DexFile {
 
  private:
   std::vector<std::string> strings_;
+  /// string → first pool index; built by the first intern() of a parsed
+  /// file (deserialize leaves it empty).
   std::unordered_map<std::string, std::uint32_t> index_;
   std::vector<ClassDef> classes_;
   std::vector<ExtraSection> extras_;

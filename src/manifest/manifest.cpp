@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "support/fault.hpp"
-#include "support/strings.hpp"
 
 namespace dydroid::manifest {
 
@@ -75,18 +74,23 @@ std::string Manifest::to_text() const {
 
 namespace {
 
-/// Extract the value of attr="value" on a line; nullopt if absent.
-std::optional<std::string> attr_value(std::string_view line,
-                                      std::string_view attr) {
-  const std::string needle = std::string(attr) + "=\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string_view::npos) {
-    throw ParseError("manifest: unterminated attribute " + std::string(attr));
+/// The value of attr="value" on a line (a view into the line); nullopt if
+/// absent. Matches the first `attr="` anywhere on the line, so `name`
+/// also matches inside `xname="..."`.
+std::optional<std::string_view> attr_value(std::string_view line,
+                                           std::string_view attr) {
+  for (auto pos = line.find(attr); pos != std::string_view::npos;
+       pos = line.find(attr, pos + 1)) {
+    const auto rest = line.substr(pos + attr.size());
+    if (!rest.starts_with("=\"")) continue;
+    const auto value = rest.substr(2);
+    const auto end = value.find('"');
+    if (end == std::string_view::npos) {
+      throw ParseError("manifest: unterminated attribute " + std::string(attr));
+    }
+    return value.substr(0, end);
   }
-  return std::string(line.substr(start, end - start));
+  return std::nullopt;
 }
 
 std::string_view trim(std::string_view s) {
@@ -109,8 +113,11 @@ Manifest Manifest::from_text(std::string_view text) {
   }
   Manifest m;
   bool saw_manifest = false;
-  for (const auto& raw_line : support::split(text, '\n')) {
-    const auto line = trim(raw_line);
+  for (std::size_t start = 0; start <= text.size();) {
+    auto end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    const auto line = trim(text.substr(start, end - start));
+    start = end + 1;
     if (line.empty()) continue;
     if (line.starts_with("<manifest")) {
       saw_manifest = true;
@@ -118,10 +125,11 @@ Manifest Manifest::from_text(std::string_view text) {
       if (auto ver = attr_value(line, "versionName")) m.version_name = *ver;
     } else if (line.starts_with("<uses-sdk")) {
       if (auto sdk = attr_value(line, "minSdkVersion")) {
+        const std::string digits(*sdk);
         try {
-          m.min_sdk = std::stoi(*sdk);
+          m.min_sdk = std::stoi(digits);
         } catch (const std::exception&) {
-          throw ParseError("manifest: bad minSdkVersion: " + *sdk);
+          throw ParseError("manifest: bad minSdkVersion: " + digits);
         }
       }
     } else if (line.starts_with("<uses-permission")) {

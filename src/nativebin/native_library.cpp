@@ -34,8 +34,7 @@ NativeLibrary NativeLibrary::deserialize(std::span<const std::uint8_t> data) {
     throw ParseError(support::fault_message(support::FaultSite::kNativeLoad));
   }
   support::ByteReader r(data);
-  const auto magic = r.raw(kMagic.size());
-  if (support::to_string(magic) != kMagic) {
+  if (support::as_chars(r.view(kMagic.size())) != kMagic) {
     throw ParseError("bad SimNative magic");
   }
   NativeLibrary lib;
@@ -45,8 +44,7 @@ NativeLibrary NativeLibrary::deserialize(std::span<const std::uint8_t> data) {
     throw ParseError("bad SimNative arch");
   }
   lib.arch_ = static_cast<Arch>(raw_arch);
-  const auto code = r.blob();
-  lib.code_ = dex::DexFile::deserialize(code);
+  lib.code_ = dex::DexFile::deserialize(r.view(r.u32()));
   return lib;
 }
 

@@ -26,17 +26,6 @@ Device::Device(DeviceConfig config)
                         support::to_bytes("system"));
   (void)vfs_.write_file(sys, std::string(kSystemLibDir) + "/libandroid.so",
                         support::to_bytes("system"));
-  // Default content-provider rows so privacy sources return data.
-  services_.put_provider_row(kUriContacts, "Alice;+1555000001");
-  services_.put_provider_row(kUriCalendar, "2016-11-12;dentist");
-  services_.put_provider_row(kUriCallLog, "+1555000001;32s");
-  services_.put_provider_row(kUriBrowser, "https://example.com");
-  services_.put_provider_row(kUriAudio, "/mnt/sdcard/music/track01.mp3");
-  services_.put_provider_row(kUriImages, "/mnt/sdcard/DCIM/img001.jpg");
-  services_.put_provider_row(kUriVideo, "/mnt/sdcard/DCIM/vid001.mp4");
-  services_.put_provider_row(kUriSettings, "adb_enabled=0");
-  services_.put_provider_row(kUriSms, "+1555000002;hello");
-  services_.put_provider_row(kUriMms, "+1555000002;photo");
 }
 
 void Scenario::apply(Device& device) const {

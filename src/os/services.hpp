@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,17 +61,10 @@ class SystemServices {
   }
 
   // --- content providers ---
-  /// Rows stored per provider URI (opaque strings; privacy analysis only
-  /// needs that reads return provider-tagged data).
-  void put_provider_row(std::string_view uri, std::string row) {
-    providers_[std::string(uri)].push_back(std::move(row));
-  }
-  [[nodiscard]] std::vector<std::string> query_provider(
-      std::string_view uri) const {
-    const auto it = providers_.find(std::string(uri));
-    if (it == providers_.end()) return {};
-    return it->second;
-  }
+  /// The row a provider URI returns, or "" for a URI no provider serves.
+  /// Every device serves the same constant rows (opaque strings; privacy
+  /// analysis only needs that reads return provider-tagged data).
+  [[nodiscard]] static std::string_view query_provider(std::string_view uri);
 
  private:
   std::int64_t now_ms_ = 1'478'000'000'000;  // ~Nov 2016, the crawl date
@@ -85,7 +77,6 @@ class SystemServices {
   std::string iccid_ = "89014103211118510720";
   std::string line1_ = "+18475551212";
   std::vector<std::string> accounts_ = {"user@example.com"};
-  std::map<std::string, std::vector<std::string>> providers_;
 };
 
 }  // namespace dydroid::os

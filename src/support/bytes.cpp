@@ -46,71 +46,23 @@ void ByteWriter::raw(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-void ByteReader::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) {
-    throw ParseError("truncated input: need " + std::to_string(n) +
-                     " bytes at offset " + std::to_string(pos_) + " of " +
-                     std::to_string(data_.size()));
-  }
+void ByteReader::throw_truncated(std::size_t n) const {
+  throw ParseError("truncated input: need " + std::to_string(n) +
+                   " bytes at offset " + std::to_string(pos_) + " of " +
+                   std::to_string(data_.size()));
 }
 
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  const auto lo = u8();
-  const auto hi = u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t ByteReader::u32() {
-  const auto lo = u16();
-  const auto hi = u16();
-  return static_cast<std::uint32_t>(lo) | (static_cast<std::uint32_t>(hi) << 16);
-}
-
-std::uint64_t ByteReader::u64() {
-  const auto lo = u32();
-  const auto hi = u32();
-  return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-}
-
-std::int64_t ByteReader::i64() { return static_cast<std::int64_t>(u64()); }
-
-std::string ByteReader::str() {
-  const auto n = u32();
-  need(n);
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return out;
-}
-
-Bytes ByteReader::blob() {
-  const auto n = u32();
-  return raw(n);
-}
-
-Bytes ByteReader::raw(std::size_t n) {
-  need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-std::span<const std::uint8_t> ByteReader::view(std::size_t n) {
-  need(n);
-  const auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
+void ByteReader::throw_short_fixed() {
+  // Fail as a byte-by-byte read would: what is left is consumed, and the
+  // byte after it is the one missing.
+  pos_ = data_.size();
+  throw_truncated(1);
 }
 
 Bytes to_bytes(std::string_view s) { return Bytes(s.begin(), s.end()); }
 
 std::string to_string(std::span<const std::uint8_t> b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+  return std::string(as_chars(b));
 }
 
 }  // namespace dydroid::support

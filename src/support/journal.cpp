@@ -258,7 +258,7 @@ ShardMeta decode_shard_meta(std::span<const std::uint8_t> payload) {
   meta.seed_base = r.u64();
   meta.corpus_size = r.u64();
   meta.outcome_codec_version = r.u8();
-  const Bytes fp = r.raw(meta.config_fingerprint.size());
+  const auto fp = r.view(meta.config_fingerprint.size());
   std::copy(fp.begin(), fp.end(), meta.config_fingerprint.begin());
   if (!r.at_end()) {
     throw ParseError("shard meta: trailing bytes after fingerprint");

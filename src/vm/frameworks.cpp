@@ -615,7 +615,7 @@ void install_privacy_sources(FrameworkTable& fw) {
       [](Vm& v, std::span<const Value> args) -> Value {
         const auto& uri = arg(v, args, 0).as_str();
         return v.make_string(
-            support::join(v.device().services().query_provider(uri), ";"));
+            std::string(v.device().services().query_provider(uri)));
       });
 }
 

@@ -198,6 +198,31 @@ TEST(DexFile, InternDeduplicates) {
   EXPECT_EQ(dex.string_at(a), "hello");
 }
 
+TEST(DexFile, InternAfterDeserializeUsesThePool) {
+  // A pool with a duplicate ("a" at 0 and 2), which only a hand-written
+  // file has: intern() never adds a string twice.
+  support::ByteWriter w;
+  w.raw(support::to_bytes(DexFile::kMagic));
+  w.u32(3);
+  w.str("a");
+  w.str("b");
+  w.str("a");
+  w.u32(0);  // classes
+  w.u32(0);  // extras
+  auto dex = DexFile::deserialize(w.data());
+  EXPECT_EQ(dex.intern("a"), 0u);  // the first index of a duplicate wins
+  EXPECT_EQ(dex.intern("b"), 1u);
+  EXPECT_EQ(dex.intern("c"), 3u);  // a new string is appended
+  EXPECT_EQ(dex.intern("c"), 3u);
+  EXPECT_EQ(dex.string_at(2), "a");
+  EXPECT_EQ(dex.string_at(3), "c");
+  const auto bytes = dex.serialize();
+  auto back = DexFile::deserialize(bytes);
+  EXPECT_EQ(back.serialize(), bytes);
+  EXPECT_EQ(back.intern("c"), 3u);
+  EXPECT_EQ(back.intern("a"), 0u);
+}
+
 TEST(DexFile, ExtrasSurviveRoundTrip) {
   auto dex = make_simple();
   dex.add_extra(ExtraSection{"custom_meta", support::to_bytes("opaque")});

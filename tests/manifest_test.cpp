@@ -1,6 +1,10 @@
 // Unit tests for the AndroidManifest analogue.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "manifest/manifest.hpp"
 
 namespace dydroid::manifest {
@@ -76,6 +80,48 @@ TEST(Manifest, HasComponent) {
   EXPECT_FALSE(m.has_component("com.example.game.Missing"));
 }
 
+// The ParseError message of parsing `text`, or "no error".
+std::string parse_error(std::string_view text) {
+  try {
+    (void)Manifest::from_text(text);
+  } catch (const support::ParseError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Manifest, AttributeMatchesTheFirstNameEqualsQuote) {
+  // An attribute is found by the first `name="` on its line, so an
+  // attribute whose name ends in `name` shadows a later `name`.
+  const auto m = Manifest::from_text(
+      "<manifest package=\"a.b\">\n"
+      "  <activity xname=\"a\" name=\"b\"/>\n"
+      "  <service name=\"c\" xname=\"d\"/>\n");
+  ASSERT_EQ(m.components.size(), 2u);
+  EXPECT_EQ(m.components[0].name, "a");
+  EXPECT_EQ(m.components[1].name, "c");
+}
+
+TEST(Manifest, LastLineNeedsNoNewline) {
+  const auto m = Manifest::from_text(
+      "<manifest package=\"a.b\">\n  <uses-permission name=\"p.q\"/>");
+  EXPECT_EQ(m.package, "a.b");
+  EXPECT_EQ(m.permissions, std::vector<std::string>{"p.q"});
+}
+
+TEST(Manifest, CrlfLineEndsAndBlankLinesParseAsLf) {
+  const auto lf = make_sample().to_text();
+  std::string crlf = "\r\n\n  \t\r\n";
+  for (const char c : lf) {
+    if (c == '\n') {
+      crlf += "\r\n\r\n";  // a CRLF line end, then a blank CRLF line
+    } else {
+      crlf += c;
+    }
+  }
+  EXPECT_EQ(Manifest::from_text(crlf).to_text(), lf);
+}
+
 TEST(Manifest, MissingPackageThrows) {
   EXPECT_THROW((void)Manifest::from_text("<application/>"),
                support::ParseError);
@@ -85,6 +131,10 @@ TEST(Manifest, BadMinSdkThrows) {
   const auto text =
       "<manifest package=\"a.b\">\n  <uses-sdk minSdkVersion=\"abc\"/>\n";
   EXPECT_THROW((void)Manifest::from_text(text), support::ParseError);
+  EXPECT_EQ(parse_error(text), "manifest: bad minSdkVersion: abc");
+  EXPECT_EQ(parse_error("<manifest package=\"a.b\">\n"
+                        "<uses-sdk minSdkVersion=\"99999999999\"/>"),
+            "manifest: bad minSdkVersion: 99999999999");
 }
 
 TEST(Manifest, ComponentWithoutNameThrows) {
@@ -95,6 +145,10 @@ TEST(Manifest, ComponentWithoutNameThrows) {
 TEST(Manifest, UnterminatedAttributeThrows) {
   EXPECT_THROW((void)Manifest::from_text("<manifest package=\"a.b>\n"),
                support::ParseError);
+  EXPECT_EQ(parse_error("<manifest package=\"a.b>\n"),
+            "manifest: unterminated attribute package");
+  EXPECT_EQ(parse_error("<manifest package=\"a.b\">\n  <receiver name=\"x"),
+            "manifest: unterminated attribute name");
 }
 
 }  // namespace

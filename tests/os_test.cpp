@@ -243,7 +243,9 @@ TEST(Services, LocationGating) {
 
 TEST(Services, ContentProviders) {
   Device device;
-  EXPECT_FALSE(device.services().query_provider(kUriContacts).empty());
+  EXPECT_EQ(device.services().query_provider(kUriContacts),
+            "Alice;+1555000001");
+  EXPECT_EQ(device.services().query_provider(kUriMms), "+1555000002;photo");
   EXPECT_TRUE(device.services().query_provider("content://unknown").empty());
 }
 

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "support/blob.hpp"
 #include "support/bytes.hpp"
@@ -59,6 +60,73 @@ TEST(Bytes, TruncatedStringThrows) {
   w.u32(100);  // declares 100 bytes but provides none
   ByteReader r(w.data());
   EXPECT_THROW((void)r.str(), ParseError);
+}
+
+// The ParseError message of `read`, or "no error" when it does not throw.
+template <typename Read>
+std::string truncation_message(Read read) {
+  try {
+    read();
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Bytes, TruncatedReadsReportTheByteWiseMessage) {
+  // A short fixed-width read fails as if it read byte by byte: on the
+  // byte after the last one, with the position left at the end.
+  const auto check_fixed = [](std::size_t width, auto read) {
+    for (std::size_t before = 0; before <= 3; ++before) {
+      for (std::size_t left = 0; left < width; ++left) {
+        const Bytes input(before + left, 0x5a);
+        ByteReader r(input);
+        (void)r.view(before);
+        const auto size = std::to_string(input.size());
+        EXPECT_EQ(truncation_message([&] { (void)read(r); }),
+                  "truncated input: need 1 bytes at offset " + size + " of " +
+                      size)
+            << "width " << width << ", " << before << " read, " << left
+            << " left";
+        EXPECT_EQ(r.position(), input.size());
+        EXPECT_TRUE(r.at_end());
+      }
+    }
+  };
+  check_fixed(1, [](ByteReader& r) { return r.u8(); });
+  check_fixed(2, [](ByteReader& r) { return r.u16(); });
+  check_fixed(4, [](ByteReader& r) { return r.u32(); });
+  check_fixed(8, [](ByteReader& r) { return r.u64(); });
+  check_fixed(8, [](ByteReader& r) { return r.i64(); });
+
+  // A length that lies fails on the whole field, at the field's offset,
+  // and leaves the position there.
+  ByteWriter w;
+  w.u32(100);
+  w.raw(to_bytes("abc"));
+  const std::string lie = "truncated input: need 100 bytes at offset 4 of 7";
+  {
+    ByteReader r(w.data());
+    EXPECT_EQ(truncation_message([&] { (void)r.str(); }), lie);
+    EXPECT_EQ(r.position(), 4u);
+  }
+  {
+    ByteReader r(w.data());
+    EXPECT_EQ(truncation_message([&] { (void)r.blob(); }), lie);
+    EXPECT_EQ(r.position(), 4u);
+  }
+  {
+    ByteReader r(w.data());
+    (void)r.u32();
+    EXPECT_EQ(truncation_message([&] { (void)r.raw(100); }), lie);
+    EXPECT_EQ(truncation_message([&] { (void)r.view(100); }), lie);
+    EXPECT_EQ(r.position(), 4u);
+    EXPECT_EQ(truncation_message([&] { (void)r.view(4); }),
+              "truncated input: need 4 bytes at offset 4 of 7");
+    EXPECT_EQ(as_chars(r.view(3)), "abc");
+    EXPECT_TRUE(r.view(0).empty());
+    EXPECT_TRUE(r.at_end());
+  }
 }
 
 TEST(Hash, Fnv1aKnownProperties) {
